@@ -21,6 +21,11 @@ class Dataset:
     def labels(self) -> np.ndarray:
         return self.arrays()[1]
 
+    @property
+    def input_shape(self) -> tuple:
+        """Shape of one input sample, ``arrays()[0].shape[1:]``."""
+        return tuple(self.arrays()[0].shape[1:])
+
     def subset(self, indices: Sequence[int]) -> "Subset":
         return Subset(self, np.asarray(indices, dtype=np.int64))
 
@@ -76,6 +81,11 @@ class Subset(Dataset):
         that entirely.
         """
         return self.parent.labels[self.indices]
+
+    @property
+    def input_shape(self) -> tuple:
+        """The parent's sample shape, without gathering any rows."""
+        return self.parent.input_shape
 
 
 class DataLoader:

@@ -45,33 +45,34 @@ def dirichlet_partition(
         raise ValueError("num_clients must be positive")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    if max_tries <= 0:
+        raise ValueError(f"max_tries must be positive, got {max_tries}")
     labels = np.asarray(labels)
     if len(labels) < num_clients * min_size:
         raise ValueError("not enough samples to give every client min_size")
     rng = make_rng(rng)
     classes = np.unique(labels)
-    result: list[np.ndarray] | None = None
+    draw: list[tuple[np.ndarray, np.ndarray]] = []
     for _attempt in range(max_tries):
-        shards: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
+        # Only the shard *sizes* decide acceptance, and they follow from the
+        # cut points alone; shards are concatenated once, for the draw that
+        # is kept (accepted, or the last one, which gets rebalanced).
+        draw = []
+        sizes = np.zeros(num_clients, dtype=np.int64)
         for cls in classes:
             idx = np.where(labels == cls)[0]
             rng.shuffle(idx)
             props = rng.dirichlet(np.full(num_clients, alpha))
             # Cumulative proportions → split points into this class's indices.
             cuts = (np.cumsum(props)[:-1] * len(idx)).astype(int)
-            for client, part in enumerate(np.split(idx, cuts)):
-                shards[client].append(part)
-        sizes = [sum(len(p) for p in parts) for parts in shards]
-        result = [
-            np.concatenate(parts) if parts else np.empty(0, np.int64)
-            for parts in shards
-        ]
-        if min(sizes) >= min_size:
-            return [np.sort(shard) for shard in result]
+            draw.append((idx, cuts))
+            sizes += np.diff(np.concatenate(([0], cuts, [len(idx)])))
+        if sizes.min() >= min_size:
+            return [np.sort(shard) for shard in _gather_shards(draw, num_clients)]
+    result = _gather_shards(draw, num_clients)
     # Extreme alpha can make min_size unreachable by redrawing (a class's
     # whole mass lands on one client); rebalance the last draw instead by
     # moving samples from the largest shards to the starved ones.
-    assert result is not None
     pool = [list(shard) for shard in result]
     while True:
         sizes = np.array([len(shard) for shard in pool])
@@ -86,6 +87,20 @@ def dirichlet_partition(
         take = rng.integers(0, len(pool[donor]))
         pool[needy].append(pool[donor].pop(int(take)))
     return [np.sort(np.asarray(shard, dtype=np.int64)) for shard in pool]
+
+
+def _gather_shards(
+    draw: list[tuple[np.ndarray, np.ndarray]], num_clients: int
+) -> list[np.ndarray]:
+    """Concatenate each client's parts of every class's shuffled indices."""
+    shards: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
+    for idx, cuts in draw:
+        for client, part in enumerate(np.split(idx, cuts)):
+            shards[client].append(part)
+    return [
+        np.concatenate(parts) if parts else np.empty(0, np.int64)
+        for parts in shards
+    ]
 
 
 @dataclass(frozen=True)

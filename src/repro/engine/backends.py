@@ -1766,13 +1766,15 @@ class ProcessPoolBackend(ExecutionBackend):
         — published once per campaign. Returns None when caching is off,
         the client opts out, or the template has no frozen prefix.
 
-        The fingerprint is recomputed per call — never served from the
-        parent-side memo — mirroring
-        :meth:`~repro.fl.features.FeatureRuntime.features_for`: the hash
-        *is* the invalidation mechanism, so a ϕ mutated mid-run (or a new
-        template object reusing a freed id) can never be handed stale
-        features. ``chain`` is the one sanctioned shortcut: a single
-        dispatch wave (``submit_many``) probes the chain once and shares
+        The fingerprint is taken from ``template.phi_prefix_chain()`` per
+        call — never from the parent-side segment memo — mirroring
+        :meth:`~repro.fl.features.FeatureRuntime.features_for`: the
+        fingerprint *is* the invalidation mechanism, so a ϕ mutated
+        mid-run (or a new template object reusing a freed id) can never
+        be handed stale features. The chain call itself is memoized on
+        ϕ's exact bytes, which costs a comparison, not a re-hash, and
+        returns what a recomputation would. ``chain`` lets a single
+        dispatch wave (``submit_many``) probe the chain once and share
         it — ϕ cannot mutate between two lookups of the same wave.
         """
         if self.feature_runtime is None or not getattr(

@@ -101,10 +101,9 @@ class Client:
         exactly.
         """
         num_selected = selected_count(len(self.dataset), self.selection_fraction)
-        in_shape = self.dataset.arrays()[0].shape[1:]
         return timing.round_seconds(
             model,
-            tuple(in_shape),
+            self.dataset.input_shape,
             num_selected=num_selected,
             num_local=len(self.dataset),
             epochs=self.epochs,

@@ -345,13 +345,14 @@ class FeatureRuntime:
         cache) or the client opts out (``supports_feature_cache`` False —
         e.g. tiered clients that re-freeze the model per round).
 
-        The fingerprint chain is deliberately recomputed per call rather
-        than memoized per model: the O(|ϕ|) hash *is* the invalidation
-        mechanism (a mutated ϕ must never be served stale features), and
-        it is orders of magnitude cheaper than the O(n·FLOPs) forward it
-        replaces — the benchmark's speedup already includes this tax. The
-        one sanctioned exception is ``chain``: a scheduler dispatching a
-        single round's wave may probe ``model.phi_prefix_chain()`` once
+        The fingerprint chain is taken from ``model.phi_prefix_chain()``
+        on every call, and the fingerprint *is* the invalidation
+        mechanism: a mutated ϕ must never be served stale features. That
+        call is memoized per model on ϕ's exact bytes, so an unchanged ϕ
+        costs a byte comparison instead of a re-hash, and a hit returns
+        exactly the chain a recomputation would — any mutation still
+        yields a new fingerprint and a fresh entry. ``chain`` lets a
+        scheduler dispatching a single round's wave probe the chain once
         and share it across the wave's lookups — nothing can mutate ϕ
         between two lookups of the same dispatch.
         """

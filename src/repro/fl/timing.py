@@ -59,16 +59,11 @@ class TimingModel:
         """Simulated seconds for one local round of one client."""
         if num_selected < 0 or num_local < 0 or epochs <= 0:
             raise ValueError("counts must be non-negative and epochs positive")
-        train_flops = (
-            profiling.training_flops_per_sample(model, in_shape)
-            * num_selected
-            * epochs
-        )
+        training, selection = profiling.round_flops_per_sample(model, in_shape)
+        train_flops = training * num_selected * epochs
         selection_flops = 0
         if selection_forward:
-            selection_flops = (
-                profiling.selection_flops_per_sample(model, in_shape) * num_local
-            )
+            selection_flops = selection * num_local
         total = train_flops + selection_flops
         return total / self.flops_per_second * self._multiplier(client_id)
 

@@ -11,7 +11,7 @@ counts (see DESIGN.md, substitutions). The key structural facts preserved:
 
 from __future__ import annotations
 
-from repro.nn.segmented import SEGMENT_ORDER, SegmentedModel
+from repro.nn.segmented import SegmentedModel
 
 #: Conventional backward/forward cost ratio for SGD training.
 BACKWARD_FORWARD_RATIO = 2.0
@@ -23,18 +23,6 @@ def forward_flops_per_sample(model: SegmentedModel, in_shape: tuple) -> int:
     return flops
 
 
-def segment_forward_flops(
-    model: SegmentedModel, in_shape: tuple
-) -> dict[str, int]:
-    """Per-segment forward FLOPs for one sample."""
-    out: dict[str, int] = {}
-    shape = in_shape
-    for name, segment in model.segments():
-        flops, shape = segment.flops_per_sample(shape)
-        out[name] = flops
-    return out
-
-
 def training_flops_per_sample(model: SegmentedModel, in_shape: tuple) -> int:
     """FLOPs for one training sample: full forward + truncated backward.
 
@@ -42,18 +30,33 @@ def training_flops_per_sample(model: SegmentedModel, in_shape: tuple) -> int:
     every segment from the lowest trainable one upward; segments below the
     frontier are never back-propagated through (``SegmentedModel.backward``).
     """
-    per_segment = segment_forward_flops(model, in_shape)
-    total_forward = sum(per_segment.values())
-    trainable = {name for name, seg in model.segments() if seg.has_trainable()}
-    if not trainable:
-        return total_forward
-    frontier = min(SEGMENT_ORDER.index(name) for name in trainable)
-    backward = sum(
-        per_segment[name]
-        for i, name in enumerate(SEGMENT_ORDER)
-        if i >= frontier
-    )
-    return int(total_forward + BACKWARD_FORWARD_RATIO * backward)
+    return round_flops_per_sample(model, in_shape)[0]
+
+
+def round_flops_per_sample(
+    model: SegmentedModel, in_shape: tuple
+) -> tuple[int, int]:
+    """``(training, selection)`` FLOPs for one sample, from one segment walk.
+
+    Training is :func:`training_flops_per_sample`'s count; selection is one
+    forward pass (:func:`selection_flops_per_sample`), which is the forward
+    total the training count already sums — so pricing a round needs the
+    per-segment FLOPs once, not twice.
+    """
+    total_forward = 0
+    backward = 0
+    frontier_seen = False
+    shape = in_shape
+    for _, segment in model.segments():
+        flops, shape = segment.flops_per_sample(shape)
+        total_forward += flops
+        frontier_seen = frontier_seen or segment.has_trainable()
+        if frontier_seen:
+            backward += flops
+    if not frontier_seen:
+        return total_forward, total_forward
+    training = int(total_forward + BACKWARD_FORWARD_RATIO * backward)
+    return training, total_forward
 
 
 def selection_flops_per_sample(model: SegmentedModel, in_shape: tuple) -> int:

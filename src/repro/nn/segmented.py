@@ -10,6 +10,7 @@ freezing/truncated-backward/activation-collection all key off segment names.
 from __future__ import annotations
 
 import hashlib
+import weakref
 
 import numpy as np
 
@@ -28,6 +29,30 @@ FINE_TUNE_LEVELS = {
     "moderate": "up",
     "classifier": "head",
 }
+
+#: Per live model: the frozen content its ϕ prefix chain was last hashed
+#: from, and that chain (see :meth:`SegmentedModel.phi_prefix_chain`).
+#: Weakly keyed, so the memo never keeps a model alive and — living
+#: outside the model — is neither pickled to process workers nor
+#: deep-copied into thread replicas.
+_PHI_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _hash_phi_content(type_name: str, segments: list) -> tuple[str, ...]:
+    """The chained BLAKE2b prefix fingerprints of a model's frozen content
+    (:meth:`SegmentedModel._phi_content`), one per frozen segment."""
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(type_name.encode())
+    chain = []
+    for name, tensors in segments:
+        digest.update(name.encode())
+        for t_name, dtype, shape, raw in tensors:
+            digest.update(t_name.encode())
+            digest.update(dtype.encode())
+            digest.update(repr(shape).encode())
+            digest.update(raw)
+        chain.append(digest.copy().hexdigest())
+    return tuple(chain)
 
 
 class SegmentedModel(Module):
@@ -138,27 +163,45 @@ class SegmentedModel(Module):
         split's ϕ(x) from the shallower split's cached arrays instead of
         re-running ϕ from the raw inputs (prefix-chain keying, see
         :mod:`repro.fl.features`). Empty without a frozen prefix.
+
+        Memoized per live model on ϕ's exact content: the call collects
+        everything the digest consumes (type name, split, segment and
+        tensor names, dtypes, shapes and the raw bytes of every frozen
+        parameter and buffer) and re-hashes only when that differs from
+        what this model's chain was last hashed from — so a hit returns
+        exactly what a recomputation would, and any mutation of ϕ, in
+        place or by rebinding, still changes the result. Bytes, not
+        values, are compared because the digest hashes bytes: ``0.0`` and
+        ``-0.0`` are equal values with different fingerprints. A hit costs
+        one copy and one comparison of ϕ's bytes instead of a BLAKE2b
+        pass over them.
         """
-        split = self.frozen_split_index()
-        if split == 0:
+        segments = self._phi_content()
+        if not segments:
             return []
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(type(self).__name__.encode())
-        chain: list[str] = []
+        content = (type(self).__name__, segments)
+        memo = _PHI_MEMO.get(self)
+        if memo is None or memo[0] != content:
+            memo = (content, _hash_phi_content(*content))
+            _PHI_MEMO[self] = memo
+        return list(memo[1])
+
+    def _phi_content(self) -> list:
+        """``(segment name, tensors)`` per frozen segment, in chain order;
+        ``tensors`` lists ``(name, dtype, shape, bytes)`` of the segment's
+        parameters, then its buffers, each sorted by dotted name."""
+        split = self.frozen_split_index()
+        content = []
         for name, segment in self.segments()[:split]:
-            digest.update(name.encode())
-            for p_name, param in sorted(segment.named_parameters(name)):
-                digest.update(p_name.encode())
-                digest.update(str(param.data.dtype).encode())
-                digest.update(repr(param.data.shape).encode())
-                digest.update(np.ascontiguousarray(param.data).data)
-            for b_name, buf in sorted(segment.named_buffers(name)):
-                digest.update(b_name.encode())
-                digest.update(str(buf.dtype).encode())
-                digest.update(repr(buf.shape).encode())
-                digest.update(np.ascontiguousarray(buf).data)
-            chain.append(digest.copy().hexdigest())
-        return chain
+            arrays = [(p_name, param.data) for p_name, param in sorted(
+                segment.named_parameters(name)
+            )]
+            arrays += sorted(segment.named_buffers(name))
+            content.append((name, [
+                (a_name, str(array.dtype), array.shape, array.tobytes())
+                for a_name, array in arrays
+            ]))
+        return content
 
     # -- partial fine-tuning --------------------------------------------------
     def apply_fine_tune_level(self, level: str) -> "SegmentedModel":

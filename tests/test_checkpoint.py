@@ -467,6 +467,31 @@ def test_incremental_append_equals_full_rewrite(tmp_path):
     assert manifest["journal"]["bytes"] == len(a)
 
 
+def test_checkpoint_bytes_equal_the_reference_encoders(tmp_path):
+    """A FedBuff run's journal lines are ``json.dumps(asdict(record))`` and
+    its manifest is the ``json.dump`` encoding of the same payload."""
+    import io
+    import json
+    from dataclasses import asdict
+
+    path = os.path.join(tmp_path, "ckpt")
+    _, log = _run_with_checkpoints(path, every=1)
+    with open(os.path.join(path, "async_state.json")) as fh:
+        manifest_text = fh.read()
+    manifest = json.loads(manifest_text)
+    count = manifest["journal"]["count"]
+    assert count > 0
+    with open(_journal_path(path), "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    assert lines == [
+        (json.dumps(asdict(record)) + "\n").encode()
+        for record in log.records[:count]
+    ]
+    reference = io.StringIO()
+    json.dump(manifest, reference)
+    assert manifest_text == reference.getvalue()
+
+
 def test_per_save_manifest_stays_flat_in_event_count(tmp_path):
     """The rewritten-per-save portion (the manifest) must not grow with the
     journal — the O(1)-per-write property of the log-structured format."""

@@ -46,12 +46,17 @@ def test_subset_out_of_range():
         ds.subset([10])
 
 
-def test_nested_subset():
+def test_nested_subset(monkeypatch):
     ds = make_dataset(10)
     sub = ds.subset([0, 2, 4, 6]).subset([1, 3])
     x, _ = sub.arrays()
     full_x, _ = ds.arrays()
     assert np.array_equal(x, full_x[[2, 6]])
+    # the sample shape is read without gathering any rows
+    monkeypatch.setattr(
+        Subset, "arrays", lambda self: pytest.fail("gathered subset rows")
+    )
+    assert sub.input_shape == x.shape[1:] == (3, 4, 4)
 
 
 def test_dataloader_batches_cover_dataset():

@@ -71,6 +71,76 @@ def test_dirichlet_extreme_alpha_rebalances():
     assert all(len(s) >= 2 for s in shards)
 
 
+def _dirichlet_build_every_draw(
+    labels, num_clients, alpha, rng, min_size=2, max_tries=100
+):
+    """Reference: the redraw loop that concatenated every draw's shards just
+    to read their sizes. Returns ``(shards, rebalanced)``."""
+    rng = np.random.default_rng(rng)
+    classes = np.unique(labels)
+    result = None
+    for _attempt in range(max_tries):
+        shards = [[] for _ in range(num_clients)]
+        for cls in classes:
+            idx = np.where(labels == cls)[0]
+            rng.shuffle(idx)
+            props = rng.dirichlet(np.full(num_clients, alpha))
+            cuts = (np.cumsum(props)[:-1] * len(idx)).astype(int)
+            for client, part in enumerate(np.split(idx, cuts)):
+                shards[client].append(part)
+        sizes = [sum(len(p) for p in parts) for parts in shards]
+        result = [np.concatenate(parts) for parts in shards]
+        if min(sizes) >= min_size:
+            return [np.sort(shard) for shard in result], False
+    pool = [list(shard) for shard in result]
+    while True:
+        sizes = np.array([len(shard) for shard in pool])
+        needy = int(np.argmin(sizes))
+        if sizes[needy] >= min_size:
+            break
+        donor = int(np.argmax(sizes))
+        take = rng.integers(0, len(pool[donor]))
+        pool[needy].append(pool[donor].pop(int(take)))
+    return [np.sort(np.asarray(s, dtype=np.int64)) for s in pool], True
+
+
+@pytest.mark.parametrize(
+    "num_clients, alpha, rebalanced",
+    [(10, 0.5, False), (100, 0.1, True)],
+    ids=["accepted-draw", "rebalanced-last-draw"],
+)
+def test_dirichlet_sizes_first_redraws_match_the_reference(
+    num_clients, alpha, rebalanced
+):
+    """Deciding acceptance from cut-point sizes draws the same RNG stream
+    and keeps the same shards as building every draw's shards."""
+    labels = make_labels(n=3000, classes=10)
+    expected, took_rebalance = _dirichlet_build_every_draw(
+        labels, num_clients, alpha, rng=7
+    )
+    assert took_rebalance is rebalanced
+    shards = dirichlet_partition(labels, num_clients, alpha, rng=7)
+    assert len(shards) == num_clients
+    for got, want in zip(shards, expected):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_dirichlet_acceptance_at_exactly_min_size(seed):
+    """A draw whose smallest shard is exactly ``min_size`` is accepted and
+    one short by a sample is redrawn, whichever client is smallest."""
+    labels = make_labels(n=60, classes=3, seed=seed)
+    first_draw, _ = _dirichlet_build_every_draw(labels, 3, 1.0, seed, min_size=0)
+    smallest = min(len(shard) for shard in first_draw)
+    for min_size in (smallest, smallest + 1):
+        expected, _ = _dirichlet_build_every_draw(
+            labels, 3, 1.0, seed, min_size=min_size
+        )
+        shards = dirichlet_partition(labels, 3, 1.0, seed, min_size=min_size)
+        for got, want in zip(shards, expected):
+            assert np.array_equal(got, want), min_size
+
+
 def test_dirichlet_validation():
     labels = make_labels()
     with pytest.raises(ValueError):
@@ -79,6 +149,8 @@ def test_dirichlet_validation():
         dirichlet_partition(labels, 0, alpha=0.1, rng=0)
     with pytest.raises(ValueError):
         dirichlet_partition(make_labels(5), 5, alpha=0.1, rng=0, min_size=2)
+    with pytest.raises(ValueError):
+        dirichlet_partition(labels, 5, alpha=0.1, rng=0, max_tries=0)
 
 
 def test_partition_statistics_counts():

@@ -9,12 +9,14 @@ invalidation, θ-only server loads, pooled evaluation's exact reduction,
 and shared-memory lifecycle for the new segment kinds.
 """
 
+import gc
 import json
 import os
 import signal
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -117,14 +119,75 @@ def test_features_match_in_batch_phi_rows():
 # ---------------------------------------------------------------------------
 
 
+#: ``phi_prefix_chain()`` of ``SmallConvNet(4, RNG(0), channels=(4, 4, 4))``
+#: at the ``moderate`` split, as computed before the chain was memoized:
+#: artifact stores keyed by earlier builds must stay warm.
+PINNED_MODERATE_CHAIN = [
+    "d4bd7437499333dc78c8e392b1aa3cb5",
+    "e1ec9346b84b3d42846bcedda91a746a",
+    "5e3849f5a0a88f9fa77b237ee22329e0",
+]
+
+
+def _phi_mutations(model):
+    """``(name, edit, stat)`` triples, applied in order, each of which must
+    change a ``moderate`` SmallConvNet's fingerprint even right after a memo
+    hit. ``stat`` is the ``FeatureRuntime`` counter the edit must raise: an
+    edit to the stem changes every prefix digest, so nothing cached can be
+    reused and only a full ``builds`` is correct; the switch to a deeper
+    split keeps the cached ``moderate`` prefix and is ``derived`` from it."""
+    conv = model.stem.layers[0].weight
+    norm = model.stem.layers[1]
+
+    def add_in_place():
+        conv.data += 1e-3
+
+    def write_running_stat():
+        norm.running_var[0] += 0.5
+
+    def flip_zero_sign():
+        # value-equal, byte-different: only a byte comparison sees it
+        assert norm.running_mean[1] == 0.0
+        assert not np.signbit(norm.running_mean[1])
+        norm.running_mean[1] = -0.0
+
+    def switch_level():
+        prepare_partial_model(model, "classifier")
+
+    return [
+        ("in-place += on a ϕ weight", add_in_place, "builds"),
+        ("write into a ϕ BatchNorm running stat", write_running_stat, "builds"),
+        ("ϕ element 0.0 -> -0.0", flip_zero_sign, "builds"),
+        ("another fine-tune level", switch_level, "derived"),
+    ]
+
+
 def test_phi_fingerprint_keys_the_split_and_the_weights():
     model = SmallConvNet(4, RNG(0), channels=(4, 4, 4))
     prepare_partial_model(model, "moderate")
     moderate = model.phi_fingerprint()
     assert moderate is not None
+    assert model.phi_prefix_chain() == PINNED_MODERATE_CHAIN
     # stable across recomputation
     assert model.phi_fingerprint() == moderate
+    # the returned chain is the caller's: editing it leaves the memo alone
+    chain = model.phi_prefix_chain()
+    chain[-1] = "edited"
+    chain.append("appended")
+    assert model.phi_prefix_chain() == PINNED_MODERATE_CHAIN
+    # rebinding a ϕ tensor to an equal-bytes copy is no change to ϕ
+    conv = model.stem.layers[0].weight
+    conv.data = conv.data.copy()
+    assert model.phi_fingerprint() == moderate
+    # every edit to ϕ's content changes it, right after a memo hit
+    for name, mutate, _stat in _phi_mutations(model):
+        before = model.phi_fingerprint()
+        assert model.phi_fingerprint() == before
+        mutate()
+        assert model.phi_fingerprint() != before, name
     # a different split is a different ϕ
+    prepare_partial_model(model, "moderate")
+    moderate = model.phi_fingerprint()
     prepare_partial_model(model, "classifier")
     assert model.phi_fingerprint() != moderate
     # no frozen prefix -> no fingerprint (nothing to cache)
@@ -135,6 +198,16 @@ def test_phi_fingerprint_keys_the_split_and_the_weights():
     with_weights = model.phi_fingerprint()
     model.stem.layers[0].weight.data += 1e-3
     assert model.phi_fingerprint() != with_weights
+
+
+def test_phi_fingerprint_memo_does_not_keep_the_model_alive():
+    model = SmallConvNet(4, RNG(0), channels=(4, 4, 4))
+    prepare_partial_model(model, "moderate")
+    assert model.phi_fingerprint() is not None
+    alive = weakref.ref(model)
+    del model
+    gc.collect()
+    assert alive() is None
 
 
 def test_feature_runtime_builds_once_and_invalidates_on_phi_change():
@@ -151,12 +224,19 @@ def test_feature_runtime_builds_once_and_invalidates_on_phi_change():
     again = runtime.features_for(client, model)
     assert first is again
     assert runtime.stats["builds"] == 1 and runtime.stats["hits"] == 1
-    # mutating ϕ changes the fingerprint: a fresh entry is built, the
-    # stale one can never be served for the new ϕ
-    model.stem.layers[0].weight.data += 1e-3
-    rebuilt = runtime.features_for(client, model)
-    assert rebuilt is not first
-    assert runtime.stats["builds"] == 2
+    # mutating ϕ changes the fingerprint: a fresh entry is built (derived
+    # only for the deeper split), the stale one can never be served for the
+    # new ϕ — also right after a fingerprint memo hit
+    for step, (name, mutate, stat) in enumerate(_phi_mutations(model)):
+        cached = runtime.features_for(client, model)
+        before = dict(runtime.stats)
+        mutate()
+        assert runtime.features_for(client, model) is not cached, name
+        other = "derived" if stat == "builds" else "builds"
+        assert runtime.stats[stat] == before[stat] + 1, name
+        assert runtime.stats[other] == before[other], name
+        if step == 0:
+            assert runtime.stats["builds"] == 2
     # no frozen prefix -> no features
     prepare_partial_model(model, "full")
     assert runtime.features_for(client, model) is None

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.core.fedft_eds import build_model
 from repro.fl.timing import TimingModel
+from repro.nn import profiling
+from repro.nn.segmented import FINE_TUNE_LEVELS, SEGMENT_ORDER
 
 RNG = np.random.default_rng
 SHAPE = (3, 4, 4)
@@ -79,6 +82,59 @@ def test_speed_multipliers():
         model, SHAPE, 10, 10, epochs=1, selection_forward=False, client_id=1
     )
     assert slow == pytest.approx(4 * fast)
+
+
+def _two_walk_training_flops(model, in_shape):
+    """Reference: the training count from a per-segment walk plus a
+    separate trainable-frontier pass, as priced before the single walk."""
+    per_segment = {}
+    shape = in_shape
+    for name, segment in model.segments():
+        per_segment[name], shape = segment.flops_per_sample(shape)
+    total_forward = sum(per_segment.values())
+    trainable = [
+        SEGMENT_ORDER.index(name)
+        for name, segment in model.segments()
+        if segment.has_trainable()
+    ]
+    if not trainable:
+        return total_forward
+    backward = sum(
+        per_segment[name]
+        for i, name in enumerate(SEGMENT_ORDER)
+        if i >= min(trainable)
+    )
+    return int(total_forward + profiling.BACKWARD_FORWARD_RATIO * backward)
+
+
+@pytest.mark.parametrize("kind", ["mlp", "cnn", "tiny_wrn"])
+def test_single_walk_pricing_equals_the_two_walk_formula(kind):
+    """One segment walk prices a round to the same float as the training
+    and selection counts taken by separate walks, at every fine-tune level
+    (and with nothing trainable) and with selection on or off."""
+    shape = (3, 8, 8)
+    timing = TimingModel(flops_per_second=3e7, speed_multipliers={2: 1.7})
+    for level in [*FINE_TUNE_LEVELS, "frozen"]:
+        model = build_model(kind, shape, 4, RNG(0))
+        if level == "frozen":
+            model.freeze()
+        else:
+            model.apply_fine_tune_level(level)
+        training = profiling.training_flops_per_sample(model, shape)
+        selection = profiling.selection_flops_per_sample(model, shape)
+        assert training == _two_walk_training_flops(model, shape)
+        assert profiling.round_flops_per_sample(model, shape) == (
+            training, selection,
+        )
+        for selection_forward in (False, True):
+            expected = (
+                training * 7 * 3 + (selection * 50 if selection_forward else 0)
+            ) / 3e7 * 1.7
+            got = timing.round_seconds(
+                model, shape, 7, 50, epochs=3,
+                selection_forward=selection_forward, client_id=2,
+            )
+            assert got == expected, (level, selection_forward)
 
 
 def test_validation():
