@@ -1,12 +1,13 @@
-"""Benchmark: shared-memory vs pickling process backend, Table-III scale.
+"""Benchmark: the shared-memory process backend, Table-III scale.
 
-The shared-memory :class:`ProcessPoolBackend` exists because the naive
+The shared-memory :class:`ProcessPoolBackend` exists because a naive
 process backend ships a full model replica plus the client's shard with
-*every* job. This regression test runs one full synchronous round of the
-Table-III-scale pool (``clients_large``) under both backends and pins down
-three properties:
+*every* job. This regression test runs full synchronous rounds of the
+Table-III-scale pool (``clients_large``) on the process backend and pins
+down three properties:
 
-1. **Correctness** — both backends produce bitwise-identical updates (the
+1. **Correctness** — its updates are bitwise identical to the
+   :class:`SerialBackend`'s, the reference every identity suite uses (the
    engine's determinism contract extends to backend implementations).
 2. **No per-job replicas** — the shared-memory job payload stays orders of
    magnitude below the pickled model + shard a naive job would carry, and
@@ -19,7 +20,7 @@ import pickle
 
 from conftest import run_once
 
-from repro.engine.backends import PicklingProcessPoolBackend, ProcessPoolBackend
+from repro.engine.backends import ProcessPoolBackend, SerialBackend
 from repro.experiments.common import STANDARD_METHODS
 
 DATASET = "cifar10"
@@ -51,18 +52,16 @@ def _run_rounds(harness, backend):
     return server, clients, updates
 
 
-def test_process_backend_shared_memory_vs_pickling(benchmark, harness):
+def test_process_backend_shared_memory_vs_serial(benchmark, harness):
     shared = ProcessPoolBackend(max_workers=2)
     server, clients, shm_updates = run_once(
         benchmark, lambda: _run_rounds(harness, shared)
     )
 
-    # 1. bitwise-identical results under the legacy pickling backend
-    _, _, pickled_updates = _run_rounds(
-        harness, PicklingProcessPoolBackend(max_workers=2)
-    )
-    assert len(shm_updates) == len(pickled_updates)
-    for a, b in zip(shm_updates, pickled_updates):
+    # 1. bitwise-identical results to the serial reference
+    _, _, serial_updates = _run_rounds(harness, SerialBackend())
+    assert len(shm_updates) == len(serial_updates)
+    for a, b in zip(shm_updates, serial_updates):
         assert a.num_selected == b.num_selected
         assert a.mean_loss == b.mean_loss
         assert set(a.theta) == set(b.theta)

@@ -36,7 +36,6 @@ from repro.engine.availability import (
 from repro.engine.backends import (
     BACKENDS,
     ExecutionBackend,
-    PicklingProcessPoolBackend,
     ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
@@ -64,7 +63,6 @@ __all__ = [
     "SerialBackend",
     "ThreadPoolBackend",
     "ProcessPoolBackend",
-    "PicklingProcessPoolBackend",
     "BACKENDS",
     "make_backend",
     "CampaignSegmentPool",

@@ -20,10 +20,6 @@ sequence:
   ``persistent=True`` the workers and shard segments additionally survive
   across the runs of one campaign (each shard is published once per
   campaign, not once per run).
-- :class:`PicklingProcessPoolBackend` — the naive process backend that
-  ships a full model replica plus the client (with its shard) per job;
-  kept as the regression baseline the shared-memory benchmark compares
-  against.
 
 Every client is in at most one in-flight job at a time (the schedulers
 guarantee this), so per-client RNG streams advance in the same order under
@@ -95,7 +91,7 @@ from repro.nn.segmented import SegmentedModel
 from repro.nn.serialization import theta_keys
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
-from repro.obs.metrics import CounterGroup
+from repro.obs.metrics import CounterGroup, export_group
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (campaign imports the
     # layout helpers below, so the runtime import goes the other way)
@@ -414,10 +410,7 @@ class ThreadPoolBackend(ExecutionBackend):
             secs = (
                 None
                 if timing is None
-                else [
-                    member.planned_round_seconds(template, timing)
-                    for member in members
-                ]
+                else fastpath.cohort_round_seconds(members, template, timing)
             )
 
             def job(members=members, feats=feats, layout=layout, secs=secs):
@@ -568,78 +561,199 @@ def _untracked_attach(name: str) -> shared_memory.SharedMemory:
 #: per-worker caches: model replicas by template-segment name (workers are
 #: campaign-lived, so a new run's template arrives as a new segment, not a
 #: pool restart), attached segments by name, reconstructed clients by
-#: (shard-segment name, client-descriptor digest) — the same shard hosts a
-#: different client descriptor per method of a campaign — and fused
-#: evaluation plans by template name (each mapping (head signature,
-#: feature shape) to a FusedHeadPlan, keyed like the feature segments the
-#: plans consume). All of it is plain per-process memory: a killed worker
-#: takes its plans with it, leaving nothing to clean up.
+#: (template name, shard-segment name, client-descriptor digest) — the same
+#: shard hosts a different client descriptor per method of a campaign —
+#: and fused evaluation plans by template name (each mapping (head
+#: signature, feature shape) to a FusedHeadPlan, keyed like the feature
+#: segments the plans consume). All of it is plain per-process memory: a
+#: killed worker takes its plans with it, leaving nothing to clean up.
 _WORKER: dict = {
     "models": {},
     "segments": {},
+    # Mapping custody (see _worker_segment): how many cached clients hold
+    # each name, and the mapped names nobody holds, least recent first.
+    "holds": {},
+    "unheld": {},
     "clients": {},
     "eval_plans": {},
     # Per-template cohort caches: {"probes": layout-probe plans keyed by
-    # (signature, shape), "plans": CohortPlans keyed by pool key} — the
-    # worker-process mirror of fastpath's module-level cohort plan pool.
+    # (signature, shape), "plans": an LRU of CohortPlans keyed by pool
+    # key} — the worker-process mirror of fastpath's cohort plan pool.
     "cohort_plans": {},
+    # segments the running job reads; never unmapped while it runs
+    "job_pins": set(),
 }
 
 #: model replicas a worker keeps alive at once; a campaign uses one
 #: template per run, so 2 covers the running run plus its predecessor.
 _WORKER_MODEL_CACHE = 2
 
+#: cohort plans a worker keeps per template, least recently used evicted
+#: first. A 512-client round brings ~70 (lanes, rows, selected) shapes
+#: through every worker each round, so no cache short of all of them hits
+#: there, and all of them cost ~140 MB per worker against ~2% of that
+#: workload's throughput for rebuilding; a bench that repeats one shape
+#: (``bench_cohort_solver.py``) still reuses its plan.
+_WORKER_COHORT_PLANS = 4
+
+#: worker mapping churn — segments attached, and unheld mappings the LRU
+#: closed — counted inside the workers and merged into the parent with
+#: each job's counter shard (exported, like the solver groups).
+WORKER_STATS = export_group("backend.worker", {"attaches": 0, "closes": 0})
+
 
 def _shm_worker_init() -> None:
     """Worker startup: reset the caches (fresh under spawn, paranoid under
     fork, where the parent's module state was inherited)."""
-    _WORKER["models"] = {}
-    _WORKER["segments"] = {}
-    _WORKER["clients"] = {}
-    _WORKER["eval_plans"] = {}
-    _WORKER["cohort_plans"] = {}
-    _WORKER["job_pins"] = set()
+    _WORKER.update(
+        models={}, segments={}, holds={}, unheld={}, clients={},
+        eval_plans={}, cohort_plans={}, job_pins=set(),
+    )
 
 
-#: attachments a worker keeps mapped at once. Shard/state segments live
-#: for a whole campaign, but budget-evicted feature/eval segments come
-#: back under fresh shm names — an unbounded cache would keep every dead
-#: mapping resident, leaking worker RSS exactly under the memory pressure
-#: the byte budget targets. A job touches at most a handful of segments,
-#: so recently-used entries (this job's) are never the LRU victim.
+#: mappings a worker keeps that no cached client holds (state slots, eval
+#: shards, segments a client stopped naming). Budget-evicted feature/eval
+#: segments come back under fresh shm names, so an unbounded cache would
+#: keep every dead mapping resident, leaking worker RSS exactly under the
+#: memory pressure the byte budget targets.
 _WORKER_SEGMENT_CACHE = 32
 
 
 def _worker_segment(name: str) -> shared_memory.SharedMemory:
-    segments = _WORKER["segments"]
-    seg = segments.get(name)
+    """This worker's mapping of segment ``name``, attached on first use.
+
+    A cached client *holds* its shard and feature mappings (its next job
+    reads both again), and held mappings stay open however many there
+    are. The rest form an LRU of at most :data:`_WORKER_SEGMENT_CACHE`
+    mappings, so an attach unmaps only what it evicts.
+    """
+    seg = _WORKER["segments"].get(name)
     if seg is not None:
-        segments[name] = segments.pop(name)  # LRU touch
+        unheld = _WORKER["unheld"]
+        if name in unheld:
+            unheld[name] = unheld.pop(name)  # LRU touch
         return seg
     seg = _untracked_attach(name)
-    segments[name] = seg
-    if len(segments) > _WORKER_SEGMENT_CACHE:
-        # Cached clients hold live views into their shard segments (and
-        # shards are never budget-evicted parent-side), so those names
-        # stay pinned, as is every segment of the job currently executing
-        # (a cohort job holds 1 + 2·members mappings live at once — numpy
-        # views do not reliably trip the BufferError guard below, so an
-        # LRU victim mid-job would unmap memory the job still reads);
-        # everything else unmaps oldest-first.
-        pinned = {key[1] for key in _WORKER["clients"]}
-        pinned.update(_WORKER.get("job_pins", ()))
-        pinned.add(name)
-        for old in list(segments):
-            if len(segments) <= _WORKER_SEGMENT_CACHE:
-                break
-            if old in pinned:
-                continue
-            victim = segments.pop(old)
-            try:
-                victim.close()
-            except BufferError:  # a live view still pins it; keep it
-                segments[old] = victim
+    WORKER_STATS["attaches"] += 1
+    _WORKER["segments"][name] = seg
+    if name not in _WORKER["holds"]:
+        _WORKER["unheld"][name] = None
+        _trim_unheld(keep=name)
     return seg
+
+
+def _trim_unheld(keep: str | None = None) -> None:
+    """Close least recently used unheld mappings beyond the cap.
+
+    The running job's segments are skipped (a cohort job maps 1 +
+    2·members segments at once, and numpy views do not reliably trip the
+    ``BufferError`` guard below, so an LRU victim mid-job would unmap
+    memory the job still reads), as is ``keep``, the name just attached.
+    """
+    unheld = _WORKER["unheld"]
+    excess = len(unheld) - _WORKER_SEGMENT_CACHE
+    if excess <= 0:
+        return
+    pins = _WORKER["job_pins"]
+    victims = []
+    for name in unheld:
+        if name in pins or name == keep:
+            continue
+        victims.append(name)
+        if len(victims) == excess:
+            break
+    segments = _WORKER["segments"]
+    for name in victims:
+        del unheld[name]
+        seg = segments.pop(name)
+        try:
+            seg.close()
+        except BufferError:  # a live view still pins it; keep it
+            segments[name] = seg
+            unheld[name] = None
+        else:
+            WORKER_STATS["closes"] += 1
+
+
+def _hold(name: str) -> None:
+    """Keep ``name`` mapped for one more cached client."""
+    holds = _WORKER["holds"]
+    holds[name] = holds.get(name, 0) + 1
+    _WORKER["unheld"].pop(name, None)
+
+
+def _release(name: str) -> None:
+    """Drop one client's hold; the last one hands the mapping to the LRU."""
+    holds = _WORKER["holds"]
+    count = holds.pop(name) - 1
+    if count:
+        holds[name] = count
+    elif name in _WORKER["segments"]:
+        _WORKER["unheld"][name] = None
+        _trim_unheld()
+
+
+class _CachedClient:
+    """A worker-cached client and the feature segment it holds mapped."""
+
+    __slots__ = ("client", "features_name")
+
+    def __init__(self, client):
+        self.client = client
+        self.features_name = None
+
+
+def _cache_client(key: tuple, client) -> _CachedClient:
+    """Cache ``client`` under ``(template, shard name, digest)``; it holds
+    its shard mapping until :func:`_drop_client`."""
+    entry = _CachedClient(client)
+    _WORKER["clients"][key] = entry
+    _hold(key[1])
+    return entry
+
+
+def _drop_client(key: tuple) -> None:
+    # The entry (and the client's views) goes first: releasing the last
+    # hold may unmap the segments they view.
+    features_name = _WORKER["clients"].pop(key).features_name
+    _release(key[1])
+    if features_name:
+        _release(features_name)
+
+
+def _worker_client(template_name: str, spec: dict):
+    """The client a job (or cohort member) ``spec`` names, and its features.
+
+    The client is rebuilt once per (template, shard, descriptor) and its
+    RNG set to the dispatch-time state on every job. Returns ``(client,
+    features)``, features None when the job ships none. A job naming a
+    different feature segment than the client holds (ϕ changed, or the
+    parent republished it after a byte-budget eviction) moves the hold
+    and releases the old mapping to the LRU.
+    """
+    key = (template_name, spec["shard_name"], spec["client_digest"])
+    entry = _WORKER["clients"].get(key)
+    if entry is None:
+        client = pickle.loads(spec["client_blob"])
+        shard_seg = _worker_segment(spec["shard_name"])
+        shard = _view_arrays(shard_seg.buf, spec["shard_layout"])
+        # float64/int64 views pass through ArrayDataset without a copy.
+        client.dataset = ArrayDataset(shard["x"], shard["y"])
+        entry = _cache_client(key, client)
+    client = entry.client
+    client.rng = np.random.default_rng(0)
+    client.rng.bit_generator.state = spec["rng_state"]
+    name = spec.get("features_name")
+    if name != entry.features_name:
+        if name:
+            _hold(name)
+        if entry.features_name:
+            _release(entry.features_name)
+        entry.features_name = name
+    if not name:
+        return client, None
+    feature_seg = _worker_segment(name)
+    return client, _view_arrays(feature_seg.buf, spec["features_layout"])["f"]
 
 
 def _worker_model(name: str, nbytes: int) -> SegmentedModel:
@@ -649,8 +763,8 @@ def _worker_model(name: str, nbytes: int) -> SegmentedModel:
     (worker, template); the attachment is closed immediately — only the
     unpickled replica is cached. Older replicas (and the clients rebuilt
     against them — a client cached for run N must not train in run N+1's
-    replica) are evicted beyond a small window so a long campaign's workers
-    do not accumulate one model per run.
+    replica — with their mapping holds) are evicted beyond a small window
+    so a long campaign's workers do not accumulate one model per run.
     """
     model = _WORKER["models"].get(name)
     if model is None:
@@ -663,7 +777,7 @@ def _worker_model(name: str, nbytes: int) -> SegmentedModel:
             evicted = next(iter(_WORKER["models"]))
             del _WORKER["models"][evicted]
             for key in [k for k in _WORKER["clients"] if k[0] == evicted]:
-                del _WORKER["clients"][key]
+                _drop_client(key)
             _WORKER["eval_plans"].pop(evicted, None)
             _WORKER["cohort_plans"].pop(evicted, None)
         _WORKER["models"][name] = model
@@ -698,6 +812,24 @@ def _job_preamble(job: dict) -> None:
                 raise SegmentCorruption(name)
 
 
+def _run_job(job: dict, names, solve):
+    """Run ``solve(job, baseline)`` with the job's segments pinned.
+
+    Pins keep every segment the job reads mapped for its whole duration
+    (see :func:`_trim_unheld`). ``baseline`` is the counter snapshot
+    taken before the preamble, so attaches made while verifying count in
+    the job's metric shard too.
+    """
+    pins = _WORKER["job_pins"]
+    pins.update(name for name in names if name)
+    baseline = obs_metrics.shard_baseline()
+    try:
+        _job_preamble(job)
+        return solve(job, baseline)
+    finally:
+        pins.clear()
+
+
 def _shm_client_round(job_blob: bytes) -> tuple[LocalUpdate, dict, dict | None]:
     """Worker entry point: run one round against shared-memory state.
 
@@ -707,44 +839,17 @@ def _shm_client_round(job_blob: bytes) -> tuple[LocalUpdate, dict, dict | None]:
     shard delta (see :mod:`repro.obs.metrics`).
     """
     job = pickle.loads(job_blob)
-    # Pin this job's segments against the cache LRU (see _worker_segment):
-    # the round reads its state/feature views after later attaches, which
-    # could otherwise evict — and unmap — them mid-job.
-    pins = _WORKER.setdefault("job_pins", set())
-    pins.update(
-        name
-        for name in (
-            job["state_name"], job["shard_name"], job.get("features_name")
-        )
-        if name
-    )
-    try:
-        _job_preamble(job)
-        return _shm_client_solve(job)
-    finally:
-        pins.clear()
+    names = (job["state_name"], job["shard_name"], job.get("features_name"))
+    return _run_job(job, names, _shm_client_solve)
 
 
-def _shm_client_solve(job: dict) -> tuple[LocalUpdate, dict, dict | None]:
+def _shm_client_solve(
+    job: dict, baseline: dict
+) -> tuple[LocalUpdate, dict, dict | None]:
     model = _worker_model(job["template_name"], job["template_nbytes"])
     state_seg = _worker_segment(job["state_name"])
     global_state = _view_arrays(state_seg.buf, job["state_layout"])
-    client_key = (job["template_name"], job["shard_name"], job["client_digest"])
-    client = _WORKER["clients"].get(client_key)
-    if client is None:
-        client = pickle.loads(job["client_blob"])
-        shard_seg = _worker_segment(job["shard_name"])
-        shard = _view_arrays(shard_seg.buf, job["shard_layout"])
-        # float64/int64 views pass through ArrayDataset without a copy.
-        client.dataset = ArrayDataset(shard["x"], shard["y"])
-        _WORKER["clients"][client_key] = client
-    client.rng = np.random.default_rng(0)
-    client.rng.bit_generator.state = job["rng_state"]
-    features = None
-    if job.get("features_name"):
-        feature_seg = _worker_segment(job["features_name"])
-        features = _view_arrays(feature_seg.buf, job["features_layout"])["f"]
-    baseline = obs_metrics.shard_baseline()
+    client, features = _worker_client(job["template_name"], job)
     update = client.run_round(
         model, global_state, timing=job["timing"], features=features
     )
@@ -772,47 +877,22 @@ def _shm_cohort_round(job_blob: bytes) -> tuple:
     members' LocalUpdates from the exact per-client path.
     """
     job = pickle.loads(job_blob)
-    # Pin every segment this job reads for its whole duration: a cohort
-    # holds 1 + 2·members mappings live at once, which can exceed the
-    # segment-cache cap — without the pins the LRU would unmap the state
-    # segment mid-job while its θ views are still being gathered.
-    pins = _WORKER.setdefault("job_pins", set())
-    pins.add(job["state_name"])
+    names = [job["state_name"]]
     for member in job["members"]:
-        pins.add(member["shard_name"])
-        pins.add(member["features_name"])
-    try:
-        _job_preamble(job)
-        return _shm_cohort_solve(job)
-    finally:
-        pins.clear()
+        names += (member["shard_name"], member["features_name"])
+    return _run_job(job, names, _shm_cohort_solve)
 
 
-def _shm_cohort_solve(job: dict) -> tuple:
-    baseline = obs_metrics.shard_baseline()
+def _shm_cohort_solve(job: dict, baseline: dict) -> tuple:
     model = _worker_model(job["template_name"], job["template_nbytes"])
     state_seg = _worker_segment(job["state_name"])
     global_state = _view_arrays(state_seg.buf, job["state_layout"])
     clients = []
     features = []
     for member in job["members"]:
-        client_key = (
-            job["template_name"], member["shard_name"], member["client_digest"]
-        )
-        client = _WORKER["clients"].get(client_key)
-        if client is None:
-            client = pickle.loads(member["client_blob"])
-            shard_seg = _worker_segment(member["shard_name"])
-            shard = _view_arrays(shard_seg.buf, member["shard_layout"])
-            client.dataset = ArrayDataset(shard["x"], shard["y"])
-            _WORKER["clients"][client_key] = client
-        client.rng = np.random.default_rng(0)
-        client.rng.bit_generator.state = member["rng_state"]
+        client, feats = _worker_client(job["template_name"], member)
         clients.append(client)
-        feature_seg = _worker_segment(member["features_name"])
-        features.append(
-            _view_arrays(feature_seg.buf, member["features_layout"])["f"]
-        )
+        features.append(feats)
     caches = _WORKER["cohort_plans"].setdefault(
         job["template_name"], {"probes": {}, "plans": {}}
     )
@@ -822,10 +902,13 @@ def _shm_cohort_solve(job: dict) -> tuple:
     )
     solved = None
     if layout is not None:
+        plans = caches["plans"]
         solved = fastpath.solve_cohort(
-            clients, model, global_state, features, layout,
-            plan_cache=caches["plans"],
+            clients, model, global_state, features, layout, plan_cache=plans,
         )
+        while len(plans) > _WORKER_COHORT_PLANS:
+            del plans[next(iter(plans))]
+            fastpath.COHORT_STATS["plan_evictions"] += 1
     if solved is None:
         updates = [
             client.run_round(
@@ -864,19 +947,11 @@ def _shm_eval_shard(job_blob: bytes) -> tuple[int, int, dict | None]:
     equal to ``np.mean`` over the whole logits matrix.
     """
     job = pickle.loads(job_blob)
-    # Same mid-job pinning as the round jobs: the eval-segment attach must
-    # not LRU-evict the state segment whose θ views are read afterwards.
-    pins = _WORKER.setdefault("job_pins", set())
-    pins.update((job["state_name"], job["eval_name"]))
-    try:
-        _job_preamble(job)
-        return _shm_eval_solve(job)
-    finally:
-        pins.clear()
+    names = (job["state_name"], job["eval_name"])
+    return _run_job(job, names, _shm_eval_solve)
 
 
-def _shm_eval_solve(job: dict) -> tuple[int, int, dict | None]:
-    baseline = obs_metrics.shard_baseline()
+def _shm_eval_solve(job: dict, baseline: dict) -> tuple[int, int, dict | None]:
     model = _worker_model(job["template_name"], job["template_nbytes"])
     state_seg = _worker_segment(job["state_name"])
     state = _view_arrays(state_seg.buf, job["state_layout"])
@@ -1193,17 +1268,16 @@ class _SharedCohortResult:
             # per-member path instead: stats are ready LocalUpdates.
             self._updates = stats
             return
-        updates = []
-        for i, client in enumerate(self._clients):
-            num_selected, num_local, mean_loss = stats[i]
-            update = fastpath.wrap_cohort_update(
-                stack[i], self._layout, num_selected, num_local, mean_loss
+        updates = [
+            fastpath.wrap_cohort_update(stack[i], self._layout, *stats[i])
+            for i in range(len(self._clients))
+        ]
+        if self._timing is not None:
+            seconds = fastpath.cohort_round_seconds(
+                self._clients, self._model, self._timing
             )
-            if self._timing is not None:
-                update.train_seconds = client.planned_round_seconds(
-                    self._model, self._timing
-                )
-            updates.append(update)
+            for update, sec in zip(updates, seconds):
+                update.train_seconds = sec
         self._updates = updates
 
 
@@ -2326,71 +2400,6 @@ class LazyPooledEvaluator:
                 batch_size=self.batch_size,
             )
         return self._delegate.evaluate(model, global_state, batch_size)
-
-
-# ---------------------------------------------------------------------------
-# Pickling process backend (regression baseline)
-# ---------------------------------------------------------------------------
-
-
-def _process_client_round(
-    client: Client,
-    model: SegmentedModel,
-    global_state: dict[str, np.ndarray],
-    timing: TimingModel | None,
-) -> tuple[LocalUpdate, dict]:
-    """Worker-process entry point: run the round, return update + RNG state."""
-    update = client.run_round(model, global_state, timing=timing)
-    return update, client.rng.bit_generator.state
-
-
-class _ProcessHandle:
-    """Resolves a worker-process future and replays the client RNG advance."""
-
-    __slots__ = ("_future", "_client")
-
-    def __init__(self, future: Future, client: Client):
-        self._future = future
-        self._client = client
-
-    def result(self) -> LocalUpdate:
-        update, rng_state = self._future.result()
-        # The worker advanced a pickled copy of the generator; mirror that
-        # advance here so the parent's stream stays continuous.
-        self._client.rng.bit_generator.state = rng_state
-        return update
-
-
-class PicklingProcessPoolBackend(ExecutionBackend):
-    """Worker processes; each job ships client + model replica by pickle.
-
-    Heavyweight per job (the client's shard and a model replica cross the
-    process boundary every round). Superseded by the shared-memory
-    :class:`ProcessPoolBackend`; retained as the baseline the benchmark
-    regression test compares payload sizes and results against.
-    """
-
-    def __init__(self, max_workers: int | None = None):
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError("max_workers must be positive")
-        self.max_workers = max_workers or min(4, os.cpu_count() or 1)
-        self._executor: ProcessPoolExecutor | None = None
-
-    def _ensure_started(self) -> None:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-
-    def submit(self, client, template, global_state, timing):
-        self._ensure_started()
-        future = self._executor.submit(
-            _process_client_round, client, template, global_state, timing
-        )
-        return _ProcessHandle(future, client)
-
-    def close(self):
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
 
 
 #: Backend short names used by configuration surfaces.

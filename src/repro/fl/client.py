@@ -90,7 +90,10 @@ class Client:
         return len(self.dataset)
 
     def planned_round_seconds(
-        self, model: SegmentedModel, timing: TimingModel
+        self,
+        model: SegmentedModel,
+        timing: TimingModel,
+        flops: tuple[int, int] | None = None,
     ) -> float:
         """Simulated duration of this client's next round, known at dispatch.
 
@@ -98,7 +101,8 @@ class Client:
         (``selected_count``), so the timing model can price a round before it
         runs — this is what lets the event engine schedule a completion event
         at dispatch time and still match ``LocalUpdate.train_seconds``
-        exactly.
+        exactly. ``flops`` passes a model walk the caller already made (see
+        :meth:`TimingModel.round_seconds`).
         """
         num_selected = selected_count(len(self.dataset), self.selection_fraction)
         return timing.round_seconds(
@@ -109,6 +113,7 @@ class Client:
             epochs=self.epochs,
             selection_forward=self.selector.requires_forward,
             client_id=self.client_id,
+            flops=flops,
         )
 
     def run_round(

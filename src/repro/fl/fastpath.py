@@ -582,13 +582,17 @@ def _build_cohort_plan(pool_key):
 
 def _acquire_cohort_plan(pool_key, plan_cache=None):
     """A plan for the key — from ``plan_cache`` (worker-owned, plan stays
-    cached) or checked out of the module pool; None if unplannable."""
+    cached) or checked out of the module pool; None if unplannable.
+
+    ``plan_cache`` is kept in use order, least recently used first, so its
+    owner can bound it by dropping entries from the front.
+    """
     if plan_cache is not None:
-        plan = plan_cache.get(pool_key)
+        plan = plan_cache.pop(pool_key, None)
         if plan is None:
             plan = _build_cohort_plan(pool_key)
-            if plan is not None:
-                plan_cache[pool_key] = plan
+        if plan is not None:
+            plan_cache[pool_key] = plan
         return plan
     with _PLANS_LOCK:
         stack = _COHORT_POOL.get(pool_key)
@@ -747,15 +751,37 @@ def run_cohort(
     if solved is None:
         return None
     theta_stack, mean_losses, k, n = solved
-    updates = []
-    for i, client in enumerate(clients):
-        update = wrap_cohort_update(
-            theta_stack[i], layout, k, n, mean_losses[i]
-        )
-        if timing is not None:
-            update.train_seconds = client.planned_round_seconds(model, timing)
-        updates.append(update)
+    updates = [
+        wrap_cohort_update(theta_stack[i], layout, k, n, mean_losses[i])
+        for i in range(len(clients))
+    ]
+    if timing is not None:
+        seconds = cohort_round_seconds(clients, model, timing)
+        for update, sec in zip(updates, seconds):
+            update.train_seconds = sec
     return updates
+
+
+def cohort_round_seconds(clients, model, timing) -> list[float]:
+    """Each member's ``planned_round_seconds(model, timing)``, in order.
+
+    A cohort's lanes share one model, so the FLOPs walk
+    (:func:`repro.nn.profiling.round_flops_per_sample`) runs once per
+    distinct input shape instead of once per lane; each lane then applies
+    its own counts and speed multiplier, giving the same float as pricing
+    it alone.
+    """
+    from repro.nn.profiling import round_flops_per_sample
+
+    walks: dict[tuple, tuple[int, int]] = {}
+    seconds = []
+    for client in clients:
+        shape = client.dataset.input_shape
+        flops = walks.get(shape)
+        if flops is None:
+            flops = walks[shape] = round_flops_per_sample(model, shape)
+        seconds.append(client.planned_round_seconds(model, timing, flops=flops))
+    return seconds
 
 
 def plan_cache_nbytes() -> int:

@@ -55,11 +55,19 @@ class TimingModel:
         epochs: int,
         selection_forward: bool,
         client_id: int = 0,
+        flops: tuple[int, int] | None = None,
     ) -> float:
-        """Simulated seconds for one local round of one client."""
+        """Simulated seconds for one local round of one client.
+
+        ``flops`` is ``profiling.round_flops_per_sample(model, in_shape)``
+        when the caller already has it (a cohort prices every lane from one
+        model walk); the seconds are the same float either way.
+        """
         if num_selected < 0 or num_local < 0 or epochs <= 0:
             raise ValueError("counts must be non-negative and epochs positive")
-        training, selection = profiling.round_flops_per_sample(model, in_shape)
+        if flops is None:
+            flops = profiling.round_flops_per_sample(model, in_shape)
+        training, selection = flops
         train_flops = training * num_selected * epochs
         selection_flops = 0
         if selection_forward:

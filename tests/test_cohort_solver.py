@@ -210,6 +210,53 @@ def test_sync_process_cohort_bitwise():
     assert _rng_states(clients) == ref_rngs
 
 
+@pytest.mark.parametrize("backend_name", ["serial", "thread", "process"])
+def test_cohort_lanes_are_priced_like_solo_rounds(backend_name):
+    """One pricing walk per cohort bills every lane the exact float the
+    client's own ``planned_round_seconds`` gives, speed multiplier and
+    all."""
+    server, clients = _build()
+    timing = TimingModel(
+        speed_multipliers={c.client_id: 1.0 + 0.37 * c.client_id for c in clients}
+    )
+    expected = [c.planned_round_seconds(server.model, timing) for c in clients]
+    assert len(set(expected)) == len(clients)
+    before = fastpath.COHORT_STATS["cohort_solves"]
+    with make_backend(
+        backend_name, max_workers=2, feature_runtime=FeatureRuntime()
+    ) as backend:
+        updates = backend.map_round(
+            clients, server.model, server.global_state, timing
+        )
+    assert fastpath.COHORT_STATS["cohort_solves"] > before
+    assert [u.train_seconds for u in updates] == expected
+
+
+def test_cohort_pricing_walks_the_model_once_per_input_shape(monkeypatch):
+    """Lanes sharing an input shape share one FLOPs walk; each distinct
+    shape is walked once, and every price equals the solo one."""
+    from repro.nn import profiling
+
+    model = _make_model()
+    clients = [_make_client(cid) for cid in range(6)]
+    # same 24 inputs per sample, laid out as 2×12: a second input shape
+    for client in clients[3:]:
+        x, y = client.dataset.arrays()
+        client.dataset = ArrayDataset(x.reshape(-1, 2, 12), y)
+    timing = TimingModel(speed_multipliers={0: 2.0, 4: 3.5})
+    expected = [c.planned_round_seconds(model, timing) for c in clients]
+    walks = []
+    walk = profiling.round_flops_per_sample
+
+    def counting(model, shape):
+        walks.append(shape)
+        return walk(model, shape)
+
+    monkeypatch.setattr(profiling, "round_flops_per_sample", counting)
+    assert fastpath.cohort_round_seconds(clients, model, timing) == expected
+    assert walks == [(24,), (2, 12)]
+
+
 # ---------------------------------------------------------------------------
 # Async bitwise identity: both aggregators × serial/thread/process
 # ---------------------------------------------------------------------------

@@ -704,24 +704,42 @@ def test_segment_pool_budget_never_evicts_the_segment_being_acquired():
 
 
 def test_worker_segment_cache_is_bounded_and_repins_evicted_names():
-    """Worker shm attachments are LRU-bounded: budget-evicted-and-
-    republished segments must not accumulate dead mappings, while names
-    pinned by cached clients survive and closed names re-attach."""
+    """Worker shm attachments: the shard and feature mappings a cached
+    client holds stay open however many there are; the rest are
+    LRU-bounded, so budget-evicted-and-republished segments do not
+    accumulate dead mappings, and closed names re-attach."""
+    import pickle
     from multiprocessing import shared_memory
+    from types import SimpleNamespace
 
     from repro.engine import backends as B
 
     saved = dict(B._WORKER)
     B._shm_worker_init()
     segments = []
+
+    def new_names(count):
+        for _ in range(count):
+            segments.append(shared_memory.SharedMemory(create=True, size=64))
+        return [shm.name for shm in segments[-count:]]
+
+    def spec(shard, features):
+        """A job naming a one-row shard and its features."""
+        return {
+            "shard_name": shard,
+            "shard_layout": {"x": (0, (1, 1), "<f8"), "y": (8, (1,), "<i8")},
+            "client_blob": pickle.dumps(SimpleNamespace()),
+            "client_digest": "digest",
+            "features_name": features,
+            "features_layout": {"f": (0, (1, 1), "<f8")},
+            "rng_state": RNG(0).bit_generator.state,
+        }
+
     try:
-        names = []
-        for _ in range(B._WORKER_SEGMENT_CACHE + 4):
-            shm = shared_memory.SharedMemory(create=True, size=64)
-            segments.append(shm)
-            names.append(shm.name)
+        cap = B._WORKER_SEGMENT_CACHE
+        names = new_names(cap + 4)
         # pin the first name as a cached client's shard segment would
-        B._WORKER["clients"][("tpl", names[0], "digest")] = object()
+        B._cache_client(("tpl", names[0], "digest"), object())
         for name in names:
             B._worker_segment(name)
         assert len(B._WORKER["segments"]) <= B._WORKER_SEGMENT_CACHE + 1
@@ -731,8 +749,54 @@ def test_worker_segment_cache_is_bounded_and_repins_evicted_names():
         evicted = next(n for n in names[1:] if n not in B._WORKER["segments"])
         seg = B._worker_segment(evicted)
         assert seg.buf is not None
+
+        # More held mappings than the bound: 40 cached clients, each with
+        # a shard and a feature hold, then 40 unheld attaches. Held
+        # mappings do not count against the bound, so every held name
+        # stays mapped and the LRU keeps exactly ``cap`` unheld ones.
+        B._drop_client(("tpl", names[0], "digest"))
+        shards, feats = new_names(40), new_names(40)
+        for shard, feat in zip(shards, feats):
+            B._worker_client("tpl", spec(shard, feat))
+        unheld = new_names(40)
+        for name in unheld:
+            B._worker_segment(name)
+        mapped = B._WORKER["segments"]
+        assert all(name in mapped for name in shards + feats)
+        assert sum(name in mapped for name in unheld) == cap
+        assert len(B._WORKER["unheld"]) == cap
+        assert len(mapped) == 80 + cap
+
+        # a second job naming a held feature maps nothing new
+        attaches = B.WORKER_STATS["attaches"]
+        client, features = B._worker_client("tpl", spec(shards[0], feats[0]))
+        assert B.WORKER_STATS["attaches"] == attaches
+        assert features.shape == (1, 1)
+        del client, features
+
+        # a changed feature name moves the hold; the old mapping joins
+        # the LRU as its most recent entry
+        (republished,) = new_names(1)
+        B._worker_client("tpl", spec(shards[0], republished))
+        assert B.WORKER_STATS["attaches"] == attaches + 1
+        assert B._WORKER["holds"][republished] == 1
+        assert feats[0] not in B._WORKER["holds"]
+        assert list(B._WORKER["unheld"])[-1] == feats[0]
+        assert len(B._WORKER["unheld"]) == cap
+
+        # evicting the template drops its clients and releases every hold
+        B._WORKER["models"].update({"tpl": object(), "next": object()})
+        blob = pickle.dumps("replica")
+        (template,) = new_names(1)
+        segments[-1].buf[: len(blob)] = blob
+        B._worker_model(template, len(blob))
+        assert not B._WORKER["clients"]
+        assert not B._WORKER["holds"]
+        assert len(B._WORKER["unheld"]) == cap
+        assert len(B._WORKER["segments"]) == cap
     finally:
         B._WORKER["clients"].clear()
+        gc.collect()
         for seg in list(B._WORKER["segments"].values()):
             seg.close()
         for shm in segments:
@@ -779,3 +843,79 @@ def test_worker_eval_plan_cache_evicted_with_template():
             shm.unlink()
         B._WORKER.clear()
         B._WORKER.update(saved)
+
+
+def test_worker_cohort_plan_cache_is_a_bounded_lru():
+    """A worker keeps at most ``_WORKER_COHORT_PLANS`` cohort plans per
+    template, least recently used evicted first: more distinct (lanes,
+    rows, selected) keys than that rebuild and evict, both counted on
+    ``solver.cohort.*``, and a rebuilt plan solves to the cached plan's
+    exact θ bytes."""
+    from repro.engine import backends as B
+    from repro.fl.slab import SlabLayout, make_slab_state
+    from repro.nn.serialization import theta_keys
+    from repro.obs.metrics import shard_baseline
+
+    cap = B._WORKER_COHORT_PLANS
+    model = _mlp("moderate", in_features=24)
+    state = model.state_dict()
+    layout = SlabLayout([(k, state[k].shape) for k in theta_keys(model)])
+    global_state = make_slab_state(state, layout)
+    clients = [
+        Client(
+            cid, ArrayDataset(RNG(100 + cid).normal(size=(40, 24)),
+                              RNG(200 + cid).integers(0, 5, 40)),
+            EntropySelector(), LocalSolver(), 0.3, 2, RNG(500 + cid),
+        )
+        for cid in range(2 * cap + 1)
+    ]
+    backend = ProcessPoolBackend(max_workers=1, feature_runtime=FeatureRuntime())
+    jobs = []
+    # Capture the cohort job blobs instead of shipping them to workers;
+    # this process then plays the worker.
+    backend._dispatch = lambda entry, job, fingerprints=None: jobs.append(job)
+    saved = dict(B._WORKER)
+    B._shm_worker_init()
+    stats = fastpath.COHORT_STATS
+
+    def cached_lanes():
+        """Lane counts of the cached plans, least recently used first."""
+        plans = B._WORKER["cohort_plans"][jobs[0]["template_name"]]["plans"]
+        assert len(plans) <= cap
+        return [key[2] for key in plans]
+
+    def solve(job):
+        theta = B._shm_cohort_solve(job, shard_baseline())[0]
+        cached_lanes()
+        return theta
+
+    try:
+        for lanes in range(2, 2 * cap + 2):  # 2·cap distinct lane counts
+            backend.submit_many(clients[:lanes], model, global_state, None)
+        assert len(jobs) == 2 * cap
+        built, evicted = stats["plans_built"], stats["plan_evictions"]
+        fresh = solve(jobs[0])
+        for job in jobs[1:cap]:
+            solve(job)
+        cached = solve(jobs[0])  # a hit: the 2-lane plan becomes the newest
+        assert stats["plans_built"] == built + cap
+        assert cached_lanes() == [*range(3, cap + 2), 2]
+        solve(jobs[cap])  # evicts the least recent plan, not the oldest built
+        assert 2 in cached_lanes() and 3 not in cached_lanes()
+        for job in jobs[cap + 1:]:
+            solve(job)
+        assert 2 not in cached_lanes()
+        assert stats["plans_built"] == built + 2 * cap
+        assert stats["plan_evictions"] == evicted + cap
+        rebuilt = solve(jobs[0])
+        assert stats["plans_built"] == built + 2 * cap + 1
+        assert stats["plan_evictions"] == evicted + cap + 1
+        assert fresh.tobytes() == cached.tobytes() == rebuilt.tobytes()
+    finally:
+        B._WORKER["clients"].clear()
+        gc.collect()
+        for seg in list(B._WORKER["segments"].values()):
+            seg.close()
+        B._WORKER.clear()
+        B._WORKER.update(saved)
+        backend.shutdown()
