@@ -10,7 +10,7 @@ round costs one plan execution regardless of cohort size. Pinned here:
 
 1. **Identity first** — a 2-round federated run over cohortable clients
    is byte-identical (history and final weights) with cohorts on and
-   off, on all three backends. A fast-but-different solver is worthless.
+   off, on both backends. A fast-but-different solver is worthless.
 2. **Round speedup** — at 512 clients with paper-default hyperparams
    (MLP hidden 64, 8 classes, batch 32, E = 5, entropy selection at
    Pds = 10%) a cohort round on the process backend must run at least
@@ -93,11 +93,6 @@ def _identity_run(backend_name: str, cohort: bool):
             "process", max_workers=2, feature_runtime=FeatureRuntime(),
             cohort_solver=cohort,
         )
-    elif backend_name == "thread":
-        backend = make_backend(
-            "thread", max_workers=4, feature_runtime=FeatureRuntime(),
-            cohort_solver=cohort,
-        )
     else:
         backend = SerialBackend(
             feature_runtime=FeatureRuntime(), cohort_solver=cohort
@@ -110,13 +105,13 @@ def _identity_run(backend_name: str, cohort: bool):
 
 
 def _assert_identity():
-    """Cohort on == cohort off, byte for byte, on all three backends."""
+    """Cohort on == cohort off, byte for byte, on both backends."""
     reference_history, reference_server = _identity_run("serial", False)
     reference_theta = {
         key: reference_server.global_state[key].tobytes()
         for key in theta_keys(reference_server.model)
     }
-    for backend_name in ("serial", "thread", "process"):
+    for backend_name in ("serial", "process"):
         history, server = _identity_run(backend_name, True)
         assert history.records == reference_history.records, backend_name
         for key, blob in reference_theta.items():
@@ -154,7 +149,7 @@ def _round_seconds(reps: int = 3) -> tuple[float, float]:
 
 def test_cohort_solver_round_speedup(benchmark):
     """One cohort round ≥3× faster than 512 per-client fused dispatches,
-    bitwise identical end to end on serial/thread/process."""
+    bitwise identical end to end on serial and process."""
 
     def measure():
         _assert_identity()

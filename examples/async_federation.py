@@ -2,13 +2,13 @@
 
 A tour of the event-driven engine through the one-call API: the same
 FedFT-EDS pipeline runs in synchronous mode and in the two asynchronous
-modes, with half the clients slowed 8x. The async runs use the thread-pool
-backend, so local client training genuinely overlaps on your cores while
-the virtual clock keeps the simulation deterministic.
+modes, with half the clients slowed 8x. Every run uses the process
+backend: client rounds execute in long-lived worker processes that read
+weights and shards from shared memory, so local training overlaps on your
+cores while the virtual clock keeps the simulation deterministic.
 
-Swap ``backend="thread"`` for ``"process"`` to run each client round in
-long-lived worker processes reading weights and shards from shared memory
-— results are bitwise identical under every backend. For interrupting and
+Drop ``backend="process"`` to run the same rounds serially in this
+process — results are bitwise identical either way. For interrupting and
 resuming an async run, see ``examples/async_checkpoint_resume.py``.
 
 Run:  python examples/async_federation.py
@@ -37,7 +37,8 @@ def main() -> None:
         local_epochs=2,
         image_size=8,
         timing=timing,
-        backend="thread",
+        backend="process",
+        max_workers=2,
     )
     configs = [
         ("sync FedAvg-style rounds", FedFTEDSConfig(mode="sync", **common)),
@@ -64,7 +65,7 @@ def main() -> None:
     ]
     print(
         f"Running {len(configs)} modes ({CLIENTS} clients, half slowed "
-        f"{SLOWDOWN:g}x, thread-pool backend)...\n"
+        f"{SLOWDOWN:g}x, process backend)...\n"
     )
     rows = []
     for label, config in configs:

@@ -11,7 +11,7 @@ The package is layered bottom-up:
 - :mod:`repro.fl` — federated-learning simulator (server, clients,
   aggregation, stragglers, analytic timing model).
 - :mod:`repro.engine` — event-driven asynchronous engine: virtual-clock
-  scheduler, FedAsync/FedBuff aggregation, serial/thread/process execution
+  scheduler, FedAsync/FedBuff aggregation, serial and process execution
   backends, availability churn (see DESIGN.md).
 - :mod:`repro.core` — the paper's contribution: hardened-softmax
   entropy-based data selection + partial fine-tuning (FedFT-EDS).

@@ -25,7 +25,12 @@ from repro.engine.backends import (
     make_backend,
 )
 from repro.engine.campaign import CampaignSegmentPool
-from repro.engine.faults import ChaosPlan, FaultPolicy, install_chaos
+from repro.engine.faults import (
+    ChaosPlan,
+    FaultPolicy,
+    install_chaos,
+    reject_worker_only_knobs,
+)
 from repro.engine.records import EventLog
 from repro.engine.runner import run_async_federated_training
 from repro.fl.client import Client
@@ -89,7 +94,7 @@ class FedFTEDSConfig:
     #: "sync" lock-step rounds | "fedasync" immediate staleness-weighted
     #: mixing | "fedbuff" buffered aggregation of K updates
     mode: str = "sync"
-    #: "serial" | "thread" | "process" — where client rounds execute
+    #: "serial" | "process" — where client rounds execute
     backend: str = "serial"
     max_workers: int | None = None
     #: async only: cap on concurrently training clients (default: all)
@@ -128,8 +133,10 @@ class FedFTEDSConfig:
     #: per-client jobs
     cohort_solver: bool = True
     #: fault layer (repro.engine.faults): per-job wall-clock deadline on
-    #: worker backends — a hung job is killed and redispatched bitwise
-    #: identically; setting either knob enables the FaultPolicy
+    #: the process backend — a hung job is killed and redispatched
+    #: bitwise identically; setting either knob enables the FaultPolicy.
+    #: backend="serial" runs no worker jobs and rejects both knobs, as it
+    #: does the job-indexed chaos events (kill/delay/corrupt)
     job_timeout: float | None = None
     #: consecutive failures of one job before it degrades to inline
     #: execution (None = FaultPolicy's default budget)
@@ -224,7 +231,7 @@ class FedFTEDSCampaign:
     (each distinct shard, feature array and test-set shard published into
     shared memory once per campaign) and one
     :class:`~repro.fl.features.FeatureRuntime` (in-process ϕ(x) reuse for
-    the serial/thread backends). Close it (or use it as a context manager)
+    the serial backend). Close it (or use it as a context manager)
     when the campaign ends; crash paths fall back to the emergency
     shared-memory cleanup.
 
@@ -257,8 +264,8 @@ class FedFTEDSCampaign:
         """The execution backend for one run (the run closes it; closing
         the campaign's process backend is the soft per-run ``end_run``)."""
         runtime = self.feature_runtime if config.feature_cache else None
-        fault_policy, chaos = _fault_setup(config)
         if config.backend == "process":
+            fault_policy, chaos = _fault_setup(config)
             if self._process_backend is None:
                 self._process_backend = ProcessPoolBackend(
                     max_workers=config.max_workers or self.max_workers,
@@ -282,11 +289,8 @@ class FedFTEDSCampaign:
             return self._process_backend
         return make_backend(
             config.backend,
-            config.max_workers or self.max_workers,
             feature_runtime=runtime,
             cohort_solver=config.cohort_solver,
-            fault_policy=fault_policy,
-            chaos=chaos,
         )
 
     def close(self) -> None:
@@ -353,6 +357,10 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
         # Fail before pretraining/setup, not at backend construction.
         raise ValueError(
             f"unknown backend {config.backend!r}; expected one of {BACKENDS}"
+        )
+    if config.backend == "serial":
+        reject_worker_only_knobs(
+            config.job_timeout, config.max_job_retries, config.chaos
         )
     if config.mode == "sync":
         # Async-only knobs silently doing nothing would let a forgotten

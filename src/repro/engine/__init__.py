@@ -10,7 +10,7 @@ single process; this package removes both restrictions:
   staleness-weighted FedAsync and buffered FedBuff — next to synchronous
   FedAvg, sharing the core in :mod:`repro.fl.aggregation`;
 - pluggable **execution backends** (:mod:`repro.engine.backends`) run
-  client local training serially, in threads, or in processes, with
+  client local training serially or in worker processes, with
   bitwise-identical results;
 - a **campaign segment pool** (:mod:`repro.engine.campaign`) shares
   shard segments and warm worker pools across the runs of one experiment
@@ -38,7 +38,6 @@ from repro.engine.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     make_backend,
 )
 from repro.engine.campaign import (
@@ -61,7 +60,6 @@ __all__ = [
     "TraceAvailability",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadPoolBackend",
     "ProcessPoolBackend",
     "BACKENDS",
     "make_backend",

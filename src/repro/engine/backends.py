@@ -7,10 +7,9 @@ backend must produce bitwise-identical results for the same dispatch
 sequence:
 
 - :class:`SerialBackend` — runs the round inline in the server's shared
-  workspace model, exactly like the original sequential simulator.
-- :class:`ThreadPoolBackend` — runs rounds in worker threads, each with its
-  own deep-copied model replica. NumPy releases the GIL inside the heavy
-  kernels, so local training genuinely overlaps.
+  workspace model, exactly like the original sequential simulator. It is
+  the one in-process round path: both training loops build one when they
+  are given no backend.
 - :class:`ProcessPoolBackend` — runs rounds in long-lived worker processes
   that read the model template, global weights and client shards from
   ``multiprocessing.shared_memory`` segments. Only a small job descriptor
@@ -41,10 +40,10 @@ worker attach, enforces per-job deadlines through a watchdog thread, and
 redispatches the *exact* job blob with seeded exponential backoff — every
 job is a pure function of its dispatch-time RNG state and the published
 segments, so recovery is bitwise invisible. After ``max_retries``
-consecutive failures a job degrades process → thread → serial and still
-completes identically, counted on the exported ``faults.*`` group. A
-:class:`~repro.engine.faults.ChaosPlan` injects seeded kills / delays /
-corruptions for replayable failure testing.
+consecutive failures a job runs in the parent instead (on a private
+thread, else inline) with identical bytes, counted on the exported
+``faults.*`` group. A :class:`~repro.engine.faults.ChaosPlan` injects
+seeded kills / delays / corruptions for replayable failure testing.
 
 See DESIGN.md ("Shared-memory process backend") for the segment layout and
 worker lifecycle.
@@ -56,7 +55,6 @@ import copy
 import hashlib
 import os
 import pickle
-import queue
 import threading
 import time
 from concurrent.futures import BrokenExecutor, Future
@@ -178,7 +176,7 @@ class ExecutionBackend:
         self.close()
 
 
-#: lanes per dispatched cohort job on the pooled backends. One job per
+#: lanes per dispatched cohort job on the process backend. One job per
 #: cohort would serialise a whole round onto a single worker and balloon
 #: the per-job payload; chunking keeps every worker busy and bounds blob
 #: sizes. Lanes are mutually independent inside a plan — each replays its
@@ -198,8 +196,11 @@ def _cohort_chunks(positions: list) -> list:
 class SerialBackend(ExecutionBackend):
     """Inline execution in the shared workspace model (the seed behaviour).
 
+    The one in-process round path: ``run_federated_training`` and
+    ``run_async_federated_training`` build one when given no backend.
     With a :class:`~repro.fl.features.FeatureRuntime`, client rounds
-    consume cached ϕ(x) features (head-only execution, bitwise identical);
+    consume cached ϕ(x) features (head-only execution, bitwise identical)
+    and :meth:`submit_many` groups compatible clients into cohort solves;
     without one, the full-forward seed path runs.
     """
 
@@ -228,249 +229,44 @@ class SerialBackend(ExecutionBackend):
         )
 
     def submit_many(self, clients, template, global_state, timing):
-        # Cohort grouping needs cached features, at least two clients and
-        # the stock per-client path (a subclass overriding ``submit``
-        # customises per-client behaviour the cohort would bypass).
+        # A subclass overriding ``submit`` customises per-client behaviour
+        # that the shared lookups and cohorts below would bypass.
         if (
-            len(clients) < 2
-            or not self.cohort_solver
-            or self.feature_runtime is None
+            self.feature_runtime is None
             or type(self).submit is not SerialBackend.submit
         ):
             return super().submit_many(clients, template, global_state, timing)
+        # One ϕ fingerprint probe and one lookup per client serve the
+        # whole round, cohort members and per-client rounds alike: nothing
+        # can mutate the frozen prefix between two clients of one round.
         chain = template.phi_prefix_chain()
         features = [
             self.feature_runtime.features_for(client, template, chain=chain)
             for client in clients
         ]
-        shapes = [None if f is None else tuple(f.shape[1:]) for f in features]
-        units = fastpath.cohort_units(clients, template, global_state, shapes)
-        handles: list = [None] * len(clients)
-        for positions, layout in units or ():
-            members = [clients[i] for i in positions]
-            feats = [features[i] for i in positions]
-            updates = fastpath.run_cohort(
-                members, template, global_state, timing, feats, layout
-            )
-            if updates is None:
-                continue  # late disagreement: members fall through below
-            for pos, update in zip(positions, updates):
-                handles[pos] = _Resolved(update)
-        for i, client in enumerate(clients):
-            if handles[i] is None:
-                handles[i] = self.submit(client, template, global_state, timing)
-        return handles
-
-
-class ThreadPoolBackend(ExecutionBackend):
-    """Worker threads over a pool of deep-copied model replicas.
-
-    Replicas are created eagerly on first submit (before any computation is
-    in flight) and recycled through a queue, so a worker never trains in a
-    model another worker — or the server's evaluation — is touching.
-    ``run_round`` loads the broadcast state before every round, so replica
-    contents never leak between clients.
-
-    Feature caching: ϕ(x) arrays are built once on the *template* (inside
-    ``submit``, on the scheduler thread, before any worker could touch it)
-    and shared read-only by every worker's replica rounds.
-
-    Fault layer: thread jobs mutate their client's RNG *in this process*,
-    so a retry would double-advance the stream — redispatch is unsound
-    here and only the process backend retries. The thread backend instead
-    honours a :class:`~repro.engine.faults.ChaosPlan`'s ``delay`` events
-    (seeded stalls inside the job) and *observes* a
-    :class:`~repro.engine.faults.FaultPolicy` deadline post-hoc on the
-    ``faults.timeouts`` counter (threads cannot be reclaimed). Both are
-    zero-overhead when unset.
-    """
-
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        feature_runtime: FeatureRuntime | None = None,
-        cohort_solver: bool = True,
-        fault_policy: FaultPolicy | None = None,
-        chaos: ChaosPlan | None = None,
-    ):
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError("max_workers must be positive")
-        self.max_workers = max_workers or min(8, os.cpu_count() or 1)
-        self.feature_runtime = feature_runtime
-        self.cohort_solver = cohort_solver
-        self.fault_policy = fault_policy
-        self.chaos = chaos
-        #: global dispatch index for chaos addressing (counts every job)
-        self._job_index = 0
-        self._executor: ThreadPoolExecutor | None = None
-        self._replicas: queue.Queue | None = None
-        self._lock = threading.Lock()
-
-    def _submit_traced(self, fn):
-        """Submit ``fn``, wrapped with this job's chaos delay / deadline.
-
-        The chaos event is resolved *here*, on the scheduler thread, so
-        the dispatch-order job index — not worker scheduling — addresses
-        the schedule; the sleep itself happens inside the worker.
-        """
-        if self.fault_policy is None and self.chaos is None:
-            return self._executor.submit(fn)
-        index = self._job_index
-        self._job_index += 1
-        delay = 0.0
-        if self.chaos is not None:
-            delay = self.chaos.delay_for(index)
-            if delay:
-                FAULTS["chaos_delays"] += 1
-        deadline = (
-            self.fault_policy.job_deadline
-            if self.fault_policy is not None
-            else None
-        )
-
-        def traced():
-            t0 = time.monotonic()
-            if delay:
-                time.sleep(delay)
-            try:
-                return fn()
-            finally:
-                if (
-                    deadline is not None
-                    and time.monotonic() - t0 > deadline
-                ):
-                    FAULTS["timeouts"] += 1
-
-        return self._executor.submit(traced)
-
-    def _ensure_started(self, template: SegmentedModel) -> None:
-        with self._lock:
-            if self._executor is not None:
-                return
-            replicas: queue.Queue = queue.Queue()
-            for _ in range(self.max_workers):
-                replicas.put(copy.deepcopy(template))
-            self._replicas = replicas
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix="repro-client",
-            )
-
-    def submit(self, client, template, global_state, timing):
-        self._ensure_started(template)
-        features = (
-            self.feature_runtime.features_for(client, template)
-            if self.feature_runtime is not None
-            else None
-        )
-
-        def job() -> LocalUpdate:
-            model = self._replicas.get()
-            try:
-                return client.run_round(
-                    model, global_state, timing=timing, features=features
+        updates: list = [None] * len(clients)
+        if self.cohort_solver and len(clients) > 1:
+            shapes = [None if f is None else tuple(f.shape[1:]) for f in features]
+            units = fastpath.cohort_units(clients, template, global_state, shapes)
+            for positions, layout in units or ():
+                solved = fastpath.run_cohort(
+                    [clients[i] for i in positions],
+                    template,
+                    global_state,
+                    timing,
+                    [features[i] for i in positions],
+                    layout,
                 )
-            finally:
-                self._replicas.put(model)
-
-        return self._submit_traced(job)
-
-    def submit_many(self, clients, template, global_state, timing):
-        if (
-            len(clients) < 2
-            or not self.cohort_solver
-            or self.feature_runtime is None
-            or type(self).submit is not ThreadPoolBackend.submit
-        ):
-            return super().submit_many(clients, template, global_state, timing)
-        self._ensure_started(template)
-        chain = template.phi_prefix_chain()
-        features = [
-            self.feature_runtime.features_for(client, template, chain=chain)
-            for client in clients
-        ]
-        shapes = [None if f is None else tuple(f.shape[1:]) for f in features]
-        units = fastpath.cohort_units(clients, template, global_state, shapes)
-        handles: list = [None] * len(clients)
-        signature = None
-        if units:
-            # Probed on the scheduler thread: worker jobs must never walk
-            # the template, which a later ``submit`` may be forwarding
-            # through for features. Same reason the planned durations are
-            # computed here and stamped onto the solved updates in the job.
-            _, signature = fastpath.head_ops(template)
-        chunks = [
-            (chunk, layout)
-            for positions, layout in units or ()
-            for chunk in _cohort_chunks(positions)
-        ]
-        for positions, layout in chunks:
-            members = [clients[i] for i in positions]
-            feats = [features[i] for i in positions]
-            secs = (
-                None
-                if timing is None
-                else fastpath.cohort_round_seconds(members, template, timing)
-            )
-
-            def job(members=members, feats=feats, layout=layout, secs=secs):
-                updates = fastpath.run_cohort(
-                    members, template, global_state, None, feats, layout,
-                    signature=signature,
-                )
-                if updates is None:
-                    # Late disagreement: the exact per-member path, each
-                    # round in a pooled replica like a per-client job.
-                    updates = []
-                    for member, member_feats in zip(members, feats):
-                        model = self._replicas.get()
-                        try:
-                            updates.append(
-                                member.run_round(
-                                    model,
-                                    global_state,
-                                    timing=timing,
-                                    features=member_feats,
-                                )
-                            )
-                        finally:
-                            self._replicas.put(model)
-                    return updates
-                if secs is not None:
-                    for update, sec in zip(updates, secs):
-                        update.train_seconds = sec
-                return updates
-
-            future = self._submit_traced(job)
-            for index, pos in enumerate(positions):
-                handles[pos] = _CohortMemberHandle(future, index)
+                if solved is None:
+                    continue  # late disagreement: members fall through below
+                for pos, update in zip(positions, solved):
+                    updates[pos] = update
         for i, client in enumerate(clients):
-            if handles[i] is None:
-                handles[i] = self.submit(client, template, global_state, timing)
-        return handles
-
-    def close(self):
-        # Idempotent and exception-safe: the executor reference is cleared
-        # *before* the (blocking, possibly raising) shutdown, so a second
-        # close — or a close after a crashed run — is a no-op.
-        with self._lock:
-            executor, self._executor = self._executor, None
-            self._replicas = None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-
-class _CohortMemberHandle:
-    """One member's view of a cohort job: ``result()`` is its lane's update."""
-
-    __slots__ = ("_future", "_index")
-
-    def __init__(self, future, index: int):
-        self._future = future
-        self._index = index
-
-    def result(self) -> LocalUpdate:
-        return self._future.result()[self._index]
+            if updates[i] is None:
+                updates[i] = client.run_round(
+                    template, global_state, timing=timing, features=features[i]
+                )
+        return [_Resolved(update) for update in updates]
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +374,7 @@ _WORKER: dict = {
     "eval_plans": {},
     # Per-template cohort caches: {"probes": layout-probe plans keyed by
     # (signature, shape), "plans": an LRU of CohortPlans keyed by pool
-    # key} — the worker-process mirror of fastpath's cohort plan pool.
+    # key} — the worker-process mirror of fastpath's cohort plan cache.
     "cohort_plans": {},
     # segments the running job reads; never unmapped while it runs
     "job_pins": set(),
@@ -1324,7 +1120,7 @@ class ProcessPoolBackend(ExecutionBackend):
     (``BrokenProcessPool``), watchdog-expired deadlines and
     :class:`~repro.engine.faults.SegmentCorruption` reports all trigger a
     respawn-verify-backoff-redispatch cycle, and a job that exhausts
-    ``max_retries`` completes *inline* (process → thread → serial) with
+    ``max_retries`` completes in the parent (:meth:`_run_degraded`) with
     identical bytes. A ``chaos`` plan injects seeded worker kills, job
     delays and segment corruptions at dispatch time; passing ``chaos``
     without a policy enables a default :class:`FaultPolicy` so injected
@@ -2359,51 +2155,8 @@ class PooledEvaluator:
         )
 
 
-class LazyPooledEvaluator:
-    """A :class:`PooledEvaluator` whose process backend spins up on first use.
-
-    Serves the *synchronous serial* path: a serial campaign has no warm
-    worker pool, but its evaluations (the full test set, every round) are
-    exactly the embarrassingly parallel work the pooled evaluator shards.
-    The factory — typically ``ExperimentHarness.make_run_backend("process")``
-    — is only invoked when an evaluation actually happens, so attaching
-    this costs nothing until then, and the spun-up backend joins the
-    campaign runtime (the campaign, not this evaluator, owns its
-    teardown). Results are bitwise identical to the serial evaluation by
-    the pooled reduction's exactness.
-    """
-
-    def __init__(
-        self,
-        backend_factory,
-        test_set: Dataset,
-        test_key: tuple | None = None,
-        batch_size: int = 512,
-    ):
-        self.backend_factory = backend_factory
-        self.test_set = test_set
-        self.test_key = test_key
-        self.batch_size = batch_size
-        self._delegate: PooledEvaluator | None = None
-
-    def evaluate(
-        self,
-        model: SegmentedModel,
-        global_state: dict[str, np.ndarray],
-        batch_size: int | None = None,
-    ) -> float:
-        if self._delegate is None:
-            self._delegate = PooledEvaluator(
-                self.backend_factory(),
-                self.test_set,
-                test_key=self.test_key,
-                batch_size=self.batch_size,
-            )
-        return self._delegate.evaluate(model, global_state, batch_size)
-
-
 #: Backend short names used by configuration surfaces.
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def make_backend(
@@ -2419,29 +2172,22 @@ def make_backend(
 ) -> ExecutionBackend:
     """Instantiate an execution backend by short name.
 
-    ``segment_pool``/``persistent`` only apply to the process backend (see
-    :class:`ProcessPoolBackend`); the serial and thread backends hold no
-    cross-run state worth pooling. ``feature_runtime`` enables the
-    frozen-feature cache on any backend (see :mod:`repro.fl.features`).
-    ``fused_solver`` gates the fused plan in pooled-evaluation workers
-    (client rounds carry their own per-client flag). ``cohort_solver``
-    gates block-stacked cohort dispatch (``submit_many`` grouping) on
-    every backend. ``fault_policy``/``chaos`` enable the fault layer
-    (:mod:`repro.engine.faults`): full retry/watchdog/degradation on the
-    process backend, delay injection and deadline observation on the
-    thread backend, nothing on serial (inline execution cannot lose work).
+    ``feature_runtime`` enables the frozen-feature cache on either backend
+    (see :mod:`repro.fl.features`), and ``cohort_solver`` gates
+    block-stacked cohort dispatch (``submit_many`` grouping). Everything
+    else configures the process backend only (see
+    :class:`ProcessPoolBackend`): ``segment_pool``/``persistent`` pool its
+    cross-run state, ``fused_solver`` gates the fused plan in its
+    pooled-evaluation workers (client rounds carry their own per-client
+    flag), and ``fault_policy``/``chaos`` drive its fault layer
+    (:mod:`repro.engine.faults`). The serial backend runs no worker jobs,
+    so those have nothing to act on there; the configuration surfaces
+    reject the worker-only knobs for it up front
+    (:func:`~repro.engine.faults.reject_worker_only_knobs`).
     """
     if name == "serial":
         return SerialBackend(
             feature_runtime=feature_runtime, cohort_solver=cohort_solver
-        )
-    if name == "thread":
-        return ThreadPoolBackend(
-            max_workers=max_workers,
-            feature_runtime=feature_runtime,
-            cohort_solver=cohort_solver,
-            fault_policy=fault_policy,
-            chaos=chaos,
         )
     if name == "process":
         return ProcessPoolBackend(

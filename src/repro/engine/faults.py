@@ -172,6 +172,9 @@ class ChaosPlan:
     """
 
     KINDS = ("kill", "delay", "corrupt", "tear", "disk-corrupt", "disk-tear")
+    #: the kinds addressed by a backend's job index: only worker jobs
+    #: honour them
+    JOB_KINDS = ("kill", "delay", "corrupt")
 
     #: one-line grammar, quoted by every parse error
     GRAMMAR = "kind@job[:value] events joined by ';', kind in %s, job an int or '*'" % (
@@ -296,6 +299,45 @@ class ChaosPlan:
         if self._take("disk-corrupt", index) is not None:
             return "disk-corrupt"
         return None
+
+
+def reject_worker_only_knobs(
+    job_timeout: float | None,
+    max_job_retries: int | None,
+    chaos: "str | ChaosPlan | None",
+) -> None:
+    """Refuse the fault knobs only worker jobs honour, for a serial run.
+
+    A per-job deadline, a retry budget and the job-indexed chaos events
+    (``ChaosPlan.JOB_KINDS``) act on process-backend jobs; the serial
+    backend dispatches none, so it would drop them silently. The knobs
+    are checked as the caller set them: chaos alone implying a default
+    policy is the process backend's convention, not a user's setting.
+    Checkpoint and store chaos (``tear``, ``disk-tear``, ``disk-corrupt``)
+    work on any backend and pass.
+    """
+    knobs = [
+        name
+        for name, value in (
+            ("job_timeout", job_timeout),
+            ("max_job_retries", max_job_retries),
+        )
+        if value is not None
+    ]
+    if isinstance(chaos, str):
+        chaos = ChaosPlan.parse(chaos)
+    if chaos is not None:
+        knobs += [
+            f"chaos {kind}"
+            for kind, _, _ in chaos.events
+            if kind in ChaosPlan.JOB_KINDS
+        ]
+    if knobs:
+        raise ValueError(
+            f"worker-only option(s) {knobs} have no effect with "
+            f"backend='serial', which runs no worker jobs; set "
+            f"backend='process'"
+        )
 
 
 # -- process-wide chaos install (test/CLI hook for the checkpoint tear) ----

@@ -11,8 +11,8 @@ paper's Table III studies, without the slowest client gating every round.
 Determinism: planned durations, the event heap's (time, dispatch-sequence)
 order, and every scheduler RNG draw are independent of how the backend
 parallelises the numeric work, so the same seed yields an identical event
-log — and identical final weights — under Serial, ThreadPool and
-ProcessPool backends alike.
+log — and identical final weights — under the serial and process
+backends alike.
 
 Checkpointing: every dispatch records the client's RNG state, so a
 checkpoint (an :class:`AsyncRunState`) can describe in-flight rounds

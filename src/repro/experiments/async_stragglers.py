@@ -19,7 +19,7 @@ synchronous baseline.
 
 The modes themselves are this experiment's subject, so the harness
 ``mode`` is ignored; the async runs execute client rounds on the harness
-``backend`` (serial/thread/shared-memory process — results are bitwise
+``backend`` (serial or shared-memory process — results are bitwise
 identical either way).
 """
 

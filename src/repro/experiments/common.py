@@ -10,9 +10,9 @@ backend*: with ``mode="fedasync"`` or ``"fedbuff"`` every
 :meth:`ExperimentHarness.federated` run is driven by the event engine
 (:func:`repro.engine.runner.run_async_federated_training`) on an equal
 total-work budget (``rounds × num_clients`` completion events), and with
-``backend="thread"``/``"process"`` client rounds execute in parallel
-workers — bitwise identical to serial by the engine's determinism
-contract. ``repro-experiments --mode fedbuff --backend process`` therefore
+``backend="process"`` client rounds execute in parallel worker processes
+— bitwise identical to serial by the engine's determinism contract.
+``repro-experiments --mode fedbuff --backend process`` therefore
 regenerates any paper table asynchronously at process-parallel speed.
 """
 
@@ -30,13 +30,17 @@ from repro.engine.aggregators import make_aggregator
 from repro.engine.backends import (
     BACKENDS,
     ExecutionBackend,
-    LazyPooledEvaluator,
     PooledEvaluator,
     ProcessPoolBackend,
     make_backend,
 )
 from repro.engine.campaign import CampaignSegmentPool
-from repro.engine.faults import ChaosPlan, FaultPolicy, install_chaos
+from repro.engine.faults import (
+    ChaosPlan,
+    FaultPolicy,
+    install_chaos,
+    reject_worker_only_knobs,
+)
 from repro.fl.features import FeatureRuntime
 from repro.engine.records import EventLog
 from repro.engine.runner import run_async_federated_training
@@ -172,7 +176,9 @@ class ExperimentHarness:
     forward (see :mod:`repro.fl.features`). With the process backend the
     features live in pool segments (published once per campaign) and
     ``Server.evaluate`` runs as pooled, sharded jobs on the warm workers
-    through :class:`~repro.engine.backends.PooledEvaluator`.
+    through :class:`~repro.engine.backends.PooledEvaluator`; a serial run
+    borrows those warm workers for its evaluations when an earlier
+    process-backend run of the campaign left them running.
     """
 
     def __init__(
@@ -191,7 +197,6 @@ class ExperimentHarness:
         feature_cache: bool = True,
         fused_solver: bool = True,
         cohort_solver: bool = True,
-        pooled_serial_eval: bool = False,
         feature_byte_budget: int | None = None,
         telemetry: "TelemetrySession | None" = None,
         job_timeout: float | None = None,
@@ -234,11 +239,6 @@ class ExperimentHarness:
         #: compatible participants into one CohortPlan job per cohort —
         #: bitwise identical to per-client dispatch (repro.fl.fastpath)
         self.cohort_solver = cohort_solver
-        #: serve synchronous *serial* runs' evaluations from the pooled
-        #: process workers even when no warm backend exists yet (spins the
-        #: campaign backend up lazily at the first evaluation); a warm
-        #: campaign backend is reused regardless of this flag
-        self.pooled_serial_eval = pooled_serial_eval
         #: byte budget for rebuildable feature state (the in-process ϕ(x)
         #: cache and the pool's feature/test segments); None = unbounded
         self.feature_byte_budget = feature_byte_budget
@@ -265,9 +265,11 @@ class ExperimentHarness:
         self._pretrained: dict[tuple[str, str], dict[str, np.ndarray]] = {}
         self._partitions: dict[tuple, list[np.ndarray]] = {}
         #: fault layer (repro.engine.faults): a per-job deadline and/or a
-        #: retry budget build a FaultPolicy threaded to every worker
+        #: retry budget build a FaultPolicy threaded to the process
         #: backend; recovery is bitwise invisible, so results match the
-        #: policy-free run exactly
+        #: policy-free run exactly. Serial runs reject them (no jobs).
+        self.job_timeout = job_timeout
+        self.max_job_retries = max_job_retries
         self.fault_policy = None
         if job_timeout is not None or max_job_retries is not None:
             policy_args = {}
@@ -313,13 +315,20 @@ class ExperimentHarness:
     def make_run_backend(self, backend: str | None = None) -> ExecutionBackend:
         """The execution backend for one run (caller closes it per run).
 
-        Serial/thread backends are fresh per call. The process backend is
-        the campaign-wide warm instance: its per-run ``close()`` only
-        releases run-scoped state (``persistent=True``), so workers and the
-        segment pool survive until :meth:`close` tears the campaign down.
+        The serial backend is fresh per call, and refuses the worker-only
+        fault knobs (``job_timeout``, ``max_job_retries``, job-indexed
+        chaos events), which would have nothing to act on. The process
+        backend is the campaign-wide warm instance: its per-run
+        ``close()`` only releases run-scoped state (``persistent=True``),
+        so workers and the segment pool survive until :meth:`close` tears
+        the campaign down.
         """
         name = backend or self.backend
-        if name == "process":
+        if name == "serial":
+            reject_worker_only_knobs(
+                self.job_timeout, self.max_job_retries, self.chaos
+            )
+        elif name == "process":
             if self._campaign_backend is None:
                 if self.segment_pool is None:
                     self.segment_pool = CampaignSegmentPool(
@@ -341,11 +350,8 @@ class ExperimentHarness:
             return self._campaign_backend
         return make_backend(
             name,
-            self.max_workers,
             feature_runtime=self.feature_runtime,
             cohort_solver=self.cohort_solver,
-            fault_policy=self.fault_policy,
-            chaos=self.chaos,
         )
 
     def close(self) -> None:
@@ -594,42 +600,23 @@ class ExperimentHarness:
 
     def _attach_pooled_evaluator(
         self, server: Server, run_backend, dataset: str, model_kind: str
-    ) -> bool:
-        """Route ``server.evaluate`` to the warm workers when possible."""
+    ) -> None:
+        """Route ``server.evaluate`` to warm workers when any exist.
+
+        The run's own process backend serves it; a serial run borrows the
+        campaign's warm process backend when an earlier run of this
+        campaign left one. Bitwise identical to serial evaluation either
+        way (exact pooled reduction).
+        """
         if not isinstance(run_backend, ProcessPoolBackend):
-            return False
+            run_backend = self._campaign_backend
+            if run_backend is None:
+                return
         server.evaluator = PooledEvaluator(
             run_backend,
             server.test_set,
             test_key=self._test_pool_key(dataset, model_kind),
         )
-        return True
-
-    def _attach_serial_pooled_evaluator(
-        self, server: Server, dataset: str, model_kind: str
-    ) -> bool:
-        """Pooled evaluation for the synchronous serial path.
-
-        A warm campaign process backend (left over from process-backend
-        runs of this campaign) is reused directly; otherwise, with
-        ``pooled_serial_eval``, the campaign backend is spun up lazily at
-        the run's first evaluation. Bitwise identical to serial
-        evaluation either way (exact pooled reduction).
-        """
-        test_key = self._test_pool_key(dataset, model_kind)
-        if self._campaign_backend is not None:
-            server.evaluator = PooledEvaluator(
-                self._campaign_backend, server.test_set, test_key=test_key
-            )
-            return True
-        if self.pooled_serial_eval:
-            server.evaluator = LazyPooledEvaluator(
-                lambda: self.make_run_backend("process"),
-                server.test_set,
-                test_key=test_key,
-            )
-            return True
-        return False
 
     def federated(
         self,
@@ -676,48 +663,7 @@ class ExperimentHarness:
         rounds = rounds or (
             s.rounds if model_kind == "main" else s.conv_rounds
         )
-        if mode == "sync":
-            backend_name = backend or self.backend
-            if backend_name == "serial":
-                # Inline execution in the server's workspace model — the
-                # seed behaviour, with no replica copies. Evaluations may
-                # still ride the pooled workers (campaign backend warm, or
-                # pooled_serial_eval spin-up).
-                try:
-                    self._attach_serial_pooled_evaluator(
-                        server, dataset, model_kind
-                    )
-                    history = run_federated_training(
-                        server,
-                        clients,
-                        rounds=rounds,
-                        seed=run_seed + 1,
-                        participation=participation,
-                        timing=self.timing,
-                        verbose=verbose,
-                        feature_runtime=self.feature_runtime,
-                    )
-                finally:
-                    server.evaluator = None
-            else:
-                with self.make_run_backend(backend) as run_backend:
-                    try:
-                        self._attach_pooled_evaluator(
-                            server, run_backend, dataset, model_kind
-                        )
-                        history = run_federated_training(
-                            server,
-                            clients,
-                            rounds=rounds,
-                            seed=run_seed + 1,
-                            participation=participation,
-                            timing=self.timing,
-                            backend=run_backend,
-                            verbose=verbose,
-                        )
-                    finally:
-                        server.evaluator = None
-        else:
+        if mode != "sync":
             aggregator = make_aggregator(
                 mode,
                 mixing=self.async_mixing,
@@ -741,11 +687,23 @@ class ExperimentHarness:
                 max_concurrency = max(
                     1, int(round(participation_fraction * num_clients))
                 )
-            with self.make_run_backend(backend) as run_backend:
-                try:
-                    self._attach_pooled_evaluator(
-                        server, run_backend, dataset, model_kind
+        with self.make_run_backend(backend) as run_backend:
+            try:
+                self._attach_pooled_evaluator(
+                    server, run_backend, dataset, model_kind
+                )
+                if mode == "sync":
+                    history = run_federated_training(
+                        server,
+                        clients,
+                        rounds=rounds,
+                        seed=run_seed + 1,
+                        participation=participation,
+                        timing=self.timing,
+                        backend=run_backend,
+                        verbose=verbose,
                     )
+                else:
                     history = run_async_federated_training(
                         server,
                         clients,
@@ -758,8 +716,8 @@ class ExperimentHarness:
                         eval_every=eval_every,
                         verbose=verbose,
                     )
-                finally:
-                    server.evaluator = None
+            finally:
+                server.evaluator = None
         result = RunResult(
             method=method,
             dataset=dataset,

@@ -9,7 +9,7 @@ pool ``SLOWDOWN``× slower) for every K and races each against the
 synchronous baseline's time-to-target — the operating curve behind picking
 K for a deployment.
 
-Honours the harness ``backend`` (serial/thread/process execution of client
+Honours the harness ``backend`` (serial or process execution of client
 rounds); the training mode is FedBuff by definition, so the harness
 ``mode`` is ignored. Staleness discounting is disabled for the same reason
 as in :mod:`repro.experiments.async_stragglers`: with a 10× speed spread

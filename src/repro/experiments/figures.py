@@ -8,7 +8,7 @@ III matrix via the shared ``context`` cache.
 All federated runs honour the harness ``mode``/``backend``: asynchronous
 modes produce per-event accuracy series (one point per processed
 completion instead of per lock-step round) from the event engine at equal
-total work, and thread/process backends parallelise client rounds with
+total work, and the process backend parallelises client rounds with
 bitwise-identical results. Fig. 1 only scores a frozen model, so only the
 CKA/curve/efficiency figures are affected.
 """

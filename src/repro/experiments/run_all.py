@@ -8,8 +8,8 @@ Usage::
 
 Reports are printed and saved as ``<output>/<experiment>.{txt,json}``.
 ``--mode`` switches every experiment's federated runs to the event engine
-(FedAsync/FedBuff on an equal-work event budget), and ``--backend`` moves
-client local training into thread or shared-memory process workers —
+(FedAsync/FedBuff on an equal-work event budget), and ``--backend process``
+moves client local training into shared-memory worker processes —
 bitwise identical to serial by the engine's determinism contract.
 """
 
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-workers",
         type=int,
         default=None,
-        help="worker count for thread/process backends (default: auto)",
+        help="worker count for the process backend (default: auto)",
     )
     parser.add_argument(
         "--no-feature-cache",
@@ -102,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "per-job wall-clock deadline on worker backends; a hung job is "
-            "killed and redispatched bitwise identically "
+            "per-job wall-clock deadline on the process backend; a hung "
+            "job is killed and redispatched bitwise identically "
             "(repro.engine.faults.FaultPolicy)"
         ),
     )

@@ -13,8 +13,8 @@ phenomenon under study.
 
 Honours the harness ``mode``/``backend``: with ``mode="fedasync"`` or
 ``"fedbuff"`` every federated run is driven by the event engine on an
-equal-work event budget (``rounds × num_clients``), and thread/process
-backends execute client rounds in parallel workers with bitwise-identical
+equal-work event budget (``rounds × num_clients``), and the process
+backend executes client rounds in parallel workers with bitwise-identical
 results.
 """
 

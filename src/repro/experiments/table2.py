@@ -10,8 +10,8 @@ centralised on top.
 
 Honours the harness ``mode``/``backend``: asynchronous modes replace the
 lock-step rounds with the event engine at equal total work
-(``rounds × num_clients`` completions), and thread/process backends
-parallelise client rounds with bitwise-identical results. The centralised
+(``rounds × num_clients`` completions), and the process backend
+parallelises client rounds with bitwise-identical results. The centralised
 upper bound is unaffected.
 """
 

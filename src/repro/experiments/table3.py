@@ -12,7 +12,7 @@ FedFT-EDS (50%) beats FedFT-ALL (100%): not all client data is beneficial.
 Honours the harness ``mode``/``backend``: under the asynchronous modes the
 partial-participation rows (fn < 100%) map to the event engine's
 concurrency cap — at most ``fn × num_clients`` clients train at once —
-while thread/process backends parallelise the rounds with
+while the process backend parallelises the rounds with
 bitwise-identical results.
 """
 

@@ -8,8 +8,8 @@ EDS > RDS at both Pds levels, with the clearest margin at Pds = 50%; a
 large gap remains to centralised training.
 
 Honours the harness ``mode``/``backend``: asynchronous modes drive the
-same pool through the event engine at equal total work; thread/process
-backends parallelise client rounds with bitwise-identical results.
+same pool through the event engine at equal total work; the process
+backend parallelises client rounds with bitwise-identical results.
 """
 
 from __future__ import annotations

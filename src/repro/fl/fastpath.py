@@ -19,18 +19,18 @@ holds, and silently falls back to the layer graph otherwise:
   (a missing key falls back so the graph path reports its usual error).
 
 Plan caching: plans are keyed by (head signature, feature trailing shape)
-and cached per *client* in a module-level ``WeakKeyDictionary`` — a client
-is never in flight twice, so its plan is single-threaded by construction;
-the cache dies with the client (worker processes cache clients per
-campaign, so worker plans are campaign-lived too, and a killed worker
-takes its plans with it — they hold no shared state). Evaluation plans for
-the pooled workers are cached by the backend under the template segment's
-name (see :mod:`repro.engine.backends`), mirroring feature-segment keying.
+and cached per *client* in a module-level ``WeakKeyDictionary``; the cache
+dies with the client (worker processes cache clients per campaign, so
+worker plans are campaign-lived too, and a killed worker takes its plans
+with it — they hold no shared state). In-process solves run one at a
+time, so no plan cache here needs a lock, and a cohort key never needs
+more than one plan. Evaluation plans for the pooled workers are cached
+by the backend under the template segment's name (see
+:mod:`repro.engine.backends`), mirroring feature-segment keying.
 """
 
 from __future__ import annotations
 
-import threading
 import weakref
 
 import numpy as np
@@ -67,7 +67,6 @@ STATS = export_group(
 #: (a ``None`` value remembers a (signature, shape) pair that failed to
 #: plan, so the fallback decision is made once, not per round)
 _PLANS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_PLANS_LOCK = threading.Lock()
 
 
 class BoundHead:
@@ -349,11 +348,9 @@ def client_head_plan(
     across every subsequent round of the client with the same head shape —
     the "plan once, run many" property the round benchmark measures.
     """
-    with _PLANS_LOCK:
-        cache = _PLANS.get(client)
-        if cache is None:
-            cache = {}
-            _PLANS[client] = cache
+    cache = _PLANS.get(client)
+    if cache is None:
+        cache = _PLANS[client] = {}
     return bind_head(model, feature_shape, cache)
 
 
@@ -394,18 +391,13 @@ COHORT_STATS = export_group(
     },
 )
 
-#: checkout pool of idle cohort plans, keyed by the full constructor tuple
-#: (signature, shape, lanes, rows, selected, batch_size, epochs). Checkout
-#: (not a plain cache) because the thread backend can have two same-key
-#: cohorts in flight at once; at most ``_COHORT_POOL_CAP`` idle plans are
-#: retained per key. Guarded by ``_PLANS_LOCK``.
-_COHORT_POOL: dict[tuple, list] = {}
-_COHORT_POOL_CAP = 4
+#: in-process cohort plans, one per full constructor key (signature, shape,
+#: lanes, rows, selected, batch_size, epochs), least recently used first
+_COHORT_PLANS: dict[tuple, CohortPlan] = {}
 
 #: layout-probe plans for ``aligned_cohort_layout``, scoped by the model's
 #: θ key names (two models may share a head signature yet communicate
-#: differently-named θ — e.g. different partial levels). Guarded by
-#: ``_PLANS_LOCK``.
+#: differently-named θ — e.g. different partial levels)
 _PROBES: dict[tuple, dict] = {}
 
 
@@ -432,20 +424,14 @@ def aligned_cohort_layout(model, feature_shape, cache=None):
     head is unfusible, the communicated θ is not exactly the head's
     trainable set, or the packings cannot align.
     """
-    if cache is not None:
-        bound = bind_head(model, feature_shape, cache)
-        if bound is None or bound._theta_map(model) is None:
-            return None
-        return bound._plan_theta_layout()
-    from repro.nn.serialization import theta_keys
+    if cache is None:
+        from repro.nn.serialization import theta_keys
 
-    scope = tuple(theta_keys(model))
-    with _PLANS_LOCK:
-        sub = _PROBES.setdefault(scope, {})
-        bound = bind_head(model, feature_shape, sub)
-        if bound is None or bound._theta_map(model) is None:
-            return None
-        return bound._plan_theta_layout()
+        cache = _PROBES.setdefault(tuple(theta_keys(model)), {})
+    bound = bind_head(model, feature_shape, cache)
+    if bound is None or bound._theta_map(model) is None:
+        return None
+    return bound._plan_theta_layout()
 
 
 def _cohort_key(client, model, global_state, shape, layouts):
@@ -581,33 +567,20 @@ def _build_cohort_plan(pool_key):
 
 
 def _acquire_cohort_plan(pool_key, plan_cache=None):
-    """A plan for the key — from ``plan_cache`` (worker-owned, plan stays
-    cached) or checked out of the module pool; None if unplannable.
+    """The cached plan for the key, built on a miss; None if unplannable.
 
-    ``plan_cache`` is kept in use order, least recently used first, so its
-    owner can bound it by dropping entries from the front.
+    ``plan_cache`` is a process worker's own cache; without one the
+    module's in-process cache serves. Either is kept in use order, least
+    recently used first, so its owner can bound it by dropping entries
+    from the front.
     """
-    if plan_cache is not None:
-        plan = plan_cache.pop(pool_key, None)
-        if plan is None:
-            plan = _build_cohort_plan(pool_key)
-        if plan is not None:
-            plan_cache[pool_key] = plan
-        return plan
-    with _PLANS_LOCK:
-        stack = _COHORT_POOL.get(pool_key)
-        if stack:
-            return stack.pop()
-    return _build_cohort_plan(pool_key)
-
-
-def _release_cohort_plan(pool_key, plan, plan_cache=None):
-    if plan_cache is not None:
-        return
-    with _PLANS_LOCK:
-        stack = _COHORT_POOL.setdefault(pool_key, [])
-        if len(stack) < _COHORT_POOL_CAP:
-            stack.append(plan)
+    cache = _COHORT_PLANS if plan_cache is None else plan_cache
+    plan = cache.pop(pool_key, None)
+    if plan is None:
+        plan = _build_cohort_plan(pool_key)
+    if plan is not None:
+        cache[pool_key] = plan
+    return plan
 
 
 def solve_cohort(
@@ -617,7 +590,6 @@ def solve_cohort(
     features_list,
     layout,
     plan_cache=None,
-    signature=None,
 ):
     """Solve one cohort's local rounds in a single block-stacked plan.
 
@@ -654,58 +626,49 @@ def solve_cohort(
     solver = first.solver
     epochs = int(first.epochs)
     lanes = len(clients)
-    if signature is None:
-        # ``signature`` lets thread-backend jobs skip this probe: it walks
-        # the template model, which the scheduler may be forwarding through
-        # concurrently for another client's features.
-        layers, signature = head_ops(model)
-        if layers is None:
-            return None
+    layers, signature = head_ops(model)
+    if layers is None:
+        return None
     pool_key = (signature, shape, lanes, n, k, int(solver.batch_size), epochs)
     plan = _acquire_cohort_plan(pool_key, plan_cache)
     if plan is None:
         return None
-    try:
-        slab = getattr(global_state, "theta_slab", None)
-        if slab is not None and global_state.layout.signature == layout.signature:
-            plan.theta_row[...] = slab
-        else:
-            layout.gather(global_state, plan.theta_row)
-        for i, (client, feats) in enumerate(zip(clients, features_list)):
-            plan.features[i] = feats
-            plan.labels[i] = client.dataset.arrays()[1]
-        if stype is EntropySelector:
-            with tracing.span("selection.entropy"):
-                entropy = plan.entropy_scores(
-                    selector.temperature, selector.batch_size
-                )
-            for i in range(lanes):
-                lane = entropy[i * n : (i + 1) * n]
-                top = np.argpartition(lane, n - k)[n - k:]
-                plan.selected_idx[i] = np.sort(top)
-        elif stype is RandomSelector:
-            for i, client in enumerate(clients):
-                plan.selected_idx[i] = np.sort(
-                    client.rng.choice(n, size=k, replace=False)
-                )
-        else:
-            plan.selected_idx[...] = np.arange(n)
-        plan.gather_selected()
+    slab = getattr(global_state, "theta_slab", None)
+    if slab is not None and global_state.layout.signature == layout.signature:
+        plan.theta_row[...] = slab
+    else:
+        layout.gather(global_state, plan.theta_row)
+    for i, (client, feats) in enumerate(zip(clients, features_list)):
+        plan.features[i] = feats
+        plan.labels[i] = client.dataset.arrays()[1]
+    if stype is EntropySelector:
+        with tracing.span("selection.entropy"):
+            entropy = plan.entropy_scores(selector.temperature, selector.batch_size)
+        for i in range(lanes):
+            lane = entropy[i * n : (i + 1) * n]
+            top = np.argpartition(lane, n - k)[n - k:]
+            plan.selected_idx[i] = np.sort(top)
+    elif stype is RandomSelector:
         for i, client in enumerate(clients):
-            for epoch in range(epochs):
-                plan.perms[epoch, i] = client.rng.permutation(k)
-        with tracing.span("solver.cohort"):
-            mean_losses = plan.train(
-                lr=solver.lr,
-                momentum=solver.momentum,
-                weight_decay=solver.weight_decay,
-                prox_mu=solver.prox_mu,
+            plan.selected_idx[i] = np.sort(
+                client.rng.choice(n, size=k, replace=False)
             )
-        theta_stack = plan._data_stack.copy()
-        COHORT_STATS["cohort_solves"] += 1
-        return theta_stack, mean_losses, k, n
-    finally:
-        _release_cohort_plan(pool_key, plan, plan_cache)
+    else:
+        plan.selected_idx[...] = np.arange(n)
+    plan.gather_selected()
+    for i, client in enumerate(clients):
+        for epoch in range(epochs):
+            plan.perms[epoch, i] = client.rng.permutation(k)
+    with tracing.span("solver.cohort"):
+        mean_losses = plan.train(
+            lr=solver.lr,
+            momentum=solver.momentum,
+            weight_decay=solver.weight_decay,
+            prox_mu=solver.prox_mu,
+        )
+    theta_stack = plan._data_stack.copy()
+    COHORT_STATS["cohort_solves"] += 1
+    return theta_stack, mean_losses, k, n
 
 
 def wrap_cohort_update(row, layout, num_selected, num_local, mean_loss):
@@ -732,7 +695,6 @@ def run_cohort(
     timing,
     features_list,
     layout=None,
-    signature=None,
 ):
     """Solve one cohort in-process; LocalUpdates in client order, or None.
 
@@ -744,10 +706,7 @@ def run_cohort(
         layout = aligned_cohort_layout(model, tuple(features_list[0].shape[1:]))
         if layout is None:
             return None
-    solved = solve_cohort(
-        clients, model, global_state, features_list, layout,
-        signature=signature,
-    )
+    solved = solve_cohort(clients, model, global_state, features_list, layout)
     if solved is None:
         return None
     theta_stack, mean_losses, k, n = solved
@@ -784,6 +743,13 @@ def cohort_round_seconds(clients, model, timing) -> list[float]:
     return seconds
 
 
+def _plan_caches() -> list[dict]:
+    """Every in-process plan cache, in eviction order: cohort plans
+    (largest, rebuilt cheapest), then per-client plans, then layout
+    probes. Values are plans, or None for a remembered planning failure."""
+    return [_COHORT_PLANS, *_PLANS.values(), *_PROBES.values()]
+
+
 def plan_cache_nbytes() -> int:
     """Total bytes held by cached solver plans (per-client, probe, cohort).
 
@@ -791,82 +757,37 @@ def plan_cache_nbytes() -> int:
     byte budget charges — plan workspaces compete with cached features
     for the same budget and are spilled by :func:`trim_plan_caches`.
     """
-    with _PLANS_LOCK:
-        return _plan_bytes_locked()
-
-
-def _plan_bytes_locked() -> int:
-    total = 0
-    for cache in _PLANS.values():
-        for plan in cache.values():
-            if plan is not None:
-                total += plan.nbytes
-    for sub in _PROBES.values():
-        for plan in sub.values():
-            if plan is not None:
-                total += plan.nbytes
-    for stack in _COHORT_POOL.values():
-        for plan in stack:
-            total += plan.nbytes
-    return total
+    return sum(
+        plan.nbytes
+        for cache in _plan_caches()
+        for plan in cache.values()
+        if plan is not None
+    )
 
 
 def trim_plan_caches(target_bytes: int) -> tuple[int, int]:
     """Evict cached plans until held bytes fit ``target_bytes``.
 
-    Returns ``(bytes freed, plans evicted)``. Eviction order: idle cohort
-    pool plans first (largest, rebuilt cheapest), then per-client plans,
-    then layout probes. Checked-out cohort plans (in-flight solves) are
-    never touched — they return to a pool that may then be over budget
-    until the next trim. Remembered planning *failures* (None entries)
-    are kept: they are free and save a doomed re-plan.
+    Returns ``(bytes freed, plans evicted)``. Caches are drained in
+    :func:`_plan_caches` order, each oldest entry first (least recently
+    used, for cohort plans). Remembered planning *failures* (None
+    entries) are kept: they are free and save a doomed re-plan.
     """
-    freed = 0
-    count = 0
-    with _PLANS_LOCK:
-        total = _plan_bytes_locked()
-        for key in list(_COHORT_POOL):
-            stack = _COHORT_POOL[key]
-            while stack and total > target_bytes:
-                nb = stack.pop().nbytes
-                total -= nb
-                freed += nb
-                count += 1
-            if not stack:
-                del _COHORT_POOL[key]
-        if total > target_bytes:
-            for cache in list(_PLANS.values()):
-                for ckey in list(cache):
-                    plan = cache[ckey]
-                    if plan is None:
-                        continue
-                    del cache[ckey]
-                    total -= plan.nbytes
-                    freed += plan.nbytes
-                    count += 1
-                    if total <= target_bytes:
-                        break
-                if total <= target_bytes:
-                    break
-        if total > target_bytes:
-            for scope in list(_PROBES):
-                sub = _PROBES[scope]
-                for ckey in list(sub):
-                    plan = sub[ckey]
-                    if plan is None:
-                        continue
-                    del sub[ckey]
-                    total -= plan.nbytes
-                    freed += plan.nbytes
-                    count += 1
-                    if total <= target_bytes:
-                        break
-                if not sub:
-                    del _PROBES[scope]
-                if total <= target_bytes:
-                    break
+    total = plan_cache_nbytes()
+    freed = count = 0
+    for cache in _plan_caches():
+        for key in list(cache):
+            if total <= target_bytes:
+                break
+            plan = cache[key]
+            if plan is None:
+                continue
+            del cache[key]
+            total -= plan.nbytes
+            freed += plan.nbytes
+            count += 1
+    for scope in [scope for scope, sub in _PROBES.items() if not sub]:
+        del _PROBES[scope]
     if count:
         COHORT_STATS["plan_evictions"] += count
     return freed, count
-
-

@@ -190,8 +190,8 @@ def eval_pool_key(
 class FeatureRuntime:
     """Campaign-scoped in-process cache of materialised ϕ(x) arrays.
 
-    Used directly by the serial and thread backends (and the bare training
-    loops); the process backend shares only the *policy* (fingerprinting,
+    Used directly by the serial backend (which the training loops build
+    when given no backend); the process backend shares only the *policy* (fingerprinting,
     keying, :func:`compute_features`) and keeps its arrays in shared-memory
     segments instead. One runtime per campaign gives cross-run reuse for
     clients that carry a stable ``shard_key``; anonymous clients get

@@ -1,4 +1,11 @@
-"""The federated training loop (Algorithm 1) and its run history."""
+"""The federated training loop (Algorithm 1) and its run history.
+
+Every round's local solves go through an
+:class:`~repro.engine.backends.ExecutionBackend`; with none given, the
+loop runs them in-process on a
+:class:`~repro.engine.backends.SerialBackend`, the one in-process round
+path the event engine uses too.
+"""
 
 from __future__ import annotations
 
@@ -92,57 +99,6 @@ class TrainingHistory:
         return None
 
 
-def _inline_local_rounds(
-    participants, model, broadcast, timing, feature_runtime
-) -> list:
-    """One round's local solves on the inline no-backend path.
-
-    With a feature runtime, compatible participants are grouped into
-    block-stacked cohort solves (:func:`repro.fl.fastpath.cohort_units`);
-    everyone else runs the per-client path. Updates come back in
-    participant order and each client's RNG stream advances exactly as if
-    it had run alone, so the grouping is bitwise invisible.
-    """
-
-    # One ϕ fingerprint probe covers the whole round's lookups: nothing
-    # can mutate the frozen prefix between two clients of one round.
-    chain = model.phi_prefix_chain() if feature_runtime is not None else None
-
-    def features_for(client):
-        return (
-            feature_runtime.features_for(client, model, chain=chain)
-            if feature_runtime is not None
-            else None
-        )
-
-    updates: list = [None] * len(participants)
-    if feature_runtime is not None and len(participants) > 1:
-        from repro.fl import fastpath
-
-        features = [features_for(client) for client in participants]
-        shapes = [None if f is None else tuple(f.shape[1:]) for f in features]
-        units = fastpath.cohort_units(participants, model, broadcast, shapes)
-        for positions, layout in units or ():
-            solved = fastpath.run_cohort(
-                [participants[i] for i in positions],
-                model,
-                broadcast,
-                timing,
-                [features[i] for i in positions],
-                layout,
-            )
-            if solved is None:
-                continue  # late disagreement: members fall through below
-            for pos, update in zip(positions, solved):
-                updates[pos] = update
-    for i, client in enumerate(participants):
-        if updates[i] is None:
-            updates[i] = client.run_round(
-                model, broadcast, timing=timing, features=features_for(client)
-            )
-    return updates
-
-
 def run_federated_training(
     server: Server,
     clients: list[Client],
@@ -167,15 +123,16 @@ def run_federated_training(
     Each round: sample participants → every participant selects data and
     fine-tunes locally → the server fuses the uploaded θ's weighted by
     selected counts → periodic evaluation. With no ``backend`` the clients
-    run sequentially in the server's workspace model; an
-    :class:`~repro.engine.backends.ExecutionBackend` runs them in parallel
-    workers with bitwise-identical results (updates are aggregated in
-    participant order either way).
+    run sequentially in the server's workspace model, on a
+    :class:`~repro.engine.backends.SerialBackend`; a process backend runs
+    them in parallel workers with bitwise-identical results (updates are
+    aggregated in participant order either way).
 
     ``feature_runtime`` (a :class:`~repro.fl.features.FeatureRuntime`)
-    applies to the inline no-backend path: client rounds then consume
-    cached ϕ(x) features — head-only execution, bitwise identical to the
-    full forward. Backends carry their own runtime.
+    applies only when no ``backend`` is given: the loop's serial backend
+    then runs head-only client rounds on cached ϕ(x) features, grouped
+    into cohort solves where possible — bitwise identical to the full
+    forward. An explicit backend carries its own runtime.
 
     A round whose participant set is empty (availability churn — e.g.
     :class:`~repro.fl.sampling.BernoulliParticipation`) skips aggregation
@@ -215,6 +172,11 @@ def run_federated_training(
         raise ValueError("emergency_checkpoint requires a checkpoint_path")
     if not 0 <= start_round <= rounds:
         raise ValueError(f"start_round must be in [0, {rounds}]")
+    if backend is None:
+        # Local import: repro.engine imports this package.
+        from repro.engine.backends import SerialBackend
+
+        backend = SerialBackend(feature_runtime=feature_runtime)
     participation = participation or FullParticipation()
     sampling_rng = sampling_rng if sampling_rng is not None else make_rng(seed)
     history = history if history is not None else TrainingHistory()
@@ -233,9 +195,9 @@ def run_federated_training(
     try:
         history = _run_rounds(
             server, clients, rounds, seed, participation, timing, eval_every,
-            backend, verbose, feature_runtime, checkpoint_path,
-            checkpoint_every, on_round, emergency_checkpoint, history,
-            start_round, sampling_rng, cumulative_seconds, meta,
+            backend, verbose, checkpoint_path, checkpoint_every, on_round,
+            emergency_checkpoint, history, start_round, sampling_rng,
+            cumulative_seconds, meta,
             lambda value: stash_box.__setitem__(0, value),
         )
     except BaseException:
@@ -259,8 +221,8 @@ def run_federated_training(
 
 def _run_rounds(
     server, clients, rounds, seed, participation, timing, eval_every,
-    backend, verbose, feature_runtime, checkpoint_path, checkpoint_every,
-    on_round, emergency_checkpoint, history, start_round, sampling_rng,
+    backend, verbose, checkpoint_path, checkpoint_every, on_round,
+    emergency_checkpoint, history, start_round, sampling_rng,
     cumulative_seconds, meta, set_stash,
 ):
     """The round loop proper; ``set_stash`` feeds the crash-path save."""
@@ -271,15 +233,9 @@ def _run_rounds(
         broadcast = server.broadcast()
         participants = [clients[int(cid)] for cid in chosen]
         with tracing.span("round.local_solve"):
-            if backend is None:
-                updates = _inline_local_rounds(
-                    participants, server.model, broadcast, timing,
-                    feature_runtime,
-                )
-            else:
-                updates = backend.map_round(
-                    participants, server.model, broadcast, timing
-                )
+            updates = backend.map_round(
+                participants, server.model, broadcast, timing
+            )
         if updates:
             with tracing.span("round.aggregate"):
                 server.aggregate(updates)

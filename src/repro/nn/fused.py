@@ -76,8 +76,8 @@ lanes never leak into parameter lanes.
 Plans hold no model references: :func:`head_ops` re-extracts (and
 re-validates) the layer chain per call, and every plan method takes the
 bound ``layers``, so one plan serves any workspace model whose head
-matches the plan's signature (server model, thread replicas, worker
-replicas alike).
+matches the plan's signature (the server model and worker replicas
+alike).
 """
 
 from __future__ import annotations
@@ -226,8 +226,9 @@ class FusedHeadPlan:
     ``(kind, layer index, *buffers)`` tuples — the execution loops touch
     no dicts and make no planning decisions.
 
-    A plan is single-threaded by construction: it is cached per client
-    (clients are never concurrently in flight) or per worker process.
+    A plan serves one solve at a time: it is cached per client (clients
+    are never concurrently in flight, and in-process solves run one at a
+    time) or per worker process.
     """
 
     def __init__(self, signature: tuple, feature_shape: tuple):

@@ -33,8 +33,7 @@ FINE_TUNE_LEVELS = {
 #: Per live model: the frozen content its ϕ prefix chain was last hashed
 #: from, and that chain (see :meth:`SegmentedModel.phi_prefix_chain`).
 #: Weakly keyed, so the memo never keeps a model alive and — living
-#: outside the model — is neither pickled to process workers nor
-#: deep-copied into thread replicas.
+#: outside the model — is never pickled to process workers.
 _PHI_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 

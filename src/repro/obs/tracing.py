@@ -125,7 +125,7 @@ class Tracer:
     ``max_events`` caps memory on long campaigns; overflow is counted in
     ``dropped`` rather than silently discarded (the summary reports it).
     List appends are atomic under the GIL, which is all the thread safety
-    the replica-queue thread backend needs; exports copy before reading.
+    the backends' helper threads need; exports copy before reading.
     """
 
     def __init__(self, max_events: int = 500_000):

@@ -494,7 +494,7 @@ def _signature(result):
 
 @pytest.mark.parametrize(
     "mode,backend",
-    [("sync", "serial"), ("fedasync", "serial"), ("sync", "thread")],
+    [("sync", "serial"), ("fedasync", "serial"), ("sync", "process")],
 )
 def test_warm_start_is_bitwise_identical(tmp_path, mode, backend):
     cfg = dict(seed=5, mode=mode, backend=backend, **SMOKE)

@@ -5,7 +5,7 @@ The cohort solver (``repro.nn.fused.CohortPlan`` + the cohort layer of
 one block solve over a shared feature workspace. Its contract: the
 grouping is *bitwise invisible* — same losses, same θ trajectory, same
 per-client RNG streams, same EventLog as N independent solves (fused or
-layer-graph), across sync/async and serial/thread/process backends, with
+layer-graph), across sync/async and serial/process backends, with
 automatic per-client fallback whenever a participant cannot join. These
 tests enforce that promise, plus the PR's satellites: plan-cache byte
 budgeting, flat-lane recycling through the async aggregators, and
@@ -19,7 +19,7 @@ from repro.core.heterogeneous import CapabilityTier, TieredClient
 from repro.core.partial import prepare_partial_model
 from repro.data.dataset import ArrayDataset
 from repro.engine.aggregators import FedAsyncAggregator, FedBuffAggregator
-from repro.engine.backends import SerialBackend, ThreadPoolBackend, make_backend
+from repro.engine.backends import SerialBackend, make_backend
 from repro.engine.runner import run_async_federated_training
 from repro.fl import fastpath
 from repro.fl.checkpoint import (
@@ -35,6 +35,7 @@ from repro.fl.slab import SlabLayout, make_slab_state
 from repro.fl.strategies import LocalSolver
 from repro.fl.timing import TimingModel
 from repro.nn.mlp import MLP
+from repro.nn.segmented import SegmentedModel
 from repro.nn.serialization import theta_keys
 from repro.obs.report import TelemetrySession
 
@@ -145,7 +146,7 @@ def _sync_reference(**build_kwargs):
 
 
 # ---------------------------------------------------------------------------
-# Sync bitwise identity: serial / inline / thread / process
+# Sync bitwise identity: serial / no backend / process
 # ---------------------------------------------------------------------------
 
 
@@ -163,7 +164,8 @@ def test_sync_serial_cohort_bitwise_and_engaged():
 
 
 def test_sync_inline_cohort_bitwise():
-    """The no-backend inline path groups cohorts with the same results."""
+    """With no backend, the loop's own serial backend groups cohorts with
+    the same results."""
     ref_hist, ref_theta, ref_rngs = _sync_reference()
     server, clients = _build()
     history = _run_sync(server, clients, runtime=FeatureRuntime())
@@ -184,18 +186,6 @@ def test_sync_graph_path_bitwise():
     assert _theta_bytes(server) == graph_theta
 
 
-def test_sync_thread_cohort_bitwise():
-    ref_hist, ref_theta, ref_rngs = _sync_reference()
-    server, clients = _build()
-    with ThreadPoolBackend(
-        max_workers=4, feature_runtime=FeatureRuntime()
-    ) as backend:
-        history = _run_sync(server, clients, backend)
-    assert _hist_sig(history) == ref_hist
-    assert _theta_bytes(server) == ref_theta
-    assert _rng_states(clients) == ref_rngs
-
-
 def test_sync_process_cohort_bitwise():
     """Process backend ships one job blob per cohort; results identical."""
     ref_hist, ref_theta, ref_rngs = _sync_reference()
@@ -210,7 +200,7 @@ def test_sync_process_cohort_bitwise():
     assert _rng_states(clients) == ref_rngs
 
 
-@pytest.mark.parametrize("backend_name", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend_name", ["serial", "process"])
 def test_cohort_lanes_are_priced_like_solo_rounds(backend_name):
     """One pricing walk per cohort bills every lane the exact float the
     client's own ``planned_round_seconds`` gives, speed multiplier and
@@ -258,7 +248,7 @@ def test_cohort_pricing_walks_the_model_once_per_input_shape(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Async bitwise identity: both aggregators × serial/thread/process
+# Async bitwise identity: both aggregators × serial/process
 # ---------------------------------------------------------------------------
 
 
@@ -274,8 +264,6 @@ def test_async_cohort_bitwise_all_backends(make_aggregator):
         ("reference", lambda: SerialBackend(
             feature_runtime=FeatureRuntime(), cohort_solver=False)),
         ("serial", lambda: SerialBackend(feature_runtime=FeatureRuntime())),
-        ("thread", lambda: ThreadPoolBackend(
-            max_workers=4, feature_runtime=FeatureRuntime())),
         ("process", lambda: make_backend(
             "process", max_workers=2, feature_runtime=FeatureRuntime())),
     ]:
@@ -312,17 +300,58 @@ def test_ragged_cohorts_group_by_dataset_size():
     assert _theta_bytes(server) == ref_theta
 
 
-def test_singleton_falls_back_per_client():
-    """A size class of one never forms a cohort — counted, then solo."""
+def _count_round_lookups(monkeypatch):
+    """Count ϕ chain probes and feature lookups made by local solves;
+    evaluation's own fingerprint probes are not counted."""
+    counts = {"probes": 0, "lookups": 0}
+    probe = SegmentedModel.phi_prefix_chain
+    lookup = FeatureRuntime.features_for
+    evaluate = Server.evaluate
+
+    def counting_probe(self):
+        counts["probes"] += 1
+        return probe(self)
+
+    def counting_lookup(self, *args, **kwargs):
+        counts["lookups"] += 1
+        return lookup(self, *args, **kwargs)
+
+    def uncounted_evaluate(self, *args, **kwargs):
+        saved = dict(counts)
+        try:
+            return evaluate(self, *args, **kwargs)
+        finally:
+            counts.update(saved)
+
+    monkeypatch.setattr(SegmentedModel, "phi_prefix_chain", counting_probe)
+    monkeypatch.setattr(FeatureRuntime, "features_for", counting_lookup)
+    monkeypatch.setattr(Server, "evaluate", uncounted_evaluate)
+    return counts
+
+
+def test_singleton_falls_back_per_client(monkeypatch):
+    """A size class of one never forms a cohort — counted, then solo, on
+    the features the round already looked up: one ϕ chain probe per round
+    and one lookup per participant, with or without an explicit backend
+    (with none, the loop runs the same serial backend)."""
     sizes = [40, 40, 40, 26]
     ref_hist, ref_theta, _ = _sync_reference(sizes=sizes)
-    before = fastpath.COHORT_STATS["singletons"]
-    server, clients = _build(sizes=sizes)
-    with SerialBackend(feature_runtime=FeatureRuntime()) as backend:
-        history = _run_sync(server, clients, backend)
-    assert fastpath.COHORT_STATS["singletons"] - before == 3  # one per round
-    assert _hist_sig(history) == ref_hist
-    assert _theta_bytes(server) == ref_theta
+    counts = _count_round_lookups(monkeypatch)
+    for with_backend in (True, False):
+        counts.update(probes=0, lookups=0)
+        before = fastpath.COHORT_STATS["singletons"]
+        server, clients = _build(sizes=sizes)
+        if with_backend:
+            with SerialBackend(feature_runtime=FeatureRuntime()) as backend:
+                history = _run_sync(server, clients, backend)
+        else:
+            history = _run_sync(server, clients, runtime=FeatureRuntime())
+        rounds = len(history.records)
+        # one singleton per round
+        assert fastpath.COHORT_STATS["singletons"] - before == rounds
+        assert counts == {"probes": rounds, "lookups": rounds * len(clients)}
+        assert _hist_sig(history) == ref_hist
+        assert _theta_bytes(server) == ref_theta
 
 
 def test_cohort_units_fallback_reasons():

@@ -189,19 +189,16 @@ def test_availability_rng_streams_stable_across_backends():
         online_fraction=0.6, period=3.0, seed=5, dropout_probability=0.2
     )
     _, serial_log = _run_async(availability=churn())
-    thread = make_backend("thread", max_workers=2)
     process = make_backend("process", max_workers=2)
     try:
-        _, thread_log = _run_async(availability=churn(), backend=thread)
         _, process_log = _run_async(availability=churn(), backend=process)
     finally:
-        thread.close()
         process.close()
     key = lambda log: [  # noqa: E731 - test-local projection
         (r.virtual_time, r.client_id, r.kind, r.staleness, r.test_accuracy)
         for r in log.records
     ]
-    assert key(serial_log) == key(thread_log) == key(process_log)
+    assert key(serial_log) == key(process_log)
 
 
 def test_random_availability_is_deterministic_and_windowed():
@@ -389,6 +386,37 @@ def test_unknown_mode_and_backend_rejected():
         run_fedft_eds(FedFTEDSConfig(mode="gossip", **SMOKE))
     with pytest.raises(ValueError):
         make_backend("gpu")
+
+
+@pytest.mark.parametrize(
+    "surface", ["make_backend", "run_fedft_eds", "harness", "cli"]
+)
+def test_thread_backend_is_rejected_everywhere(monkeypatch, capsys, surface):
+    """Every configuration surface refuses ``backend="thread"``
+    (run_fedft_eds before any setup) and names the two backends."""
+    from repro.data import synthetic
+    from repro.experiments.common import ExperimentHarness
+    from repro.experiments.run_all import main
+
+    def no_setup(*args, **kwargs):
+        raise AssertionError("backend='thread' surfaced after setup began")
+
+    monkeypatch.setattr(synthetic, "make_vision_world", no_setup)
+    if surface == "cli":
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--scale", "smoke", "--backend", "thread"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+        return
+    with pytest.raises(ValueError) as error:
+        if surface == "make_backend":
+            make_backend("thread")
+        elif surface == "run_fedft_eds":
+            run_fedft_eds(FedFTEDSConfig(backend="thread", **SMOKE))
+        else:
+            ExperimentHarness("smoke", backend="thread")
+    assert "'serial'" in str(error.value)
+    assert "'process'" in str(error.value)
 
 
 def test_async_only_options_rejected_under_sync_mode():

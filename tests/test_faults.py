@@ -10,11 +10,13 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.fedft_eds import FedFTEDSConfig, run_fedft_eds
+from repro.data import synthetic
 from repro.engine.aggregators import FedBuffAggregator
 from repro.engine.backends import (
     BACKENDS,
     ProcessPoolBackend,
-    ThreadPoolBackend,
+    SerialBackend,
     make_backend,
 )
 from repro.engine.campaign import CampaignSegmentPool
@@ -23,17 +25,19 @@ from repro.engine.faults import (
     ChaosPlan,
     FaultPolicy,
     install_chaos,
+    reject_worker_only_knobs,
     run_supervised,
     segment_fingerprint,
 )
 from repro.engine.runner import run_async_federated_training
+from repro.experiments.common import ExperimentHarness
 from repro.fl.checkpoint import (
     load_checkpoint,
     resume_sync_federated_training,
 )
 from repro.fl.rounds import run_federated_training
 from repro.obs.metrics import reset_exported
-from repro.testbed import tiny_federation
+from repro.testbed import ENGINE_SMOKE, tiny_federation
 
 
 @pytest.fixture(autouse=True)
@@ -219,8 +223,9 @@ def test_exhausted_retries_degrade_inline_with_identical_results(
     baseline_sync,
 ):
     # max_retries=0: the first failure exhausts the budget, so the killed
-    # job must complete through the degradation ladder (thread → serial in
-    # the parent) instead of a redispatch — still bitwise identical.
+    # job must complete through the degradation ladder (a private thread,
+    # else inline, in the parent) instead of a redispatch — still bitwise
+    # identical.
     faulty = _sync_run(
         ProcessPoolBackend(
             max_workers=2,
@@ -230,21 +235,6 @@ def test_exhausted_retries_degrade_inline_with_identical_results(
     )
     _assert_identical(baseline_sync, faulty)
     assert FAULTS["degradations"] >= 1
-
-
-def test_thread_backend_observes_delays_and_deadlines(baseline_sync):
-    # The thread backend cannot retry (jobs mutate shared client state in
-    # process), so chaos only stalls jobs and deadline misses are counted.
-    faulty = _sync_run(
-        ThreadPoolBackend(
-            max_workers=2,
-            fault_policy=FaultPolicy(job_deadline=0.01),
-            chaos=ChaosPlan.parse("delay@1:0.05", seed=0),
-        )
-    )
-    _assert_identical(baseline_sync, faulty)
-    assert FAULTS["chaos_delays"] == 1
-    assert FAULTS["timeouts"] >= 1
 
 
 def test_async_cohort_rounds_survive_worker_kill():
@@ -491,3 +481,46 @@ def test_chaos_without_policy_enables_default_policy():
         assert isinstance(backend.fault_policy, FaultPolicy)
     finally:
         backend.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# Worker-only knobs on the serial backend (no jobs, so loud failure)
+# ---------------------------------------------------------------------------
+
+
+def _no_setup(*args, **kwargs):
+    raise AssertionError("the configuration error surfaced after setup began")
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"job_timeout": 5.0},
+        {"max_job_retries": 1},
+        {"chaos": "kill@1"},
+        {"chaos": "tear@0;delay@2:0.1"},
+        {"chaos": ChaosPlan.parse("corrupt@*")},
+    ],
+    ids=["job_timeout", "max_job_retries", "kill", "delay_beside_tear",
+         "corrupt_plan"],
+)
+def test_worker_only_fault_knobs_fail_loudly_on_serial(monkeypatch, knobs):
+    """Serial runs no worker jobs: the deadline, the retry budget and the
+    job-indexed chaos events fail up front instead of doing nothing."""
+    monkeypatch.setattr(synthetic, "make_vision_world", _no_setup)
+    with pytest.raises(ValueError, match="backend='process'"):
+        run_fedft_eds(FedFTEDSConfig(backend="serial", **ENGINE_SMOKE, **knobs))
+    with ExperimentHarness("smoke", **knobs) as harness:
+        with pytest.raises(ValueError, match="backend='process'"):
+            harness.make_run_backend("serial")
+        backend = harness.make_run_backend("process")  # the knobs' home
+        assert isinstance(backend, ProcessPoolBackend)
+
+
+def test_checkpoint_and_store_chaos_stay_legal_on_serial():
+    """Tears and disk faults do not address jobs, so serial accepts them."""
+    spec = "tear@0;disk-tear@1;disk-corrupt@2"
+    reject_worker_only_knobs(None, None, spec)
+    with ExperimentHarness("smoke", chaos=spec) as harness:
+        with harness.make_run_backend("serial") as backend:
+            assert isinstance(backend, SerialBackend)

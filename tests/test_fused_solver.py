@@ -17,10 +17,7 @@ import pytest
 from repro.core.fedft_eds import FedFTEDSConfig, run_fedft_eds
 from repro.core.partial import prepare_partial_model
 from repro.data.dataset import ArrayDataset
-from repro.engine.backends import (
-    LazyPooledEvaluator,
-    ProcessPoolBackend,
-)
+from repro.engine.backends import ProcessPoolBackend
 from repro.engine.campaign import CampaignSegmentPool
 from repro.fl import fastpath
 from repro.fl.client import Client
@@ -405,33 +402,6 @@ def test_pooled_evaluation_fused_matches_serial(fused):
     assert got == expected
 
 
-def test_lazy_pooled_evaluator_spins_up_on_first_use():
-    from repro.fl.server import Server
-
-    model, _clients, test_set = _mlp_federation()
-    state = model.state_dict()
-    serial = Server(model, test_set)
-    expected = serial.evaluate(batch_size=16)
-    built = []
-
-    def factory():
-        backend = ProcessPoolBackend(
-            max_workers=1, feature_runtime=FeatureRuntime()
-        )
-        built.append(backend)
-        return backend
-
-    evaluator = LazyPooledEvaluator(factory, test_set, batch_size=16)
-    assert not built  # attaching costs nothing
-    try:
-        assert evaluator.evaluate(model, state) == expected
-        assert evaluator.evaluate(model, state) == expected
-        assert len(built) == 1  # one backend for the evaluator's lifetime
-    finally:
-        for backend in built:
-            backend.shutdown()
-
-
 def test_harness_serial_runs_reuse_warm_campaign_evaluator():
     """After one process-backend run, a serial run of the same campaign
     rides the warm workers for its evaluations — bitwise identical to a
@@ -455,23 +425,24 @@ def test_harness_serial_runs_reuse_warm_campaign_evaluator():
     )
 
 
-def test_harness_pooled_serial_eval_opt_in_spins_up_lazily():
+def test_harness_async_serial_runs_reuse_warm_campaign_evaluator():
+    """Event-engine serial runs borrow the warm workers too, and their
+    EventLog accuracies stay bitwise identical to a purely serial
+    campaign's."""
     from repro.experiments.common import STANDARD_METHODS
     from repro.testbed import smoke_harness
 
     method = STANDARD_METHODS["fedft_eds"]
+    kwargs = dict(rounds=2, mode="fedbuff", backend="serial")
     with smoke_harness(seed=22) as cold:
-        reference = cold.federated("cifar10", method, 0.1, 2, rounds=2,
-                                   backend="serial")
-    with smoke_harness(seed=22, pooled_serial_eval=True) as harness:
-        assert harness._campaign_backend is None
-        result = harness.federated("cifar10", method, 0.1, 2, rounds=2,
-                                   backend="serial")
-        # first evaluation spun the campaign backend up and used it
-        assert harness._campaign_backend is not None
-        assert harness._campaign_backend.stats["pooled_evals"] >= 2
+        reference = cold.federated("cifar10", method, 0.1, 2, **kwargs)
+    with smoke_harness(seed=22) as warm:
+        warm.federated("cifar10", method, 0.1, 2, rounds=2, backend="process")
+        pooled_before = warm._campaign_backend.stats["pooled_evals"]
+        serial_run = warm.federated("cifar10", method, 0.1, 2, **kwargs)
+        assert warm._campaign_backend.stats["pooled_evals"] > pooled_before
     assert (
-        result.history.accuracies.tolist()
+        serial_run.history.accuracies.tolist()
         == reference.history.accuracies.tolist()
     )
 
