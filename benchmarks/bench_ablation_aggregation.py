@@ -48,8 +48,8 @@ def _federation(harness, weight_by_selected):
             # alternative): emulate by overriding num_selected post hoc.
             original = client.run_round
 
-            def patched(model, state, timing=None, _orig=original, _n=len(shard)):
-                update = _orig(model, state, timing=timing)
+            def patched(*args, _orig=original, _n=len(shard), **kwargs):
+                update = _orig(*args, **kwargs)
                 update.num_selected = _n
                 return update
 

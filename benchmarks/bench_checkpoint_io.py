@@ -3,7 +3,7 @@
 Periodic async checkpoints used to rewrite the model, every pending
 snapshot and the *entire* event log on each save — linear bytes per save,
 quadratic total I/O over a run at tight cadences. The log-structured
-format (`repro.fl.checkpoint`, DESIGN.md "Async checkpoint format")
+format (`repro.fl.checkpoint`, DESIGN.md "Checkpoint format")
 appends new event records to a JSONL journal, delta-encodes snapshots
 against the server state, and rewrites only the manifest + model head.
 

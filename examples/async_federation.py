@@ -9,7 +9,7 @@ cores while the virtual clock keeps the simulation deterministic.
 
 Drop ``backend="process"`` to run the same rounds serially in this
 process — results are bitwise identical either way. For interrupting and
-resuming an async run, see ``examples/async_checkpoint_resume.py``.
+resuming a run, see ``examples/checkpoint_resume.py``.
 
 Run:  python examples/async_federation.py
 """

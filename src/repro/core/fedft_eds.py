@@ -47,7 +47,7 @@ from repro.nn.cnn import SmallConvNet
 from repro.nn.wrn import TinyWRN, WideResNet
 from repro.nn.segmented import SegmentedModel
 from repro.pretrain.pretrainer import PretrainConfig, pretrain_model
-from repro.store import resolve_store
+from repro.store import check_store_knobs, resolve_store
 from repro.utils import spawn_rngs
 
 #: schema version of the pretrained-backbone store key: bump when anything
@@ -164,7 +164,8 @@ class FedFTEDSConfig:
     #: Perfetto-loadable ``trace.json``
     trace: bool = False
     #: durable artifact store (repro.store): root directory override for
-    #: ``${REPRO_CACHE:-~/.cache/repro}``; setting it enables the store
+    #: ``${REPRO_CACHE:-~/.cache/repro}``; setting it enables the store,
+    #: and setting it with ``artifact_store=False`` is refused
     cache_dir: str | None = None
     #: force the artifact store on (``True`` — at ``cache_dir`` or the
     #: default root) or off (``False``), or pass a prebuilt
@@ -362,6 +363,7 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
         reject_worker_only_knobs(
             config.job_timeout, config.max_job_retries, config.chaos
         )
+    check_store_knobs(config.artifact_store, config.cache_dir)
     if config.mode == "sync":
         # Async-only knobs silently doing nothing would let a forgotten
         # mode= turn a churn/async experiment into a plain sync run.

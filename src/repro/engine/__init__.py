@@ -47,7 +47,8 @@ from repro.engine.campaign import (
 )
 from repro.engine.clock import EventQueue, ScheduledEvent, VirtualClock
 from repro.engine.records import EventLog, EventRecord
-from repro.engine.runner import AsyncRunState, run_async_federated_training
+from repro.engine.runner import run_async_federated_training
+from repro.fl.checkpoint import RunState
 
 __all__ = [
     "AsyncAggregator",
@@ -71,6 +72,6 @@ __all__ = [
     "ScheduledEvent",
     "EventLog",
     "EventRecord",
-    "AsyncRunState",
+    "RunState",
     "run_async_federated_training",
 ]

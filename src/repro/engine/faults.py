@@ -14,9 +14,9 @@ This module is the fault story:
   (``"kill@3;delay@5:0.02;corrupt@0;tear@1"``) so every failure scenario
   replays exactly.
 - :func:`run_supervised` — bounded-restart supervision around a training
-  entry point: on a mid-round crash the loops below write an emergency
-  checkpoint (sync format 2 / async format 4) and the supervisor resumes
-  from it.
+  entry point: on a mid-round crash either run loop writes an emergency
+  checkpoint in the one checkpoint format (:mod:`repro.fl.checkpoint`)
+  and the supervisor resumes from it.
 
 Why recovery never drifts results: every job blob is a pure function of
 its dispatch-time RNG state and the published BLAKE2b-fingerprinted
@@ -152,8 +152,8 @@ class ChaosPlan:
       else shard — segment of job ``K`` *before* dispatch, so attach
       verification must catch it;
     - ``tear``     — abort checkpoint save number ``K`` (0-based) after
-      its payloads are written but before the atomic manifest/history
-      swap, simulating a crash mid-save;
+      its payloads are written but before the atomic manifest swap,
+      simulating a crash mid-save;
     - ``disk-tear``    — abort artifact-store write number ``K``
       (0-based, counted per plan) after the payload commit but before
       the CRC sidecar commit, leaving a torn store entry for the
@@ -377,9 +377,11 @@ def run_supervised(
     exception propagates — supervision is bounded, not a retry-forever
     loop.
 
-    Restart *results* are bitwise-exact because resume is: both
-    checkpoint formats capture every RNG stream and the loops re-derive
-    identical draws (see DESIGN.md "Fault-tolerant runtime").
+    Restart *results* are bitwise-exact because resume is: the one
+    checkpoint format captures every RNG stream of either loop and the
+    loops re-derive identical draws (see DESIGN.md "Fault-tolerant
+    runtime"). A committed checkpoint is one whose manifest,
+    ``async_state.json``, exists.
     """
     import os
 
@@ -388,12 +390,8 @@ def run_supervised(
         try:
             if attempts == 0:
                 return start()
-            has_checkpoint = os.path.exists(
-                os.path.join(checkpoint_path, "history.json")
-            ) or os.path.exists(
-                os.path.join(checkpoint_path, "async_state.json")
-            )
-            if has_checkpoint:
+            manifest = os.path.join(checkpoint_path, "async_state.json")
+            if os.path.exists(manifest):
                 return resume()
             return start()
         except retry_on:

@@ -15,12 +15,13 @@ log — and identical final weights — under the serial and process
 backends alike.
 
 Checkpointing: every dispatch records the client's RNG state, so a
-checkpoint (an :class:`AsyncRunState`) can describe in-flight rounds
-without serialising backend handles — on resume they are simply
-re-dispatched from their recorded RNG state and broadcast snapshot,
+checkpoint (a :class:`~repro.fl.checkpoint.RunState`) can describe
+in-flight rounds without serialising backend handles — on resume they are
+simply re-dispatched from their recorded RNG state and broadcast snapshot,
 reproducing the identical event sequence.
 :func:`repro.fl.checkpoint.save_async_checkpoint` /
-``resume_async_federated_training`` own the on-disk format.
+``resume_async_federated_training`` own the on-disk format, which the
+synchronous loop shares.
 
 Model versions here are usually slab-backed
 (:class:`~repro.fl.slab.SlabState`): each broadcast snapshot's θ is one
@@ -35,7 +36,7 @@ heterogeneous θ) with bitwise-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Any, Callable
 
 import numpy as np
@@ -44,50 +45,14 @@ from repro.engine.aggregators import AsyncAggregator
 from repro.engine.availability import AlwaysAvailable, AvailabilityModel
 from repro.engine.backends import ExecutionBackend, SerialBackend
 from repro.engine.clock import EventQueue, ScheduledEvent, VirtualClock
+from repro.engine.faults import FAULTS
 from repro.engine.records import EventLog, EventRecord
+from repro.fl.checkpoint import RunState, save_async_checkpoint
 from repro.fl.client import Client
 from repro.fl.server import Server
 from repro.fl.timing import TimingModel
 from repro.obs import tracing
 from repro.utils import make_rng
-
-
-@dataclass
-class AsyncRunState:
-    """Everything needed to continue an async run to the identical event
-    sequence — backend-invariant by construction.
-
-    In-flight rounds are stored as *pending dispatches* (client id, event
-    time/seq, dispatch version, dispatch-time RNG state) plus the broadcast
-    snapshot of each dispatched-from model version; resuming re-submits
-    them. Idle clients' RNG streams are stored directly — for a client with
-    a round in flight the parent-side stream position depends on the
-    backend (serial advances at submit, process at collection), so only the
-    dispatch-time state is recorded for those.
-    """
-
-    clock_now: float
-    scheduler_rng_state: dict
-    #: client id -> current RNG state, idle clients only (see above)
-    idle_rng_states: dict[int, dict]
-    #: serialized pending events: time, seq, client_id, dispatch_version,
-    #: duration, kind, rng_state — for updates the dispatch-time client
-    #: RNG state (resume re-runs the round from it), for drops the
-    #: client's current stream state (no round runs, but the stream must
-    #: survive the resume; the client is absent from the idle map)
-    pending: list[dict]
-    next_seq: int
-    #: dispatch_version -> broadcast state the version's rounds started from
-    snapshots: dict[int, dict[str, np.ndarray]]
-    #: FedBuff's buffered (delta, weight) pairs; empty for FedAsync
-    aggregator_state: list[tuple[dict[str, np.ndarray], float]]
-    records: list[EventRecord]
-    last_accuracy: float
-    cumulative_seconds: float
-    server_round_index: int
-    server_state: dict[str, np.ndarray]
-    #: run configuration echoed for validation and resume defaults
-    meta: dict
 
 
 def run_async_federated_training(
@@ -105,7 +70,7 @@ def run_async_federated_training(
     checkpoint_path: str | None = None,
     checkpoint_every: int = 0,
     on_event: Callable[[EventRecord], None] | None = None,
-    resume: AsyncRunState | None = None,
+    resume: RunState | None = None,
     feature_runtime=None,
     emergency_checkpoint: bool = False,
 ) -> EventLog:
@@ -121,8 +86,9 @@ def run_async_federated_training(
     between evaluations carry the last measured accuracy with
     ``evaluated=False``.
 
-    With ``checkpoint_path`` and ``checkpoint_every > 0``, an
-    :class:`AsyncRunState` is written every ``checkpoint_every`` events;
+    With ``checkpoint_path`` and ``checkpoint_every > 0``, a
+    :class:`~repro.fl.checkpoint.RunState` is written every
+    ``checkpoint_every`` events;
     :func:`repro.fl.checkpoint.resume_async_federated_training` continues
     an interrupted run to the bitwise-identical event log and weights.
     ``on_event`` is called after each processed event (after any checkpoint
@@ -347,8 +313,8 @@ def run_async_federated_training(
             )
         queue.restore(restored, int(resume.next_seq))
 
-    def capture_state() -> AsyncRunState:
-        """Snapshot the run between two events (see :class:`AsyncRunState`)."""
+    def capture_state() -> RunState:
+        """Snapshot the run between two events (see :class:`RunState`)."""
         pending = []
         snapshots: dict[int, dict[str, np.ndarray]] = {}
         for ev in queue.snapshot():
@@ -365,7 +331,7 @@ def run_async_federated_training(
             )
             if ev.kind == "update":
                 snapshots[ev.dispatch_version] = ev.snapshot
-        return AsyncRunState(
+        return RunState(
             clock_now=clock.now,
             scheduler_rng_state=rng.bit_generator.state,
             idle_rng_states={
@@ -381,6 +347,7 @@ def run_async_federated_training(
             server_round_index=server.round_index,
             server_state=server.global_state,
             meta={
+                "loop": "async",
                 "max_events": max_events,
                 "eval_every": eval_every,
                 "max_concurrency": max_concurrency,
@@ -470,7 +437,7 @@ def run_async_federated_training(
 
     #: latest between-events snapshot; written on the way down by the
     #: crash path when ``emergency_checkpoint`` is on
-    last_state: AsyncRunState | None = None
+    last_state: RunState | None = None
     try:
         dispatch_ready()
         while len(log) < max_events:
@@ -498,9 +465,6 @@ def run_async_federated_training(
                 and checkpoint_every > 0
                 and len(log) % checkpoint_every == 0
             ):
-                # Local import: fl.checkpoint imports this module for resume.
-                from repro.fl.checkpoint import save_async_checkpoint
-
                 state = capture_state()
                 save_async_checkpoint(checkpoint_path, state)
             if emergency_checkpoint:
@@ -541,12 +505,8 @@ def run_async_federated_training(
     except BaseException:
         if last_state is not None:
             # Best-effort emergency save; the original crash must
-            # propagate whatever happens here. (Local imports: the
-            # checkpoint module imports this one for resume.)
+            # propagate whatever happens here.
             try:
-                from repro.engine.faults import FAULTS
-                from repro.fl.checkpoint import save_async_checkpoint
-
                 save_async_checkpoint(checkpoint_path, last_state)
                 FAULTS["emergency_checkpoints"] += 1
             except Exception:  # pragma: no cover - diagnostics only

@@ -276,7 +276,13 @@ def run_experiments(
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.cache_dir is not None and args.no_artifact_store:
+        parser.error(
+            "--cache-dir names an artifact store directory, but "
+            "--no-artifact-store turns the store off; pass only one of them"
+        )
     if args.list:
         for experiment_id in list_experiments():
             _, description = get_experiment(experiment_id)

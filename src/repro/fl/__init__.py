@@ -43,10 +43,9 @@ from repro.fl.sampling import (
 from repro.fl.timing import TimingModel, straggler_multipliers
 from repro.fl.rounds import RoundRecord, TrainingHistory, run_federated_training
 from repro.fl.checkpoint import (
+    RunState,
     load_async_checkpoint,
-    load_checkpoint,
     resume_async_federated_training,
-    resume_federated_training,
     resume_sync_federated_training,
     save_async_checkpoint,
     save_checkpoint,
@@ -85,9 +84,8 @@ __all__ = [
     "RoundRecord",
     "TrainingHistory",
     "run_federated_training",
+    "RunState",
     "save_checkpoint",
-    "load_checkpoint",
-    "resume_federated_training",
     "resume_sync_federated_training",
     "save_async_checkpoint",
     "load_async_checkpoint",

@@ -1,29 +1,23 @@
 """Checkpointing: persist and resume a federated campaign.
 
 Long campaigns (the `paper` scale runs for days in NumPy) need restart
-safety. A *synchronous* checkpoint captures the global model state, the
-round index and the run history — and, when written from inside the loop
-(format 2), the sync *runtime*: the participation-sampling RNG stream and
-every client's RNG stream, in client order.
-:func:`resume_sync_federated_training` restores those streams and
-continues at the next absolute round, so the resumed run is **bitwise
-identical** to an uninterrupted one — same participant draws, same
-selection scores, same weights, same evaluation cadence. Checkpoints
-without the runtime (format 1, or saved outside the loop) resume through
-:func:`resume_federated_training`, which is statistically equivalent but
-not bitwise identical.
+safety. Both run loops checkpoint one :class:`RunState` through one
+writer and read it back through one loader.
 
-*Asynchronous* (`EventLog`) runs checkpoint strictly stronger state: the
-virtual clock, the scheduler and per-client RNG streams, the pending event
-queue (in-flight rounds as re-dispatchable descriptors), the FedBuff
-buffer and the event log itself — everything in
-:class:`~repro.engine.runner.AsyncRunState`. A resumed async run replays
-the *bitwise-identical* event sequence, accuracies and final weights of an
-uninterrupted run, under every execution backend.
+*Asynchronous* (`EventLog`) runs capture the virtual clock, the scheduler
+and per-client RNG streams, the pending event queue (in-flight rounds as
+re-dispatchable descriptors), the FedBuff buffer and the event log. A
+*synchronous* run is the simplest case of the same state: every client
+idle, nothing pending, no snapshots or buffer, the participation-sampling
+stream in the scheduler slot and the round records in the journal.
+:func:`resume_sync_federated_training` and
+:func:`resume_async_federated_training` share one restore step, and a
+resumed run replays the *bitwise-identical* records, accuracies and final
+weights of an uninterrupted one, under every execution backend.
 
 The on-disk format is **log-structured** so periodic saves stay O(new
-events + changed head) instead of growing with run length: event records
-live in an append-only JSONL journal (``async_events.jsonl``) whose
+records + changed head) instead of growing with run length: records
+live in an append-only JSONL journal (``async_events-<g>.jsonl``) whose
 committed prefix is pinned by the manifest; pending-dispatch broadcast
 snapshots are delta-encoded against the server state (only keys whose
 bytes differ are stored — the frozen ϕ, the bulk of the model, is
@@ -31,13 +25,17 @@ inherited); and the server state itself is written as one full *base*
 generation plus per-save deltas of the keys whose content digests changed
 — after round 0 that is just θ, so a tight-cadence save rewrites the
 manifest, the changed head and the (bounded) FedBuff buffer, strictly
-below O(model). A slab-backed server state (format 4, see
-:mod:`repro.fl.slab`) digests and delta-encodes the whole θ block as the
-*single* ``theta_slab`` array instead of per-key npz entries; the
-manifest records the packing so load expands it back to named arrays. A torn trailing journal line from a crash mid-append sits beyond
-the committed byte offset and is ignored on load and truncated on the
-next save; :func:`compact_async_checkpoint` rewrites the directory from
-scratch. See DESIGN.md ("Async checkpoint format").
+below O(model). A slab-backed server state (see :mod:`repro.fl.slab`)
+digests and delta-encodes the whole θ block as the *single*
+``theta_slab`` array instead of per-key npz entries; the manifest records
+the packing so load expands it back to named arrays. A torn trailing
+journal line from a crash mid-append sits beyond the committed byte
+offset and is ignored on load and truncated on the next save;
+:func:`compact_async_checkpoint` rewrites the directory from scratch.
+
+Manifests are stamped format 5 and the loader reads nothing else:
+checkpoints are run-scoped scratch, not an interchange format. See
+DESIGN.md ("Checkpoint format").
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ import hashlib
 import json
 import os
 import zlib
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -64,10 +62,10 @@ from repro.fl.timing import TimingModel
 from repro.nn.serialization import load_state, save_state
 from repro.obs import tracing
 from repro.obs.metrics import export_group
-from repro.utils import commit_staged, fsync_path, make_rng
+from repro.utils import commit_staged, fsync_path
 
 #: checkpoint runtime counters (module-level: saves happen inside the
-#: engine loop, far from any session object; the registry picks the
+#: run loops, far from any session object; the registry picks the
 #: group up through the exported-groups source)
 STATS = export_group(
     "checkpoint",
@@ -89,349 +87,106 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle:
     from repro.engine.availability import AvailabilityModel
     from repro.engine.backends import ExecutionBackend
     from repro.engine.records import EventLog, EventRecord
-    from repro.engine.runner import AsyncRunState
 
 
-def _encode_records(records) -> list[dict]:
-    """JSON-encode round records for a sync checkpoint payload."""
-    return [
-        {
-            "round_index": r.round_index,
-            "test_accuracy": r.test_accuracy,
-            "participants": list(r.participants),
-            "selected_samples": r.selected_samples,
-            "client_seconds": r.client_seconds,
-            "cumulative_client_seconds": r.cumulative_client_seconds,
-            "mean_local_loss": r.mean_local_loss,
-            "evaluated": r.evaluated,
-        }
-        for r in records
-    ]
+@dataclass
+class RunState:
+    """Everything needed to continue a run to the identical records —
+    backend-invariant by construction.
 
+    Async runs store in-flight rounds as *pending dispatches* (client id,
+    event time/seq, dispatch version, dispatch-time RNG state) plus the
+    broadcast snapshot of each dispatched-from model version; resuming
+    re-submits them. Idle clients' RNG streams are stored directly — for a
+    client with a round in flight the parent-side stream position depends
+    on the backend (serial advances at submit, process at collection), so
+    only the dispatch-time state is recorded for those.
 
-def _sync_generation(path: str) -> int:
-    """Highest committed sync state-file generation in ``path`` (0 if none)."""
-    generation = 0
-    for name in os.listdir(path) if os.path.isdir(path) else []:
-        if name.startswith("global_state-") and name.endswith(".npz"):
-            try:
-                generation = max(
-                    generation, int(name[len("global_state-"):-4])
-                )
-            except ValueError:
-                pass
-    return generation
-
-
-def _write_sync_checkpoint(path: str, state, payload: dict) -> None:
-    """Commit a sync checkpoint: fresh state generation, atomic history swap.
-
-    The model state is written under a fresh generation-suffixed name
-    (``global_state-<g>.npz``) that ``payload["state_file"]`` records, so
-    the state file the committed ``history.json`` references is never
-    clobbered by a later save — a crash (or an injected chaos tear) at any
-    point mid-save leaves the *previous* checkpoint fully loadable.
-    Superseded state files are garbage-collected only after the swap.
+    A sync run, checkpointed between rounds, is the simplest case (see
+    :func:`sync_run_state`): every client is idle, nothing is pending,
+    there are no snapshots or buffer, and the participation-sampling
+    stream sits in the scheduler slot. ``meta["loop"]`` says which loop
+    wrote the state.
     """
-    os.makedirs(path, exist_ok=True)
-    state_file = f"global_state-{_sync_generation(path) + 1}.npz"
-    payload["state_file"] = state_file
-    save_state(os.path.join(path, state_file), state)
-    history_path = os.path.join(path, "history.json")
 
-    def write_history(staging: str) -> None:
-        with open(staging, "w") as handle:
-            json.dump(payload, handle)
-
-    # Chaos tear hook: simulate the process dying after the payloads are
-    # durable but before the commit point (local import: the fault layer
-    # lives in the engine package, which imports fl submodules).
-    from repro.engine.faults import FAULTS, active_chaos
-
-    def tear() -> bool:
-        plan = active_chaos()
-        if plan is not None and plan.tear_save():
-            FAULTS["chaos_torn_saves"] += 1
-            return True
-        return False
-
-    def gc_superseded() -> None:
-        for name in os.listdir(path):  # best-effort GC of superseded states
-            superseded = name != state_file and (
-                name == "global_state.npz"
-                or (name.startswith("global_state-") and name.endswith(".npz"))
-            )
-            if superseded:
-                try:
-                    os.remove(os.path.join(path, name))
-                except OSError:  # pragma: no cover - concurrent cleanup
-                    pass
-
-    commit_staged(history_path, write_history, abort=tear, gc=gc_superseded)
+    clock_now: float
+    scheduler_rng_state: dict
+    #: client id -> current RNG state, idle clients only (see above)
+    idle_rng_states: dict[int, dict]
+    #: serialized pending events: time, seq, client_id, dispatch_version,
+    #: duration, kind, rng_state — for updates the dispatch-time client
+    #: RNG state (resume re-runs the round from it), for drops the
+    #: client's current stream state (no round runs, but the stream must
+    #: survive the resume; the client is absent from the idle map)
+    pending: list[dict]
+    next_seq: int
+    #: dispatch_version -> broadcast state the version's rounds started from
+    snapshots: dict[int, dict[str, np.ndarray]]
+    #: FedBuff's buffered (delta, weight) pairs; empty for FedAsync
+    aggregator_state: list[tuple[dict[str, np.ndarray], float]]
+    #: ``EventRecord``s (async) or ``RoundRecord``s (sync)
+    records: list
+    last_accuracy: float
+    cumulative_seconds: float
+    server_round_index: int
+    server_state: dict[str, np.ndarray]
+    #: run configuration echoed for validation and resume defaults; its
+    #: ``"loop"`` entry is ``"sync"`` or ``"async"``
+    meta: dict
 
 
-def save_checkpoint(
-    path: str,
+def sync_run_state(
     server: Server,
     history: TrainingHistory,
-    clients: list[Client] | None = None,
-    sampling_rng: np.random.Generator | None = None,
-    meta: dict | None = None,
-) -> None:
-    """Write the global model and run history under ``path`` (a directory).
+    clients: list[Client],
+    sampling_rng: np.random.Generator,
+    meta: dict,
+) -> RunState:
+    """The sync loop's state after a completed round, as a :class:`RunState`.
 
-    With ``clients`` and ``sampling_rng`` (the loop's own participation
-    stream), the checkpoint additionally captures the synchronous runtime
-    — every RNG stream a round consumes, in client order — which promotes
-    the resume from statistically-equivalent to bitwise-exact (format 2;
-    see :func:`resume_sync_federated_training`). ``meta`` carries the loop
-    parameters the exact resume needs (total rounds, eval cadence, seed,
-    client count); ``run_federated_training`` supplies all of this when
-    saving from inside the loop. The state file is generation-suffixed and
-    the history file swapped in with an atomic replace, so a crash at any
-    point mid-save leaves the previous checkpoint loadable.
+    ``sampling_rng`` is the loop's participation stream and ``meta`` its
+    parameters (total rounds, eval cadence, seed, pool size). The records
+    list is copied and RNG ``.state`` reads are fresh dicts, so the state
+    stays valid while the loop runs on; the server state is referenced,
+    which is safe because aggregation is double-buffered: the next round
+    writes into the buffers of the version before this one, never into
+    this one.
     """
-    payload = {
-        "format": 2,
-        "round_index": server.round_index,
-        "records": _encode_records(history.records),
-    }
-    if clients is not None and sampling_rng is not None:
-        payload["sync_runtime"] = {
-            "sampling_rng_state": _jsonable(sampling_rng.bit_generator.state),
-            "client_rng_states": [
-                _jsonable(client.rng.bit_generator.state) for client in clients
-            ],
-            # The loop's round counter, not ``server.round_index``: rounds
-            # with an empty participant set advance the loop but not the
-            # server's aggregation count.
-            "rounds_completed": (
-                history.records[-1].round_index if history.records else 0
-            ),
-            "meta": dict(meta or {}),
-        }
-    _write_sync_checkpoint(path, server.global_state, payload)
-
-
-def save_emergency_sync_checkpoint(
-    path: str, stash: dict, history: TrainingHistory
-) -> None:
-    """Write a format-2 checkpoint from an end-of-round *stash* on the way
-    down.
-
-    ``run_federated_training(emergency_checkpoint=True)`` snapshots, after
-    every completed round, the references and RNG-state dicts a format-2
-    checkpoint needs (global state, round indices, the sampling stream and
-    every client stream). When a later round crashes mid-flight, this
-    writes that stash — never the live, half-mutated server — so the
-    emergency checkpoint is exactly what a periodic save at the end of the
-    stashed round would have written, and
-    :func:`resume_sync_federated_training` continues it bitwise-exactly.
-    History records past the stashed round (a crash inside the periodic
-    save can leave one) are truncated for consistency.
-    """
-    done = int(stash["rounds_completed"])
-    records = [r for r in history.records if r.round_index <= done]
-    payload = {
-        "format": 2,
-        "round_index": int(stash["round_index"]),
-        "records": _encode_records(records),
-        "sync_runtime": {
-            "sampling_rng_state": _jsonable(stash["sampling_rng_state"]),
-            "client_rng_states": [
-                _jsonable(state) for state in stash["client_rng_states"]
-            ],
-            "rounds_completed": done,
-            "meta": dict(stash["meta"]),
+    return RunState(
+        clock_now=0.0,
+        scheduler_rng_state=sampling_rng.bit_generator.state,
+        idle_rng_states={
+            cid: client.rng.bit_generator.state
+            for cid, client in enumerate(clients)
         },
-    }
-    _write_sync_checkpoint(path, stash["global_state"], payload)
-
-
-def load_checkpoint(path: str, server: Server) -> TrainingHistory:
-    """Restore the global model into ``server`` and return the history.
-
-    The history file names the state generation it was committed with
-    (``state_file``); legacy checkpoints fall back to the fixed
-    ``global_state.npz`` name.
-    """
-    with open(os.path.join(path, "history.json")) as handle:
-        payload = json.load(handle)
-    state = load_state(
-        os.path.join(path, payload.get("state_file", "global_state.npz"))
-    )
-    server.set_global_state(state)
-    server.model.load_state_dict(state)
-    server.round_index = int(payload["round_index"])
-    history = TrainingHistory()
-    for r in payload["records"]:
-        history.append(
-            RoundRecord(
-                round_index=int(r["round_index"]),
-                test_accuracy=float(r["test_accuracy"]),
-                participants=tuple(int(p) for p in r["participants"]),
-                selected_samples=int(r["selected_samples"]),
-                client_seconds=float(r["client_seconds"]),
-                cumulative_client_seconds=float(r["cumulative_client_seconds"]),
-                mean_local_loss=float(r["mean_local_loss"]),
-                # Checkpoints written before the flag existed evaluated
-                # every round, so True is the faithful default.
-                evaluated=bool(r.get("evaluated", True)),
-            )
-        )
-    return history
-
-
-def resume_federated_training(
-    path: str,
-    server: Server,
-    clients: list[Client],
-    total_rounds: int,
-    seed: int = 0,
-    participation: ParticipationModel | None = None,
-    timing: TimingModel | None = None,
-    eval_every: int = 1,
-) -> TrainingHistory:
-    """Continue a checkpointed campaign up to ``total_rounds``.
-
-    The resumed run is statistically equivalent to the original (same
-    global model, same remaining round count) but not bitwise identical:
-    this path re-seeds fresh RNG streams instead of restoring the
-    checkpointed ones. It works for any sync checkpoint, including legacy
-    format-1 directories; for checkpoints written from inside the training
-    loop, :func:`resume_sync_federated_training` is the bitwise-exact
-    resume. Records from the checkpoint and the continuation are
-    concatenated, with the continuation's round indices and cumulative
-    times offset to follow on.
-    """
-    history = load_checkpoint(path, server)
-    done = server.round_index
-    if done >= total_rounds:
-        return history
-    continuation = run_federated_training(
-        server,
-        clients,
-        rounds=total_rounds - done,
-        seed=seed + done,
-        participation=participation,
-        timing=timing,
-        eval_every=eval_every,
-    )
-    offset_seconds = history.total_client_seconds
-    for record in continuation.records:
-        history.append(
-            RoundRecord(
-                round_index=record.round_index + done,
-                test_accuracy=record.test_accuracy,
-                participants=record.participants,
-                selected_samples=record.selected_samples,
-                client_seconds=record.client_seconds,
-                cumulative_client_seconds=(
-                    record.cumulative_client_seconds + offset_seconds
-                ),
-                mean_local_loss=record.mean_local_loss,
-                evaluated=record.evaluated,
-            )
-        )
-    server.round_index = total_rounds
-    return history
-
-
-def resume_sync_federated_training(
-    path: str,
-    server: Server,
-    clients: list[Client],
-    participation: ParticipationModel | None = None,
-    timing: TimingModel | None = None,
-    backend: "ExecutionBackend | None" = None,
-    verbose: bool = False,
-    feature_runtime=None,
-    checkpoint_path: str | None = None,
-    checkpoint_every: int = 0,
-    on_round=None,
-    emergency_checkpoint: bool = False,
-) -> TrainingHistory:
-    """Continue a format-2 sync checkpoint **bitwise identically**.
-
-    Restores the global model, the run history, the participation-sampling
-    RNG stream and every client's RNG stream from the checkpoint, then
-    continues ``run_federated_training`` at the next absolute round with
-    the original total-round count and evaluation cadence from the
-    checkpoint's metadata. A run killed between rounds and resumed this
-    way reproduces the uninterrupted run's participant draws, selection
-    scores, accuracies and final weights byte for byte.
-
-    The caller rebuilds the federation (server, clients, participation,
-    timing) from the same configuration as the original run; everything
-    the loop *mutates* comes from the checkpoint. Raises ``ValueError``
-    for checkpoints without the sync runtime (saved by format-1 code or
-    outside the loop) — those resume through
-    :func:`resume_federated_training` instead.
-    """
-    with open(os.path.join(path, "history.json")) as handle:
-        payload = json.load(handle)
-    runtime = payload.get("sync_runtime")
-    if runtime is None:
-        raise ValueError(
-            "checkpoint has no sync runtime (format 1, or saved outside "
-            "the training loop); use resume_federated_training for a "
-            "statistical resume"
-        )
-    if len(runtime["client_rng_states"]) != len(clients):
-        raise ValueError(
-            f"checkpoint was written with "
-            f"{len(runtime['client_rng_states'])} clients but "
-            f"{len(clients)} were provided"
-        )
-    history = load_checkpoint(path, server)
-    for client, rng_state in zip(clients, runtime["client_rng_states"]):
-        client.rng.bit_generator.state = _unjsonable(rng_state)
-    sampling_rng = make_rng(0)
-    sampling_rng.bit_generator.state = _unjsonable(
-        runtime["sampling_rng_state"]
-    )
-    meta = runtime.get("meta") or {}
-    rounds = int(meta["rounds"])
-    done = int(runtime["rounds_completed"])
-    if done >= rounds:
-        return history
-    return run_federated_training(
-        server,
-        clients,
-        rounds=rounds,
-        seed=int(meta.get("seed", 0)),
-        participation=participation,
-        timing=timing,
-        eval_every=int(meta.get("eval_every", 1)),
-        backend=backend,
-        verbose=verbose,
-        feature_runtime=feature_runtime,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        on_round=on_round,
-        emergency_checkpoint=emergency_checkpoint,
-        history=history,
-        start_round=done,
-        sampling_rng=sampling_rng,
+        pending=[],
+        next_seq=0,
+        snapshots={},
+        aggregator_state=[],
+        records=list(history.records),
+        last_accuracy=history.final_accuracy,
+        cumulative_seconds=history.total_client_seconds,
+        server_round_index=server.round_index,
+        server_state=server.global_state,
+        meta={**meta, "loop": "sync"},
     )
 
 
-# ---------------------------------------------------------------------------
-# Asynchronous (EventLog) checkpoints
-# ---------------------------------------------------------------------------
-
-_ASYNC_STATE_FILE = "async_state.json"
+#: the manifest's format stamp; the loader reads this format only
+_FORMAT = 5
+#: the manifest (its name predates sync runs sharing the format)
+_STATE_FILE = "async_state.json"
 #: journal rewrites use fresh generation-suffixed names (incremental saves
 #: append to the file the committed manifest names), mirroring the npz
 #: payloads: the previously committed journal is never clobbered.
-_ASYNC_JOURNAL_PREFIX = "async_events"
+_JOURNAL_PREFIX = "async_events"
 #: npz key separator; parameter names are dotted paths and never contain it
 _SEP = "::"
 #: delta-npz entry holding a slab-backed server state's whole θ block as
-#: one flat array (format 4); dotted parameter paths can never collide
+#: one flat array; dotted parameter paths can never collide
 _THETA_SLAB_KEY = "__theta_slab__"
 #: payload files are generation-suffixed: async_<payload>-<generation>.npz
-_ASYNC_PAYLOADS = ("server", "snapshots", "buffer")
+_PAYLOADS = ("server", "snapshots", "buffer")
 
 
 def _jsonable(obj):
@@ -480,8 +235,8 @@ def _current_generation(path: str, manifest: dict | None) -> int:
             return int(manifest["generation"])
         except (ValueError, KeyError):
             pass
-    # No committed manifest (or a legacy/torn one): derive from the
-    # payload files present so new writes never reuse their names.
+    # No committed manifest (or a torn one): derive from the payload files
+    # present so new writes never reuse their names.
     generation = 0
     for name in os.listdir(path) if os.path.isdir(path) else []:
         stem, _, suffix = name.rpartition("-")
@@ -494,11 +249,12 @@ def _current_generation(path: str, manifest: dict | None) -> int:
 
 
 def _record_line(record) -> bytes:
-    """One journal line for an event record; stable across saves.
+    """One journal line for a run record; stable across saves.
 
-    Event records hold only scalars, so their fields are read directly:
-    the bytes equal ``json.dumps(asdict(record))`` without ``asdict``'s
-    recursive deep copy.
+    Event and round records hold only scalars (and a round's participant
+    tuple), so their fields are read directly: the bytes equal
+    ``json.dumps(asdict(record))`` without ``asdict``'s recursive deep
+    copy.
     """
     payload = (
         record
@@ -509,9 +265,9 @@ def _record_line(record) -> bytes:
 
 
 def _read_manifest(path: str) -> dict | None:
-    """The committed manifest in ``path``, or None (absent/legacy/torn)."""
+    """The committed manifest in ``path``, or None (absent or torn)."""
     try:
-        with open(os.path.join(path, _ASYNC_STATE_FILE)) as handle:
+        with open(os.path.join(path, _STATE_FILE)) as handle:
             return json.load(handle)
     except (FileNotFoundError, json.JSONDecodeError):
         return None
@@ -519,12 +275,12 @@ def _read_manifest(path: str) -> dict | None:
 
 def _write_journal(
     path: str,
-    state: "AsyncRunState",
+    state: RunState,
     previous: dict | None,
     full: bool,
     generation: int,
 ) -> dict:
-    """Bring the event journal up to date; return its manifest entry.
+    """Bring the record journal up to date; return its manifest entry.
 
     Incremental path: the previous manifest pins the committed prefix of
     the journal file it names (line count, byte offset, running CRC,
@@ -570,7 +326,7 @@ def _write_journal(
         STATS["journal_appends"] += len(fresh)
         STATS["journal_bytes"] += offset - int(committed["bytes"])
     else:
-        journal_file = f"{_ASYNC_JOURNAL_PREFIX}-{generation}.jsonl"
+        journal_file = f"{_JOURNAL_PREFIX}-{generation}.jsonl"
         offset = 0
         crc = 0
         with open(os.path.join(path, journal_file), "wb") as handle:
@@ -604,7 +360,7 @@ def _array_digest(value: np.ndarray) -> str:
 
 def _encode_server(
     path: str,
-    state: "AsyncRunState",
+    state: RunState,
     previous: dict | None,
     full: bool,
     generation: int,
@@ -619,17 +375,17 @@ def _encode_server(
     and the keys inherited from the base.
 
     The base is only reused when its file still exists and the manifest
-    chain is intact; anything else (legacy directory, deleted file)
-    falls back to a fresh full base — a self-contained two-file encoding,
-    never a generation chain, so load needs exactly one base + one delta.
+    chain is intact; anything else (deleted file, torn manifest) falls
+    back to a fresh full base — a self-contained two-file encoding, never
+    a generation chain, so load needs exactly one base + one delta.
 
     Per-save *CPU* deliberately stays content-based: change detection
     re-digests the current bytes because the aggregation paths recycle θ
     buffers in place (``Server._theta_scratch``,
     ``AsyncAggregator.recycle``), so an array object's identity says
     nothing about its bytes and an identity-memoized digest would
-    silently inherit stale values. A slab-backed server state (format 4)
-    digests — and, when changed, writes — the whole θ block as the one
+    silently inherit stale values. A slab-backed server state digests —
+    and, when changed, writes — the whole θ block as the one
     ``theta_slab`` array: one pass over the same bytes instead of a
     per-key walk, and one npz entry instead of one per parameter. What
     the encoding shrinks either way is the fsync'd *write* path (bytes +
@@ -700,7 +456,7 @@ def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _encode_snapshots(
-    state: "AsyncRunState",
+    state: RunState,
 ) -> tuple[dict[str, np.ndarray], dict[str, list[str]]]:
     """Delta-encode pending snapshots against the server state.
 
@@ -726,21 +482,45 @@ def _encode_snapshots(
     return arrays, inherits
 
 
-def save_async_checkpoint(
-    path: str, state: "AsyncRunState", full: bool = False
+def save_checkpoint(
+    path: str,
+    server: Server,
+    history: TrainingHistory,
+    clients: list[Client],
+    sampling_rng: np.random.Generator,
+    meta: dict,
 ) -> None:
-    """Write an async run state under ``path`` (a directory), atomically.
+    """Write a sync run's state under ``path`` (a directory), atomically.
 
-    The state is backend-invariant (see
-    :class:`~repro.engine.runner.AsyncRunState`), so a run checkpointed
-    under one execution backend can resume under another.
+    ``run_federated_training`` calls this every ``checkpoint_every``
+    rounds with its own participation stream and parameters; the state is
+    :func:`sync_run_state` and goes through the writer
+    :func:`save_async_checkpoint` uses, so after the first save only the
+    new round records, the changed θ and the manifest are written.
+    :func:`resume_sync_federated_training` continues it bitwise-exactly.
+    """
+    with tracing.span("checkpoint.save"):
+        _write_checkpoint(
+            path,
+            sync_run_state(server, history, clients, sampling_rng, meta),
+            False,
+        )
+
+
+def save_async_checkpoint(
+    path: str, state: RunState, full: bool = False
+) -> None:
+    """Write a run state under ``path`` (a directory), atomically.
+
+    The state is backend-invariant (see :class:`RunState`), so a run
+    checkpointed under one execution backend can resume under another.
 
     Incremental cost — the format is log-structured (module docstring):
-    per save, only the new event records are appended to the journal, only
+    per save, only the new records are appended to the journal, only
     snapshot keys that differ from the server state are written, and the
     server payload is a delta against its base generation (only keys whose
     digests changed — after round 0 just θ) plus the manifest and the
-    bounded FedBuff buffer — O(new events + changed head), independent of
+    bounded FedBuff buffer — O(new records + changed head), independent of
     run length and strictly below O(model) at tight cadences. ``full=True``
     forces a from-scratch rewrite of the journal and the server base
     (compaction).
@@ -756,18 +536,15 @@ def save_async_checkpoint(
     the next successful save.
     """
     with tracing.span("checkpoint.save"):
-        _save_async_checkpoint(path, state, full)
+        _write_checkpoint(path, state, full)
 
 
-def _save_async_checkpoint(
-    path: str, state: "AsyncRunState", full: bool
-) -> None:
+def _write_checkpoint(path: str, state: RunState, full: bool) -> None:
     os.makedirs(path, exist_ok=True)
     previous = _read_manifest(path)
     generation = _current_generation(path, previous) + 1
     files = {
-        payload: f"async_{payload}-{generation}.npz"
-        for payload in _ASYNC_PAYLOADS
+        payload: f"async_{payload}-{generation}.npz" for payload in _PAYLOADS
     }
     journal = _write_journal(path, state, previous, full, generation)
     snapshot_arrays, snapshot_inherits = _encode_snapshots(state)
@@ -785,7 +562,7 @@ def _save_async_checkpoint(
         },
     )
     payload = {
-        "format": 4,
+        "format": _FORMAT,
         "generation": generation,
         "files": files,
         "journal": journal,
@@ -833,7 +610,7 @@ def _save_async_checkpoint(
     STATS["payload_bytes"] += sum(
         os.path.getsize(os.path.join(path, name)) for name in files.values()
     )
-    manifest = os.path.join(path, _ASYNC_STATE_FILE)
+    manifest = os.path.join(path, _STATE_FILE)
 
     def write_manifest(staging: str) -> None:
         # json.dumps encodes in C; json.dump streams through the pure-Python
@@ -863,7 +640,7 @@ def _save_async_checkpoint(
                 and name.endswith(".npz")
                 and name not in keep
             ) or (
-                name.startswith(_ASYNC_JOURNAL_PREFIX)
+                name.startswith(_JOURNAL_PREFIX)
                 and name != journal["file"]
             )
             if superseded:
@@ -906,56 +683,53 @@ def _load_journal(path: str, journal: dict) -> list[dict]:
     return records
 
 
-def load_async_checkpoint(path: str) -> "AsyncRunState":
-    """Read an async run state written by :func:`save_async_checkpoint`.
+def load_async_checkpoint(path: str) -> RunState:
+    """Read a run state written by either loop's checkpoint writer.
 
-    Both the log-structured format and the legacy inline-records format
-    (pre-journal manifests with full snapshot payloads) load transparently.
+    ``meta["loop"]`` decides the record type: ``RoundRecord``s for a sync
+    checkpoint, ``EventRecord``s for an async one. Only format-5
+    manifests load; any other format raises ``ValueError``.
     """
     from repro.engine.records import EventRecord
-    from repro.engine.runner import AsyncRunState
 
-    with open(os.path.join(path, _ASYNC_STATE_FILE)) as handle:
+    with open(os.path.join(path, _STATE_FILE)) as handle:
         payload = json.load(handle)
-    files = payload["files"]
-    if "server_base" in payload:
-        # Base + delta encoding (format 3+): inherited keys come from the
-        # base generation's full payload, changed keys from the delta. A
-        # format-4 slab delta carries the whole changed θ block as one
-        # flat array, expanded here per the manifest's recorded packing.
-        base = load_state(os.path.join(path, payload["server_base"]["file"]))
-        delta = load_state(os.path.join(path, files["server"]))
-        slab_flat = delta.pop(_THETA_SLAB_KEY, None)
-        slab_views: dict[str, np.ndarray] = {}
-        if slab_flat is not None:
-            layout = SlabLayout(
-                [
-                    (key, tuple(int(d) for d in shape))
-                    for key, shape in payload["server_slab"]
-                ]
-            )
-            slab_views = layout.views(slab_flat)
-        inherited = set(payload["server_inherits"])
-        order = payload.get("server_keys") or (
-            payload["server_inherits"] + sorted(delta) + sorted(slab_views)
+    if payload.get("format") != _FORMAT:
+        raise ValueError(
+            f"checkpoint at {path!r} has format {payload.get('format')!r}; "
+            f"only format {_FORMAT} loads"
         )
-        server_state = {
-            key: (
-                base[key]
-                if key in inherited
-                else delta[key] if key in delta else slab_views[key]
-            )
-            for key in order
-        }
-    else:  # legacy format: the server payload is the full state dict
-        server_state = load_state(os.path.join(path, files["server"]))
-    snapshots: dict[int, dict[str, np.ndarray]] = {}
+    files = payload["files"]
+    # Inherited keys come from the base generation's full payload, changed
+    # keys from the delta; a slab delta carries the whole changed θ block
+    # as one flat array, expanded here per the manifest's recorded packing.
+    base = load_state(os.path.join(path, payload["server_base"]["file"]))
+    delta = load_state(os.path.join(path, files["server"]))
+    slab_flat = delta.pop(_THETA_SLAB_KEY, None)
+    slab_views: dict[str, np.ndarray] = {}
+    if slab_flat is not None:
+        layout = SlabLayout(
+            [
+                (key, tuple(int(d) for d in shape))
+                for key, shape in payload["server_slab"]
+            ]
+        )
+        slab_views = layout.views(slab_flat)
+    inherited = set(payload["server_inherits"])
+    server_state = {
+        key: (
+            base[key]
+            if key in inherited
+            else delta[key] if key in delta else slab_views[key]
+        )
+        for key in payload["server_keys"]
+    }
     # Delta-decoded snapshots: inherited keys come from the same
     # generation's server payload, stored keys from the snapshots payload.
-    for version, inherited in payload.get("snapshot_inherits", {}).items():
-        snapshots[int(version)] = {
-            key: server_state[key].copy() for key in inherited
-        }
+    snapshots: dict[int, dict[str, np.ndarray]] = {
+        int(version): {key: server_state[key].copy() for key in keys}
+        for version, keys in payload["snapshot_inherits"].items()
+    }
     with np.load(os.path.join(path, files["snapshots"])) as archive:
         for name in archive.files:
             version, key = name.split(_SEP, 1)
@@ -971,12 +745,16 @@ def load_async_checkpoint(path: str) -> "AsyncRunState":
             f"corrupt checkpoint: {len(deltas)} buffered deltas vs "
             f"{len(weights)} weights"
         )
-    if "journal" in payload:
-        records = _load_journal(path, payload["journal"])
-    else:  # legacy format: the full event list lives in the manifest
-        records = payload["records"]
+    records = _load_journal(path, payload["journal"])
+    if payload["meta"]["loop"] == "sync":
+        records = [
+            RoundRecord(**{**r, "participants": tuple(r["participants"])})
+            for r in records
+        ]
+    else:
+        records = [EventRecord(**record) for record in records]
     STATS["loads"] += 1
-    return AsyncRunState(
+    return RunState(
         clock_now=float(payload["clock_now"]),
         scheduler_rng_state=_unjsonable(payload["scheduler_rng_state"]),
         idle_rng_states={
@@ -992,7 +770,7 @@ def load_async_checkpoint(path: str) -> "AsyncRunState":
         aggregator_state=[
             (deltas[index], weights[index]) for index in sorted(deltas)
         ],
-        records=[EventRecord(**record) for record in records],
+        records=records,
         last_accuracy=float(payload["last_accuracy"]),
         cumulative_seconds=float(payload["cumulative_seconds"]),
         server_round_index=int(payload["server_round_index"]),
@@ -1001,7 +779,7 @@ def load_async_checkpoint(path: str) -> "AsyncRunState":
     )
 
 
-def compact_async_checkpoint(path: str) -> "AsyncRunState":
+def compact_async_checkpoint(path: str) -> RunState:
     """Rewrite the checkpoint directory from its committed state.
 
     Compaction re-serialises everything — the journal from scratch (so any
@@ -1015,6 +793,93 @@ def compact_async_checkpoint(path: str) -> "AsyncRunState":
         save_async_checkpoint(path, state, full=True)
     STATS["compactions"] += 1
     return state
+
+
+def _restore(
+    path: str,
+    loop: str,
+    server: Server,
+    clients: list[Client],
+    checkpoint_path: str | None,
+    checkpoint_every: int,
+) -> RunState:
+    """The restore step both resume entry points share.
+
+    Loads ``path`` — compacting it first when the continuation checkpoints
+    into the directory it resumes from, so the incremental appends start
+    from a clean committed prefix — refuses the other loop's checkpoint
+    and a different pool size, and installs the server state.
+    """
+    if checkpoint_path == path and checkpoint_every > 0:
+        state = compact_async_checkpoint(path)
+    else:
+        state = load_async_checkpoint(path)
+    if state.meta["loop"] != loop:
+        raise ValueError(
+            f"checkpoint at {path!r} was written by the "
+            f"{state.meta['loop']} loop; resume_{loop}_federated_training "
+            f"continues only the {loop} loop"
+        )
+    if state.meta["num_clients"] != len(clients):
+        raise ValueError(
+            f"checkpoint was written with {state.meta['num_clients']} "
+            f"clients but {len(clients)} were provided"
+        )
+    server.set_global_state(state.server_state)
+    server.model.load_state_dict(state.server_state)
+    server.round_index = state.server_round_index
+    return state
+
+
+def resume_sync_federated_training(
+    path: str,
+    server: Server,
+    clients: list[Client],
+    participation: ParticipationModel | None = None,
+    timing: TimingModel | None = None,
+    backend: "ExecutionBackend | None" = None,
+    verbose: bool = False,
+    feature_runtime=None,
+    checkpoint_path: str | None = None,
+    checkpoint_every: int = 0,
+    on_round=None,
+    emergency_checkpoint: bool = False,
+) -> TrainingHistory:
+    """Continue a sync checkpoint **bitwise identically**.
+
+    Restores the global model, the round records, the participation-
+    sampling RNG stream and every client's RNG stream, then continues
+    ``run_federated_training`` at the next absolute round with the
+    original total-round count, evaluation cadence and seed from the
+    checkpoint's metadata. A run killed between rounds and resumed this
+    way reproduces the uninterrupted run's participant draws, selection
+    scores, accuracies and final weights byte for byte.
+
+    The caller rebuilds the federation (server, clients, participation,
+    timing) from the same configuration as the original run; everything
+    the loop *mutates* comes from the checkpoint. An async checkpoint is
+    refused with ``ValueError``.
+    """
+    state = _restore(
+        path, "sync", server, clients, checkpoint_path, checkpoint_every
+    )
+    return run_federated_training(
+        server,
+        clients,
+        rounds=int(state.meta["rounds"]),
+        seed=int(state.meta["seed"]),
+        participation=participation,
+        timing=timing,
+        eval_every=int(state.meta["eval_every"]),
+        backend=backend,
+        verbose=verbose,
+        feature_runtime=feature_runtime,
+        checkpoint_path=checkpoint_path,
+        checkpoint_every=checkpoint_every,
+        on_round=on_round,
+        emergency_checkpoint=emergency_checkpoint,
+        resume=state,
+    )
 
 
 def resume_async_federated_training(
@@ -1033,37 +898,23 @@ def resume_async_federated_training(
 ) -> "EventLog":
     """Continue a checkpointed async run to its original ``max_events``.
 
-    Unlike the synchronous :func:`resume_federated_training`, the resumed
-    run is **bitwise identical** to an uninterrupted one: the virtual
-    clock, scheduler and client RNG streams, pending completions (re-run
-    from their dispatch-time RNG state and broadcast snapshot) and the
-    FedBuff buffer are all part of the checkpoint. The caller rebuilds the
-    federation (server, clients, aggregator, timing, availability) from
-    the same configuration as the original run — typically by re-running
-    the same deterministic setup code; everything the run *mutates* comes
-    from the checkpoint. ``max_events``, ``eval_every``,
+    The resumed run is **bitwise identical** to an uninterrupted one: the
+    virtual clock, scheduler and client RNG streams, pending completions
+    (re-run from their dispatch-time RNG state and broadcast snapshot) and
+    the FedBuff buffer are all part of the checkpoint. The caller rebuilds
+    the federation (server, clients, aggregator, timing, availability)
+    from the same configuration as the original run — typically by
+    re-running the same deterministic setup code; everything the run
+    *mutates* comes from the checkpoint. ``max_events``, ``eval_every``,
     ``max_concurrency`` and the scheduler seed are taken from the
-    checkpoint's metadata.
-
-    When the continuation checkpoints into the *same* directory it resumed
-    from, the directory is compacted first (full journal rewrite, fresh
-    payload generation) so the incremental appends start from a clean
-    committed prefix.
+    checkpoint's metadata. A sync checkpoint is refused with
+    ``ValueError``.
     """
     from repro.engine.runner import run_async_federated_training
 
-    if checkpoint_path == path and checkpoint_every > 0:
-        state = compact_async_checkpoint(path)
-    else:
-        state = load_async_checkpoint(path)
-    if state.meta["num_clients"] != len(clients):
-        raise ValueError(
-            f"checkpoint was written with {state.meta['num_clients']} "
-            f"clients but {len(clients)} were provided"
-        )
-    server.set_global_state(state.server_state)
-    server.model.load_state_dict(state.server_state)
-    server.round_index = state.server_round_index
+    state = _restore(
+        path, "async", server, clients, checkpoint_path, checkpoint_every
+    )
     return run_async_federated_training(
         server,
         clients,

@@ -23,6 +23,7 @@ from repro.utils import make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.backends import ExecutionBackend
+    from repro.fl.checkpoint import RunState
 
 
 @dataclass(frozen=True)
@@ -114,9 +115,7 @@ def run_federated_training(
     checkpoint_every: int = 0,
     on_round=None,
     emergency_checkpoint: bool = False,
-    history: TrainingHistory | None = None,
-    start_round: int = 0,
-    sampling_rng: np.random.Generator | None = None,
+    resume: "RunState | None" = None,
 ) -> TrainingHistory:
     """Run ``rounds`` communication rounds of Algorithm 1.
 
@@ -138,27 +137,31 @@ def run_federated_training(
     :class:`~repro.fl.sampling.BernoulliParticipation`) skips aggregation
     and is recorded as a zero-participant round.
 
-    With ``checkpoint_path`` and ``checkpoint_every > 0``, a synchronous
-    checkpoint — global state, history, the sampling RNG stream and every
-    client's RNG stream — is written every ``checkpoint_every`` rounds;
+    With ``checkpoint_path`` and ``checkpoint_every > 0``, the run state —
+    global state, round records, the sampling RNG stream and every
+    client's RNG stream — is checkpointed every ``checkpoint_every``
+    rounds (:func:`repro.fl.checkpoint.save_checkpoint`);
     :func:`repro.fl.checkpoint.resume_sync_federated_training` continues
     an interrupted run to the bitwise-identical history and weights.
     ``on_round`` is called after each round (after any checkpoint write);
     an exception it raises aborts the run — the kill-and-resume hook.
 
     With ``emergency_checkpoint=True`` (requires ``checkpoint_path``), the
-    loop stashes the end-of-round runtime after every round and, if a
-    later round crashes mid-flight, writes it as a format-2 checkpoint on
-    the way down (:func:`repro.fl.checkpoint.save_emergency_sync_checkpoint`)
-    before re-raising — so a supervised restart resumes from the last
-    *completed* round instead of the last periodic save.
+    loop stashes the run state a periodic save would write after every
+    round and, if a later round crashes mid-flight, writes it on the way
+    down with the async loop's writer
+    (:func:`repro.fl.checkpoint.save_async_checkpoint`) before re-raising
+    — so a supervised restart resumes from the last *completed* round
+    instead of the last periodic save.
 
-    ``history``, ``start_round`` and ``sampling_rng`` are the resume
-    plumbing (internal): the loop continues an existing history from
-    absolute round ``start_round + 1`` up to ``rounds`` with a restored
-    sampling stream, so round numbering, the evaluation cadence
+    ``resume`` is internal: a restored sync
+    :class:`~repro.fl.checkpoint.RunState` handed over by the resume entry
+    point. The loop takes the round records, the sampling stream and every
+    client stream from it and continues at the next absolute round up to
+    ``rounds``, so round numbering, the evaluation cadence
     (``round_index % eval_every == 0 or round_index == rounds``) and every
-    RNG draw line up with the uninterrupted run.
+    RNG draw line up with the uninterrupted run. The caller must restore
+    the server's weights and round index before the call.
     """
     if rounds <= 0:
         raise ValueError("rounds must be positive")
@@ -170,16 +173,20 @@ def run_federated_training(
         raise ValueError("checkpoint_every requires a checkpoint_path")
     if emergency_checkpoint and not checkpoint_path:
         raise ValueError("emergency_checkpoint requires a checkpoint_path")
-    if not 0 <= start_round <= rounds:
-        raise ValueError(f"start_round must be in [0, {rounds}]")
     if backend is None:
         # Local import: repro.engine imports this package.
         from repro.engine.backends import SerialBackend
 
         backend = SerialBackend(feature_runtime=feature_runtime)
     participation = participation or FullParticipation()
-    sampling_rng = sampling_rng if sampling_rng is not None else make_rng(seed)
-    history = history if history is not None else TrainingHistory()
+    sampling_rng = make_rng(seed)
+    history = TrainingHistory()
+    if resume is not None:
+        sampling_rng.bit_generator.state = resume.scheduler_rng_state
+        for cid, state in resume.idle_rng_states.items():
+            clients[int(cid)].rng.bit_generator.state = state
+        history = TrainingHistory(records=list(resume.records))
+    start_round = history.records[-1].round_index if history.records else 0
     cumulative_seconds = history.total_client_seconds
     meta = {
         "rounds": rounds,
@@ -187,114 +194,89 @@ def run_federated_training(
         "seed": seed,
         "num_clients": len(clients),
     }
-    # One-slot box for the end-of-round runtime snapshot the crash path
-    # saves; the RNG ``.state`` reads are fresh dicts and the global-state
-    # dict is double-buffered by aggregation, so the stash stays intact
-    # while the next round mutates the live run.
-    stash_box: list = [None]
+    # Local imports: fl.checkpoint imports this module for resume.
+    from repro.fl.checkpoint import (
+        save_async_checkpoint,
+        save_checkpoint,
+        sync_run_state,
+    )
+
+    #: end-of-round run state, written on the way down by the crash path
+    #: when ``emergency_checkpoint`` is on
+    last_state = None
     try:
-        history = _run_rounds(
-            server, clients, rounds, seed, participation, timing, eval_every,
-            backend, verbose, checkpoint_path, checkpoint_every, on_round,
-            emergency_checkpoint, history, start_round, sampling_rng,
-            cumulative_seconds, meta,
-            lambda value: stash_box.__setitem__(0, value),
-        )
+        for round_index in range(start_round + 1, rounds + 1):
+            chosen = participation.participants(
+                round_index, len(clients), sampling_rng
+            )
+            broadcast = server.broadcast()
+            participants = [clients[int(cid)] for cid in chosen]
+            with tracing.span("round.local_solve"):
+                updates = backend.map_round(
+                    participants, server.model, broadcast, timing
+                )
+            if updates:
+                with tracing.span("round.aggregate"):
+                    server.aggregate(updates)
+            round_seconds = float(sum(u.train_seconds for u in updates))
+            cumulative_seconds += round_seconds
+            tracing.event_span("round", cumulative_seconds, round_seconds, 0)
+            evaluated = round_index % eval_every == 0 or round_index == rounds
+            if evaluated:
+                accuracy = server.evaluate()
+            else:
+                accuracy = (
+                    history.records[-1].test_accuracy
+                    if history.records
+                    else 0.0
+                )
+            record = RoundRecord(
+                round_index=round_index,
+                test_accuracy=accuracy,
+                participants=tuple(int(c) for c in chosen),
+                selected_samples=int(sum(u.num_selected for u in updates)),
+                client_seconds=round_seconds,
+                cumulative_client_seconds=cumulative_seconds,
+                mean_local_loss=(
+                    float(np.mean([u.mean_loss for u in updates]))
+                    if updates
+                    else 0.0
+                ),
+                evaluated=evaluated,
+            )
+            history.append(record)
+            if verbose:  # pragma: no cover - console convenience
+                print(
+                    f"round {round_index:3d}: acc={accuracy:.4f} "
+                    f"participants={len(chosen)} "
+                    f"selected={record.selected_samples}"
+                )
+            if (
+                checkpoint_path
+                and checkpoint_every > 0
+                and round_index % checkpoint_every == 0
+            ):
+                save_checkpoint(
+                    checkpoint_path, server, history, clients, sampling_rng,
+                    meta,
+                )
+            if emergency_checkpoint:
+                last_state = sync_run_state(
+                    server, history, clients, sampling_rng, meta
+                )
+            if on_round is not None:
+                on_round(record)
     except BaseException:
-        if stash_box[0] is not None:
+        if last_state is not None:
             # Best-effort save on the way down; the original crash must
-            # propagate whatever happens here. Local imports: fl.checkpoint
-            # imports this module, and the fault counters live engine-side.
+            # propagate whatever happens here. (Local import: the fault
+            # counters live engine-side.)
             try:
                 from repro.engine.faults import FAULTS
-                from repro.fl.checkpoint import save_emergency_sync_checkpoint
 
-                save_emergency_sync_checkpoint(
-                    checkpoint_path, stash_box[0], history
-                )
+                save_async_checkpoint(checkpoint_path, last_state)
                 FAULTS["emergency_checkpoints"] += 1
             except Exception:  # pragma: no cover - diagnostics only
                 pass
         raise
-    return history
-
-
-def _run_rounds(
-    server, clients, rounds, seed, participation, timing, eval_every,
-    backend, verbose, checkpoint_path, checkpoint_every, on_round,
-    emergency_checkpoint, history, start_round, sampling_rng,
-    cumulative_seconds, meta, set_stash,
-):
-    """The round loop proper; ``set_stash`` feeds the crash-path save."""
-    for round_index in range(start_round + 1, rounds + 1):
-        chosen = participation.participants(
-            round_index, len(clients), sampling_rng
-        )
-        broadcast = server.broadcast()
-        participants = [clients[int(cid)] for cid in chosen]
-        with tracing.span("round.local_solve"):
-            updates = backend.map_round(
-                participants, server.model, broadcast, timing
-            )
-        if updates:
-            with tracing.span("round.aggregate"):
-                server.aggregate(updates)
-        round_seconds = float(sum(u.train_seconds for u in updates))
-        cumulative_seconds += round_seconds
-        tracing.event_span("round", cumulative_seconds, round_seconds, 0)
-        evaluated = round_index % eval_every == 0 or round_index == rounds
-        if evaluated:
-            accuracy = server.evaluate()
-        else:
-            accuracy = history.records[-1].test_accuracy if history.records else 0.0
-        record = RoundRecord(
-            round_index=round_index,
-            test_accuracy=accuracy,
-            participants=tuple(int(c) for c in chosen),
-            selected_samples=int(sum(u.num_selected for u in updates)),
-            client_seconds=round_seconds,
-            cumulative_client_seconds=cumulative_seconds,
-            mean_local_loss=(
-                float(np.mean([u.mean_loss for u in updates])) if updates else 0.0
-            ),
-            evaluated=evaluated,
-        )
-        history.append(record)
-        if verbose:  # pragma: no cover - console convenience
-            print(
-                f"round {round_index:3d}: acc={accuracy:.4f} "
-                f"participants={len(chosen)} "
-                f"selected={record.selected_samples}"
-            )
-        if (
-            checkpoint_path
-            and checkpoint_every > 0
-            and round_index % checkpoint_every == 0
-        ):
-            # Local import: fl.checkpoint imports this module for resume.
-            from repro.fl.checkpoint import save_checkpoint
-
-            save_checkpoint(
-                checkpoint_path,
-                server,
-                history,
-                clients=clients,
-                sampling_rng=sampling_rng,
-                meta=meta,
-            )
-        if emergency_checkpoint:
-            set_stash(
-                {
-                    "global_state": server.global_state,
-                    "round_index": server.round_index,
-                    "sampling_rng_state": sampling_rng.bit_generator.state,
-                    "client_rng_states": [
-                        client.rng.bit_generator.state for client in clients
-                    ],
-                    "rounds_completed": round_index,
-                    "meta": meta,
-                }
-            )
-        if on_round is not None:
-            on_round(record)
     return history

@@ -148,6 +148,20 @@ def _json_digest(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
+def check_store_knobs(
+    artifact_store: "ArtifactStore | bool | None",
+    cache_dir: str | os.PathLike | None,
+) -> None:
+    """Refuse a ``cache_dir`` for a store that ``artifact_store=False``
+    turns off: one of the two settings would be silently dropped."""
+    if artifact_store is False and cache_dir is not None:
+        raise ValueError(
+            f"cache_dir={os.fspath(cache_dir)!r} names an artifact store "
+            f"directory, but artifact_store=False turns the store off; "
+            f"set only one of them"
+        )
+
+
 def resolve_store(
     artifact_store: "ArtifactStore | bool | None" = None,
     cache_dir: str | os.PathLike | None = None,
@@ -156,9 +170,11 @@ def resolve_store(
 
     An :class:`ArtifactStore` instance passes through; ``True`` forces a
     store at ``cache_dir`` (or :func:`default_root`); ``False`` forces it
-    off; ``None`` enables one exactly when ``cache_dir`` is set — so
-    programmatic callers never touch ``~/.cache`` unless they ask to.
+    off, and refuses a ``cache_dir`` (:func:`check_store_knobs`); ``None``
+    enables one exactly when ``cache_dir`` is set — so programmatic
+    callers never touch ``~/.cache`` unless they ask to.
     """
+    check_store_knobs(artifact_store, cache_dir)
     if isinstance(artifact_store, ArtifactStore):
         return artifact_store
     if artifact_store is None:

@@ -93,11 +93,55 @@ def test_resolve_store_conventions(tmp_path):
     store = ArtifactStore(tmp_path)
     assert resolve_store(store) is store  # instance passes through
     assert resolve_store(None, None) is None  # programmatic default: off
-    assert resolve_store(False, str(tmp_path)) is None  # False forces off
+    assert resolve_store(False) is None  # False forces off
     on = resolve_store(None, str(tmp_path))  # cache_dir alone enables
     assert on is not None and on.root == str(tmp_path)
     forced = resolve_store(True, str(tmp_path))
     assert forced is not None and forced.root == str(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "surface", ["resolve_store", "run_fedft_eds", "harness", "cli"]
+)
+def test_cache_dir_with_store_off_is_refused(
+    surface, tmp_path, monkeypatch, capsys
+):
+    """A cache directory for a store switched off is refused on every
+    surface — run_fedft_eds before any setup — and no store is created."""
+    from repro.data import synthetic
+    from repro.experiments.run_all import main
+
+    def no_setup(*args, **kwargs):
+        raise AssertionError("the contradiction surfaced after setup began")
+
+    monkeypatch.setattr(synthetic, "make_vision_world", no_setup)
+    cache_dir = str(tmp_path / "cache")
+    if surface == "cli":
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["--scale", "smoke", "--cache-dir", cache_dir,
+                 "--no-artifact-store"]
+            )
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--cache-dir" in err and "--no-artifact-store" in err
+    else:
+        with pytest.raises(ValueError) as error:
+            if surface == "resolve_store":
+                resolve_store(False, cache_dir)
+            elif surface == "run_fedft_eds":
+                run_fedft_eds(
+                    FedFTEDSConfig(
+                        cache_dir=cache_dir, artifact_store=False, **SMOKE
+                    )
+                )
+            else:
+                ExperimentHarness(
+                    "smoke", cache_dir=cache_dir, artifact_store=False
+                )
+        assert "cache_dir" in str(error.value)
+        assert "artifact_store=False" in str(error.value)
+    assert not os.path.exists(cache_dir)
 
 
 # ---------------------------------------------------------------------------

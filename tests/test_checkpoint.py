@@ -1,5 +1,6 @@
 """Checkpoint/resume of federated campaigns (sync and async)."""
 
+import json
 import os
 
 import numpy as np
@@ -10,10 +11,10 @@ from repro.engine.availability import AlwaysAvailable
 from repro.engine.backends import ProcessPoolBackend
 from repro.engine.runner import run_async_federated_training
 from repro.fl.checkpoint import (
+    STATS,
     load_async_checkpoint,
-    load_checkpoint,
     resume_async_federated_training,
-    resume_federated_training,
+    resume_sync_federated_training,
     save_checkpoint,
 )
 from repro.fl.rounds import run_federated_training
@@ -28,38 +29,56 @@ def make_federation(seed=0, num_clients=3):
 
 
 def test_checkpoint_roundtrip(tmp_path):
+    """A sync save loads back as the simplest run state: records, server
+    state and every RNG stream, nothing pending."""
     server, clients = make_federation()
     history = run_federated_training(
         server, clients, rounds=3, seed=0, timing=TimingModel()
     )
     path = os.path.join(tmp_path, "ckpt")
-    save_checkpoint(path, server, history)
+    sampling_rng = RNG(7)
+    meta = {"rounds": 3, "eval_every": 1, "seed": 0, "num_clients": 3}
+    save_checkpoint(path, server, history, clients, sampling_rng, meta)
 
-    fresh_server, _ = make_federation(seed=1)
-    restored = load_checkpoint(path, fresh_server)
-    assert fresh_server.round_index == 3
-    assert len(restored.records) == 3
-    assert restored.accuracies.tolist() == history.accuracies.tolist()
-    for key, value in server.global_state.items():
-        assert np.array_equal(fresh_server.global_state[key], value)
+    state = load_async_checkpoint(path)
+    assert state.meta == {**meta, "loop": "sync"}
+    assert state.server_round_index == 3
+    assert state.records == history.records
+    assert state.scheduler_rng_state == sampling_rng.bit_generator.state
+    assert state.idle_rng_states == {
+        cid: client.rng.bit_generator.state
+        for cid, client in enumerate(clients)
+    }
+    assert not state.pending and not state.snapshots
+    assert not state.aggregator_state
+    assert _states_identical(state.server_state, server.global_state)
+
+
+def _killed_sync_run(path, rounds, kill_at, seed=0, **kwargs):
+    """Run ``rounds`` sync rounds checkpointing into ``path`` (every round
+    unless ``checkpoint_every`` says otherwise); die after round
+    ``kill_at``."""
+
+    def bomb(record):
+        if record.round_index == kill_at:
+            raise _Killed
+
+    kwargs.setdefault("checkpoint_every", 1)
+    server, clients = make_federation(seed=seed)
+    with pytest.raises(_Killed):
+        run_federated_training(
+            server, clients, rounds=rounds, seed=0, timing=TimingModel(),
+            checkpoint_path=path, on_round=bomb, **kwargs,
+        )
 
 
 def test_resume_continues_round_numbering(tmp_path):
-    server, clients = make_federation()
-    history = run_federated_training(
-        server, clients, rounds=2, seed=0, timing=TimingModel()
-    )
     path = os.path.join(tmp_path, "ckpt")
-    save_checkpoint(path, server, history)
+    _killed_sync_run(path, rounds=5, kill_at=2)
 
-    resumed_server, resumed_clients = make_federation(seed=2)
-    full_history = resume_federated_training(
-        path,
-        resumed_server,
-        resumed_clients,
-        total_rounds=5,
-        seed=0,
-        timing=TimingModel(),
+    resumed_server, resumed_clients = make_federation()
+    full_history = resume_sync_federated_training(
+        path, resumed_server, resumed_clients, timing=TimingModel()
     )
     assert len(full_history.records) == 5
     assert [r.round_index for r in full_history.records] == [1, 2, 3, 4, 5]
@@ -70,27 +89,99 @@ def test_resume_continues_round_numbering(tmp_path):
 
 def test_resume_noop_when_complete(tmp_path):
     server, clients = make_federation()
-    history = run_federated_training(server, clients, rounds=4, seed=0)
     path = os.path.join(tmp_path, "ckpt")
-    save_checkpoint(path, server, history)
+    run_federated_training(
+        server, clients, rounds=4, seed=0, checkpoint_path=path,
+        checkpoint_every=4,
+    )
     resumed_server, resumed_clients = make_federation(seed=3)
-    result = resume_federated_training(
-        path, resumed_server, resumed_clients, total_rounds=4
+    result = resume_sync_federated_training(
+        path, resumed_server, resumed_clients
     )
     assert len(result.records) == 4  # nothing new ran
+    assert resumed_server.round_index == server.round_index
 
 
 def test_resumed_model_keeps_learning(tmp_path):
-    server, clients = make_federation(seed=4)
-    history = run_federated_training(server, clients, rounds=2, seed=0)
     path = os.path.join(tmp_path, "ckpt")
-    save_checkpoint(path, server, history)
+    _killed_sync_run(path, rounds=8, kill_at=2, seed=4)
+    before = load_async_checkpoint(path).records
     resumed_server, resumed_clients = make_federation(seed=4)
-    full = resume_federated_training(
-        path, resumed_server, resumed_clients, total_rounds=8, seed=0
+    full = resume_sync_federated_training(
+        path, resumed_server, resumed_clients, timing=TimingModel()
     )
     # continuation should not collapse the model
-    assert full.records[-1].test_accuracy >= history.best_accuracy - 0.2
+    best = max(r.test_accuracy for r in before)
+    assert full.records[-1].test_accuracy >= best - 0.2
+
+
+def _files_written(path, sizes):
+    """Bytes created or grown in ``path`` since ``sizes`` (updated)."""
+    written = 0
+    for name in os.listdir(path):
+        size = os.path.getsize(os.path.join(path, name))
+        written += max(0, size - sizes.get(name, 0))
+        sizes[name] = size
+    return written
+
+
+def test_sync_save_after_the_first_writes_only_what_changed(tmp_path):
+    """FedFT-EDS freezes ϕ, so after the first save (the full base) a sync
+    save writes the changed θ, the new round record and the manifest."""
+    from repro.experiments.common import STANDARD_METHODS
+    from repro.testbed import smoke_harness
+
+    path = os.path.join(tmp_path, "ckpt")
+    sizes = {}
+    per_save = []
+    saves = []
+
+    def measure(record):
+        per_save.append(_files_written(path, sizes))
+        saves.append(STATS["saves"])
+
+    with smoke_harness(seed=0) as harness:
+        server, clients, run_seed = harness.build_federation(
+            "cifar10", STANDARD_METHODS["fedft_eds"], 0.1, 4
+        )
+        before = STATS["saves"]
+        run_federated_training(
+            server, clients, rounds=4, seed=run_seed, timing=harness.timing,
+            checkpoint_path=path, checkpoint_every=1, on_round=measure,
+        )
+    assert saves == [before + 1, before + 2, before + 3, before + 4]
+    first, *later = per_save
+    assert all(written < first / 2 for written in later), per_save
+
+
+def test_sync_resume_into_same_directory_continues_journal(tmp_path):
+    """Crash with an emergency checkpoint, resume while checkpointing into
+    the same directory: bitwise-identical to the uninterrupted run, and the
+    final journal holds every round exactly once."""
+    server, clients = make_federation(seed=6)
+    full = run_federated_training(
+        server, clients, rounds=6, seed=0, timing=TimingModel()
+    )
+    path = os.path.join(tmp_path, "ckpt")
+    # cadence-2 saves: round 3 on disk comes from the emergency stash
+    _killed_sync_run(
+        path, rounds=6, kill_at=3, seed=6, checkpoint_every=2,
+        emergency_checkpoint=True,
+    )
+    assert load_async_checkpoint(path).records[-1].round_index == 3
+
+    resumed_server, resumed_clients = make_federation(seed=6)
+    resumed = resume_sync_federated_training(
+        path, resumed_server, resumed_clients, timing=TimingModel(),
+        checkpoint_path=path, checkpoint_every=1,
+    )
+    assert resumed.accuracies.tolist() == full.accuracies.tolist()
+    assert resumed.records == full.records
+    assert _states_identical(server.global_state, resumed_server.global_state)
+    with open(_journal_path(path)) as fh:
+        journaled = [json.loads(line)["round_index"] for line in fh]
+    assert journaled == [1, 2, 3, 4, 5, 6]
+    assert load_async_checkpoint(path).records == full.records
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +399,6 @@ def test_async_checkpoint_survives_torn_save(tmp_path):
     manifest still references the old generation's intact files, and the
     next successful save garbage-collects the wreckage.
     """
-    import json
-
     path = os.path.join(tmp_path, "ckpt")
     server, clients = make_federation()
 
@@ -425,8 +514,6 @@ def _states_of(path):
 
 def _journal_path(path):
     """The journal file the committed manifest references."""
-    import json
-
     with open(os.path.join(path, "async_state.json")) as fh:
         return os.path.join(path, json.load(fh)["journal"]["file"])
 
@@ -434,8 +521,6 @@ def _journal_path(path):
 def test_incremental_append_equals_full_rewrite(tmp_path):
     """A journal grown by per-event appends loads identically to a
     from-scratch rewrite of the same state (compaction equivalence)."""
-    import json
-
     from repro.fl.checkpoint import save_async_checkpoint
 
     appended = os.path.join(tmp_path, "appended")
@@ -471,7 +556,6 @@ def test_checkpoint_bytes_equal_the_reference_encoders(tmp_path):
     """A FedBuff run's journal lines are ``json.dumps(asdict(record))`` and
     its manifest is the ``json.dump`` encoding of the same payload."""
     import io
-    import json
     from dataclasses import asdict
 
     path = os.path.join(tmp_path, "ckpt")
@@ -624,74 +708,21 @@ def test_resume_into_same_directory_continues_journal(tmp_path):
     assert len(final.records) >= MAX_EVENTS - 1
 
 
-def test_legacy_inline_record_manifest_still_loads(tmp_path):
-    """Manifests written before the journal existed carry the full record
-    list (and full snapshots) inline; they must keep loading."""
-    import json
-
+def test_manifest_of_another_format_is_refused(tmp_path):
+    """Only format-5 manifests load: an older stamp, or none at all (the
+    pre-journal manifests), raises a ValueError naming what it found."""
     path = os.path.join(tmp_path, "ckpt")
     _run_with_checkpoints(path, every=4)
-    state = load_async_checkpoint(path)
-
-    from dataclasses import asdict
-
-    from repro.fl.checkpoint import _SEP
-    from repro.nn.serialization import save_state
-
-    legacy = os.path.join(tmp_path, "legacy")
-    os.makedirs(legacy)
-    files = {p: f"async_{p}-1.npz" for p in ("server", "snapshots", "buffer")}
-    save_state(os.path.join(legacy, files["server"]), state.server_state)
-    np.savez(
-        os.path.join(legacy, files["snapshots"]),
-        **{
-            f"{version}{_SEP}{key}": value
-            for version, snapshot in state.snapshots.items()
-            for key, value in snapshot.items()
-        },
-    )
-    np.savez(
-        os.path.join(legacy, files["buffer"]),
-        **{
-            f"{index}{_SEP}{key}": value
-            for index, (delta, _) in enumerate(state.aggregator_state)
-            for key, value in delta.items()
-        },
-    )
-    from repro.fl.checkpoint import _jsonable
-
-    with open(os.path.join(legacy, "async_state.json"), "w") as fh:
-        json.dump(
-            {
-                "generation": 1,
-                "files": files,
-                "clock_now": state.clock_now,
-                "scheduler_rng_state": _jsonable(state.scheduler_rng_state),
-                "idle_rng_states": {
-                    str(cid): _jsonable(s)
-                    for cid, s in state.idle_rng_states.items()
-                },
-                "pending": [
-                    {**p, "rng_state": _jsonable(p["rng_state"])}
-                    for p in state.pending
-                ],
-                "next_seq": state.next_seq,
-                "buffer_weights": [w for _, w in state.aggregator_state],
-                "records": [asdict(r) for r in state.records],
-                "last_accuracy": state.last_accuracy,
-                "cumulative_seconds": state.cumulative_seconds,
-                "server_round_index": state.server_round_index,
-                "meta": state.meta,
-            },
-            fh,
-        )
-    loaded = load_async_checkpoint(legacy)
-    assert loaded.records == state.records
-    assert _states_identical(loaded.server_state, state.server_state)
-    for version in state.snapshots:
-        assert _states_identical(
-            loaded.snapshots[version], state.snapshots[version]
-        )
+    assert load_async_checkpoint(path).records
+    manifest_path = os.path.join(path, "async_state.json")
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    for stamp in (4, None):
+        manifest["format"] = stamp
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(ValueError, match=f"format {stamp}"):
+            load_async_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------
@@ -778,8 +809,7 @@ def test_sync_emergency_checkpoint_resumes_bitwise(tmp_path):
             emergency_checkpoint=True, on_round=bomb,
         )
     assert FAULTS["emergency_checkpoints"] == 1
-    restored_server, _ = make_federation(seed=6)
-    restored = load_checkpoint(path, restored_server)
+    restored = load_async_checkpoint(path)
     # cadence-2 saves ran after round 2 only; round 3 being on disk proves
     # the crash handler's emergency stash, not the periodic writer
     assert restored.records[-1].round_index == 3

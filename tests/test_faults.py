@@ -32,7 +32,7 @@ from repro.engine.faults import (
 from repro.engine.runner import run_async_federated_training
 from repro.experiments.common import ExperimentHarness
 from repro.fl.checkpoint import (
-    load_checkpoint,
+    load_async_checkpoint,
     resume_sync_federated_training,
 )
 from repro.fl.rounds import run_federated_training
@@ -370,8 +370,7 @@ def test_sync_torn_save_leaves_previous_checkpoint_loadable(tmp_path):
     assert FAULTS["chaos_torn_saves"] == 1
     # the torn save was round 3's; the committed checkpoint is round 2's,
     # and resuming it reproduces the uninterrupted run bit for bit
-    server, clients = tiny_federation(seed=3, num_clients=4)
-    restored = load_checkpoint(path, server)
+    restored = load_async_checkpoint(path)
     assert restored.records[-1].round_index == ROUNDS - 1
     server, clients = tiny_federation(seed=3, num_clients=4)
     resumed = resume_sync_federated_training(path, server, clients)

@@ -494,7 +494,7 @@ def test_async_checkpoint_server_delta_shrinks_below_model(tmp_path):
     )
     with open(os.path.join(path, "async_state.json")) as handle:
         manifest = json.load(handle)
-    assert manifest["format"] == 4
+    assert manifest["format"] == 5
     base_file = manifest["server_base"]["file"]
     delta_file = manifest["files"]["server"]
     # the base was written once, at generation 1, and carried since
@@ -502,7 +502,7 @@ def test_async_checkpoint_server_delta_shrinks_below_model(tmp_path):
     with np.load(os.path.join(path, delta_file)) as delta:
         delta_keys = set(delta.files)
     theta = set(theta_keys(server.model))
-    # format 4: the whole changed θ block travels as one flat slab entry
+    # slab-backed: the whole changed θ block travels as one flat entry
     assert delta_keys == {"__theta_slab__"}
     assert set(manifest["server_inherits"]) == set(server.global_state) - theta
     # per-save bytes: the delta is strictly smaller than the full payload

@@ -7,11 +7,12 @@ must be byte-identical to the per-key dict walk it replaces. Pinned here:
    including the all-``-0.0``-column sign edge;
 2. full federated runs, slab-backed vs dict-backed servers, across
    FedAvg / FedAsync / FedBuff × serial / process × telemetry on / off;
-3. the synchronous kill-and-resume path: a format-2 checkpoint restores
+3. the synchronous kill-and-resume path: a sync checkpoint restores
    the sampling and client RNG streams, so the resumed run reproduces
    the uninterrupted one byte for byte;
-4. checkpoint wire formats: the sync format-2 runtime payload, the async
-   format-4 single-slab θ delta, and legacy (≤3) manifests;
+4. the checkpoint wire format: the single-slab θ delta, the per-key
+   delta of a dict-backed server, and each resume refusing the other
+   loop's checkpoint;
 5. the eval-mode fused head: CNN "moderate" (BatchNorm in θ) evaluates
    through the precomputed-affine plan, bitwise equal to the layer graph.
 """
@@ -41,7 +42,7 @@ from repro.fl.aggregation import (
 )
 from repro.fl.checkpoint import (
     load_async_checkpoint,
-    save_checkpoint,
+    resume_async_federated_training,
     resume_sync_federated_training,
 )
 from repro.fl.fastpath import STATS as FASTPATH_STATS, bind_head
@@ -299,7 +300,7 @@ def test_broadcast_feeds_client_plans_by_memcpy():
 
 
 # ---------------------------------------------------------------------------
-# Synchronous kill-and-resume: bitwise identity (format 2)
+# Synchronous kill-and-resume: bitwise identity
 # ---------------------------------------------------------------------------
 
 
@@ -385,35 +386,15 @@ def test_sync_resume_noop_when_complete(tmp_path):
     )
 
 
-def test_sync_resume_requires_runtime_payload(tmp_path):
-    """A checkpoint saved outside the loop (no RNG streams) must refuse
-    the bitwise resume instead of silently degrading."""
-    path = os.path.join(tmp_path, "bare_ckpt")
-    server, clients = tiny_federation(seed=9)
-    history = run_federated_training(
-        server, clients, rounds=2, seed=0, timing=TimingModel()
-    )
-    save_checkpoint(path, server, history)
-    with open(os.path.join(path, "history.json")) as handle:
-        payload = json.load(handle)
-    assert payload["format"] == 2
-    assert "sync_runtime" not in payload
-    fresh_server, fresh_clients = tiny_federation(seed=9)
-    with pytest.raises(ValueError, match="sync runtime"):
-        resume_sync_federated_training(path, fresh_server, fresh_clients)
-
-
 def test_sync_checkpoint_rehomes_state_into_slab(tmp_path):
     path = os.path.join(tmp_path, "slab_ckpt")
     server, clients = tiny_federation(seed=10)
-    history = run_federated_training(
-        server, clients, rounds=2, seed=0, timing=TimingModel()
+    run_federated_training(
+        server, clients, rounds=2, seed=0, timing=TimingModel(),
+        checkpoint_path=path, checkpoint_every=2,
     )
-    save_checkpoint(path, server, history)
-    fresh_server, _ = tiny_federation(seed=11)
-    from repro.fl.checkpoint import load_checkpoint
-
-    load_checkpoint(path, fresh_server)
+    fresh_server, fresh_clients = tiny_federation(seed=11)
+    resume_sync_federated_training(path, fresh_server, fresh_clients)
     assert fresh_server.global_state.theta_slab is not None
     assert _states_bitwise_equal(
         fresh_server.global_state, server.global_state
@@ -421,7 +402,7 @@ def test_sync_checkpoint_rehomes_state_into_slab(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Async checkpoint wire format: slab delta (format 4) and legacy load
+# Checkpoint wire format: slab delta, per-key delta, loop mismatch
 # ---------------------------------------------------------------------------
 
 
@@ -447,7 +428,7 @@ def test_async_slab_checkpoint_roundtrip(tmp_path):
     server = _async_checkpointed_run(path, dict_path=False)
     with open(os.path.join(path, "async_state.json")) as handle:
         manifest = json.load(handle)
-    assert manifest["format"] == 4
+    assert manifest["format"] == 5
     assert manifest["server_slab"]  # θ packing recorded for the slab delta
     with np.load(os.path.join(path, manifest["files"]["server"])) as delta:
         assert set(delta.files) == {"__theta_slab__"}
@@ -456,13 +437,10 @@ def test_async_slab_checkpoint_roundtrip(tmp_path):
 
 
 def test_async_dict_state_checkpoint_still_per_key(tmp_path):
-    """A dict-backed server (no slab) keeps the per-key delta encoding —
-    and its manifest loads even with the format-4 fields stripped, i.e.
-    exactly what a format-3 writer produced."""
+    """A dict-backed server (no slab) keeps the per-key delta encoding."""
     path = os.path.join(tmp_path, "ckpt")
     server = _async_checkpointed_run(path, dict_path=True)
-    manifest_path = os.path.join(path, "async_state.json")
-    with open(manifest_path) as handle:
+    with open(os.path.join(path, "async_state.json")) as handle:
         manifest = json.load(handle)
     assert manifest["server_slab"] is None
     with np.load(os.path.join(path, manifest["files"]["server"])) as delta:
@@ -470,13 +448,26 @@ def test_async_dict_state_checkpoint_still_per_key(tmp_path):
         assert delta.files  # θ changed, stored per key
     state = load_async_checkpoint(path)
     assert _states_bitwise_equal(state.server_state, server.global_state)
-    # strip the format-4 fields: a legacy manifest must load identically
-    manifest["format"] = 3
-    del manifest["server_slab"]
-    with open(manifest_path, "w") as handle:
-        json.dump(manifest, handle)
-    legacy = load_async_checkpoint(path)
-    assert _states_bitwise_equal(legacy.server_state, server.global_state)
+
+
+def test_resume_refuses_the_other_loops_checkpoint(tmp_path):
+    """Both loops share one format, so each resume checks which loop wrote
+    the checkpoint and names both loops when it refuses."""
+    async_path = os.path.join(tmp_path, "async_ckpt")
+    _async_checkpointed_run(async_path, dict_path=False)
+    sync_path = os.path.join(tmp_path, "sync_ckpt")
+    server, clients = tiny_federation(seed=12)
+    run_federated_training(
+        server, clients, rounds=2, seed=0, checkpoint_path=sync_path,
+        checkpoint_every=1,
+    )
+    server, clients = tiny_federation(seed=12)
+    with pytest.raises(ValueError, match="by the async loop.* the sync loop"):
+        resume_sync_federated_training(async_path, server, clients)
+    with pytest.raises(ValueError, match="by the sync loop.* the async loop"):
+        resume_async_federated_training(
+            sync_path, server, clients, FedAsyncAggregator(mixing=0.4)
+        )
 
 
 # ---------------------------------------------------------------------------
