@@ -4,8 +4,9 @@ Periodic async checkpoints used to rewrite the model, every pending
 snapshot and the *entire* event log on each save — linear bytes per save,
 quadratic total I/O over a run at tight cadences. The log-structured
 format (`repro.fl.checkpoint`, DESIGN.md "Checkpoint format")
-appends new event records to a JSONL journal, delta-encodes snapshots
-against the server state, and rewrites only the manifest + model head.
+appends new event records to a JSONL journal, writes each model version's
+θ once (later saves refer to the payload that stored it), and rewrites
+only the manifest plus one payload of new versions and the buffer.
 
 This benchmark runs the same checkpoint-every-event federation twice:
 
@@ -23,6 +24,7 @@ The measured byte counters are attached to the pytest-benchmark JSON
 import json
 import os
 
+import numpy as np
 from conftest import run_once
 
 from repro.engine.aggregators import FedAsyncAggregator
@@ -32,28 +34,35 @@ from repro.fl.timing import TimingModel
 from repro.testbed import tiny_federation
 
 MAX_EVENTS = 30
-_PAYLOADS = ("server", "snapshots", "buffer")
 
 
-def _committed_sizes(path):
-    """(payload bytes, manifest bytes, journal bytes) of the committed set.
+def _save_sizes(path):
+    """(payload bytes, manifest bytes, journal bytes, snapshot bytes) of
+    the committed save.
 
-    The server *base* generation (the delta encoding's full payload) only
-    counts when this save actually wrote it — its generation suffix
-    matches the manifest's — since incremental saves carry it forward
-    untouched.
+    Payload bytes count the files the save created: its own payload, plus
+    the server base when it wrote one (the base's generation suffix
+    matches the manifest's); payloads of earlier saves that it only
+    refers to are not counted. Snapshot bytes are the arrays its payload
+    stores for model versions other than the server's current one.
     """
     with open(os.path.join(path, "async_state.json")) as fh:
         manifest = json.load(fh)
-    payloads = sum(
-        os.path.getsize(os.path.join(path, name))
-        for name in manifest["files"].values()
-    )
-    base = manifest.get("server_base")
-    if base and base["file"].endswith(f"-{manifest['generation']}.npz"):
-        payloads += os.path.getsize(os.path.join(path, base["file"]))
+    payload = os.path.join(path, manifest["payload"])
+    payloads = os.path.getsize(payload)
+    base = manifest["server_base"]["file"]
+    if base.endswith(f"-{manifest['generation']}.npz"):
+        payloads += os.path.getsize(os.path.join(path, base))
+    current = str(manifest["server_round_index"])
+    with np.load(payload) as archive:
+        snapshots = sum(
+            archive[name].nbytes
+            for name in archive.files
+            if name.partition("::")[0] not in ("buffer", current)
+        )
     journal = os.path.getsize(os.path.join(path, manifest["journal"]["file"]))
-    return payloads, os.path.getsize(os.path.join(path, "async_state.json")), journal
+    manifest_bytes = os.path.getsize(os.path.join(path, "async_state.json"))
+    return payloads, manifest_bytes, journal, snapshots
 
 
 def _run_checkpointed(path, full):
@@ -66,6 +75,7 @@ def _run_checkpointed(path, full):
     """
     per_save = []
     journal_sizes = []
+    snapshot_bytes = []
     last_journal_size = 0
 
     def on_event(record):
@@ -73,10 +83,11 @@ def _run_checkpointed(path, full):
         if full:
             state = load_async_checkpoint(path)
             save_async_checkpoint(path, state, full=True)
-        payload_bytes, manifest_bytes, size = _committed_sizes(path)
+        payload_bytes, manifest_bytes, size, snapshots = _save_sizes(path)
         journal_written = size if full else max(0, size - last_journal_size)
         last_journal_size = size
         journal_sizes.append(size)
+        snapshot_bytes.append(snapshots)
         per_save.append(journal_written + manifest_bytes + payload_bytes)
 
     server, clients = tiny_federation()
@@ -91,14 +102,16 @@ def _run_checkpointed(path, full):
         checkpoint_every=1,
         on_event=on_event,
     )
-    return per_save, journal_sizes
+    return per_save, journal_sizes, snapshot_bytes
 
 
 def test_checkpoint_bytes_per_save_flat_vs_linear(benchmark, tmp_path):
-    incremental, journal_sizes = run_once(
+    incremental, journal_sizes, inc_snapshots = run_once(
         benchmark, lambda: _run_checkpointed(os.path.join(tmp_path, "inc"), False)
     )
-    full, _ = _run_checkpointed(os.path.join(tmp_path, "full"), True)
+    full, _, full_snapshots = _run_checkpointed(
+        os.path.join(tmp_path, "full"), True
+    )
     assert len(incremental) == len(full) == MAX_EVENTS
 
     head = slice(2, 7)          # past startup, pending queue filled
@@ -126,3 +139,6 @@ def test_checkpoint_bytes_per_save_flat_vs_linear(benchmark, tmp_path):
     benchmark.extra_info["full_per_save_tail"] = full_tail
     benchmark.extra_info["incremental_total_bytes"] = sum(incremental)
     benchmark.extra_info["full_total_bytes"] = sum(full)
+    # snapshot bytes each save wrote: versions other than the current one
+    benchmark.extra_info["incremental_snapshot_bytes_per_save"] = inc_snapshots
+    benchmark.extra_info["full_snapshot_bytes_per_save"] = full_snapshots

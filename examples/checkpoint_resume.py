@@ -16,15 +16,22 @@ each loop:
 3. ``resume_async_federated_training`` / ``resume_sync_federated_training``
    restore everything the run had mutated and finish it.
 
-The async leg checkpoints every event. The sync leg saves every other
-round and arms ``emergency_checkpoint``, so the crash handler writes the
-last completed round on the way down, and the resume keeps journaling
-into the same directory. The script exits non-zero if either resumed run
-differs from its reference.
+The async leg checkpoints every event. Each save writes a model version
+once and later saves refer to the payload that stored it, so the leg
+checks that the checkpoint it crashes on names a pending version an
+earlier save stored: the resume then reads across generations. The sync
+leg saves every other round and arms ``emergency_checkpoint``, so the
+crash handler writes the last completed round on the way down, and the
+resume keeps journaling into the same directory. The script exits
+non-zero if either resumed run differs from its reference (event times,
+clients, kinds, accuracies and billed client seconds for the async leg)
+or the async crash left no cross-generation reference to resume across.
 
 Run:  python examples/checkpoint_resume.py
 """
 
+import json
+import os
 import sys
 import tempfile
 
@@ -61,6 +68,28 @@ def weights_equal(a: dict, b: dict) -> bool:
     return set(a) == set(b) and all(np.array_equal(a[k], b[k]) for k in a)
 
 
+def versions_from_earlier_saves(checkpoint: str) -> list[int]:
+    """Pending model versions the committed manifest reads from a payload
+    an earlier save wrote (not the one its own save wrote)."""
+    with open(os.path.join(checkpoint, "async_state.json")) as handle:
+        manifest = json.load(handle)
+    return [
+        version
+        for version in manifest["snapshots"]
+        if manifest["versions"][str(version)]["file"] != manifest["payload"]
+    ]
+
+
+def event_signature(log) -> list[tuple]:
+    return [
+        (
+            r.virtual_time, r.client_id, r.kind, r.test_accuracy,
+            r.client_seconds, r.cumulative_client_seconds,
+        )
+        for r in log.records
+    ]
+
+
 def async_leg() -> bool:
     # Reference: the uninterrupted run.
     server, clients = tiny_federation(seed=SEED)
@@ -86,6 +115,8 @@ def async_leg() -> bool:
         )
     except SimulatedCrash:
         print(f"async: crashed after event {KILL_AT}; checkpoint {checkpoint}")
+    inherited = versions_from_earlier_saves(checkpoint)
+    print(f"async: pending versions stored by earlier saves: {inherited}")
 
     # "New process": rebuild the federation from config, resume from disk.
     # Checkpoints are backend-invariant — finish the serial run's work on
@@ -97,13 +128,7 @@ def async_leg() -> bool:
             timing=TIMING, backend=backend,
         )
 
-    logs_match = [
-        (r.virtual_time, r.client_id, r.kind, r.test_accuracy)
-        for r in reference.records
-    ] == [
-        (r.virtual_time, r.client_id, r.kind, r.test_accuracy)
-        for r in resumed.records
-    ]
+    logs_match = event_signature(reference) == event_signature(resumed)
     weights_match = weights_equal(reference_state, server.global_state)
     print(f"async: events {len(resumed)} (reference {len(reference)})")
     print(f"async: event logs bitwise identical:    {logs_match}")
@@ -112,7 +137,7 @@ def async_leg() -> bool:
         f"async: final accuracy {resumed.final_accuracy:.4f} after "
         f"{resumed.final_version} model versions"
     )
-    return logs_match and weights_match
+    return bool(inherited) and logs_match and weights_match
 
 
 def sync_leg() -> bool:

@@ -75,7 +75,9 @@ class TieredClient(Client):
     much of the received model it can afford to fine-tune. Because the
     ϕ/θ split changes per client, cached ϕ(x) features materialised for
     the template's split would be wrong here — the feature-cache fast
-    path is disabled.
+    path is disabled. For the same reason its round price depends on the
+    level the previous client left, so the event engine refuses it; run
+    tiered federations through the synchronous loop.
     """
 
     supports_feature_cache = False

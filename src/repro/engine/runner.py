@@ -8,6 +8,15 @@ virtual-time order. A fast client therefore contributes many updates while
 a straggler is still working on its first — the heterogeneity dynamics the
 paper's Table III studies, without the slowest client gating every round.
 
+Billing: a round is priced once, at dispatch. Backends run it with
+``timing=None`` and the processed update is billed the duration its event
+was scheduled with, so the event time and the billed seconds are one
+float by construction. That needs a price that depends only on the client
+and the shared model, so clients that re-freeze the shared workspace per
+round (``supports_feature_cache = False``, e.g. tiered clients) are
+refused before the first dispatch; the synchronous loop, which prices
+each round after it runs, accepts them.
+
 Determinism: planned durations, the event heap's (time, dispatch-sequence)
 order, and every scheduler RNG draw are independent of how the backend
 parallelises the numeric work, so the same seed yields an identical event
@@ -119,6 +128,14 @@ def run_async_federated_training(
         raise ValueError("eval_every must be positive")
     if not clients:
         raise ValueError("client pool is empty")
+    for client in clients:
+        if not getattr(client, "supports_feature_cache", True):
+            raise ValueError(
+                f"client {client.client_id} re-freezes the shared model "
+                "per round (supports_feature_cache is False), so its round "
+                "price depends on the client that ran before it and cannot "
+                "be scheduled at dispatch; run it in the synchronous loop"
+            )
     if checkpoint_every < 0:
         raise ValueError("checkpoint_every must be non-negative")
     if checkpoint_every and not checkpoint_path:
@@ -250,7 +267,7 @@ def run_async_federated_training(
                 [clients[cid] for cid in update_cids],
                 server.model,
                 snapshot,
-                timing,
+                None,  # billed the duration priced above (see process)
             )
             handles = dict(zip(update_cids, wave))
         # Phase 3 — queue pushes in decision order, preserving the event
@@ -292,7 +309,7 @@ def run_async_federated_training(
                 client = clients[cid]
                 client.rng.bit_generator.state = p["rng_state"]
                 _retain_version(int(p["dispatch_version"]), snapshot)
-                handle = backend.submit(client, server.model, snapshot, timing)
+                handle = backend.submit(client, server.model, snapshot, None)
             elif p["rng_state"] is not None:
                 # A pending drop runs no local round, but the client's
                 # stream (advanced by its earlier rounds) must be restored
@@ -383,7 +400,9 @@ def run_async_federated_training(
             )
         with tracing.span("engine.collect", event.time):
             update = backend.result(event.handle)
-        cumulative_seconds += update.train_seconds
+        # The round was priced once, at dispatch: its event time and its
+        # bill are the same float (see the module docstring).
+        cumulative_seconds += event.duration
         # The simulated round on the virtual track: one lane per client,
         # spanning the event's [dispatch, completion] window.
         tracing.event_span(
@@ -418,7 +437,7 @@ def run_async_federated_training(
             test_accuracy=last_accuracy,
             evaluated=evaluated,
             num_selected=update.num_selected,
-            client_seconds=update.train_seconds,
+            client_seconds=event.duration,
             cumulative_client_seconds=cumulative_seconds,
             mean_local_loss=update.mean_loss,
         )

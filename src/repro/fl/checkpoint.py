@@ -16,24 +16,27 @@ resumed run replays the *bitwise-identical* records, accuracies and final
 weights of an uninterrupted one, under every execution backend.
 
 The on-disk format is **log-structured** so periodic saves stay O(new
-records + changed head) instead of growing with run length: records
-live in an append-only JSONL journal (``async_events-<g>.jsonl``) whose
-committed prefix is pinned by the manifest; pending-dispatch broadcast
-snapshots are delta-encoded against the server state (only keys whose
-bytes differ are stored — the frozen ϕ, the bulk of the model, is
-inherited); and the server state itself is written as one full *base*
-generation plus per-save deltas of the keys whose content digests changed
-— after round 0 that is just θ, so a tight-cadence save rewrites the
-manifest, the changed head and the (bounded) FedBuff buffer, strictly
-below O(model). A slab-backed server state (see :mod:`repro.fl.slab`)
-digests and delta-encodes the whole θ block as the *single*
-``theta_slab`` array instead of per-key npz entries; the manifest records
-the packing so load expands it back to named arrays. A torn trailing
-journal line from a crash mid-append sits beyond the committed byte
-offset and is ignored on load and truncated on the next save;
-:func:`compact_async_checkpoint` rewrites the directory from scratch.
+records + new model versions) instead of growing with run length:
+records live in an append-only JSONL journal (``async_events-<g>.jsonl``)
+whose committed prefix is pinned by the manifest. The server's first
+state is written once as a full *base* (``async_server_base-<g>.npz``),
+and each save writes one payload (``async_payload-<g>.npz``) holding the
+FedBuff buffer and every model version the state needs — the server's
+current version and the pending dispatches' versions — that no earlier
+save of the run stored, each as its arrays that differ from the base:
+after round 0 just θ, as one ``theta_slab`` array when the version is
+slab-backed (see :mod:`repro.fl.slab`). The frozen ϕ, the bulk of the
+model, is inherited from the base. A version never changes once taken, so
+the manifest maps each needed version to the payload file that stores it,
+and a later save refers to that file instead of writing the version
+again; the current version is the server state, and when it is also
+pending one entry serves both. Garbage collection keeps exactly the files
+the manifest names. A torn trailing journal line from a crash mid-append
+sits beyond the committed byte offset and is ignored on load and
+truncated on the next save; :func:`compact_async_checkpoint` rewrites the
+directory from scratch.
 
-Manifests are stamped format 5 and the loader reads nothing else:
+Manifests are stamped format 6 and the loader reads nothing else:
 checkpoints are run-scoped scratch, not an interchange format. See
 DESIGN.md ("Checkpoint format").
 """
@@ -173,20 +176,23 @@ def sync_run_state(
 
 
 #: the manifest's format stamp; the loader reads this format only
-_FORMAT = 5
+_FORMAT = 6
 #: the manifest (its name predates sync runs sharing the format)
 _STATE_FILE = "async_state.json"
 #: journal rewrites use fresh generation-suffixed names (incremental saves
 #: append to the file the committed manifest names), mirroring the npz
 #: payloads: the previously committed journal is never clobbered.
 _JOURNAL_PREFIX = "async_events"
+#: each save's one payload file: async_payload-<generation>.npz
+_PAYLOAD_PREFIX = "async_payload"
 #: npz key separator; parameter names are dotted paths and never contain it
 _SEP = "::"
-#: delta-npz entry holding a slab-backed server state's whole θ block as
-#: one flat array; dotted parameter paths can never collide
+#: payload entry holding a slab-backed version's whole θ block as one flat
+#: array; dotted parameter paths can never collide
 _THETA_SLAB_KEY = "__theta_slab__"
-#: payload files are generation-suffixed: async_<payload>-<generation>.npz
-_PAYLOADS = ("server", "snapshots", "buffer")
+#: payload entry prefix of the FedBuff buffer; model versions' entries are
+#: prefixed with their version number
+_BUFFER = "buffer"
 
 
 def _jsonable(obj):
@@ -279,8 +285,12 @@ def _write_journal(
     previous: dict | None,
     full: bool,
     generation: int,
-) -> dict:
-    """Bring the record journal up to date; return its manifest entry.
+) -> tuple[dict, bool]:
+    """Bring the record journal up to date.
+
+    Returns its manifest entry and whether the save continued the
+    committed journal (the same run, saved again), which is also what
+    lets a save refer to model versions earlier saves stored.
 
     Incremental path: the previous manifest pins the committed prefix of
     the journal file it names (line count, byte offset, running CRC,
@@ -345,7 +355,7 @@ def _write_journal(
         "bytes": offset,
         "crc": crc,
         "head_crc": head_crc,
-    }
+    }, incremental
 
 
 def _array_digest(value: np.ndarray) -> str:
@@ -356,88 +366,6 @@ def _array_digest(value: np.ndarray) -> str:
     digest.update(repr(contiguous.shape).encode())
     digest.update(contiguous.data)
     return digest.hexdigest()
-
-
-def _encode_server(
-    path: str,
-    state: RunState,
-    previous: dict | None,
-    full: bool,
-    generation: int,
-) -> tuple[dict, str, list[str]]:
-    """Write the server payload as a base + per-generation delta.
-
-    The *base* is a full state-dict npz written once (first save, or
-    compaction) whose per-key content digests live in the manifest; every
-    subsequent save writes only the keys whose digests changed — after
-    round 0 that is just θ, so tight-cadence saves shrink from O(model) to
-    O(changed head). Returns the base manifest entry, the delta file name
-    and the keys inherited from the base.
-
-    The base is only reused when its file still exists and the manifest
-    chain is intact; anything else (deleted file, torn manifest) falls
-    back to a fresh full base — a self-contained two-file encoding, never
-    a generation chain, so load needs exactly one base + one delta.
-
-    Per-save *CPU* deliberately stays content-based: change detection
-    re-digests the current bytes because the aggregation paths recycle θ
-    buffers in place (``Server._theta_scratch``,
-    ``AsyncAggregator.recycle``), so an array object's identity says
-    nothing about its bytes and an identity-memoized digest would
-    silently inherit stale values. A slab-backed server state digests —
-    and, when changed, writes — the whole θ block as the one
-    ``theta_slab`` array: one pass over the same bytes instead of a
-    per-key walk, and one npz entry instead of one per parameter. What
-    the encoding shrinks either way is the fsync'd *write* path (bytes +
-    durability), which dominates a save.
-    """
-    delta_file = f"async_server-{generation}.npz"
-    server_state = state.server_state
-    slab = getattr(server_state, "theta_slab", None)
-    layout = server_state.layout if slab is not None else None
-    base_entry = None if full else (previous or {}).get("server_base")
-    if base_entry is not None and not os.path.exists(
-        os.path.join(path, base_entry["file"])
-    ):
-        base_entry = None
-    if base_entry is None:
-        base_file = f"async_server_base-{generation}.npz"
-        digests = {
-            key: _array_digest(value) for key, value in server_state.items()
-        }
-        if slab is not None:
-            # The base keeps per-key digests too (a later save may carry a
-            # plain-dict state, e.g. after an in-process resume), but the
-            # slab digest is what every slab-era save compares against.
-            digests[_THETA_SLAB_KEY] = _array_digest(slab)
-        base_entry = {"file": base_file, "digests": digests}
-        save_state(os.path.join(path, base_file), server_state)
-        _fsync_file(os.path.join(path, base_file))
-        delta: dict[str, np.ndarray] = {}
-        inherited = list(server_state)
-    else:
-        digests = base_entry["digests"]
-        delta = {}
-        inherited = []
-        slab_keys = (
-            frozenset(layout.keys)
-            if slab is not None and _THETA_SLAB_KEY in digests
-            else frozenset()
-        )
-        if slab_keys:
-            if digests[_THETA_SLAB_KEY] == _array_digest(slab):
-                inherited.extend(layout.keys)
-            else:
-                delta[_THETA_SLAB_KEY] = slab
-        for key, value in server_state.items():
-            if key in slab_keys:
-                continue
-            if digests.get(key) == _array_digest(value):
-                inherited.append(key)
-            else:
-                delta[key] = value
-    np.savez(os.path.join(path, delta_file), **delta)
-    return base_entry, delta_file, inherited
 
 
 def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -455,31 +383,131 @@ def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
-def _encode_snapshots(
+def _server_base(
+    path: str,
     state: RunState,
-) -> tuple[dict[str, np.ndarray], dict[str, list[str]]]:
-    """Delta-encode pending snapshots against the server state.
+    previous: dict | None,
+    full: bool,
+    generation: int,
+) -> tuple[dict, bool]:
+    """The server base's manifest entry, and whether this save wrote it.
 
-    Returns the npz payload (only arrays whose bytes differ from the
-    server's — per version, keyed ``version::param``) and the per-version
-    list of *inherited* keys (bytewise equal to the server state, so load
-    reconstructs them from the server payload of the same generation).
-    Inheritance requires identical dtype, shape and bytes, so the round
-    trip is exact; the frozen ϕ — the bulk of the model — always inherits.
+    The *base* is a full state-dict npz, written once (first save,
+    compaction, or a base file gone missing), with per-key content digests
+    in the manifest; every model version is stored as the arrays that
+    differ from it. A slab-backed state also records the digest of its
+    whole θ block.
     """
-    arrays: dict[str, np.ndarray] = {}
-    inherits: dict[str, list[str]] = {}
-    server = state.server_state
-    for version, snapshot in state.snapshots.items():
-        inherited: list[str] = []
-        for key, value in snapshot.items():
-            reference = server.get(key)
-            if reference is not None and _bitwise_equal(reference, value):
-                inherited.append(key)
-            else:
-                arrays[f"{version}{_SEP}{key}"] = value
-        inherits[str(version)] = inherited
-    return arrays, inherits
+    entry = None if full else (previous or {}).get("server_base")
+    if entry is not None and os.path.exists(os.path.join(path, entry["file"])):
+        return entry, False
+    server_state = state.server_state
+    base_file = f"async_server_base-{generation}.npz"
+    digests = {key: _array_digest(value) for key, value in server_state.items()}
+    slab = getattr(server_state, "theta_slab", None)
+    if slab is not None:
+        # Per-key digests stay too: a later save may carry a plain-dict
+        # state (e.g. after an in-process resume).
+        digests[_THETA_SLAB_KEY] = _array_digest(slab)
+    save_state(os.path.join(path, base_file), server_state)
+    _fsync_file(os.path.join(path, base_file))
+    return {"file": base_file, "digests": digests}, True
+
+
+def _server_delta(
+    server_state: dict[str, np.ndarray], digests: dict[str, str]
+) -> dict[str, np.ndarray]:
+    """The current version's arrays whose content digests differ from the
+    base's — after round 0 just θ, as the one ``theta_slab`` array when
+    the state is slab-backed.
+
+    Change detection stays content-based: the aggregation paths recycle θ
+    buffers in place (``Server._theta_scratch``,
+    ``AsyncAggregator.recycle``), so an array object's identity says
+    nothing about its bytes across saves. It runs once per model version,
+    when the version is first stored.
+    """
+    slab = getattr(server_state, "theta_slab", None)
+    delta: dict[str, np.ndarray] = {}
+    slab_keys: frozenset = frozenset()
+    if slab is not None and _THETA_SLAB_KEY in digests:
+        slab_keys = frozenset(server_state.layout.keys)
+        if digests[_THETA_SLAB_KEY] != _array_digest(slab):
+            delta[_THETA_SLAB_KEY] = slab
+    for key, value in server_state.items():
+        if key not in slab_keys and digests.get(key) != _array_digest(value):
+            delta[key] = value
+    return delta
+
+
+def _snapshot_delta(
+    snapshot: dict[str, np.ndarray],
+    server_state: dict[str, np.ndarray],
+    inherited: frozenset,
+    layout: SlabLayout | None,
+) -> dict[str, np.ndarray]:
+    """A pending version's arrays that the base does not already hold.
+
+    A slab-backed snapshot stores its θ block as one array. Every other
+    key inherits from the base when the current version inherits it
+    (``inherited``) and the snapshot holds the same bytes — the frozen ϕ,
+    shared by reference between versions, always does.
+    """
+    if snapshot.keys() != server_state.keys():
+        raise ValueError(
+            "a pending model version's keys differ from the server state's"
+        )
+    delta: dict[str, np.ndarray] = {}
+    slab_keys: frozenset = frozenset()
+    slab = getattr(snapshot, "theta_slab", None)
+    if slab is not None and layout is not None and (
+        snapshot.layout.signature == layout.signature
+    ):
+        delta[_THETA_SLAB_KEY] = slab
+        slab_keys = frozenset(layout.keys)
+    for key, value in snapshot.items():
+        if key in slab_keys or (
+            key in inherited and _bitwise_equal(server_state[key], value)
+        ):
+            continue
+        delta[key] = value
+    return delta
+
+
+def _stored_versions(
+    path: str,
+    previous: dict | None,
+    continued: bool,
+    base_written: bool,
+    server_slab: list | None,
+    meta: dict,
+) -> dict[str, dict]:
+    """Version entries of the committed manifest this save may refer to.
+
+    A model version never changes once taken, so a save refers to the
+    file an earlier save stored it in — provided the earlier save belongs
+    to this run (the journal continued and the metadata agree), stored it
+    against the same base and slab packing, and its file still exists.
+    Anything else writes the version again.
+    """
+    if (
+        previous is None
+        or previous.get("format") != _FORMAT
+        or not continued
+        or base_written
+        or previous["meta"] != meta
+        or previous["server_slab"] not in (None, server_slab)
+    ):
+        return {}
+    present: dict[str, bool] = {}
+    stored = {}
+    for version, entry in previous["versions"].items():
+        name = entry["file"]
+        if name not in present:
+            present[name] = os.path.exists(os.path.join(path, name))
+        if present[name]:
+            stored[version] = entry
+    return stored
 
 
 def save_checkpoint(
@@ -516,24 +544,25 @@ def save_async_checkpoint(
     checkpointed under one execution backend can resume under another.
 
     Incremental cost — the format is log-structured (module docstring):
-    per save, only the new records are appended to the journal, only
-    snapshot keys that differ from the server state are written, and the
-    server payload is a delta against its base generation (only keys whose
-    digests changed — after round 0 just θ) plus the manifest and the
-    bounded FedBuff buffer — O(new records + changed head), independent of
-    run length and strictly below O(model) at tight cadences. ``full=True``
-    forces a from-scratch rewrite of the journal and the server base
-    (compaction).
+    per save, only the new records are appended to the journal, and one
+    payload file holds the FedBuff buffer plus each model version no
+    earlier save of the run already stored — the server's current version
+    and the pending dispatches' versions — as its arrays that differ from
+    the base (after round 0 just θ). A version stored earlier is referred
+    to by file, so a save costs O(new records + new versions), independent
+    of run length and of how long a straggler's round stays in flight.
+    ``full=True`` rewrites the journal, the base and every version from
+    scratch (compaction).
 
     Crash safety — checkpoints exist precisely to survive the process
     dying at an arbitrary instruction, including mid-save: journal bytes
     past the previously committed offset are uncommitted until the
-    manifest advances, the weight payloads are written under fresh
-    generation-suffixed names (never clobbering the committed set), and
+    manifest advances, the payload is written under a fresh
+    generation-suffixed name (never clobbering the committed set), and
     the JSON manifest referencing both is swapped in with an atomic
     ``os.replace``. A crash at any point leaves the previous complete
-    checkpoint loadable; superseded payload files are garbage-collected on
-    the next successful save.
+    checkpoint loadable; files the new manifest no longer names are
+    garbage-collected after the swap.
     """
     with tracing.span("checkpoint.save"):
         _write_checkpoint(path, state, full)
@@ -543,43 +572,82 @@ def _write_checkpoint(path: str, state: RunState, full: bool) -> None:
     os.makedirs(path, exist_ok=True)
     previous = _read_manifest(path)
     generation = _current_generation(path, previous) + 1
-    files = {
-        payload: f"async_{payload}-{generation}.npz" for payload in _PAYLOADS
-    }
-    journal = _write_journal(path, state, previous, full, generation)
-    snapshot_arrays, snapshot_inherits = _encode_snapshots(state)
-    server_base, server_delta, server_inherits = _encode_server(
+    payload_file = f"{_PAYLOAD_PREFIX}-{generation}.npz"
+    journal, continued = _write_journal(
         path, state, previous, full, generation
     )
-    files["server"] = server_delta
-    np.savez(os.path.join(path, files["snapshots"]), **snapshot_arrays)
-    np.savez(
-        os.path.join(path, files["buffer"]),
-        **{
-            f"{index}{_SEP}{key}": value
-            for index, (delta, _) in enumerate(state.aggregator_state)
-            for key, value in delta.items()
-        },
+    server_state = state.server_state
+    layout = (
+        server_state.layout
+        if getattr(server_state, "theta_slab", None) is not None
+        else None
     )
+    # θ packing of slab entries: load needs it to expand a __theta_slab__
+    # array back into named arrays.
+    server_slab = (
+        [[key, list(shape)] for key, shape in layout.signature]
+        if layout is not None
+        else None
+    )
+    server_base, base_written = _server_base(
+        path, state, previous, full, generation
+    )
+    versions = _stored_versions(
+        path, previous, continued, base_written, server_slab, state.meta
+    )
+    arrays: dict[str, np.ndarray] = {}
+
+    def store(version: int, delta: dict[str, np.ndarray]) -> None:
+        versions[str(version)] = {"file": payload_file, "stored": list(delta)}
+        for name, value in delta.items():
+            arrays[f"{version}{_SEP}{name}"] = value
+
+    # The current version first: the pending versions' ϕ inherits from
+    # the base through it, and when it is itself pending its snapshot is
+    # this same entry, never a second copy.
+    current = state.server_round_index
+    if str(current) not in versions:
+        store(
+            current,
+            {} if base_written else _server_delta(
+                server_state, server_base["digests"]
+            ),
+        )
+    stored = versions[str(current)]["stored"]
+    covered = (
+        frozenset(layout.keys)
+        if layout is not None and _THETA_SLAB_KEY in stored
+        else frozenset()
+    )
+    inherited = frozenset(server_state) - covered - frozenset(stored)
+    for version in sorted(state.snapshots):
+        if str(version) not in versions:
+            store(
+                version,
+                _snapshot_delta(
+                    state.snapshots[version], server_state, inherited, layout
+                ),
+            )
+    # Exactly the versions this state needs: the current one and the
+    # pending ones (older entries of the previous manifest drop out).
+    needed = {str(current), *(str(v) for v in state.snapshots)}
+    versions = {v: entry for v, entry in versions.items() if v in needed}
+    for index, (delta, _) in enumerate(state.aggregator_state):
+        for key, value in delta.items():
+            arrays[f"{_BUFFER}{_SEP}{index}{_SEP}{key}"] = value
+    np.savez(os.path.join(path, payload_file), **arrays)
     payload = {
         "format": _FORMAT,
         "generation": generation,
-        "files": files,
+        "payload": payload_file,
         "journal": journal,
-        "snapshot_inherits": snapshot_inherits,
         "server_base": server_base,
-        "server_inherits": server_inherits,
-        "server_keys": list(state.server_state),
-        # θ packing of a slab-backed server state: load needs it to expand
-        # a __theta_slab__ delta back into named arrays.
-        "server_slab": (
-            [
-                [key, list(shape)]
-                for key, shape in state.server_state.layout.signature
-            ]
-            if getattr(state.server_state, "theta_slab", None) is not None
-            else None
-        ),
+        "server_keys": list(server_state),
+        "server_slab": server_slab,
+        # version -> the payload file storing it and the entries stored
+        # there; every other key comes from the base
+        "versions": versions,
+        "snapshots": sorted(int(v) for v in state.snapshots),
         "clock_now": state.clock_now,
         "scheduler_rng_state": _jsonable(state.scheduler_rng_state),
         "idle_rng_states": {
@@ -596,20 +664,18 @@ def _write_checkpoint(path: str, state: RunState, full: bool) -> None:
         ],
         "last_accuracy": state.last_accuracy,
         "cumulative_seconds": state.cumulative_seconds,
-        "server_round_index": state.server_round_index,
+        "server_round_index": current,
         "meta": state.meta,
     }
     # Order matters on disk, not just in the process: the journal and the
-    # payloads must be durable before the manifest referencing them is — a
+    # payload must be durable before the manifest referencing them is — a
     # power loss with the manifest committed but a payload still in the
     # page cache would strand an unloadable checkpoint after the old
-    # generation is GC'd. (The journal was fsynced as it was written.)
-    for name in files.values():
-        _fsync_file(os.path.join(path, name))
+    # generation is GC'd. (The journal and a new base were fsynced as they
+    # were written.)
+    _fsync_file(os.path.join(path, payload_file))
     STATS["saves"] += 1
-    STATS["payload_bytes"] += sum(
-        os.path.getsize(os.path.join(path, name)) for name in files.values()
-    )
+    STATS["payload_bytes"] += os.path.getsize(os.path.join(path, payload_file))
     manifest = os.path.join(path, _STATE_FILE)
 
     def write_manifest(staging: str) -> None:
@@ -618,7 +684,7 @@ def _write_checkpoint(path: str, state: RunState, full: bool) -> None:
         with open(staging, "w") as handle:
             handle.write(json.dumps(payload))
 
-    # Chaos tear hook: die after the payloads are durable, before the
+    # Chaos tear hook: die after the payload is durable, before the
     # manifest commit — journal bytes past the committed offset and the
     # fresh-generation npz files are exactly what a real crash strands,
     # and the previous checkpoint must stay loadable (local import: the
@@ -633,8 +699,11 @@ def _write_checkpoint(path: str, state: RunState, full: bool) -> None:
         return False
 
     def gc_superseded() -> None:
-        keep = set(files.values()) | {server_base["file"]}
-        for name in os.listdir(path):  # best-effort GC of superseded payloads
+        # Keep exactly what the manifest names: the base, this payload,
+        # the payloads still holding a needed version, and the journal.
+        keep = {payload_file, server_base["file"]}
+        keep.update(entry["file"] for entry in versions.values())
+        for name in os.listdir(path):  # best-effort GC of superseded files
             superseded = (
                 name.startswith("async_")
                 and name.endswith(".npz")
@@ -687,8 +756,9 @@ def load_async_checkpoint(path: str) -> RunState:
     """Read a run state written by either loop's checkpoint writer.
 
     ``meta["loop"]`` decides the record type: ``RoundRecord``s for a sync
-    checkpoint, ``EventRecord``s for an async one. Only format-5
-    manifests load; any other format raises ``ValueError``.
+    checkpoint, ``EventRecord``s for an async one. Only format-6
+    manifests load; any other format raises ``ValueError``, and so does a
+    file the manifest names that is missing.
     """
     from repro.engine.records import EventRecord
 
@@ -699,46 +769,70 @@ def load_async_checkpoint(path: str) -> RunState:
             f"checkpoint at {path!r} has format {payload.get('format')!r}; "
             f"only format {_FORMAT} loads"
         )
-    files = payload["files"]
-    # Inherited keys come from the base generation's full payload, changed
-    # keys from the delta; a slab delta carries the whole changed θ block
-    # as one flat array, expanded here per the manifest's recorded packing.
-    base = load_state(os.path.join(path, payload["server_base"]["file"]))
-    delta = load_state(os.path.join(path, files["server"]))
-    slab_flat = delta.pop(_THETA_SLAB_KEY, None)
-    slab_views: dict[str, np.ndarray] = {}
-    if slab_flat is not None:
-        layout = SlabLayout(
+    versions = payload["versions"]
+    base_file = payload["server_base"]["file"]
+    referenced = {payload["payload"], base_file, payload["journal"]["file"]}
+    referenced.update(entry["file"] for entry in versions.values())
+    for name in sorted(referenced):
+        if not os.path.exists(os.path.join(path, name)):
+            raise ValueError(
+                f"corrupt checkpoint: {name!r}, named by the manifest in "
+                f"{path!r}, is missing"
+            )
+    base = load_state(os.path.join(path, base_file))
+    keys = payload["server_keys"]
+    layout = (
+        SlabLayout(
             [
                 (key, tuple(int(d) for d in shape))
                 for key, shape in payload["server_slab"]
             ]
         )
-        slab_views = layout.views(slab_flat)
-    inherited = set(payload["server_inherits"])
-    server_state = {
-        key: (
-            base[key]
-            if key in inherited
-            else delta[key] if key in delta else slab_views[key]
-        )
-        for key in payload["server_keys"]
-    }
-    # Delta-decoded snapshots: inherited keys come from the same
-    # generation's server payload, stored keys from the snapshots payload.
-    snapshots: dict[int, dict[str, np.ndarray]] = {
-        int(version): {key: server_state[key].copy() for key in keys}
-        for version, keys in payload["snapshot_inherits"].items()
-    }
-    with np.load(os.path.join(path, files["snapshots"])) as archive:
-        for name in archive.files:
-            version, key = name.split(_SEP, 1)
-            snapshots.setdefault(int(version), {})[key] = archive[name].copy()
-    deltas: dict[int, dict[str, np.ndarray]] = {}
-    with np.load(os.path.join(path, files["buffer"])) as archive:
-        for name in archive.files:
-            index, key = name.split(_SEP, 1)
-            deltas.setdefault(int(index), {})[key] = archive[name].copy()
+        if payload["server_slab"] is not None
+        else None
+    )
+    archives: dict = {}  # payload file name -> its open npz archive
+
+    def archive(name: str):
+        if name not in archives:
+            archives[name] = np.load(os.path.join(path, name))
+        return archives[name]
+
+    def version_state(version: int, copy: bool) -> dict[str, np.ndarray]:
+        # Stored entries come from the payload that holds the version
+        # (each read is a fresh array); a slab entry expands per the
+        # recorded packing; every other key comes from the base.
+        entry = versions[str(version)]
+        source = archive(entry["file"])
+        stored = {
+            name: source[f"{version}{_SEP}{name}"] for name in entry["stored"]
+        }
+        slab = stored.pop(_THETA_SLAB_KEY, None)
+        if slab is not None:
+            stored.update(layout.views(slab))
+        return {
+            key: stored[key]
+            if key in stored
+            else (base[key].copy() if copy else base[key])
+            for key in keys
+        }
+
+    try:
+        server_state = version_state(payload["server_round_index"], False)
+        snapshots = {
+            int(version): version_state(version, True)
+            for version in payload["snapshots"]
+        }
+        deltas: dict[int, dict[str, np.ndarray]] = {}
+        source = archive(payload["payload"])
+        for name in source.files:
+            prefix, _, rest = name.partition(_SEP)
+            if prefix == _BUFFER:
+                index, key = rest.split(_SEP, 1)
+                deltas.setdefault(int(index), {})[key] = source[name]
+    finally:
+        for opened in archives.values():
+            opened.close()
     weights = [float(w) for w in payload["buffer_weights"]]
     if len(deltas) != len(weights):
         raise ValueError(

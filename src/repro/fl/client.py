@@ -34,7 +34,9 @@ class Client:
     ``supports_feature_cache`` gates the frozen-feature fast path
     (:mod:`repro.fl.features`): subclasses that change the model's ϕ/θ
     split per round (e.g. tiered clients) set it False so backends never
-    hand them features materialised for a different split.
+    hand them features materialised for a different split. The event
+    engine refuses such clients: their round price depends on the split
+    the previous client left, so it cannot be fixed at dispatch.
 
     ``fused_solver`` opts head-only rounds into the fused kernel runtime
     (:mod:`repro.fl.fastpath`): when cached features arrive and the
@@ -100,8 +102,9 @@ class Client:
         Every selector keeps a deterministic *count* of samples
         (``selected_count``), so the timing model can price a round before it
         runs — this is what lets the event engine schedule a completion event
-        at dispatch time and still match ``LocalUpdate.train_seconds``
-        exactly. ``flops`` passes a model walk the caller already made (see
+        at dispatch time and bill the round exactly that duration, the same
+        float the synchronous loop's ``LocalUpdate.train_seconds`` carries.
+        ``flops`` passes a model walk the caller already made (see
         :meth:`TimingModel.round_seconds`).
         """
         num_selected = selected_count(len(self.dataset), self.selection_fraction)
@@ -190,9 +193,9 @@ class Client:
             mean_loss=mean_loss,
         )
         if timing is not None:
-            # Billed seconds come from the same computation the event
-            # engine uses to schedule this round's completion at dispatch
-            # (every selector keeps the deterministic ``selected_count``),
-            # so virtual-clock event times and billed time cannot diverge.
+            # The synchronous loop bills here, after the round. The event
+            # engine passes no timing: it priced the round once at dispatch
+            # (every selector keeps the deterministic ``selected_count``)
+            # and bills the duration it scheduled the completion with.
             update.train_seconds = self.planned_round_seconds(model, timing)
         return update

@@ -419,15 +419,13 @@ def test_async_checkpoint_survives_torn_save(tmp_path):
             on_event=bomb,
         )
     before = load_async_checkpoint(path)
-    with open(os.path.join(path, "async_state.json")) as fh:
-        generation = json.load(fh)["generation"]
-    # torn next-generation payloads + an abandoned manifest staging file
+    generation = _manifest(path)["generation"]
+    # a torn next-generation payload + an abandoned manifest staging file
     torn = generation + 1
-    for payload in ("server", "snapshots", "buffer"):
-        with open(os.path.join(path, f"async_{payload}-{torn}.npz"), "wb") as fh:
-            fh.write(b"\x00garbage")
+    with open(os.path.join(path, f"async_payload-{torn}.npz"), "wb") as fh:
+        fh.write(b"\x00garbage")
     with open(os.path.join(path, "async_state.json.tmp"), "w") as fh:
-        fh.write('{"generation": %d, "files"' % torn)  # truncated JSON
+        fh.write('{"generation": %d, "payload"' % torn)  # truncated JSON
     after = load_async_checkpoint(path)
     assert after.records == before.records
     assert after.clock_now == before.clock_now
@@ -439,10 +437,7 @@ def test_async_checkpoint_survives_torn_save(tmp_path):
     save_async_checkpoint(path, before)
     reloaded = load_async_checkpoint(path)
     assert _states_identical(reloaded.server_state, before.server_state)
-    with open(os.path.join(path, "async_state.json")) as fh:
-        manifest = json.load(fh)
-    committed = set(manifest["files"].values())
-    committed.add(manifest["server_base"]["file"])  # the delta's base
+    committed = _referenced_payloads(_manifest(path))
     leftovers = [
         name
         for name in os.listdir(path)
@@ -514,8 +509,28 @@ def _states_of(path):
 
 def _journal_path(path):
     """The journal file the committed manifest references."""
+    return os.path.join(path, _manifest(path)["journal"]["file"])
+
+
+def _manifest(path):
     with open(os.path.join(path, "async_state.json")) as fh:
-        return os.path.join(path, json.load(fh)["journal"]["file"])
+        return json.load(fh)
+
+
+def _referenced_payloads(manifest):
+    """The npz files a manifest names: the server base, this save's
+    payload and the payloads holding the versions it needs."""
+    names = {manifest["payload"], manifest["server_base"]["file"]}
+    names.update(entry["file"] for entry in manifest["versions"].values())
+    return names
+
+
+def _generation_of(name):
+    return int(name.rsplit("-", 1)[1][: -len(".npz")])
+
+
+def _payloads_on_disk(path):
+    return {name for name in os.listdir(path) if name.endswith(".npz")}
 
 
 def test_incremental_append_equals_full_rewrite(tmp_path):
@@ -709,7 +724,7 @@ def test_resume_into_same_directory_continues_journal(tmp_path):
 
 
 def test_manifest_of_another_format_is_refused(tmp_path):
-    """Only format-5 manifests load: an older stamp, or none at all (the
+    """Only format-6 manifests load: an older stamp, or none at all (the
     pre-journal manifests), raises a ValueError naming what it found."""
     path = os.path.join(tmp_path, "ckpt")
     _run_with_checkpoints(path, every=4)
@@ -717,12 +732,281 @@ def test_manifest_of_another_format_is_refused(tmp_path):
     manifest_path = os.path.join(path, "async_state.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    for stamp in (4, None):
+    for stamp in (5, None):
         manifest["format"] = stamp
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh)
         with pytest.raises(ValueError, match=f"format {stamp}"):
             load_async_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# Format 6: each model version is written once
+# ---------------------------------------------------------------------------
+
+
+def _stored_versions_of(path, payload):
+    """Model versions whose arrays a payload file holds."""
+    with np.load(os.path.join(path, payload)) as archive:
+        return {
+            int(prefix)
+            for prefix, _, _ in (name.partition("::") for name in archive.files)
+            if prefix.isdigit()
+        }
+
+
+def _watched_fedbuff_run(path, watch):
+    """The straggled FedBuff run, saving every event; ``watch(manifest)``
+    runs after each save."""
+    server, clients = make_federation()
+    return run_async_federated_training(
+        server,
+        clients,
+        _aggregator("fedbuff"),
+        max_events=MAX_EVENTS,
+        seed=11,
+        timing=STRAGGLED,
+        checkpoint_path=path,
+        checkpoint_every=1,
+        on_event=lambda record: watch(_manifest(path)),
+    )
+
+
+def test_each_version_is_written_by_one_save(tmp_path):
+    """A version's θ lands in exactly one save's payload: later saves refer
+    to that file while the version stays pending (the straggler's), and
+    the current version shares the server's entry."""
+    path = str(tmp_path / "ckpt")
+    writes = {}
+    named = set()
+    referenced_earlier = []
+
+    def watch(manifest):
+        for version in _stored_versions_of(path, manifest["payload"]):
+            writes[version] = writes.get(version, 0) + 1
+        named.update(int(v) for v in manifest["versions"])
+        referenced_earlier.extend(
+            v for v, entry in manifest["versions"].items()
+            if entry["file"] != manifest["payload"]
+        )
+        # the current version is the server state: one entry serves both
+        current = str(manifest["server_round_index"])
+        assert set(manifest["versions"]) == {
+            current, *(str(v) for v in manifest["snapshots"])
+        }
+
+    _watched_fedbuff_run(path, watch)
+    assert writes and set(writes.values()) == {1}, writes
+    # versions never stored in a payload are the base's own content
+    assert named - set(writes) <= {0}
+    assert referenced_earlier, "no save referred to an earlier payload"
+
+
+def test_payload_files_on_disk_are_the_ones_the_manifest_names(tmp_path):
+    path = str(tmp_path / "ckpt")
+    earlier = []
+
+    def watch(manifest):
+        referenced = _referenced_payloads(manifest)
+        assert _payloads_on_disk(path) == referenced
+        earlier.extend(
+            name for name in referenced - {manifest["server_base"]["file"]}
+            if _generation_of(name) < manifest["generation"]
+        )
+
+    _watched_fedbuff_run(path, watch)
+    assert earlier, "no save kept an earlier generation's payload"
+
+
+def _kill_when(predicate):
+    """An ``on_event`` hook that dies once ``predicate(manifest)`` holds."""
+
+    def hook(path):
+        def on_event(record):
+            if predicate(_manifest(path)):
+                raise _Killed
+
+        return on_event
+
+    return hook
+
+
+def _oldest_pending_payload(manifest):
+    """The earliest-generation payload holding a pending version, or None
+    when every pending version lives in this save's payload."""
+    older = [
+        manifest["versions"][str(v)]["file"]
+        for v in manifest["snapshots"]
+        if manifest["versions"][str(v)]["file"] != manifest["payload"]
+    ]
+    return min(older, key=_generation_of, default=None)
+
+
+def test_resume_across_generations_is_bitwise(tmp_path):
+    """Killed while a version written several saves earlier is still
+    pending: the resume reads it from that save's payload, bitwise."""
+    path = str(tmp_path / "ckpt")
+    full_server, full_log = _run_uninterrupted("fedbuff")
+
+    def several_saves_back(manifest):
+        oldest = _oldest_pending_payload(manifest)
+        return (
+            oldest is not None
+            and _generation_of(oldest) <= manifest["generation"] - 3
+        )
+
+    server, clients = make_federation()
+    with pytest.raises(_Killed):
+        run_async_federated_training(
+            server, clients, _aggregator("fedbuff"),
+            max_events=MAX_EVENTS, seed=11, timing=STRAGGLED,
+            checkpoint_path=path, checkpoint_every=1,
+            on_event=_kill_when(several_saves_back)(path),
+        )
+    server2, clients2 = make_federation()
+    resumed_log = resume_async_federated_training(
+        path, server2, clients2, _aggregator("fedbuff"), timing=STRAGGLED
+    )
+    assert _logs_identical(full_log, resumed_log)
+    assert _states_identical(full_server.global_state, server2.global_state)
+
+
+def test_missing_version_payload_is_named_then_rewritten(tmp_path):
+    """Deleting a payload that holds a pending version makes the load fail
+    naming it; the live run's next save stores the version again, and
+    that checkpoint resumes bitwise."""
+    path = str(tmp_path / "ckpt")
+    full_server, full_log = _run_uninterrupted("fedbuff")
+    deleted = []
+
+    def on_event(record):
+        manifest = _manifest(path)
+        if deleted:
+            # the save after the deletion wrote the versions again
+            assert os.path.basename(deleted[0]) not in (
+                _referenced_payloads(manifest)
+            )
+            raise _Killed
+        oldest = _oldest_pending_payload(manifest)
+        if oldest is not None:
+            os.remove(os.path.join(path, oldest))
+            deleted.append(oldest)
+            with pytest.raises(ValueError, match=oldest):
+                load_async_checkpoint(path)
+
+    server, clients = make_federation()
+    with pytest.raises(_Killed):
+        run_async_federated_training(
+            server, clients, _aggregator("fedbuff"),
+            max_events=MAX_EVENTS, seed=11, timing=STRAGGLED,
+            checkpoint_path=path, checkpoint_every=1, on_event=on_event,
+        )
+    assert deleted
+    server2, clients2 = make_federation()
+    resumed_log = resume_async_federated_training(
+        path, server2, clients2, _aggregator("fedbuff"), timing=STRAGGLED
+    )
+    assert _logs_identical(full_log, resumed_log)
+    assert _states_identical(full_server.global_state, server2.global_state)
+
+
+def test_another_run_in_the_directory_stores_its_own_versions(tmp_path):
+    """A run checkpointing into a directory another run left (same run
+    metadata, other data) refers to none of that run's versions: its
+    resume is bitwise its own uninterrupted run."""
+    path = str(tmp_path / "ckpt")
+
+    def killed_run(seed):
+        server, clients = make_federation(seed=seed)
+        with pytest.raises(_Killed):
+            run_async_federated_training(
+                server, clients, _aggregator("fedbuff"),
+                max_events=MAX_EVENTS, seed=11, timing=STRAGGLED,
+                checkpoint_path=path, checkpoint_every=1,
+                on_event=_kill_when(
+                    lambda m: _oldest_pending_payload(m) is not None
+                )(path),
+            )
+
+    killed_run(seed=0)
+    killed_run(seed=1)
+    full_server, clients = make_federation(seed=1)
+    full_log = run_async_federated_training(
+        full_server, clients, _aggregator("fedbuff"),
+        max_events=MAX_EVENTS, seed=11, timing=STRAGGLED,
+    )
+    server, clients = make_federation(seed=1)
+    resumed_log = resume_async_federated_training(
+        path, server, clients, _aggregator("fedbuff"), timing=STRAGGLED
+    )
+    assert _logs_identical(full_log, resumed_log)
+    assert _states_identical(full_server.global_state, server.global_state)
+
+
+def test_compaction_leaves_base_payload_journal_and_manifest(tmp_path):
+    from repro.fl.checkpoint import compact_async_checkpoint
+
+    path = str(tmp_path / "ckpt")
+    server, clients = make_federation()
+    with pytest.raises(_Killed):  # while an older payload is still named
+        run_async_federated_training(
+            server, clients, _aggregator("fedbuff"),
+            max_events=MAX_EVENTS, seed=11, timing=STRAGGLED,
+            checkpoint_path=path, checkpoint_every=1,
+            on_event=_kill_when(
+                lambda m: _oldest_pending_payload(m) is not None
+            )(path),
+        )
+    before = load_async_checkpoint(path)
+    assert len(_payloads_on_disk(path)) > 2
+    compact_async_checkpoint(path)
+    manifest = _manifest(path)
+    assert sorted(os.listdir(path)) == sorted(
+        [
+            manifest["server_base"]["file"],
+            manifest["payload"],
+            manifest["journal"]["file"],
+            "async_state.json",
+        ]
+    )
+    after = load_async_checkpoint(path)
+    assert set(after.snapshots) == set(before.snapshots)
+    for version, snapshot in before.snapshots.items():
+        assert _states_identical(after.snapshots[version], snapshot)
+    assert _states_identical(after.server_state, before.server_state)
+
+
+@pytest.mark.parametrize("kind", ["fedasync", "fedbuff"])
+def test_async_run_prices_each_round_once(kind, monkeypatch):
+    """The engine prices a round at dispatch and bills that price: one
+    FLOPs walk of the model per dispatched round, not a second one when
+    the round runs."""
+    from repro.nn import profiling
+
+    walks = []
+    walk = profiling.round_flops_per_sample
+
+    def counted(*args, **kwargs):
+        walks.append(1)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(profiling, "round_flops_per_sample", counted)
+    _, log = _run_uninterrupted(kind)
+    dispatched = [r for r in log.records if r.client_id >= 0]
+    assert len(dispatched) == MAX_EVENTS
+    assert len(walks) == len(dispatched)
+    # each update is billed its dispatch-time price, and the bills add up
+    server, clients = make_federation()
+    prices = [
+        client.planned_round_seconds(server.model, STRAGGLED)
+        for client in clients
+    ]
+    assert [r.client_seconds for r in dispatched] == [
+        prices[r.client_id] for r in dispatched
+    ]
+    assert log.records[-1].cumulative_client_seconds == sum(
+        r.client_seconds for r in dispatched
+    )
 
 
 # ---------------------------------------------------------------------------

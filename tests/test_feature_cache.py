@@ -494,20 +494,20 @@ def test_async_checkpoint_server_delta_shrinks_below_model(tmp_path):
     )
     with open(os.path.join(path, "async_state.json")) as handle:
         manifest = json.load(handle)
-    assert manifest["format"] == 5
+    assert manifest["format"] == 6
     base_file = manifest["server_base"]["file"]
-    delta_file = manifest["files"]["server"]
+    payload_file = manifest["payload"]
     # the base was written once, at generation 1, and carried since
     assert base_file.endswith("-1.npz")
-    with np.load(os.path.join(path, delta_file)) as delta:
-        delta_keys = set(delta.files)
+    entry = manifest["versions"][str(manifest["server_round_index"])]
     theta = set(theta_keys(server.model))
-    # slab-backed: the whole changed θ block travels as one flat entry
-    assert delta_keys == {"__theta_slab__"}
-    assert set(manifest["server_inherits"]) == set(server.global_state) - theta
-    # per-save bytes: the delta is strictly smaller than the full payload
-    assert os.path.getsize(os.path.join(path, delta_file)) < os.path.getsize(
-        os.path.join(path, base_file)
+    # slab-backed: the whole changed θ block travels as one flat entry,
+    # covering exactly θ; everything else is inherited from the base
+    assert entry["stored"] == ["__theta_slab__"]
+    assert {key for key, _ in manifest["server_slab"]} == theta
+    # per-save bytes: the payload is strictly smaller than the full base
+    assert os.path.getsize(os.path.join(path, payload_file)) < (
+        os.path.getsize(os.path.join(path, base_file))
     )
     # exact round trip of the reconstructed state
     from repro.fl.checkpoint import load_async_checkpoint

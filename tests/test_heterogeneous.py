@@ -124,3 +124,91 @@ def test_heterogeneous_round_trains_end_to_end():
         server.global_state = aggregate_heterogeneous(broadcast, updates)
         accs.append(server.evaluate())
     assert max(accs[1:]) >= accs[0] - 0.1  # training does not collapse
+
+
+# ---------------------------------------------------------------------------
+# Tiered clients and the event engine
+# ---------------------------------------------------------------------------
+
+
+def _conv_tiered_federation(tiered=True, levels=("classifier", "full")):
+    """Four clients on a ``moderate`` SmallConvNet; tiered ones cycle
+    through ``levels``."""
+    from repro.core.partial import prepare_partial_model
+    from repro.fl.client import Client
+    from repro.nn.cnn import SmallConvNet
+
+    rng = RNG(0)
+    model = SmallConvNet(4, rng, channels=(4, 4, 4))
+    prepare_partial_model(model, "moderate")
+    x = rng.normal(size=(80, 3, 8, 8))
+    y = rng.integers(0, 4, size=80)
+    train = ArrayDataset(x, y)
+    shards = iid_partition(y, 4, rng)
+    clients = []
+    for i, shard in enumerate(shards):
+        args = (
+            i, train.subset(shard), RandomSelector(),
+            LocalSolver(lr=0.05, batch_size=8), 0.5, 1, RNG(10 + i),
+        )
+        clients.append(
+            TieredClient(
+                *args, tier=CapabilityTier(f"t{i}", levels[i % len(levels)])
+            )
+            if tiered
+            else Client(*args)
+        )
+    return Server(model, ArrayDataset(x[:20], y[:20])), clients
+
+
+def test_event_engine_refuses_tiered_clients(tmp_path):
+    """A tiered client's price depends on the freeze level the client
+    before it left on the shared model, so no dispatch-time schedule can
+    match its bill: the event engine and its resume refuse it before the
+    first dispatch, naming the client. The sync loop, which prices after
+    the round, keeps accepting it."""
+    from repro.engine.aggregators import FedAsyncAggregator
+    from repro.engine.runner import run_async_federated_training
+    from repro.fl.checkpoint import resume_async_federated_training
+    from repro.fl.rounds import run_federated_training
+    from repro.fl.timing import TimingModel
+
+    timing = TimingModel()
+    server, clients = _conv_tiered_federation()
+    full_client = clients[1]
+    moderate_price = full_client.planned_round_seconds(server.model, timing)
+    server.model.apply_fine_tune_level("full")
+    assert full_client.planned_round_seconds(server.model, timing) > (
+        moderate_price
+    )
+    server.model.apply_fine_tune_level("moderate")
+
+    server, clients = _conv_tiered_federation()
+    with pytest.raises(ValueError, match="client 0 re-freezes"):
+        run_async_federated_training(
+            server, clients, FedAsyncAggregator(), max_events=4,
+            timing=timing, max_concurrency=2,
+        )
+
+    # resume: a checkpoint from the untiered pool, resumed with tiers
+    path = str(tmp_path / "ckpt")
+    server, clients = _conv_tiered_federation(tiered=False)
+    run_async_federated_training(
+        server, clients, FedAsyncAggregator(), max_events=2,
+        timing=timing, max_concurrency=2, checkpoint_path=path,
+        checkpoint_every=1,
+    )
+    server, clients = _conv_tiered_federation()
+    with pytest.raises(ValueError, match="client 0 re-freezes"):
+        resume_async_federated_training(
+            path, server, clients, FedAsyncAggregator(), timing=timing
+        )
+
+    # (one shared level: FedAvg needs one key set; mixed levels aggregate
+    # through aggregate_heterogeneous)
+    server, clients = _conv_tiered_federation(levels=("full",))
+    history = run_federated_training(
+        server, clients, rounds=2, seed=0, timing=timing
+    )
+    assert len(history.records) == 2
+    assert all(r.client_seconds > 0 for r in history.records)

@@ -428,10 +428,13 @@ def test_async_slab_checkpoint_roundtrip(tmp_path):
     server = _async_checkpointed_run(path, dict_path=False)
     with open(os.path.join(path, "async_state.json")) as handle:
         manifest = json.load(handle)
-    assert manifest["format"] == 5
-    assert manifest["server_slab"]  # θ packing recorded for the slab delta
-    with np.load(os.path.join(path, manifest["files"]["server"])) as delta:
-        assert set(delta.files) == {"__theta_slab__"}
+    assert manifest["format"] == 6
+    assert manifest["server_slab"]  # θ packing recorded for the slab entry
+    current = manifest["server_round_index"]
+    entry = manifest["versions"][str(current)]
+    assert entry["stored"] == ["__theta_slab__"]
+    with np.load(os.path.join(path, entry["file"])) as payload:
+        assert f"{current}::__theta_slab__" in payload.files
     state = load_async_checkpoint(path)
     assert _states_bitwise_equal(state.server_state, server.global_state)
 
@@ -443,9 +446,9 @@ def test_async_dict_state_checkpoint_still_per_key(tmp_path):
     with open(os.path.join(path, "async_state.json")) as handle:
         manifest = json.load(handle)
     assert manifest["server_slab"] is None
-    with np.load(os.path.join(path, manifest["files"]["server"])) as delta:
-        assert "__theta_slab__" not in delta.files
-        assert delta.files  # θ changed, stored per key
+    entry = manifest["versions"][str(manifest["server_round_index"])]
+    assert "__theta_slab__" not in entry["stored"]
+    assert entry["stored"]  # θ changed, stored per key
     state = load_async_checkpoint(path)
     assert _states_bitwise_equal(state.server_state, server.global_state)
 
