@@ -9,8 +9,9 @@ participant into one block solve over a shared feature workspace, so a
 round costs one plan execution regardless of cohort size. Pinned here:
 
 1. **Identity first** — a 2-round federated run over cohortable clients
-   is byte-identical (history and final weights) with cohorts on and
-   off, on both backends. A fast-but-different solver is worthless.
+   is byte-identical (history and final weights) with cohorts, on both
+   backends, to the same run dispatched one client at a time on the
+   serial backend. A fast-but-different solver is worthless.
 2. **Round speedup** — at 512 clients with paper-default hyperparams
    (MLP hidden 64, 8 classes, batch 32, E = 5, entropy selection at
    Pds = 10%) a cohort round on the process backend must run at least
@@ -19,6 +20,10 @@ round costs one plan execution regardless of cohort size. Pinned here:
    round-trips (pickle, queue, shared-memory attach, result wrap). The
    two paths are timed interleaved, rep by rep, so machine-load drift
    hits both equally instead of biasing the ratio.
+
+Per-client dispatch is the backends' ``submit``, one job per client: the
+``_PerClient*`` subclasses below route ``submit_many`` through the base
+loop over ``submit``.
 """
 
 import time
@@ -29,7 +34,12 @@ from conftest import run_once
 
 from repro.core.partial import prepare_partial_model
 from repro.data.dataset import ArrayDataset
-from repro.engine.backends import SerialBackend, make_backend
+from repro.engine.backends import (
+    ExecutionBackend,
+    ProcessPoolBackend,
+    SerialBackend,
+    make_backend,
+)
 from repro.fl.client import Client
 from repro.fl.features import FeatureRuntime
 from repro.fl.rounds import run_federated_training
@@ -52,7 +62,15 @@ EPOCHS = 5
 PDS = 0.1
 
 
-def _federation(num_clients: int, cohort: bool):
+class _PerClientSerial(SerialBackend):
+    submit_many = ExecutionBackend.submit_many
+
+
+class _PerClientProcess(ProcessPoolBackend):
+    submit_many = ExecutionBackend.submit_many
+
+
+def _federation(num_clients: int):
     model = MLP(FEATURES, (64, 64, 64), CLASSES, np.random.default_rng(1))
     prepare_partial_model(model, "moderate")
     clients = []
@@ -69,7 +87,6 @@ def _federation(num_clients: int, cohort: bool):
                 selection_fraction=PDS,
                 epochs=EPOCHS,
                 rng=np.random.default_rng(500 + cid),
-                cohort_solver=cohort,
             )
         )
     state = model.state_dict()
@@ -86,17 +103,15 @@ def _federation(num_clients: int, cohort: bool):
     return server, clients
 
 
-def _identity_run(backend_name: str, cohort: bool):
-    server, clients = _federation(IDENTITY_CLIENTS, cohort)
+def _identity_run(backend_name: str, grouped: bool = True):
+    server, clients = _federation(IDENTITY_CLIENTS)
     if backend_name == "process":
         backend = make_backend(
-            "process", max_workers=2, feature_runtime=FeatureRuntime(),
-            cohort_solver=cohort,
+            "process", max_workers=2, feature_runtime=FeatureRuntime()
         )
     else:
-        backend = SerialBackend(
-            feature_runtime=FeatureRuntime(), cohort_solver=cohort
-        )
+        serial = SerialBackend if grouped else _PerClientSerial
+        backend = serial(feature_runtime=FeatureRuntime())
     with backend:
         history = run_federated_training(
             server, clients, rounds=2, seed=5, backend=backend
@@ -105,14 +120,14 @@ def _identity_run(backend_name: str, cohort: bool):
 
 
 def _assert_identity():
-    """Cohort on == cohort off, byte for byte, on both backends."""
+    """Cohorts == per-client dispatch, byte for byte, on both backends."""
     reference_history, reference_server = _identity_run("serial", False)
     reference_theta = {
         key: reference_server.global_state[key].tobytes()
         for key in theta_keys(reference_server.model)
     }
     for backend_name in ("serial", "process"):
-        history, server = _identity_run(backend_name, True)
+        history, server = _identity_run(backend_name)
         assert history.records == reference_history.records, backend_name
         for key, blob in reference_theta.items():
             assert server.global_state[key].tobytes() == blob, (
@@ -127,12 +142,9 @@ def _round_seconds(reps: int = 3) -> tuple[float, float]:
     and feature segment and builds the worker-side plan caches, so the
     timed rounds measure steady-state dispatch, not campaign setup."""
     setups = []
-    for cohort in (True, False):
-        server, clients = _federation(TIMED_CLIENTS, cohort)
-        backend = make_backend(
-            "process", max_workers=2, feature_runtime=FeatureRuntime(),
-            cohort_solver=cohort,
-        )
+    for backend_cls in (ProcessPoolBackend, _PerClientProcess):
+        server, clients = _federation(TIMED_CLIENTS)
+        backend = backend_cls(max_workers=2, feature_runtime=FeatureRuntime())
         broadcast = server.broadcast()
         backend.map_round(clients, server.model, broadcast, None)  # warm-up
         setups.append((backend, clients, server.model, broadcast))

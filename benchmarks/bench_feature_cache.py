@@ -14,6 +14,10 @@ here:
    backend publishes each shard's feature array and each test-set shard
    into shared memory exactly once; runs 2 and 3 are pure pool hits and
    every run's evaluations ride the pooled workers.
+
+The full-forward baseline is a serial backend without a FeatureRuntime
+plus ``batched_logits`` over the raw test inputs for evaluation
+(``_FullForwardServer``).
 """
 
 import time
@@ -30,9 +34,10 @@ from repro.experiments.common import STANDARD_METHODS
 from repro.fl.client import Client
 from repro.fl.features import FeatureRuntime
 from repro.fl.rounds import run_federated_training
-from repro.fl.selection import EntropySelector
+from repro.fl.selection import EntropySelector, batched_logits
 from repro.fl.server import Server
 from repro.fl.strategies import LocalSolver
+from repro.nn import functional as F
 from repro.nn.cnn import SmallConvNet
 from repro.testbed import smoke_harness
 
@@ -43,6 +48,16 @@ TEST = 240
 IMAGE = 16
 DATASET = "cifar10"
 ALPHA = 0.1
+
+
+class _FullForwardServer(Server):
+    """Evaluation without the cache: a full state load and a full forward
+    through ϕ over the raw test inputs."""
+
+    def evaluate(self, batch_size: int = 512) -> float:
+        self.model.load_state_dict(self.global_state)
+        x, y = self.test_set.arrays()
+        return F.accuracy(batched_logits(self.model, x, batch_size), y)
 
 
 def _federation(cache: bool):
@@ -66,9 +81,8 @@ def _federation(cache: bool):
         )
         for i, shard in enumerate(shards)
     ]
-    server = Server(
-        model, ArrayDataset(x[:TEST], y[:TEST]), cache_features=cache
-    )
+    server_cls = Server if cache else _FullForwardServer
+    server = server_cls(model, ArrayDataset(x[:TEST], y[:TEST]))
     return server, clients
 
 

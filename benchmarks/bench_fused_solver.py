@@ -13,13 +13,18 @@ preplanned zero-allocation kernel workspaces. Two properties pinned here:
    faster than the same round through the layer graph — while staying
    bitwise identical (history and final weights).
 2. **Identity under load** — the full federated loop (selection, solve,
-   aggregation, evaluation) produces byte-identical results with the
-   fused solver on and off.
+   aggregation, evaluation) produces byte-identical results through the
+   fused solver and through the layer graph.
+
+The layer-graph reference patches the plan seams of ``repro.fl.fastpath``
+(:func:`_layer_graph`): no client gets a fused plan and no cohort forms.
 """
 
+import contextlib
 import time
 
 import numpy as np
+import pytest
 
 from conftest import run_once
 
@@ -27,6 +32,7 @@ from repro.core.partial import prepare_partial_model
 from repro.data.dataset import ArrayDataset
 from repro.data.partition import iid_partition
 from repro.engine.backends import SerialBackend
+from repro.fl import fastpath
 from repro.fl.client import Client
 from repro.fl.features import FeatureRuntime
 from repro.fl.rounds import run_federated_training
@@ -54,7 +60,21 @@ def _model():
     return model
 
 
-def _federation(fused: bool):
+@contextlib.contextmanager
+def _layer_graph():
+    """Head-only rounds through the layer graph: no client gets a fused
+    plan and no cohort forms."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fastpath, "client_head_plan", lambda *args: None)
+        patch.setattr(fastpath, "cohort_units", lambda *args, **kw: None)
+        yield
+
+
+def _path(fused: bool):
+    return contextlib.nullcontext() if fused else _layer_graph()
+
+
+def _federation():
     rng = np.random.default_rng(0)
     n = CLIENTS * SHARD
     x = rng.normal(size=(n, 3, IMAGE, IMAGE))
@@ -70,7 +90,6 @@ def _federation(fused: bool):
             selection_fraction=PDS,
             epochs=EPOCHS,
             rng=np.random.default_rng(20 + i),
-            fused_solver=fused,
         )
         for i, shard in enumerate(shards)
     ]
@@ -86,30 +105,34 @@ def _client_round_seconds(reps: int = 11, iters: int = 25) -> tuple[float, float
     """
     setups = []
     for fused in (True, False):
-        server, clients = _federation(fused)
+        server, clients = _federation()
         client = clients[0]
         state = server.broadcast()
         features = FeatureRuntime().features_for(client, server.model)
-        client.run_round(server.model, state, features=features)  # warm-up
-        setups.append((client, server.model, state, features))
+        with _path(fused):
+            client.run_round(server.model, state, features=features)  # warm-up
+        setups.append((fused, client, server.model, state, features))
     best = [float("inf"), float("inf")]
     for _ in range(reps):
-        for which, (client, model, state, features) in enumerate(setups):
-            start = time.perf_counter()
-            for _ in range(iters):
-                client.run_round(model, state, features=features)
-            best[which] = min(best[which], (time.perf_counter() - start) / iters)
+        for which, (fused, client, model, state, features) in enumerate(setups):
+            with _path(fused):
+                start = time.perf_counter()
+                for _ in range(iters):
+                    client.run_round(model, state, features=features)
+                elapsed = time.perf_counter() - start
+            best[which] = min(best[which], elapsed / iters)
     return best[0], best[1]
 
 
 def _federated_run(fused: bool):
-    server, clients = _federation(fused)
+    server, clients = _federation()
     backend = SerialBackend(feature_runtime=FeatureRuntime())
-    start = time.perf_counter()
-    history = run_federated_training(
-        server, clients, rounds=ROUNDS, seed=5, backend=backend
-    )
-    elapsed = time.perf_counter() - start
+    with _path(fused):
+        start = time.perf_counter()
+        history = run_federated_training(
+            server, clients, rounds=ROUNDS, seed=5, backend=backend
+        )
+        elapsed = time.perf_counter() - start
     return history, server, elapsed
 
 

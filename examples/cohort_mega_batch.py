@@ -7,23 +7,22 @@ and on the process backend, 1,000 job round-trips. The cohort solver
 (head signature, feature shape, hyperparameters) and runs each group as
 one block-stacked plan with per-client RNG lanes, bitwise identical to
 the per-client path. This script runs the same 1,000-client federation
-twice on the process backend — cohorts off, then on — and prints the
-per-round wall time, the grouping counters, and proof that the two runs
-produced identical histories and weights.
-
-Opt out per client with ``Client(cohort_solver=False)``, per run with
-``FedFTEDSConfig(cohort_solver=False)`` or ``--no-cohort-solver``.
+twice on the process backend — one ``submit`` (one job) per client,
+then grouped ``submit_many`` dispatch — and prints the per-round wall
+time, the grouping counters, and proof that the two runs produced
+identical histories and weights. It exits non-zero if they diverge.
 
 Run:  PYTHONPATH=src python examples/cohort_mega_batch.py
 """
 
+import sys
 import time
 
 import numpy as np
 
 from repro.core.partial import prepare_partial_model
 from repro.data.dataset import ArrayDataset
-from repro.engine.backends import make_backend
+from repro.engine.backends import ExecutionBackend, ProcessPoolBackend
 from repro.fl import fastpath
 from repro.fl.client import Client
 from repro.fl.features import FeatureRuntime
@@ -40,6 +39,13 @@ SHARD = 30
 FEATURES = 24
 CLASSES = 8
 ROUNDS = 5
+
+
+class PerClientBackend(ProcessPoolBackend):
+    """The same process backend without grouping: the base
+    ``submit_many`` submits each participant as its own job."""
+
+    submit_many = ExecutionBackend.submit_many
 
 
 def build_federation():
@@ -76,11 +82,10 @@ def build_federation():
     return server, clients
 
 
-def run(cohort: bool):
+def run(grouped: bool):
     server, clients = build_federation()
-    backend = make_backend(
-        "process", feature_runtime=FeatureRuntime(), cohort_solver=cohort
-    )
+    backend_cls = ProcessPoolBackend if grouped else PerClientBackend
+    backend = backend_cls(feature_runtime=FeatureRuntime())
     start = time.perf_counter()
     with backend:
         history = run_federated_training(
@@ -94,23 +99,27 @@ def run(cohort: bool):
     return history, theta, elapsed
 
 
-def main() -> None:
+def main() -> int:
     print(f"Federation: {NUM_CLIENTS} clients x {ROUNDS} rounds, "
           "process backend\n")
 
-    print("cohort solver OFF (one job per client)...")
-    ref_history, ref_theta, off_seconds = run(cohort=False)
+    print("per-client dispatch (one job per client)...")
+    ref_history, ref_theta, off_seconds = run(grouped=False)
     print(f"  {off_seconds:.2f}s total, "
           f"{1e3 * off_seconds / ROUNDS:.0f} ms/round")
 
     before = dict(fastpath.COHORT_STATS)
-    print("cohort solver ON  (one job blob per 64-lane chunk)...")
-    history, theta, on_seconds = run(cohort=True)
+    print("cohort dispatch   (one job blob per 64-lane chunk)...")
+    history, theta, on_seconds = run(grouped=True)
     print(f"  {on_seconds:.2f}s total, "
           f"{1e3 * on_seconds / ROUNDS:.0f} ms/round")
 
-    assert history.records == ref_history.records, "histories diverged!"
-    assert theta == ref_theta, "final weights diverged!"
+    if history.records != ref_history.records:
+        print("\nFAIL: histories diverged", file=sys.stderr)
+        return 1
+    if theta != ref_theta:
+        print("\nFAIL: final weights diverged", file=sys.stderr)
+        return 1
     print("\nBitwise identical: histories and final θ match byte for byte.")
     print(f"Wall-time ratio   : {off_seconds / on_seconds:.2f}x")
 
@@ -122,7 +131,8 @@ def main() -> None:
                  if k.startswith("fallback_") and v}
     print(f"  fallbacks      : {fallbacks or 'none'}")
     print(f"\nFinal accuracy    : {100 * history.final_accuracy:.2f}%")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

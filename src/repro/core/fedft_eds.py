@@ -110,28 +110,14 @@ class FedFTEDSConfig:
     dropout_probability: float = 0.0
     #: async only: online/offline churn (overrides dropout_probability)
     availability: AvailabilityModel | None = None
-    #: async only: directory for periodic run-state checkpoints; resumable
-    #: via :func:`repro.fl.checkpoint.resume_async_federated_training`
+    #: directory for periodic run-state checkpoints (both loops write the
+    #: one format); resumable via
+    #: :func:`repro.fl.checkpoint.resume_sync_federated_training` or
+    #: :func:`repro.fl.checkpoint.resume_async_federated_training`
     checkpoint_path: str | None = None
-    #: async only: checkpoint cadence in processed events (0 = disabled)
+    #: checkpoint cadence: rounds in sync mode, processed events in the
+    #: async modes (0 = disabled)
     checkpoint_every: int = 0
-    #: frozen-feature cache (repro.fl.features): materialise ϕ(x) once per
-    #: shard/test set and run client rounds + evaluation head-only —
-    #: bitwise identical to the full forward; disable to force the seed
-    #: full-forward path
-    feature_cache: bool = True
-    #: fused head solver (repro.fl.fastpath): run head-only rounds,
-    #: entropy scoring and pooled evaluation through preplanned
-    #: zero-allocation kernel workspaces — bitwise identical to the layer
-    #: graph, with automatic per-client fallback for unfusible heads;
-    #: disable (``--no-fused-solver``) to force the layer-graph path
-    fused_solver: bool = True
-    #: cohort solver (repro.fl.fastpath.cohort_units): backends group
-    #: compatible participants into block-stacked CohortPlan solves — one
-    #: job per cohort instead of one per client, bitwise identical to
-    #: per-client dispatch; disable (``--no-cohort-solver``) to force
-    #: per-client jobs
-    cohort_solver: bool = True
     #: fault layer (repro.engine.faults): per-job wall-clock deadline on
     #: the process backend — a hung job is killed and redispatched
     #: bitwise identically; setting either knob enables the FaultPolicy.
@@ -147,9 +133,10 @@ class FedFTEDSConfig:
     #: the run so checkpoint writers see tear events — results stay
     #: bitwise identical to the fault-free run
     chaos: object | None = None
-    #: async only: snapshot the run after every event and write it as an
-    #: emergency checkpoint on the way down if the loop crashes (requires
-    #: checkpoint_path); pairs with repro.engine.faults.run_supervised
+    #: snapshot the run after every round (sync) or event (async) and
+    #: write it as an emergency checkpoint on the way down if the loop
+    #: crashes (requires checkpoint_path); pairs with
+    #: repro.engine.faults.run_supervised
     emergency_checkpoint: bool = False
     #: campaign scope for repeated calls: a :class:`FedFTEDSCampaign`
     #: supplies the warm process backend, segment pool and feature runtime
@@ -264,7 +251,6 @@ class FedFTEDSCampaign:
     def backend_for(self, config: "FedFTEDSConfig"):
         """The execution backend for one run (the run closes it; closing
         the campaign's process backend is the soft per-run ``end_run``)."""
-        runtime = self.feature_runtime if config.feature_cache else None
         if config.backend == "process":
             fault_policy, chaos = _fault_setup(config)
             if self._process_backend is None:
@@ -272,27 +258,17 @@ class FedFTEDSCampaign:
                     max_workers=config.max_workers or self.max_workers,
                     segment_pool=self.segment_pool,
                     persistent=True,
-                    feature_runtime=runtime,
-                    fused_solver=config.fused_solver,
-                    cohort_solver=config.cohort_solver,
+                    feature_runtime=self.feature_runtime,
                     fault_policy=fault_policy,
                     chaos=chaos,
                 )
             else:
-                # Honour the run's cache/fusion/fault settings on the warm
-                # backend; the per-run segment registrations were cleared
-                # by end_run.
-                self._process_backend.feature_runtime = runtime
-                self._process_backend.fused_solver = config.fused_solver
-                self._process_backend.cohort_solver = config.cohort_solver
+                # Honour the run's fault settings on the warm backend; the
+                # per-run segment registrations were cleared by end_run.
                 self._process_backend.fault_policy = fault_policy
                 self._process_backend.chaos = chaos
             return self._process_backend
-        return make_backend(
-            config.backend,
-            feature_runtime=runtime,
-            cohort_solver=config.cohort_solver,
-        )
+        return make_backend(config.backend, feature_runtime=self.feature_runtime)
 
     def close(self) -> None:
         """Tear down the campaign runtime (workers + shared memory)."""
@@ -376,9 +352,6 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
             "server_lr": 1.0,
             "dropout_probability": 0.0,
             "availability": None,
-            "checkpoint_path": None,
-            "checkpoint_every": 0,
-            "emergency_checkpoint": False,
         }
         ignored = [
             name
@@ -500,12 +473,10 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
             epochs=config.local_epochs,
             rng=client_rngs[i],
             shard_key=shard_identity + (i,),
-            fused_solver=config.fused_solver,
-            cohort_solver=config.cohort_solver,
         )
         for i, shard in enumerate(shards)
     ]
-    server = Server(model, target.test, cache_features=config.feature_cache)
+    server = Server(model, target.test)
     run_seed = int(sampling_rng_seed_rng.integers(2**31))
     fault_policy, chaos = _fault_setup(config)
     installed_chaos = False
@@ -527,11 +498,7 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
             config.backend,
             config.max_workers,
             segment_pool=standalone_pool,
-            feature_runtime=(
-                FeatureRuntime(store=store) if config.feature_cache else None
-            ),
-            fused_solver=config.fused_solver,
-            cohort_solver=config.cohort_solver,
+            feature_runtime=FeatureRuntime(store=store),
             fault_policy=fault_policy,
             chaos=chaos,
         )
@@ -581,6 +548,9 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
                 eval_every=config.eval_every,
                 backend=backend,
                 verbose=config.verbose,
+                checkpoint_path=config.checkpoint_path,
+                checkpoint_every=config.checkpoint_every,
+                emergency_checkpoint=config.emergency_checkpoint,
             )
         else:
             history = run_async_federated_training(

@@ -115,12 +115,6 @@ class _Resolved:
 class ExecutionBackend:
     """Interface: submit client rounds, collect their LocalUpdates."""
 
-    #: whether this backend may group compatible clients into block-stacked
-    #: cohort solves (:func:`repro.fl.fastpath.cohort_units`); class-level
-    #: default so lightweight subclasses keep the flag without chaining
-    #: ``__init__``
-    cohort_solver: bool = True
-
     def submit(
         self,
         client: Client,
@@ -208,13 +202,8 @@ class SerialBackend(ExecutionBackend):
     #: without chaining __init__) keep the uncached seed behaviour
     feature_runtime: FeatureRuntime | None = None
 
-    def __init__(
-        self,
-        feature_runtime: FeatureRuntime | None = None,
-        cohort_solver: bool = True,
-    ):
+    def __init__(self, feature_runtime: FeatureRuntime | None = None):
         self.feature_runtime = feature_runtime
-        self.cohort_solver = cohort_solver
 
     def submit(self, client, template, global_state, timing):
         features = (
@@ -245,7 +234,7 @@ class SerialBackend(ExecutionBackend):
             for client in clients
         ]
         updates: list = [None] * len(clients)
-        if self.cohort_solver and len(clients) > 1:
+        if len(clients) > 1:
             shapes = [None if f is None else tuple(f.shape[1:]) for f in features]
             units = fastpath.cohort_units(clients, template, global_state, shapes)
             for positions, layout in units or ():
@@ -759,26 +748,22 @@ def _shm_eval_solve(job: dict, baseline: dict) -> tuple[int, int, dict | None]:
     labels = arrays["y"]
     inputs = arrays["f"] if "f" in arrays else arrays["x"]
     batch = int(job["batch_size"])
-    from repro.fl.fastpath import STATS as fused_stats
-
-    if "f" in arrays and job.get("fused", True):
+    if "f" in arrays:
         # Fused evaluation: head-only shards run through a worker-cached
         # FusedHeadPlan (keyed per template, like the feature segments the
         # plan consumes), so the per-job Python is dispatch plus the
         # argmax reduction. Bitwise identical to the module loop below —
         # the fused forward is the same kernel sequence (repro.nn.fused).
-        from repro.fl.fastpath import bind_head
-
         cache = _WORKER["eval_plans"].setdefault(job["template_name"], {})
-        bound = bind_head(model, inputs.shape[1:], cache, eval_mode=True)
+        bound = fastpath.bind_head(model, inputs.shape[1:], cache, eval_mode=True)
         if bound is not None:
-            fused_stats["fused_eval_shards"] += 1
+            fastpath.STATS["fused_eval_shards"] += 1
             return (
                 bound.correct_count(inputs, labels, batch),
                 int(len(labels)),
                 obs_metrics.shard_delta(baseline),
             )
-    fused_stats["graph_eval_shards"] += 1
+    fastpath.STATS["graph_eval_shards"] += 1
     forward = model.forward_head if "f" in arrays else model
     was_training = model.training
     model.eval()
@@ -1134,8 +1119,6 @@ class ProcessPoolBackend(ExecutionBackend):
         segment_pool: "CampaignSegmentPool | None" = None,
         persistent: bool = False,
         feature_runtime: FeatureRuntime | None = None,
-        fused_solver: bool = True,
-        cohort_solver: bool = True,
         fault_policy: FaultPolicy | None = None,
         chaos: ChaosPlan | None = None,
     ):
@@ -1145,11 +1128,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self.start_method = start_method or os.environ.get(START_METHOD_ENV) or None
         self.segment_pool = segment_pool
         self.persistent = persistent
-        #: whether pooled-evaluation workers may run their shards through
-        #: the fused head plan (client rounds carry their own per-client
-        #: ``fused_solver`` flag inside the pickled descriptor)
-        self.fused_solver = fused_solver
-        self.cohort_solver = cohort_solver
         #: frozen-feature policy: when set, client shards' ϕ(x) (and test
         #: sets for pooled evaluation) are materialised parent-side and
         #: published as segments; workers then run head-only rounds. The
@@ -1737,7 +1715,6 @@ class ProcessPoolBackend(ExecutionBackend):
     def submit_many(self, clients, template, global_state, timing):
         if (
             len(clients) < 2
-            or not self.cohort_solver
             or self.feature_runtime is None
             or type(self).submit is not ProcessPoolBackend.submit
         ):
@@ -1952,7 +1929,6 @@ class ProcessPoolBackend(ExecutionBackend):
                     "eval_layout": record.layout,
                     "theta_keys": keys,
                     "batch_size": batch_size,
-                    "fused": self.fused_solver,
                 }
                 records.append(
                     self._dispatch(
@@ -2165,38 +2141,32 @@ def make_backend(
     segment_pool: "CampaignSegmentPool | None" = None,
     persistent: bool = False,
     feature_runtime: FeatureRuntime | None = None,
-    fused_solver: bool = True,
-    cohort_solver: bool = True,
     fault_policy: FaultPolicy | None = None,
     chaos: ChaosPlan | None = None,
 ) -> ExecutionBackend:
     """Instantiate an execution backend by short name.
 
     ``feature_runtime`` enables the frozen-feature cache on either backend
-    (see :mod:`repro.fl.features`), and ``cohort_solver`` gates
-    block-stacked cohort dispatch (``submit_many`` grouping). Everything
-    else configures the process backend only (see
-    :class:`ProcessPoolBackend`): ``segment_pool``/``persistent`` pool its
-    cross-run state, ``fused_solver`` gates the fused plan in its
-    pooled-evaluation workers (client rounds carry their own per-client
-    flag), and ``fault_policy``/``chaos`` drive its fault layer
+    (see :mod:`repro.fl.features`): client rounds run head-only through
+    the fused solver, and ``submit_many`` groups compatible clients into
+    block-stacked cohort solves. Without one, rounds run the full forward
+    through the layer graph, one client at a time. Everything else
+    configures the process backend only (see :class:`ProcessPoolBackend`):
+    ``segment_pool``/``persistent`` pool its cross-run state, and
+    ``fault_policy``/``chaos`` drive its fault layer
     (:mod:`repro.engine.faults`). The serial backend runs no worker jobs,
     so those have nothing to act on there; the configuration surfaces
     reject the worker-only knobs for it up front
     (:func:`~repro.engine.faults.reject_worker_only_knobs`).
     """
     if name == "serial":
-        return SerialBackend(
-            feature_runtime=feature_runtime, cohort_solver=cohort_solver
-        )
+        return SerialBackend(feature_runtime=feature_runtime)
     if name == "process":
         return ProcessPoolBackend(
             max_workers=max_workers,
             segment_pool=segment_pool,
             persistent=persistent,
             feature_runtime=feature_runtime,
-            fused_solver=fused_solver,
-            cohort_solver=cohort_solver,
             fault_policy=fault_policy,
             chaos=chaos,
         )

@@ -15,7 +15,11 @@ float by construction. That needs a price that depends only on the client
 and the shared model, so clients that re-freeze the shared workspace per
 round (``supports_feature_cache = False``, e.g. tiered clients) are
 refused before the first dispatch; the synchronous loop, which prices
-each round after it runs, accepts them.
+each round after it runs, accepts them. With the freeze level fixed for
+the run, the FLOPs walk of the model
+(:func:`repro.nn.profiling.round_flops_per_sample`) runs once per
+distinct input shape, and every dispatch prices from it — the same
+float as a walk per dispatch.
 
 Determinism: planned durations, the event heap's (time, dispatch-sequence)
 order, and every scheduler RNG draw are independent of how the backend
@@ -60,6 +64,7 @@ from repro.fl.checkpoint import RunState, save_async_checkpoint
 from repro.fl.client import Client
 from repro.fl.server import Server
 from repro.fl.timing import TimingModel
+from repro.nn import profiling
 from repro.obs import tracing
 from repro.utils import make_rng
 
@@ -165,6 +170,9 @@ def run_async_federated_training(
     #: ever read its θ arrays again and they are recycled into the
     #: aggregator's ``out=`` buffer pool (see AsyncAggregator.recycle).
     live_versions: dict[int, list] = {}
+    #: input shape -> the model's FLOPs walk; the walk depends only on the
+    #: architecture and the freeze level, both fixed for the run
+    flops_by_shape: dict[tuple, tuple[int, int]] = {}
 
     def _retain_version(version: int, snapshot) -> None:
         entry = live_versions.setdefault(version, [snapshot, 0])
@@ -224,7 +232,14 @@ def run_async_federated_training(
             idle.discard(cid)
             in_flight += 1
             client = clients[cid]
-            duration = client.planned_round_seconds(server.model, timing)
+            shape = client.dataset.input_shape
+            if shape not in flops_by_shape:
+                flops_by_shape[shape] = profiling.round_flops_per_sample(
+                    server.model, shape
+                )
+            duration = client.planned_round_seconds(
+                server.model, timing, flops=flops_by_shape[shape]
+            )
             version = server.round_index
             if dropout_p > 0.0 and rng.random() < dropout_p:
                 # The round is lost partway through; the local work never

@@ -169,11 +169,13 @@ class ExperimentHarness:
     segments are additionally unlinked on interpreter exit / fatal signals
     as a crash-path fallback.
 
-    Frozen-feature cache (``feature_cache``, default on): one
-    :class:`~repro.fl.features.FeatureRuntime` per campaign materialises
-    each distinct shard's ϕ(x) once per ϕ fingerprint, so every client
-    round and selector pass runs head-only — bitwise identical to the full
-    forward (see :mod:`repro.fl.features`). With the process backend the
+    Frozen-feature cache: one :class:`~repro.fl.features.FeatureRuntime`
+    per campaign materialises each distinct shard's ϕ(x) once per ϕ
+    fingerprint, so every client round and selector pass runs head-only,
+    through the fused head solver and, where participants share a shape,
+    block-stacked cohort solves — bitwise identical to the full forward
+    through the layer graph (see :mod:`repro.fl.features` and
+    :mod:`repro.fl.fastpath`). With the process backend the
     features live in pool segments (published once per campaign) and
     ``Server.evaluate`` runs as pooled, sharded jobs on the warm workers
     through :class:`~repro.engine.backends.PooledEvaluator`; a serial run
@@ -194,9 +196,6 @@ class ExperimentHarness:
         server_lr: float = 1.0,
         evals_per_round: int = 8,
         segment_pool: CampaignSegmentPool | None = None,
-        feature_cache: bool = True,
-        fused_solver: bool = True,
-        cohort_solver: bool = True,
         feature_byte_budget: int | None = None,
         telemetry: "TelemetrySession | None" = None,
         job_timeout: float | None = None,
@@ -229,16 +228,6 @@ class ExperimentHarness:
         self.segment_pool = segment_pool
         self._owns_pool = segment_pool is None
         self._campaign_backend = None
-        self.feature_cache = feature_cache
-        #: fused head-solver opt-out (``--no-fused-solver``): threaded to
-        #: every client and to the pooled-evaluation workers; results are
-        #: bitwise identical either way (repro.fl.fastpath)
-        self.fused_solver = fused_solver
-        #: cohort-solver opt-out (``--no-cohort-solver``): threaded to
-        #: every client and backend; when on, backends block-stack
-        #: compatible participants into one CohortPlan job per cohort —
-        #: bitwise identical to per-client dispatch (repro.fl.fastpath)
-        self.cohort_solver = cohort_solver
         #: byte budget for rebuildable feature state (the in-process ϕ(x)
         #: cache and the pool's feature/test segments); None = unbounded
         self.feature_byte_budget = feature_byte_budget
@@ -252,12 +241,8 @@ class ExperimentHarness:
             segment_pool.store is None
         ):
             segment_pool.store = self.artifact_store
-        self.feature_runtime = (
-            FeatureRuntime(
-                byte_budget=feature_byte_budget, store=self.artifact_store
-            )
-            if feature_cache
-            else None
+        self.feature_runtime = FeatureRuntime(
+            byte_budget=feature_byte_budget, store=self.artifact_store
         )
         self._world = None
         self._source_domain = None
@@ -300,9 +285,7 @@ class ExperimentHarness:
         Resolved at snapshot time because the pool and the campaign
         backend are created lazily on first process-backend use.
         """
-        groups = []
-        if self.feature_runtime is not None:
-            groups.append(self.feature_runtime.stats)
+        groups = [self.feature_runtime.stats]
         if self.segment_pool is not None:
             groups.append(self.segment_pool.stats)
             groups.append(self.segment_pool.publishes_by_kind)
@@ -342,17 +325,11 @@ class ExperimentHarness:
                     segment_pool=self.segment_pool,
                     persistent=True,
                     feature_runtime=self.feature_runtime,
-                    fused_solver=self.fused_solver,
-                    cohort_solver=self.cohort_solver,
                     fault_policy=self.fault_policy,
                     chaos=self.chaos,
                 )
             return self._campaign_backend
-        return make_backend(
-            name,
-            feature_runtime=self.feature_runtime,
-            cohort_solver=self.cohort_solver,
-        )
+        return make_backend(name, feature_runtime=self.feature_runtime)
 
     def close(self) -> None:
         """Tear down the campaign runtime (workers, shared-memory segments).
@@ -367,8 +344,7 @@ class ExperimentHarness:
         if self.segment_pool is not None and self._owns_pool:
             self.segment_pool.close()
             self.segment_pool = None
-        if self.feature_runtime is not None:
-            self.feature_runtime.clear()
+        self.feature_runtime.clear()
         if self._installed_chaos:
             install_chaos(None)
             self._installed_chaos = False
@@ -581,12 +557,10 @@ class ExperimentHarness:
                 epochs=s.local_epochs,
                 rng=client_rngs[i],
                 shard_key=shard_identity + (i,),
-                fused_solver=self.fused_solver,
-                cohort_solver=self.cohort_solver,
             )
             for i, shard in enumerate(shards)
         ]
-        server = Server(model, spec.test, cache_features=self.feature_cache)
+        server = Server(model, spec.test)
         return server, clients, run_seed
 
     def _test_pool_key(self, dataset: str, model_kind: str) -> tuple:

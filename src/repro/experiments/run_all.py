@@ -70,33 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker count for the process backend (default: auto)",
     )
     parser.add_argument(
-        "--no-feature-cache",
-        action="store_true",
-        help=(
-            "disable the frozen-feature cache (repro.fl.features) and run "
-            "the full forward through ϕ everywhere — results are bitwise "
-            "identical either way; this just forfeits the speedup"
-        ),
-    )
-    parser.add_argument(
-        "--no-fused-solver",
-        action="store_true",
-        help=(
-            "disable the fused head-solver runtime (repro.fl.fastpath) and "
-            "run head-only rounds through the layer graph — results are "
-            "bitwise identical either way; this just forfeits the speedup"
-        ),
-    )
-    parser.add_argument(
-        "--no-cohort-solver",
-        action="store_true",
-        help=(
-            "disable cohort grouping (block-stacked multi-client solves) "
-            "and dispatch one job per client — results are bitwise "
-            "identical either way; this just forfeits the speedup"
-        ),
-    )
-    parser.add_argument(
         "--job-timeout",
         type=float,
         default=None,
@@ -144,14 +117,17 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "also record dual-clock spans and export a Perfetto-loadable "
-            "DIR/<experiment>/trace.json per experiment (requires "
-            "telemetry to be enabled)"
+            "DIR/<experiment>/trace.json per experiment (refused unless "
+            "telemetry is on)"
         ),
     )
     parser.add_argument(
         "--no-telemetry",
         action="store_true",
-        help="disable telemetry even when --output is set",
+        help=(
+            "disable telemetry even when --output is set (refused "
+            "together with --telemetry)"
+        ),
     )
     parser.add_argument(
         "--telemetry-refresh",
@@ -160,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help=(
             "print a live telemetry summary to the terminal every SECONDS "
-            "while experiments run (default: only at end of experiment)"
+            "while experiments run (default: only at end of experiment; "
+            "refused unless telemetry is on)"
         ),
     )
     parser.add_argument(
@@ -197,9 +174,6 @@ def run_experiments(
     mode: str = "sync",
     backend: str = "serial",
     max_workers: int | None = None,
-    feature_cache: bool = True,
-    fused_solver: bool = True,
-    cohort_solver: bool = True,
     telemetry_dir: str | None = None,
     trace: bool = False,
     telemetry_refresh: float = 0.0,
@@ -216,7 +190,9 @@ def run_experiments(
     ``<telemetry_dir>/<experiment>/telemetry.jsonl`` (plus ``trace.json``
     when ``trace`` is on) and printing an end-of-experiment summary.
     Telemetry is observational only: results are bitwise identical with
-    it on or off.
+    it on or off. ``trace`` and ``telemetry_refresh`` act only through a
+    session, so either without ``telemetry_dir`` raises ``ValueError``
+    before any experiment runs.
 
     ``cache_dir``/``artifact_store`` follow
     :func:`repro.store.resolve_store`: programmatic callers get no store
@@ -224,6 +200,11 @@ def run_experiments(
     makes the campaign skip re-pretraining and feature rebuilds — bitwise
     identical to a cold run.
     """
+    if telemetry_dir is None and (trace or telemetry_refresh):
+        raise ValueError(
+            "trace and telemetry_refresh need telemetry_dir: without a "
+            "telemetry session there is nothing to trace or refresh"
+        )
     ids = only or list_experiments()
     context: dict = {}
     reports = {}
@@ -236,9 +217,6 @@ def run_experiments(
         mode=mode,
         backend=backend,
         max_workers=max_workers,
-        feature_cache=feature_cache,
-        fused_solver=fused_solver,
-        cohort_solver=cohort_solver,
         job_timeout=job_timeout,
         max_job_retries=max_job_retries,
         chaos=chaos,
@@ -283,6 +261,25 @@ def main(argv: list[str] | None = None) -> int:
             "--cache-dir names an artifact store directory, but "
             "--no-artifact-store turns the store off; pass only one of them"
         )
+    if args.telemetry is not None and args.no_telemetry:
+        parser.error(
+            "--telemetry names a telemetry directory, but --no-telemetry "
+            "turns telemetry off; pass only one of them"
+        )
+    telemetry_on = args.telemetry is not None or (
+        bool(args.output) and not args.no_telemetry
+    )
+    idle = [
+        flag for flag, given in (
+            ("--trace", args.trace),
+            ("--telemetry-refresh", args.telemetry_refresh),
+        ) if given
+    ]
+    if idle and not telemetry_on:
+        parser.error(
+            f"{' and '.join(idle)} need telemetry, which is off; pass "
+            "--telemetry DIR, or --output without --no-telemetry"
+        )
     if args.list:
         for experiment_id in list_experiments():
             _, description = get_experiment(experiment_id)
@@ -290,10 +287,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     only = args.only.split(",") if args.only else None
     telemetry_dir = args.telemetry
-    if telemetry_dir is None and args.output and not args.no_telemetry:
+    if telemetry_dir is None and telemetry_on:
         telemetry_dir = os.path.join(args.output, "telemetry")
-    if args.no_telemetry:
-        telemetry_dir = None
     run_experiments(
         args.scale,
         seed=args.seed,
@@ -302,9 +297,6 @@ def main(argv: list[str] | None = None) -> int:
         mode=args.mode,
         backend=args.backend,
         max_workers=args.max_workers,
-        feature_cache=not args.no_feature_cache,
-        fused_solver=not args.no_fused_solver,
-        cohort_solver=not args.no_cohort_solver,
         telemetry_dir=telemetry_dir,
         trace=args.trace,
         telemetry_refresh=args.telemetry_refresh,

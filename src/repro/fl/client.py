@@ -38,21 +38,17 @@ class Client:
     engine refuses such clients: their round price depends on the split
     the previous client left, so it cannot be fixed at dispatch.
 
-    ``fused_solver`` opts head-only rounds into the fused kernel runtime
-    (:mod:`repro.fl.fastpath`): when cached features arrive and the
-    trainable head is fusible, selection scoring and the local solve run
-    through one preallocated :class:`~repro.nn.fused.FusedHeadPlan`
-    instead of the layer graph — bitwise identical, with automatic
-    per-round fallback whenever the head is not fusible. Disable (e.g.
-    ``repro-experiments --no-fused-solver``) to force the graph path.
-
-    ``cohort_solver`` additionally lets backends stack this client's
-    local round with same-shaped peers into one block-stacked
+    Head-only rounds (cached features present) run through the fused
+    kernel runtime (:mod:`repro.fl.fastpath`) whenever the trainable head
+    is fusible: selection scoring and the local solve use one
+    preallocated :class:`~repro.nn.fused.FusedHeadPlan` instead of the
+    layer graph — bitwise identical, with per-round fallback to the graph
+    when the head is not fusible. Backends may also stack this client's
+    round with same-shaped peers into one block-stacked
     :class:`~repro.nn.fused.CohortPlan` solve (see
     ``repro.fl.fastpath.cohort_units``) — bitwise identical to this
-    client running alone, with per-client fallback whenever no cohort
-    forms. Disable (``--no-cohort-solver``) to force per-client
-    dispatch; implies nothing about ``fused_solver``.
+    client running alone; singletons and clients that override
+    :meth:`run_round` are dispatched one by one.
     """
 
     #: whether backends may pass this client cached ϕ(x) features
@@ -68,8 +64,6 @@ class Client:
         epochs: int,
         rng: np.random.Generator,
         shard_key: tuple | None = None,
-        fused_solver: bool = True,
-        cohort_solver: bool = True,
     ):
         if len(dataset) == 0:
             raise ValueError(f"client {client_id} has an empty shard")
@@ -85,8 +79,6 @@ class Client:
         self.epochs = epochs
         self.rng = rng
         self.shard_key = shard_key
-        self.fused_solver = fused_solver
-        self.cohort_solver = cohort_solver
 
     def num_samples(self) -> int:
         return len(self.dataset)
@@ -146,15 +138,12 @@ class Client:
         # workspace per (head signature, feature shape), cached on this
         # client and reused across rounds. None → layer-graph path.
         fast = None
-        if features is not None and getattr(self, "fused_solver", True):
-            from repro.fl.fastpath import client_head_plan
-
-            fast = client_head_plan(self, model, features.shape[1:])
         if features is not None:
-            if fast is not None and fast.load_theta(model, global_state):
-                from repro.fl.fastpath import STATS as _fused_stats
+            from repro.fl import fastpath
 
-                _fused_stats["theta_fast_loads"] += 1
+            fast = fastpath.client_head_plan(self, model, features.shape[1:])
+            if fast is not None and fast.load_theta(model, global_state):
+                fastpath.STATS["theta_fast_loads"] += 1
             else:
                 model.load_state_dict(
                     {k: global_state[k] for k in theta_keys(model)},

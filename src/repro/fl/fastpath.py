@@ -4,12 +4,13 @@ This module decides *when* the fused kernels run and owns their plan
 lifecycle; the kernels themselves (and the bitwise-identity contract)
 live in :mod:`repro.nn.fused`.
 
-Dispatch rules — the fused path engages only when every one of these
-holds, and silently falls back to the layer graph otherwise:
+Dispatch rules — no option selects the solver: the fused path engages
+whenever every one of these holds, and silently falls back to the layer
+graph otherwise:
 
-- the round is head-only (cached ϕ(x) features are present);
-- the client opted in (``Client.fused_solver``, threaded from
-  ``FedFTEDSConfig``/``ExperimentHarness``/``--no-fused-solver``);
+- the round is head-only (cached ϕ(x) features are present — a backend
+  without a :class:`~repro.fl.features.FeatureRuntime` runs the full
+  forward through the graph);
 - the trainable head is fusible (:func:`repro.nn.fused.head_ops` — no
   dropout with ``p > 0``, no BatchNorm, no convolutions in θ);
 - the head's trainable parameters are exactly the model's trainable
@@ -17,6 +18,11 @@ holds, and silently falls back to the layer graph otherwise:
   precisely the update the graph solver would apply);
 - with FedProx, the broadcast reference covers every trainable parameter
   (a missing key falls back so the graph path reports its usual error).
+
+A backend's ``submit_many`` additionally groups a wave's eligible
+clients into cohort solves (``cohort_units``, below); singletons,
+clients that override ``Client.run_round`` and rounds dispatched through
+``backend.submit`` run one by one through the rules above.
 
 Plan caching: plans are keyed by (head signature, feature trailing shape)
 and cached per *client* in a module-level ``WeakKeyDictionary``; the cache
@@ -363,8 +369,9 @@ def client_head_plan(
 # ≥2 to one :class:`~repro.nn.fused.CohortPlan` (``solve_cohort``).
 # Grouping on the exact row count *is* the row-template bucketing: ragged
 # shard sizes split into separate cohorts rather than padding lanes.
-# Everything else (singletons, opt-outs, unfusible heads, exotic
-# selectors/solvers/broadcast states) falls back to the per-client path,
+# Everything else (singletons, clients without cached features, custom
+# clients, unfusible heads, exotic selectors/solvers/broadcast states)
+# falls back to the per-client path,
 # which is the reference the cohort must match bitwise; each fallback
 # reason is counted on ``solver.cohort.*``.
 # ---------------------------------------------------------------------------
@@ -381,7 +388,6 @@ COHORT_STATS = export_group(
         "plans_built": 0,
         "plan_evictions": 0,
         "fallback_features": 0,
-        "fallback_opt_out": 0,
         "fallback_custom_client": 0,
         "fallback_unfusible": 0,
         "fallback_selector": 0,
@@ -446,14 +452,8 @@ def _cohort_key(client, model, global_state, shape, layouts):
     )
     from repro.fl.strategies import LocalSolver
 
-    if shape is None:
+    if shape is None or not getattr(client, "supports_feature_cache", False):
         return "features", None
-    if not (
-        getattr(client, "fused_solver", True)
-        and getattr(client, "cohort_solver", True)
-        and getattr(client, "supports_feature_cache", False)
-    ):
-        return "opt_out", None
     # The cohort replays Client.run_round's exact sequence; a subclass
     # that overrides it (e.g. tiered clients) defines different semantics.
     if type(client).run_round is not Client.run_round:
@@ -688,24 +688,14 @@ def wrap_cohort_update(row, layout, num_selected, num_local, mean_loss):
     )
 
 
-def run_cohort(
-    clients,
-    model,
-    global_state,
-    timing,
-    features_list,
-    layout=None,
-):
+def run_cohort(clients, model, global_state, timing, features_list, layout):
     """Solve one cohort in-process; LocalUpdates in client order, or None.
 
-    None sends every member to the exact per-client path (the grouping
-    was optimistic; late disagreements like feature-shape drift or
-    unplannable dimensions must not change results).
+    ``layout`` is the lane layout :func:`cohort_units` grouped the cohort
+    under. None sends every member to the exact per-client path (the
+    grouping was optimistic; late disagreements like feature-shape drift
+    or unplannable dimensions must not change results).
     """
-    if layout is None:
-        layout = aligned_cohort_layout(model, tuple(features_list[0].shape[1:]))
-        if layout is None:
-            return None
     solved = solve_cohort(clients, model, global_state, features_list, layout)
     if solved is None:
         return None

@@ -24,13 +24,17 @@ class Server:
     The server's model doubles as the shared workspace in which clients run
     their local rounds; ``global_state`` snapshots make that safe.
 
-    Evaluation exploits the ϕ/θ split twice (``cache_features``, default
-    on — results are bitwise identical either way):
+    Evaluation exploits the ϕ/θ split twice whenever the model has a
+    frozen prefix (bitwise identical to a full load and a full forward):
 
     - only θ changed after round 0, so once ϕ is resident in the model,
       each evaluation loads just the θ keys instead of the full state;
     - the frozen ϕ(test set) is materialised once per ϕ fingerprint and
-      every evaluation runs only the head over it.
+      every evaluation runs only the head over it, through the fused
+      plan when the head is fusible.
+
+    A model without a frozen prefix (everything trainable) is evaluated
+    with a full load and a full forward.
 
     ``evaluator``, when attached (see
     :class:`~repro.engine.backends.PooledEvaluator`), delegates evaluation
@@ -38,12 +42,7 @@ class Server:
     workspace is then left untouched by :meth:`evaluate`.
     """
 
-    def __init__(
-        self,
-        model: SegmentedModel,
-        test_set: Dataset,
-        cache_features: bool = True,
-    ):
+    def __init__(self, model: SegmentedModel, test_set: Dataset):
         self.model = model
         self.test_set = test_set
         self.global_state = model.state_dict()
@@ -57,7 +56,6 @@ class Server:
                 self.global_state, self._slab_layout
             )
         self.round_index = 0
-        self.cache_features = cache_features
         #: pooled-evaluation hook; attached by campaign runtimes
         self.evaluator = None
         #: ϕ fingerprint of the model right after the last full load; the
@@ -210,11 +208,9 @@ class Server:
                 self.model, self.global_state, batch_size=batch_size
             )
         self.eval_stats["local_evals"] += 1
-        fingerprint = (
-            self.model.phi_fingerprint() if self.cache_features else None
-        )
+        fingerprint = self.model.phi_fingerprint()
         if fingerprint is None:
-            # No frozen prefix (or caching disabled): the seed behaviour.
+            # No frozen prefix: a full load and a full forward.
             self.model.load_state_dict(self.global_state)
             self._resident_fingerprint = None
             self.eval_stats["full_loads"] += 1

@@ -184,6 +184,25 @@ def test_sync_resume_into_same_directory_continues_journal(tmp_path):
     assert load_async_checkpoint(path).records == full.records
 
 
+def test_fedft_eds_sync_run_checkpoints_through_the_config(tmp_path):
+    """``FedFTEDSConfig``'s checkpoint options reach the sync loop: every
+    round is saved in the one checkpoint format, and the records on disk
+    are the returned history's."""
+    from repro.core.fedft_eds import FedFTEDSConfig, run_fedft_eds
+    from repro.testbed import ENGINE_SMOKE
+
+    path = os.path.join(tmp_path, "ckpt")
+    result = run_fedft_eds(
+        FedFTEDSConfig(
+            seed=0, checkpoint_path=path, checkpoint_every=1, **ENGINE_SMOKE
+        )
+    )
+    state = load_async_checkpoint(path)
+    assert state.meta["loop"] == "sync"
+    assert len(state.records) == ENGINE_SMOKE["rounds"]
+    assert state.records == result.history.records
+
+
 # ---------------------------------------------------------------------------
 # Asynchronous (EventLog) checkpoint/resume
 # ---------------------------------------------------------------------------
@@ -978,9 +997,9 @@ def test_compaction_leaves_base_payload_journal_and_manifest(tmp_path):
 
 @pytest.mark.parametrize("kind", ["fedasync", "fedbuff"])
 def test_async_run_prices_each_round_once(kind, monkeypatch):
-    """The engine prices a round at dispatch and bills that price: one
-    FLOPs walk of the model per dispatched round, not a second one when
-    the round runs."""
+    """The engine prices a round at dispatch and bills that price, from
+    one FLOPs walk of the model per distinct input shape for the whole
+    run: not one per dispatch, and not a second one when the round runs."""
     from repro.nn import profiling
 
     walks = []
@@ -994,9 +1013,9 @@ def test_async_run_prices_each_round_once(kind, monkeypatch):
     _, log = _run_uninterrupted(kind)
     dispatched = [r for r in log.records if r.client_id >= 0]
     assert len(dispatched) == MAX_EVENTS
-    assert len(walks) == len(dispatched)
-    # each update is billed its dispatch-time price, and the bills add up
     server, clients = make_federation()
+    assert len(walks) == len({c.dataset.input_shape for c in clients}) == 1
+    # each update is billed its dispatch-time price, and the bills add up
     prices = [
         client.planned_round_seconds(server.model, STRAGGLED)
         for client in clients

@@ -10,6 +10,9 @@ automatic per-client fallback whenever a participant cannot join. These
 tests enforce that promise, plus the PR's satellites: plan-cache byte
 budgeting, flat-lane recycling through the async aggregators, and
 kill-and-resume straight through a cohort round.
+
+The ungrouped reference is per-client dispatch (:class:`_PerClientSerial`:
+every round through ``backend.submit``, in-process).
 """
 
 import numpy as np
@@ -19,7 +22,7 @@ from repro.core.heterogeneous import CapabilityTier, TieredClient
 from repro.core.partial import prepare_partial_model
 from repro.data.dataset import ArrayDataset
 from repro.engine.aggregators import FedAsyncAggregator, FedBuffAggregator
-from repro.engine.backends import SerialBackend, make_backend
+from repro.engine.backends import ExecutionBackend, SerialBackend, make_backend
 from repro.engine.runner import run_async_federated_training
 from repro.fl import fastpath
 from repro.fl.checkpoint import (
@@ -53,8 +56,7 @@ def _make_model():
     return model
 
 
-def _make_client(cid, n=40, cohort=True, fused=True, selector=None, cls=Client,
-                 extra=()):
+def _make_client(cid, n=40, selector=None, cls=Client, extra=()):
     rng = RNG(100 + cid)
     x = rng.normal(size=(n, 24))
     y = rng.integers(0, 5, size=n)
@@ -67,12 +69,17 @@ def _make_client(cid, n=40, cohort=True, fused=True, selector=None, cls=Client,
         2,
         RNG(500 + cid),
         *extra,
-        **({} if cls is not Client else
-           {"cohort_solver": cohort, "fused_solver": fused}),
     )
 
 
-def _build(num=8, n=40, cohort=True, fused=True, sizes=None, tiers=()):
+class _PerClientSerial(SerialBackend):
+    """Ungrouped dispatch: the base ``submit_many`` runs every client
+    through ``submit`` alone — the per-client fused path."""
+
+    submit_many = ExecutionBackend.submit_many
+
+
+def _build(num=8, n=40, sizes=None, tiers=()):
     """A server (slab global state) plus ``num`` cohortable clients.
 
     ``sizes[cid]`` overrides the dataset size (ragged cohorts); ``tiers``
@@ -91,7 +98,7 @@ def _build(num=8, n=40, cohort=True, fused=True, sizes=None, tiers=()):
                              extra=(CapabilityTier("medium", "moderate"),))
             )
         else:
-            clients.append(_make_client(cid, size, cohort=cohort, fused=fused))
+            clients.append(_make_client(cid, size))
     state = model.state_dict()
     layout = SlabLayout([(k, state[k].shape) for k in theta_keys(model)])
     server = Server(
@@ -136,11 +143,9 @@ def _run_sync(server, clients, backend=None, runtime=None, rounds=3, seed=3):
 
 
 def _sync_reference(**build_kwargs):
-    """The per-client fused path (cohort off) — the identity baseline."""
+    """The per-client fused path (no cohorts) — the identity baseline."""
     server, clients = _build(**build_kwargs)
-    with SerialBackend(
-        feature_runtime=FeatureRuntime(), cohort_solver=False
-    ) as backend:
+    with _PerClientSerial(feature_runtime=FeatureRuntime()) as backend:
         history = _run_sync(server, clients, backend)
     return _hist_sig(history), _theta_bytes(server), _rng_states(clients)
 
@@ -175,8 +180,9 @@ def test_sync_inline_cohort_bitwise():
 
 
 def test_sync_graph_path_bitwise():
-    """Cohort solves match the layer-graph path, not just the fused one."""
-    server, clients = _build(fused=False, cohort=False)
+    """Cohort solves match the full-forward layer-graph path (no
+    FeatureRuntime), not just the fused one."""
+    server, clients = _build()
     graph_hist = _hist_sig(_run_sync(server, clients))
     graph_theta = _theta_bytes(server)
     server, clients = _build()
@@ -261,8 +267,8 @@ def test_async_cohort_bitwise_all_backends(make_aggregator):
     """Async cohort waves replay the per-client event log bit for bit."""
     results = {}
     for name, make in [
-        ("reference", lambda: SerialBackend(
-            feature_runtime=FeatureRuntime(), cohort_solver=False)),
+        ("reference", lambda: _PerClientSerial(
+            feature_runtime=FeatureRuntime())),
         ("serial", lambda: SerialBackend(feature_runtime=FeatureRuntime())),
         ("process", lambda: make_backend(
             "process", max_workers=2, feature_runtime=FeatureRuntime())),
@@ -281,7 +287,7 @@ def test_async_cohort_bitwise_all_backends(make_aggregator):
 
 
 # ---------------------------------------------------------------------------
-# Grouping: ragged cohorts, singleton fallback, fallback reasons, opt-out
+# Grouping: ragged cohorts, singleton fallback, fallback reasons
 # ---------------------------------------------------------------------------
 
 
@@ -364,13 +370,17 @@ def test_cohort_units_fallback_reasons():
     class _OddSelector(RandomSelector):
         pass
 
+    class _CustomClient(Client):
+        def run_round(self, *args, **kwargs):
+            return super().run_round(*args, **kwargs)
+
     clients = [
         _make_client(0),
         _make_client(1),
         _make_client(2),                      # no features published
-        _make_client(3, cohort=False),        # per-client opt-out
+        _make_client(3, cls=_CustomClient),   # overrides run_round
         _make_client(4, selector=_OddSelector()),  # unknown selector subtype
-        _make_client(5, cls=TieredClient,
+        _make_client(5, cls=TieredClient,     # takes no cached features
                      extra=(CapabilityTier("medium", "moderate"),)),
     ]
     shape = (16,)  # trailing feature shape of the moderate head's input
@@ -381,21 +391,11 @@ def test_cohort_units_fallback_reasons():
     positions, _ = units[0]
     assert positions == [0, 1]
     stats = fastpath.COHORT_STATS
-    assert stats["fallback_features"] - before["fallback_features"] == 1
-    assert stats["fallback_opt_out"] - before["fallback_opt_out"] >= 2
+    assert stats["fallback_features"] - before["fallback_features"] == 2
+    assert (
+        stats["fallback_custom_client"] - before["fallback_custom_client"] == 1
+    )
     assert stats["fallback_selector"] - before["fallback_selector"] == 1
-
-
-def test_backend_opt_out_disables_grouping():
-    """`cohort_solver=False` backends never touch the cohort layer."""
-    before = dict(fastpath.COHORT_STATS)
-    server, clients = _build()
-    with SerialBackend(
-        feature_runtime=FeatureRuntime(), cohort_solver=False
-    ) as backend:
-        _run_sync(server, clients, backend)
-    for key in ("cohorts", "cohort_solves", "singletons"):
-        assert fastpath.COHORT_STATS[key] == before[key]
 
 
 def test_mixed_tiers_fall_back_bitwise():
@@ -479,9 +479,7 @@ class _Killed(Exception):
 def test_sync_kill_and_resume_through_cohort_round(tmp_path):
     """A sync checkpoint taken mid-run resumes bitwise under cohorts."""
     server, clients = _build()
-    with SerialBackend(
-        feature_runtime=FeatureRuntime(), cohort_solver=False
-    ) as backend:
+    with _PerClientSerial(feature_runtime=FeatureRuntime()) as backend:
         history = _run_sync(server, clients, backend, rounds=5)
     ref_hist, ref_theta = _hist_sig(history), _theta_bytes(server)
 
@@ -511,9 +509,7 @@ def test_sync_kill_and_resume_through_cohort_round(tmp_path):
 def test_async_kill_and_resume_through_cohort_round(tmp_path):
     """An async run killed mid-stream resumes bitwise under cohorts."""
     server, clients = _build()
-    with SerialBackend(
-        feature_runtime=FeatureRuntime(), cohort_solver=False
-    ) as backend:
+    with _PerClientSerial(feature_runtime=FeatureRuntime()) as backend:
         log = run_async_federated_training(
             server, clients, FedBuffAggregator(buffer_size=3), max_events=20,
             seed=5, timing=TimingModel(), backend=backend,

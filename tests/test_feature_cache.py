@@ -7,6 +7,12 @@ backend. These tests are that promise's enforcement, plus the supporting
 invariants: row-deterministic layer forwards, fingerprint keying and
 invalidation, θ-only server loads, pooled evaluation's exact reduction,
 and shared-memory lifecycle for the new segment kinds.
+
+The full-forward reference is a serial backend without a
+:class:`~repro.fl.features.FeatureRuntime` for the rounds and
+``batched_logits`` over the raw test inputs for evaluation
+(:class:`_FullForwardServer`); it runs in-process, since patches do not
+reach process workers started with spawn.
 """
 
 import gc
@@ -39,10 +45,11 @@ from repro.engine.runner import run_async_federated_training
 from repro.fl.client import Client
 from repro.fl.features import FeatureRuntime, compute_features
 from repro.fl.rounds import run_federated_training
-from repro.fl.selection import EntropySelector, RandomSelector
+from repro.fl.selection import EntropySelector, RandomSelector, batched_logits
 from repro.fl.server import Server
 from repro.fl.strategies import LocalSolver
 from repro.fl.timing import TimingModel
+from repro.nn import functional as F
 from repro.nn.cnn import SmallConvNet
 from repro.nn.dropout import Dropout
 from repro.nn.linear import Linear
@@ -309,10 +316,36 @@ def _run(config_kwargs):
     }
 
 
+class _FullForwardServer(Server):
+    """Reference evaluation: load the full state and run the full forward
+    through ϕ over the raw test inputs."""
+
+    def evaluate(self, batch_size: int = 512) -> float:
+        self.model.load_state_dict(self.global_state)
+        x, y = self.test_set.arrays()
+        return F.accuracy(batched_logits(self.model, x, batch_size), y)
+
+
+class _FullForwardCampaign(FedFTEDSCampaign):
+    """Every run gets a serial backend without a FeatureRuntime, so each
+    client round runs the full forward through ϕ."""
+
+    def backend_for(self, config):
+        return SerialBackend()
+
+
+def _run_full_forward(config_kwargs):
+    """The uncached reference run: full-forward rounds and evaluations."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Server, "evaluate", _FullForwardServer.evaluate)
+        with _FullForwardCampaign() as campaign:
+            return _run(dict(config_kwargs, campaign=campaign))
+
+
 def test_sync_equivalence_cached_vs_full_forward():
     base = dict(ENGINE_SMOKE, model="cnn", seed=3)
-    cached_records, cached_state = _run(dict(base, feature_cache=True))
-    full_records, full_state = _run(dict(base, feature_cache=False))
+    cached_records, cached_state = _run(base)
+    full_records, full_state = _run_full_forward(base)
     assert cached_records == full_records
     assert _states_bitwise_equal(cached_state, full_state)
 
@@ -323,8 +356,8 @@ def test_sync_equivalence_mlp_singleton_batches():
     base = dict(
         ENGINE_SMOKE, model="mlp", seed=5, selection_fraction=0.02,
     )
-    cached_records, cached_state = _run(dict(base, feature_cache=True))
-    full_records, full_state = _run(dict(base, feature_cache=False))
+    cached_records, cached_state = _run(base)
+    full_records, full_state = _run_full_forward(base)
     assert cached_records == full_records
     assert _states_bitwise_equal(cached_state, full_state)
 
@@ -337,12 +370,8 @@ def test_async_equivalence_cached_backends_vs_full_forward(backend):
         ENGINE_SMOKE, model="cnn", seed=7, mode="fedasync",
         dropout_probability=0.2,
     )
-    reference_records, reference_state = _run(
-        dict(base, feature_cache=False)
-    )
-    records, state = _run(
-        dict(base, feature_cache=True, backend=backend, max_workers=2)
-    )
+    reference_records, reference_state = _run_full_forward(base)
+    records, state = _run(dict(base, backend=backend, max_workers=2))
     assert records == reference_records
     assert _states_bitwise_equal(state, reference_state)
 
@@ -387,7 +416,7 @@ def test_dropout_and_norm_in_phi_are_deterministic():
 # ---------------------------------------------------------------------------
 
 
-def _conv_federation(num_clients=3, cache=True, samples=90, test=48):
+def _conv_federation(num_clients=3, full_forward=False, samples=90, test=48):
     rng = RNG(0)
     x = rng.normal(size=(samples, 3, 8, 8))
     y = rng.integers(0, 4, size=samples)
@@ -402,21 +431,19 @@ def _conv_federation(num_clients=3, cache=True, samples=90, test=48):
         )
         for i, shard in enumerate(shards)
     ]
-    server = Server(
-        model, ArrayDataset(x[:test], y[:test]), cache_features=cache
-    )
+    server_cls = _FullForwardServer if full_forward else Server
+    server = server_cls(model, ArrayDataset(x[:test], y[:test]))
     return server, clients
 
 
 def test_server_evaluate_theta_only_loads_and_feature_reuse():
-    cached_server, clients = _conv_federation(cache=True)
-    full_server, _ = _conv_federation(cache=False)
+    cached_server, clients = _conv_federation()
+    full_server, _ = _conv_federation(full_forward=True)
     for _ in range(3):
         assert cached_server.evaluate() == full_server.evaluate()
     assert cached_server.eval_stats["full_loads"] == 1
     assert cached_server.eval_stats["theta_loads"] == 2
     assert cached_server.eval_stats["feature_builds"] == 1
-    assert full_server.eval_stats["full_loads"] == 3
     # after a round, both servers still agree (θ changed, ϕ did not)
     backend = SerialBackend()
     for server in (cached_server, full_server):
@@ -431,8 +458,8 @@ def test_server_evaluate_self_heals_after_workspace_phi_mutation():
     workspace model; the θ-only fast path must detect the dirty backbone
     (by fingerprint) and fall back to a full reload, matching the seed
     full-load behaviour exactly."""
-    cached_server, _ = _conv_federation(cache=True)
-    reference, _ = _conv_federation(cache=False)
+    cached_server, _ = _conv_federation()
+    reference, _ = _conv_federation(full_forward=True)
     assert cached_server.evaluate() == reference.evaluate()
     # simulate a tiered client retraining part of ϕ in the workspace
     for server in (cached_server, reference):
@@ -453,8 +480,8 @@ def test_pooled_evaluation_is_bitwise_exact_and_publishes_once():
         )
         try:
             for _ in range(2):  # two runs of one campaign
-                server, clients = _conv_federation(cache=True)
-                reference, _ = _conv_federation(cache=False)
+                server, clients = _conv_federation()
+                reference, _ = _conv_federation(full_forward=True)
                 server.evaluator = PooledEvaluator(
                     backend, server.test_set, test_key=("test", 0),
                     batch_size=16,  # multiple aligned shards

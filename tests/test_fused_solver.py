@@ -7,8 +7,14 @@ same RNG stream, same EventLog — with automatic fallback whenever a head
 is not fusible. These tests are that promise's enforcement, plus the PR's
 satellites: prefix-chain feature keying, the byte-budget LRU spill policy,
 and pooled evaluation for the synchronous serial path.
+
+The layer-graph reference is reached by patching the module's plan seams
+(:func:`_layer_graph`); patches do not reach process workers started with
+spawn, so process-backend runs are compared against an in-process serial
+reference.
 """
 
+import contextlib
 import gc
 
 import numpy as np
@@ -40,6 +46,16 @@ def _states_bitwise_equal(a, b):
     return set(a) == set(b) and all(
         a[k].tobytes() == b[k].tobytes() for k in a
     )
+
+
+@contextlib.contextmanager
+def _layer_graph():
+    """The in-process layer-graph reference: no client round gets a fused
+    plan and no cohort forms, so head-only rounds run through the graph."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fastpath, "client_head_plan", lambda *args: None)
+        patch.setattr(fastpath, "cohort_units", lambda *args, **kw: None)
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -157,15 +173,16 @@ def _one_client_round(fused, *, momentum=0.5, wd=0.0, prox=0.0, epochs=3,
         0, ArrayDataset(x, y), EntropySelector(),
         LocalSolver(lr=0.1, momentum=momentum, weight_decay=wd, prox_mu=prox,
                     batch_size=32),
-        frac, epochs, RNG(7), fused_solver=fused,
+        frac, epochs, RNG(7),
     )
     state = model.state_dict()
     features = FeatureRuntime().features_for(client, model)
     assert features is not None
-    updates = [
-        client.run_round(model, state, features=features)
-        for _ in range(rounds)
-    ]
+    with contextlib.nullcontext() if fused else _layer_graph():
+        updates = [
+            client.run_round(model, state, features=features)
+            for _ in range(rounds)
+        ]
     return updates, client.rng.bit_generator.state
 
 
@@ -198,8 +215,8 @@ def test_fused_round_bitwise_matches_graph(kwargs):
 
 
 def test_unfusible_head_falls_back_to_graph_bitwise():
-    """BatchNorm in θ (CNN at the paper-default split): the fused flag is a
-    no-op — both flag settings take the layer-graph path, bitwise equal."""
+    """BatchNorm in θ (CNN at the paper-default split): no plan forms, so
+    the round takes the layer-graph path and equals the graph reference."""
     fused_updates, fused_rng = _one_client_round(
         True, model_kind="cnn", level="moderate"
     )
@@ -308,7 +325,7 @@ def test_plan_not_pickled_with_worker_client_descriptor():
     y = RNG(2).integers(0, 5, size=40)
     client = Client(
         0, ArrayDataset(x, y), EntropySelector(), LocalSolver(batch_size=8),
-        0.5, 1, RNG(3), fused_solver=True,
+        0.5, 1, RNG(3),
     )
     features = FeatureRuntime().features_for(client, model)
     assert fastpath.client_head_plan(client, model, features.shape[1:])
@@ -317,11 +334,11 @@ def test_plan_not_pickled_with_worker_client_descriptor():
     clone.rng = None
     blob = pickle.dumps(clone)  # plans live in a module-level weak cache
     assert len(blob) < 4096
-    assert pickle.loads(blob).fused_solver is True
+    assert pickle.loads(blob).client_id == client.client_id
 
 
 # ---------------------------------------------------------------------------
-# End-to-end equivalence (sync serial + async process) and the CLI gate
+# End-to-end equivalence (sync serial + async process)
 # ---------------------------------------------------------------------------
 
 
@@ -334,8 +351,9 @@ def _run(config_kwargs):
 
 def test_end_to_end_sync_equivalence_fused_vs_graph():
     base = dict(ENGINE_SMOKE, model="mlp", seed=3, selection="eds")
-    fused_records, fused_state = _run(dict(base, fused_solver=True))
-    graph_records, graph_state = _run(dict(base, fused_solver=False))
+    fused_records, fused_state = _run(base)
+    with _layer_graph():
+        graph_records, graph_state = _run(base)
     assert fused_records == graph_records
     assert _states_bitwise_equal(fused_state, graph_state)
 
@@ -346,20 +364,13 @@ def test_end_to_end_async_equivalence_fused_vs_graph(backend):
         ENGINE_SMOKE, model="mlp", seed=9, mode="fedasync",
         dropout_probability=0.2,
     )
-    graph_records, graph_state = _run(dict(base, fused_solver=False))
+    with _layer_graph():
+        graph_records, graph_state = _run(base)
     fused_records, fused_state = _run(
-        dict(base, fused_solver=True, backend=backend, max_workers=2)
+        dict(base, backend=backend, max_workers=2)
     )
     assert fused_records == graph_records
     assert _states_bitwise_equal(fused_state, graph_state)
-
-
-def test_no_fused_solver_cli_flag():
-    from repro.experiments.run_all import build_parser
-
-    args = build_parser().parse_args(["--no-fused-solver"])
-    assert args.no_fused_solver
-    assert not build_parser().parse_args([]).no_fused_solver
 
 
 # ---------------------------------------------------------------------------
@@ -385,21 +396,26 @@ def _mlp_federation(num_clients=2, samples=80, test=48):
 
 @pytest.mark.parametrize("fused", [True, False])
 def test_pooled_evaluation_fused_matches_serial(fused):
+    """Worker shards score through the fused plan over cached features, or
+    (a backend without a FeatureRuntime) through the full forward over raw
+    inputs; either count reduction equals the serial evaluation."""
     from repro.fl.server import Server
 
     model, _clients, test_set = _mlp_federation()
     state = model.state_dict()
     serial = Server(model, test_set)
     expected = serial.evaluate(batch_size=16)
-    runtime = FeatureRuntime()
     backend = ProcessPoolBackend(
-        max_workers=2, feature_runtime=runtime, fused_solver=fused
+        max_workers=2, feature_runtime=FeatureRuntime() if fused else None
     )
+    counter = "fused_eval_shards" if fused else "graph_eval_shards"
+    before = fastpath.STATS[counter]
     try:
         got = backend.evaluate_pooled(model, state, test_set, batch_size=16)
     finally:
         backend.shutdown()
     assert got == expected
+    assert fastpath.STATS[counter] > before
 
 
 def test_harness_serial_runs_reuse_warm_campaign_evaluator():

@@ -437,6 +437,56 @@ def test_cli_parser_telemetry_flags():
     assert defaults.no_telemetry is False
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--trace"], ["--trace"]),
+        (["--telemetry-refresh", "2"], ["--telemetry-refresh"]),
+        (
+            ["--output", "OUT", "--no-telemetry", "--trace",
+             "--telemetry-refresh", "2"],
+            ["--trace", "--telemetry-refresh"],
+        ),
+        (["--telemetry", "TEL", "--no-telemetry"],
+         ["--telemetry", "--no-telemetry"]),
+        ({"trace": True}, ["trace", "telemetry_dir"]),
+        ({"telemetry_refresh": 2.0}, ["telemetry_refresh", "telemetry_dir"]),
+    ],
+    ids=[
+        "cli-trace", "cli-refresh", "cli-output-no-telemetry",
+        "cli-dir-no-telemetry", "api-trace", "api-refresh",
+    ],
+)
+def test_telemetry_flags_without_telemetry_are_refused(
+    argv, named, tmp_path, monkeypatch, capsys
+):
+    """Flags that act only through a telemetry session, or that contradict
+    each other, are refused before any experiment runs: the CLI exits 2
+    naming them, ``run_experiments`` raises ValueError."""
+    from repro.experiments import run_all
+
+    def no_experiment(*args, **kwargs):
+        raise AssertionError("an experiment started despite the refusal")
+
+    monkeypatch.setattr(run_all, "get_experiment", no_experiment)
+    if isinstance(argv, dict):
+        with pytest.raises(ValueError) as error:
+            run_experiments("smoke", only=["fig1"], stream=None, **argv)
+        message = str(error.value)
+    else:
+        argv = [
+            str(tmp_path / arg) if arg in ("OUT", "TEL") else arg
+            for arg in argv
+        ]
+        with pytest.raises(SystemExit) as exit_info:
+            run_all.main(["--scale", "smoke", "--only", "fig1", *argv])
+        assert exit_info.value.code == 2
+        message = capsys.readouterr().err
+    for name in named:
+        assert name in message
+    assert not os.listdir(tmp_path)
+
+
 def test_run_experiments_writes_telemetry_artifacts(tmp_path):
     run_experiments(
         "smoke",
