@@ -71,7 +71,7 @@ def main() -> None:
     for round_index in range(1, ROUNDS + 1):
         broadcast = server.broadcast()
         updates = [c.run_round(server.model, broadcast) for c in clients]
-        server.global_state = aggregate_heterogeneous(broadcast, updates)
+        server.set_global_state(aggregate_heterogeneous(broadcast, updates))
         acc = server.evaluate()
         uploaded = sorted({len(u.theta) for u in updates})
         print(f"  round {round_index:2d}: acc={100 * acc:.1f}%  "

@@ -35,7 +35,11 @@ from repro.engine.records import EventLog
 from repro.engine.runner import run_async_federated_training
 from repro.fl.client import Client
 from repro.fl.features import FeatureRuntime
-from repro.fl.rounds import TrainingHistory, run_federated_training
+from repro.fl.rounds import (
+    TrainingHistory,
+    check_run_knobs,
+    run_federated_training,
+)
 from repro.fl.selection import EntropySelector, FullSelector, RandomSelector
 from repro.fl.server import Server
 from repro.fl.strategies import LocalSolver
@@ -340,6 +344,14 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
             config.job_timeout, config.max_job_retries, config.chaos
         )
     check_store_knobs(config.artifact_store, config.cache_dir)
+    if config.rounds <= 0:
+        raise ValueError("rounds must be positive")
+    check_run_knobs(
+        config.eval_every,
+        config.checkpoint_path,
+        config.checkpoint_every,
+        config.emergency_checkpoint,
+    )
     if config.mode == "sync":
         # Async-only knobs silently doing nothing would let a forgotten
         # mode= turn a churn/async experiment into a plain sync run.

@@ -22,33 +22,46 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.fl.aggregation import (
-    apply_delta,
     apply_delta_flat,
     mix_flat,
-    mix_states,
     staleness_weight,
     subtract_flat,
-    subtract_states,
-    weighted_average,
     weighted_average_flat,
 )
 from repro.fl.server import Server
-from repro.fl.slab import SlabLayout, SlabState, slab_successor
+from repro.fl.slab import SlabState, slab_successor
 from repro.fl.strategies import LocalUpdate
 
 
-def _flat_theta(
-    theta: dict[str, np.ndarray], layout: SlabLayout, scratch: np.ndarray
-) -> np.ndarray | None:
-    """``theta`` as one flat slab per ``layout``: zero-copy when it is
-    already slab-backed with the same packing, gathered into ``scratch``
-    otherwise; None when it does not fit the layout (→ dict path)."""
-    slab = getattr(theta, "theta_slab", None)
-    if slab is not None and theta.layout.signature == layout.signature:
-        return slab
-    if not layout.matches(theta):
-        return None
-    return layout.gather(theta, scratch)
+def _offer_flat(free: list[np.ndarray], slab: np.ndarray, cap: int) -> None:
+    """Pool a retired slab, at most ``cap`` per slab length.
+
+    The cap is per length, not overall: cohort update lanes (views into a
+    cohort job's delta stack, recycled by the engine after apply) can
+    differ in length from retired server versions, and one size class
+    must not crowd the other out of the pool.
+    """
+    if sum(1 for f in free if len(f) == len(slab)) < cap:
+        free.append(slab)
+
+
+def _take_flat(
+    free: list[np.ndarray], total: int, *forbidden: np.ndarray
+) -> np.ndarray:
+    """A pooled slab of length ``total`` aliasing none of ``forbidden``,
+    or a fresh one."""
+    for idx in range(len(free) - 1, -1, -1):
+        flat = free[idx]
+        if len(flat) == total and not any(flat is f for f in forbidden):
+            return free.pop(idx)
+    return np.empty(total)
+
+
+def _scratch(buffer: np.ndarray | None, total: int) -> np.ndarray:
+    """``buffer`` when it holds ``total`` elements, else a fresh array."""
+    if buffer is None or len(buffer) != total:
+        return np.empty(total)
+    return buffer
 
 
 class AsyncAggregator:
@@ -93,12 +106,12 @@ class AsyncAggregator:
             )
 
     def recycle(self, state: dict[str, np.ndarray]) -> None:
-        """Offer a retired model version's arrays for buffer reuse.
+        """Offer a retired model version's θ slab for buffer reuse.
 
         The engine calls this when the last in-flight round dispatched from
         a superseded model version completes: nothing reads that version's
-        θ arrays again, so the aggregator may overwrite them instead of
-        allocating fresh accumulators (see ``out=`` in
+        θ slab again, so the aggregator may overwrite it instead of
+        allocating a fresh output (see "Buffer reuse" in
         :mod:`repro.fl.aggregation`). Ignoring the offer is always safe.
         """
 
@@ -107,17 +120,14 @@ class AsyncAggregator:
 class FedAsyncAggregator(AsyncAggregator):
     """Immediate staleness-weighted mixing (one version per update).
 
-    Retired model versions handed back through :meth:`recycle` feed the
-    next mix's ``out=`` buffers, so a long run reuses a bounded set of
-    θ-sized arrays instead of allocating one per event.
+    Retired slabs handed back through :meth:`recycle` back the next mix's
+    output, so a long run reuses a bounded set of θ-sized slabs instead of
+    allocating one per event.
     """
 
     mixing: float = 0.6  # the paper's α
     staleness_exponent: float = 0.5
-    _free: list[dict[str, np.ndarray]] = field(default_factory=list, repr=False)
-    #: retired θ slabs (flat lane) — a recycled SlabState surrenders its
-    #: flat here instead of joining the dict pool (never both: one retired
-    #: version must not back two buffers)
+    #: retired θ slabs: superseded server versions and cohort update lanes
     _free_flats: list[np.ndarray] = field(default_factory=list, repr=False)
     _mix_scratch: np.ndarray | None = field(default=None, repr=False)
     _gather_scratch: np.ndarray | None = field(default=None, repr=False)
@@ -127,52 +137,23 @@ class FedAsyncAggregator(AsyncAggregator):
             raise ValueError(f"mixing must be in (0, 1], got {self.mixing}")
 
     def recycle(self, state):
-        slab = getattr(state, "theta_slab", None)
-        if slab is not None:
-            # Cap per slab length, not overall: cohort update lanes (views
-            # into a cohort job's delta stack, recycled by the engine after
-            # apply) can differ in length from retired server versions, and
-            # one size class must not crowd the other out of the pool.
-            same = sum(1 for f in self._free_flats if len(f) == len(slab))
-            if same < 4:
-                self._free_flats.append(slab)
-        elif len(self._free) < 4:
-            self._free.append(state)
-
-    def _take_flat(self, total: int, *forbidden: np.ndarray) -> np.ndarray:
-        free = self._free_flats
-        for idx in range(len(free) - 1, -1, -1):
-            flat = free[idx]
-            if len(flat) == total and not any(flat is f for f in forbidden):
-                return free.pop(idx)
-        return np.empty(total)
+        _offer_flat(self._free_flats, state.theta_slab, 4)
 
     def apply(self, server, update, staleness, base_state):
+        """Mix ``update``'s θ into the server's; an update whose θ does not
+        fit the server's packing is refused before anything changes
+        (see :meth:`repro.fl.slab.SlabLayout.flatten`)."""
         alpha = self.mixing * staleness_weight(staleness, self.staleness_exponent)
         base = server.global_state
-        layout = getattr(base, "layout", None)
-        if layout is not None:
-            if (
-                self._gather_scratch is None
-                or len(self._gather_scratch) != layout.total
-            ):
-                self._gather_scratch = np.empty(layout.total)
-            incoming = _flat_theta(update.theta, layout, self._gather_scratch)
-            if incoming is not None:
-                if (
-                    self._mix_scratch is None
-                    or len(self._mix_scratch) != layout.total
-                ):
-                    self._mix_scratch = np.empty(layout.total)
-                out = self._take_flat(layout.total, base.theta_slab, incoming)
-                mix_flat(base.theta_slab, incoming, alpha, out, self._mix_scratch)
-                server.global_state = slab_successor(base, out, layout)
-                server.round_index += 1
-                return True
-        out = self._free.pop() if self._free else None
-        server.global_state = mix_states(
-            server.global_state, update.theta, alpha, out=out
+        layout = base.layout
+        self._gather_scratch = _scratch(self._gather_scratch, layout.total)
+        incoming = layout.flatten(update.theta, self._gather_scratch)
+        self._mix_scratch = _scratch(self._mix_scratch, layout.total)
+        out = _take_flat(
+            self._free_flats, layout.total, base.theta_slab, incoming
         )
+        mix_flat(base.theta_slab, incoming, alpha, out, self._mix_scratch)
+        server.global_state = slab_successor(base, out, layout)
         server.round_index += 1
         return True
 
@@ -185,24 +166,21 @@ class FedBuffAggregator(AsyncAggregator):
     with, so a stale client only contributes what it *learned*, not its
     stale starting point. Buffer weights are the clients' selected sample
     counts times the staleness discount, normalised inside
-    :func:`~repro.fl.aggregation.weighted_average`.
+    :func:`~repro.fl.aggregation.weighted_average_flat`. Every buffered
+    delta is a θ-only :class:`~repro.fl.slab.SlabState` in the server's
+    packing.
     """
 
     buffer_size: int = 4  # the paper's K
     server_lr: float = 1.0
     staleness_exponent: float = 0.5
-    _buffer: list[tuple[dict[str, np.ndarray], float]] = field(
+    _buffer: list[tuple[SlabState, float]] = field(
         default_factory=list, repr=False
     )
-    #: retired θ-array dicts reusable as delta buffers (flushed deltas and
-    #: dead broadcast versions offered through :meth:`recycle`)
-    _free: list[dict[str, np.ndarray]] = field(default_factory=list, repr=False)
-    #: retired θ slabs for the flat lane (see FedAsyncAggregator._free_flats)
+    #: retired θ slabs reusable as delta and flush outputs (flushed deltas,
+    #: dead broadcast versions and cohort lanes offered through recycle)
     _free_flats: list[np.ndarray] = field(default_factory=list, repr=False)
     #: persistent accumulator for the flush's weighted average
-    _merge_scratch: dict[str, np.ndarray] | None = field(
-        default=None, repr=False
-    )
     _merge_flat: np.ndarray | None = field(default=None, repr=False)
     _gather_scratch: np.ndarray | None = field(default=None, repr=False)
     #: (buffered deltas × params) flush matrix, consumed as scratch
@@ -219,46 +197,21 @@ class FedBuffAggregator(AsyncAggregator):
         return len(self._buffer)
 
     def recycle(self, state):
-        slab = getattr(state, "theta_slab", None)
-        if slab is not None:
-            # Per-length cap, as in FedAsyncAggregator.recycle: recycled
-            # cohort lanes and retired server slabs pool side by side.
-            same = sum(1 for f in self._free_flats if len(f) == len(slab))
-            if same < self.buffer_size + 4:
-                self._free_flats.append(slab)
-        elif len(self._free) < self.buffer_size + 4:
-            self._free.append(state)
-
-    def _take_flat(self, total: int, *forbidden: np.ndarray) -> np.ndarray:
-        free = self._free_flats
-        for idx in range(len(free) - 1, -1, -1):
-            flat = free[idx]
-            if len(flat) == total and not any(flat is f for f in forbidden):
-                return free.pop(idx)
-        return np.empty(total)
+        _offer_flat(self._free_flats, state.theta_slab, self.buffer_size + 4)
 
     def apply(self, server, update, staleness, base_state):
-        delta = None
-        layout = getattr(base_state, "layout", None)
-        if layout is not None:
-            if (
-                self._gather_scratch is None
-                or len(self._gather_scratch) != layout.total
-            ):
-                self._gather_scratch = np.empty(layout.total)
-            minuend = _flat_theta(update.theta, layout, self._gather_scratch)
-            if minuend is not None:
-                out = self._take_flat(
-                    layout.total, minuend, base_state.theta_slab
-                )
-                subtract_flat(minuend, base_state.theta_slab, out)
-                delta = SlabState()
-                delta.layout = layout
-                delta.theta_slab = out
-                delta.update(layout.views(out))
-        if delta is None:
-            out = self._free.pop() if self._free else None
-            delta = subtract_states(update.theta, base_state, out=out)
+        """Buffer ``update``'s delta against ``base_state`` and flush when
+        the buffer is full. An update whose θ does not fit the server's
+        packing is refused before anything changes (see
+        :meth:`repro.fl.slab.SlabLayout.flatten`)."""
+        layout = server.global_state.layout
+        self._gather_scratch = _scratch(self._gather_scratch, layout.total)
+        minuend = layout.flatten(update.theta, self._gather_scratch)
+        out = _take_flat(
+            self._free_flats, layout.total, minuend, base_state.theta_slab
+        )
+        subtract_flat(minuend, base_state.theta_slab, out)
+        delta = slab_successor({}, out, layout)
         weight = max(1, update.num_selected) * staleness_weight(
             staleness, self.staleness_exponent
         )
@@ -268,54 +221,27 @@ class FedBuffAggregator(AsyncAggregator):
         return self.flush(server)
 
     def flush(self, server):
+        """One-ufunc flush: stack → weighted average → delta application."""
         if not self._buffer:
             return False
-        if self._flush_flat(server):
-            return True
-        merged = weighted_average(
-            [d for d, _ in self._buffer],
-            [w for _, w in self._buffer],
-            out=self._merge_scratch,
-        )
-        server.global_state = apply_delta(
-            server.global_state, merged, lr=self.server_lr
-        )
-        self._merge_scratch = merged
-        server.round_index += 1
-        for delta, _ in self._buffer:
-            self.recycle(delta)
-        self._buffer.clear()
-        return True
-
-    def _flush_flat(self, server) -> bool:
-        """One-ufunc flush: stack → weighted average → delta application.
-
-        Engages only when the global state and every buffered delta share
-        one slab layout; mixed buffers (e.g. deltas restored from a
-        checkpoint as plain dicts) use the dict walk."""
         base = server.global_state
-        layout = getattr(base, "layout", None)
-        if layout is None or not all(
-            getattr(delta, "theta_slab", None) is not None
-            and delta.layout.signature == layout.signature
-            for delta, _ in self._buffer
-        ):
-            return False
+        layout = base.layout
         n = len(self._buffer)
         stack = self._stack_scratch
         if stack is None or stack.shape[0] < n or stack.shape[1] != layout.total:
             stack = self._stack_scratch = np.empty((n, layout.total))
         for j, (delta, _) in enumerate(self._buffer):
             stack[j] = delta.theta_slab
-        merged = self._merge_flat
-        if merged is None or len(merged) != layout.total:
-            merged = np.empty(layout.total)
+        self._merge_flat = _scratch(self._merge_flat, layout.total)
         weighted_average_flat(
-            stack[:n], [w for _, w in self._buffer], out=merged
+            stack[:n], [w for _, w in self._buffer], out=self._merge_flat
         )
-        self._merge_flat = merged
-        out = self._take_flat(layout.total, base.theta_slab, merged)
-        apply_delta_flat(base.theta_slab, merged, self.server_lr, out)
+        out = _take_flat(
+            self._free_flats, layout.total, base.theta_slab, self._merge_flat
+        )
+        apply_delta_flat(
+            base.theta_slab, self._merge_flat, self.server_lr, out
+        )
         server.global_state = slab_successor(base, out, layout)
         server.round_index += 1
         for delta, _ in self._buffer:
@@ -325,15 +251,12 @@ class FedBuffAggregator(AsyncAggregator):
 
     def state_export(self):
         return [
-            ({k: v.copy() for k, v in delta.items()}, float(weight))
+            (slab_successor({}, delta.theta_slab.copy(), delta.layout), weight)
             for delta, weight in self._buffer
         ]
 
     def state_restore(self, state):
-        self._buffer = [
-            ({k: np.asarray(v) for k, v in delta.items()}, float(weight))
-            for delta, weight in state
-        ]
+        self._buffer = [(delta, float(weight)) for delta, weight in state]
 
 
 def make_aggregator(

@@ -1462,18 +1462,22 @@ class ProcessPoolBackend(ExecutionBackend):
 
         The training loops hand out one dict object per model version
         (aggregation always builds a fresh dict), so object identity with
-        the most recently published state detects version reuse.
+        the most recently published state detects version reuse. Model
+        versions are slab-backed (:class:`~repro.fl.slab.SlabState`); a
+        plain dict is refused with ``TypeError``.
         """
         if self._current is not None and self._current.state is global_state:
             self._current.refs += 1
             return self._current
-        slab_layout = getattr(global_state, "layout", None)
-        if slab_layout is not None:
-            layout, nbytes, theta_offset, phi_keys = _slab_wire_layout(
-                global_state, slab_layout
+        if getattr(global_state, "theta_slab", None) is None:
+            raise TypeError(
+                "the process backend publishes slab-backed model versions "
+                "only (see repro.fl.slab.make_slab_state)"
             )
-        else:
-            layout, nbytes = _array_layout(global_state)
+        slab_layout = global_state.layout
+        layout, nbytes, theta_offset, phi_keys = _slab_wire_layout(
+            global_state, slab_layout
+        )
         slot = next(
             (s for s in self._slots if s.refs == 0 and s.nbytes >= nbytes), None
         )
@@ -1484,36 +1488,29 @@ class ProcessPoolBackend(ExecutionBackend):
             )
             self._slots.append(slot)
             self.stats["state_segments"] = len(self._slots)
-        if slab_layout is not None:
-            # Successive model versions share ϕ by reference and differ
-            # only in the θ slab: when this buffer already holds the same
-            # ϕ objects' bytes under the same packing, the publish is one
-            # memcpy of the slab.
-            phi_stamp = tuple((key, id(global_state[key])) for key in phi_keys)
-            if (
-                slot.slab_signature != slab_layout.signature
-                or slot.phi_stamp != phi_stamp
-            ):
-                for key in phi_keys:
-                    offset, shape, dtype = layout[key]
-                    view = np.ndarray(
-                        shape, dtype=np.dtype(dtype), buffer=slot.shm.buf,
-                        offset=offset,
-                    )
-                    view[...] = global_state[key]
-                slot.slab_signature = slab_layout.signature
-                slot.phi_stamp = phi_stamp
-            else:
-                self.stats["state_slab_memcpys"] += 1
-            theta_block = np.ndarray(
-                slab_layout.total, dtype=np.float64, buffer=slot.shm.buf,
-                offset=theta_offset,
+        # Successive model versions share ϕ by reference and differ only in
+        # the θ slab: when this buffer already holds the same ϕ objects'
+        # bytes under the same packing, the publish is one memcpy of the
+        # slab.
+        phi_stamp = tuple((key, id(global_state[key])) for key in phi_keys)
+        if (
+            slot.slab_signature != slab_layout.signature
+            or slot.phi_stamp != phi_stamp
+        ):
+            _write_arrays(
+                slot.shm.buf,
+                {key: layout[key] for key in phi_keys},
+                global_state,
             )
-            theta_block[...] = global_state.theta_slab
+            slot.slab_signature = slab_layout.signature
+            slot.phi_stamp = phi_stamp
         else:
-            _write_arrays(slot.shm.buf, layout, global_state)
-            slot.slab_signature = None
-            slot.phi_stamp = ()
+            self.stats["state_slab_memcpys"] += 1
+        theta_block = np.ndarray(
+            slab_layout.total, dtype=np.float64, buffer=slot.shm.buf,
+            offset=theta_offset,
+        )
+        theta_block[...] = global_state.theta_slab
         slot.layout = layout
         slot.state = global_state
         slot.refs += 1

@@ -36,15 +36,13 @@ reproducing the identical event sequence.
 ``resume_async_federated_training`` own the on-disk format, which the
 synchronous loop shares.
 
-Model versions here are usually slab-backed
-(:class:`~repro.fl.slab.SlabState`): each broadcast snapshot's θ is one
-contiguous array, so the aggregators mix/delta whole slabs with single
-ufuncs and the process backend republishes a new version as one memcpy.
-The version-retirement sweep below feeds dead versions back through
-``AsyncAggregator.recycle``, which harvests their flats — a long run
+Model versions here are slab-backed (:class:`~repro.fl.slab.SlabState`),
+restored ones included: each broadcast snapshot's θ is one contiguous
+array, so the aggregators mix/delta whole slabs with single ufuncs and
+the process backend republishes a new version as one memcpy. The
+version-retirement sweep below feeds dead versions back through
+``AsyncAggregator.recycle``, which harvests their slabs — a long run
 cycles a bounded set of θ-sized slabs instead of allocating per event.
-Everything degrades transparently to per-key dicts (restored checkpoints,
-heterogeneous θ) with bitwise-identical results.
 """
 
 from __future__ import annotations
@@ -62,6 +60,7 @@ from repro.engine.faults import FAULTS
 from repro.engine.records import EventLog, EventRecord
 from repro.fl.checkpoint import RunState, save_async_checkpoint
 from repro.fl.client import Client
+from repro.fl.rounds import check_run_knobs
 from repro.fl.server import Server
 from repro.fl.timing import TimingModel
 from repro.nn import profiling
@@ -129,8 +128,9 @@ def run_async_federated_training(
     """
     if max_events <= 0:
         raise ValueError("max_events must be positive")
-    if eval_every <= 0:
-        raise ValueError("eval_every must be positive")
+    check_run_knobs(
+        eval_every, checkpoint_path, checkpoint_every, emergency_checkpoint
+    )
     if not clients:
         raise ValueError("client pool is empty")
     for client in clients:
@@ -141,12 +141,6 @@ def run_async_federated_training(
                 "price depends on the client that ran before it and cannot "
                 "be scheduled at dispatch; run it in the synchronous loop"
             )
-    if checkpoint_every < 0:
-        raise ValueError("checkpoint_every must be non-negative")
-    if checkpoint_every and not checkpoint_path:
-        raise ValueError("checkpoint_every requires a checkpoint_path")
-    if emergency_checkpoint and not checkpoint_path:
-        raise ValueError("emergency_checkpoint requires a checkpoint_path")
     timing = timing or TimingModel()
     availability = availability or AlwaysAvailable()
     owns_backend = backend is None
@@ -167,8 +161,8 @@ def run_async_federated_training(
     dropout_p = float(getattr(availability, "dropout_probability", 0.0))
     #: dispatch_version -> [broadcast snapshot, in-flight update count];
     #: when the count of a *superseded* version reaches zero, nothing will
-    #: ever read its θ arrays again and they are recycled into the
-    #: aggregator's ``out=`` buffer pool (see AsyncAggregator.recycle).
+    #: ever read its θ slab again and it is recycled into the aggregator's
+    #: slab pool (see AsyncAggregator.recycle).
     live_versions: dict[int, list] = {}
     #: input shape -> the model's FLOPs walk; the walk depends only on the
     #: architecture and the freeze level, both fixed for the run

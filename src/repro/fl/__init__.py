@@ -9,13 +9,10 @@ seconds" used by the learning-efficiency metric.
 """
 
 from repro.fl.aggregation import (
-    apply_delta,
     apply_delta_flat,
     mix_flat,
-    mix_states,
     staleness_weight,
     subtract_flat,
-    weighted_average,
     weighted_average_flat,
 )
 from repro.fl.slab import SlabLayout, SlabState, make_slab_state
@@ -57,11 +54,8 @@ from repro.fl.communication import (
 )
 
 __all__ = [
-    "weighted_average",
     "weighted_average_flat",
-    "mix_states",
     "mix_flat",
-    "apply_delta",
     "apply_delta_flat",
     "subtract_flat",
     "staleness_weight",

@@ -1,30 +1,27 @@
-"""Server-side aggregation of client updates.
+"""Server-side aggregation kernels over flat θ slabs.
 
-:func:`weighted_average` is the synchronous FedAvg core (Eq. 5).
-:func:`mix_states` and :func:`staleness_weight` are the asynchronous
-primitives shared by the engine's FedAsync/FedBuff aggregators
-(:mod:`repro.engine.aggregators`): a convex server-side mix of the global
-state with an incoming one, discounted by how stale the contribution is.
+The server holds every model version's θ as one contiguous float64 slab
+(:mod:`repro.fl.slab`), so each aggregation is one ufunc over the whole
+slab: :func:`weighted_average_flat` is the synchronous FedAvg core (Eq. 5)
+over a 2-D (clients × params) stack, and :func:`mix_flat`,
+:func:`apply_delta_flat` and :func:`subtract_flat` with
+:func:`staleness_weight` are the asynchronous primitives shared by the
+engine's FedAsync/FedBuff aggregators (:mod:`repro.engine.aggregators`).
 
-Buffer reuse: the combining functions accept ``out=``, a dict of retired
-arrays to write results into instead of allocating fresh ones per key per
-call — the hot-path allocation in long campaigns (one full θ-sized
-allocation set per aggregation). A buffer is only used when its shape and
-dtype match and it does not alias an input that the computation reads
-after writing (checked per key; mismatches silently fall back to
-allocation), so the ``out=`` path is bitwise-identical to the allocating
-one. Callers own the aliasing contract one level up: never pass arrays
-that something else (a broadcast snapshot, a buffered delta) still reads.
+Each kernel replays, element by element, the per-key walk a dict-of-arrays
+formulation would run (``tests/dict_oracle.py`` keeps that walk as the
+test oracle), so results are bitwise identical to it. The one
+reassociation — ``np.add.reduce`` over the stack axis versus the sequential
+``acc += w·state`` walk — is pairwise left-to-right in both formulations,
+with a trailing ``+ 0.0`` restoring the walk's zero-initialised
+accumulator sign on all-``-0.0`` columns.
 
-Flat-slab kernels: when every state's θ lives as one contiguous float64
-slab (:mod:`repro.fl.slab`), the per-key dict walks above collapse to the
-``*_flat`` variants — one ufunc over the whole slab (aggregation over a
-2-D (clients × params) stack). Each flat kernel replays its dict
-counterpart's exact operation sequence element by element, so results are
-bitwise identical; the only reassociation — ``np.add.reduce`` over the
-stack axis versus the sequential ``acc += w·state`` walk — is pairwise
-left-to-right in both formulations, with a trailing ``+ 0.0`` restoring
-the dict walk's zero-initialised accumulator sign on all-``-0.0`` columns.
+Buffer reuse: every kernel writes into a caller-supplied ``out``, so the
+callers cycle a bounded set of retired slabs instead of allocating one per
+aggregation. ``out`` must never alias an input the kernel reads after
+writing, nor an array something else still reads (a broadcast snapshot, a
+buffered delta); the callers own that contract (see DESIGN.md,
+"Aggregation buffer reuse").
 """
 
 from __future__ import annotations
@@ -34,73 +31,8 @@ from typing import Sequence
 import numpy as np
 
 
-def _buffer_for(
-    out: dict[str, np.ndarray] | None,
-    key: str,
-    like: np.ndarray,
-    *forbidden: np.ndarray,
-) -> np.ndarray | None:
-    """A reusable output buffer for ``key``, or None to allocate.
-
-    ``like`` fixes the required shape/dtype; ``forbidden`` lists arrays the
-    computation still reads after the buffer is first written, which the
-    buffer therefore must not alias. Every input must share ``like``'s
-    dtype — mixed-dtype combinations fall back to allocation, where NumPy's
-    promotion rules define the result bits.
-    """
-    if out is None:
-        return None
-    buf = out.get(key)
-    if (
-        isinstance(buf, np.ndarray)
-        and buf.shape == like.shape
-        and buf.dtype == like.dtype
-        and all(arr.dtype == like.dtype for arr in forbidden)
-        and not any(buf is arr for arr in forbidden)
-    ):
-        return buf
-    return None
-
-
-def weighted_average(
-    states: Sequence[dict[str, np.ndarray]],
-    weights: Sequence[float],
-    out: dict[str, np.ndarray] | None = None,
-) -> dict[str, np.ndarray]:
-    """Weighted average of state dicts (Eq. 5 of the paper).
-
-    Weights are normalised to sum to one; in FedFT-EDS they are proportional
-    to each client's *selected* sample count |Dᵏ_select|. All states must
-    share the same keys — BN running statistics are averaged alongside
-    trainable parameters, the standard FedAvg convention. ``out`` optionally
-    supplies retired accumulator arrays (see the module docstring).
-    """
-    weights = _normalized_weights(len(states), weights)
-
-    keys = set(states[0])
-    for i, state in enumerate(states[1:], start=1):
-        if set(state) != keys:
-            raise KeyError(f"state {i} keys differ from state 0")
-
-    result: dict[str, np.ndarray] = {}
-    for key in states[0]:
-        acc = _buffer_for(out, key, states[0][key], *(s[key] for s in states))
-        if acc is None:
-            acc = np.zeros_like(states[0][key])
-        else:
-            acc.fill(0)
-        for w, state in zip(weights, states):
-            acc += w * state[key]
-        result[key] = acc
-    return result
-
-
 def _normalized_weights(count: int, weights: Sequence[float]) -> np.ndarray:
-    """Validate and normalise aggregation weights (shared dict/flat path).
-
-    Raises exactly what :func:`weighted_average` historically raised, so the
-    flat path keeps the dict path's error contract.
-    """
+    """Validate and normalise aggregation weights to sum to one."""
     if count == 0:
         raise ValueError("no states to aggregate")
     if count != len(weights):
@@ -119,16 +51,18 @@ def weighted_average_flat(
     weights: Sequence[float],
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """FedAvg over a ``(clients × params)`` stack as one ufunc pair.
+    """FedAvg over a ``(clients × params)`` stack as one ufunc pair (Eq. 5).
 
+    Weights are normalised to sum to one; in FedFT-EDS they are
+    proportional to each client's *selected* sample count |Dᵏ_select|.
     ``stack`` holds one flat θ slab per row and is **consumed as scratch**
     (rows are scaled in place). ``out`` optionally receives the reduced
-    slab (a retired flat of the same length). Bitwise-identical to
-    :func:`weighted_average` on the per-key views of the same slabs:
-    ``np.add.reduce`` accumulates rows pairwise left-to-right exactly like
-    the sequential ``acc += w·state`` walk, and the trailing ``+ 0.0``
-    reproduces the walk's zero-initialised accumulator on columns where
-    every scaled row is ``-0.0`` (the one place the formulations differ).
+    slab (a retired flat of the same length). ``np.add.reduce``
+    accumulates rows pairwise left-to-right exactly like the sequential
+    ``acc += w·state`` walk, and the trailing ``+ 0.0`` reproduces the
+    walk's zero-initialised accumulator on columns where every scaled row
+    is ``-0.0`` (the one place the formulations differ). Weights are
+    validated before anything is written.
     """
     if stack.ndim != 2:
         raise ValueError(f"expected a 2-D (clients x params) stack, got {stack.shape}")
@@ -154,40 +88,6 @@ def staleness_weight(staleness: int, exponent: float = 0.5) -> float:
     return float((1.0 + staleness) ** -exponent)
 
 
-def mix_states(
-    base: dict[str, np.ndarray],
-    incoming: dict[str, np.ndarray],
-    alpha: float,
-    out: dict[str, np.ndarray] | None = None,
-) -> dict[str, np.ndarray]:
-    """Convex combination ``(1 - α)·base + α·incoming`` over incoming's keys.
-
-    Keys present only in ``base`` (the frozen ϕ, which clients never touch)
-    pass through unchanged; written arrays never alias ``base``'s so earlier
-    broadcast snapshots stay valid — the engine hands them to still-running
-    clients. ``out`` optionally supplies *retired* arrays (a model version
-    no in-flight round reads any more) to write into instead of allocating.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    missing = set(incoming) - set(base)
-    if missing:
-        raise KeyError(f"incoming keys absent from base state: {sorted(missing)}")
-    result = dict(base)
-    for key, value in incoming.items():
-        # The buffer must not alias ``value`` (read after the first write);
-        # aliasing ``base[key]`` would be element-wise safe but would break
-        # the no-alias promise to snapshot holders, so forbid it too.
-        buf = _buffer_for(out, key, base[key], base[key], value)
-        if buf is None:
-            result[key] = (1.0 - alpha) * base[key] + alpha * value
-        else:
-            np.multiply(base[key], 1.0 - alpha, out=buf)
-            buf += alpha * value
-            result[key] = buf
-    return result
-
-
 def mix_flat(
     base: np.ndarray,
     incoming: np.ndarray,
@@ -195,11 +95,12 @@ def mix_flat(
     out: np.ndarray,
     scratch: np.ndarray,
 ) -> np.ndarray:
-    """Flat-slab ``(1 - α)·base + α·incoming`` (see :func:`mix_states`).
+    """Convex combination ``(1 - α)·base + α·incoming`` over whole slabs.
 
-    Replays the dict path's buffered sequence — ``multiply(base, 1-α)``
-    then ``+= α·incoming`` — over the whole slab. ``out`` and ``scratch``
-    must not alias ``base`` or ``incoming``.
+    The FedAsync update: ``multiply(base, 1-α)`` into ``out``, then
+    ``+= α·incoming``. ``out`` and ``scratch`` must not alias ``base`` or
+    ``incoming``; ``base`` is never written, so earlier broadcast
+    snapshots stay valid.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
@@ -215,10 +116,10 @@ def apply_delta_flat(
     lr: float,
     out: np.ndarray,
 ) -> np.ndarray:
-    """Flat-slab ``base + lr·delta`` (see :func:`apply_delta`).
+    """Server-side update ``base + lr·delta`` over whole slabs (FedBuff).
 
-    Same buffered sequence as the dict path: ``multiply(delta, lr)`` into
-    ``out``, then ``add(base, out)``. ``out`` must not alias ``base``.
+    ``multiply(delta, lr)`` into ``out``, then ``add(base, out)``. ``out``
+    must not alias ``base``.
     """
     np.multiply(delta, lr, out=out)
     np.add(base, out, out=out)
@@ -228,54 +129,10 @@ def apply_delta_flat(
 def subtract_flat(
     minuend: np.ndarray, base: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Flat-slab ``minuend − base`` (see :func:`subtract_states`)."""
-    np.subtract(minuend, base, out=out)
-    return out
-
-
-def apply_delta(
-    base: dict[str, np.ndarray],
-    delta: dict[str, np.ndarray],
-    lr: float = 1.0,
-    out: dict[str, np.ndarray] | None = None,
-) -> dict[str, np.ndarray]:
-    """Server-side update ``base + lr·delta`` over delta's keys (FedBuff)."""
-    missing = set(delta) - set(base)
-    if missing:
-        raise KeyError(f"delta keys absent from base state: {sorted(missing)}")
-    result = dict(base)
-    for key, value in delta.items():
-        buf = _buffer_for(out, key, base[key], base[key], value)
-        if buf is None:
-            result[key] = base[key] + lr * value
-        else:
-            np.multiply(value, lr, out=buf)
-            np.add(base[key], buf, out=buf)
-            result[key] = buf
-    return result
-
-
-def subtract_states(
-    minuend: dict[str, np.ndarray],
-    base: dict[str, np.ndarray],
-    out: dict[str, np.ndarray] | None = None,
-) -> dict[str, np.ndarray]:
-    """Per-key difference ``minuend − base`` over minuend's keys.
+    """Difference ``minuend − base`` over whole slabs.
 
     The FedBuff delta primitive: what a client *learned* relative to the
-    broadcast state it started from. Only minuend's keys are produced (θ;
-    the frozen ϕ cancels by construction). ``out`` reuses retired arrays —
-    e.g. a flushed delta or a dead broadcast snapshot.
+    broadcast state it started from.
     """
-    missing = set(minuend) - set(base)
-    if missing:
-        raise KeyError(f"minuend keys absent from base state: {sorted(missing)}")
-    result: dict[str, np.ndarray] = {}
-    for key, value in minuend.items():
-        buf = _buffer_for(out, key, value, value, base[key])
-        if buf is None:
-            result[key] = value - base[key]
-        else:
-            np.subtract(value, base[key], out=buf)
-            result[key] = buf
-    return result
+    np.subtract(minuend, base, out=out)
+    return out

@@ -24,17 +24,17 @@ and each save writes one payload (``async_payload-<g>.npz``) holding the
 FedBuff buffer and every model version the state needs — the server's
 current version and the pending dispatches' versions — that no earlier
 save of the run stored, each as its arrays that differ from the base:
-after round 0 just θ, as one ``theta_slab`` array when the version is
-slab-backed (see :mod:`repro.fl.slab`). The frozen ϕ, the bulk of the
-model, is inherited from the base. A version never changes once taken, so
-the manifest maps each needed version to the payload file that stores it,
-and a later save refers to that file instead of writing the version
-again; the current version is the server state, and when it is also
-pending one entry serves both. Garbage collection keeps exactly the files
-the manifest names. A torn trailing journal line from a crash mid-append
-sits beyond the committed byte offset and is ignored on load and
-truncated on the next save; :func:`compact_async_checkpoint` rewrites the
-directory from scratch.
+after round 0 just θ, as the version's one ``theta_slab`` array (see
+:mod:`repro.fl.slab`). The frozen ϕ, the bulk of the model, is inherited
+from the base, and loading hands every version back slab-backed. A
+version never changes once taken, so the manifest maps each needed
+version to the payload file that stores it, and a later save refers to
+that file instead of writing the version again; the current version is
+the server state, and when it is also pending one entry serves both.
+Garbage collection keeps exactly the files the manifest names. A torn
+trailing journal line from a crash mid-append sits beyond the committed
+byte offset and is ignored on load and truncated on the next save;
+:func:`compact_async_checkpoint` rewrites the directory from scratch.
 
 Manifests are stamped format 6 and the loader reads nothing else:
 checkpoints are run-scoped scratch, not an interchange format. See
@@ -60,7 +60,12 @@ from repro.fl.rounds import (
 )
 from repro.fl.sampling import ParticipationModel
 from repro.fl.server import Server
-from repro.fl.slab import SlabLayout
+from repro.fl.slab import (
+    SlabLayout,
+    SlabState,
+    make_slab_state,
+    slab_successor,
+)
 from repro.fl.timing import TimingModel
 from repro.nn.serialization import load_state, save_state
 from repro.obs import tracing
@@ -395,8 +400,7 @@ def _server_base(
     The *base* is a full state-dict npz, written once (first save,
     compaction, or a base file gone missing), with per-key content digests
     in the manifest; every model version is stored as the arrays that
-    differ from it. A slab-backed state also records the digest of its
-    whole θ block.
+    differ from it. The digest of the whole θ slab is recorded too.
     """
     entry = None if full else (previous or {}).get("server_base")
     if entry is not None and os.path.exists(os.path.join(path, entry["file"])):
@@ -404,11 +408,7 @@ def _server_base(
     server_state = state.server_state
     base_file = f"async_server_base-{generation}.npz"
     digests = {key: _array_digest(value) for key, value in server_state.items()}
-    slab = getattr(server_state, "theta_slab", None)
-    if slab is not None:
-        # Per-key digests stay too: a later save may carry a plain-dict
-        # state (e.g. after an in-process resume).
-        digests[_THETA_SLAB_KEY] = _array_digest(slab)
+    digests[_THETA_SLAB_KEY] = _array_digest(server_state.theta_slab)
     save_state(os.path.join(path, base_file), server_state)
     _fsync_file(os.path.join(path, base_file))
     return {"file": base_file, "digests": digests}, True
@@ -418,22 +418,19 @@ def _server_delta(
     server_state: dict[str, np.ndarray], digests: dict[str, str]
 ) -> dict[str, np.ndarray]:
     """The current version's arrays whose content digests differ from the
-    base's — after round 0 just θ, as the one ``theta_slab`` array when
-    the state is slab-backed.
+    base's — after round 0 just θ, as the one ``theta_slab`` array.
 
-    Change detection stays content-based: the aggregation paths recycle θ
-    buffers in place (``Server._theta_scratch``,
+    Change detection stays content-based: the aggregators recycle retired
+    θ slabs in place (``Server._slab_scratch``,
     ``AsyncAggregator.recycle``), so an array object's identity says
     nothing about its bytes across saves. It runs once per model version,
     when the version is first stored.
     """
-    slab = getattr(server_state, "theta_slab", None)
     delta: dict[str, np.ndarray] = {}
-    slab_keys: frozenset = frozenset()
-    if slab is not None and _THETA_SLAB_KEY in digests:
-        slab_keys = frozenset(server_state.layout.keys)
-        if digests[_THETA_SLAB_KEY] != _array_digest(slab):
-            delta[_THETA_SLAB_KEY] = slab
+    slab = server_state.theta_slab
+    if digests.get(_THETA_SLAB_KEY) != _array_digest(slab):
+        delta[_THETA_SLAB_KEY] = slab
+    slab_keys = server_state.layout.key_set
     for key, value in server_state.items():
         if key not in slab_keys and digests.get(key) != _array_digest(value):
             delta[key] = value
@@ -444,12 +441,11 @@ def _snapshot_delta(
     snapshot: dict[str, np.ndarray],
     server_state: dict[str, np.ndarray],
     inherited: frozenset,
-    layout: SlabLayout | None,
 ) -> dict[str, np.ndarray]:
     """A pending version's arrays that the base does not already hold.
 
-    A slab-backed snapshot stores its θ block as one array. Every other
-    key inherits from the base when the current version inherits it
+    The snapshot's θ block is stored as one array. Every other key
+    inherits from the base when the current version inherits it
     (``inherited``) and the snapshot holds the same bytes — the frozen ϕ,
     shared by reference between versions, always does.
     """
@@ -457,16 +453,9 @@ def _snapshot_delta(
         raise ValueError(
             "a pending model version's keys differ from the server state's"
         )
-    delta: dict[str, np.ndarray] = {}
-    slab_keys: frozenset = frozenset()
-    slab = getattr(snapshot, "theta_slab", None)
-    if slab is not None and layout is not None and (
-        snapshot.layout.signature == layout.signature
-    ):
-        delta[_THETA_SLAB_KEY] = slab
-        slab_keys = frozenset(layout.keys)
+    delta: dict[str, np.ndarray] = {_THETA_SLAB_KEY: snapshot.theta_slab}
     for key, value in snapshot.items():
-        if key in slab_keys or (
+        if key in server_state.layout.key_set or (
             key in inherited and _bitwise_equal(server_state[key], value)
         ):
             continue
@@ -479,7 +468,7 @@ def _stored_versions(
     previous: dict | None,
     continued: bool,
     base_written: bool,
-    server_slab: list | None,
+    server_slab: list,
     meta: dict,
 ) -> dict[str, dict]:
     """Version entries of the committed manifest this save may refer to.
@@ -496,7 +485,7 @@ def _stored_versions(
         or not continued
         or base_written
         or previous["meta"] != meta
-        or previous["server_slab"] not in (None, server_slab)
+        or previous["server_slab"] != server_slab
     ):
         return {}
     present: dict[str, bool] = {}
@@ -577,18 +566,11 @@ def _write_checkpoint(path: str, state: RunState, full: bool) -> None:
         path, state, previous, full, generation
     )
     server_state = state.server_state
-    layout = (
-        server_state.layout
-        if getattr(server_state, "theta_slab", None) is not None
-        else None
-    )
     # θ packing of slab entries: load needs it to expand a __theta_slab__
     # array back into named arrays.
-    server_slab = (
-        [[key, list(shape)] for key, shape in layout.signature]
-        if layout is not None
-        else None
-    )
+    server_slab = [
+        [key, list(shape)] for key, shape in server_state.layout.signature
+    ]
     server_base, base_written = _server_base(
         path, state, previous, full, generation
     )
@@ -615,8 +597,8 @@ def _write_checkpoint(path: str, state: RunState, full: bool) -> None:
         )
     stored = versions[str(current)]["stored"]
     covered = (
-        frozenset(layout.keys)
-        if layout is not None and _THETA_SLAB_KEY in stored
+        server_state.layout.key_set
+        if _THETA_SLAB_KEY in stored
         else frozenset()
     )
     inherited = frozenset(server_state) - covered - frozenset(stored)
@@ -625,7 +607,7 @@ def _write_checkpoint(path: str, state: RunState, full: bool) -> None:
             store(
                 version,
                 _snapshot_delta(
-                    state.snapshots[version], server_state, inherited, layout
+                    state.snapshots[version], server_state, inherited
                 ),
             )
     # Exactly the versions this state needs: the current one and the
@@ -756,9 +738,13 @@ def load_async_checkpoint(path: str) -> RunState:
     """Read a run state written by either loop's checkpoint writer.
 
     ``meta["loop"]`` decides the record type: ``RoundRecord``s for a sync
-    checkpoint, ``EventRecord``s for an async one. Only format-6
-    manifests load; any other format raises ``ValueError``, and so does a
-    file the manifest names that is missing.
+    checkpoint, ``EventRecord``s for an async one. The server state, the
+    pending snapshots and the FedBuff deltas come back as
+    :class:`~repro.fl.slab.SlabState`s in the manifest's recorded
+    ``server_slab`` packing, so a resumed run aggregates on the slab like
+    an uninterrupted one. Only format-6 manifests load; any other format
+    raises ``ValueError``, and so does a file the manifest names that is
+    missing.
     """
     from repro.engine.records import EventRecord
 
@@ -781,15 +767,11 @@ def load_async_checkpoint(path: str) -> RunState:
             )
     base = load_state(os.path.join(path, base_file))
     keys = payload["server_keys"]
-    layout = (
-        SlabLayout(
-            [
-                (key, tuple(int(d) for d in shape))
-                for key, shape in payload["server_slab"]
-            ]
-        )
-        if payload["server_slab"] is not None
-        else None
+    layout = SlabLayout(
+        [
+            (key, tuple(int(d) for d in shape))
+            for key, shape in payload["server_slab"]
+        ]
     )
     archives: dict = {}  # payload file name -> its open npz archive
 
@@ -798,29 +780,28 @@ def load_async_checkpoint(path: str) -> RunState:
             archives[name] = np.load(os.path.join(path, name))
         return archives[name]
 
-    def version_state(version: int, copy: bool) -> dict[str, np.ndarray]:
+    def version_state(version: int) -> SlabState:
         # Stored entries come from the payload that holds the version
-        # (each read is a fresh array); a slab entry expands per the
-        # recorded packing; every other key comes from the base.
+        # (each read is a fresh array); every other key comes from the
+        # base, shared between versions like ϕ in a running server. θ is
+        # the stored slab, or gathered from the base into a fresh one.
         entry = versions[str(version)]
         source = archive(entry["file"])
         stored = {
             name: source[f"{version}{_SEP}{name}"] for name in entry["stored"]
         }
         slab = stored.pop(_THETA_SLAB_KEY, None)
-        if slab is not None:
-            stored.update(layout.views(slab))
-        return {
-            key: stored[key]
-            if key in stored
-            else (base[key].copy() if copy else base[key])
-            for key in keys
+        state = {
+            key: stored[key] if key in stored else base[key] for key in keys
         }
+        if slab is None:
+            return make_slab_state(state, layout)
+        return slab_successor(state, slab, layout)
 
     try:
-        server_state = version_state(payload["server_round_index"], False)
+        server_state = version_state(payload["server_round_index"])
         snapshots = {
-            int(version): version_state(version, True)
+            int(version): version_state(version)
             for version in payload["snapshots"]
         }
         deltas: dict[int, dict[str, np.ndarray]] = {}
@@ -862,7 +843,8 @@ def load_async_checkpoint(path: str) -> RunState:
         next_seq=int(payload["next_seq"]),
         snapshots=snapshots,
         aggregator_state=[
-            (deltas[index], weights[index]) for index in sorted(deltas)
+            (make_slab_state(deltas[index], layout), weights[index])
+            for index in sorted(deltas)
         ],
         records=records,
         last_accuracy=float(payload["last_accuracy"]),

@@ -283,16 +283,11 @@ class BoundHead:
         layers = self.layers
         layout = self._plan_theta_layout()
         if layout is not None:
-            from repro.fl.slab import SlabState
+            from repro.fl.slab import slab_successor
 
             plan = self.plan
             plan.adopt_params(layers)
-            flat = plan._data_flat.copy()
-            snap = SlabState()
-            snap.layout = layout
-            snap.theta_slab = flat
-            snap.update(layout.views(flat))
-            return snap
+            return slab_successor({}, plan._data_flat.copy(), layout)
         return {
             name: (layers[i].weight if attr == "w" else layers[i].bias).data.copy()
             for name, i, attr in mapping
@@ -673,15 +668,11 @@ def solve_cohort(
 
 def wrap_cohort_update(row, layout, num_selected, num_local, mean_loss):
     """One lane of a cohort's θ stack as a slab-backed LocalUpdate."""
-    from repro.fl.slab import SlabState
+    from repro.fl.slab import slab_successor
     from repro.fl.strategies import LocalUpdate
 
-    snap = SlabState()
-    snap.layout = layout
-    snap.theta_slab = row
-    snap.update(layout.views(row))
     return LocalUpdate(
-        theta=snap,
+        theta=slab_successor({}, row, layout),
         num_selected=int(num_selected),
         num_local=int(num_local),
         mean_loss=float(mean_loss),

@@ -100,6 +100,24 @@ class TrainingHistory:
         return None
 
 
+def check_run_knobs(
+    eval_every: int,
+    checkpoint_path: str | None,
+    checkpoint_every: int,
+    emergency_checkpoint: bool,
+) -> None:
+    """Refuse evaluation and checkpoint settings neither run loop can
+    honour (``run_fedft_eds`` checks them before any setup)."""
+    if eval_every <= 0:
+        raise ValueError("eval_every must be positive")
+    if checkpoint_every < 0:
+        raise ValueError("checkpoint_every must be non-negative")
+    if checkpoint_every and not checkpoint_path:
+        raise ValueError("checkpoint_every requires a checkpoint_path")
+    if emergency_checkpoint and not checkpoint_path:
+        raise ValueError("emergency_checkpoint requires a checkpoint_path")
+
+
 def run_federated_training(
     server: Server,
     clients: list[Client],
@@ -165,14 +183,11 @@ def run_federated_training(
     """
     if rounds <= 0:
         raise ValueError("rounds must be positive")
+    check_run_knobs(
+        eval_every, checkpoint_path, checkpoint_every, emergency_checkpoint
+    )
     if not clients:
         raise ValueError("client pool is empty")
-    if checkpoint_every < 0:
-        raise ValueError("checkpoint_every must be non-negative")
-    if checkpoint_every and not checkpoint_path:
-        raise ValueError("checkpoint_every requires a checkpoint_path")
-    if emergency_checkpoint and not checkpoint_path:
-        raise ValueError("emergency_checkpoint requires a checkpoint_path")
     if backend is None:
         # Local import: repro.engine imports this package.
         from repro.engine.backends import SerialBackend

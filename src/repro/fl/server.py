@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.fl.aggregation import weighted_average, weighted_average_flat
+from repro.fl.aggregation import weighted_average_flat
 from repro.fl.fastpath import bind_head
 from repro.fl.features import batched_head_logits, compute_features
 from repro.fl.selection import batched_logits
@@ -23,6 +23,13 @@ class Server:
 
     The server's model doubles as the shared workspace in which clients run
     their local rounds; ``global_state`` snapshots make that safe.
+
+    Every model version the server holds is a
+    :class:`~repro.fl.slab.SlabState`: θ (the model's ``theta_keys`` at
+    construction) lives in one float64 slab, ϕ entries are shared by
+    reference between versions. A model whose θ cannot be one float64
+    slab (nothing trainable, or another dtype) is refused at construction
+    with ``ValueError``.
 
     Evaluation exploits the ϕ/θ split twice whenever the model has a
     frozen prefix (bitwise identical to a full load and a full forward):
@@ -45,16 +52,17 @@ class Server:
     def __init__(self, model: SegmentedModel, test_set: Dataset):
         self.model = model
         self.test_set = test_set
-        self.global_state = model.state_dict()
-        #: θ packing for the flat-slab fast lane; None when the model's
-        #: communicated θ cannot live in one float64 slab (then every
-        #: path below stays on the per-key dict walk)
-        layout = SlabLayout.for_state(self.global_state, theta_keys(model))
-        self._slab_layout = layout if layout is not None and layout.keys else None
-        if self._slab_layout is not None:
-            self.global_state = make_slab_state(
-                self.global_state, self._slab_layout
+        state = model.state_dict()
+        #: θ packing of every model version the server holds
+        self._slab_layout = SlabLayout.for_state(state, theta_keys(model))
+        if self._slab_layout is None or not self._slab_layout.keys:
+            raise ValueError(
+                "the server holds θ as one float64 slab: the model needs "
+                "at least one trainable parameter, all of them float64"
             )
+        self.global_state = make_slab_state(state, self._slab_layout)
+        #: packings of other θ key sets seen in aggregate(), by key set
+        self._packings: dict[frozenset, SlabLayout] = {}
         self.round_index = 0
         #: pooled-evaluation hook; attached by campaign runtimes
         self.evaluator = None
@@ -79,11 +87,10 @@ class Server:
                 "graph_evals": 0,
             },
         )
-        # Alternating θ accumulators for aggregate(): the buffer written
-        # two rounds ago is only reachable from that round's superseded
-        # global_state, so it can be reused without touching anything a
-        # broadcast snapshot might still alias (see repro.fl.aggregation).
-        self._theta_scratch: list[dict | None] = [None, None]
+        # Alternating θ slabs for aggregate(): the slab written two rounds
+        # ago is only reachable from that round's superseded global_state,
+        # so it can be reused without touching anything a broadcast
+        # snapshot might still alias.
         self._slab_scratch: list[np.ndarray | None] = [None, None]
         self._scratch_flip = 0
         #: (clients × params) aggregation matrix, grown to the largest
@@ -107,85 +114,84 @@ class Server:
         )
 
     def set_global_state(self, state: dict[str, np.ndarray]) -> None:
-        """Install ``state`` as the current global model version.
-
-        Re-homes θ into a fresh slab when the server is slab-backed and the
-        state fits the layout (checkpoint resume hands plain dicts back);
-        anything else is installed as-is and the per-key paths take over.
-        """
-        layout = self._slab_layout
-        if (
-            layout is not None
-            and getattr(state, "theta_slab", None) is None
-            and all(
-                isinstance(state.get(key), np.ndarray)
-                and state[key].shape == shape
-                and state[key].dtype == np.float64
-                for key, shape in layout.signature
-            )
-        ):
-            state = make_slab_state(dict(state), layout)
-        self.global_state = state
+        """Install a copy of ``state`` as the current global model version,
+        its θ re-homed into a fresh slab in the server's packing — a
+        checkpoint's state, or a per-key merge such as
+        :func:`~repro.core.heterogeneous.aggregate_heterogeneous`'s. θ
+        that does not fit the packing is refused (see
+        :meth:`repro.fl.slab.SlabLayout.flatten`) and the current version
+        stays."""
+        self.global_state = make_slab_state(state, self._slab_layout)
 
     def aggregate(self, updates: list[LocalUpdate]) -> None:
         """Fuse client θ's weighted by selected counts and refresh ϕ∪θ.
 
-        When the global state is slab-backed and every update's θ matches
-        the layout, the whole Eq. 5 average runs as one ufunc pair over a
-        (clients × params) stack — bitwise identical to the per-key walk
-        (see :func:`repro.fl.aggregation.weighted_average_flat`). Any
-        mismatch falls back to the dict path, which also defines the error
-        behaviour for malformed updates.
+        The Eq. 5 average runs as one ufunc pair over a (clients × params)
+        stack (see :func:`repro.fl.aggregation.weighted_average_flat`).
+        Updates that all carry one key set other than the server's θ
+        (tiered clients at one other fine-tune level) are averaged over a
+        cached packing of that key set and merged into the new version.
+        Everything is checked before anything changes: updates whose key
+        sets differ raise ``KeyError`` (``"state i keys differ from state
+        0"``), keys the global state lacks raise ``KeyError``, and entries
+        of the wrong shape or dtype raise ``ValueError``.
         """
         if not updates:
             raise ValueError("no client updates to aggregate")
-        if self._aggregate_slab(updates):
-            self.round_index += 1
-            return
-        theta = weighted_average(
-            [u.theta for u in updates],
-            [u.num_selected for u in updates],
-            out=self._theta_scratch[self._scratch_flip],
-        )
-        self._theta_scratch[self._scratch_flip] = theta
-        self._scratch_flip ^= 1
-        merged = dict(self.global_state)
-        merged.update(theta)
-        self.global_state = merged
-        self.round_index += 1
-
-    def _aggregate_slab(self, updates: list[LocalUpdate]) -> bool:
-        """The one-ufunc aggregation fast lane; False → use the dict walk."""
         base = self.global_state
-        layout: SlabLayout | None = getattr(base, "layout", None)
-        if layout is None:
-            return False
+        layout = self._slab_layout
+        packing = self._packing_for(updates[0].theta)
         n = len(updates)
         stack = self._stack_scratch
         if (
             stack is None
             or stack.shape[0] < n
-            or stack.shape[1] != layout.total
+            or stack.shape[1] != packing.total
         ):
-            stack = self._stack_scratch = np.empty((n, layout.total))
+            stack = self._stack_scratch = np.empty((n, packing.total))
         rows = stack[:n]
-        for j, update in enumerate(updates):
-            theta = update.theta
-            slab = getattr(theta, "theta_slab", None)
-            if slab is not None and theta.layout.signature == layout.signature:
-                rows[j] = slab  # row memcpy: packing is offset-identical
-            elif layout.matches(theta):
-                layout.gather(theta, rows[j])
-            else:
-                return False
-        out = self._slab_scratch[self._scratch_flip]
-        if out is None or len(out) != layout.total:
-            out = np.empty(layout.total)
-        weighted_average_flat(rows, [u.num_selected for u in updates], out=out)
-        self._slab_scratch[self._scratch_flip] = out
-        self._scratch_flip ^= 1
-        self.global_state = slab_successor(base, out, layout)
-        return True
+        for j, (row, update) in enumerate(zip(rows, updates)):
+            try:
+                flat = packing.flatten(update.theta, row)
+            except KeyError:
+                raise KeyError(f"state {j} keys differ from state 0") from None
+            if flat is not row:
+                row[...] = flat  # row memcpy: packing is offset-identical
+        weights = [u.num_selected for u in updates]
+        if packing is layout:
+            out = self._slab_scratch[self._scratch_flip]
+            if out is None:
+                out = np.empty(layout.total)
+            weighted_average_flat(rows, weights, out=out)
+            self._slab_scratch[self._scratch_flip] = out
+            self._scratch_flip ^= 1
+            self.global_state = slab_successor(base, out, layout)
+        else:
+            merged = dict(base)
+            merged.update(packing.views(weighted_average_flat(rows, weights)))
+            self.global_state = make_slab_state(merged, layout)
+        self.round_index += 1
+
+    def _packing_for(self, theta: dict[str, np.ndarray]) -> SlabLayout:
+        """The server's θ packing when ``theta`` carries its keys, else a
+        cached packing of ``theta``'s key set (in global-state order)."""
+        if theta.keys() == self._slab_layout.key_set:
+            return self._slab_layout
+        keys = frozenset(theta)
+        packing = self._packings.get(keys)
+        if packing is None:
+            unknown = sorted(keys - self.global_state.keys())
+            if unknown:
+                raise KeyError(
+                    f"update keys absent from the global state: {unknown}"
+                )
+            packing = SlabLayout.for_state(
+                self.global_state, [k for k in self.global_state if k in keys]
+            )
+            if packing is None:
+                raise ValueError("updated entries must be float64 arrays")
+            self._packings[keys] = packing
+        return packing
 
     def invalidate_resident_model(self) -> None:
         """Force the next local evaluation to reload the full state.

@@ -1,26 +1,26 @@
 """Flat-slab server θ: every model version as one contiguous float64 array.
 
 :class:`FusedHeadPlan` (PR 5) proved θ can live as views into flat storage
-on the client; this module promotes that representation to the *server*.
+on the client; this module makes it the server's one representation of θ.
 A :class:`SlabLayout` packs the communicated θ keys — in ``theta_keys``
 order, 64-byte aligned via the same :func:`repro.nn.fused.aligned_slot_layout`
 the plans use — and a :class:`SlabState` is a plain ``dict`` state whose θ
 entries are views into one flat slab (``theta_slab``). Because it *is* a
-dict, every existing consumer (``load_state_dict``, ``theta_keys`` walks,
-checkpoints, pickling) keeps working unchanged; the slab is a fast lane:
+dict, every consumer that reads states (``load_state_dict``, ``theta_keys``
+walks, pickling) works unchanged, while the server side works on the slab:
 
-- aggregation collapses to one ufunc over a (clients × params) stack
+- aggregation is one ufunc over a (clients × params) stack
   (:func:`repro.fl.aggregation.weighted_average_flat` and friends),
-- server→client broadcast becomes a memcpy into a plan's ``_data_flat``
+- server→client broadcast is a memcpy into a plan's ``_data_flat``
   (offset-identical packing) or into a shm slot's θ block,
-- async checkpoints delta-encode the single ``theta_slab`` array instead
-  of per-key npz entries.
+- checkpoints store a version's θ as the single ``theta_slab`` array.
 
-Padding between slots is zero-initialised and every slab kernel maps
+:meth:`SlabLayout.flatten` is where states enter: an update or installed
+state whose θ does not fit the packing is refused there, before anything
+is written. Padding between slots is zeroed and every slab kernel maps
 ``0 → +0``, so pad lanes never contaminate θ lanes. Pickling a SlabState
-degrades it to a plain dict (workers and old checkpoints see exactly what
-they always saw); ϕ entries are held by reference and shared across
-versions, exactly like the dict path's ``dict(base)`` copies.
+degrades it to a plain dict (workers see exactly the per-key arrays);
+ϕ entries are held by reference and shared across versions.
 """
 
 from __future__ import annotations
@@ -42,10 +42,13 @@ class SlabLayout:
     broadcasts are a single memcpy.
     """
 
-    __slots__ = ("keys", "shapes", "offsets", "sizes", "total", "signature")
+    __slots__ = (
+        "keys", "key_set", "shapes", "offsets", "sizes", "total", "signature"
+    )
 
     def __init__(self, items: Sequence[tuple[str, tuple[int, ...]]]):
         self.keys = tuple(key for key, _ in items)
+        self.key_set = frozenset(self.keys)
         self.shapes = tuple(tuple(int(d) for d in shape) for _, shape in items)
         offsets, total = aligned_slot_layout(self.shapes)
         self.offsets = tuple(offsets)
@@ -63,8 +66,7 @@ class SlabLayout:
         """Layout over ``theta`` keys of ``state``; None when unsuitable.
 
         The slab is float64-only (the project's universal dtype); any
-        other dtype — or a missing key — declines, and callers stay on
-        the dict path.
+        other dtype — or a missing key — declines.
         """
         items = []
         for key in theta:
@@ -83,22 +85,41 @@ class SlabLayout:
             )
         }
 
-    def matches(self, state: dict[str, np.ndarray]) -> bool:
-        """True when ``state`` is exactly this layout's keys with the packed
-        shapes, all float64 — i.e. :meth:`gather` reproduces it losslessly
-        and the flat kernels are bitwise equivalent to the per-key walk
-        (no dtype-promotion edge cases)."""
-        if len(state) != len(self.keys):
-            return False
+    def flatten(
+        self, state: dict[str, np.ndarray], scratch: np.ndarray
+    ) -> np.ndarray:
+        """``state``'s θ as one flat slab per this layout.
+
+        Zero-copy when ``state`` is slab-backed with this packing and holds
+        nothing else; gathered into ``scratch`` otherwise. A state that
+        does not fit is refused before ``scratch`` is written: ``KeyError``
+        when its keys differ from the layout's, ``ValueError`` when an
+        entry is not a float64 array of the packed shape.
+        """
+        slab = getattr(state, "theta_slab", None)
+        if (
+            slab is not None
+            and len(state) == len(self.keys)
+            and state.layout.signature == self.signature
+        ):
+            return slab
+        if state.keys() != self.key_set:
+            raise KeyError(
+                f"θ keys differ from the packing: missing "
+                f"{sorted(self.key_set - state.keys())}, unexpected "
+                f"{sorted(state.keys() - self.key_set)}"
+            )
         for key, shape in self.signature:
-            value = state.get(key)
+            value = state[key]
             if (
                 not isinstance(value, np.ndarray)
                 or value.shape != shape
                 or value.dtype != np.float64
             ):
-                return False
-        return True
+                raise ValueError(
+                    f"θ entry {key!r} is not a float64 array of shape {shape}"
+                )
+        return self.gather(state, scratch)
 
     def gather(self, state: dict[str, np.ndarray], out: np.ndarray) -> np.ndarray:
         """Copy ``state``'s θ values into the flat ``out`` per the layout.
@@ -122,10 +143,9 @@ class SlabLayout:
 class SlabState(dict):
     """A model state dict whose θ entries are views into ``theta_slab``.
 
-    Subclasses ``dict`` so every dict consumer works untouched; pickling
-    (:meth:`__reduce__`) degrades to a plain dict of standalone arrays —
-    process-backend workers and checkpoint payloads never see the slab
-    unless they ask for it.
+    Subclasses ``dict`` so every reader of states works untouched;
+    pickling (:meth:`__reduce__`) degrades to a plain dict of standalone
+    arrays, so process-backend workers never see the slab.
     """
 
     __slots__ = ("theta_slab", "layout")
@@ -135,43 +155,34 @@ class SlabState(dict):
 
 
 def make_slab_state(
-    state: dict[str, np.ndarray],
-    layout: SlabLayout,
-    slab: np.ndarray | None = None,
+    state: dict[str, np.ndarray], layout: SlabLayout
 ) -> SlabState:
-    """A :class:`SlabState` copy of ``state`` with θ gathered into a slab.
+    """A :class:`SlabState` copy of ``state`` with θ gathered into a fresh
+    slab.
 
     ϕ entries (keys outside the layout) are carried by reference — they
-    are immutable for the campaign, exactly as ``dict(base)`` copies
-    share them on the dict path. ``slab`` optionally supplies a retired
-    flat to reuse (a model version nothing reads any more).
+    are immutable for the campaign and shared by every version. θ that
+    does not fit ``layout`` is refused as :meth:`SlabLayout.flatten`
+    refuses it.
     """
-    if slab is None:
-        slab = np.zeros(layout.total)  # recycled flats: gather() re-zeroes pads
-    result = SlabState(state)
-    result.layout = layout
-    result.theta_slab = slab
-    layout.gather(state, slab)
-    result.update(layout.views(slab))
-    return result
+    theta = {key: state[key] for key in layout.keys if key in state}
+    slab = layout.flatten(theta, np.empty(layout.total))
+    return slab_successor(state, slab, layout)
 
 
 def slab_successor(
-    base: dict[str, np.ndarray],
-    slab: np.ndarray,
-    layout: SlabLayout | None = None,
+    base: dict[str, np.ndarray], slab: np.ndarray, layout: SlabLayout
 ) -> SlabState:
-    """A new model version around an already-computed ``slab``.
+    """A new state around an already-computed ``slab`` packed per
+    ``layout``.
 
     ϕ entries pass through by reference from ``base``; θ entries become
-    views of ``slab``. This is the aggregation epilogue: the flat kernels
-    produced ``slab``, and the result is a *fresh dict object* (identity
-    checks like the process backend's ``slot.state is global_state``
-    rely on one dict per model version). ``layout`` defaults to ``base``'s
-    own (``base`` need not be slab-backed when one is given).
+    views of ``slab`` (with ``base={}``, a θ-only state such as an update
+    or a FedBuff delta). This is the aggregation epilogue: the flat
+    kernels produced ``slab``, and the result is a *fresh dict object*
+    (identity checks like the process backend's ``slot.state is
+    global_state`` rely on one dict per model version).
     """
-    if layout is None:
-        layout = base.layout
     result = SlabState(base)
     result.layout = layout
     result.theta_slab = slab

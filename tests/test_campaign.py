@@ -149,11 +149,13 @@ _CRASH_SCRIPT = textwrap.dedent(
     import numpy as np
     from repro.engine.backends import ProcessPoolBackend
     from repro.engine.campaign import CampaignSegmentPool
+    from repro.fl.slab import SlabLayout, make_slab_state
 
     pool = CampaignSegmentPool()
     segment = pool.acquire(("k", 0), lambda: {"x": np.zeros(256)})
     backend = ProcessPoolBackend(max_workers=1)
-    slot = backend._publish_state({"w": np.ones(128)})
+    state = make_slab_state({"w": np.ones(128)}, SlabLayout([("w", (128,))]))
+    slot = backend._publish_state(state)
     print(segment.shm.name)
     print(slot.shm.name)
     sys.stdout.flush()

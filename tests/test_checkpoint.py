@@ -345,6 +345,65 @@ def test_async_resume_under_different_backend():
     )
 
 
+@pytest.mark.parametrize("backend_kind", ["serial", "process"])
+def test_resumed_fedbuff_run_stays_on_the_slab(backend_kind, tmp_path):
+    """A resumed FedBuff run aggregates on the slab like an uninterrupted
+    one: the checkpoint hands back slab-backed versions and deltas, every
+    version the run installs is a SlabState, every buffered delta is
+    slab-backed, and the process backend republishes versions as θ
+    memcpys. The run still ends bitwise equal to the uninterrupted one."""
+    from repro.fl.slab import SlabState
+
+    full_server, full_log = _run_uninterrupted("fedbuff")
+    path = str(tmp_path / "ckpt")
+
+    def bomb(record):
+        if record.event_index == 4:
+            raise _Killed
+
+    server, clients = make_federation()
+    with pytest.raises(_Killed):
+        run_async_federated_training(
+            server, clients, _aggregator("fedbuff"), max_events=MAX_EVENTS,
+            seed=11, timing=STRAGGLED, checkpoint_path=path,
+            checkpoint_every=1, on_event=bomb,
+        )
+    state = load_async_checkpoint(path)
+    assert state.aggregator_state and state.snapshots
+    restored = [state.server_state, *state.snapshots.values()]
+    restored += [delta for delta, _ in state.aggregator_state]
+    assert all(type(s) is SlabState for s in restored)
+
+    server, clients = make_federation()
+    aggregator = _aggregator("fedbuff")
+    installed, buffered = [], []
+
+    def watch(record):
+        installed.append(type(server.global_state))
+        buffered.extend(type(delta) for delta, _ in aggregator._buffer)
+
+    backend = ProcessPoolBackend(max_workers=2) if backend_kind == "process" else None
+    try:
+        log = resume_async_federated_training(
+            path, server, clients, aggregator, timing=STRAGGLED,
+            backend=backend, on_event=watch,
+        )
+    finally:
+        if backend is not None:
+            backend.shutdown()
+    installed.append(type(server.global_state))
+    assert set(installed) == {SlabState}
+    assert buffered and set(buffered) == {SlabState}
+    if backend is not None:
+        assert backend.stats["state_slab_memcpys"] > 0
+    assert _logs_identical(full_log, log)
+    assert set(server.global_state) == set(full_server.global_state)
+    assert all(
+        server.global_state[k].tobytes() == full_server.global_state[k].tobytes()
+        for k in server.global_state
+    )
+
+
 @pytest.mark.parametrize("kill_at", range(1, 8))
 def test_async_resume_with_dropouts(kill_at):
     """Drop-pending clients keep their advanced RNG streams across resume.

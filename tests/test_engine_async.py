@@ -17,9 +17,10 @@ from repro.engine.availability import (
 from repro.engine.backends import make_backend
 from repro.engine.clock import EventQueue, VirtualClock
 from repro.engine.records import EventLog, EventRecord
-from repro.fl.aggregation import apply_delta, mix_states, staleness_weight
+from repro.fl.aggregation import apply_delta_flat, staleness_weight
 from repro.fl.rounds import RoundRecord, TrainingHistory, run_federated_training
 from repro.fl.sampling import BernoulliParticipation, ParticipationModel
+from repro.fl.slab import SlabLayout, make_slab_state
 from repro.fl.timing import TimingModel, straggler_multipliers
 from repro.testbed import ENGINE_SMOKE as SMOKE
 from repro.testbed import tiny_federation
@@ -52,27 +53,43 @@ def test_staleness_weight_decays():
         staleness_weight(-1)
 
 
-def test_mix_states_passes_frozen_keys_through():
-    base = {"phi": np.ones(2), "theta": np.zeros(2)}
-    out = mix_states(base, {"theta": np.full(2, 2.0)}, alpha=0.25)
-    assert np.array_equal(out["phi"], base["phi"])
-    assert np.allclose(out["theta"], 0.5)
-    # fresh arrays: older broadcast snapshots must stay valid
-    assert out["theta"] is not base["theta"]
-    with pytest.raises(KeyError):
-        mix_states(base, {"missing": np.zeros(2)}, 0.5)
-
-
-def test_apply_delta():
-    base = {"theta": np.ones(3)}
-    out = apply_delta(base, {"theta": np.full(3, 0.5)}, lr=2.0)
-    assert np.allclose(out["theta"], 2.0)
+def _slab(state, theta=("theta",)):
+    """``state`` slab-backed over its ``theta`` keys, as the server holds it."""
+    layout = SlabLayout([(key, state[key].shape) for key in theta])
+    return make_slab_state(state, layout)
 
 
 class _FakeServer:
     def __init__(self):
-        self.global_state = {"theta": np.zeros(4), "phi": np.ones(4)}
+        self.global_state = _slab({"theta": np.zeros(4), "phi": np.ones(4)})
         self.round_index = 0
+
+
+def test_mix_states_passes_frozen_keys_through():
+    """FedAsync mixes θ into a fresh slab and passes ϕ through by
+    reference; an update whose keys do not fit is refused."""
+    server = _FakeServer()
+    base = server.global_state
+    agg = FedAsyncAggregator(mixing=0.25, staleness_exponent=0.0)
+    update = type("U", (), {"theta": {"theta": np.full(4, 2.0)}})
+    agg.apply(server, update, staleness=0, base_state=None)
+    out = server.global_state
+    assert out["phi"] is base["phi"]
+    assert np.allclose(out["theta"], 0.5)
+    # fresh slab: older broadcast snapshots must stay valid
+    assert out.theta_slab is not base.theta_slab
+    assert np.array_equal(base["theta"], np.zeros(4))
+    missing = type("U", (), {"theta": {"missing": np.zeros(4)}})
+    with pytest.raises(KeyError):
+        agg.apply(server, missing, 0, None)
+    assert server.global_state is out and server.round_index == 1
+
+
+def test_apply_delta():
+    base = np.ones(3)
+    out = apply_delta_flat(base, np.full(3, 0.5), 2.0, np.empty(3))
+    assert np.allclose(out, 2.0)
+    assert np.array_equal(base, np.ones(3))
 
 
 def test_fedasync_applies_every_update():
@@ -88,7 +105,7 @@ def test_fedasync_applies_every_update():
 def test_fedbuff_flushes_every_k_updates():
     server = _FakeServer()
     agg = FedBuffAggregator(buffer_size=3, staleness_exponent=0.0)
-    base = {"theta": np.zeros(4)}
+    base = _slab({"theta": np.zeros(4)})
     update = type("U", (), {"theta": {"theta": np.ones(4)}, "num_selected": 2})
     assert not agg.apply(server, update, 0, base)
     assert not agg.apply(server, update, 1, base)
@@ -429,6 +446,34 @@ def test_async_only_options_rejected_under_sync_mode():
         run_fedft_eds(
             FedFTEDSConfig(seed=0, availability=AlwaysAvailable(), **SMOKE)
         )
+
+
+@pytest.mark.parametrize("mode", ["sync", "fedbuff"])
+@pytest.mark.parametrize(
+    "knobs, message",
+    [
+        ({"checkpoint_every": 1}, "checkpoint_every requires a checkpoint_path"),
+        ({"checkpoint_every": -1, "checkpoint_path": "unused"},
+         "checkpoint_every must be non-negative"),
+        ({"emergency_checkpoint": True},
+         "emergency_checkpoint requires a checkpoint_path"),
+        ({"eval_every": 0}, "eval_every must be positive"),
+        ({"rounds": 0}, "rounds must be positive"),
+    ],
+    ids=["every_no_path", "negative_every", "emergency_no_path",
+         "eval_every_0", "rounds_0"],
+)
+def test_run_knobs_refused_before_setup(mode, knobs, message, monkeypatch):
+    """Run settings neither loop can honour are refused with the other
+    config checks, before the world is even generated."""
+    from repro.data import synthetic
+
+    def no_setup(*args, **kwargs):
+        raise AssertionError("the invalid setting surfaced after setup began")
+
+    monkeypatch.setattr(synthetic, "make_vision_world", no_setup)
+    with pytest.raises(ValueError, match=message):
+        run_fedft_eds(FedFTEDSConfig(**{**SMOKE, "mode": mode, **knobs}))
 
 
 # -- satellite fixes -----------------------------------------------------------

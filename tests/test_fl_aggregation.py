@@ -1,11 +1,32 @@
-"""Weighted aggregation (Eq. 5) and its invariants."""
+"""Weighted aggregation (Eq. 5) and its invariants, through the server's
+flat kernels, and the kernels' buffer reuse against the per-key oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fl.aggregation import weighted_average
+from dict_oracle import apply_delta, mix_states, subtract_states
+from dict_oracle import weighted_average as oracle_average
+from repro.fl.aggregation import (
+    apply_delta_flat,
+    mix_flat,
+    subtract_flat,
+    weighted_average_flat,
+)
+from repro.fl.slab import SlabLayout
+
+
+def weighted_average(states, weights):
+    """Eq. 5 as the server runs it: every state packed into one row of a
+    (clients × params) stack per the first state's layout."""
+    if not states:
+        return weighted_average_flat(np.empty((0, 1)), weights)
+    layout = SlabLayout.for_state(states[0], list(states[0]))
+    stack = np.stack(
+        [layout.flatten(s, np.empty(layout.total)) for s in states]
+    )
+    return layout.views(weighted_average_flat(stack, weights))
 
 
 def make_states(values):
@@ -79,87 +100,96 @@ def test_multidim_arrays_aggregate_elementwise():
 
 
 # ---------------------------------------------------------------------------
-# Buffer reuse (out=): bitwise equivalence with the allocating path
+# Buffer reuse (out=): retired slabs give the oracle's bytes
 # ---------------------------------------------------------------------------
-
-from repro.fl.aggregation import apply_delta, mix_states, subtract_states
 
 
 def random_state(rng, keys=("w", "b"), shape=(5, 3)):
     return {k: rng.normal(size=shape) for k in keys}
 
 
+def _flat(state):
+    layout = SlabLayout.for_state(state, list(state))
+    return layout, layout.flatten(state, np.empty(layout.total))
+
+
+def _bitwise_equal(views, reference):
+    return all(views[k].tobytes() == reference[k].tobytes() for k in reference)
+
+
 def test_mix_states_out_is_bitwise_identical():
+    """``mix_flat`` into a retired (garbage-filled) output and scratch
+    gives the per-key mix's bytes and leaves its inputs alone."""
     rng = np.random.default_rng(7)
     base = random_state(rng)
-    base["phi"] = rng.normal(size=(4,))  # key absent from incoming
     incoming = random_state(rng)
-    fresh = mix_states(base, incoming, 0.3)
-    buffers = {k: np.empty_like(v) for k, v in incoming.items()}
-    reused = mix_states(base, incoming, 0.3, out=buffers)
-    for key in fresh:
-        assert np.array_equal(fresh[key], reused[key])
-    # incoming keys landed in the caller's buffers, pass-through keys alias base
-    for key in incoming:
-        assert reused[key] is buffers[key]
-    assert reused["phi"] is base["phi"]
+    layout, base_flat = _flat(base)
+    _, in_flat = _flat(incoming)
+    before = base_flat.copy()
+    out = rng.normal(size=layout.total)
+    reused = mix_flat(
+        base_flat, in_flat, 0.3, out, rng.normal(size=layout.total)
+    )
+    assert reused is out
+    assert _bitwise_equal(layout.views(out), mix_states(base, incoming, 0.3))
+    assert base_flat.tobytes() == before.tobytes()
 
 
 def test_weighted_average_out_is_bitwise_identical():
     rng = np.random.default_rng(8)
     states = [random_state(rng) for _ in range(4)]
     weights = [3, 1, 5, 2]
-    fresh = weighted_average(states, weights)
-    buffers = {k: rng.normal(size=v.shape) for k, v in states[0].items()}
-    reused = weighted_average(states, weights, out=buffers)
-    for key in fresh:
-        assert np.array_equal(fresh[key], reused[key])
-        assert reused[key] is buffers[key]
+    layout = SlabLayout.for_state(states[0], list(states[0]))
+
+    def stack():
+        return np.stack(
+            [layout.flatten(s, np.empty(layout.total)) for s in states]
+        )
+
+    fresh = weighted_average_flat(stack(), weights)
+    buffer = rng.normal(size=layout.total)
+    reused = weighted_average_flat(stack(), weights, out=buffer)
+    assert reused is buffer
+    assert reused.tobytes() == fresh.tobytes()
+    assert _bitwise_equal(layout.views(reused), oracle_average(states, weights))
 
 
 def test_apply_delta_and_subtract_out_are_bitwise_identical():
     rng = np.random.default_rng(9)
     base = random_state(rng)
     delta = random_state(rng)
-    fresh = apply_delta(base, delta, lr=0.7)
-    reused = apply_delta(
-        base, delta, lr=0.7, out={k: np.empty_like(v) for k, v in delta.items()}
+    layout, base_flat = _flat(base)
+    _, delta_flat = _flat(delta)
+    out = apply_delta_flat(
+        base_flat, delta_flat, 0.7, rng.normal(size=layout.total)
     )
-    for key in fresh:
-        assert np.array_equal(fresh[key], reused[key])
-    diff_fresh = subtract_states(delta, base)
-    diff_reused = subtract_states(
-        delta, base, out={k: np.empty_like(v) for k, v in delta.items()}
-    )
-    for key in diff_fresh:
-        assert np.array_equal(diff_fresh[key], diff_reused[key])
+    assert _bitwise_equal(layout.views(out), apply_delta(base, delta, lr=0.7))
+    diff = subtract_flat(delta_flat, base_flat, rng.normal(size=layout.total))
+    assert _bitwise_equal(layout.views(diff), subtract_states(delta, base))
 
 
 def test_out_never_aliases_inputs_or_mismatched_buffers():
-    """Unsafe or mismatched buffers silently fall back to allocation."""
+    """The aggregators' slab pool never hands out a slab an aggregation
+    still reads, nor one of another length: it allocates instead."""
+    from repro.engine.aggregators import _take_flat
+
     rng = np.random.default_rng(10)
-    base = random_state(rng)
-    incoming = random_state(rng)
-    # aliasing an input the computation reads -> allocate
-    aliased = mix_states(base, incoming, 0.4, out=dict(incoming))
-    for key in incoming:
-        assert aliased[key] is not incoming[key]
-        assert aliased[key] is not base[key]
-    # wrong shape or dtype -> allocate, result still correct
-    bad = {
-        "w": np.empty((2, 2)),
-        "b": np.empty(base["b"].shape, dtype=np.float32),
-    }
-    mixed = mix_states(base, incoming, 0.4, out=bad)
-    expect = mix_states(base, incoming, 0.4)
-    for key in expect:
-        assert np.array_equal(mixed[key], expect[key])
-        assert mixed[key] is not bad.get(key)
+    base, incoming = rng.normal(size=6), rng.normal(size=6)
+    free = [incoming, base, np.empty(4)]
+    out = _take_flat(free, 6, base, incoming)
+    assert out is not base and out is not incoming and len(out) == 6
+    assert len(free) == 3  # nothing fitting was pooled
+    spare = np.empty(6)
+    free.append(spare)
+    assert _take_flat(free, 6, base, incoming) is spare
+    assert not any(f is spare for f in free)
 
 
 def test_fedasync_recycle_reuses_retired_arrays():
-    """A recycled version's θ buffers back the next mix, bitwise-identically."""
+    """A recycled version's θ slab backs a later mix, bitwise-identically
+    to allocating."""
     from repro.engine.aggregators import FedAsyncAggregator
+    from repro.fl.slab import make_slab_state
 
     class _Server:
         def __init__(self, state):
@@ -172,19 +202,24 @@ def test_fedasync_recycle_reuses_retired_arrays():
 
     rng = np.random.default_rng(11)
     state = random_state(rng)
+    layout = SlabLayout.for_state(state, list(state))
 
     plain = FedAsyncAggregator(mixing=0.5, staleness_exponent=0.0)
     recycled = FedAsyncAggregator(mixing=0.5, staleness_exponent=0.0)
-    s1 = _Server({k: v.copy() for k, v in state.items()})
-    s2 = _Server({k: v.copy() for k, v in state.items()})
+    s1 = _Server(make_slab_state(state, layout))
+    s2 = _Server(make_slab_state(state, layout))
     retired = None
     for step in range(6):
         theta = random_state(np.random.default_rng(100 + step))
+        offered = None
         if retired is not None:
             recycled.recycle(retired)
-        retired = dict(s2.global_state)
+            offered = retired.theta_slab
+        retired = s2.global_state
         plain.apply(s1, _Update(theta), 0, None)
         recycled.apply(s2, _Update(theta), 0, None)
-        for key in s1.global_state:
-            assert np.array_equal(s1.global_state[key], s2.global_state[key])
-    assert recycled._free or retired is not None
+        if offered is not None:
+            assert s2.global_state.theta_slab is offered
+        assert s1.global_state.theta_slab.tobytes() == (
+            s2.global_state.theta_slab.tobytes()
+        )

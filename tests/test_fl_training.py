@@ -198,6 +198,18 @@ def test_run_federated_training_validation():
         run_federated_training(server, [], rounds=1)
 
 
+@pytest.mark.parametrize("eval_every", [0, -2])
+def test_sync_loop_refuses_non_positive_eval_every(eval_every):
+    """Refused before round 1, as the event engine refuses it: 0 would
+    fail mid-run and a negative cadence would evaluate on a wrong grid."""
+    server, clients = make_federation()
+    with pytest.raises(ValueError, match="eval_every must be positive"):
+        run_federated_training(
+            server, clients, rounds=3, seed=0, eval_every=eval_every
+        )
+    assert server.round_index == 0
+
+
 def test_communicated_parameters_smaller_when_frozen():
     server_partial, _ = make_federation(level="moderate")
     server_full, _ = make_federation(level="full")

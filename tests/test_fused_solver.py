@@ -402,8 +402,8 @@ def test_pooled_evaluation_fused_matches_serial(fused):
     from repro.fl.server import Server
 
     model, _clients, test_set = _mlp_federation()
-    state = model.state_dict()
     serial = Server(model, test_set)
+    state = serial.global_state  # slab-backed, as the server publishes it
     expected = serial.evaluate(batch_size=16)
     backend = ProcessPoolBackend(
         max_workers=2, feature_runtime=FeatureRuntime() if fused else None

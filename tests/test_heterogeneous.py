@@ -121,7 +121,7 @@ def test_heterogeneous_round_trains_end_to_end():
     for _round in range(3):
         broadcast = server.broadcast()
         updates = [c.run_round(server.model, broadcast) for c in clients]
-        server.global_state = aggregate_heterogeneous(broadcast, updates)
+        server.set_global_state(aggregate_heterogeneous(broadcast, updates))
         accs.append(server.evaluate())
     assert max(accs[1:]) >= accs[0] - 0.1  # training does not collapse
 
@@ -212,3 +212,37 @@ def test_event_engine_refuses_tiered_clients(tmp_path):
     )
     assert len(history.records) == 2
     assert all(r.client_seconds > 0 for r in history.records)
+
+
+def test_fedavg_refuses_tiers_at_two_levels():
+    """FedAvg needs one key set: mixed levels raise the per-key walk's
+    KeyError in round 1, before the server changes."""
+    from repro.fl.rounds import run_federated_training
+
+    server, clients = _conv_tiered_federation(levels=("classifier", "full"))
+    before = server.global_state
+    with pytest.raises(KeyError, match="state 1 keys differ from state 0"):
+        run_federated_training(server, clients, rounds=2, seed=0)
+    assert server.round_index == 0
+    assert server.global_state is before
+
+
+def test_fedavg_over_one_deeper_level_matches_the_oracle():
+    """Tiered clients all at a deeper level than the server's θ upload one
+    other key set; the server averages it over a cached packing of that
+    set, byte for byte what the per-key oracle gives, and stays on its
+    slab."""
+    from dict_oracle import DictServer
+    from repro.fl.rounds import run_federated_training
+    from repro.fl.slab import SlabState
+
+    server, clients = _conv_tiered_federation(levels=("full",))
+    run_federated_training(server, clients, rounds=3, seed=0)
+    reference, ref_clients = _conv_tiered_federation(levels=("full",))
+    reference = DictServer(reference.model, reference.test_set)
+    run_federated_training(reference, ref_clients, rounds=3, seed=0)
+    assert isinstance(server.global_state, SlabState)
+    assert len(server._packings) == 1
+    state, ref_state = server.global_state, reference.global_state
+    assert set(state) == set(ref_state)
+    assert all(state[k].tobytes() == ref_state[k].tobytes() for k in state)

@@ -7,9 +7,9 @@ A production FL stack must degrade loudly (clear errors) or gracefully
 import numpy as np
 import pytest
 
+from dict_oracle import weighted_average
 from repro import nn
 from repro.data.dataset import ArrayDataset
-from repro.fl.aggregation import weighted_average
 from repro.fl.selection import EntropySelector
 from repro.fl.server import Server
 from repro.nn import functional as F
@@ -134,9 +134,13 @@ def test_aggregating_corrupted_update_keys_fails_loudly():
 
 
 def test_aggregation_rejects_all_zero_weights():
+    from repro.fl.aggregation import weighted_average_flat
+
     state = {"w": np.ones(2)}
     with pytest.raises(ValueError):
         weighted_average([state, state], [0.0, 0.0])
+    with pytest.raises(ValueError):
+        weighted_average_flat(np.ones((2, 2)), [0.0, 0.0])
 
 
 def test_server_evaluate_after_aggregate_consistent():

@@ -1,19 +1,23 @@
 """Flat-slab server θ (repro.fl.slab): bitwise identity everywhere.
 
-The slab representation is a pure fast lane — every result it produces
-must be byte-identical to the per-key dict walk it replaces. Pinned here:
+The slab is the server's one representation of θ, and every result it
+produces must be byte-identical to the per-key dict walk kept as the test
+oracle (``dict_oracle``). Pinned here:
 
-1. the flat aggregation kernels against their dict counterparts,
-   including the all-``-0.0``-column sign edge;
-2. full federated runs, slab-backed vs dict-backed servers, across
-   FedAvg / FedAsync / FedBuff × serial / process × telemetry on / off;
+1. the flat aggregation kernels against the oracle's walks, including
+   the all-``-0.0``-column sign edge, and ``Server.aggregate`` over 256
+   simulated clients against the oracle server;
+2. full federated runs, slab servers vs the oracle's per-key reference
+   server and aggregators, across FedAvg / FedAsync / FedBuff × serial /
+   process × telemetry on / off;
 3. the synchronous kill-and-resume path: a sync checkpoint restores
    the sampling and client RNG streams, so the resumed run reproduces
    the uninterrupted one byte for byte;
-4. the checkpoint wire format: the single-slab θ delta, the per-key
-   delta of a dict-backed server, and each resume refusing the other
-   loop's checkpoint;
-5. the eval-mode fused head: CNN "moderate" (BatchNorm in θ) evaluates
+4. the checkpoint wire format: the single-slab θ delta, and each resume
+   refusing the other loop's checkpoint;
+5. loud refusals: updates and models whose θ cannot be packed raise
+   before any state changes;
+6. the eval-mode fused head: CNN "moderate" (BatchNorm in θ) evaluates
    through the precomputed-affine plan, bitwise equal to the layer graph.
 """
 
@@ -24,6 +28,15 @@ import pickle
 import numpy as np
 import pytest
 
+from dict_oracle import (
+    DictFedAsync,
+    DictFedBuff,
+    DictServer,
+    apply_delta,
+    mix_states,
+    subtract_states,
+    weighted_average,
+)
 from repro.core.fedft_eds import FedFTEDSConfig, run_fedft_eds
 from repro.core.partial import prepare_partial_model
 from repro.data.dataset import ArrayDataset
@@ -31,13 +44,9 @@ from repro.engine.aggregators import FedAsyncAggregator, FedBuffAggregator
 from repro.engine.backends import ProcessPoolBackend
 from repro.engine.runner import run_async_federated_training
 from repro.fl.aggregation import (
-    apply_delta,
     apply_delta_flat,
     mix_flat,
-    mix_states,
     subtract_flat,
-    subtract_states,
-    weighted_average,
     weighted_average_flat,
 )
 from repro.fl.checkpoint import (
@@ -49,7 +58,9 @@ from repro.fl.fastpath import STATS as FASTPATH_STATS, bind_head
 from repro.fl.features import batched_head_logits, compute_features
 from repro.fl.rounds import run_federated_training
 from repro.fl.sampling import FractionParticipation
+from repro.fl.server import Server
 from repro.fl.slab import SlabLayout, SlabState, make_slab_state
+from repro.fl.strategies import LocalUpdate
 from repro.fl.timing import TimingModel
 from repro.nn import functional as F
 from repro.nn.cnn import SmallConvNet
@@ -69,17 +80,17 @@ def _states_bitwise_equal(a, b):
     )
 
 
-def _dictify(server):
-    """Force ``server`` onto the per-key dict path (the reference lane)."""
-    server._slab_layout = None
-    server.global_state = {
-        k: v.copy() for k, v in server.global_state.items()
-    }
-    return server
+def _federation(seed, reference=False):
+    """``tiny_federation(seed)``, with the oracle's per-key server in
+    place of the slab server when ``reference`` is set."""
+    server, clients = tiny_federation(seed=seed)
+    if reference:
+        server = DictServer(server.model, server.test_set)
+    return server, clients
 
 
 # ---------------------------------------------------------------------------
-# Flat kernels vs dict kernels
+# Flat kernels vs the per-key oracle
 # ---------------------------------------------------------------------------
 
 
@@ -180,18 +191,58 @@ def test_slab_layout_declines_non_float64():
     state = {"w": np.ones(3, dtype=np.float32)}
     assert SlabLayout.for_state(state, ["w"]) is None
     layout = SlabLayout.for_state({"w": np.ones(3)}, ["w"])
-    assert not layout.matches(state)
+    scratch = np.full(layout.total, 7.0)
+    with pytest.raises(ValueError, match="'w' is not a float64 array"):
+        layout.flatten(state, scratch)
+    assert np.all(scratch == 7.0)  # refused before anything was written
+
+
+def _conv_moderate_server(cls=Server):
+    """The SmallConvNet "moderate" split: θ is many small tensors (conv
+    weight/bias, BatchNorm γ/β and running stats, the classifier)."""
+    rng = RNG(1)
+    model = SmallConvNet(8, rng, channels=(4, 4, 4))
+    prepare_partial_model(model, "moderate")
+    x = rng.normal(size=(16, 3, 12, 12))
+    return cls(model, ArrayDataset(x, rng.integers(0, 8, size=16)))
+
+
+def test_server_aggregate_256_clients_matches_oracle():
+    """One-ufunc aggregation over 256 simulated clients is byte-identical
+    to the per-key walk, including a θ position that is ``-0.0`` in every
+    client, which both reduce to ``+0.0``."""
+    server = _conv_moderate_server()
+    reference = _conv_moderate_server(DictServer)
+    layout = server.global_state.layout
+    neg_zero_key = layout.keys[0]
+    rng = RNG(7)
+    slab_updates, dict_updates = [], []
+    for i in range(256):
+        theta = {key: rng.normal(size=shape) for key, shape in layout.signature}
+        theta[neg_zero_key].flat[0] = -0.0
+        weight = i % 7 + 1
+        slab_updates.append(
+            LocalUpdate(make_slab_state(theta, layout), weight, weight)
+        )
+        dict_updates.append(
+            LocalUpdate({k: v.copy() for k, v in theta.items()}, weight, weight)
+        )
+    server.aggregate(slab_updates)
+    reference.aggregate(dict_updates)
+    assert _states_bitwise_equal(server.global_state, reference.global_state)
+    assert server.global_state[neg_zero_key].flat[0].tobytes() == (
+        np.float64(0.0).tobytes()
+    )
 
 
 # ---------------------------------------------------------------------------
-# Slab vs dict: full runs across aggregators, backends, telemetry
+# Slab vs the per-key reference: full runs across aggregators, backends,
+# telemetry (the reference always runs in-process)
 # ---------------------------------------------------------------------------
 
 
-def _sync_run(dict_path, backend=None, telemetry=False):
-    server, clients = tiny_federation(seed=6)
-    if dict_path:
-        _dictify(server)
+def _sync_run(reference, backend=None, telemetry=False):
+    server, clients = _federation(6, reference)
     kwargs = dict(
         rounds=3,
         seed=1,
@@ -207,15 +258,14 @@ def _sync_run(dict_path, backend=None, telemetry=False):
     return server, history
 
 
-def _async_run(mode, dict_path, backend=None, telemetry=False):
-    server, clients = tiny_federation(seed=6)
-    if dict_path:
-        _dictify(server)
-    aggregator = (
-        FedAsyncAggregator(mixing=0.4, staleness_exponent=0.5)
-        if mode == "fedasync"
-        else FedBuffAggregator(buffer_size=3, staleness_exponent=0.5)
-    )
+def _async_run(mode, reference, backend=None, telemetry=False):
+    server, clients = _federation(6, reference)
+    if mode == "fedasync":
+        cls = DictFedAsync if reference else FedAsyncAggregator
+        aggregator = cls(mixing=0.4, staleness_exponent=0.5)
+    else:
+        cls = DictFedBuff if reference else FedBuffAggregator
+        aggregator = cls(buffer_size=3, staleness_exponent=0.5)
     kwargs = dict(max_events=12, seed=2, timing=TimingModel(), backend=backend)
     if telemetry:
         with TelemetrySession(trace=True):
@@ -402,14 +452,12 @@ def test_sync_checkpoint_rehomes_state_into_slab(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint wire format: slab delta, per-key delta, loop mismatch
+# Checkpoint wire format: slab delta, loop mismatch
 # ---------------------------------------------------------------------------
 
 
-def _async_checkpointed_run(path, dict_path):
+def _async_checkpointed_run(path):
     server, clients = tiny_federation(seed=12)
-    if dict_path:
-        _dictify(server)
     run_async_federated_training(
         server,
         clients,
@@ -425,7 +473,7 @@ def _async_checkpointed_run(path, dict_path):
 
 def test_async_slab_checkpoint_roundtrip(tmp_path):
     path = os.path.join(tmp_path, "ckpt")
-    server = _async_checkpointed_run(path, dict_path=False)
+    server = _async_checkpointed_run(path)
     with open(os.path.join(path, "async_state.json")) as handle:
         manifest = json.load(handle)
     assert manifest["format"] == 6
@@ -436,20 +484,7 @@ def test_async_slab_checkpoint_roundtrip(tmp_path):
     with np.load(os.path.join(path, entry["file"])) as payload:
         assert f"{current}::__theta_slab__" in payload.files
     state = load_async_checkpoint(path)
-    assert _states_bitwise_equal(state.server_state, server.global_state)
-
-
-def test_async_dict_state_checkpoint_still_per_key(tmp_path):
-    """A dict-backed server (no slab) keeps the per-key delta encoding."""
-    path = os.path.join(tmp_path, "ckpt")
-    server = _async_checkpointed_run(path, dict_path=True)
-    with open(os.path.join(path, "async_state.json")) as handle:
-        manifest = json.load(handle)
-    assert manifest["server_slab"] is None
-    entry = manifest["versions"][str(manifest["server_round_index"])]
-    assert "__theta_slab__" not in entry["stored"]
-    assert entry["stored"]  # θ changed, stored per key
-    state = load_async_checkpoint(path)
+    assert isinstance(state.server_state, SlabState)
     assert _states_bitwise_equal(state.server_state, server.global_state)
 
 
@@ -457,7 +492,7 @@ def test_resume_refuses_the_other_loops_checkpoint(tmp_path):
     """Both loops share one format, so each resume checks which loop wrote
     the checkpoint and names both loops when it refuses."""
     async_path = os.path.join(tmp_path, "async_ckpt")
-    _async_checkpointed_run(async_path, dict_path=False)
+    _async_checkpointed_run(async_path)
     sync_path = os.path.join(tmp_path, "sync_ckpt")
     server, clients = tiny_federation(seed=12)
     run_federated_training(
@@ -471,6 +506,75 @@ def test_resume_refuses_the_other_loops_checkpoint(tmp_path):
         resume_async_federated_training(
             sync_path, server, clients, FedAsyncAggregator(mixing=0.4)
         )
+
+
+# ---------------------------------------------------------------------------
+# Loud refusals: what cannot be packed raises before any state changes
+# ---------------------------------------------------------------------------
+
+
+def _malformed(theta, case):
+    """A copy of ``theta`` with one key missing, one extra key, or one
+    entry of the wrong shape."""
+    theta = {k: v.copy() for k, v in theta.items()}
+    first = next(iter(theta))
+    if case == "missing":
+        del theta[first]
+    elif case == "extra":
+        theta["bogus.weight"] = np.zeros(3)
+    else:
+        theta[first] = np.zeros(theta[first].size + 1)
+    return theta
+
+
+@pytest.mark.parametrize("case", ["missing", "extra", "shape"])
+@pytest.mark.parametrize(
+    "target", ["server", "server_first", "fedasync", "fedbuff"]
+)
+def test_malformed_update_is_refused_before_any_change(case, target):
+    """A malformed update raises wherever it arrives (``server_first``: as
+    the first update, which fixes the packing) and changes nothing."""
+    server, _ = tiny_federation(seed=3)
+    good = LocalUpdate(
+        {k: server.global_state[k] + 0.5 for k in server.global_state}, 3, 3
+    )
+    bad = LocalUpdate(_malformed(good.theta, case), 2, 2)
+    error = ValueError if case == "shape" else KeyError
+    before = server.global_state
+    theta_bytes = before.theta_slab.tobytes()
+    if target == "server":
+        call = lambda: server.aggregate([good, bad])
+    elif target == "server_first":
+        call = lambda: server.aggregate([bad, good])
+    elif target == "fedasync":
+        aggregator = FedAsyncAggregator()
+        call = lambda: aggregator.apply(server, bad, 0, before)
+    else:
+        aggregator = FedBuffAggregator(buffer_size=3)
+        aggregator.apply(server, good, 0, before)
+        buffered = aggregator._buffer[0]
+        call = lambda: aggregator.apply(server, bad, 0, before)
+    with pytest.raises(error):
+        call()
+    assert server.round_index == 0
+    assert server.global_state is before
+    assert before.theta_slab.tobytes() == theta_bytes
+    if target == "fedbuff":
+        assert len(aggregator._buffer) == 1
+        assert aggregator._buffer[0] is buffered
+
+
+@pytest.mark.parametrize("defect", ["no_theta", "float32"])
+def test_server_refuses_a_theta_that_cannot_be_one_slab(defect):
+    server, _ = tiny_federation(seed=3)
+    model = server.model
+    for _, param in model.named_parameters():
+        if defect == "no_theta":
+            param.requires_grad = False
+        else:
+            param.data = param.data.astype(np.float32)
+    with pytest.raises(ValueError, match="one float64 slab"):
+        Server(model, server.test_set)
 
 
 # ---------------------------------------------------------------------------
