@@ -4,13 +4,18 @@ At this scale a federated round's cost is not arithmetic but dispatch:
 1,000 ``run_round`` calls, θ gathers, plan checkouts and θ snapshots —
 and on the process backend, 1,000 job round-trips. The cohort solver
 (DESIGN.md "Cohort solver") groups every compatible participant by
-(head signature, feature shape, hyperparameters) and runs each group as
-one block-stacked plan with per-client RNG lanes, bitwise identical to
-the per-client path. This script runs the same 1,000-client federation
+(head signature, feature shape, selected count, hyperparameters) and
+runs each group as one block-stacked plan with per-client RNG lanes,
+bitwise identical to the per-client path. Each client draws its shard
+size from 26–34 samples with its own RNG: at Pds = 10% every one keeps 3,
+while the shard rows straddle the solver's 32-row GEMM tile, so a round
+is one ragged cohort. This script runs the same 1,000-client federation
 twice on the process backend — one ``submit`` (one job) per client,
 then grouped ``submit_many`` dispatch — and prints the per-round wall
-time, the grouping counters, and proof that the two runs produced
-identical histories and weights. It exits non-zero if they diverge.
+time, the jobs each run dispatched, the grouping counters, and proof
+that the two runs produced identical histories and weights. It exits
+non-zero if they diverge, or unless every round formed exactly one
+cohort and no solo round.
 
 Run:  PYTHONPATH=src python examples/cohort_mega_batch.py
 """
@@ -35,7 +40,7 @@ from repro.nn.mlp import MLP
 from repro.nn.serialization import theta_keys
 
 NUM_CLIENTS = 1000
-SHARD = 30
+SHARD_SIZES = (26, 34)  # inclusive; every size keeps 3 samples at 10%
 FEATURES = 24
 CLASSES = 8
 ROUNDS = 5
@@ -54,12 +59,13 @@ def build_federation():
     clients = []
     for cid in range(NUM_CLIENTS):
         rng = np.random.default_rng(100 + cid)
+        shard = int(rng.integers(SHARD_SIZES[0], SHARD_SIZES[1] + 1))
         clients.append(
             Client(
                 client_id=cid,
                 dataset=ArrayDataset(
-                    rng.normal(size=(SHARD, FEATURES)),
-                    rng.integers(0, CLASSES, size=SHARD),
+                    rng.normal(size=(shard, FEATURES)),
+                    rng.integers(0, CLASSES, size=shard),
                 ),
                 selector=EntropySelector(),
                 solver=LocalSolver(lr=0.1, momentum=0.5, batch_size=32),
@@ -96,7 +102,8 @@ def run(grouped: bool):
         key: server.global_state[key].tobytes()
         for key in theta_keys(server.model)
     }
-    return history, theta, elapsed
+    jobs = (backend.stats["jobs"], backend.stats["cohort_jobs"])
+    return history, theta, elapsed, jobs
 
 
 def main() -> int:
@@ -104,15 +111,16 @@ def main() -> int:
           "process backend\n")
 
     print("per-client dispatch (one job per client)...")
-    ref_history, ref_theta, off_seconds = run(grouped=False)
+    ref_history, ref_theta, off_seconds, off_jobs = run(grouped=False)
     print(f"  {off_seconds:.2f}s total, "
           f"{1e3 * off_seconds / ROUNDS:.0f} ms/round")
 
     before = dict(fastpath.COHORT_STATS)
     print("cohort dispatch   (one job blob per 64-lane chunk)...")
-    history, theta, on_seconds = run(grouped=True)
+    history, theta, on_seconds, on_jobs = run(grouped=True)
     print(f"  {on_seconds:.2f}s total, "
           f"{1e3 * on_seconds / ROUNDS:.0f} ms/round")
+    stats = {k: v - before.get(k, 0) for k, v in fastpath.COHORT_STATS.items()}
 
     if history.records != ref_history.records:
         print("\nFAIL: histories diverged", file=sys.stderr)
@@ -121,9 +129,15 @@ def main() -> int:
         print("\nFAIL: final weights diverged", file=sys.stderr)
         return 1
     print("\nBitwise identical: histories and final θ match byte for byte.")
-    print(f"Wall-time ratio   : {off_seconds / on_seconds:.2f}x")
+    print(f"Wall-time ratio   : {off_seconds / on_seconds:.2f}x "
+          f"(jobs/cohort_jobs: per-client {off_jobs[0]}/{off_jobs[1]}, "
+          f"cohort {on_jobs[0]}/{on_jobs[1]})")
+    if stats["cohorts"] != ROUNDS or stats["singletons"]:
+        print(f"\nFAIL: expected one cohort and no solo round per round, got "
+              f"{stats['cohorts']} cohorts and {stats['singletons']} solo "
+              f"rounds over {ROUNDS} rounds", file=sys.stderr)
+        return 1
 
-    stats = {k: v - before.get(k, 0) for k, v in fastpath.COHORT_STATS.items()}
     print("\nGrouping counters (solver.cohort.*, cohort run only):")
     for key in ("cohorts", "cohort_clients", "singletons", "plans_built"):
         print(f"  {key:15s}: {stats[key]}")

@@ -49,7 +49,7 @@ from repro.metrics.efficiency import LearningEfficiency, learning_efficiency
 from repro.nn.mlp import MLP
 from repro.nn.cnn import SmallConvNet
 from repro.nn.wrn import TinyWRN, WideResNet
-from repro.nn.segmented import SegmentedModel
+from repro.nn.segmented import FINE_TUNE_LEVELS, SegmentedModel
 from repro.pretrain.pretrainer import PretrainConfig, pretrain_model
 from repro.store import check_store_knobs, resolve_store
 from repro.utils import spawn_rngs
@@ -296,6 +296,13 @@ _DATASETS = {
 }
 
 
+#: Model short names accepted by :func:`build_model`.
+MODELS = ("mlp", "cnn", "tiny_wrn", "wrn16")
+
+#: Selection strategies accepted by :func:`make_selector`.
+SELECTIONS = ("eds", "rds", "all")
+
+
 def build_model(
     name: str, input_shape: tuple, num_classes: int, rng: np.random.Generator
 ) -> SegmentedModel:
@@ -346,6 +353,40 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
     check_store_knobs(config.artifact_store, config.cache_dir)
     if config.rounds <= 0:
         raise ValueError("rounds must be positive")
+    # What the objects built after setup would refuse, refused first.
+    if config.model not in MODELS:
+        raise ValueError(
+            f"unknown model {config.model!r}; expected one of {MODELS}"
+        )
+    if config.selection not in SELECTIONS:
+        raise ValueError(
+            f"unknown selection strategy {config.selection!r}; expected "
+            f"one of {SELECTIONS}"
+        )
+    if config.fine_tune_level not in FINE_TUNE_LEVELS:
+        raise ValueError(
+            f"unknown fine-tune level {config.fine_tune_level!r}; "
+            f"expected one of {sorted(FINE_TUNE_LEVELS)}"
+        )
+    if config.num_clients <= 0:
+        raise ValueError("num_clients must be positive")
+    if config.local_epochs <= 0:
+        raise ValueError("local_epochs must be positive")
+    if config.selection != "all" and not 0.0 < config.selection_fraction <= 1.0:
+        raise ValueError(
+            f"selection_fraction must be in (0, 1], got "
+            f"{config.selection_fraction}"
+        )
+    if config.selection == "eds" and config.temperature <= 0:
+        raise ValueError(
+            f"temperature must be positive, got {config.temperature}"
+        )
+    solver = LocalSolver(
+        lr=config.lr,
+        momentum=config.momentum,
+        prox_mu=config.prox_mu,
+        batch_size=config.batch_size,
+    )
     check_run_knobs(
         config.eval_every,
         config.checkpoint_path,
@@ -457,12 +498,6 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
     labels = target.train.labels
     shards = dirichlet_partition(
         labels, config.num_clients, config.alpha, partition_rng
-    )
-    solver = LocalSolver(
-        lr=config.lr,
-        momentum=config.momentum,
-        prox_mu=config.prox_mu,
-        batch_size=config.batch_size,
     )
     # Shard identity for campaign-scoped segment/feature reuse: these
     # parts pin the partition's bytes (the world, the dataset recipe and

@@ -170,13 +170,15 @@ class ExecutionBackend:
         self.close()
 
 
-#: lanes per dispatched cohort job on the process backend. One job per
-#: cohort would serialise a whole round onto a single worker and balloon
-#: the per-job payload; chunking keeps every worker busy and bounds blob
-#: sizes. Lanes are mutually independent inside a plan — each replays its
-#: own client's kernel tiling and RNG draws — so any chunking is bitwise
-#: invisible. The serial backend keeps cohorts whole (nothing to overlap;
-#: bigger stacks amortise better).
+#: lanes per cohort solve, on both backends. On the process backend one
+#: job per cohort would serialise a whole round onto a single worker and
+#: balloon the per-job payload; chunking keeps every worker busy and
+#: bounds blob sizes. In either process a bigger stack stops paying: the
+#: 194-lane k = 1 cohort of a 512-client round made ``CohortPlan._step``
+#: memory-bound (19.6 → 30.4 µs per lane-step), and 64 lanes bound every
+#: plan's lane capacity. Lanes are mutually independent inside a plan —
+#: each replays its own client's kernel tiling and RNG draws — so any
+#: chunking is bitwise invisible.
 _COHORT_JOB_LANES = 64
 
 
@@ -234,27 +236,45 @@ class SerialBackend(ExecutionBackend):
             for client in clients
         ]
         updates: list = [None] * len(clients)
+        walks: dict = {}  # one FLOPs walk per input shape prices the wave
         if len(clients) > 1:
             shapes = [None if f is None else tuple(f.shape[1:]) for f in features]
             units = fastpath.cohort_units(clients, template, global_state, shapes)
             for positions, layout in units or ():
-                solved = fastpath.run_cohort(
-                    [clients[i] for i in positions],
-                    template,
-                    global_state,
-                    timing,
-                    [features[i] for i in positions],
-                    layout,
-                )
-                if solved is None:
-                    continue  # late disagreement: members fall through below
-                for pos, update in zip(positions, solved):
-                    updates[pos] = update
+                for chunk in _cohort_chunks(positions):
+                    solved = fastpath.run_cohort(
+                        [clients[i] for i in chunk],
+                        template,
+                        global_state,
+                        timing,
+                        [features[i] for i in chunk],
+                        layout,
+                        walks,
+                    )
+                    if solved is None:
+                        continue  # late disagreement: members run below
+                    for pos, update in zip(chunk, solved):
+                        updates[pos] = update
         for i, client in enumerate(clients):
-            if updates[i] is None:
-                updates[i] = client.run_round(
+            if updates[i] is not None:
+                continue
+            if type(client).run_round is Client.run_round:
+                update = client.run_round(
+                    template, global_state, timing=None, features=features[i]
+                )
+                if timing is not None:
+                    update.train_seconds = fastpath.cohort_round_seconds(
+                        [client], template, timing, walks
+                    )[0]
+            else:
+                # A custom round may change the shared model's trainable
+                # set (tiered clients re-freeze it): it prices itself, and
+                # rounds after it walk the model afresh.
+                update = client.run_round(
                     template, global_state, timing=timing, features=features[i]
                 )
+                walks.clear()
+            updates[i] = update
         return [_Resolved(update) for update in updates]
 
 
@@ -362,8 +382,8 @@ _WORKER: dict = {
     "clients": {},
     "eval_plans": {},
     # Per-template cohort caches: {"probes": layout-probe plans keyed by
-    # (signature, shape), "plans": an LRU of CohortPlans keyed by pool
-    # key} — the worker-process mirror of fastpath's cohort plan cache.
+    # (signature, shape), "plans": CohortPlans by kernel key} — the
+    # worker-process mirror of fastpath's cohort plan cache.
     "cohort_plans": {},
     # segments the running job reads; never unmapped while it runs
     "job_pins": set(),
@@ -372,14 +392,6 @@ _WORKER: dict = {
 #: model replicas a worker keeps alive at once; a campaign uses one
 #: template per run, so 2 covers the running run plus its predecessor.
 _WORKER_MODEL_CACHE = 2
-
-#: cohort plans a worker keeps per template, least recently used evicted
-#: first. A 512-client round brings ~70 (lanes, rows, selected) shapes
-#: through every worker each round, so no cache short of all of them hits
-#: there, and all of them cost ~140 MB per worker against ~2% of that
-#: workload's throughput for rebuilding; a bench that repeats one shape
-#: (``bench_cohort_solver.py``) still reuses its plan.
-_WORKER_COHORT_PLANS = 4
 
 #: worker mapping churn — segments attached, and unheld mappings the LRU
 #: closed — counted inside the workers and merged into the parent with
@@ -678,6 +690,10 @@ def _shm_cohort_solve(job: dict, baseline: dict) -> tuple:
         client, feats = _worker_client(job["template_name"], member)
         clients.append(client)
         features.append(feats)
+    # One plan per kernel key serves every cohort shape (it grows to the
+    # largest lane count and shard it has solved), so the cache needs no
+    # bound: it holds one plan per (signature, shape, batch, epochs) the
+    # template's runs use, and dies with the template.
     caches = _WORKER["cohort_plans"].setdefault(
         job["template_name"], {"probes": {}, "plans": {}}
     )
@@ -687,18 +703,14 @@ def _shm_cohort_solve(job: dict, baseline: dict) -> tuple:
     )
     solved = None
     if layout is not None:
-        plans = caches["plans"]
         solved = fastpath.solve_cohort(
-            clients, model, global_state, features, layout, plan_cache=plans,
+            clients, model, global_state, features, layout,
+            plan_cache=caches["plans"],
         )
-        while len(plans) > _WORKER_COHORT_PLANS:
-            del plans[next(iter(plans))]
-            fastpath.COHORT_STATS["plan_evictions"] += 1
     if solved is None:
+        # the parent prices every member, as it does a solved lane
         updates = [
-            client.run_round(
-                model, global_state, timing=job["timing"], features=feats
-            )
+            client.run_round(model, global_state, timing=None, features=feats)
             for client, feats in zip(clients, features)
         ]
         return (
@@ -707,10 +719,10 @@ def _shm_cohort_solve(job: dict, baseline: dict) -> tuple:
             [client.rng.bit_generator.state for client in clients],
             obs_metrics.shard_delta(baseline),
         )
-    theta_stack, mean_losses, num_selected, num_local = solved
+    theta_stack, mean_losses, num_selected, sizes = solved
     stats = [
-        (num_selected, num_local, float(mean_losses[i]))
-        for i in range(len(clients))
+        (num_selected, num_local, float(loss))
+        for num_local, loss in zip(sizes, mean_losses)
     ]
     return (
         theta_stack,
@@ -961,10 +973,15 @@ class _ShmHandle:
     Collection goes through the backend's retry loop
     (:meth:`ProcessPoolBackend._collect`); the state-slot and template
     references are held until the job's *final* resolution, so retried
-    dispatches keep reading pinned segment bytes.
+    dispatches keep reading pinned segment bytes. ``pricing`` is the
+    wave's ``(model, timing, walks)`` when the parent bills the round
+    (see :meth:`ProcessPoolBackend.submit_many`), None when the worker
+    did.
     """
 
-    __slots__ = ("_backend", "_record", "_client", "_slot", "_template")
+    __slots__ = (
+        "_backend", "_record", "_client", "_slot", "_template", "_pricing",
+    )
 
     def __init__(
         self,
@@ -973,12 +990,14 @@ class _ShmHandle:
         client: Client,
         slot: _StateSlot,
         template: _TemplateRecord,
+        pricing: tuple | None = None,
     ):
         self._backend = backend
         self._record = record
         self._client = client
         self._slot = slot
         self._template = template
+        self._pricing = pricing
 
     def result(self) -> LocalUpdate:
         try:
@@ -990,6 +1009,11 @@ class _ShmHandle:
             self._template.refs -= 1
         self._client.rng.bit_generator.state = rng_state
         obs_metrics.merge_exported(metric_shard)
+        if self._pricing is not None:
+            model, timing, walks = self._pricing
+            update.train_seconds = fastpath.cohort_round_seconds(
+                [self._client], model, timing, walks
+            )[0]
         return update
 
 
@@ -999,18 +1023,19 @@ class _SharedCohortResult:
     The first member collected resolves the worker future exactly once:
     releases the state-slot and template references (even when the worker
     raised — the error is cached and re-raised to every member), mirrors
-    all members' RNG advances, merges the metric shard, and wraps the θ
-    stack's lanes into slab-backed LocalUpdates. Later members read the
-    cached updates.
+    all members' RNG advances, merges the metric shard, wraps the θ
+    stack's lanes into slab-backed LocalUpdates and, with ``pricing``
+    (the wave's ``(model, timing, walks)``), bills every member. Later
+    members read the cached updates.
     """
 
     __slots__ = (
         "_backend", "_record", "_clients", "_slot", "_template", "_layout",
-        "_model", "_timing", "_updates", "_error",
+        "_pricing", "_updates", "_error",
     )
 
     def __init__(
-        self, backend, record, clients, slot, template, layout, model, timing
+        self, backend, record, clients, slot, template, layout, pricing
     ):
         self._backend = backend
         self._record = record
@@ -1018,8 +1043,7 @@ class _SharedCohortResult:
         self._slot = slot
         self._template = template
         self._layout = layout
-        self._model = model
-        self._timing = timing
+        self._pricing = pricing
         self._updates = None
         self._error = None
 
@@ -1047,15 +1071,16 @@ class _SharedCohortResult:
         if stack is None:
             # The worker's plan declined late and it ran the exact
             # per-member path instead: stats are ready LocalUpdates.
-            self._updates = stats
-            return
-        updates = [
-            fastpath.wrap_cohort_update(stack[i], self._layout, *stats[i])
-            for i in range(len(self._clients))
-        ]
-        if self._timing is not None:
+            updates = stats
+        else:
+            updates = [
+                fastpath.wrap_cohort_update(stack[i], self._layout, *stats[i])
+                for i in range(len(self._clients))
+            ]
+        if self._pricing is not None:
+            model, timing, walks = self._pricing
             seconds = fastpath.cohort_round_seconds(
-                self._clients, self._model, self._timing
+                self._clients, model, timing, walks
             )
             for update, sec in zip(updates, seconds):
                 update.train_seconds = sec
@@ -1679,11 +1704,19 @@ class ProcessPoolBackend(ExecutionBackend):
 
     # -- ExecutionBackend interface ------------------------------------------
     def submit(self, client, template, global_state, timing):
+        return self._submit_one(client, template, global_state, timing)
+
+    def _submit_one(
+        self, client, template, global_state, timing, pricing=None, chain=None
+    ):
+        """One per-client job. ``pricing`` makes the parent bill it (the
+        job then ships no timing and the worker walks nothing); ``chain``
+        is the wave's ϕ prefix chain (see :meth:`_ensure_features`)."""
         self._ensure_started()
         template_record = self._ensure_template(template)
         slot = self._publish_state(global_state)
         shard = self._ensure_shard(client)
-        features = self._ensure_features(client, template)
+        features = self._ensure_features(client, template, chain=chain)
         job = {
             "template_name": template_record.shm.name,
             "template_nbytes": template_record.nbytes,
@@ -1707,12 +1740,11 @@ class ProcessPoolBackend(ExecutionBackend):
                 (shard.shm.name, features.shm.name if features else None)
             ),
         )
-        return _ShmHandle(self, record, client, slot, template_record)
+        return _ShmHandle(self, record, client, slot, template_record, pricing)
 
     def submit_many(self, clients, template, global_state, timing):
         if (
-            len(clients) < 2
-            or self.feature_runtime is None
+            self.feature_runtime is None
             or type(self).submit is not ProcessPoolBackend.submit
         ):
             return super().submit_many(clients, template, global_state, timing)
@@ -1728,6 +1760,11 @@ class ProcessPoolBackend(ExecutionBackend):
         ]
         units = fastpath.cohort_units(clients, template, global_state, shapes)
         handles: list = [None] * len(clients)
+        # The parent bills the wave — cohort lanes and solo rounds alike —
+        # from one FLOPs walk per input shape, shared by every handle;
+        # workers price only custom rounds, which may re-freeze their
+        # replica.
+        pricing = None if timing is None else (template, timing, {})
         if units:
             template_record = self._ensure_template(template)
         chunks = [
@@ -1761,7 +1798,6 @@ class ProcessPoolBackend(ExecutionBackend):
                 "state_name": slot.shm.name,
                 "state_layout": slot.layout,
                 "members": member_blobs,
-                "timing": timing,
             }
             self.stats["jobs"] += 1
             self.stats["cohort_jobs"] += 1
@@ -1774,13 +1810,21 @@ class ProcessPoolBackend(ExecutionBackend):
             job_record = self._dispatch(_shm_cohort_round, job, fingerprints)
             shared = _SharedCohortResult(
                 self, job_record, members, slot, template_record, layout,
-                template, timing,
+                pricing,
             )
             for index, pos in enumerate(positions):
                 handles[pos] = _ShmCohortHandle(shared, index)
         for i, client in enumerate(clients):
-            if handles[i] is None:
-                handles[i] = self.submit(client, template, global_state, timing)
+            if handles[i] is not None:
+                continue
+            if type(client).run_round is Client.run_round:
+                handles[i] = self._submit_one(
+                    client, template, global_state, None, pricing, chain
+                )
+            else:
+                handles[i] = self._submit_one(
+                    client, template, global_state, timing, chain=chain
+                )
         return handles
 
     def _inflight_done(self, future: Future) -> None:

@@ -182,9 +182,13 @@ class Client:
             mean_loss=mean_loss,
         )
         if timing is not None:
-            # The synchronous loop bills here, after the round. The event
-            # engine passes no timing: it priced the round once at dispatch
-            # (every selector keeps the deterministic ``selected_count``)
-            # and bills the duration it scheduled the completion with.
+            # Billed here, after the round, when the caller passes timing
+            # (``backend.submit``, and custom rounds in a wave). A
+            # ``submit_many`` wave passes none for standard rounds: the
+            # backend prices the whole wave with one model walk per input
+            # shape. The event engine passes none either: it priced the
+            # round once at dispatch (every selector keeps the
+            # deterministic ``selected_count``) and bills the duration it
+            # scheduled the completion with.
             update.train_seconds = self.planned_round_seconds(model, timing)
         return update

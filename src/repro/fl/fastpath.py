@@ -29,10 +29,11 @@ and cached per *client* in a module-level ``WeakKeyDictionary``; the cache
 dies with the client (worker processes cache clients per campaign, so
 worker plans are campaign-lived too, and a killed worker takes its plans
 with it — they hold no shared state). In-process solves run one at a
-time, so no plan cache here needs a lock, and a cohort key never needs
-more than one plan. Evaluation plans for the pooled workers are cached
-by the backend under the template segment's name (see
-:mod:`repro.engine.backends`), mirroring feature-segment keying.
+time, so no plan cache here needs a lock, and a cohort plan's kernel key
+never needs more than one plan: the plan grows to serve every lane
+count, shard size and selected count. Evaluation plans for the pooled
+workers are cached by the backend under the template segment's name
+(see :mod:`repro.engine.backends`), mirroring feature-segment keying.
 """
 
 from __future__ import annotations
@@ -359,11 +360,14 @@ def client_head_plan(
 # Cohort solver: N clients' local rounds as one block-stacked solve.
 #
 # Grouping (``cohort_units``) keys this round's participants by everything
-# that shapes the solve — feature shape, shard size, selected count,
-# epochs, selector and solver hyperparameters — and hands each group of
-# ≥2 to one :class:`~repro.nn.fused.CohortPlan` (``solve_cohort``).
-# Grouping on the exact row count *is* the row-template bucketing: ragged
-# shard sizes split into separate cohorts rather than padding lanes.
+# that shapes the local solve — feature shape, selected count k, epochs,
+# selector and solver hyperparameters — and hands each group of ≥2 to one
+# :class:`~repro.nn.fused.CohortPlan` (``solve_cohort``). The shard size n
+# is not in the key: lanes of different n share a cohort, padded to the
+# largest shard for selection scoring, which leaves every real row's bits
+# unchanged (see CohortPlan, "Ragged rows"). Training sees only the k
+# selected rows, so k is what fixes the solve's shape (with the full
+# selector k = n, so those cohorts still split by n).
 # Everything else (singletons, clients without cached features, custom
 # clients, unfusible heads, exotic selectors/solvers/broadcast states)
 # falls back to the per-client path,
@@ -392,8 +396,9 @@ COHORT_STATS = export_group(
     },
 )
 
-#: in-process cohort plans, one per full constructor key (signature, shape,
-#: lanes, rows, selected, batch_size, epochs), least recently used first
+#: in-process cohort plans, one per kernel key (signature, feature shape,
+#: batch_size, epochs), least recently used first; each grows to the
+#: largest cohort it has solved
 _COHORT_PLANS: dict[tuple, CohortPlan] = {}
 
 #: layout-probe plans for ``aligned_cohort_layout``, scoped by the model's
@@ -511,7 +516,7 @@ def _cohort_key(client, model, global_state, shape, layouts):
         float(solver.prox_mu),
         int(solver.batch_size),
     )
-    return None, (shape, n, k, epochs, sel_key, solver_key)
+    return None, (shape, k, epochs, sel_key, solver_key)
 
 
 def cohort_units(clients, model, global_state, feature_shapes, min_size=2):
@@ -549,32 +554,27 @@ def cohort_units(clients, model, global_state, feature_shapes, min_size=2):
     return units or None
 
 
-def _build_cohort_plan(pool_key):
-    signature, shape, lanes, rows, selected, batch_size, epochs = pool_key
-    try:
-        plan = CohortPlan(
-            signature, shape, lanes, rows, selected, batch_size, epochs
-        )
-    except ValueError:
-        return None
-    COHORT_STATS["plans_built"] += 1
-    return plan
+def _acquire_cohort_plan(plan_key, plan_cache=None):
+    """The cached plan for the kernel key, built on a miss; None if
+    unplannable.
 
-
-def _acquire_cohort_plan(pool_key, plan_cache=None):
-    """The cached plan for the key, built on a miss; None if unplannable.
-
-    ``plan_cache`` is a process worker's own cache; without one the
-    module's in-process cache serves. Either is kept in use order, least
-    recently used first, so its owner can bound it by dropping entries
-    from the front.
+    ``plan_key`` is (signature, feature shape, batch_size, epochs): what
+    a plan's kernel programs are compiled for. Lane count, shard size and
+    selected count are per solve (:meth:`CohortPlan.prepare`), so a key
+    needs one plan for its whole life. ``plan_cache`` is a process
+    worker's own cache; without one the module's in-process cache serves,
+    kept in use order (least recently used first) for
+    :func:`trim_plan_caches`.
     """
     cache = _COHORT_PLANS if plan_cache is None else plan_cache
-    plan = cache.pop(pool_key, None)
+    plan = cache.pop(plan_key, None)
     if plan is None:
-        plan = _build_cohort_plan(pool_key)
-    if plan is not None:
-        cache[pool_key] = plan
+        try:
+            plan = CohortPlan(*plan_key)
+        except ValueError:
+            return None
+        COHORT_STATS["plans_built"] += 1
+    cache[plan_key] = plan
     return plan
 
 
@@ -591,9 +591,15 @@ def solve_cohort(
     Preconditions (``cohort_units`` guarantees them): the clients share
     one grouping key, ``features_list[i]`` is client *i*'s full-shard
     features, and ``layout`` is their shared θ slab layout. Returns
-    ``(theta stack (N × params), per-lane mean losses, selected, rows)``
-    or None on a late disagreement (the caller then dispatches the
-    members per client, which reproduces reference behaviour exactly).
+    ``(theta stack (N × params), per-lane mean losses, selected, per-lane
+    shard sizes)`` or None on a late disagreement (the caller then
+    dispatches the members per client, which reproduces reference
+    behaviour exactly).
+
+    Lanes may hold different shard sizes n_i (same selected count k).
+    Scoring runs over the plan's padded stride, but everything that
+    reduces over a lane's own rows sees exactly its n_i: the label copy,
+    the entropy top-k and the random draw below are per-lane slices.
 
     Bitwise contract: every RNG draw is taken from each client's own
     generator in exactly ``Client.run_round``'s order — the selection
@@ -610,46 +616,51 @@ def solve_cohort(
     )
 
     first = clients[0]
-    n = len(first.dataset)
     shape = tuple(features_list[0].shape[1:])
-    for client, feats in zip(clients, features_list):
-        if feats is None or feats.shape != (n,) + shape:
-            return None
     selector = first.selector
     stype = type(selector)
-    k = n if stype is FullSelector else selected_count(n, first.selection_fraction)
+    full = stype is FullSelector
+    sizes = [len(client.dataset) for client in clients]
+    k = sizes[0] if full else selected_count(sizes[0], first.selection_fraction)
+    for client, feats, n in zip(clients, features_list, sizes):
+        if feats is None or feats.shape != (n,) + shape:
+            return None
+        if (n if full else selected_count(n, client.selection_fraction)) != k:
+            return None
     solver = first.solver
     epochs = int(first.epochs)
     lanes = len(clients)
     layers, signature = head_ops(model)
     if layers is None:
         return None
-    pool_key = (signature, shape, lanes, n, k, int(solver.batch_size), epochs)
-    plan = _acquire_cohort_plan(pool_key, plan_cache)
+    plan_key = (signature, shape, int(solver.batch_size), epochs)
+    plan = _acquire_cohort_plan(plan_key, plan_cache)
     if plan is None:
         return None
+    plan.prepare(lanes, max(sizes), k)
     slab = getattr(global_state, "theta_slab", None)
     if slab is not None and global_state.layout.signature == layout.signature:
         plan.theta_row[...] = slab
     else:
         layout.gather(global_state, plan.theta_row)
-    for i, (client, feats) in enumerate(zip(clients, features_list)):
-        plan.features[i] = feats
-        plan.labels[i] = client.dataset.arrays()[1]
+    for i, (client, feats, n) in enumerate(zip(clients, features_list, sizes)):
+        plan.features[i, :n] = feats
+        plan.labels[i, :n] = client.dataset.arrays()[1]
     if stype is EntropySelector:
         with tracing.span("selection.entropy"):
-            entropy = plan.entropy_scores(selector.temperature, selector.batch_size)
-        for i in range(lanes):
-            lane = entropy[i * n : (i + 1) * n]
+            entropy = plan.entropy_scores(selector.temperature)
+        stride = plan.rows
+        for i, n in enumerate(sizes):
+            lane = entropy[i * stride : i * stride + n]
             top = np.argpartition(lane, n - k)[n - k:]
             plan.selected_idx[i] = np.sort(top)
     elif stype is RandomSelector:
-        for i, client in enumerate(clients):
+        for i, (client, n) in enumerate(zip(clients, sizes)):
             plan.selected_idx[i] = np.sort(
                 client.rng.choice(n, size=k, replace=False)
             )
     else:
-        plan.selected_idx[...] = np.arange(n)
+        plan.selected_idx[...] = np.arange(k)  # k == n_i on every lane
     plan.gather_selected()
     for i, client in enumerate(clients):
         for epoch in range(epochs):
@@ -663,7 +674,7 @@ def solve_cohort(
         )
     theta_stack = plan._data_stack.copy()
     COHORT_STATS["cohort_solves"] += 1
-    return theta_stack, mean_losses, k, n
+    return theta_stack, mean_losses, k, sizes
 
 
 def wrap_cohort_update(row, layout, num_selected, num_local, mean_loss):
@@ -679,41 +690,48 @@ def wrap_cohort_update(row, layout, num_selected, num_local, mean_loss):
     )
 
 
-def run_cohort(clients, model, global_state, timing, features_list, layout):
+def run_cohort(
+    clients, model, global_state, timing, features_list, layout, walks=None
+):
     """Solve one cohort in-process; LocalUpdates in client order, or None.
 
     ``layout`` is the lane layout :func:`cohort_units` grouped the cohort
     under. None sends every member to the exact per-client path (the
     grouping was optimistic; late disagreements like feature-shape drift
-    or unplannable dimensions must not change results).
+    or unplannable dimensions must not change results). ``walks`` is the
+    wave's FLOPs-walk cache (see :func:`cohort_round_seconds`).
     """
     solved = solve_cohort(clients, model, global_state, features_list, layout)
     if solved is None:
         return None
-    theta_stack, mean_losses, k, n = solved
+    theta_stack, mean_losses, k, sizes = solved
     updates = [
-        wrap_cohort_update(theta_stack[i], layout, k, n, mean_losses[i])
+        wrap_cohort_update(theta_stack[i], layout, k, sizes[i], mean_losses[i])
         for i in range(len(clients))
     ]
     if timing is not None:
-        seconds = cohort_round_seconds(clients, model, timing)
+        seconds = cohort_round_seconds(clients, model, timing, walks)
         for update, sec in zip(updates, seconds):
             update.train_seconds = sec
     return updates
 
 
-def cohort_round_seconds(clients, model, timing) -> list[float]:
-    """Each member's ``planned_round_seconds(model, timing)``, in order.
+def cohort_round_seconds(clients, model, timing, walks=None) -> list[float]:
+    """Each client's ``planned_round_seconds(model, timing)``, in order.
 
-    A cohort's lanes share one model, so the FLOPs walk
-    (:func:`repro.nn.profiling.round_flops_per_sample`) runs once per
-    distinct input shape instead of once per lane; each lane then applies
-    its own counts and speed multiplier, giving the same float as pricing
-    it alone.
+    Rounds priced on one model share its FLOPs walk
+    (:func:`repro.nn.profiling.round_flops_per_sample`): it runs once per
+    distinct input shape instead of once per client, and each client then
+    applies its own counts and speed multiplier, giving the same float as
+    pricing it alone. ``walks`` (input shape → walk) carries the walks
+    across calls, so a backend prices a whole wave — cohort lanes and solo
+    rounds alike — with one walk per input shape; whoever changes the
+    model's trainable set between two calls must clear it.
     """
     from repro.nn.profiling import round_flops_per_sample
 
-    walks: dict[tuple, tuple[int, int]] = {}
+    if walks is None:
+        walks = {}
     seconds = []
     for client in clients:
         shape = client.dataset.input_shape

@@ -49,6 +49,16 @@ class LocalSolver:
         prox_mu: float = 0.0,
         batch_size: int = 32,
     ):
+        if lr <= 0:
+            raise ValueError(f"lr must be positive, got {lr}")
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+        if momentum < 0:
+            raise ValueError(f"momentum must be non-negative, got {momentum}")
+        if weight_decay < 0:
+            raise ValueError(
+                f"weight_decay must be non-negative, got {weight_decay}"
+            )
         if prox_mu < 0:
             raise ValueError("prox_mu must be non-negative")
         self.lr = lr

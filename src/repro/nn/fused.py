@@ -815,16 +815,43 @@ def _owned_nbytes(*containers) -> int:
     return total
 
 
+
+
 class CohortPlan:
-    """Block-stacked local solves for N same-shaped clients at once.
+    """Block-stacked local solves for a cohort of same-kernel clients.
 
     Where :class:`FusedHeadPlan` removes per-*step* interpreter overhead
     for one client, a ``CohortPlan`` removes per-*client* overhead for a
-    whole cohort: N clients that share a head signature, feature shape,
-    shard row count, selection size and solver hyperparameters execute
-    their local rounds as batched 3-D GEMMs over stacked workspaces —
-    one kernel launch per (layer, 32-row tile) for the entire cohort
-    instead of per client.
+    whole cohort: clients that share a head signature, feature shape,
+    selected count and solver hyperparameters execute their local rounds
+    as batched 3-D GEMMs over stacked workspaces — one kernel launch per
+    (layer, 32-row tile) for the entire cohort instead of per client.
+
+    One plan serves every cohort of its *kernel key* — head signature,
+    feature shape, batch size and epochs, the dimensions its kernel
+    programs are compiled for. :meth:`prepare` shapes it for one solve
+    (lane count, largest shard, selected count): buffers live in flat
+    capacity arrays that grow, zero-filled, to the largest solve seen,
+    and every solve runs on views sliced from their front. A plan is
+    therefore built once per kernel key, never per cohort shape.
+
+    Ragged rows
+    -----------
+    Lanes may hold shards of different sizes ``n_i`` as long as they
+    select the same ``k``. Lane ``i``'s shard fills the first ``n_i`` rows
+    of a per-lane row stride (:attr:`rows`: the largest shard rounded up
+    to the 32-row tile), and selection scoring runs over the whole padded
+    stride in full 32-row GEMM tiles. Every real row keeps its solo bits:
+    a row's GEMM output depends only on its own input row, whatever other
+    rows share the tile and wherever it sits in it (DESIGN.md
+    "Row-determinism"), and the softmax-entropy chain is rowwise. Padded
+    rows hold zeros or an earlier solve's features, and their scores are
+    never read. Whatever reduces over a lane's own rows — the top-k
+    ``argpartition``, the random selector's ``rng.choice(n_i, k)``, the
+    label copy, ``num_local`` — must see exactly ``n_i`` rows; the caller
+    (:func:`repro.fl.fastpath.solve_cohort`) runs those per lane on
+    ``n_i``-row slices. Training reads only the ``k`` selected rows, and
+    ``k`` is shared, so every training kernel keeps its solo shape.
 
     Bitwise-identity contract
     -------------------------
@@ -835,14 +862,13 @@ class CohortPlan:
       dot products of their own input row; ReLU/softmax/update kernels
       are elementwise or rowwise), so stacking lanes cannot perturb a
       lane's bits.
-    - Forward GEMMs replay :func:`~repro.nn.linear.row_canonical_matmul_into`'s
-      exact 32-row tile partition per lane: chunk boundaries (selection
-      scoring) and minibatch row counts are identical across lanes by
-      construction, so tile ``t`` of lane ``i`` multiplies the same
-      (32 × in) block against the same weights as the per-client plan —
-      batched ``np.matmul`` dispatches the same fixed-shape dgemm per
-      lane slice (remainder tiles go through the same zero-padded
-      32-row scratch).
+    - Forward GEMMs run in fixed 32-row tiles, as
+      :func:`~repro.nn.linear.row_canonical_matmul_into` does: training
+      minibatch row counts are identical across lanes by construction, so
+      tile ``t`` of lane ``i`` multiplies the same (32 × in) block against
+      the same weights as the per-client plan — batched ``np.matmul``
+      dispatches the same fixed-shape dgemm per lane slice (remainder
+      tiles go through the same zero-padded 32-row scratch).
     - Backward GEMMs (``xᵀ·g`` per lane, ``g·Wᵀ`` per lane) and bias
       reductions (``sum(axis=1)`` ≡ per-lane ``sum(axis=0)``) use the
       same per-slice BLAS calls; the SGD update runs the exact
@@ -868,9 +894,6 @@ class CohortPlan:
         self,
         signature: tuple,
         feature_shape: tuple,
-        lanes: int,
-        rows: int,
-        selected: int,
         batch_size: int,
         epochs: int,
     ):
@@ -886,20 +909,11 @@ class CohortPlan:
                 # forward reads weights from the stacked slab, so every
                 # present parameter must own a slot
                 raise ValueError("cohort plans require fully-trainable heads")
-        if not (
-            lanes >= 1
-            and rows >= 1
-            and 1 <= selected <= rows
-            and batch_size >= 1
-            and epochs >= 1
-        ):
+        if not (batch_size >= 1 and epochs >= 1):
             raise ValueError("invalid cohort dimensions")
         self.signature = signature
         self.feature_shape = proto.feature_shape
         self.num_classes = proto.num_classes
-        self.lanes = lanes
-        self.rows = rows
-        self.selected = selected
         self.batch_size = batch_size
         self.epochs = epochs
         self.slot_total = proto.slot_total
@@ -907,154 +921,184 @@ class CohortPlan:
         self.trainable_slots = proto.trainable_slots
         self._shapes = proto._shapes
         self._lowest = proto._lowest
+        #: the broadcast θ row — every lane starts from it, and it doubles
+        #: as the FedProx reference (the reference IS the broadcast θ)
+        self.theta_row = np.zeros(self.slot_total)
+        # shared per-slot views into theta_row (selection scoring runs at
+        # broadcast θ)
+        self._shared_w = {
+            slot: self.theta_row[offset : offset + size].reshape(shape)
+            for slot, offset, shape, size in self._slot_spans()
+        }
+        #: capacity buffers by name, grown (zero-filled) to the largest
+        #: solve seen; :meth:`prepare` slices every per-solve view from them
+        self._bufs: dict = {}
+        #: the prepared solve's lane count, per-lane row stride and
+        #: selected count (0 until the first :meth:`prepare`)
+        self.lanes = self.rows = self.selected = 0
+
+    def _slot_spans(self):
+        """``((layer, "w" | "b"), offset, shape, size)`` per trainable slot."""
+        for (i, attr), offset in zip(self.trainable_slots, self.slot_offsets):
+            op = self.signature[i]
+            shape = (op[1], op[2]) if attr == "w" else (op[2],)
+            yield (i, attr), offset, shape, int(np.prod(shape))
+
+    # -- workspaces ----------------------------------------------------------
+    def _buf(self, name, count: int, tail: tuple = (), dtype=np.float64):
+        """The first ``count`` rows of capacity buffer ``name``.
+
+        A buffer grows (reallocated zero-filled, never shrunk) when a solve
+        needs more rows than any before it. Zero fill keeps optimiser-lane
+        pads at +0.0 and padded feature rows finite.
+        """
+        buf = self._bufs.get(name)
+        if buf is None or len(buf) < count:
+            buf = self._bufs[name] = np.zeros((count,) + tail, dtype=dtype)
+        return buf[:count]
+
+    def prepare(self, lanes: int, rows: int, selected: int) -> None:
+        """Shape the plan for one solve and bind its per-solve views.
+
+        ``lanes`` clients whose largest shard holds ``rows`` samples each
+        select ``selected`` of them. Afterwards the caller fills
+        ``features``/``labels`` (``lanes × self.rows``; lane ``i``'s shard
+        in its first ``n_i`` rows), ``selected_idx`` (``lanes × k``) and
+        ``perms`` (``epochs × lanes × k``), and reads lane θ rows from
+        ``_data_stack`` after :meth:`train`. A solve shaped like the one
+        before it keeps that solve's views and training workspaces (only
+        a rebind grows buffers, so nothing they view can have moved).
+        """
+        if not (lanes >= 1 and 1 <= selected <= rows):
+            raise ValueError("invalid cohort dimensions")
+        stride = -(-rows // _TILE) * _TILE
+        if (lanes, stride, selected) == (self.lanes, self.rows, self.selected):
+            return
+        self.lanes, self.rows, self.selected = lanes, stride, selected
+        buf = self._buf
         f = self.feature_shape[0]
-        #: per-lane raw shard data, copied in per round
-        self.features = np.zeros((lanes, rows, f))
-        self.labels = np.zeros((lanes, rows), dtype=np.int64)
-        #: per-lane selected subsets, gathered by :meth:`gather_selected`
-        self.selected_idx = np.zeros((lanes, selected), dtype=np.int64)
-        self.sel_features = np.zeros((lanes * selected, f))
-        self._sel_labels = np.zeros(lanes * selected, dtype=np.int64)
+        n = lanes * stride
+        self.features = buf("features", n, (f,)).reshape(lanes, stride, f)
+        self.labels = buf("labels", n, (), np.int64).reshape(lanes, stride)
+        sel = lanes * selected
+        self.selected_idx = buf("selected_idx", sel, (), np.int64).reshape(
+            lanes, selected
+        )
+        self._abs_idx = buf("abs_idx", sel, (), np.int64).reshape(
+            lanes, selected
+        )
+        self.sel_features = buf("sel_features", sel, (f,))
+        self._sel_labels = buf("sel_labels", sel, (), np.int64)
         #: planned-ahead epoch permutations, one client stream per lane
-        self.perms = np.zeros((epochs, lanes, selected), dtype=np.int64)
-        self._abs_idx = np.empty((lanes, selected), dtype=np.int64)
-        self._row_base = (np.arange(lanes, dtype=np.int64) * rows)[:, None]
-        self._sel_base = (np.arange(lanes, dtype=np.int64) * selected)[:, None]
+        self.perms = buf("perms", self.epochs * sel, (), np.int64).reshape(
+            self.epochs, lanes, selected
+        )
+        base = np.arange(lanes, dtype=np.int64)[:, None]
+        self._row_base = base * stride
+        self._sel_base = base * selected
         # Optimiser-state lanes: the exact FusedHeadPlan flats, one row
         # per client, zero-initialised so inter-slot pads hold +0.0.
         total = self.slot_total
-        self._acc_stack = np.zeros((lanes, total))
-        self._tmp_stack = np.zeros((lanes, total))
-        self._t1_stack = np.zeros((lanes, total))
-        self._vel_stack = np.zeros((lanes, total))
-        self._data_stack = np.zeros((lanes, total))
-        #: the broadcast θ row — every lane starts from it, and it doubles
-        #: as the FedProx reference (the reference IS the broadcast θ)
-        self.theta_row = np.zeros(total)
-        # per-slot views: lane-stacked (into _data/_tmp stacks) and shared
-        # (into theta_row, used by selection scoring at broadcast θ)
+        self._acc_stack = buf("acc", lanes, (total,))
+        self._tmp_stack = buf("tmp", lanes, (total,))
+        self._t1_stack = buf("t1", lanes, (total,))
+        self._vel_stack = buf("vel", lanes, (total,))
+        self._data_stack = buf("data", lanes, (total,))
+        # per-slot lane-stacked views into the data and gradient stacks
         self._lane_w: dict[tuple[int, str], np.ndarray] = {}
         self._lane_tmp: dict[tuple[int, str], np.ndarray] = {}
-        self._shared_w: dict[tuple[int, str], np.ndarray] = {}
-        for (i, attr), offset in zip(self.trainable_slots, self.slot_offsets):
-            op = signature[i]
-            shape = (op[1], op[2]) if attr == "w" else (op[2],)
-            size = int(np.prod(shape))
-            self._lane_w[(i, attr)] = self._data_stack[
-                :, offset : offset + size
-            ].reshape((lanes,) + shape)
-            self._lane_tmp[(i, attr)] = self._tmp_stack[
-                :, offset : offset + size
-            ].reshape((lanes,) + shape)
-            self._shared_w[(i, attr)] = self.theta_row[
-                offset : offset + size
-            ].reshape(shape)
-        steps_per_epoch = -(-selected // batch_size)
-        self._losses = np.zeros((lanes, epochs * steps_per_epoch))
-        # scoring buffers: logits stack filled chunkwise, then the entropy
-        # ufunc chain over the (N·rows × classes) row stack
-        c = self.num_classes
-        nr = lanes * rows
-        self._score = {
-            "logits": np.empty((lanes, rows, c)),
-            "z": np.empty((nr, c)),
-            "p": np.empty((nr, c)),
-            "tmp": np.empty((nr, c)),
-            "m": np.empty((nr, 1)),
-            "s": np.empty((nr, 1)),
-            "entropy": np.empty(nr),
-        }
-        self._score_ws: dict[int, dict] = {}
+        for slot, offset, shape, size in self._slot_spans():
+            span = slice(offset, offset + size)
+            shape = (lanes,) + shape
+            self._lane_w[slot] = self._data_stack[:, span].reshape(shape)
+            self._lane_tmp[slot] = self._tmp_stack[:, span].reshape(shape)
+        steps = self.epochs * -(-selected // self.batch_size)
+        self._losses = buf("losses", lanes * steps).reshape(lanes, steps)
         self._train_row_ws: dict[int, dict] = {}
 
-    # -- workspaces ----------------------------------------------------------
-    def _fprog(self, rows: int) -> list[tuple]:
-        """Stacked forward program for one per-lane row count."""
+    def _train_ws(self, rows: int, slot: int) -> dict:
+        """The training workspace for minibatches of ``rows`` per lane.
+
+        Built once per solve over the capacity buffers of ``slot`` (0 for
+        an epoch's full minibatches, 1 for its shorter last one), so two
+        row counts of one solve never share a zero-padded tile.
+        """
+        ws = self._train_row_ws.get(rows)
+        if ws is not None:
+            return ws
         lanes = self.lanes
+        n = lanes * rows
+        remainder = rows % _TILE
+
+        def flat(name, tail=(), dtype=np.float64, count=n):
+            return self._buf((slot, name), count, tail, dtype)
+
+        def stack(name, tail=(), dtype=np.float64):
+            """Buffer ``name`` as a ``(lanes, rows) + tail`` stack."""
+            return flat(name, tail, dtype).reshape((lanes, rows) + tail)
+
+        def tile(name, tail):
+            """Buffer ``name`` as one 32-row scratch tile per lane."""
+            return flat(name, tail, count=lanes * _TILE).reshape(
+                (lanes, _TILE) + tail
+            )
+
         fprog: list[tuple] = []
+        bprog: list[tuple] = []
+        bsum: dict[int, np.ndarray] = {}
         for i, (op, (in_shape, out_shape)) in enumerate(
             zip(self.signature, self._shapes)
         ):
             kind = op[0]
             if kind == "linear":
-                out = np.empty((lanes, rows) + out_shape)
-                if rows % _TILE:
-                    pad_in = np.zeros((lanes, _TILE) + in_shape)
-                    pad_out = np.empty((lanes, _TILE) + out_shape)
+                if remainder:
+                    pad_in = tile(("pad_in", i), in_shape)
+                    pad_in[:, remainder:] = 0.0
+                    pad_out = tile(("pad_out", i), out_shape)
                 else:
                     pad_in = pad_out = None
+                out = stack(("out", i), out_shape)
                 fprog.append(("lin", i, out, pad_in, pad_out, op[3]))
-            elif kind == "relu":
-                mask = np.empty((lanes, rows) + in_shape, dtype=bool)
-                fprog.append(
-                    ("relu", i, mask, np.empty((lanes, rows) + out_shape))
-                )
-            else:  # flatten over 1-D features: exact identity
-                fprog.append(("flat", i))
-        return fprog
-
-    def _score_chunk_ws(self, rows: int) -> dict:
-        ws = self._score_ws.get(rows)
-        if ws is None:
-            ws = {"fprog": self._fprog(rows), "inputs": [None] * len(self.signature)}
-            self._score_ws[rows] = ws
-        return ws
-
-    def _train_ws(self, rows: int) -> dict:
-        ws = self._train_row_ws.get(rows)
-        if ws is not None:
-            return ws
-        lanes = self.lanes
-        fprog = self._fprog(rows)
-        bprog: list[tuple] = []
-        bsum: dict[int, np.ndarray] = {}
-        for step in fprog:
-            kind, i = step[0], step[1]
-            in_shape, _ = self._shapes[i]
-            op = self.signature[i]
-            if kind == "lin":
                 if i >= self._lowest:
-                    gin = (
-                        np.empty((lanes, rows) + in_shape)
-                        if i > self._lowest
-                        else None
-                    )
+                    gin = stack(("gin", i), in_shape) if i > self._lowest else None
                     if op[5]:  # bias grad: contiguous reduce then slot copy
-                        bsum[i] = np.empty((lanes, op[2]))
+                        bsum[i] = self._buf(("bsum", i), lanes, (op[2],))
                     bprog.append(("lin", i, gin, op[5]))
             elif kind == "relu":
+                mask = stack(("mask", i), in_shape, np.bool_)
+                fprog.append(("relu", i, mask, stack(("relu", i), out_shape)))
                 if i > self._lowest:
-                    bprog.append(
-                        ("relu", i, step[2], np.empty((lanes, rows) + in_shape))
-                    )
-            # flat over 1-D features: identity both ways, no bprog entry
+                    bprog.append(("relu", i, mask, stack(("rgin", i), in_shape)))
+            else:  # flatten over 1-D features: identity both ways
+                fprog.append(("flat", i))
         bprog.reverse()
+        arange = self._bufs.get("arange")
+        if arange is None or len(arange) < n:
+            arange = self._bufs["arange"] = np.arange(n)
         c = self.num_classes
-        nr = lanes * rows
         ws = {
             "fprog": fprog,
             "bprog": bprog,
             "bsum": bsum,
             "inputs": [None] * len(self.signature),
-            "idx": np.empty((lanes, rows), dtype=np.int64),
-            "x": np.empty((lanes, rows) + self.feature_shape),
-            "y": np.empty((lanes, rows), dtype=np.int64),
+            "idx": stack("idx", (), np.int64),
+            "x": stack("x", self.feature_shape),
+            "y": stack("y", (), np.int64),
             # FusedCrossEntropy's buffers, row-stacked across lanes
-            "rows": np.arange(nr),
-            "target": np.empty((nr, c)),
-            "probs": np.empty((nr, c)),
-            "ltmp": np.empty((nr, c)),
-            "m": np.empty((nr, 1)),
-            "s": np.empty((nr, 1)),
-            "lsum": np.empty(lanes),
+            "rows": arange[:n],
+            "target": flat("target", (c,)),
+            "probs": flat("probs", (c,)),
+            "ltmp": flat("ltmp", (c,)),
+            "m": flat("m", (1,)),
+            "s": flat("s", (1,)),
+            "lsum": self._buf("lsum", lanes),
         }
         self._train_row_ws[rows] = ws
         return ws
 
     # -- kernels -------------------------------------------------------------
-    def _forward(self, ws: dict, x: np.ndarray, per_lane: bool) -> np.ndarray:
-        """Stacked head forward; per-lane weights (training, from the data
-        stack) or shared weights (selection scoring, at broadcast θ).
+    def _forward(self, ws: dict, x: np.ndarray) -> np.ndarray:
+        """Stacked head forward with per-lane weights (training).
 
         Replays ``row_canonical_matmul_into``'s tiling per lane: full
         32-row tiles as one batched matmul each, the remainder through a
@@ -1068,14 +1112,7 @@ class CohortPlan:
             inputs[step[1]] = current
             if kind == "lin":
                 _, i, out, pad_in, pad_out, has_bias = step
-                if per_lane:
-                    w = self._lane_w[(i, "w")]
-                    b = self._lane_w.get((i, "b"))
-                    if b is not None:
-                        b = b[:, None, :]
-                else:
-                    w = self._shared_w[(i, "w")]
-                    b = self._shared_w.get((i, "b"))
+                w = self._lane_w[(i, "w")]
                 rows = current.shape[1]
                 full = (rows // _TILE) * _TILE
                 for t in range(0, full, _TILE):
@@ -1088,7 +1125,7 @@ class CohortPlan:
                     np.matmul(pad_in, w, out=pad_out)
                     out[:, full:] = pad_out[:, :remainder]
                 if has_bias:
-                    np.add(out, b, out=out)
+                    np.add(out, self._lane_w[(i, "b")][:, None, :], out=out)
                 current = out
             elif kind == "relu":
                 _, _, mask, out = step
@@ -1158,38 +1195,58 @@ class CohortPlan:
         np.subtract(data, t1, out=data)
 
     # -- entry points --------------------------------------------------------
-    def entropy_scores(self, temperature: float, batch_size: int) -> np.ndarray:
-        """Entropy per sample over the whole cohort, at broadcast θ.
+    def entropy_scores(self, temperature: float) -> np.ndarray:
+        """Entropy per row of every lane's padded stride, at broadcast θ.
 
-        Chunked per lane exactly as ``FusedHeadPlan.entropy_scores`` chunks
-        one client (same chunk boundaries ⇒ same tile partitions), then one
-        ufunc chain over the (N·rows × classes) stack — rowwise, so each
-        lane's scores are bit-identical to its per-client run. Returns the
-        flat (N·rows,) entropy buffer; lane ``i`` owns
-        ``[i·rows, (i+1)·rows)``.
+        The whole ``lanes × rows`` feature stack runs as full 32-row GEMM
+        tiles (one batched matmul per layer: the stride is a tile
+        multiple), then one rowwise ufunc chain replays
+        ``FusedHeadPlan.entropy_scores`` — so each real row's score is
+        bit-identical to its per-client run, whatever the per-client
+        chunking. Returns the flat (lanes·rows,) entropy buffer; lane
+        ``i``'s shard owns ``[i·rows, i·rows + n_i)``.
         """
-        n = self.rows
-        logits = self._score["logits"]
-        for start in range(0, n, batch_size):
-            rows = min(batch_size, n - start)
-            ws = self._score_chunk_ws(rows)
-            out = self._forward(ws, self.features[:, start : start + rows], False)
-            logits[:, start : start + rows] = out
-        sws = self._score
-        flat = logits.reshape(-1, self.num_classes)
-        z, p = sws["z"], sws["p"]
-        np.divide(flat, temperature, out=z)
-        z.max(axis=-1, keepdims=True, out=sws["m"])
-        np.subtract(z, sws["m"], out=z)
+        n = self.lanes * self.rows
+        buf = self._buf
+        current = self.features.reshape(n, self.feature_shape[0])
+        for i, (op, (in_shape, out_shape)) in enumerate(
+            zip(self.signature, self._shapes)
+        ):
+            kind = op[0]
+            if kind == "linear":
+                out = buf(("score", i), n, out_shape)
+                np.matmul(
+                    current.reshape(-1, _TILE, in_shape[0]),
+                    self._shared_w[(i, "w")],
+                    out=out.reshape(-1, _TILE, out_shape[0]),
+                )
+                if op[3]:
+                    np.add(out, self._shared_w[(i, "b")], out=out)
+                current = out
+            elif kind == "relu":
+                mask = buf(("score_mask", i), n, in_shape, np.bool_)
+                out = buf(("score", i), n, out_shape)
+                np.greater(current, 0.0, out=mask)
+                out[...] = 0.0
+                np.copyto(out, current, where=mask)
+                current = out
+            # flatten over 1-D features: identity
+        c = self.num_classes
+        z, p, tmp = (buf(name, n, (c,)) for name in ("z", "p", "score_tmp"))
+        m, s = buf("score_m", n, (1,)), buf("score_s", n, (1,))
+        entropy = buf("entropy", n)
+        np.divide(current, temperature, out=z)
+        z.max(axis=-1, keepdims=True, out=m)
+        np.subtract(z, m, out=z)
         np.exp(z, out=p)
-        p.sum(axis=-1, keepdims=True, out=sws["s"])
-        np.log(sws["s"], out=sws["s"])
-        np.subtract(z, sws["s"], out=z)  # z is now logp
+        p.sum(axis=-1, keepdims=True, out=s)
+        np.log(s, out=s)
+        np.subtract(z, s, out=z)  # z is now logp
         np.exp(z, out=p)
-        np.multiply(p, z, out=sws["tmp"])
-        sws["tmp"].sum(axis=-1, out=sws["entropy"])
-        np.negative(sws["entropy"], out=sws["entropy"])
-        return sws["entropy"]
+        np.multiply(p, z, out=tmp)
+        tmp.sum(axis=-1, out=entropy)
+        np.negative(entropy, out=entropy)
+        return entropy
 
     def gather_selected(self) -> None:
         """Materialise each lane's selected rows (``selected_idx``) into the
@@ -1229,7 +1286,7 @@ class CohortPlan:
         for epoch in range(self.epochs):
             for start in range(0, k, b):
                 rows = min(b, k - start)
-                ws = self._train_ws(rows)
+                ws = self._train_ws(rows, 0 if start + b <= k else 1)
                 idx = ws["idx"]
                 np.add(
                     self.perms[epoch, :, start : start + rows],
@@ -1238,7 +1295,7 @@ class CohortPlan:
                 )
                 self.sel_features.take(idx, axis=0, out=ws["x"])
                 self._sel_labels.take(idx, out=ws["y"])
-                logits = self._forward(ws, ws["x"], True)
+                logits = self._forward(ws, ws["x"])
                 self._loss_forward(ws, logits, rows, losses[:, step])
                 step += 1
                 grad = self._loss_backward(ws, rows)
@@ -1282,8 +1339,4 @@ class CohortPlan:
     @property
     def nbytes(self) -> int:
         """Owned workspace bytes, for the byte-budget spill accounting."""
-        return _owned_nbytes(
-            vars(self).values(),
-            self._score_ws.values(),
-            self._train_row_ws.values(),
-        )
+        return _owned_nbytes(vars(self).values())

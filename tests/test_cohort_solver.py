@@ -32,7 +32,7 @@ from repro.fl.checkpoint import (
 from repro.fl.client import Client
 from repro.fl.features import FeatureRuntime
 from repro.fl.rounds import run_federated_training
-from repro.fl.selection import EntropySelector, RandomSelector
+from repro.fl.selection import EntropySelector, FullSelector, RandomSelector
 from repro.fl.server import Server
 from repro.fl.slab import SlabLayout, make_slab_state
 from repro.fl.strategies import LocalSolver
@@ -56,7 +56,7 @@ def _make_model():
     return model
 
 
-def _make_client(cid, n=40, selector=None, cls=Client, extra=()):
+def _make_client(cid, n=40, selector=None, cls=Client, extra=(), fraction=0.3):
     rng = RNG(100 + cid)
     x = rng.normal(size=(n, 24))
     y = rng.integers(0, 5, size=n)
@@ -65,7 +65,7 @@ def _make_client(cid, n=40, selector=None, cls=Client, extra=()):
         ArrayDataset(x, y),
         selector if selector is not None else EntropySelector(),
         LocalSolver(),
-        0.3,
+        fraction,
         2,
         RNG(500 + cid),
         *extra,
@@ -79,12 +79,13 @@ class _PerClientSerial(SerialBackend):
     submit_many = ExecutionBackend.submit_many
 
 
-def _build(num=8, n=40, sizes=None, tiers=()):
+def _build(num=8, n=40, sizes=None, tiers=(), selector=None, fraction=0.3):
     """A server (slab global state) plus ``num`` cohortable clients.
 
     ``sizes[cid]`` overrides the dataset size (ragged cohorts); ``tiers``
     is a set of client ids built as :class:`TieredClient` instead
     (heterogeneous federations — those always fall back per client).
+    ``selector`` makes each client's selector (default: entropy).
     """
     model = _make_model()
     clients = []
@@ -92,13 +93,16 @@ def _build(num=8, n=40, sizes=None, tiers=()):
         num = len(sizes)
     for cid in range(num):
         size = n if sizes is None else sizes[cid]
+        chosen = selector() if selector is not None else None
         if cid in tiers:
             clients.append(
                 _make_client(cid, size, cls=TieredClient,
                              extra=(CapabilityTier("medium", "moderate"),))
             )
         else:
-            clients.append(_make_client(cid, size))
+            clients.append(
+                _make_client(cid, size, selector=chosen, fraction=fraction)
+            )
     state = model.state_dict()
     layout = SlabLayout([(k, state[k].shape) for k in theta_keys(model)])
     server = Server(
@@ -140,6 +144,15 @@ def _run_sync(server, clients, backend=None, runtime=None, rounds=3, seed=3):
         server, clients, rounds=rounds, seed=seed, timing=TimingModel(),
         backend=backend, feature_runtime=runtime,
     )
+
+
+#: grouping backends by name, each with its own feature runtime
+_BACKENDS = {
+    "serial": lambda: SerialBackend(feature_runtime=FeatureRuntime()),
+    "process": lambda: make_backend(
+        "process", max_workers=2, feature_runtime=FeatureRuntime()
+    ),
+}
 
 
 def _sync_reference(**build_kwargs):
@@ -228,6 +241,51 @@ def test_cohort_lanes_are_priced_like_solo_rounds(backend_name):
     assert [u.train_seconds for u in updates] == expected
 
 
+@pytest.mark.parametrize("backend_name", ["serial", "process"])
+def test_sync_wave_prices_with_one_walk_per_round(backend_name, monkeypatch):
+    """A sync round's cohort lanes and solo rounds share one FLOPs walk per
+    input shape, made by the dispatching process: no job ships a timing
+    model, and every round bills the per-client prices."""
+    from repro.nn import profiling
+
+    sizes = [40, 40, 40, 26, 40, 33]  # k = 12 ×4 (cohort), 8 and 10 (solo)
+    ref_hist, ref_theta, ref_rngs = _sync_reference(sizes=sizes)
+    server, clients = _build(sizes=sizes)
+    timing = TimingModel()
+    prices = [c.planned_round_seconds(server.model, timing) for c in clients]
+    walks = []
+    walk = profiling.round_flops_per_sample
+
+    def counting(model, shape):
+        walks.append(shape)
+        return walk(model, shape)
+
+    monkeypatch.setattr(profiling, "round_flops_per_sample", counting)
+    before = dict(fastpath.COHORT_STATS)
+    with _BACKENDS[backend_name]() as backend:
+        shipped = []
+        if backend_name == "process":
+            dispatch = backend._dispatch
+
+            def spying(entry, job, fingerprints=None):
+                shipped.append(job)
+                return dispatch(entry, job, fingerprints)
+
+            backend._dispatch = spying
+        history = _run_sync(server, clients, backend)
+    stats = {k: v - before[k] for k, v in fastpath.COHORT_STATS.items()}
+    assert stats["singletons"] == 6 and stats["cohort_solves"] == 3
+    assert walks == [(24,)] * 3
+    assert all(job.get("timing") is None for job in shipped)
+    assert len(shipped) == (9 if backend_name == "process" else 0)
+    assert [r.client_seconds for r in history.records] == [
+        float(sum(prices))
+    ] * 3
+    assert _hist_sig(history) == ref_hist
+    assert _theta_bytes(server) == ref_theta
+    assert _rng_states(clients) == ref_rngs
+
+
 def test_cohort_pricing_walks_the_model_once_per_input_shape(monkeypatch):
     """Lanes sharing an input shape share one FLOPs walk; each distinct
     shape is walked once, and every price equals the solo one."""
@@ -291,19 +349,148 @@ def test_async_cohort_bitwise_all_backends(make_aggregator):
 # ---------------------------------------------------------------------------
 
 
-def test_ragged_cohorts_group_by_dataset_size():
-    """Different dataset sizes → separate cohorts, same bits."""
-    sizes = [40, 40, 40, 28, 28, 28, 40, 28]
+@pytest.mark.parametrize(
+    "sizes",
+    [[40, 40, 40, 28, 28, 28, 40, 28], [40, 40, 40, 28, 27, 28, 40, 27]],
+    ids=["two_sizes", "sizes_sharing_k"],
+)
+def test_ragged_cohorts_group_by_selected_count(sizes):
+    """Different selected counts → separate cohorts, same bits; sizes that
+    share a selected count (27 and 28 samples keep 8 at 30%) share one."""
     ref_hist, ref_theta, _ = _sync_reference(sizes=sizes)
     before = dict(fastpath.COHORT_STATS)
     server, clients = _build(sizes=sizes)
     with SerialBackend(feature_runtime=FeatureRuntime()) as backend:
         history = _run_sync(server, clients, backend)
-    # Each round forms one cohort per size class (4 + 4 clients).
+    # Each round forms one cohort per selected count (4 + 4 clients).
     assert fastpath.COHORT_STATS["cohorts"] - before["cohorts"] == 6
     assert fastpath.COHORT_STATS["cohort_clients"] - before["cohort_clients"] == 24
     assert _hist_sig(history) == ref_hist
     assert _theta_bytes(server) == ref_theta
+
+
+# Shard sizes below, on and across the 32-row tile that all keep k = 3 at
+# Pds 10%: one cohort whose lanes hold 26–34 rows.
+_TILE_SIZES = [26, 31, 32, 33, 34, 29, 30, 27]
+
+
+def _ragged_run(backend, mode, sizes, selector, fraction):
+    """One 3-round sync run or one 24-event FedBuff run: (signature,
+    θ bytes, client RNG states)."""
+    server, clients = _build(sizes=sizes, selector=selector, fraction=fraction)
+    with backend as b:
+        if mode == "sync":
+            sig = _hist_sig(_run_sync(server, clients, b))
+        else:
+            sig = _log_sig(run_async_federated_training(
+                server, clients, FedBuffAggregator(buffer_size=3),
+                max_events=24, seed=5, timing=TimingModel(), backend=b,
+            ))
+    return sig, _theta_bytes(server), _rng_states(clients)
+
+
+@pytest.mark.parametrize("mode", ["sync", "fedbuff"])
+@pytest.mark.parametrize("backend_name", ["serial", "process"])
+@pytest.mark.parametrize(
+    "selector", [EntropySelector, RandomSelector], ids=["eds", "rds"]
+)
+def test_ragged_rows_share_one_cohort_bitwise(selector, backend_name, mode):
+    """Clients with equal k and different shard sizes — below, on and
+    across the 32-row tile — solve as one cohort, bitwise equal to
+    per-client dispatch: histories or event logs, θ bytes, RNG states."""
+    args = (mode, _TILE_SIZES, selector, 0.1)
+    reference = _ragged_run(
+        _PerClientSerial(feature_runtime=FeatureRuntime()), *args
+    )
+    before = dict(fastpath.COHORT_STATS)
+    got = _ragged_run(_BACKENDS[backend_name](), *args)
+    stats = {k: v - before[k] for k, v in fastpath.COHORT_STATS.items()}
+    if mode == "sync":
+        # one cohort of every client per round, nothing solo
+        assert stats["cohorts"] == 3 and stats["singletons"] == 0
+        assert stats["cohort_clients"] == 3 * len(_TILE_SIZES)
+    else:
+        assert stats["cohorts"] > 0
+    assert got == reference
+
+
+@pytest.mark.parametrize("batch_size", [32, 20])
+def test_ragged_entropy_scores_ignore_selection_chunking(batch_size):
+    """With ``EntropySelector(batch_size=32)`` a solo client of ≤ 32 rows
+    scores in one chunk and one of 33–34 in two; at 20, chunks do not
+    even start on a tile. The cohort scores every lane in whole tiles of
+    its padded stride, and every lane still selects — and ends — bitwise
+    as its solo run."""
+    def selector():
+        return EntropySelector(batch_size=batch_size)
+
+    reference = _ragged_run(
+        _PerClientSerial(feature_runtime=FeatureRuntime()),
+        "sync", _TILE_SIZES, selector, 0.1,
+    )
+    before = fastpath.COHORT_STATS["cohort_solves"]
+    got = _ragged_run(
+        SerialBackend(feature_runtime=FeatureRuntime()),
+        "sync", _TILE_SIZES, selector, 0.1,
+    )
+    assert fastpath.COHORT_STATS["cohort_solves"] - before == 3
+    assert got == reference
+
+
+def test_full_selector_still_splits_by_shard_size():
+    """Without selection k = n, so the full selector's cohorts still group
+    by shard size: sizes 30, 34 and 31 give two cohorts and one solo
+    round per round, bitwise as per-client dispatch."""
+    sizes = [30, 34, 30, 34, 31]
+    args = ("sync", sizes, FullSelector, 1.0)
+    reference = _ragged_run(
+        _PerClientSerial(feature_runtime=FeatureRuntime()), *args
+    )
+    before = dict(fastpath.COHORT_STATS)
+    got = _ragged_run(SerialBackend(feature_runtime=FeatureRuntime()), *args)
+    stats = {k: v - before[k] for k, v in fastpath.COHORT_STATS.items()}
+    assert stats["cohorts"] == 6 and stats["singletons"] == 3
+    assert got == reference
+
+
+def test_one_worker_plan_serves_every_cohort_shape():
+    """One worker's plan solves, in a row, cohorts of two lane counts, two
+    shard-row strides and two selected counts: built once, and every wave
+    bitwise equal to per-client dispatch (θ, counts, losses, prices and
+    RNG states)."""
+    model = _make_model()
+    state = model.state_dict()
+    layout = SlabLayout([(k, state[k].shape) for k in theta_keys(model)])
+    global_state = make_slab_state(state, layout)
+    timing = TimingModel()
+    # (lanes, largest shard, k) at 10%: (3, 34, 3), (5, 30, 3), (4, 64, 6)
+    waves = [[26, 34, 30], [30, 28, 26, 27, 29], [60, 64, 55, 58]]
+
+    def wave_updates(backend, sizes, first):
+        clients = [
+            _make_client(first + i, n, fraction=0.1)
+            for i, n in enumerate(sizes)
+        ]
+        updates = backend.map_round(clients, model, global_state, timing)
+        return [
+            (u.theta.theta_slab.tobytes(), u.num_selected, u.num_local,
+             u.mean_loss, u.train_seconds)
+            for u in updates
+        ], _rng_states(clients)
+
+    before = dict(fastpath.COHORT_STATS)
+    with make_backend(
+        "process", max_workers=1, feature_runtime=FeatureRuntime()
+    ) as backend:
+        got = [wave_updates(backend, sizes, 10 * w)
+               for w, sizes in enumerate(waves)]
+        assert backend.stats["cohort_jobs"] == len(waves)
+    stats = {k: v - before[k] for k, v in fastpath.COHORT_STATS.items()}
+    assert stats["plans_built"] == 1 and stats["cohort_solves"] == len(waves)
+    with _PerClientSerial(feature_runtime=FeatureRuntime()) as backend:
+        reference = [wave_updates(backend, sizes, 10 * w)
+                     for w, sizes in enumerate(waves)]
+    assert got == reference
 
 
 def _count_round_lookups(monkeypatch):

@@ -476,6 +476,42 @@ def test_run_knobs_refused_before_setup(mode, knobs, message, monkeypatch):
         run_fedft_eds(FedFTEDSConfig(**{**SMOKE, "mode": mode, **knobs}))
 
 
+@pytest.mark.parametrize(
+    "knobs, message",
+    [
+        ({"lr": -1.0}, "lr must be positive"),
+        ({"lr": 0.0}, "lr must be positive"),
+        ({"batch_size": 0}, "batch_size must be at least 1"),
+        ({"momentum": -0.5}, "momentum must be non-negative"),
+        ({"model": "resnet"}, "unknown model"),
+        ({"selection": "top"}, "unknown selection strategy"),
+        ({"fine_tune_level": "most"}, "unknown fine-tune level"),
+        ({"num_clients": 0}, "num_clients must be positive"),
+        ({"local_epochs": 0}, "local_epochs must be positive"),
+        ({"selection_fraction": 0.0}, "selection_fraction must be in"),
+        ({"selection_fraction": 1.5}, "selection_fraction must be in"),
+        ({"temperature": 0.0}, "temperature must be positive"),
+    ],
+    ids=["lr_negative", "lr_0", "batch_0", "momentum_negative", "model",
+         "selection", "level", "clients_0", "epochs_0", "fraction_0",
+         "fraction_above_1", "temperature_0"],
+)
+def test_solver_and_run_settings_refused_before_setup(
+    knobs, message, monkeypatch
+):
+    """Solver, model and selection settings the run would refuse (or, for
+    a negative lr, silently run as gradient ascent) are refused before
+    the world is generated."""
+    from repro.data import synthetic
+
+    def no_setup(*args, **kwargs):
+        raise AssertionError("the invalid setting surfaced after setup began")
+
+    monkeypatch.setattr(synthetic, "make_vision_world", no_setup)
+    with pytest.raises(ValueError, match=message):
+        run_fedft_eds(FedFTEDSConfig(**{**SMOKE, **knobs}))
+
+
 # -- satellite fixes -----------------------------------------------------------
 class _EmptyThenFull(ParticipationModel):
     """No participants in round 1, everyone afterwards."""

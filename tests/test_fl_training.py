@@ -170,9 +170,17 @@ def test_fedprox_pulls_towards_global():
     assert drift_b < drift_a * 0.5
 
 
-def test_solver_validation():
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"prox_mu": -1.0}, {"lr": -1.0}, {"lr": 0.0}, {"batch_size": 0},
+     {"momentum": -0.1}, {"weight_decay": -1e-4}],
+)
+def test_solver_refuses_invalid_settings(kwargs):
     with pytest.raises(ValueError):
-        LocalSolver(prox_mu=-1.0)
+        LocalSolver(**kwargs)
+
+
+def test_solver_validation():
     solver = LocalSolver(prox_mu=0.5)
     server, clients = make_federation()
     with pytest.raises(ValueError):

@@ -832,29 +832,35 @@ def test_worker_eval_plan_cache_evicted_with_template():
         B._WORKER.update(saved)
 
 
-def test_worker_cohort_plan_cache_is_a_bounded_lru():
-    """A worker keeps at most ``_WORKER_COHORT_PLANS`` cohort plans per
-    template, least recently used evicted first: more distinct (lanes,
-    rows, selected) keys than that rebuild and evict, both counted on
-    ``solver.cohort.*``, and a rebuilt plan solves to the cached plan's
-    exact θ bytes."""
+def test_worker_cohort_plan_cache_keeps_one_plan_per_kernel_key():
+    """A worker keeps one cohort plan per kernel key (head signature,
+    feature shape, batch size, epochs) and template: cohorts of other lane
+    counts, shard sizes and selected counts reuse it, growing it as
+    needed, so it is built once and never evicted; a fresh plan, the
+    grown one and a rebuilt one solve to the same θ bytes."""
     from repro.engine import backends as B
     from repro.fl.slab import SlabLayout, make_slab_state
     from repro.nn.serialization import theta_keys
     from repro.obs.metrics import shard_baseline
 
-    cap = B._WORKER_COHORT_PLANS
     model = _mlp("moderate", in_features=24)
     state = model.state_dict()
     layout = SlabLayout([(k, state[k].shape) for k in theta_keys(model)])
     global_state = make_slab_state(state, layout)
-    clients = [
-        Client(
-            cid, ArrayDataset(RNG(100 + cid).normal(size=(40, 24)),
-                              RNG(200 + cid).integers(0, 5, 40)),
+
+    def client(cid, n):
+        return Client(
+            cid, ArrayDataset(RNG(100 + cid).normal(size=(n, 24)),
+                              RNG(200 + cid).integers(0, 5, n)),
             EntropySelector(), LocalSolver(), 0.3, 2, RNG(500 + cid),
         )
-        for cid in range(2 * cap + 1)
+
+    # (lane count, shard sizes): k = 8 at 25–28 samples, 12 at 40, 20 at 66
+    cohorts = [
+        [26, 28],
+        [40, 40, 40, 40, 40],
+        [25, 27, 26, 28, 27, 25, 26],
+        [66, 66, 66],
     ]
     backend = ProcessPoolBackend(max_workers=1, feature_runtime=FeatureRuntime())
     jobs = []
@@ -864,40 +870,32 @@ def test_worker_cohort_plan_cache_is_a_bounded_lru():
     saved = dict(B._WORKER)
     B._shm_worker_init()
     stats = fastpath.COHORT_STATS
-
-    def cached_lanes():
-        """Lane counts of the cached plans, least recently used first."""
-        plans = B._WORKER["cohort_plans"][jobs[0]["template_name"]]["plans"]
-        assert len(plans) <= cap
-        return [key[2] for key in plans]
-
-    def solve(job):
-        theta = B._shm_cohort_solve(job, shard_baseline())[0]
-        cached_lanes()
-        return theta
-
+    cid = 0
     try:
-        for lanes in range(2, 2 * cap + 2):  # 2·cap distinct lane counts
-            backend.submit_many(clients[:lanes], model, global_state, None)
-        assert len(jobs) == 2 * cap
+        for sizes in cohorts:
+            members = [client(cid + i, n) for i, n in enumerate(sizes)]
+            cid += len(sizes)
+            backend.submit_many(members, model, global_state, None)
+        assert len(jobs) == len(cohorts)
         built, evicted = stats["plans_built"], stats["plan_evictions"]
+
+        def solve(job):
+            theta = B._shm_cohort_solve(job, shard_baseline())[0]
+            plans = B._WORKER["cohort_plans"][job["template_name"]]["plans"]
+            assert len(plans) == 1
+            return theta
+
         fresh = solve(jobs[0])
-        for job in jobs[1:cap]:
+        assert stats["plans_built"] == built + 1
+        for job in jobs[1:]:
             solve(job)
-        cached = solve(jobs[0])  # a hit: the 2-lane plan becomes the newest
-        assert stats["plans_built"] == built + cap
-        assert cached_lanes() == [*range(3, cap + 2), 2]
-        solve(jobs[cap])  # evicts the least recent plan, not the oldest built
-        assert 2 in cached_lanes() and 3 not in cached_lanes()
-        for job in jobs[cap + 1:]:
-            solve(job)
-        assert 2 not in cached_lanes()
-        assert stats["plans_built"] == built + 2 * cap
-        assert stats["plan_evictions"] == evicted + cap
+        grown = solve(jobs[0])
+        assert stats["plans_built"] == built + 1
+        B._WORKER["cohort_plans"].clear()
         rebuilt = solve(jobs[0])
-        assert stats["plans_built"] == built + 2 * cap + 1
-        assert stats["plan_evictions"] == evicted + cap + 1
-        assert fresh.tobytes() == cached.tobytes() == rebuilt.tobytes()
+        assert stats["plans_built"] == built + 2
+        assert stats["plan_evictions"] == evicted
+        assert fresh.tobytes() == grown.tobytes() == rebuilt.tobytes()
     finally:
         B._WORKER["clients"].clear()
         gc.collect()
