@@ -100,6 +100,7 @@ class FedFTEDSConfig:
     mode: str = "sync"
     #: "serial" | "process" — where client rounds execute
     backend: str = "serial"
+    #: process workers of a standalone run (a campaign sizes its own)
     max_workers: int | None = None
     #: async only: cap on concurrently training clients (default: all)
     max_concurrency: int | None = None
@@ -143,8 +144,10 @@ class FedFTEDSConfig:
     #: repro.engine.faults.run_supervised
     emergency_checkpoint: bool = False
     #: campaign scope for repeated calls: a :class:`FedFTEDSCampaign`
-    #: supplies the warm process backend, segment pool and feature runtime
-    #: shared across runs (standalone calls build throwaway ones)
+    #: supplies the warm process backend, segment pool, feature runtime
+    #: and artifact store shared across runs (standalone calls build
+    #: throwaway ones); with it, ``max_workers``, ``cache_dir`` and
+    #: ``artifact_store`` are the campaign's and refused per run
     campaign: "FedFTEDSCampaign | None" = None
     #: observability (repro.obs): directory for ``telemetry.jsonl``
     #: counter snapshots and the end-of-run summary; telemetry never
@@ -163,7 +166,7 @@ class FedFTEDSConfig:
     #: :class:`repro.store.ArtifactStore`; ``None`` enables it exactly
     #: when ``cache_dir`` is set. With a store, pretrained ϕ backbones and
     #: feature segments warm-start across processes — bitwise identical
-    #: to a cold run (a campaign's own store takes precedence)
+    #: to a cold run
     artifact_store: object | None = None
 
 
@@ -259,7 +262,7 @@ class FedFTEDSCampaign:
             fault_policy, chaos = _fault_setup(config)
             if self._process_backend is None:
                 self._process_backend = ProcessPoolBackend(
-                    max_workers=config.max_workers or self.max_workers,
+                    max_workers=self.max_workers,
                     segment_pool=self.segment_pool,
                     persistent=True,
                     feature_runtime=self.feature_runtime,
@@ -351,6 +354,20 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
             config.job_timeout, config.max_job_retries, config.chaos
         )
     check_store_knobs(config.artifact_store, config.cache_dir)
+    if config.campaign is not None:
+        owned = [
+            name
+            for name in ("max_workers", "cache_dir", "artifact_store")
+            if getattr(config, name) is not None
+        ]
+        if owned:
+            # A campaign's runs share its store and its warm backend; a
+            # per-run setting would be silently ignored.
+            raise ValueError(
+                f"option(s) {owned} belong to the FedFTEDSCampaign, whose "
+                f"store and warm backend every run of it uses; set them "
+                f"on the campaign"
+            )
     if config.rounds <= 0:
         raise ValueError("rounds must be positive")
     # What the objects built after setup would refuse, refused first.
@@ -453,12 +470,11 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
         test_size=config.test_size,
     )
 
-    # Durable artifact store: the campaign's store when it has one, else
-    # the config's own knobs (None + no cache_dir → disabled).
-    store = None
+    # Durable artifact store: the campaign's, else the config's own knobs
+    # (None + no cache_dir → disabled).
     if config.campaign is not None:
         store = config.campaign.artifact_store
-    if store is None:
+    else:
         store = resolve_store(config.artifact_store, config.cache_dir)
 
     model = build_model(

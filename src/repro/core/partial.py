@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import profiling
-from repro.nn.segmented import FINE_TUNE_LEVELS, SegmentedModel
+from repro.nn.segmented import SegmentedModel
 
 
 def adapt_to_task(
@@ -62,8 +62,3 @@ def partial_workload_fraction(
     if full <= 0:
         raise RuntimeError("model reports zero training FLOPs")
     return current / full
-
-
-def level_names() -> list[str]:
-    """The valid fine-tuning levels, ordered from most to least trainable."""
-    return list(FINE_TUNE_LEVELS)

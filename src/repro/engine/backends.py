@@ -182,11 +182,48 @@ class ExecutionBackend:
 _COHORT_JOB_LANES = 64
 
 
-def _cohort_chunks(positions: list) -> list:
-    return [
-        positions[start : start + _COHORT_JOB_LANES]
-        for start in range(0, len(positions), _COHORT_JOB_LANES)
-    ]
+def _wave_units(clients, template, global_state, shapes) -> list:
+    """Plan one dispatch wave as ``[(positions, layout), ...]`` units.
+
+    Both backends run every wave through this plan, a lone ``submit`` as
+    a wave of one. The cohorts :func:`~repro.fl.fastpath.cohort_units`
+    forms come first, in chunks of at most :data:`_COHORT_JOB_LANES`
+    lanes (``layout`` is their θ lane layout); every other participant
+    follows as a one-member unit (``layout`` None) in client order.
+    ``shapes`` holds each client's cached-feature trailing shape, or is
+    None when the backend has no feature runtime and nothing groups.
+    """
+    units = []
+    if shapes is not None:
+        cohorts = fastpath.cohort_units(clients, template, global_state, shapes)
+        for positions, layout in cohorts or ():
+            units += [
+                (positions[start : start + _COHORT_JOB_LANES], layout)
+                for start in range(0, len(positions), _COHORT_JOB_LANES)
+            ]
+    grouped = {pos for positions, _ in units for pos in positions}
+    units += [([i], None) for i in range(len(clients)) if i not in grouped]
+    return units
+
+
+def _bills_itself(client) -> bool:
+    """Whether ``client`` prices its own rounds.
+
+    The dispatching process bills every standard round of a wave from one
+    FLOPs walk per input shape (:func:`_bill`). A client that overrides
+    ``Client.run_round`` may change the model it runs in (tiered clients
+    re-freeze it), so it receives the timing model and prices itself.
+    """
+    return type(client).run_round is not Client.run_round
+
+
+def _bill(updates, clients, model, timing, walks) -> None:
+    """Price standard rounds with the wave's shared ``walks`` (see
+    :func:`~repro.fl.fastpath.cohort_round_seconds`)."""
+    if timing is not None:
+        seconds = fastpath.cohort_round_seconds(clients, model, timing, walks)
+        for update, sec in zip(updates, seconds):
+            update.train_seconds = sec
 
 
 class SerialBackend(ExecutionBackend):
@@ -208,73 +245,57 @@ class SerialBackend(ExecutionBackend):
         self.feature_runtime = feature_runtime
 
     def submit(self, client, template, global_state, timing):
-        features = (
-            self.feature_runtime.features_for(client, template)
-            if self.feature_runtime is not None
-            else None
-        )
-        return _Resolved(
-            client.run_round(
-                template, global_state, timing=timing, features=features
-            )
-        )
+        return self._run_wave([client], template, global_state, timing)[0]
 
     def submit_many(self, clients, template, global_state, timing):
         # A subclass overriding ``submit`` customises per-client behaviour
-        # that the shared lookups and cohorts below would bypass.
-        if (
-            self.feature_runtime is None
-            or type(self).submit is not SerialBackend.submit
-        ):
+        # that a planned wave would bypass.
+        if type(self).submit is not SerialBackend.submit:
             return super().submit_many(clients, template, global_state, timing)
-        # One ϕ fingerprint probe and one lookup per client serve the
-        # whole round, cohort members and per-client rounds alike: nothing
-        # can mutate the frozen prefix between two clients of one round.
-        chain = template.phi_prefix_chain()
-        features = [
-            self.feature_runtime.features_for(client, template, chain=chain)
-            for client in clients
-        ]
+        return self._run_wave(clients, template, global_state, timing)
+
+    def _run_wave(self, clients, template, global_state, timing):
+        features: list = [None] * len(clients)
+        shapes = None
+        if self.feature_runtime is not None:
+            # One ϕ fingerprint probe and one lookup per client serve the
+            # whole wave: nothing can mutate the frozen prefix between two
+            # clients of one wave.
+            chain = template.phi_prefix_chain()
+            features = [
+                self.feature_runtime.features_for(client, template, chain=chain)
+                for client in clients
+            ]
+            shapes = [None if f is None else tuple(f.shape[1:]) for f in features]
         updates: list = [None] * len(clients)
         walks: dict = {}  # one FLOPs walk per input shape prices the wave
-        if len(clients) > 1:
-            shapes = [None if f is None else tuple(f.shape[1:]) for f in features]
-            units = fastpath.cohort_units(clients, template, global_state, shapes)
-            for positions, layout in units or ():
-                for chunk in _cohort_chunks(positions):
-                    solved = fastpath.run_cohort(
-                        [clients[i] for i in chunk],
-                        template,
-                        global_state,
-                        timing,
-                        [features[i] for i in chunk],
-                        layout,
-                        walks,
+        for positions, layout in _wave_units(
+            clients, template, global_state, shapes
+        ):
+            members = [clients[i] for i in positions]
+            feats = [features[i] for i in positions]
+            own = _bills_itself(members[0])  # only a lone client can
+            solved = None
+            if layout is not None:
+                solved = fastpath.run_cohort(
+                    members, template, global_state, feats, layout
+                )
+            if solved is None:  # a lone client, or a late disagreement
+                solved = [
+                    client.run_round(
+                        template, global_state,
+                        timing=timing if own else None, features=f,
                     )
-                    if solved is None:
-                        continue  # late disagreement: members run below
-                    for pos, update in zip(chunk, solved):
-                        updates[pos] = update
-        for i, client in enumerate(clients):
-            if updates[i] is not None:
-                continue
-            if type(client).run_round is Client.run_round:
-                update = client.run_round(
-                    template, global_state, timing=None, features=features[i]
-                )
-                if timing is not None:
-                    update.train_seconds = fastpath.cohort_round_seconds(
-                        [client], template, timing, walks
-                    )[0]
-            else:
-                # A custom round may change the shared model's trainable
-                # set (tiered clients re-freeze it): it prices itself, and
-                # rounds after it walk the model afresh.
-                update = client.run_round(
-                    template, global_state, timing=timing, features=features[i]
-                )
+                    for client, f in zip(members, feats)
+                ]
+            if own:
+                # It may have re-frozen the shared model: rounds after it
+                # walk the model afresh.
                 walks.clear()
-            updates[i] = update
+            else:
+                _bill(solved, members, template, timing, walks)
+            for pos, update in zip(positions, solved):
+                updates[pos] = update
         return [_Resolved(update) for update in updates]
 
 
@@ -365,13 +386,13 @@ def _untracked_attach(name: str) -> shared_memory.SharedMemory:
 
 #: per-worker caches: model replicas by template-segment name (workers are
 #: campaign-lived, so a new run's template arrives as a new segment, not a
-#: pool restart), attached segments by name, reconstructed clients by
+#: pool restart), attached segments by name, and reconstructed clients by
 #: (template name, shard-segment name, client-descriptor digest) — the same
-#: shard hosts a different client descriptor per method of a campaign —
-#: and fused evaluation plans by template name (each mapping (head
-#: signature, feature shape) to a FusedHeadPlan, keyed like the feature
-#: segments the plans consume). All of it is plain per-process memory: a
-#: killed worker takes its plans with it, leaving nothing to clean up.
+#: shard hosts a different client descriptor per method of a campaign.
+#: Solver and evaluation plans live in :mod:`repro.fl.fastpath`'s module
+#: caches, one per kernel key whatever the template, as in any process.
+#: All of it is plain per-process memory: a killed worker takes its plans
+#: with it, leaving nothing to clean up.
 _WORKER: dict = {
     "models": {},
     "segments": {},
@@ -380,11 +401,6 @@ _WORKER: dict = {
     "holds": {},
     "unheld": {},
     "clients": {},
-    "eval_plans": {},
-    # Per-template cohort caches: {"probes": layout-probe plans keyed by
-    # (signature, shape), "plans": CohortPlans by kernel key} — the
-    # worker-process mirror of fastpath's cohort plan cache.
-    "cohort_plans": {},
     # segments the running job reads; never unmapped while it runs
     "job_pins": set(),
 }
@@ -401,11 +417,13 @@ WORKER_STATS = export_group("backend.worker", {"attaches": 0, "closes": 0})
 
 def _shm_worker_init() -> None:
     """Worker startup: reset the caches (fresh under spawn, paranoid under
-    fork, where the parent's module state was inherited)."""
+    fork, where the parent's module state was inherited — its plans
+    included, which the worker must build and count itself)."""
     _WORKER.update(
         models={}, segments={}, holds={}, unheld={}, clients={},
-        eval_plans={}, cohort_plans={}, job_pins=set(),
+        job_pins=set(),
     )
+    fastpath.clear_plan_caches()
 
 
 #: mappings a worker keeps that no cached client holds (state slots, eval
@@ -575,8 +593,6 @@ def _worker_model(name: str, nbytes: int) -> SegmentedModel:
             del _WORKER["models"][evicted]
             for key in [k for k in _WORKER["clients"] if k[0] == evicted]:
                 _drop_client(key)
-            _WORKER["eval_plans"].pop(evicted, None)
-            _WORKER["cohort_plans"].pop(evicted, None)
         _WORKER["models"][name] = model
     return model
 
@@ -627,60 +643,32 @@ def _run_job(job: dict, names, solve):
         pins.clear()
 
 
-def _shm_client_round(job_blob: bytes) -> tuple[LocalUpdate, dict, dict | None]:
-    """Worker entry point: run one round against shared-memory state.
+def _shm_round(job_blob: bytes) -> tuple:
+    """Worker entry point: one training job, a cohort chunk or a lone client.
 
-    The job descriptor carries only names/layouts/RNG state; the template,
-    weights and the shard are read from the attached segments. Returns the
-    update, the advanced client RNG state, and this job's metric-counter
-    shard delta (see :mod:`repro.obs.metrics`).
-    """
-    job = pickle.loads(job_blob)
-    names = (job["state_name"], job["shard_name"], job.get("features_name"))
-    return _run_job(job, names, _shm_client_solve)
-
-
-def _shm_client_solve(
-    job: dict, baseline: dict
-) -> tuple[LocalUpdate, dict, dict | None]:
-    model = _worker_model(job["template_name"], job["template_nbytes"])
-    state_seg = _worker_segment(job["state_name"])
-    global_state = _view_arrays(state_seg.buf, job["state_layout"])
-    client, features = _worker_client(job["template_name"], job)
-    update = client.run_round(
-        model, global_state, timing=job["timing"], features=features
-    )
-    # Counter shard: what this job added to the worker's module-level
-    # metric groups (fused-solver counts, …), merged exactly into the
-    # parent registry by _ShmHandle.result (None when nothing changed).
-    return (
-        update,
-        client.rng.bit_generator.state,
-        obs_metrics.shard_delta(baseline),
-    )
-
-
-def _shm_cohort_round(job_blob: bytes) -> tuple:
-    """Worker entry point: one block-stacked cohort of client rounds.
-
-    Reconstructs each member exactly like :func:`_shm_client_round`, then
-    solves them together through a worker-cached
-    :class:`~repro.nn.fused.CohortPlan`. Returns
-    ``(theta_stack, stats, rng_states, metric_shard)``: on success
-    ``theta_stack`` is the (clients × params) θ lane stack — consumed
-    parent-side directly as flat slab lanes, never through per-key dicts —
-    and ``stats[i] = (num_selected, num_local, mean_loss)``. When the plan
-    declines late (``theta_stack`` None), ``stats`` instead carries the
-    members' LocalUpdates from the exact per-client path.
+    The job descriptor carries only names, layouts and each member's RNG
+    state; the template, weights, shards and features are read from the
+    attached segments, and each member is rebuilt once per worker
+    (:func:`_worker_client`). A cohort job (``job["cohort"]``) solves its
+    members together through this process's
+    :class:`~repro.nn.fused.CohortPlan` for their kernel key; otherwise,
+    or when the plan declines late, each member runs ``Client.run_round``
+    with ``job["timing"]`` (set only for a client that bills itself).
+    Returns ``(solved, updates, rng_states, metric_shard)``: either
+    ``solved`` is :func:`~repro.fl.fastpath.solve_cohort`'s tuple, whose
+    (members × params) θ stack the parent consumes directly as flat slab
+    lanes, never through per-key dicts, or ``updates`` holds the members'
+    LocalUpdates. ``metric_shard`` is what the job added to this worker's
+    exported metric groups (see :mod:`repro.obs.metrics`).
     """
     job = pickle.loads(job_blob)
     names = [job["state_name"]]
     for member in job["members"]:
         names += (member["shard_name"], member["features_name"])
-    return _run_job(job, names, _shm_cohort_solve)
+    return _run_job(job, names, _shm_solve)
 
 
-def _shm_cohort_solve(job: dict, baseline: dict) -> tuple:
+def _shm_solve(job: dict, baseline: dict) -> tuple:
     model = _worker_model(job["template_name"], job["template_nbytes"])
     state_seg = _worker_segment(job["state_name"])
     global_state = _view_arrays(state_seg.buf, job["state_layout"])
@@ -690,43 +678,24 @@ def _shm_cohort_solve(job: dict, baseline: dict) -> tuple:
         client, feats = _worker_client(job["template_name"], member)
         clients.append(client)
         features.append(feats)
-    # One plan per kernel key serves every cohort shape (it grows to the
-    # largest lane count and shard it has solved), so the cache needs no
-    # bound: it holds one plan per (signature, shape, batch, epochs) the
-    # template's runs use, and dies with the template.
-    caches = _WORKER["cohort_plans"].setdefault(
-        job["template_name"], {"probes": {}, "plans": {}}
-    )
-    shape = tuple(features[0].shape[1:])
-    layout = fastpath.aligned_cohort_layout(
-        model, shape, cache=caches["probes"]
-    )
-    solved = None
-    if layout is not None:
-        solved = fastpath.solve_cohort(
-            clients, model, global_state, features, layout,
-            plan_cache=caches["plans"],
-        )
+    solved = updates = None
+    if job["cohort"]:
+        shape = tuple(features[0].shape[1:])
+        layout = fastpath.aligned_cohort_layout(model, shape)
+        if layout is not None:
+            solved = fastpath.solve_cohort(
+                clients, model, global_state, features, layout
+            )
     if solved is None:
-        # the parent prices every member, as it does a solved lane
         updates = [
-            client.run_round(model, global_state, timing=None, features=feats)
+            client.run_round(
+                model, global_state, timing=job["timing"], features=feats
+            )
             for client, feats in zip(clients, features)
         ]
-        return (
-            None,
-            updates,
-            [client.rng.bit_generator.state for client in clients],
-            obs_metrics.shard_delta(baseline),
-        )
-    theta_stack, mean_losses, num_selected, sizes = solved
-    stats = [
-        (num_selected, num_local, float(loss))
-        for num_local, loss in zip(sizes, mean_losses)
-    ]
     return (
-        theta_stack,
-        stats,
+        solved,
+        updates,
         [client.rng.bit_generator.state for client in clients],
         obs_metrics.shard_delta(baseline),
     )
@@ -761,13 +730,12 @@ def _shm_eval_solve(job: dict, baseline: dict) -> tuple[int, int, dict | None]:
     inputs = arrays["f"] if "f" in arrays else arrays["x"]
     batch = int(job["batch_size"])
     if "f" in arrays:
-        # Fused evaluation: head-only shards run through a worker-cached
-        # FusedHeadPlan (keyed per template, like the feature segments the
-        # plan consumes), so the per-job Python is dispatch plus the
-        # argmax reduction. Bitwise identical to the module loop below —
-        # the fused forward is the same kernel sequence (repro.nn.fused).
-        cache = _WORKER["eval_plans"].setdefault(job["template_name"], {})
-        bound = fastpath.bind_head(model, inputs.shape[1:], cache, eval_mode=True)
+        # Fused evaluation: head-only shards run through the worker's
+        # cached evaluation plan for the head, so the per-job Python is
+        # dispatch plus the argmax reduction. Bitwise identical to the
+        # module loop below — the fused forward is the same kernel
+        # sequence (repro.nn.fused).
+        bound = fastpath.eval_head(model, inputs.shape[1:])
         if bound is not None:
             fastpath.STATS["fused_eval_shards"] += 1
             return (
@@ -967,66 +935,20 @@ def _run_all(steps) -> None:
         raise error
 
 
-class _ShmHandle:
-    """Resolves a worker job, mirrors the RNG advance, releases refs.
+class _SharedCohortResult:
+    """Parent-side resolution of one training job, shared by its members'
+    handles.
 
     Collection goes through the backend's retry loop
-    (:meth:`ProcessPoolBackend._collect`); the state-slot and template
-    references are held until the job's *final* resolution, so retried
-    dispatches keep reading pinned segment bytes. ``pricing`` is the
-    wave's ``(model, timing, walks)`` when the parent bills the round
-    (see :meth:`ProcessPoolBackend.submit_many`), None when the worker
-    did.
-    """
-
-    __slots__ = (
-        "_backend", "_record", "_client", "_slot", "_template", "_pricing",
-    )
-
-    def __init__(
-        self,
-        backend: "ProcessPoolBackend",
-        record: _JobRecord,
-        client: Client,
-        slot: _StateSlot,
-        template: _TemplateRecord,
-        pricing: tuple | None = None,
-    ):
-        self._backend = backend
-        self._record = record
-        self._client = client
-        self._slot = slot
-        self._template = template
-        self._pricing = pricing
-
-    def result(self) -> LocalUpdate:
-        try:
-            update, rng_state, metric_shard = self._backend._collect(
-                self._record
-            )
-        finally:
-            self._slot.refs -= 1
-            self._template.refs -= 1
-        self._client.rng.bit_generator.state = rng_state
-        obs_metrics.merge_exported(metric_shard)
-        if self._pricing is not None:
-            model, timing, walks = self._pricing
-            update.train_seconds = fastpath.cohort_round_seconds(
-                [self._client], model, timing, walks
-            )[0]
-        return update
-
-
-class _SharedCohortResult:
-    """Parent-side resolution of one cohort job, shared by member handles.
-
-    The first member collected resolves the worker future exactly once:
-    releases the state-slot and template references (even when the worker
-    raised — the error is cached and re-raised to every member), mirrors
-    all members' RNG advances, merges the metric shard, wraps the θ
+    (:meth:`ProcessPoolBackend._collect`). The first member collected
+    resolves the worker future exactly once: releases the state-slot and
+    template references, held until then so retried dispatches keep
+    reading pinned segment bytes (released even when the worker raised —
+    the error is cached and re-raised to every member), mirrors all
+    members' RNG advances, merges the metric shard, wraps a solved θ
     stack's lanes into slab-backed LocalUpdates and, with ``pricing``
-    (the wave's ``(model, timing, walks)``), bills every member. Later
-    members read the cached updates.
+    (the wave's ``(model, timing, walks)``; None for a client that bills
+    itself), bills every member. Later members read the cached updates.
     """
 
     __slots__ = (
@@ -1056,7 +978,7 @@ class _SharedCohortResult:
 
     def _resolve(self) -> None:
         try:
-            stack, stats, rng_states, metric_shard = self._backend._collect(
+            solved, updates, rng_states, metric_shard = self._backend._collect(
                 self._record
             )
         except BaseException as exc:  # re-raised to every member's result()
@@ -1068,27 +990,15 @@ class _SharedCohortResult:
         for client, rng_state in zip(self._clients, rng_states):
             client.rng.bit_generator.state = rng_state
         obs_metrics.merge_exported(metric_shard)
-        if stack is None:
-            # The worker's plan declined late and it ran the exact
-            # per-member path instead: stats are ready LocalUpdates.
-            updates = stats
-        else:
-            updates = [
-                fastpath.wrap_cohort_update(stack[i], self._layout, *stats[i])
-                for i in range(len(self._clients))
-            ]
+        if solved is not None:
+            updates = fastpath.cohort_updates(self._layout, *solved)
         if self._pricing is not None:
-            model, timing, walks = self._pricing
-            seconds = fastpath.cohort_round_seconds(
-                self._clients, model, timing, walks
-            )
-            for update, sec in zip(updates, seconds):
-                update.train_seconds = sec
+            _bill(updates, self._clients, *self._pricing)
         self._updates = updates
 
 
-class _ShmCohortHandle:
-    """One member's handle onto a shared cohort job result."""
+class _MemberHandle:
+    """One member's handle onto a shared training-job result."""
 
     __slots__ = ("_shared", "_index")
 
@@ -1106,9 +1016,9 @@ class ProcessPoolBackend(ExecutionBackend):
     The parent publishes the model template and each distinct broadcast
     state once into shared memory and each client's shard once into its own
     segment; workers attach lazily and cache the attachment plus the
-    reconstructed client. A job descriptor is then a few kilobytes
-    (segment names, layouts, the client's RNG state and the timing model),
-    independent of model and shard size — the property
+    reconstructed client. A job descriptor is then a few kilobytes per
+    member (segment names, layouts, the client's RNG state), independent
+    of model and shard size — the property
     ``benchmarks/bench_process_backend.py`` guards.
 
     Campaign scope: because templates travel through shared memory (not the
@@ -1179,7 +1089,7 @@ class ProcessPoolBackend(ExecutionBackend):
         self.fault_policy = fault_policy
         self.chaos = chaos
         #: global dispatch index for chaos addressing — counts every job
-        #: blob (per-client, cohort-chunk and eval-shard) in submit order
+        #: blob (training unit and eval shard) in submit order
         self._job_index = 0
         #: segment name -> (shm, nbytes, fingerprint, repair) for this
         #: run's data segments; fingerprints are only computed when the
@@ -1704,127 +1614,87 @@ class ProcessPoolBackend(ExecutionBackend):
 
     # -- ExecutionBackend interface ------------------------------------------
     def submit(self, client, template, global_state, timing):
-        return self._submit_one(client, template, global_state, timing)
-
-    def _submit_one(
-        self, client, template, global_state, timing, pricing=None, chain=None
-    ):
-        """One per-client job. ``pricing`` makes the parent bill it (the
-        job then ships no timing and the worker walks nothing); ``chain``
-        is the wave's ϕ prefix chain (see :meth:`_ensure_features`)."""
-        self._ensure_started()
-        template_record = self._ensure_template(template)
-        slot = self._publish_state(global_state)
-        shard = self._ensure_shard(client)
-        features = self._ensure_features(client, template, chain=chain)
-        job = {
-            "template_name": template_record.shm.name,
-            "template_nbytes": template_record.nbytes,
-            "state_name": slot.shm.name,
-            "state_layout": slot.layout,
-            "shard_name": shard.shm.name,
-            "shard_layout": shard.layout,
-            "client_blob": shard.client_blob,
-            "client_digest": shard.digest,
-            "features_name": features.shm.name if features else None,
-            "features_layout": features.layout if features else None,
-            "rng_state": client.rng.bit_generator.state,
-            "timing": timing,
-        }
-        self.stats["jobs"] += 1
-        template_record.refs += 1
-        record = self._dispatch(
-            _shm_client_round,
-            job,
-            self._job_fingerprints(
-                (shard.shm.name, features.shm.name if features else None)
-            ),
-        )
-        return _ShmHandle(self, record, client, slot, template_record, pricing)
+        return self._dispatch_wave([client], template, global_state, timing)[0]
 
     def submit_many(self, clients, template, global_state, timing):
-        if (
-            self.feature_runtime is None
-            or type(self).submit is not ProcessPoolBackend.submit
-        ):
+        # A subclass overriding ``submit`` customises per-client behaviour
+        # that a planned wave would bypass.
+        if type(self).submit is not ProcessPoolBackend.submit:
             return super().submit_many(clients, template, global_state, timing)
+        return self._dispatch_wave(clients, template, global_state, timing)
+
+    def _dispatch_wave(self, clients, template, global_state, timing):
+        """One job per unit of the wave (:func:`_wave_units`), in order.
+
+        A job blob carries segment names and each member's RNG state;
+        features, shards and θ all travel through the published segments.
+        The parent bills the wave's standard rounds, cohort lanes and
+        lone clients alike, from one FLOPs walk per input shape shared by
+        every handle; only a client that bills itself ships the timing
+        model, since it may re-freeze its worker's replica.
+        """
         self._ensure_started()
-        chain = template.phi_prefix_chain()
-        features = [
-            self._ensure_features(client, template, chain=chain)
-            for client in clients
-        ]
-        shapes = [
-            None if record is None else tuple(record.layout["f"][1][1:])
-            for record in features
-        ]
-        units = fastpath.cohort_units(clients, template, global_state, shapes)
+        features: list = [None] * len(clients)
+        shapes = None
+        if self.feature_runtime is not None:
+            chain = template.phi_prefix_chain()
+            features = [
+                self._ensure_features(client, template, chain=chain)
+                for client in clients
+            ]
+            shapes = [
+                None if record is None else tuple(record.layout["f"][1][1:])
+                for record in features
+            ]
+        walks: dict = {}
         handles: list = [None] * len(clients)
-        # The parent bills the wave — cohort lanes and solo rounds alike —
-        # from one FLOPs walk per input shape, shared by every handle;
-        # workers price only custom rounds, which may re-freeze their
-        # replica.
-        pricing = None if timing is None else (template, timing, {})
-        if units:
-            template_record = self._ensure_template(template)
-        chunks = [
-            (chunk, layout)
-            for positions, layout in units or ()
-            for chunk in _cohort_chunks(positions)
-        ]
-        for positions, layout in chunks:
+        for positions, layout in _wave_units(
+            clients, template, global_state, shapes
+        ):
             members = [clients[i] for i in positions]
+            own = _bills_itself(members[0])  # only a lone client can
+            template_record = self._ensure_template(template)
             slot = self._publish_state(global_state)
-            member_blobs = []
+            specs = []
             for i, client in zip(positions, members):
                 shard = self._ensure_shard(client)
                 record = features[i]
-                member_blobs.append(
+                specs.append(
                     {
                         "shard_name": shard.shm.name,
                         "shard_layout": shard.layout,
                         "client_blob": shard.client_blob,
                         "client_digest": shard.digest,
-                        "features_name": record.shm.name,
-                        "features_layout": record.layout,
+                        "features_name": record.shm.name if record else None,
+                        "features_layout": record.layout if record else None,
                         "rng_state": client.rng.bit_generator.state,
                     }
                 )
-            # One blob per cohort: segment names and per-member RNG states;
-            # features/shards/θ all travel through the published segments.
             job = {
                 "template_name": template_record.shm.name,
                 "template_nbytes": template_record.nbytes,
                 "state_name": slot.shm.name,
                 "state_layout": slot.layout,
-                "members": member_blobs,
+                "members": specs,
+                "cohort": layout is not None,
+                "timing": timing if own else None,
             }
             self.stats["jobs"] += 1
-            self.stats["cohort_jobs"] += 1
+            if layout is not None:
+                self.stats["cohort_jobs"] += 1
             template_record.refs += 1
             fingerprints = self._job_fingerprints(
-                [name for member in member_blobs for name in (
-                    member["shard_name"], member["features_name"]
+                [name for spec in specs for name in (
+                    spec["shard_name"], spec["features_name"]
                 )]
             )
-            job_record = self._dispatch(_shm_cohort_round, job, fingerprints)
             shared = _SharedCohortResult(
-                self, job_record, members, slot, template_record, layout,
-                pricing,
+                self, self._dispatch(_shm_round, job, fingerprints), members,
+                slot, template_record, layout,
+                None if own else (template, timing, walks),
             )
             for index, pos in enumerate(positions):
-                handles[pos] = _ShmCohortHandle(shared, index)
-        for i, client in enumerate(clients):
-            if handles[i] is not None:
-                continue
-            if type(client).run_round is Client.run_round:
-                handles[i] = self._submit_one(
-                    client, template, global_state, None, pricing, chain
-                )
-            else:
-                handles[i] = self._submit_one(
-                    client, template, global_state, timing, chain=chain
-                )
+                handles[pos] = _MemberHandle(shared, index)
         return handles
 
     def _inflight_done(self, future: Future) -> None:

@@ -102,10 +102,6 @@ class EventQueue:
             raise IndexError("pop from an empty event queue")
         return heapq.heappop(self._heap)
 
-    def peek_time(self) -> float | None:
-        """Virtual time of the next event, or None when the queue is empty."""
-        return self._heap[0].time if self._heap else None
-
     def snapshot(self) -> list[ScheduledEvent]:
         """Pending events in processing order (checkpointing support)."""
         return sorted(self._heap)

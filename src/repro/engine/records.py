@@ -70,10 +70,6 @@ class EventLog:
         return np.array([r.test_accuracy for r in self.records])
 
     @property
-    def virtual_times(self) -> np.ndarray:
-        return np.array([r.virtual_time for r in self.records])
-
-    @property
     def best_accuracy(self) -> float:
         evaluated = [r.test_accuracy for r in self.records if r.evaluated]
         if not evaluated:
@@ -91,13 +87,6 @@ class EventLog:
         if not self.records:
             return 0.0
         return float(self.records[-1].cumulative_client_seconds)
-
-    @property
-    def total_virtual_seconds(self) -> float:
-        """Simulated federation wall-clock at the last processed event."""
-        if not self.records:
-            return 0.0
-        return float(self.records[-1].virtual_time)
 
     @property
     def final_version(self) -> int:

@@ -48,7 +48,7 @@ class Client:
     :class:`~repro.nn.fused.CohortPlan` solve (see
     ``repro.fl.fastpath.cohort_units``) — bitwise identical to this
     client running alone; singletons and clients that override
-    :meth:`run_round` are dispatched one by one.
+    :meth:`run_round` run alone.
     """
 
     #: whether backends may pass this client cached ϕ(x) features
@@ -79,9 +79,6 @@ class Client:
         self.epochs = epochs
         self.rng = rng
         self.shard_key = shard_key
-
-    def num_samples(self) -> int:
-        return len(self.dataset)
 
     def planned_round_seconds(
         self,
@@ -183,9 +180,9 @@ class Client:
         )
         if timing is not None:
             # Billed here, after the round, when the caller passes timing
-            # (``backend.submit``, and custom rounds in a wave). A
-            # ``submit_many`` wave passes none for standard rounds: the
-            # backend prices the whole wave with one model walk per input
+            # (backends do for a client that overrides this method). For
+            # standard rounds backends pass none: they price each wave,
+            # a lone ``submit`` included, with one model walk per input
             # shape. The event engine passes none either: it priced the
             # round once at dispatch (every selector keeps the
             # deterministic ``selected_count``) and bills the duration it

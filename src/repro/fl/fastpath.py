@@ -19,21 +19,22 @@ graph otherwise:
 - with FedProx, the broadcast reference covers every trainable parameter
   (a missing key falls back so the graph path reports its usual error).
 
-A backend's ``submit_many`` additionally groups a wave's eligible
-clients into cohort solves (``cohort_units``, below); singletons,
-clients that override ``Client.run_round`` and rounds dispatched through
-``backend.submit`` run one by one through the rules above.
+A backend plans every wave of rounds, a lone ``submit`` included, as
+units: the eligible clients' cohorts (``cohort_units``, below), then
+every other participant alone, through the rules above.
 
-Plan caching: plans are keyed by (head signature, feature trailing shape)
-and cached per *client* in a module-level ``WeakKeyDictionary``; the cache
-dies with the client (worker processes cache clients per campaign, so
-worker plans are campaign-lived too, and a killed worker takes its plans
-with it — they hold no shared state). In-process solves run one at a
-time, so no plan cache here needs a lock, and a cohort plan's kernel key
-never needs more than one plan: the plan grows to serve every lane
-count, shard size and selected count. Evaluation plans for the pooled
-workers are cached by the backend under the template segment's name
-(see :mod:`repro.engine.backends`), mirroring feature-segment keying.
+Plan caching: each process keeps one set of module-level caches. A
+cohort plan serves its kernel key (head signature, feature shape, batch
+size, epochs) for its whole life, growing to every lane count, shard
+size and selected count it meets; layout probes are scoped by the θ key
+names; evaluation plans are keyed by (eval-mode signature, feature
+shape), shared by the server and the pooled-evaluation workers. Only
+training plans stay per *client* (a ``WeakKeyDictionary`` that dies with
+the client): a plan adopts the parameters of the workspace model it
+trains. Process workers use the same caches, emptied when a worker
+starts (a forked worker inherits the parent's), and a killed worker
+takes its plans with it — they hold no shared state. In-process solves
+run one at a time, so no plan cache here needs a lock.
 """
 
 from __future__ import annotations
@@ -74,6 +75,11 @@ STATS = export_group(
 #: (a ``None`` value remembers a (signature, shape) pair that failed to
 #: plan, so the fallback decision is made once, not per round)
 _PLANS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+#: evaluation plans, {(eval-mode signature, feature shape): plan}; they
+#: read the bound layers' parameters and adopt none, so every model of
+#: one head shape shares one
+_EVAL_PLANS: dict = {}
 
 
 class BoundHead:
@@ -317,12 +323,12 @@ def bind_head(
 
     ``cache`` maps ``(signature, feature_shape)`` to a plan, or to ``None``
     for a remembered planning failure (a key never tried is simply
-    absent); callers own the cache's lifetime — the worker-side evaluation
-    path keys one per template segment. ``eval_mode`` admits the wider
-    inference-only op set (eval-mode BN as a precomputed affine, dropout
-    as identity, convs and pools as module calls); the resulting plan
-    refuses training entry points unless its signature happens to equal a
-    train-mode one, in which case the cache naturally shares the plan.
+    absent); callers own the cache's lifetime. ``eval_mode`` admits the
+    wider inference-only op set (eval-mode BN as a precomputed affine,
+    dropout as identity, convs and pools as module calls); the resulting
+    plan refuses training entry points unless its signature happens to
+    equal a train-mode one, in which case the cache naturally shares the
+    plan.
     """
     layers, signature = head_ops(model, eval_mode=eval_mode)
     if layers is None:
@@ -338,6 +344,11 @@ def bind_head(
     if plan is None:
         return None
     return BoundHead(layers, plan)
+
+
+def eval_head(model: SegmentedModel, feature_shape: tuple) -> BoundHead | None:
+    """The model's head bound for evaluation, or None when it cannot fuse."""
+    return bind_head(model, feature_shape, _EVAL_PLANS, eval_mode=True)
 
 
 def client_head_plan(
@@ -370,9 +381,8 @@ def client_head_plan(
 # selector k = n, so those cohorts still split by n).
 # Everything else (singletons, clients without cached features, custom
 # clients, unfusible heads, exotic selectors/solvers/broadcast states)
-# falls back to the per-client path,
-# which is the reference the cohort must match bitwise; each fallback
-# reason is counted on ``solver.cohort.*``.
+# runs alone through ``Client.run_round``, the reference the cohort must
+# match bitwise; each fallback reason is counted on ``solver.cohort.*``.
 # ---------------------------------------------------------------------------
 
 #: cohort-runtime counters; exported like STATS so worker-side increments
@@ -396,9 +406,9 @@ COHORT_STATS = export_group(
     },
 )
 
-#: in-process cohort plans, one per kernel key (signature, feature shape,
-#: batch_size, epochs), least recently used first; each grows to the
-#: largest cohort it has solved
+#: this process's cohort plans, one per kernel key (signature, feature
+#: shape, batch_size, epochs), least recently used first; each grows to
+#: the largest cohort it has solved
 _COHORT_PLANS: dict[tuple, CohortPlan] = {}
 
 #: layout-probe plans for ``aligned_cohort_layout``, scoped by the model's
@@ -418,22 +428,20 @@ def _stackable(signature: tuple) -> bool:
     return True
 
 
-def aligned_cohort_layout(model, feature_shape, cache=None):
+def aligned_cohort_layout(model, feature_shape):
     """The θ slab layout cohort lanes share with the server, or None.
 
-    Probes the model's fusible head once (probe plans are cached — pass
-    ``cache`` when the caller owns scoping, e.g. the process worker's
-    per-template dict) and returns the plan-aligned
+    Probes the model's fusible head once (probe plans are cached) and
+    returns the plan-aligned
     :class:`~repro.fl.slab.SlabLayout`: lane offsets equal server-slab
     offsets, so a matching broadcast slab loads by memcpy and lane rows
     ship back as :class:`~repro.fl.slab.SlabState` updates. None when the
     head is unfusible, the communicated θ is not exactly the head's
     trainable set, or the packings cannot align.
     """
-    if cache is None:
-        from repro.nn.serialization import theta_keys
+    from repro.nn.serialization import theta_keys
 
-        cache = _PROBES.setdefault(tuple(theta_keys(model)), {})
+    cache = _PROBES.setdefault(tuple(theta_keys(model)), {})
     bound = bind_head(model, feature_shape, cache)
     if bound is None or bound._theta_map(model) is None:
         return None
@@ -554,38 +562,28 @@ def cohort_units(clients, model, global_state, feature_shapes, min_size=2):
     return units or None
 
 
-def _acquire_cohort_plan(plan_key, plan_cache=None):
+def _acquire_cohort_plan(plan_key):
     """The cached plan for the kernel key, built on a miss; None if
     unplannable.
 
     ``plan_key`` is (signature, feature shape, batch_size, epochs): what
     a plan's kernel programs are compiled for. Lane count, shard size and
     selected count are per solve (:meth:`CohortPlan.prepare`), so a key
-    needs one plan for its whole life. ``plan_cache`` is a process
-    worker's own cache; without one the module's in-process cache serves,
-    kept in use order (least recently used first) for
-    :func:`trim_plan_caches`.
+    needs one plan for its whole life. The cache is kept in use order
+    (least recently used first) for :func:`trim_plan_caches`.
     """
-    cache = _COHORT_PLANS if plan_cache is None else plan_cache
-    plan = cache.pop(plan_key, None)
+    plan = _COHORT_PLANS.pop(plan_key, None)
     if plan is None:
         try:
             plan = CohortPlan(*plan_key)
         except ValueError:
             return None
         COHORT_STATS["plans_built"] += 1
-    cache[plan_key] = plan
+    _COHORT_PLANS[plan_key] = plan
     return plan
 
 
-def solve_cohort(
-    clients,
-    model,
-    global_state,
-    features_list,
-    layout,
-    plan_cache=None,
-):
+def solve_cohort(clients, model, global_state, features_list, layout):
     """Solve one cohort's local rounds in a single block-stacked plan.
 
     Preconditions (``cohort_units`` guarantees them): the clients share
@@ -634,7 +632,7 @@ def solve_cohort(
     if layers is None:
         return None
     plan_key = (signature, shape, int(solver.batch_size), epochs)
-    plan = _acquire_cohort_plan(plan_key, plan_cache)
+    plan = _acquire_cohort_plan(plan_key)
     if plan is None:
         return None
     plan.prepare(lanes, max(sizes), k)
@@ -677,43 +675,35 @@ def solve_cohort(
     return theta_stack, mean_losses, k, sizes
 
 
-def wrap_cohort_update(row, layout, num_selected, num_local, mean_loss):
-    """One lane of a cohort's θ stack as a slab-backed LocalUpdate."""
+def cohort_updates(layout, theta_stack, mean_losses, num_selected, sizes):
+    """The lanes of a :func:`solve_cohort` result (unpacked after
+    ``layout``) as slab-backed LocalUpdates in client order, each θ a row
+    of the stack."""
     from repro.fl.slab import slab_successor
     from repro.fl.strategies import LocalUpdate
 
-    return LocalUpdate(
-        theta=slab_successor({}, row, layout),
-        num_selected=int(num_selected),
-        num_local=int(num_local),
-        mean_loss=float(mean_loss),
-    )
+    return [
+        LocalUpdate(
+            theta=slab_successor({}, theta_stack[i], layout),
+            num_selected=int(num_selected),
+            num_local=int(num_local),
+            mean_loss=float(mean_loss),
+        )
+        for i, (num_local, mean_loss) in enumerate(zip(sizes, mean_losses))
+    ]
 
 
-def run_cohort(
-    clients, model, global_state, timing, features_list, layout, walks=None
-):
+def run_cohort(clients, model, global_state, features_list, layout):
     """Solve one cohort in-process; LocalUpdates in client order, or None.
 
     ``layout`` is the lane layout :func:`cohort_units` grouped the cohort
     under. None sends every member to the exact per-client path (the
     grouping was optimistic; late disagreements like feature-shape drift
-    or unplannable dimensions must not change results). ``walks`` is the
-    wave's FLOPs-walk cache (see :func:`cohort_round_seconds`).
+    or unplannable dimensions must not change results). The dispatcher
+    prices the rounds (see :func:`cohort_round_seconds`).
     """
     solved = solve_cohort(clients, model, global_state, features_list, layout)
-    if solved is None:
-        return None
-    theta_stack, mean_losses, k, sizes = solved
-    updates = [
-        wrap_cohort_update(theta_stack[i], layout, k, sizes[i], mean_losses[i])
-        for i in range(len(clients))
-    ]
-    if timing is not None:
-        seconds = cohort_round_seconds(clients, model, timing, walks)
-        for update, sec in zip(updates, seconds):
-            update.train_seconds = sec
-    return updates
+    return None if solved is None else cohort_updates(layout, *solved)
 
 
 def cohort_round_seconds(clients, model, timing, walks=None) -> list[float]:
@@ -744,13 +734,20 @@ def cohort_round_seconds(clients, model, timing, walks=None) -> list[float]:
 
 def _plan_caches() -> list[dict]:
     """Every in-process plan cache, in eviction order: cohort plans
-    (largest, rebuilt cheapest), then per-client plans, then layout
-    probes. Values are plans, or None for a remembered planning failure."""
-    return [_COHORT_PLANS, *_PLANS.values(), *_PROBES.values()]
+    (largest, rebuilt cheapest), then per-client plans, layout probes and
+    evaluation plans. Values are plans, or None for a remembered planning
+    failure."""
+    return [_COHORT_PLANS, *_PLANS.values(), *_PROBES.values(), _EVAL_PLANS]
+
+
+def clear_plan_caches() -> None:
+    """Drop every cached plan (a forked process worker starts here)."""
+    for cache in (_COHORT_PLANS, _PLANS, _PROBES, _EVAL_PLANS):
+        cache.clear()
 
 
 def plan_cache_nbytes() -> int:
-    """Total bytes held by cached solver plans (per-client, probe, cohort).
+    """Total bytes held by cached plans (cohort, per-client, probe, eval).
 
     This is the figure the :class:`~repro.fl.features.FeatureRuntime`
     byte budget charges — plan workspaces compete with cached features

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.fl.aggregation import weighted_average_flat
-from repro.fl.fastpath import bind_head
+from repro.fl.fastpath import eval_head
 from repro.fl.features import batched_head_logits, compute_features
 from repro.fl.selection import batched_logits
 from repro.fl.slab import SlabLayout, make_slab_state, slab_successor
@@ -96,8 +96,6 @@ class Server:
         #: (clients × params) aggregation matrix, grown to the largest
         #: cohort seen; rows are consumed as scratch by the flat kernel
         self._stack_scratch: np.ndarray | None = None
-        #: server-side fused eval plans, keyed like the worker-side caches
-        self._eval_plans: dict = {}
 
     def broadcast(self) -> dict[str, np.ndarray]:
         """State sent to clients this round (full model; only θ changes)."""
@@ -193,15 +191,6 @@ class Server:
             self._packings[keys] = packing
         return packing
 
-    def invalidate_resident_model(self) -> None:
-        """Force the next local evaluation to reload the full state.
-
-        The fast path already detects a mutated ϕ by fingerprint; this is
-        the explicit escape hatch for callers that want the reload
-        regardless.
-        """
-        self._resident_fingerprint = None
-
     def evaluate(self, batch_size: int = 512) -> float:
         """Top-1 accuracy of the current global model on the test set."""
         with tracing.span("server.evaluate"):
@@ -248,10 +237,7 @@ class Server:
             self.eval_stats["feature_builds"] += 1
         features = self._test_features[1]
         labels = self.test_set.labels
-        bound = bind_head(
-            self.model, features.shape[1:], cache=self._eval_plans,
-            eval_mode=True,
-        )
+        bound = eval_head(self.model, features.shape[1:])
         if bound is not None and len(labels):
             # Same chunking as batched_head_logits; integer correct/total
             # is bitwise equal to F.accuracy (exact int sums < 2^53, one

@@ -22,16 +22,6 @@ def kaiming_normal(
     return rng.normal(0.0, std, size=shape)
 
 
-def xavier_uniform(
-    rng: np.random.Generator, shape: tuple, fan_in: int, fan_out: int
-) -> np.ndarray:
-    """Glorot-uniform initialisation for tanh/linear layers."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError("fan_in and fan_out must be positive")
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def zeros(shape: tuple) -> np.ndarray:
     return np.zeros(shape, dtype=np.float64)
 

@@ -64,11 +64,6 @@ class SGD:
         for p in self.params:
             p.zero_grad()
 
-    def set_lr(self, lr: float) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = lr
-
 
 class ConstantLR:
     """Schedule returning a fixed learning rate."""

@@ -236,9 +236,6 @@ class SegmentedModel(Module):
     def trainable_segment_names(self) -> list[str]:
         return [name for name, seg in self.segments() if seg.has_trainable()]
 
-    def trainable_parameter_names(self) -> list[str]:
-        return [name for name, p in self.named_parameters() if p.requires_grad]
-
     def flops_per_sample(self, in_shape: tuple) -> tuple[int, tuple]:
         total = 0
         shape = in_shape

@@ -493,6 +493,64 @@ def test_one_worker_plan_serves_every_cohort_shape():
     assert got == reference
 
 
+def test_every_training_job_is_one_planned_unit(monkeypatch):
+    """A mixed wave (a cohort split into two chunks, a singleton and a
+    tiered client) and one ``submit`` reach the workers through one entry
+    point: cohort chunks first, then one-member units in client order,
+    with the timing model shipped only to the client that bills itself.
+    Every member resolves bitwise equal to per-client dispatch: θ bytes,
+    loss, billed seconds and RNG state."""
+    from repro.engine import backends as B
+
+    monkeypatch.setattr(B, "_COHORT_JOB_LANES", 3)
+    # k = 12 at 40 samples, 8 at 26; client 1 is tiered, client 7 submitted
+    sizes = [40, 40, 40, 26, 40, 40, 40, 40]
+    timing = TimingModel(
+        speed_multipliers={cid: 1.0 + 0.25 * cid for cid in range(len(sizes))}
+    )
+
+    def dispatch(backend):
+        server, clients = _build(sizes=sizes, tiers={1})
+        *wave, extra = clients
+        args = (server.model, server.global_state, timing)
+        handles = backend.submit_many(wave, *args)
+        handles.append(backend.submit(extra, *args))
+        updates = [
+            (
+                {k: v.tobytes() for k, v in u.theta.items()},
+                u.mean_loss,
+                u.train_seconds,
+            )
+            for u in map(backend.result, handles)
+        ]
+        return clients, updates, _rng_states(clients)
+
+    jobs = []
+    with make_backend(
+        "process", max_workers=2, feature_runtime=FeatureRuntime()
+    ) as backend:
+        real = backend._dispatch
+
+        def spying(entry, job, fingerprints=None):
+            jobs.append((entry, job))
+            return real(entry, job, fingerprints)
+
+        backend._dispatch = spying
+        clients, got, rngs = dispatch(backend)
+        owner = {backend._shards[id(c)].shm.name: c.client_id for c in clients}
+    assert all(entry is B._shm_round for entry, _ in jobs)
+    assert [
+        [owner[member["shard_name"]] for member in job["members"]]
+        for _, job in jobs
+    ] == [[0, 2, 4], [5, 6], [1], [3], [7]]
+    assert [job["cohort"] for _, job in jobs] == [True, True, False, False, False]
+    assert [job["timing"] for _, job in jobs] == [None, None, timing, None, None]
+    with _PerClientSerial(feature_runtime=FeatureRuntime()) as backend:
+        _, expected, expected_rngs = dispatch(backend)
+    assert got == expected
+    assert rngs == expected_rngs
+
+
 def _count_round_lookups(monkeypatch):
     """Count ϕ chain probes and feature lookups made by local solves;
     evaluation's own fingerprint probes are not counted."""

@@ -512,6 +512,29 @@ def test_solver_and_run_settings_refused_before_setup(
         run_fedft_eds(FedFTEDSConfig(**{**SMOKE, **knobs}))
 
 
+@pytest.mark.parametrize(
+    "knobs",
+    [{"cache_dir": "elsewhere"}, {"artifact_store": False}, {"max_workers": 2}],
+    ids=["cache_dir", "artifact_store", "max_workers"],
+)
+def test_campaign_owned_knobs_refused_before_setup(knobs, monkeypatch):
+    """A campaign's runs use its store and its warm backend, so a run of
+    it that sets its own is refused before the world is generated, naming
+    the campaign, instead of silently running on the campaign's."""
+    from repro.core.fedft_eds import FedFTEDSCampaign
+    from repro.data import synthetic
+
+    def no_setup(*args, **kwargs):
+        raise AssertionError("the invalid setting surfaced after setup began")
+
+    monkeypatch.setattr(synthetic, "make_vision_world", no_setup)
+    with FedFTEDSCampaign() as campaign:
+        with pytest.raises(ValueError, match="FedFTEDSCampaign"):
+            run_fedft_eds(
+                FedFTEDSConfig(**{**SMOKE, "campaign": campaign, **knobs})
+            )
+
+
 # -- satellite fixes -----------------------------------------------------------
 class _EmptyThenFull(ParticipationModel):
     """No participants in round 1, everyone afterwards."""

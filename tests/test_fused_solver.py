@@ -796,48 +796,78 @@ def test_worker_segment_cache_is_bounded_and_repins_evicted_names():
         B._WORKER.update(saved)
 
 
-def test_worker_eval_plan_cache_evicted_with_template():
-    """The worker's fused eval plans are keyed by template segment and die
-    when the template replica is evicted — a long campaign's workers do
-    not accumulate one plan set per run."""
+def test_worker_plans_are_shared_across_templates():
+    """A worker keeps its solver and evaluation plans in fastpath's module
+    caches, one per kernel key whatever template a job names: cohort and
+    eval-shard jobs of two runs' templates with the same head build one
+    cohort plan and one evaluation plan between them."""
     import pickle
-    from multiprocessing import shared_memory
+    from types import SimpleNamespace
 
     from repro.engine import backends as B
+    from repro.fl.server import Server
 
+    def federation(first):
+        server = Server(
+            _mlp("moderate", in_features=24),
+            ArrayDataset(RNG(7).normal(size=(64, 24)), RNG(8).integers(0, 5, 64)),
+        )
+        clients = [
+            Client(
+                cid, ArrayDataset(RNG(100 + cid).normal(size=(30, 24)),
+                                  RNG(200 + cid).integers(0, 5, 30)),
+                EntropySelector(), LocalSolver(), 0.3, 2, RNG(500 + cid),
+            )
+            for cid in range(first, first + 4)
+        ]
+        return server, clients
+
+    backend = ProcessPoolBackend(max_workers=1, feature_runtime=FeatureRuntime())
+    jobs = []
+
+    def capture(entry, job, fingerprints=None):
+        # Capture the job instead of shipping it; an eval shard resolves
+        # to a placeholder count, and this process plays the worker below.
+        jobs.append((entry, pickle.dumps(job)))
+        return SimpleNamespace(future=B._Resolved((0, 1, None)))
+
+    backend._dispatch = capture
     saved = dict(B._WORKER)
     B._shm_worker_init()
-    segments = []
+    built = fastpath.COHORT_STATS["plans_built"]
+    fused = fastpath.STATS["fused_eval_shards"]
     try:
-        names = []
-        for seed in range(3):
-            blob = pickle.dumps(_mlp("moderate"))
-            shm = shared_memory.SharedMemory(create=True, size=len(blob))
-            shm.buf[: len(blob)] = blob
-            segments.append(shm)
-            names.append((shm.name, len(blob)))
-        B._worker_model(*names[0])
-        B._WORKER["eval_plans"][names[0][0]] = {"sig": object()}
-        B._worker_model(*names[1])
-        B._WORKER["eval_plans"][names[1][0]] = {"sig": object()}
-        B._worker_model(*names[2])  # cache is 2 deep: evicts names[0]
-        assert names[0][0] not in B._WORKER["models"]
-        assert names[0][0] not in B._WORKER["eval_plans"]
-        assert names[1][0] in B._WORKER["eval_plans"]
+        for first in (0, 4):
+            server, clients = federation(first)
+            backend.submit_many(clients, server.model, server.global_state, None)
+            backend.evaluate_pooled(
+                server.model, server.global_state, server.test_set
+            )
+        assert backend.stats["cohort_jobs"] == 2 and len(jobs) == 4
+        templates = {pickle.loads(blob)["template_name"] for _, blob in jobs}
+        assert len(templates) == 2
+        for entry, blob in jobs:
+            entry(blob)
+        assert fastpath.COHORT_STATS["plans_built"] == built + 1
+        assert len(fastpath._COHORT_PLANS) == 1
+        assert fastpath.STATS["fused_eval_shards"] == fused + 2
+        assert len(fastpath._EVAL_PLANS) == 1
     finally:
-        for shm in segments:
-            shm.close()
-            shm.unlink()
+        B._WORKER["clients"].clear()
+        gc.collect()
+        for seg in list(B._WORKER["segments"].values()):
+            seg.close()
         B._WORKER.clear()
         B._WORKER.update(saved)
+        backend.shutdown()
 
 
 def test_worker_cohort_plan_cache_keeps_one_plan_per_kernel_key():
     """A worker keeps one cohort plan per kernel key (head signature,
-    feature shape, batch size, epochs) and template: cohorts of other lane
-    counts, shard sizes and selected counts reuse it, growing it as
-    needed, so it is built once and never evicted; a fresh plan, the
-    grown one and a rebuilt one solve to the same θ bytes."""
+    feature shape, batch size, epochs) in fastpath's module cache: cohorts
+    of other lane counts, shard sizes and selected counts reuse it,
+    growing it as needed, so it is built once and never evicted; a fresh
+    plan, the grown one and a rebuilt one solve to the same θ bytes."""
     from repro.engine import backends as B
     from repro.fl.slab import SlabLayout, make_slab_state
     from repro.nn.serialization import theta_keys
@@ -880,9 +910,8 @@ def test_worker_cohort_plan_cache_keeps_one_plan_per_kernel_key():
         built, evicted = stats["plans_built"], stats["plan_evictions"]
 
         def solve(job):
-            theta = B._shm_cohort_solve(job, shard_baseline())[0]
-            plans = B._WORKER["cohort_plans"][job["template_name"]]["plans"]
-            assert len(plans) == 1
+            theta = B._shm_solve(job, shard_baseline())[0][0]
+            assert len(fastpath._COHORT_PLANS) == 1
             return theta
 
         fresh = solve(jobs[0])
@@ -891,7 +920,7 @@ def test_worker_cohort_plan_cache_keeps_one_plan_per_kernel_key():
             solve(job)
         grown = solve(jobs[0])
         assert stats["plans_built"] == built + 1
-        B._WORKER["cohort_plans"].clear()
+        fastpath._COHORT_PLANS.clear()
         rebuilt = solve(jobs[0])
         assert stats["plans_built"] == built + 2
         assert stats["plan_evictions"] == evicted
