@@ -63,9 +63,14 @@ def _model():
 @contextlib.contextmanager
 def _layer_graph():
     """Head-only rounds through the layer graph: no client gets a fused
-    plan and no cohort forms."""
+    plan and no cohort forms (evaluation keeps its fused plan)."""
+    bind_head = fastpath.bind_head
+
+    def eval_only(model, feature_shape, eval_mode=False):
+        return bind_head(model, feature_shape, True) if eval_mode else None
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fastpath, "client_head_plan", lambda *args: None)
+        patch.setattr(fastpath, "bind_head", eval_only)
         patch.setattr(fastpath, "cohort_units", lambda *args, **kw: None)
         yield
 

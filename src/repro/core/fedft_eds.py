@@ -238,21 +238,16 @@ class FedFTEDSCampaign:
     def __init__(
         self,
         max_workers: int | None = None,
-        feature_byte_budget: int | None = None,
         cache_dir: str | None = None,
         artifact_store: object | None = None,
     ):
         self.max_workers = max_workers
         #: durable cross-process store (repro.store.resolve_store rules):
-        #: pool publishes read through it, byte-budget evictions spill to
-        #: it, and runs warm-start their pretrained ϕ from it
+        #: pool publishes and feature lookups read through it, and runs
+        #: warm-start their pretrained ϕ from it
         self.artifact_store = resolve_store(artifact_store, cache_dir)
-        self.segment_pool = CampaignSegmentPool(
-            byte_budget=feature_byte_budget, store=self.artifact_store
-        )
-        self.feature_runtime = FeatureRuntime(
-            byte_budget=feature_byte_budget, store=self.artifact_store
-        )
+        self.segment_pool = CampaignSegmentPool(store=self.artifact_store)
+        self.feature_runtime = FeatureRuntime(store=self.artifact_store)
         self._process_backend: ProcessPoolBackend | None = None
 
     def backend_for(self, config: "FedFTEDSConfig"):

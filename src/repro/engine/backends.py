@@ -389,10 +389,10 @@ def _untracked_attach(name: str) -> shared_memory.SharedMemory:
 #: pool restart), attached segments by name, and reconstructed clients by
 #: (template name, shard-segment name, client-descriptor digest) — the same
 #: shard hosts a different client descriptor per method of a campaign.
-#: Solver and evaluation plans live in :mod:`repro.fl.fastpath`'s module
-#: caches, one per kernel key whatever the template, as in any process.
-#: All of it is plain per-process memory: a killed worker takes its plans
-#: with it, leaving nothing to clean up.
+#: Solver and evaluation plans are cached on the replica they run on (see
+#: :mod:`repro.fl.fastpath`) and go when it is evicted. All of it is plain
+#: per-process memory: a killed worker takes its plans with it, leaving
+#: nothing to clean up.
 _WORKER: dict = {
     "models": {},
     "segments": {},
@@ -405,8 +405,9 @@ _WORKER: dict = {
     "job_pins": set(),
 }
 
-#: model replicas a worker keeps alive at once; a campaign uses one
-#: template per run, so 2 covers the running run plus its predecessor.
+#: model replicas a worker keeps alive at once, each with its plans; a
+#: campaign uses one template per run, so 2 covers the running run plus
+#: its predecessor.
 _WORKER_MODEL_CACHE = 2
 
 #: worker mapping churn — segments attached, and unheld mappings the LRU
@@ -417,20 +418,20 @@ WORKER_STATS = export_group("backend.worker", {"attaches": 0, "closes": 0})
 
 def _shm_worker_init() -> None:
     """Worker startup: reset the caches (fresh under spawn, paranoid under
-    fork, where the parent's module state was inherited — its plans
-    included, which the worker must build and count itself)."""
+    fork, where the parent's module state was inherited). Inherited plans
+    need no reset: they are keyed by the parent's models, which no job
+    names."""
     _WORKER.update(
         models={}, segments={}, holds={}, unheld={}, clients={},
         job_pins=set(),
     )
-    fastpath.clear_plan_caches()
 
 
-#: mappings a worker keeps that no cached client holds (state slots, eval
-#: shards, segments a client stopped naming). Budget-evicted feature/eval
-#: segments come back under fresh shm names, so an unbounded cache would
-#: keep every dead mapping resident, leaking worker RSS exactly under the
-#: memory pressure the byte budget targets.
+#: mappings a worker keeps that no cached client holds: state slots, eval
+#: shards, and the shard and feature segments of clients dropped with an
+#: evicted template or no longer named. A campaign names new ones run
+#: after run, so an unbounded cache would keep every dead mapping
+#: resident.
 _WORKER_SEGMENT_CACHE = 32
 
 
@@ -542,9 +543,8 @@ def _worker_client(template_name: str, spec: dict):
     The client is rebuilt once per (template, shard, descriptor) and its
     RNG set to the dispatch-time state on every job. Returns ``(client,
     features)``, features None when the job ships none. A job naming a
-    different feature segment than the client holds (ϕ changed, or the
-    parent republished it after a byte-budget eviction) moves the hold
-    and releases the old mapping to the LRU.
+    different feature segment than the client holds (ϕ changed) moves the
+    hold and releases the old mapping to the LRU.
     """
     key = (template_name, spec["shard_name"], spec["client_digest"])
     entry = _WORKER["clients"].get(key)
@@ -576,10 +576,11 @@ def _worker_model(name: str, nbytes: int) -> SegmentedModel:
 
     The pickled template is read from shared memory exactly once per
     (worker, template); the attachment is closed immediately — only the
-    unpickled replica is cached. Older replicas (and the clients rebuilt
-    against them — a client cached for run N must not train in run N+1's
-    replica — with their mapping holds) are evicted beyond a small window
-    so a long campaign's workers do not accumulate one model per run.
+    unpickled replica is cached. Older replicas (with their plans, and the
+    clients rebuilt against them — a client cached for run N must not
+    train in run N+1's replica — with their mapping holds) are evicted
+    beyond a small window so a long campaign's workers do not accumulate
+    one model per run.
     """
     model = _WORKER["models"].get(name)
     if model is None:
@@ -650,7 +651,7 @@ def _shm_round(job_blob: bytes) -> tuple:
     state; the template, weights, shards and features are read from the
     attached segments, and each member is rebuilt once per worker
     (:func:`_worker_client`). A cohort job (``job["cohort"]``) solves its
-    members together through this process's
+    members together through the template replica's
     :class:`~repro.nn.fused.CohortPlan` for their kernel key; otherwise,
     or when the plan declines late, each member runs ``Client.run_round``
     with ``job["timing"]`` (set only for a client that bills itself).
@@ -730,12 +731,12 @@ def _shm_eval_solve(job: dict, baseline: dict) -> tuple[int, int, dict | None]:
     inputs = arrays["f"] if "f" in arrays else arrays["x"]
     batch = int(job["batch_size"])
     if "f" in arrays:
-        # Fused evaluation: head-only shards run through the worker's
-        # cached evaluation plan for the head, so the per-job Python is
-        # dispatch plus the argmax reduction. Bitwise identical to the
-        # module loop below — the fused forward is the same kernel
-        # sequence (repro.nn.fused).
-        bound = fastpath.eval_head(model, inputs.shape[1:])
+        # Fused evaluation: head-only shards run through the replica's
+        # cached plan for the head, so the per-job Python is dispatch
+        # plus the argmax reduction. Bitwise identical to the module loop
+        # below — the fused forward is the same kernel sequence
+        # (repro.nn.fused).
+        bound = fastpath.bind_head(model, inputs.shape[1:], eval_mode=True)
         if bound is not None:
             fastpath.STATS["fused_eval_shards"] += 1
             return (

@@ -21,8 +21,7 @@ attaches to the existing segment. Lifecycle:
   reference.
 - ``release(key)`` drops a reference (a backend releases its shards when
   its run ends). Zero-reference segments stay resident — the next run
-  re-acquires them for free — until ``trim()`` (evict idle segments) or
-  ``close()`` (unlink everything).
+  re-acquires them for free — until ``close()`` unlinks everything.
 
 The module also owns the *emergency cleanup registry*: shared-memory
 segments are files under ``/dev/shm`` that outlive a crashed process, so
@@ -186,28 +185,22 @@ class CampaignSegmentPool:
     (currently resident).
     """
 
-    #: key kinds the automatic byte budget governs: derived artefacts that
-    #: can be rebuilt (feature arrays, sharded test sets) — never the raw
-    #: shards, whose publish-once economics the campaign is built on.
-    BUDGET_KINDS = ("feat", "eval")
+    #: key kinds that read through the durable store: derived artefacts
+    #: that can be rebuilt (feature arrays, sharded test sets) — never the
+    #: raw shards, which the caller's factory always supplies.
+    READ_THROUGH_KINDS = ("feat", "eval")
 
-    def __init__(self, byte_budget: int | None = None, store=None):
-        if byte_budget is not None and byte_budget <= 0:
-            raise ValueError("byte_budget must be positive when set")
-        self.byte_budget = byte_budget
+    def __init__(self, store=None):
         #: optional durable :class:`repro.store.ArtifactStore`: publishes of
-        #: rebuildable kinds (:data:`BUDGET_KINDS`) read through it and
-        #: budget evictions spill to it, extending the LRU to disk
+        #: :data:`READ_THROUGH_KINDS` read through it
         self.store = store
-        # Insertion order doubles as recency order (acquire re-inserts),
-        # so iteration starts at the LRU victim.
         self._segments: dict[Hashable, PoolSegment] = {}
         self._closed = False
         self.stats = CounterGroup(
             "campaign.pool",
             {
-                "publishes": 0, "hits": 0, "segments": 0, "evictions": 0,
-                "bytes": 0, "verifies": 0, "corruptions": 0,
+                "publishes": 0, "hits": 0, "segments": 0, "bytes": 0,
+                "verifies": 0, "corruptions": 0,
             },
         )
         #: publishes broken down by key kind — tuple keys' first element
@@ -242,8 +235,9 @@ class CampaignSegmentPool:
             raise RuntimeError("segment pool is closed")
         segment = self._segments.get(key)
         if segment is None:
+            kind = _key_kind(key)
             with tracing.span("pool.publish"):
-                if self.store is not None and _key_kind(key) in self.BUDGET_KINDS:
+                if self.store is not None and kind in self.READ_THROUGH_KINDS:
                     # durable read-through for rebuildable kinds: a warm
                     # campaign publishes from a verified disk read instead
                     # of re-running the factory (bitwise identical bytes)
@@ -264,16 +258,9 @@ class CampaignSegmentPool:
             self._segments[key] = segment
             self.stats["publishes"] += 1
             self.stats["bytes"] += nbytes
-            kind = _key_kind(key)
             self.publishes_by_kind[kind] = self.publishes_by_kind.get(kind, 0) + 1
             self.stats["segments"] = len(self._segments)
             segment.refs += 1
-            # Budget enforcement only after the fresh segment holds its
-            # reference: trim never evicts referenced segments, so the
-            # entry being returned cannot be the eviction victim even
-            # when it alone exceeds the budget.
-            if self.byte_budget is not None:
-                self.trim(self.byte_budget, kinds=self.BUDGET_KINDS)
             return segment
         self.stats["hits"] += 1
         # Re-attach verification: a campaign-lifetime segment may have been
@@ -287,8 +274,6 @@ class CampaignSegmentPool:
         ):
             self.stats["corruptions"] += 1
             self._rewrite(segment)
-        # LRU touch: re-insert at the recent end of the order.
-        self._segments[key] = self._segments.pop(key)
         segment.refs += 1
         return segment
 
@@ -326,68 +311,8 @@ class CampaignSegmentPool:
 
     def peek(self, key: Hashable) -> PoolSegment | None:
         """The resident segment for ``key`` without publishing or taking a
-        reference; touches the LRU order (a peeked segment is about to be
-        read — e.g. as a prefix-chain derivation base). None on miss."""
-        segment = self._segments.get(key)
-        if segment is not None:
-            self._segments[key] = self._segments.pop(key)
-        return segment
-
-    def trim(
-        self,
-        byte_budget: int | None = None,
-        kinds: tuple | None = None,
-    ) -> int:
-        """Evict idle (zero-ref) segments; returns how many were unlinked.
-
-        Without arguments: the historical behaviour — every idle segment
-        goes. With ``byte_budget``: least-recently-used idle segments are
-        evicted only until the resident bytes *of the evictable kinds*
-        drop to the budget (referenced segments never move, so an
-        over-budget active run is left alone). ``kinds`` restricts both
-        the eviction set and the byte accounting to keys of those kinds
-        (see :data:`BUDGET_KINDS`) — the spill policy for rebuildable
-        feature/test-set segments, which must not thrash just because the
-        unevictable raw shards alone exceed the budget.
-        """
-        evicted = 0
-        if byte_budget is None:
-            evictable_bytes = None
-        else:
-            evictable_bytes = sum(
-                s.nbytes
-                for k, s in self._segments.items()
-                if kinds is None or _key_kind(k) in kinds
-            )
-        for key in [k for k, s in self._segments.items() if s.refs == 0]:
-            if evictable_bytes is not None and evictable_bytes <= byte_budget:
-                break
-            if kinds is not None and _key_kind(key) not in kinds:
-                continue
-            segment = self._segments.pop(key)
-            if self.store is not None and _key_kind(key) in self.BUDGET_KINDS:
-                self._spill(segment)
-            self.stats["bytes"] -= segment.nbytes
-            if evictable_bytes is not None:
-                evictable_bytes -= segment.nbytes
-            self.stats["evictions"] += 1
-            unlink_segment(segment.shm)
-            evicted += 1
-        self.stats["segments"] = len(self._segments)
-        return evicted
-
-    def _spill(self, segment: PoolSegment) -> None:
-        """Land an evicted rebuildable segment in the durable store, so the
-        next acquire is a verified disk read instead of a factory rerun."""
-        from repro.engine.backends import _view_arrays
-
-        arrays = {
-            name: np.array(view, copy=True)
-            for name, view in _view_arrays(
-                segment.shm.buf, segment.layout
-            ).items()
-        }
-        self.store.spill(segment.key, arrays)
+        reference (e.g. a prefix-chain derivation base); None on miss."""
+        return self._segments.get(key)
 
     def close(self) -> None:
         """Unlink every segment; the pool may not be reused after."""

@@ -196,7 +196,6 @@ class ExperimentHarness:
         server_lr: float = 1.0,
         evals_per_round: int = 8,
         segment_pool: CampaignSegmentPool | None = None,
-        feature_byte_budget: int | None = None,
         telemetry: "TelemetrySession | None" = None,
         job_timeout: float | None = None,
         max_job_retries: int | None = None,
@@ -228,9 +227,6 @@ class ExperimentHarness:
         self.segment_pool = segment_pool
         self._owns_pool = segment_pool is None
         self._campaign_backend = None
-        #: byte budget for rebuildable feature state (the in-process ϕ(x)
-        #: cache and the pool's feature/test segments); None = unbounded
-        self.feature_byte_budget = feature_byte_budget
         #: durable cross-process artifact store (repro.store.resolve_store
         #: rules: an instance passes through, True/False forces, None
         #: enables exactly when cache_dir is set). Pretrained backbones
@@ -241,9 +237,7 @@ class ExperimentHarness:
             segment_pool.store is None
         ):
             segment_pool.store = self.artifact_store
-        self.feature_runtime = FeatureRuntime(
-            byte_budget=feature_byte_budget, store=self.artifact_store
-        )
+        self.feature_runtime = FeatureRuntime(store=self.artifact_store)
         self._world = None
         self._source_domain = None
         self._specs: dict[tuple[str, str], DomainSpec] = {}
@@ -315,8 +309,7 @@ class ExperimentHarness:
             if self._campaign_backend is None:
                 if self.segment_pool is None:
                     self.segment_pool = CampaignSegmentPool(
-                        byte_budget=self.feature_byte_budget,
-                        store=self.artifact_store,
+                        store=self.artifact_store
                     )
                     self._owns_pool = True
                 self._campaign_backend = make_backend(

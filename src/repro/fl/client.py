@@ -132,13 +132,14 @@ class Client:
         cache accelerates the simulator, not the simulated device.
         """
         # Fused head-solver plan for head-only rounds: one preallocated
-        # workspace per (head signature, feature shape), cached on this
-        # client and reused across rounds. None → layer-graph path.
+        # workspace per (head signature, feature shape), cached on the
+        # workspace model and shared by every client that trains in it.
+        # None → layer-graph path.
         fast = None
         if features is not None:
             from repro.fl import fastpath
 
-            fast = fastpath.client_head_plan(self, model, features.shape[1:])
+            fast = fastpath.bind_head(model, features.shape[1:])
             if fast is not None and fast.load_theta(model, global_state):
                 fastpath.STATS["theta_fast_loads"] += 1
             else:

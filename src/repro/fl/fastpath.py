@@ -23,18 +23,17 @@ A backend plans every wave of rounds, a lone ``submit`` included, as
 units: the eligible clients' cohorts (``cohort_units``, below), then
 every other participant alone, through the rules above.
 
-Plan caching: each process keeps one set of module-level caches. A
-cohort plan serves its kernel key (head signature, feature shape, batch
-size, epochs) for its whole life, growing to every lane count, shard
-size and selected count it meets; layout probes are scoped by the θ key
-names; evaluation plans are keyed by (eval-mode signature, feature
-shape), shared by the server and the pooled-evaluation workers. Only
-training plans stay per *client* (a ``WeakKeyDictionary`` that dies with
-the client): a plan adopts the parameters of the workspace model it
-trains. Process workers use the same caches, emptied when a worker
-starts (a forked worker inherits the parent's), and a killed worker
-takes its plans with it — they hold no shared state. In-process solves
-run one at a time, so no plan cache here needs a lock.
+Plan caching: every plan a process holds — training, layout-probe,
+evaluation and cohort plans — sits in one module-level
+``WeakKeyDictionary`` that maps the workspace model a plan runs on to
+``{plan key: plan}``. A plan is built once per model and key, shared by
+every client that trains in that model, and freed with it: with the run
+in the dispatching process, with the template replica in a process
+worker. Keying by model keeps adoption sound: a training plan re-homes
+the model's trainable parameters into its flat slab
+(``FusedHeadPlan.adopt_params``), so two models must never share one.
+The cache is not a model attribute because templates are pickled to
+workers. In-process solves run one at a time, so it needs no lock.
 """
 
 from __future__ import annotations
@@ -71,15 +70,10 @@ STATS = export_group(
     },
 )
 
-#: per-client plan caches: client -> {(signature, feature shape): plan}
-#: (a ``None`` value remembers a (signature, shape) pair that failed to
-#: plan, so the fallback decision is made once, not per round)
+#: every plan this process holds: workspace model -> {plan key: plan}
+#: (a ``None`` value remembers a key that failed to plan, so the fallback
+#: decision is made once per model, not per round)
 _PLANS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-#: evaluation plans, {(eval-mode signature, feature shape): plan}; they
-#: read the bound layers' parameters and adopt none, so every model of
-#: one head shape shares one
-_EVAL_PLANS: dict = {}
 
 
 class BoundHead:
@@ -313,58 +307,40 @@ def make_plan(signature: tuple, feature_shape: tuple) -> FusedHeadPlan | None:
     return plan
 
 
-def bind_head(
-    model: SegmentedModel,
-    feature_shape: tuple,
-    cache: dict | None = None,
-    eval_mode: bool = False,
-) -> BoundHead | None:
-    """Bind the model's head if fusible; plans come from ``cache`` if given.
+def _model_plan(model: SegmentedModel, key: tuple, build):
+    """``model``'s plan under ``key``, made by ``build()`` on first use."""
+    plans = _PLANS.get(model)
+    if plans is None:
+        plans = _PLANS[model] = {}
+    plan = plans.get(key, False)
+    if plan is False:
+        plan = plans[key] = build()
+    return plan
 
-    ``cache`` maps ``(signature, feature_shape)`` to a plan, or to ``None``
-    for a remembered planning failure (a key never tried is simply
-    absent); callers own the cache's lifetime. ``eval_mode`` admits the
-    wider inference-only op set (eval-mode BN as a precomputed affine,
-    dropout as identity, convs and pools as module calls); the resulting
-    plan refuses training entry points unless its signature happens to
-    equal a train-mode one, in which case the cache naturally shares the
-    plan.
+
+def bind_head(
+    model: SegmentedModel, feature_shape: tuple, eval_mode: bool = False
+) -> BoundHead | None:
+    """The model's head bound to its cached plan, or None when it cannot fuse.
+
+    None (→ layer-graph fallback) when the head is not fusible or features
+    of ``feature_shape`` cannot feed it. The plan is built on first use and
+    serves every later round of every client in ``model`` with this head
+    shape — the "plan once, run many" property the round benchmark
+    measures. ``eval_mode`` admits the wider inference-only op set
+    (eval-mode BN as a precomputed affine, dropout as identity, convs and
+    pools as module calls); such a plan refuses training entry points. A
+    head fusible for training has the same signature in both modes, so
+    its evaluation runs on the training plan.
     """
     layers, signature = head_ops(model, eval_mode=eval_mode)
     if layers is None:
         return None
-    key = (signature, tuple(feature_shape))
-    if cache is None:
-        plan = make_plan(signature, feature_shape)
-        return BoundHead(layers, plan) if plan is not None else None
-    plan = cache.get(key, False)
-    if plan is False:
-        plan = make_plan(signature, feature_shape)
-        cache[key] = plan
-    if plan is None:
-        return None
-    return BoundHead(layers, plan)
-
-
-def eval_head(model: SegmentedModel, feature_shape: tuple) -> BoundHead | None:
-    """The model's head bound for evaluation, or None when it cannot fuse."""
-    return bind_head(model, feature_shape, _EVAL_PLANS, eval_mode=True)
-
-
-def client_head_plan(
-    client, model: SegmentedModel, feature_shape: tuple
-) -> BoundHead | None:
-    """The client's cached plan for this model's head, created on first use.
-
-    Returns None (→ layer-graph fallback) when the head is not fusible or
-    the client's features cannot feed it. The plan workspace is reused
-    across every subsequent round of the client with the same head shape —
-    the "plan once, run many" property the round benchmark measures.
-    """
-    cache = _PLANS.get(client)
-    if cache is None:
-        cache = _PLANS[client] = {}
-    return bind_head(model, feature_shape, cache)
+    shape = tuple(feature_shape)
+    plan = _model_plan(
+        model, (signature, shape), lambda: make_plan(signature, shape)
+    )
+    return None if plan is None else BoundHead(layers, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +371,6 @@ COHORT_STATS = export_group(
         "cohort_solves": 0,
         "singletons": 0,
         "plans_built": 0,
-        "plan_evictions": 0,
         "fallback_features": 0,
         "fallback_custom_client": 0,
         "fallback_unfusible": 0,
@@ -405,16 +380,6 @@ COHORT_STATS = export_group(
         "fallback_state": 0,
     },
 )
-
-#: this process's cohort plans, one per kernel key (signature, feature
-#: shape, batch_size, epochs), least recently used first; each grows to
-#: the largest cohort it has solved
-_COHORT_PLANS: dict[tuple, CohortPlan] = {}
-
-#: layout-probe plans for ``aligned_cohort_layout``, scoped by the model's
-#: θ key names (two models may share a head signature yet communicate
-#: differently-named θ — e.g. different partial levels)
-_PROBES: dict[tuple, dict] = {}
 
 
 def _stackable(signature: tuple) -> bool:
@@ -431,18 +396,15 @@ def _stackable(signature: tuple) -> bool:
 def aligned_cohort_layout(model, feature_shape):
     """The θ slab layout cohort lanes share with the server, or None.
 
-    Probes the model's fusible head once (probe plans are cached) and
-    returns the plan-aligned
+    Probes the model's fusible head through its cached plan (the one its
+    solo rounds train on) and returns the plan-aligned
     :class:`~repro.fl.slab.SlabLayout`: lane offsets equal server-slab
     offsets, so a matching broadcast slab loads by memcpy and lane rows
     ship back as :class:`~repro.fl.slab.SlabState` updates. None when the
     head is unfusible, the communicated θ is not exactly the head's
     trainable set, or the packings cannot align.
     """
-    from repro.nn.serialization import theta_keys
-
-    cache = _PROBES.setdefault(tuple(theta_keys(model)), {})
-    bound = bind_head(model, feature_shape, cache)
+    bound = bind_head(model, feature_shape)
     if bound is None or bound._theta_map(model) is None:
         return None
     return bound._plan_theta_layout()
@@ -562,24 +524,18 @@ def cohort_units(clients, model, global_state, feature_shapes, min_size=2):
     return units or None
 
 
-def _acquire_cohort_plan(plan_key):
-    """The cached plan for the kernel key, built on a miss; None if
-    unplannable.
+def _make_cohort_plan(signature, shape, batch_size, epochs):
+    """A fresh cohort plan for the kernel key, or None if unplannable.
 
-    ``plan_key`` is (signature, feature shape, batch_size, epochs): what
-    a plan's kernel programs are compiled for. Lane count, shard size and
-    selected count are per solve (:meth:`CohortPlan.prepare`), so a key
-    needs one plan for its whole life. The cache is kept in use order
-    (least recently used first) for :func:`trim_plan_caches`.
+    The key is what a plan's kernel programs are compiled for. Lane count,
+    shard size and selected count are per solve
+    (:meth:`CohortPlan.prepare`), so a model needs one plan per key.
     """
-    plan = _COHORT_PLANS.pop(plan_key, None)
-    if plan is None:
-        try:
-            plan = CohortPlan(*plan_key)
-        except ValueError:
-            return None
-        COHORT_STATS["plans_built"] += 1
-    _COHORT_PLANS[plan_key] = plan
+    try:
+        plan = CohortPlan(signature, shape, batch_size, epochs)
+    except ValueError:
+        return None
+    COHORT_STATS["plans_built"] += 1
     return plan
 
 
@@ -631,8 +587,10 @@ def solve_cohort(clients, model, global_state, features_list, layout):
     layers, signature = head_ops(model)
     if layers is None:
         return None
-    plan_key = (signature, shape, int(solver.batch_size), epochs)
-    plan = _acquire_cohort_plan(plan_key)
+    kernel_key = (signature, shape, int(solver.batch_size), epochs)
+    plan = _model_plan(
+        model, ("cohort",) + kernel_key, lambda: _make_cohort_plan(*kernel_key)
+    )
     if plan is None:
         return None
     plan.prepare(lanes, max(sizes), k)
@@ -732,58 +690,11 @@ def cohort_round_seconds(clients, model, timing, walks=None) -> list[float]:
     return seconds
 
 
-def _plan_caches() -> list[dict]:
-    """Every in-process plan cache, in eviction order: cohort plans
-    (largest, rebuilt cheapest), then per-client plans, layout probes and
-    evaluation plans. Values are plans, or None for a remembered planning
-    failure."""
-    return [_COHORT_PLANS, *_PLANS.values(), *_PROBES.values(), _EVAL_PLANS]
-
-
-def clear_plan_caches() -> None:
-    """Drop every cached plan (a forked process worker starts here)."""
-    for cache in (_COHORT_PLANS, _PLANS, _PROBES, _EVAL_PLANS):
-        cache.clear()
-
-
 def plan_cache_nbytes() -> int:
-    """Total bytes held by cached plans (cohort, per-client, probe, eval).
-
-    This is the figure the :class:`~repro.fl.features.FeatureRuntime`
-    byte budget charges — plan workspaces compete with cached features
-    for the same budget and are spilled by :func:`trim_plan_caches`.
-    """
+    """Bytes held by every plan this process caches, over all live models."""
     return sum(
         plan.nbytes
-        for cache in _plan_caches()
-        for plan in cache.values()
+        for plans in _PLANS.values()
+        for plan in plans.values()
         if plan is not None
     )
-
-
-def trim_plan_caches(target_bytes: int) -> tuple[int, int]:
-    """Evict cached plans until held bytes fit ``target_bytes``.
-
-    Returns ``(bytes freed, plans evicted)``. Caches are drained in
-    :func:`_plan_caches` order, each oldest entry first (least recently
-    used, for cohort plans). Remembered planning *failures* (None
-    entries) are kept: they are free and save a doomed re-plan.
-    """
-    total = plan_cache_nbytes()
-    freed = count = 0
-    for cache in _plan_caches():
-        for key in list(cache):
-            if total <= target_bytes:
-                break
-            plan = cache[key]
-            if plan is None:
-                continue
-            del cache[key]
-            total -= plan.nbytes
-            freed += plan.nbytes
-            count += 1
-    for scope in [scope for scope, sub in _PROBES.items() if not sub]:
-        del _PROBES[scope]
-    if count:
-        COHORT_STATS["plan_evictions"] += count
-    return freed, count

@@ -49,8 +49,6 @@ requested split's fingerprint misses but a shallower split of the same
 frozen weights is cached for the shard, the new features are *derived* by
 running only the segments between the two splits over the cached arrays
 (:func:`derive_features`) instead of re-running ϕ from the raw inputs.
-Cached bytes are bounded by an optional LRU byte budget (see
-:class:`FeatureRuntime` and the campaign pool's ``byte_budget``).
 """
 
 from __future__ import annotations
@@ -205,36 +203,22 @@ class FeatureRuntime:
     between the two splits over the cached arrays
     (:func:`derive_features`) instead of re-running ϕ from the raw inputs.
 
-    Spill policy: ``byte_budget`` bounds the keyed cache's resident bytes;
-    exceeding it evicts least-recently-used entries (the publish/evict
-    counters land in ``stats``, ``eval_stats``-style). Anonymous entries
-    are outside the budget — they are weakly held and die with their
-    client.
-
-    With a durable ``store`` (:class:`repro.store.ArtifactStore`) the LRU
-    extends to disk: keyed misses probe the store before materialising
-    (a warm campaign reads ϕ(x) instead of recomputing it — bitwise
-    identical by the npz round trip), fresh builds are written through,
-    and budget evictions *spill* to the store instead of discarding, so a
-    re-acquire after eviction is a disk read, not a rebuild. Anonymous
-    entries stay memory-only (no stable cross-process identity).
+    With a durable ``store`` (:class:`repro.store.ArtifactStore`) keyed
+    misses read through it before materialising (a warm campaign reads
+    ϕ(x) instead of recomputing it — bitwise identical by the npz round
+    trip), and fresh builds are written through. Anonymous entries stay
+    memory-only (no stable cross-process identity).
     """
 
     def __init__(
         self,
         batch_size: int = FEATURE_BUILD_BATCH,
-        byte_budget: int | None = None,
         store: "ArtifactStore | None" = None,
     ):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if byte_budget is not None and byte_budget <= 0:
-            raise ValueError("byte_budget must be positive when set")
         self.batch_size = batch_size
-        self.byte_budget = byte_budget
         self.store = store
-        # Insertion order doubles as recency order (entries are re-inserted
-        # on every hit), so the first key is always the LRU victim.
         self._keyed: dict[tuple, np.ndarray] = {}
         self._anonymous: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self.stats = CounterGroup(
@@ -243,8 +227,6 @@ class FeatureRuntime:
                 "builds": 0,
                 "hits": 0,
                 "derived": 0,
-                "evictions": 0,
-                "plan_evictions": 0,
                 "bytes": 0,
             },
         )
@@ -287,55 +269,6 @@ class FeatureRuntime:
                 return self.derive(model, base, split)
         return self.build(model, x_factory())
 
-    def _touch(self, key: tuple) -> None:
-        self._keyed[key] = self._keyed.pop(key)
-
-    def _insert_keyed(self, key: tuple, features: np.ndarray) -> None:
-        self._keyed[key] = features
-        self.stats["bytes"] += features.nbytes
-        if self.byte_budget is not None:
-            self.trim(self.byte_budget, protect=key)
-
-    def trim(self, byte_budget: int = 0, protect: tuple | None = None) -> int:
-        """Evict LRU keyed entries until at most ``byte_budget`` bytes stay.
-
-        Fused/cohort plan workspaces (the module-level caches in
-        :mod:`repro.fl.fastpath`) count against the same budget and spill
-        first: a plan is cheap-to-rebuild scratch, a feature entry costs a
-        full forward over the shard. Plans are trimmed to whatever budget
-        the features leave; the feature LRU below then behaves exactly as
-        if no plans existed. ``protect`` (the entry just inserted) is
-        never evicted, so one oversized shard cannot thrash itself out of
-        its own round. Returns the number of entries evicted (features
-        only; plan evictions land in ``stats["plan_evictions"]``).
-        """
-        from repro.fl import fastpath
-
-        if self.stats["bytes"] + fastpath.plan_cache_nbytes() > byte_budget:
-            _, count = fastpath.trim_plan_caches(
-                max(0, byte_budget - self.stats["bytes"])
-            )
-            self.stats["plan_evictions"] += count
-        evicted = 0
-        while self.stats["bytes"] > byte_budget:
-            victim = next(
-                (k for k in self._keyed if k != protect), None
-            )
-            if victim is None:
-                break
-            features = self._keyed.pop(victim)
-            if self.store is not None:
-                # rebuildable entry: land the eviction on disk so the next
-                # acquire is a verified read, not a forward over the shard
-                shard_key, fingerprint = victim
-                self.store.spill(
-                    feature_pool_key(shard_key, fingerprint), {"f": features}
-                )
-            self.stats["bytes"] -= features.nbytes
-            self.stats["evictions"] += 1
-            evicted += 1
-        return evicted
-
     def features_for(
         self, client, model: SegmentedModel, chain=None
     ) -> np.ndarray | None:
@@ -371,12 +304,7 @@ class FeatureRuntime:
             if features is None:
 
                 def keyed_base(prefix_fp: str) -> np.ndarray | None:
-                    base_key = (shard_key, prefix_fp)
-                    base = self._keyed.get(base_key)
-                    if base is not None:
-                        # a derivation read is a use: keep the base warm
-                        self._touch(base_key)
-                    return base
+                    return self._keyed.get((shard_key, prefix_fp))
 
                 if self.store is not None:
                     stored, _ = self.store.get_or_build(
@@ -394,10 +322,10 @@ class FeatureRuntime:
                         model, chain, keyed_base,
                         lambda: client.dataset.arrays()[0],
                     )
-                self._insert_keyed(key, features)
+                self._keyed[key] = features
+                self.stats["bytes"] += features.nbytes
             else:
                 self.stats["hits"] += 1
-                self._touch(key)
             return features
         per_client = self._anonymous.setdefault(client, {})
         features = per_client.get(fingerprint)

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.fl.aggregation import weighted_average_flat
-from repro.fl.fastpath import eval_head
+from repro.fl.fastpath import bind_head
 from repro.fl.features import batched_head_logits, compute_features
 from repro.fl.selection import batched_logits
 from repro.fl.slab import SlabLayout, make_slab_state, slab_successor
@@ -237,7 +237,7 @@ class Server:
             self.eval_stats["feature_builds"] += 1
         features = self._test_features[1]
         labels = self.test_set.labels
-        bound = eval_head(self.model, features.shape[1:])
+        bound = bind_head(self.model, features.shape[1:], eval_mode=True)
         if bound is not None and len(labels):
             # Same chunking as batched_head_logits; integer correct/total
             # is bitwise equal to F.accuracy (exact int sums < 2^53, one

@@ -75,9 +75,9 @@ lanes never leak into parameter lanes.
 
 Plans hold no model references: :func:`head_ops` re-extracts (and
 re-validates) the layer chain per call, and every plan method takes the
-bound ``layers``, so one plan serves any workspace model whose head
-matches the plan's signature (the server model and worker replicas
-alike).
+bound ``layers``. :mod:`repro.fl.fastpath` caches each plan weakly on
+the workspace model it runs on (the server model or a worker replica),
+so a plan is freed with its model.
 """
 
 from __future__ import annotations
@@ -226,9 +226,9 @@ class FusedHeadPlan:
     ``(kind, layer index, *buffers)`` tuples — the execution loops touch
     no dicts and make no planning decisions.
 
-    A plan serves one solve at a time: it is cached per client (clients
-    are never concurrently in flight, and in-process solves run one at a
-    time) or per worker process.
+    A plan serves one solve at a time: it is cached per workspace model,
+    and the solves of the clients that train in one model run one at a
+    time.
     """
 
     def __init__(self, signature: tuple, feature_shape: tuple):
@@ -496,10 +496,10 @@ class FusedHeadPlan:
         """Drop the per-layer input references the last forward pinned.
 
         ``forward`` stores the caller's chunk (often a view of the cached
-        ϕ(x) array) in the workspace for backward; a plan outlives rounds,
-        so without this a client's plan would keep an evicted feature
-        array resident — defeating the byte-budget spill policy exactly
-        when memory pressure triggered it.
+        ϕ(x) array) in the workspace for backward. A plan lives as long
+        as its model and serves every client that trains in it, so
+        without this it would keep the last client's features resident —
+        an anonymous client's array would outlive the client.
         """
         for ws in self._row_ws.values():
             inputs = ws["inputs"]
@@ -768,9 +768,7 @@ class FusedHeadPlan:
 
         Counts owning arrays only (``base is None``): the per-parameter
         slot views all alias the six flats and must not double-count.
-        The number feeds the :class:`repro.fl.features.FeatureRuntime`
-        byte-budget accounting so fused-plan workspaces participate in
-        the LRU spill policy like cached feature arrays do.
+        The number feeds :func:`repro.fl.fastpath.plan_cache_nbytes`.
         """
         return _owned_nbytes(
             (
@@ -1338,5 +1336,5 @@ class CohortPlan:
 
     @property
     def nbytes(self) -> int:
-        """Owned workspace bytes, for the byte-budget spill accounting."""
+        """Owned workspace bytes (summed by ``fastpath.plan_cache_nbytes``)."""
         return _owned_nbytes(vars(self).values())

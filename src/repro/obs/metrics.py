@@ -6,9 +6,9 @@ PRs 3–5 each grew their own ad-hoc stats dict (``Server.eval_stats``,
 single place to read them. This module gives every counter a home in one
 hierarchical namespace::
 
-    campaign.pool.*      shm segment publishes / hits / evictions / bytes
+    campaign.pool.*      shm segment publishes / hits / bytes
     server.eval.*        evaluation fast-path counters
-    features.*           frozen-ϕ cache builds / hits / derived / evictions
+    features.*           frozen-ϕ cache builds / hits / derived / bytes
     checkpoint.*         journal appends / rewrites / payload bytes
     comm.*               simulated θ / full-model traffic
     solver.fused.*       fused-kernel plan builds and solve counts

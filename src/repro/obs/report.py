@@ -17,7 +17,7 @@ observability pillars. Attached to an
 - writes labelled registry snapshots to ``telemetry.jsonl``, exports
   ``trace.json`` (Chrome trace-event format) on close, and renders an
   end-of-run TTY summary: time breakdown, cache hit rates, bytes moved,
-  eviction pressure, per-method traffic. With ``live_refresh > 0`` a
+  per-method traffic. With ``live_refresh > 0`` a
   daemon thread re-renders the summary periodically while the run is
   still going.
 
@@ -303,12 +303,10 @@ class TelemetrySession:
         lines.append("-- cache hit rates --")
         lines.append(
             f"  features (hit+derive/build)  {_rate(feat_hits, feat_total)}"
-            f"   evictions {get('features.evictions', 0):.0f}"
         )
         lines.append(
             f"  segment pool                 "
             f"{_rate(get('campaign.pool.hits', 0), pool_total)}"
-            f"   evictions {get('campaign.pool.evictions', 0):.0f}"
         )
         lines.append(
             f"  eval θ-only loads            "

@@ -26,9 +26,10 @@ Robustness is the contract, not a best effort:
   locks (pid + timestamp) serialise builders; waiters re-probe under the
   lock and read the winner's entry instead of rebuilding (single-builder
   semantics). Locks from dead processes are detected and broken.
-- **The byte-budget LRU extends to disk.** Memory evictions spill here
-  (see ``FeatureRuntime.trim`` / ``CampaignSegmentPool.trim``); the disk
-  budget GCs least-recently-used entries, skipping refcount-pinned ones.
+- **In-memory caches read through.** ``FeatureRuntime`` and
+  ``CampaignSegmentPool`` (feature and test-set segments) probe the store
+  on a miss and write fresh builds through; the disk budget GCs
+  least-recently-used entries, skipping refcount-pinned ones.
 
 Chaos hooks: ``ChaosPlan``'s ``disk-tear`` / ``disk-corrupt`` kinds fire
 inside :meth:`ArtifactStore._put_locked`, tearing a write between the
@@ -472,7 +473,9 @@ class ArtifactStore:
             return self._put_locked(key, dict(arrays), "npz")
 
     def spill(self, key: Any, arrays: dict[str, np.ndarray]) -> bool:
-        """A memory eviction landing on disk (counted as ``store.spills``)."""
+        """``put`` counted as ``store.spills``: the write-back of an entry
+        a memory cache drops (no cache in ``repro`` drops entries; the
+        end-to-end benchmark's tracer hooks this name)."""
         if self.put(key, arrays):
             STORE["spills"] += 1
             return True

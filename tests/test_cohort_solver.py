@@ -657,7 +657,7 @@ def test_mixed_tiers_fall_back_bitwise():
 
 
 # ---------------------------------------------------------------------------
-# Telemetry, plan-cache budget, aggregator lane recycling
+# Telemetry, aggregator lane recycling
 # ---------------------------------------------------------------------------
 
 
@@ -670,31 +670,6 @@ def test_telemetry_does_not_perturb_cohorts(tmp_path):
             history = _run_sync(server, clients, backend)
     assert _hist_sig(history) == ref_hist
     assert _theta_bytes(server) == ref_theta
-
-
-def test_plan_cache_reports_and_trims_bytes():
-    """Cohort plans count toward the byte budget and evict on demand."""
-    server, clients = _build()
-    with SerialBackend(feature_runtime=FeatureRuntime()) as backend:
-        _run_sync(server, clients, backend)
-    before = fastpath.plan_cache_nbytes()
-    assert before > 0
-    freed, count = fastpath.trim_plan_caches(0)
-    assert freed > 0 and count > 0
-    assert fastpath.plan_cache_nbytes() == before - freed
-
-
-def test_feature_runtime_trim_spills_plans_first():
-    """A tight byte budget evicts plans before touching feature entries."""
-    server, clients = _build()
-    runtime = FeatureRuntime()
-    with SerialBackend(feature_runtime=runtime) as backend:
-        _run_sync(server, clients, backend)
-    assert fastpath.plan_cache_nbytes() > 0
-    feature_bytes = runtime.stats["bytes"]
-    runtime.trim(feature_bytes)  # budget covers features, not plans
-    assert runtime.stats["plan_evictions"] > 0
-    assert runtime.stats["bytes"] == feature_bytes  # features untouched
 
 
 def test_async_cohort_lanes_recycle_into_flat_pool():
