@@ -21,9 +21,9 @@ round costs one plan execution regardless of cohort size. Pinned here:
    two paths are timed interleaved, rep by rep, so machine-load drift
    hits both equally instead of biasing the ratio.
 
-Per-client dispatch is the backends' ``submit``, one job per client: the
-``_PerClient*`` subclasses below route ``submit_many`` through the base
-loop over ``submit``.
+Per-client dispatch is the backends' ``submit``, one job per client, each
+a one-lane solve on the worker's head plan: the ``_PerClient*`` subclasses
+below route ``submit_many`` through the base loop over ``submit``.
 """
 
 import time

@@ -9,7 +9,9 @@ here:
 1. **Round speedup** — on a head-only CNN config (the paper's
    weakest-device split) with entropy selection, cached rounds must run at
    least 3× faster than the full-forward baseline while staying bitwise
-   identical (history and final weights).
+   identical (history and final weights). Its GAP + Linear classifier
+   head has no head plan, so both sides train and evaluate it on the layer
+   graph: the ratio is the cache's alone.
 2. **Publish-once economy** — a 3-run campaign over the warm process
    backend publishes each shard's feature array and each test-set shard
    into shared memory exactly once; runs 2 and 3 are pure pool hits and

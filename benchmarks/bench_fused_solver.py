@@ -1,23 +1,25 @@
-"""Benchmark: fused head-solver — per-round speedup over the head-only path.
+"""Benchmark: the head solver — per-round speedup over the head-only graph.
 
 PR 4's frozen-feature cache made every client round head-only, so the
 remaining per-round cost is interpreter overhead: layer-graph dispatch,
-per-step temporaries, module-tree walks. The fused runtime
-(``repro.nn.fused`` / ``repro.fl.fastpath``) collapses that into
-preplanned zero-allocation kernel workspaces. Two properties pinned here:
+per-step temporaries, module-tree walks. The head solver
+(``repro.nn.fused.CohortPlan`` / ``repro.fl.fastpath``) collapses that
+into compiled kernel programs over preallocated buffers; a lone client's
+round is a one-lane solve on it. Two properties pinned here:
 
 1. **Round speedup** — at paper-default head shapes (MLP hidden 64, ~8
    classes, batch 32, E = 5, entropy selection at Pds = 10%, momentum 0.5)
    and the paper-typical per-client shard (3000 samples across ~100
-   clients ⇒ ~30 per shard), a fused client round must run at least 2×
-   faster than the same round through the layer graph — while staying
-   bitwise identical (history and final weights).
+   clients ⇒ ~30 per shard), a lone ``SerialBackend(FeatureRuntime())
+   .submit`` — a one-lane solve — must run at least 2× faster than the
+   same submit through the layer graph, while staying bitwise identical
+   (history and final weights).
 2. **Identity under load** — the full federated loop (selection, solve,
    aggregation, evaluation) produces byte-identical results through the
-   fused solver and through the layer graph.
+   head plan and through the layer graph.
 
 The layer-graph reference patches the plan seams of ``repro.fl.fastpath``
-(:func:`_layer_graph`): no client gets a fused plan and no cohort forms.
+(:func:`_layer_graph`): no head plan binds and no cohort forms.
 """
 
 import contextlib
@@ -62,15 +64,10 @@ def _model():
 
 @contextlib.contextmanager
 def _layer_graph():
-    """Head-only rounds through the layer graph: no client gets a fused
-    plan and no cohort forms (evaluation keeps its fused plan)."""
-    bind_head = fastpath.bind_head
-
-    def eval_only(model, feature_shape, eval_mode=False):
-        return bind_head(model, feature_shape, True) if eval_mode else None
-
+    """Head-only rounds and evaluation through the layer graph: no head
+    plan binds and no cohort forms."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fastpath, "bind_head", eval_only)
+        patch.setattr(fastpath, "head_lane", lambda *args, **kw: None)
         patch.setattr(fastpath, "cohort_units", lambda *args, **kw: None)
         yield
 
@@ -103,27 +100,28 @@ def _federation():
 
 
 def _client_round_seconds(reps: int = 11, iters: int = 25) -> tuple[float, float]:
-    """Min-of-reps times of one full client round (θ load, selection
-    scoring, local solve, θ snapshot) over cached features, fused and
-    layer-graph. The two paths are timed *interleaved*, rep by rep, so
-    machine-load drift hits both equally instead of biasing the ratio.
+    """Min-of-reps times of one lone ``submit`` (feature lookup, θ load,
+    selection scoring, local solve, θ snapshot, pricing skipped) on a
+    serial backend with a feature runtime, one-lane and layer-graph. The
+    two paths are timed *interleaved*, rep by rep, so machine-load drift
+    hits both equally instead of biasing the ratio.
     """
     setups = []
     for fused in (True, False):
         server, clients = _federation()
         client = clients[0]
         state = server.broadcast()
-        features = FeatureRuntime().features_for(client, server.model)
+        backend = SerialBackend(feature_runtime=FeatureRuntime())
         with _path(fused):
-            client.run_round(server.model, state, features=features)  # warm-up
-        setups.append((fused, client, server.model, state, features))
+            backend.submit(client, server.model, state, None)  # warm-up
+        setups.append((fused, backend, client, server.model, state))
     best = [float("inf"), float("inf")]
     for _ in range(reps):
-        for which, (fused, client, model, state, features) in enumerate(setups):
+        for which, (fused, backend, client, model, state) in enumerate(setups):
             with _path(fused):
                 start = time.perf_counter()
                 for _ in range(iters):
-                    client.run_round(model, state, features=features)
+                    backend.submit(client, model, state, None).result()
                 elapsed = time.perf_counter() - start
             best[which] = min(best[which], elapsed / iters)
     return best[0], best[1]
@@ -142,8 +140,8 @@ def _federated_run(fused: bool):
 
 
 def test_fused_solver_round_speedup(benchmark):
-    """Fused client rounds ≥2× faster than the PR 4 head-only layer-graph
-    path, bitwise identical end to end."""
+    """Lone one-lane submits ≥2× faster than the same submits through the
+    head-only layer graph, bitwise identical end to end."""
 
     def measure():
         fused_history, fused_server, fused_wall = _federated_run(True)
@@ -172,7 +170,7 @@ def test_fused_solver_round_speedup(benchmark):
     benchmark.extra_info["round_speedup"] = speedup
     benchmark.extra_info["federated_speedup"] = graph_wall / fused_wall
     assert speedup >= 2.0, (
-        f"fused solver gives only {speedup:.2f}x over the head-only layer "
-        f"graph ({graph_round * 1e3:.3f} ms vs {fused_round * 1e3:.3f} ms "
-        f"per client round)"
+        f"the one-lane head solver gives only {speedup:.2f}x over the "
+        f"head-only layer graph ({graph_round * 1e3:.3f} ms vs "
+        f"{fused_round * 1e3:.3f} ms per lone submit)"
     )

@@ -116,11 +116,13 @@ def main() -> int:
           f"{1e3 * off_seconds / ROUNDS:.0f} ms/round")
 
     before = dict(fastpath.COHORT_STATS)
+    plans_before = fastpath.STATS["plans_built"]
     print("cohort dispatch   (one job blob per 64-lane chunk)...")
     history, theta, on_seconds, on_jobs = run(grouped=True)
     print(f"  {on_seconds:.2f}s total, "
           f"{1e3 * on_seconds / ROUNDS:.0f} ms/round")
     stats = {k: v - before.get(k, 0) for k, v in fastpath.COHORT_STATS.items()}
+    plans_built = fastpath.STATS["plans_built"] - plans_before
 
     if history.records != ref_history.records:
         print("\nFAIL: histories diverged", file=sys.stderr)
@@ -139,8 +141,9 @@ def main() -> int:
         return 1
 
     print("\nGrouping counters (solver.cohort.*, cohort run only):")
-    for key in ("cohorts", "cohort_clients", "singletons", "plans_built"):
+    for key in ("cohorts", "cohort_clients", "singletons"):
         print(f"  {key:15s}: {stats[key]}")
+    print(f"  plans built    : {plans_built} (solver.fused.*, one per process)")
     fallbacks = {k: v for k, v in stats.items()
                  if k.startswith("fallback_") and v}
     print(f"  fallbacks      : {fallbacks or 'none'}")

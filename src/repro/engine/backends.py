@@ -189,7 +189,8 @@ def _wave_units(clients, template, global_state, shapes) -> list:
     a wave of one. The cohorts :func:`~repro.fl.fastpath.cohort_units`
     forms come first, in chunks of at most :data:`_COHORT_JOB_LANES`
     lanes (``layout`` is their θ lane layout); every other participant
-    follows as a one-member unit (``layout`` None) in client order.
+    follows as a one-member unit (``layout`` None) in client order: a
+    one-lane solve when its head has a plan.
     ``shapes`` holds each client's cached-feature trailing shape, or is
     None when the backend has no feature runtime and nothing groups.
     """
@@ -651,10 +652,11 @@ def _shm_round(job_blob: bytes) -> tuple:
     state; the template, weights, shards and features are read from the
     attached segments, and each member is rebuilt once per worker
     (:func:`_worker_client`). A cohort job (``job["cohort"]``) solves its
-    members together through the template replica's
-    :class:`~repro.nn.fused.CohortPlan` for their kernel key; otherwise,
-    or when the plan declines late, each member runs ``Client.run_round``
-    with ``job["timing"]`` (set only for a client that bills itself).
+    members together as lanes of the template replica's head plan
+    (:class:`~repro.nn.fused.CohortPlan`); otherwise, or when the plan
+    declines late, each member runs ``Client.run_round`` — itself a
+    one-lane solve on that plan when the head allows — with
+    ``job["timing"]`` (set only for a client that bills itself).
     Returns ``(solved, updates, rng_states, metric_shard)``: either
     ``solved`` is :func:`~repro.fl.fastpath.solve_cohort`'s tuple, whose
     (members × params) θ stack the parent consumes directly as flat slab
@@ -681,12 +683,7 @@ def _shm_solve(job: dict, baseline: dict) -> tuple:
         features.append(feats)
     solved = updates = None
     if job["cohort"]:
-        shape = tuple(features[0].shape[1:])
-        layout = fastpath.aligned_cohort_layout(model, shape)
-        if layout is not None:
-            solved = fastpath.solve_cohort(
-                clients, model, global_state, features, layout
-            )
+        solved = fastpath.solve_cohort(clients, model, global_state, features)
     if solved is None:
         updates = [
             client.run_round(
@@ -705,11 +702,11 @@ def _shm_solve(job: dict, baseline: dict) -> tuple:
 def _shm_eval_shard(job_blob: bytes) -> tuple[int, int, dict | None]:
     """Worker entry point: score one aligned test-set shard with current θ.
 
-    Loads only the θ keys into the cached template replica (its ϕ is the
-    template's — the frozen backbone never changes within a run), runs the
-    head over the shard's cached features (or the full model over raw
-    inputs when no frozen prefix exists) in batches that match the serial
-    evaluation's chunk boundaries, and returns the exact integer correct
+    Loads only θ — into the template replica's head plan, or into the
+    replica (its ϕ is the template's: the frozen backbone never changes
+    within a run) when the head runs on the graph — runs the head over
+    the shard's cached features (or the full model over raw inputs when
+    no frozen prefix exists), and returns the exact integer correct
     count — the parent-side reduction ``Σcorrect / Σn`` is then bitwise
     equal to ``np.mean`` over the whole logits matrix.
     """
@@ -722,29 +719,28 @@ def _shm_eval_solve(job: dict, baseline: dict) -> tuple[int, int, dict | None]:
     model = _worker_model(job["template_name"], job["template_nbytes"])
     state_seg = _worker_segment(job["state_name"])
     state = _view_arrays(state_seg.buf, job["state_layout"])
-    model.load_state_dict(
-        {key: state[key] for key in job["theta_keys"]}, strict=False
-    )
     eval_seg = _worker_segment(job["eval_name"])
     arrays = _view_arrays(eval_seg.buf, job["eval_layout"])
     labels = arrays["y"]
     inputs = arrays["f"] if "f" in arrays else arrays["x"]
     batch = int(job["batch_size"])
     if "f" in arrays:
-        # Fused evaluation: head-only shards run through the replica's
-        # cached plan for the head, so the per-job Python is dispatch
-        # plus the argmax reduction. Bitwise identical to the module loop
-        # below — the fused forward is the same kernel sequence
+        # Head-only shards count through the replica's head plan: θ goes
+        # into the plan and its broadcast-θ forward reads the shard in
+        # place, bitwise identical to the module loop below
         # (repro.nn.fused).
-        bound = fastpath.bind_head(model, inputs.shape[1:], eval_mode=True)
-        if bound is not None:
+        lane = fastpath.head_lane(model, inputs.shape[1:])
+        if lane is not None and lane.load(state):
             fastpath.STATS["fused_eval_shards"] += 1
             return (
-                bound.correct_count(inputs, labels, batch),
+                lane.plan.correct_count(inputs, labels, batch),
                 int(len(labels)),
                 obs_metrics.shard_delta(baseline),
             )
     fastpath.STATS["graph_eval_shards"] += 1
+    model.load_state_dict(
+        {key: state[key] for key in job["theta_keys"]}, strict=False
+    )
     forward = model.forward_head if "f" in arrays else model
     was_training = model.training
     model.eval()

@@ -172,8 +172,9 @@ class ExperimentHarness:
     Frozen-feature cache: one :class:`~repro.fl.features.FeatureRuntime`
     per campaign materialises each distinct shard's ϕ(x) once per ϕ
     fingerprint, so every client round and selector pass runs head-only,
-    through the fused head solver and, where participants share a shape,
-    block-stacked cohort solves — bitwise identical to the full forward
+    on the head solver — a solo round as a one-lane solve, participants
+    that share a shape as one block-stacked cohort — bitwise identical to
+    the full forward
     through the layer graph (see :mod:`repro.fl.features` and
     :mod:`repro.fl.fastpath`). With the process backend the
     features live in pool segments (published once per campaign) and

@@ -28,7 +28,6 @@ from repro.fl.features import (
     compute_features,
     derive_features,
 )
-from repro.fl.fastpath import BoundHead, bind_head
 from repro.fl.strategies import LocalSolver, LocalUpdate
 from repro.fl.client import Client
 from repro.fl.server import Server

@@ -4,6 +4,11 @@ Clients are lightweight descriptors (shard + rng + config); the actual
 network weights live in a shared *workspace model* owned by the server and
 loaded with the broadcast global state before each client runs. This mirrors
 the paper's sequential simulation while avoiding one model copy per client.
+
+A head-only round (cached features) whose head has a plan loads θ into the
+model's :class:`~repro.nn.fused.CohortPlan` instead and runs there as a
+one-lane solve, leaving the workspace model untouched; every other round
+runs the layer graph in the workspace model.
 """
 
 from __future__ import annotations
@@ -38,15 +43,14 @@ class Client:
     engine refuses such clients: their round price depends on the split
     the previous client left, so it cannot be fixed at dispatch.
 
-    Head-only rounds (cached features present) run through the fused
-    kernel runtime (:mod:`repro.fl.fastpath`) whenever the trainable head
-    is fusible: selection scoring and the local solve use one
-    preallocated :class:`~repro.nn.fused.FusedHeadPlan` instead of the
-    layer graph — bitwise identical, with per-round fallback to the graph
-    when the head is not fusible. Backends may also stack this client's
-    round with same-shaped peers into one block-stacked
-    :class:`~repro.nn.fused.CohortPlan` solve (see
-    ``repro.fl.fastpath.cohort_units``) — bitwise identical to this
+    Head-only rounds (cached features present) run on the workspace
+    model's head plan (:func:`repro.fl.fastpath.head_lane`) whenever it
+    can run the head: selection scores with the plan's broadcast-θ
+    forward and the local solve trains as a one-lane
+    :class:`~repro.nn.fused.CohortPlan` solve — bitwise identical to the
+    layer graph, which runs every other head. Backends may also stack
+    this client's round with same-shaped peers into one multi-lane solve
+    (see ``repro.fl.fastpath.cohort_units``) — bitwise identical to this
     client running alone; singletons and clients that override
     :meth:`run_round` run alone.
     """
@@ -131,18 +135,19 @@ class Client:
         the billed ``train_seconds`` still price the full backbone — the
         cache accelerates the simulator, not the simulated device.
         """
-        # Fused head-solver plan for head-only rounds: one preallocated
-        # workspace per (head signature, feature shape), cached on the
-        # workspace model and shared by every client that trains in it.
-        # None → layer-graph path.
-        fast = None
+        # Head-only rounds run on the model's head plan as a one-lane
+        # solve: θ goes into the plan, and the model (weights and mode
+        # flags) is never touched. None → the layer graph, with θ loaded
+        # into the model.
+        lane = None
         if features is not None:
             from repro.fl import fastpath
 
-            fast = fastpath.bind_head(model, features.shape[1:])
-            if fast is not None and fast.load_theta(model, global_state):
+            lane = fastpath.head_lane(model, features.shape[1:])
+            if lane is not None and lane.load(global_state):
                 fastpath.STATS["theta_fast_loads"] += 1
             else:
+                lane = None
                 model.load_state_dict(
                     {k: global_state[k] for k in theta_keys(model)},
                     strict=False,
@@ -152,14 +157,10 @@ class Client:
         # Selection scores with the *received* global model, eval mode.
         indices = self.selector.select(
             model, self.dataset, self.selection_fraction, self.rng,
-            features=features, fastpath=fast,
+            features=features, fastpath=lane,
         )
         selected = self.dataset.subset(indices)
-        if fast is None:
-            # Fusible chains contain no mode-dependent layers (that is the
-            # fusibility condition), so the partial-train-mode walk is pure
-            # overhead on the fused path; the closing eval() below leaves
-            # the model in the same state either way.
+        if lane is None:
             model.set_partial_train_mode()
         reference = (
             {k: global_state[k] for k, p in model.named_parameters() if p.requires_grad}
@@ -169,12 +170,12 @@ class Client:
         mean_loss = self.solver.run(
             model, selected, self.epochs, self.rng, global_reference=reference,
             features=features[indices] if features is not None else None,
-            fastpath=fast,
+            fastpath=lane,
         )
-        model.eval()
-        theta = fast.theta_snapshot(model) if fast is not None else None
+        if lane is None:
+            model.eval()
         update = LocalUpdate(
-            theta=theta if theta is not None else theta_state(model),
+            theta=lane.theta() if lane is not None else theta_state(model),
             num_selected=len(selected),
             num_local=len(self.dataset),
             mean_loss=mean_loss,

@@ -9,6 +9,12 @@ update:
 - :class:`RandomSelector` — the RDS baselines: a fresh uniform subset each
   round (paper §IV-A3).
 - :class:`FullSelector` — no selection (Pds = 100%).
+
+With cached features and a head the model's plan runs
+(:func:`repro.fl.fastpath.head_lane`), entropy scoring is the plan's
+broadcast-θ forward over the whole shard in whole 32-row tiles, bitwise
+the graph's whatever the selector's chunk size; cohort solves score their
+lanes the same way (:func:`repro.fl.fastpath.solve_cohort`).
 """
 
 from __future__ import annotations
@@ -49,11 +55,11 @@ class DataSelector:
     the frozen backbone, bitwise-identically. Selectors that never look at
     the model ignore it.
 
-    ``fastpath`` (a :class:`~repro.fl.fastpath.BoundHead`, only ever given
-    together with ``features``) additionally routes the scoring forward
-    through the fused head plan — chunk logits and entropies land in
-    plan-owned buffers instead of fresh per-chunk arrays, bitwise
-    identically (see :mod:`repro.nn.fused`).
+    ``fastpath`` (a :class:`~repro.fl.fastpath.HeadLane` holding the
+    broadcast θ, only ever given together with ``features``) additionally
+    routes the scoring forward through the model's head plan — whole
+    32-row tiles into plan-owned buffers instead of per-chunk graph
+    forwards, bitwise identically (see :mod:`repro.nn.fused`).
     """
 
     #: display name used in reports
@@ -114,6 +120,8 @@ class EntropySelector(DataSelector):
     def __init__(self, temperature: float = 0.1, batch_size: int = 256):
         if temperature <= 0:
             raise ValueError(f"temperature must be positive, got {temperature}")
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {batch_size}")
         self.temperature = temperature
         self.batch_size = batch_size
 
@@ -126,13 +134,11 @@ class EntropySelector(DataSelector):
     ) -> np.ndarray:
         """Per-sample entropy under the hardened softmax (higher = selected)."""
         if features is not None and fastpath is not None:
-            # Fused plan: chunk logits and entropies go into plan-owned
-            # buffers (same chunking, same reduction order — bitwise
-            # identical; see repro.nn.fused). The returned buffer is only
-            # read below, never retained.
-            return fastpath.entropy_scores(
-                features, self.temperature, self.batch_size
-            )
+            # The head plan's broadcast-θ forward over the whole shard:
+            # every row's logits, and so its entropy, bitwise the graph's
+            # whatever the chunking (repro.nn.fused). The returned buffer
+            # is plan-owned and only read below, never retained.
+            return fastpath.plan.entropy_scores(features, self.temperature)
         if features is not None:
             # Cached ϕ(x): only the head runs. Same chunking as the raw
             # path, so the logits — and the selected set — are bitwise

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.fl.aggregation import weighted_average_flat
-from repro.fl.fastpath import bind_head
+from repro.fl import fastpath
 from repro.fl.features import batched_head_logits, compute_features
 from repro.fl.selection import batched_logits
 from repro.fl.slab import SlabLayout, make_slab_state, slab_successor
@@ -37,8 +37,10 @@ class Server:
     - only θ changed after round 0, so once ϕ is resident in the model,
       each evaluation loads just the θ keys instead of the full state;
     - the frozen ϕ(test set) is materialised once per ϕ fingerprint and
-      every evaluation runs only the head over it, through the fused
-      plan when the head is fusible.
+      every evaluation runs only the head over it: through the head
+      plan's broadcast-θ forward when :func:`~repro.fl.fastpath.head_lane`
+      admits the head (θ then loads into the plan, not the model), else
+      through the layer graph.
 
     A model without a frozen prefix (everything trainable) is evaluated
     with a full load and a full forward.
@@ -212,15 +214,8 @@ class Server:
             x, y = self.test_set.arrays()
             logits = batched_logits(self.model, x, batch_size)
             return F.accuracy(logits, y)
-        if fingerprint == self._resident_fingerprint:
-            # The resident ϕ still hashes to what the last full load left
-            # behind, so only θ can differ from the global state.
-            self.model.load_state_dict(
-                {k: self.global_state[k] for k in theta_keys(self.model)},
-                strict=False,
-            )
-            self.eval_stats["theta_loads"] += 1
-        else:
+        theta_in_model = fingerprint != self._resident_fingerprint
+        if theta_in_model:
             # First evaluation, or something trained ϕ in the workspace
             # (tiered clients, foreign loads): restore the global model
             # wholesale and re-fingerprint the clean backbone.
@@ -228,6 +223,11 @@ class Server:
             fingerprint = self.model.phi_fingerprint()
             self._resident_fingerprint = fingerprint
             self.eval_stats["full_loads"] += 1
+        else:
+            # The resident ϕ still hashes to what the last full load left
+            # behind, so only θ can differ from the global state: it is
+            # loaded below, into the head plan or the model.
+            self.eval_stats["theta_loads"] += 1
         if self._test_features is None or self._test_features[0] != fingerprint:
             x, _ = self.test_set.arrays()
             self._test_features = (
@@ -237,14 +237,20 @@ class Server:
             self.eval_stats["feature_builds"] += 1
         features = self._test_features[1]
         labels = self.test_set.labels
-        bound = bind_head(self.model, features.shape[1:], eval_mode=True)
-        if bound is not None and len(labels):
-            # Same chunking as batched_head_logits; integer correct/total
-            # is bitwise equal to F.accuracy (exact int sums < 2^53, one
-            # IEEE division either way).
+        lane = fastpath.head_lane(self.model, features.shape[1:])
+        if lane is not None and len(labels) and lane.load(self.global_state):
+            # The plan's broadcast-θ forward over the cached test features,
+            # read in place; integer correct/total is bitwise equal to
+            # F.accuracy (exact int sums < 2^53, one IEEE division either
+            # way).
             self.eval_stats["fused_evals"] += 1
-            correct = bound.correct_count(features, labels, batch_size)
+            correct = lane.plan.correct_count(features, labels, batch_size)
             return correct / len(labels)
+        if not theta_in_model:
+            self.model.load_state_dict(
+                {k: self.global_state[k] for k in theta_keys(self.model)},
+                strict=False,
+            )
         self.eval_stats["graph_evals"] += 1
         logits = batched_head_logits(self.model, features, batch_size)
         return F.accuracy(logits, labels)

@@ -1,7 +1,7 @@
 """Flat-slab server θ: every model version as one contiguous float64 array.
 
-:class:`FusedHeadPlan` (PR 5) proved θ can live as views into flat storage
-on the client; this module makes it the server's one representation of θ.
+:class:`~repro.nn.fused.CohortPlan` keeps θ as flat rows on the client
+side; this module makes a flat slab the server's one representation of θ.
 A :class:`SlabLayout` packs the communicated θ keys — in ``theta_keys``
 order, 64-byte aligned via the same :func:`repro.nn.fused.aligned_slot_layout`
 the plans use — and a :class:`SlabState` is a plain ``dict`` state whose θ
@@ -37,8 +37,8 @@ class SlabLayout:
 
     Keys keep their *given* order (``theta_keys`` order — NOT sorted):
     ``named_parameters`` yields weight-then-bias per layer in chain order,
-    which is exactly the slot order :class:`~repro.nn.fused.FusedHeadPlan`
-    packs, so a slab and a plan's ``_data_flat`` are offset-identical and
+    which is exactly the slot order :class:`~repro.nn.fused.CohortPlan`
+    packs, so a slab and a plan's θ row are offset-identical and
     broadcasts are a single memcpy.
     """
 

@@ -4,6 +4,11 @@ A :class:`LocalSolver` runs ``E`` epochs of mini-batch SGD on a client's
 selected data. With ``prox_mu > 0`` it adds FedProx's proximal gradient
 ``μ (w − w_global)`` on every trainable parameter, pulling local updates
 back toward the global model (Li et al., 2020).
+
+The layer graph below is the reference solver. Head-only solves whose
+head the model's plan runs train instead as a one-lane
+:class:`~repro.nn.fused.CohortPlan` solve (see :meth:`LocalSolver.run`),
+bitwise identical; either way a solve counts once on ``solver.fused.*``.
 """
 
 from __future__ import annotations
@@ -89,34 +94,33 @@ class LocalSolver:
         identical minibatch bytes, so the θ trajectory is bitwise identical
         to the full-forward path (see :mod:`repro.fl.features`).
 
-        ``fastpath`` (a :class:`~repro.fl.fastpath.BoundHead`) runs the
-        head-only solve through the fused kernel plan instead of the layer
-        graph — preplanned epoch permutations, zero-allocation
-        forward/backward/SGD — bitwise identical by the contract of
-        :mod:`repro.nn.fused`. It falls back to the graph below whenever
-        the plan does not cover exactly this solve (e.g. a FedProx
-        reference key is missing).
+        ``fastpath`` (a :class:`~repro.fl.fastpath.HeadLane` that
+        ``Client.run_round`` loaded with the broadcast θ) runs the
+        head-only solve as a one-lane cohort on the model's head plan
+        instead of the layer graph — planned epoch permutations, compiled
+        zero-allocation steps — bitwise identical by the contract of
+        :mod:`repro.nn.fused`. The lane trains from the θ it holds, which
+        is also its FedProx reference, and leaves ``model`` untouched; a
+        ``global_reference`` without some θ key raises the graph path's
+        ``KeyError``.
         """
         if epochs <= 0:
             raise ValueError("epochs must be positive")
         if self.prox_mu > 0 and global_reference is None:
             raise ValueError("FedProx (prox_mu > 0) needs the global reference")
-        if features is not None and fastpath is not None:
-            if len(features) != len(dataset):
-                raise ValueError(
-                    f"features ({len(features)}) and dataset ({len(dataset)}) "
-                    f"disagree"
-                )
-            # A fusible plan implies a non-empty trainable set (head_ops
-            # rejects headless chains), so the fused solve skips the
-            # trainable-list walk entirely; None → graph fallback below.
-            mean = fastpath.try_solve(
-                model, features, dataset.labels, epochs, rng, self,
-                global_reference,
+        if features is not None and len(features) != len(dataset):
+            raise ValueError(
+                f"features ({len(features)}) and dataset ({len(dataset)}) "
+                f"disagree"
             )
-            if mean is not None:
-                _FUSED_STATS["fused_solves"] += 1
-                return mean
+        if features is not None and fastpath is not None:
+            if self.prox_mu > 0:
+                missing = [k for k in fastpath.layout.keys if k not in global_reference]
+                if missing:
+                    raise KeyError(missing[0])
+            mean = fastpath.solve(features, dataset.labels, epochs, rng, self)
+            _FUSED_STATS["fused_solves"] += 1
+            return mean
         _FUSED_STATS["graph_solves"] += 1
         trainable = [
             (name, p) for name, p in model.named_parameters() if p.requires_grad
@@ -131,11 +135,6 @@ class LocalSolver:
         )
         loss_fn = CrossEntropyLoss()
         if features is not None:
-            if len(features) != len(dataset):
-                raise ValueError(
-                    f"features ({len(features)}) and dataset ({len(dataset)}) "
-                    f"disagree"
-                )
             data = ArrayDataset(features, dataset.arrays()[1])
             forward = model.forward_head
         else:

@@ -31,9 +31,9 @@ from repro.nn.residual import BasicBlock
 from repro.nn.mlp import MLP
 from repro.nn.cnn import SmallConvNet
 from repro.nn.wrn import WideResNet
-from repro.nn.losses import CrossEntropyLoss, FusedCrossEntropy
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.optim import SGD, ConstantLR, CosineLR, StepLR
-from repro.nn.fused import FusedHeadPlan, head_ops
+from repro.nn.fused import head_ops
 
 __all__ = [
     "Module",
@@ -56,8 +56,6 @@ __all__ = [
     "SmallConvNet",
     "WideResNet",
     "CrossEntropyLoss",
-    "FusedCrossEntropy",
-    "FusedHeadPlan",
     "head_ops",
     "SGD",
     "ConstantLR",

@@ -43,13 +43,13 @@ def row_canonical_matmul_into(
     """:func:`row_canonical_matmul` into a caller-owned destination.
 
     Identical tiling (and therefore identical bits) to the allocating
-    version; the fused head solver (:mod:`repro.nn.fused`) passes
-    preallocated ``pad_in``/``pad_out`` ``(_TILE, k)``/``(_TILE, m)``
-    scratch tiles so the remainder path allocates nothing either.
+    version; preallocated ``pad_in``/``pad_out`` ``(_TILE, k)``/``(_TILE,
+    m)`` scratch tiles make the remainder path allocate nothing either.
     ``pad_in`` rows at and beyond the remainder must be zero on entry;
     the kernel only ever writes the first ``remainder`` rows, so a
     zero-initialised scratch tile stays valid across calls whose
-    remainder is fixed (one workspace per batch row count).
+    remainder is fixed. The head solver (:mod:`repro.nn.fused`) runs the
+    same tiling on its own stacks.
     """
     n = x.shape[0]
     full = (n // _TILE) * _TILE

@@ -44,60 +44,3 @@ class CrossEntropyLoss:
 
     def __call__(self, logits: np.ndarray, labels: np.ndarray) -> float:
         return self.forward(logits, labels)
-
-
-class FusedCrossEntropy:
-    """Cross-entropy forward/backward over preallocated ``(n, c)`` workspaces.
-
-    Replays :class:`CrossEntropyLoss` (no label smoothing) as the exact
-    same elementwise/reduction sequence — one-hot scatter, ``z = logits/T``
-    (T=1), row max-shift, ``exp``/row-sum/``log``, mean-reduced loss,
-    ``(probs − target)/n`` gradient — with every temporary written into a
-    buffer owned by this object, so a training step allocates nothing.
-    Bitwise identity with the layer-graph loss is what lets the fused head
-    solver (:mod:`repro.nn.fused`) substitute for the module path; the
-    equivalence tests pin it per batch shape, including singleton rows.
-
-    One instance supports one outstanding forward/backward pair for one
-    fixed batch shape, mirroring the module-cache convention.
-    """
-
-    def __init__(self, n: int, num_classes: int):
-        if n <= 0 or num_classes <= 0:
-            raise ValueError("batch and class counts must be positive")
-        self.n = n
-        self.num_classes = num_classes
-        self._rows = np.arange(n)
-        self._target = np.empty((n, num_classes))
-        self._probs = np.empty((n, num_classes))
-        self._tmp = np.empty((n, num_classes))
-        self._m = np.empty((n, 1))
-        self._s = np.empty((n, 1))
-
-    def forward(self, logits: np.ndarray, labels: np.ndarray) -> float:
-        """Scalar loss; ``labels`` must be pre-validated against the range.
-
-        The log-softmax shift runs *in place* on ``logits`` (the caller's
-        buffer holds logp afterwards — fused plans recompute it next
-        step). ``z = logits / 1`` in the module path is an exact identity,
-        so skipping the copy changes no bits.
-        """
-        target, z = self._target, logits
-        target[...] = 0.0
-        target[self._rows, labels] = 1.0
-        z.max(axis=-1, keepdims=True, out=self._m)
-        np.subtract(z, self._m, out=z)
-        np.exp(z, out=self._probs)
-        self._probs.sum(axis=-1, keepdims=True, out=self._s)
-        np.log(self._s, out=self._s)
-        np.subtract(z, self._s, out=z)  # z is now logp
-        np.exp(z, out=self._probs)
-        np.multiply(target, z, out=self._tmp)
-        return float(-self._tmp.sum() / self.n)
-
-    def backward(self) -> np.ndarray:
-        """Gradient w.r.t. the logits, in a plan-owned buffer."""
-        grad = self._tmp
-        np.subtract(self._probs, self._target, out=grad)
-        np.divide(grad, self.n, out=grad)
-        return grad

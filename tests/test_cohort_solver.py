@@ -437,6 +437,29 @@ def test_ragged_entropy_scores_ignore_selection_chunking(batch_size):
     assert got == reference
 
 
+def test_entropy_chunk_size_does_not_split_cohorts():
+    """``EntropySelector.batch_size`` only chunks the graph's scoring, and
+    a cohort scores whole tiles, so EDS clients that differ in it alone
+    share one cohort: one per round, bitwise equal to the full-forward
+    graph (no FeatureRuntime)."""
+    def build():
+        chunks = iter([16, 256, 16, 256])
+        return _build(num=4, selector=lambda: EntropySelector(batch_size=next(chunks)))
+
+    server, clients = build()
+    graph_hist = _hist_sig(_run_sync(server, clients))
+    graph = (_theta_bytes(server), _rng_states(clients))
+    before = dict(fastpath.COHORT_STATS)
+    server, clients = build()
+    with SerialBackend(feature_runtime=FeatureRuntime()) as backend:
+        history = _run_sync(server, clients, backend)
+    stats = {k: v - before[k] for k, v in fastpath.COHORT_STATS.items()}
+    assert stats["cohorts"] == 3 and stats["cohort_clients"] == 12
+    assert stats["singletons"] == 0
+    assert _hist_sig(history) == graph_hist
+    assert (_theta_bytes(server), _rng_states(clients)) == graph
+
+
 def test_full_selector_still_splits_by_shard_size():
     """Without selection k = n, so the full selector's cohorts still group
     by shard size: sizes 30, 34 and 31 give two cohorts and one solo
@@ -479,6 +502,7 @@ def test_one_worker_plan_serves_every_cohort_shape():
         ], _rng_states(clients)
 
     before = dict(fastpath.COHORT_STATS)
+    built = fastpath.STATS["plans_built"]
     with make_backend(
         "process", max_workers=1, feature_runtime=FeatureRuntime()
     ) as backend:
@@ -486,7 +510,10 @@ def test_one_worker_plan_serves_every_cohort_shape():
                for w, sizes in enumerate(waves)]
         assert backend.stats["cohort_jobs"] == len(waves)
     stats = {k: v - before[k] for k, v in fastpath.COHORT_STATS.items()}
-    assert stats["plans_built"] == 1 and stats["cohort_solves"] == len(waves)
+    assert stats["cohort_solves"] == len(waves)
+    # the worker's plan, plus the dispatching process's, which lays the
+    # lanes out
+    assert fastpath.STATS["plans_built"] - built == 2
     with _PerClientSerial(feature_runtime=FeatureRuntime()) as backend:
         reference = [wave_updates(backend, sizes, 10 * w)
                      for w, sizes in enumerate(waves)]

@@ -94,6 +94,14 @@ def test_entropy_selector_validation():
         EntropySelector(temperature=0.0)
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_entropy_selector_refuses_batch_size_below_one(batch_size):
+    """A chunk size below one can score nothing: refused up front, not
+    first by ``range()`` in whichever scoring path the round takes."""
+    with pytest.raises(ValueError, match="batch_size"):
+        EntropySelector(batch_size=batch_size)
+
+
 def test_entropy_selection_deterministic():
     model, ds = make_setup()
     sel = EntropySelector()

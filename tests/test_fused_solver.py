@@ -1,12 +1,12 @@
-"""Fused head-solver runtime: bitwise equivalence, fallbacks, lifecycle.
+"""Head-solver runtime: bitwise equivalence, fallbacks, lifecycle.
 
-The fused runtime (``repro.nn.fused`` + ``repro.fl.fastpath``) promises
-that head-only rounds executed through preplanned zero-allocation kernels
-reproduce the layer-graph path *exactly* — same losses, same θ trajectory,
-same RNG stream, same EventLog — with automatic fallback whenever a head
-is not fusible. These tests are that promise's enforcement, plus
-prefix-chain feature keying, the plan cache's lifetime and pooled
-evaluation for the synchronous serial path.
+The head solver (``repro.nn.fused.CohortPlan`` + ``repro.fl.fastpath``)
+promises that head-only rounds — a solo round as a one-lane solve —
+reproduce the layer-graph path *exactly*: same losses, same θ trajectory,
+same RNG stream, same EventLog, with the graph running every head the
+plan cannot. These tests are that promise's enforcement, plus
+prefix-chain feature keying, the plan cache's lifetime and memory, and
+pooled evaluation for the synchronous serial path.
 
 The layer-graph reference is reached by patching the module's plan seams
 (:func:`_layer_graph`); patches do not reach process workers started with
@@ -16,6 +16,7 @@ reference.
 
 import contextlib
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -23,18 +24,18 @@ import pytest
 from repro.core.fedft_eds import FedFTEDSConfig, run_fedft_eds
 from repro.core.partial import prepare_partial_model
 from repro.data.dataset import ArrayDataset
-from repro.engine.backends import ProcessPoolBackend
+from repro.engine.backends import ProcessPoolBackend, SerialBackend
 from repro.engine.campaign import CampaignSegmentPool
 from repro.fl import fastpath
 from repro.fl.client import Client
 from repro.fl.features import FeatureRuntime, compute_features, derive_features
-from repro.fl.selection import EntropySelector
+from repro.fl.selection import EntropySelector, RandomSelector, selected_count
+from repro.fl.server import Server
 from repro.fl.strategies import LocalSolver
 from repro.nn.cnn import SmallConvNet
 from repro.nn.dropout import Dropout
-from repro.nn.fused import head_ops
+from repro.nn.fused import CohortPlan, head_ops
 from repro.nn.linear import row_canonical_matmul, row_canonical_matmul_into
-from repro.nn.losses import CrossEntropyLoss, FusedCrossEntropy
 from repro.nn.mlp import MLP
 from repro.nn.module import Sequential
 from repro.testbed import ENGINE_SMOKE
@@ -50,16 +51,11 @@ def _states_bitwise_equal(a, b):
 
 @contextlib.contextmanager
 def _layer_graph():
-    """The in-process layer-graph reference: no client round gets a fused
-    plan and no cohort forms, so head-only rounds run through the graph
-    (evaluation keeps its fused plan)."""
-    bind_head = fastpath.bind_head
-
-    def eval_only(model, feature_shape, eval_mode=False):
-        return bind_head(model, feature_shape, True) if eval_mode else None
-
+    """The in-process layer-graph reference: no head plan binds and no
+    cohort forms, so head-only rounds and evaluation run through the
+    graph."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fastpath, "bind_head", eval_only)
+        patch.setattr(fastpath, "head_lane", lambda *args, **kw: None)
         patch.setattr(fastpath, "cohort_units", lambda *args, **kw: None)
         yield
 
@@ -85,20 +81,6 @@ def test_row_canonical_matmul_into_matches_allocating():
         assert out2.tobytes() == expected.tobytes()
 
 
-def test_fused_cross_entropy_matches_module_loss():
-    for n, c in ((1, 4), (5, 3), (32, 8)):
-        logits = RNG(n).normal(size=(n, c)) * 7
-        labels = RNG(n + 1).integers(0, c, size=n)
-        module = CrossEntropyLoss()
-        expected_loss = module.forward(logits, labels)
-        expected_grad = module.backward()
-        fused = FusedCrossEntropy(n, c)
-        got_loss = fused.forward(logits.copy(), labels)  # mutates its input
-        got_grad = fused.backward()
-        assert got_loss == expected_loss
-        assert got_grad.tobytes() == expected_grad.tobytes()
-
-
 # ---------------------------------------------------------------------------
 # Fusibility extraction
 # ---------------------------------------------------------------------------
@@ -116,9 +98,8 @@ def test_head_ops_fusible_and_unfusible():
     assert len(layers) == 3
 
     cnn = SmallConvNet(4, RNG(0), channels=(4, 4, 4))
-    prepare_partial_model(cnn, "classifier")
-    layers, sig = head_ops(cnn)
-    assert [op[0] for op in sig] == ["gap", "linear"]
+    prepare_partial_model(cnn, "classifier")  # GAP over 4-D ϕ(x)
+    assert head_ops(cnn) == (None, None)
 
     prepare_partial_model(cnn, "moderate")  # BatchNorm lands in θ
     assert head_ops(cnn) == (None, None)
@@ -145,18 +126,22 @@ def test_head_ops_dropout_gate():
 
 
 def test_signature_tracks_trainable_flags():
+    """A partly frozen Linear takes the head off the plan: a plan updates
+    every parameter of its chain, so it would not apply the graph's
+    update."""
     model = _mlp("moderate")
     _, before = head_ops(model)
+    assert before is not None
     model.head.layers[0].bias.requires_grad = False
-    _, after = head_ops(model)
-    assert before != after
+    assert head_ops(model) == (None, None)
 
 
 def test_plan_rejects_mismatched_feature_shapes():
     _, sig = head_ops(_mlp("moderate"))
-    assert fastpath.make_plan(sig, (16,)) is not None
-    assert fastpath.make_plan(sig, (7,)) is None
-    assert fastpath.make_plan(sig, (4, 2, 2)) is None
+    assert CohortPlan(sig, (16,)).num_classes == 5
+    for shape in ((7,), (4, 2, 2)):
+        with pytest.raises(ValueError):
+            CohortPlan(sig, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +152,8 @@ def test_plan_rejects_mismatched_feature_shapes():
 def _one_client_round(fused, *, momentum=0.5, wd=0.0, prox=0.0, epochs=3,
                       frac=0.3, n=90, level="moderate", model_kind="mlp",
                       rounds=2):
+    """``rounds`` solo rounds of one client: updates, RNG state and how
+    many solves ran on the plan."""
     rng = RNG(0)
     x = rng.normal(size=(n, 3, 4, 4))
     y = rng.integers(0, 5, size=n)
@@ -184,12 +171,14 @@ def _one_client_round(fused, *, momentum=0.5, wd=0.0, prox=0.0, epochs=3,
     state = model.state_dict()
     features = FeatureRuntime().features_for(client, model)
     assert features is not None
+    before = fastpath.STATS["fused_solves"]
     with contextlib.nullcontext() if fused else _layer_graph():
         updates = [
             client.run_round(model, state, features=features)
             for _ in range(rounds)
         ]
-    return updates, client.rng.bit_generator.state
+    plan_solves = fastpath.STATS["fused_solves"] - before
+    return updates, client.rng.bit_generator.state, plan_solves
 
 
 @pytest.mark.parametrize(
@@ -208,10 +197,13 @@ def _one_client_round(fused, *, momentum=0.5, wd=0.0, prox=0.0, epochs=3,
     ],
 )
 def test_fused_round_bitwise_matches_graph(kwargs):
-    """Mean loss, θ bytes and the advanced RNG state agree round for round
-    — multi-epoch permutation draws included."""
-    fused_updates, fused_rng = _one_client_round(True, **kwargs)
-    graph_updates, graph_rng = _one_client_round(False, **kwargs)
+    """Mean loss, θ bytes and the advanced RNG state of solo one-lane
+    rounds agree with the graph round for round — multi-epoch permutation
+    draws included. A GAP head over 4-D features is not the plan's: it
+    trains on the graph."""
+    fused_updates, fused_rng, plan_solves = _one_client_round(True, **kwargs)
+    graph_updates, graph_rng, _ = _one_client_round(False, **kwargs)
+    assert plan_solves == (0 if kwargs.get("model_kind") == "cnn" else 2)
     assert fused_rng == graph_rng
     for f, g in zip(fused_updates, graph_updates):
         assert f.mean_loss == g.mean_loss
@@ -220,15 +212,81 @@ def test_fused_round_bitwise_matches_graph(kwargs):
         assert _states_bitwise_equal(f.theta, g.theta)
 
 
+#: ten shards drawn from Diri(0.5) over 3,000 samples, clipped to 5–849
+#: rows: at Pds 10 % they select 1–85 rows, below, on and across the
+#: 32-row tile
+_SHARD_SIZES = [
+    int(min(849, max(5, round(share * 3000))))
+    for share in RNG(5).dirichlet(np.full(10, 0.5))
+]
+_SHARD_SIZES[int(np.argmin(_SHARD_SIZES))] = 5
+_SHARD_SIZES[int(np.argmax(_SHARD_SIZES))] = 849
+
+
+def _lone_submits(graph, level, selector, prox):
+    """Two rounds of ten clients submitted alone to a serial backend, the
+    second round in reverse order: per round, the client, loss, θ bytes
+    and RNG state."""
+    model = _mlp(level)
+    data = RNG(11)
+    clients = []
+    for cid, n in enumerate(_SHARD_SIZES):
+        x = data.normal(size=(n, 3, 4, 4))
+        y = data.integers(0, 5, size=n)
+        clients.append(Client(
+            cid, ArrayDataset(x, y), selector(),
+            LocalSolver(lr=0.1, momentum=0.5, prox_mu=prox, batch_size=32),
+            0.1, 2, RNG(50 + cid),
+        ))
+    server = Server(model, ArrayDataset(x[:8], y[:8]))
+    backend = SerialBackend(feature_runtime=FeatureRuntime())
+    rounds = []
+    with _layer_graph() if graph else contextlib.nullcontext():
+        for order in (clients, clients[::-1]):
+            for client in order:
+                update = backend.result(
+                    backend.submit(client, model, server.global_state, None)
+                )
+                rounds.append((
+                    client.client_id,
+                    update.mean_loss,
+                    update.num_selected,
+                    [(k, v.tobytes()) for k, v in update.theta.items()],
+                    client.rng.bit_generator.state,
+                ))
+    return rounds
+
+
+@pytest.mark.parametrize("prox", [0.0, 0.1], ids=["fedavg", "fedprox"])
+@pytest.mark.parametrize(
+    "selector", [EntropySelector, RandomSelector], ids=["eds", "rds"]
+)
+@pytest.mark.parametrize("level", ["full", "moderate"])
+def test_lone_submits_of_ragged_shards_bitwise_match_graph(level, selector, prox):
+    """Lone ``submit`` s — one-lane solves — of ten Dirichlet-sized shards
+    (5–849 rows) at Pds 10 %, alternating client order across rounds, so
+    the plan's solve shapes change on every submit: each round's loss, θ
+    bytes and RNG state equal the graph's."""
+    assert min(_SHARD_SIZES) == 5 and max(_SHARD_SIZES) == 849
+    before = dict(fastpath.STATS)
+    cohorts = fastpath.COHORT_STATS["cohorts"]
+    lanes = _lone_submits(False, level, selector, prox)
+    assert fastpath.STATS["fused_solves"] - before["fused_solves"] == 20
+    assert fastpath.STATS["graph_solves"] == before["graph_solves"]
+    assert fastpath.COHORT_STATS["cohorts"] == cohorts
+    assert lanes == _lone_submits(True, level, selector, prox)
+
+
 def test_unfusible_head_falls_back_to_graph_bitwise():
     """BatchNorm in θ (CNN at the paper-default split): no plan forms, so
     the round takes the layer-graph path and equals the graph reference."""
-    fused_updates, fused_rng = _one_client_round(
+    fused_updates, fused_rng, plan_solves = _one_client_round(
         True, model_kind="cnn", level="moderate"
     )
-    graph_updates, graph_rng = _one_client_round(
+    graph_updates, graph_rng, _ = _one_client_round(
         False, model_kind="cnn", level="moderate"
     )
+    assert plan_solves == 0
     assert fused_rng == graph_rng
     for f, g in zip(fused_updates, graph_updates):
         assert f.mean_loss == g.mean_loss
@@ -244,23 +302,23 @@ def test_entropy_selection_identical_under_fused_scoring():
         LocalSolver(batch_size=8), 0.2, 1, RNG(3),
     )
     features = FeatureRuntime().features_for(client, model)
-    bound = fastpath.bind_head(model, features.shape[1:])
-    assert bound is not None
+    lane = fastpath.head_lane(model, features.shape[1:])
+    assert lane is not None and lane.load(model.state_dict())
     selector = client.selector
     graph_scores = selector.scores(model, client.dataset, features)
-    fused_scores = selector.scores(model, client.dataset, features, bound)
+    fused_scores = selector.scores(model, client.dataset, features, lane)
     assert fused_scores.tobytes() == graph_scores.tobytes()
     graph_idx = selector.select(model, client.dataset, 0.2, RNG(4), features)
     fused_idx = selector.select(
-        model, client.dataset, 0.2, RNG(4), features, fastpath=bound
+        model, client.dataset, 0.2, RNG(4), features, fastpath=lane
     )
     assert np.array_equal(graph_idx, fused_idx)
 
 
 def test_fedprox_missing_reference_falls_back_to_graph_error():
-    """A broadcast reference missing a trainable key: the fused path must
-    decline (returning the graph path's usual KeyError), never silently
-    skip the proximal term."""
+    """A FedProx reference missing a θ key: the one-lane solve raises the
+    graph path's usual KeyError, never silently skips the proximal term
+    (nor falls back to a graph that never received θ)."""
     model = _mlp("moderate")
     x = RNG(1).normal(size=(30, 3, 4, 4))
     y = RNG(2).integers(0, 5, size=30)
@@ -269,13 +327,14 @@ def test_fedprox_missing_reference_falls_back_to_graph_error():
         LocalSolver(prox_mu=0.1, batch_size=8), 0.5, 1, RNG(3),
     )
     features = FeatureRuntime().features_for(client, model)
-    bound = fastpath.bind_head(model, features.shape[1:])
+    lane = fastpath.head_lane(model, features.shape[1:])
+    assert lane.load(model.state_dict())
     dataset = client.dataset.subset(np.arange(15))
     with pytest.raises(KeyError):
         client.solver.run(
             model, dataset, 1, RNG(4),
             global_reference={},  # valid object, but no θ keys resolve
-            features=features[:15], fastpath=bound,
+            features=features[:15], fastpath=lane,
         )
 
 
@@ -313,12 +372,45 @@ def test_plan_workspace_shared_by_clients_and_dies_with_model():
     assert fastpath.plan_cache_nbytes() == before  # weak cache, no pinning
 
 
+def test_solo_rounds_hold_one_capacity_not_a_workspace_per_row_count():
+    """Solo rounds over 20 shard sizes (20 strides, selected counts and
+    minibatch tails) leave the model's plan no larger than a fresh plan
+    that ran only the rounds needing the largest stride, selected count
+    and tail: its buffers grow to the largest need, never one workspace
+    per row count."""
+    sizes = [5, 9, 14, 22, 31, 33, 40, 47, 58, 64,
+             71, 83, 96, 105, 117, 130, 151, 177, 203, 230]
+
+    def tail(n):
+        """Rows of the epoch's last, shorter minibatch (0: none)."""
+        return selected_count(n, 0.3) % 32
+
+    def plan_bytes(shards):
+        model = _mlp("moderate")
+        data = RNG(3)
+        gc.collect()
+        before = fastpath.plan_cache_nbytes()
+        for cid, n in enumerate(shards):
+            x = data.normal(size=(n, 3, 4, 4))
+            y = data.integers(0, 5, size=n)
+            client = Client(
+                cid, ArrayDataset(x, y), EntropySelector(),
+                LocalSolver(batch_size=32), 0.3, 2, RNG(cid),
+            )
+            features = compute_features(model, x, batch_size=64)
+            client.run_round(model, model.state_dict(), features=features)
+        return fastpath.plan_cache_nbytes() - before
+
+    largest = max(sizes)  # the largest stride and selected count
+    widest_tail = max(sizes, key=tail)
+    assert tail(widest_tail) > tail(largest)
+    assert plan_bytes(sizes) <= plan_bytes([largest, widest_tail])
+
+
 def test_models_with_one_head_signature_never_share_a_plan():
-    """A training plan re-homes its model's parameters into its slab
-    (``adopt_params``), so two models of one head signature must not
-    share one: interleaved rounds in two such models leave no parameter
-    of one aliasing the other's, and every round equals the layer-graph
-    oracle."""
+    """Each model keeps its own plan: interleaved rounds in two models of
+    one head signature leave no parameter of one aliasing the other's,
+    and every round equals the layer-graph oracle."""
     x = RNG(1).normal(size=(40, 3, 4, 4))
     y = RNG(2).integers(0, 5, size=40)
 
@@ -378,11 +470,14 @@ def test_plan_releases_feature_references_after_use():
         0, ArrayDataset(x, y), EntropySelector(), LocalSolver(batch_size=8),
         0.5, 1, RNG(3),
     )
-    features = FeatureRuntime().features_for(client, model)
-    client.run_round(model, model.state_dict(), features=features)
-    bound = fastpath.bind_head(model, features.shape[1:])
-    for ws in bound.plan._row_ws.values():
-        assert all(ref is None for ref in ws["inputs"])
+    features = compute_features(model, x, batch_size=16)
+    update = client.run_round(model, model.state_dict(), features=features)
+    assert fastpath.head_lane(model, features.shape[1:]) is not None
+    assert update.theta.theta_slab is not None  # the round ran on the plan
+    alive = weakref.ref(features)
+    del features
+    gc.collect()
+    assert alive() is None
 
 
 def test_plan_not_pickled_with_worker_client_descriptor():
@@ -399,7 +494,7 @@ def test_plan_not_pickled_with_worker_client_descriptor():
         0.5, 1, RNG(3),
     )
     features = FeatureRuntime().features_for(client, model)
-    assert fastpath.bind_head(model, features.shape[1:])
+    assert fastpath.head_lane(model, features.shape[1:])
     clone = copy.copy(client)
     clone.dataset = None
     clone.rng = None
@@ -467,7 +562,7 @@ def _mlp_federation(num_clients=2, samples=80, test=48):
 
 @pytest.mark.parametrize("fused", [True, False])
 def test_pooled_evaluation_fused_matches_serial(fused):
-    """Worker shards score through the fused plan over cached features, or
+    """Worker shards score through the head plan over cached features, or
     (a backend without a FeatureRuntime) through the full forward over raw
     inputs; either count reduction equals the serial evaluation."""
     from repro.fl.server import Server
@@ -768,8 +863,8 @@ def test_worker_segment_cache_is_bounded_and_repins_evicted_names():
 def test_worker_plans_die_with_their_template_replica():
     """A worker's plans are cached on the template replica they run on:
     cohort and eval-shard jobs of two runs' templates with one head build
-    a cohort plan and a head plan (which the evaluation runs on) per
-    replica, and when ``_worker_model`` evicts a replica its plans leave
+    one plan per replica, which both the cohort and the evaluation run
+    on, and when ``_worker_model`` evicts a replica its plan leaves
     ``plan_cache_nbytes()``."""
     import pickle
     from types import SimpleNamespace
@@ -793,7 +888,8 @@ def test_worker_plans_die_with_their_template_replica():
         return server, clients
 
     def replica_plans(name):
-        return fastpath._PLANS[B._WORKER["models"][name]].values()
+        lanes = fastpath._PLANS[B._WORKER["models"][name]].values()
+        return [lane.plan for lane in lanes]
 
     backend = ProcessPoolBackend(max_workers=1, feature_runtime=FeatureRuntime())
     jobs = []
@@ -807,8 +903,7 @@ def test_worker_plans_die_with_their_template_replica():
     backend._dispatch = capture
     saved = dict(B._WORKER)
     B._shm_worker_init()
-    cohort_built = fastpath.COHORT_STATS["plans_built"]
-    head_built = fastpath.STATS["plans_built"]
+    built = fastpath.STATS["plans_built"]
     fused = fastpath.STATS["fused_eval_shards"]
     try:
         for first in (0, 4):
@@ -820,17 +915,16 @@ def test_worker_plans_die_with_their_template_replica():
         assert backend.stats["cohort_jobs"] == 2 and len(jobs) == 4
         templates = [pickle.loads(blob)["template_name"] for _, blob in jobs]
         assert len(set(templates)) == 2
-        head_built += 2  # the dispatching side's layout probes
-        assert fastpath.STATS["plans_built"] == head_built
+        built += 2  # the dispatching side's plans, which lay lanes out
+        assert fastpath.STATS["plans_built"] == built
         for entry, blob in jobs:
             entry(blob)
-        assert fastpath.COHORT_STATS["plans_built"] == cohort_built + 2
-        assert fastpath.STATS["plans_built"] == head_built + 2
+        assert fastpath.STATS["plans_built"] == built + 2
         assert fastpath.STATS["fused_eval_shards"] == fused + 2
         for name in set(templates):
-            assert sorted(
+            assert [
                 type(plan).__name__ for plan in replica_plans(name)
-            ) == ["CohortPlan", "FusedHeadPlan"]
+            ] == ["CohortPlan"]
         # A third template evicts the first replica, and its plans go.
         server, clients = federation(8)
         backend.submit_many(clients, server.model, server.global_state, None)
@@ -853,11 +947,11 @@ def test_worker_plans_die_with_their_template_replica():
 
 
 def test_worker_cohort_plan_cache_keeps_one_plan_per_kernel_key():
-    """A worker's template replica keeps one cohort plan per kernel key
-    (head signature, feature shape, batch size, epochs): cohorts of other
-    lane counts, shard sizes and selected counts reuse it, growing it as
-    needed, so it is built once; a fresh plan, the grown one and a
-    rebuilt one solve to the same θ bytes."""
+    """A worker's template replica keeps one plan per head (signature and
+    feature shape): cohorts of other lane counts, shard sizes and
+    selected counts reuse it, growing it as needed, so it is built once;
+    a fresh plan, the grown one and a rebuilt one solve to the same θ
+    bytes."""
     from repro.engine import backends as B
     from repro.fl.slab import SlabLayout, make_slab_state
     from repro.nn.serialization import theta_keys
@@ -889,7 +983,7 @@ def test_worker_cohort_plan_cache_keeps_one_plan_per_kernel_key():
     backend._dispatch = lambda entry, job, fingerprints=None: jobs.append(job)
     saved = dict(B._WORKER)
     B._shm_worker_init()
-    stats = fastpath.COHORT_STATS
+    stats = fastpath.STATS
     cid = 0
     try:
         for sizes in cohorts:
@@ -905,7 +999,7 @@ def test_worker_cohort_plan_cache_keeps_one_plan_per_kernel_key():
 
         def solve(job):
             theta = B._shm_solve(job, shard_baseline())[0][0]
-            assert [key[0] for key in replica_plans()].count("cohort") == 1
+            assert len(replica_plans()) == 1
             return theta
 
         fresh = solve(jobs[0])

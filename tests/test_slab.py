@@ -17,8 +17,8 @@ oracle (``dict_oracle``). Pinned here:
    refusing the other loop's checkpoint;
 5. loud refusals: updates and models whose θ cannot be packed raise
    before any state changes;
-6. the eval-mode fused head: CNN "moderate" (BatchNorm in θ) evaluates
-   through the precomputed-affine plan, bitwise equal to the layer graph.
+6. graph evaluation: CNN "moderate" (BatchNorm in θ) has no head plan
+   and evaluates on the layer graph; a planned head's count equals it.
 """
 
 import json
@@ -54,7 +54,8 @@ from repro.fl.checkpoint import (
     resume_async_federated_training,
     resume_sync_federated_training,
 )
-from repro.fl.fastpath import STATS as FASTPATH_STATS, bind_head
+from repro.fl import fastpath
+from repro.fl.fastpath import STATS as FASTPATH_STATS
 from repro.fl.features import batched_head_logits, compute_features
 from repro.fl.rounds import run_federated_training
 from repro.fl.sampling import FractionParticipation
@@ -341,8 +342,8 @@ def test_async_fedbuff_slab_matches_dict_process():
 
 
 def test_broadcast_feeds_client_plans_by_memcpy():
-    """The end-to-end fast lane: a slab broadcast lands in the fused head
-    plan's flat storage as one memcpy (counted), bitwise equal results."""
+    """The end-to-end fast lane: a slab broadcast lands in the head plan's
+    θ row as one memcpy (counted), bitwise equal results."""
     before = FASTPATH_STATS["theta_slab_loads"]
     result = run_fedft_eds(FedFTEDSConfig(seed=13, **ENGINE_SMOKE))
     assert FASTPATH_STATS["theta_slab_loads"] > before
@@ -578,32 +579,42 @@ def test_server_refuses_a_theta_that_cannot_be_one_slab(defect):
 
 
 # ---------------------------------------------------------------------------
-# Eval-mode fused head: CNN "moderate" (BatchNorm in θ)
+# Graph evaluation: CNN "moderate" (BatchNorm in θ)
 # ---------------------------------------------------------------------------
 
 
 def test_cnn_moderate_eval_plan_bitwise_matches_graph():
+    """A head with BatchNorm in θ has no plan, for training or evaluation:
+    the server evaluates it on the layer graph."""
     cnn = SmallConvNet(4, RNG(0), channels=(4, 4, 4))
     prepare_partial_model(cnn, "moderate")
     x = RNG(1).normal(size=(40, 3, 8, 8))
     y = RNG(2).integers(0, 4, size=40)
     features = compute_features(cnn, x, 16)
-    # training still declines (BN statistics update is stateful) ...
     assert head_ops(cnn) == (None, None)
-    # ... but evaluation fuses BN as a precomputed affine
-    bound = bind_head(cnn, features.shape[1:], eval_mode=True)
-    assert bound is not None
-    correct = bound.correct_count(features, y, 16)
+    assert fastpath.head_lane(cnn, features.shape[1:]) is None
+    server = Server(cnn, ArrayDataset(x, y))
+    accuracy = server.evaluate(batch_size=16)
+    assert server.eval_stats["graph_evals"] == 1
+    assert server.eval_stats["fused_evals"] == 0
     logits = batched_head_logits(cnn, features, 16)
-    assert correct / len(y) == F.accuracy(logits, y)
+    assert accuracy == F.accuracy(logits, y)
 
 
 def test_server_fused_eval_bitwise_matches_graph():
+    """The head plan's count equals the graph's accuracy. θ goes into the
+    plan, not the workspace model, so the graph reference runs through
+    the graph seam, which loads θ into the model."""
     result = run_fedft_eds(FedFTEDSConfig(seed=13, **ENGINE_SMOKE))
     server = result.server
     fused_before = server.eval_stats["fused_evals"]
     accuracy = server.evaluate()
     assert server.eval_stats["fused_evals"] == fused_before + 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fastpath, "head_lane", lambda *args, **kw: None)
+        graph_before = server.eval_stats["graph_evals"]
+        assert server.evaluate() == accuracy
+        assert server.eval_stats["graph_evals"] == graph_before + 1
     features = server._test_features[1]
     logits = batched_head_logits(server.model, features, 512)
     assert accuracy == F.accuracy(logits, server.test_set.labels)
