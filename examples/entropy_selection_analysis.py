@@ -13,7 +13,6 @@ Run:  python examples/entropy_selection_analysis.py
 import numpy as np
 
 from repro.core.fedft_eds import build_model
-from repro.core.hardened_softmax import select_top_entropy
 from repro.data import synthetic
 from repro.data.dataset import ArrayDataset
 from repro.data.worlds import SampleKind, SampleMix
@@ -56,8 +55,8 @@ def main() -> None:
 
     print("\n2) What gets selected at Pds=10% (hardened, rho=0.1):")
     for rho in (0.1, 10.0):
-        scores = EntropySelector(temperature=rho).scores(model, shard)
-        chosen = select_top_entropy(scores, 0.1)
+        # The selector needs no RNG: it keeps the top-entropy 10%.
+        chosen = EntropySelector(temperature=rho).select(model, shard, 0.1, None)
         counts = np.bincount(kinds[chosen], minlength=3)
         base = np.bincount(kinds, minlength=3)
         rows = [

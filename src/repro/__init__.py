@@ -12,7 +12,7 @@ The package is layered bottom-up:
   aggregation, stragglers, analytic timing model).
 - :mod:`repro.engine` — event-driven asynchronous engine: virtual-clock
   scheduler, FedAsync/FedBuff aggregation, serial and process execution
-  backends, availability churn (see DESIGN.md).
+  backends, mid-round dropout (see DESIGN.md).
 - :mod:`repro.core` — the paper's contribution: hardened-softmax
   entropy-based data selection + partial fine-tuning (FedFT-EDS).
 - :mod:`repro.metrics` — CKA, learning efficiency, entropy statistics.

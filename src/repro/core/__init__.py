@@ -7,32 +7,18 @@ Federated Fine-Tuning with Entropy-based Data Selection combines
    (:mod:`repro.core.partial`), and
 2. **entropy-based data selection** with a hardened softmax — each round a
    client trains only on its most uncertain samples
-   (:mod:`repro.core.hardened_softmax`, :class:`repro.fl.EntropySelector`).
+   (:class:`repro.fl.EntropySelector`).
 
 :mod:`repro.core.fedft_eds` exposes the one-call API tying both together
 with the FL simulator.
 """
 
-from repro.core.hardened_softmax import hardened_softmax, entropy_scores
-from repro.core.partial import (
-    adapt_to_task,
-    partial_workload_fraction,
-    prepare_partial_model,
-)
-from repro.core.fedft_eds import (
-    FedFTEDSCampaign,
-    FedFTEDSConfig,
-    FedFTEDSResult,
-    run_fedft_eds,
-)
+from repro.core.partial import adapt_to_task, prepare_partial_model
+from repro.core.fedft_eds import FedFTEDSConfig, FedFTEDSResult, run_fedft_eds
 
 __all__ = [
-    "hardened_softmax",
-    "entropy_scores",
     "prepare_partial_model",
     "adapt_to_task",
-    "partial_workload_fraction",
-    "FedFTEDSCampaign",
     "FedFTEDSConfig",
     "FedFTEDSResult",
     "run_fedft_eds",

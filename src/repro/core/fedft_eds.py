@@ -9,6 +9,7 @@ the public quickstart API; the experiment harness in
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -17,7 +18,6 @@ import numpy as np
 from repro.data import synthetic
 from repro.data.partition import dirichlet_partition
 from repro.engine.aggregators import make_aggregator
-from repro.engine.availability import AlwaysAvailable, AvailabilityModel
 from repro.engine.backends import (
     BACKENDS,
     PooledEvaluator,
@@ -100,7 +100,7 @@ class FedFTEDSConfig:
     mode: str = "sync"
     #: "serial" | "process" — where client rounds execute
     backend: str = "serial"
-    #: process workers of a standalone run (a campaign sizes its own)
+    #: process workers of a ``backend="process"`` run (default: auto)
     max_workers: int | None = None
     #: async only: cap on concurrently training clients (default: all)
     max_concurrency: int | None = None
@@ -111,10 +111,9 @@ class FedFTEDSConfig:
     staleness_exponent: float = 0.5
     buffer_size: int = 4  # FedBuff K
     server_lr: float = 1.0  # FedBuff server step
-    #: async only: probability a dispatched round is lost mid-way
+    #: async only: probability in [0, 1) that a dispatched round is lost
+    #: mid-way
     dropout_probability: float = 0.0
-    #: async only: online/offline churn (overrides dropout_probability)
-    availability: AvailabilityModel | None = None
     #: directory for periodic run-state checkpoints (both loops write the
     #: one format); resumable via
     #: :func:`repro.fl.checkpoint.resume_sync_federated_training` or
@@ -143,12 +142,6 @@ class FedFTEDSConfig:
     #: crashes (requires checkpoint_path); pairs with
     #: repro.engine.faults.run_supervised
     emergency_checkpoint: bool = False
-    #: campaign scope for repeated calls: a :class:`FedFTEDSCampaign`
-    #: supplies the warm process backend, segment pool, feature runtime
-    #: and artifact store shared across runs (standalone calls build
-    #: throwaway ones); with it, ``max_workers``, ``cache_dir`` and
-    #: ``artifact_store`` are the campaign's and refused per run
-    campaign: "FedFTEDSCampaign | None" = None
     #: observability (repro.obs): directory for ``telemetry.jsonl``
     #: counter snapshots and the end-of-run summary; telemetry never
     #: touches an RNG stream, so results are bitwise identical with it
@@ -216,77 +209,6 @@ def _fault_setup(
     return policy, chaos
 
 
-class FedFTEDSCampaign:
-    """Campaign scope for repeated :func:`run_fedft_eds` calls.
-
-    A standalone call builds a throwaway backend per run; a campaign owns
-    the cross-run runtime instead — one warm persistent
-    :class:`~repro.engine.backends.ProcessPoolBackend` (workers survive
-    across runs), one :class:`~repro.engine.campaign.CampaignSegmentPool`
-    (each distinct shard, feature array and test-set shard published into
-    shared memory once per campaign) and one
-    :class:`~repro.fl.features.FeatureRuntime` (in-process ϕ(x) reuse for
-    the serial backend). Close it (or use it as a context manager)
-    when the campaign ends; crash paths fall back to the emergency
-    shared-memory cleanup.
-
-    Runs of one campaign share cached state keyed by content (shard
-    identity, ϕ fingerprint), so mixing configs with different data or
-    models in one campaign is safe — unrelated runs simply miss the cache.
-    """
-
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        cache_dir: str | None = None,
-        artifact_store: object | None = None,
-    ):
-        self.max_workers = max_workers
-        #: durable cross-process store (repro.store.resolve_store rules):
-        #: pool publishes and feature lookups read through it, and runs
-        #: warm-start their pretrained ϕ from it
-        self.artifact_store = resolve_store(artifact_store, cache_dir)
-        self.segment_pool = CampaignSegmentPool(store=self.artifact_store)
-        self.feature_runtime = FeatureRuntime(store=self.artifact_store)
-        self._process_backend: ProcessPoolBackend | None = None
-
-    def backend_for(self, config: "FedFTEDSConfig"):
-        """The execution backend for one run (the run closes it; closing
-        the campaign's process backend is the soft per-run ``end_run``)."""
-        if config.backend == "process":
-            fault_policy, chaos = _fault_setup(config)
-            if self._process_backend is None:
-                self._process_backend = ProcessPoolBackend(
-                    max_workers=self.max_workers,
-                    segment_pool=self.segment_pool,
-                    persistent=True,
-                    feature_runtime=self.feature_runtime,
-                    fault_policy=fault_policy,
-                    chaos=chaos,
-                )
-            else:
-                # Honour the run's fault settings on the warm backend; the
-                # per-run segment registrations were cleared by end_run.
-                self._process_backend.fault_policy = fault_policy
-                self._process_backend.chaos = chaos
-            return self._process_backend
-        return make_backend(config.backend, feature_runtime=self.feature_runtime)
-
-    def close(self) -> None:
-        """Tear down the campaign runtime (workers + shared memory)."""
-        if self._process_backend is not None:
-            self._process_backend.shutdown()
-            self._process_backend = None
-        self.segment_pool.close()
-        self.feature_runtime.clear()
-
-    def __enter__(self) -> "FedFTEDSCampaign":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 _DATASETS = {
     "cifar10": synthetic.make_cifar10,
     "cifar100": synthetic.make_cifar100,
@@ -349,23 +271,10 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
             config.job_timeout, config.max_job_retries, config.chaos
         )
     check_store_knobs(config.artifact_store, config.cache_dir)
-    if config.campaign is not None:
-        owned = [
-            name
-            for name in ("max_workers", "cache_dir", "artifact_store")
-            if getattr(config, name) is not None
-        ]
-        if owned:
-            # A campaign's runs share its store and its warm backend; a
-            # per-run setting would be silently ignored.
-            raise ValueError(
-                f"option(s) {owned} belong to the FedFTEDSCampaign, whose "
-                f"store and warm backend every run of it uses; set them "
-                f"on the campaign"
-            )
-    if config.rounds <= 0:
-        raise ValueError("rounds must be positive")
     # What the objects built after setup would refuse, refused first.
+    # Every check is written so that NaN fails it.
+    if not config.rounds > 0:
+        raise ValueError("rounds must be positive")
     if config.model not in MODELS:
         raise ValueError(
             f"unknown model {config.model!r}; expected one of {MODELS}"
@@ -380,19 +289,21 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
             f"unknown fine-tune level {config.fine_tune_level!r}; "
             f"expected one of {sorted(FINE_TUNE_LEVELS)}"
         )
-    if config.num_clients <= 0:
+    if not config.num_clients > 0:
         raise ValueError("num_clients must be positive")
-    if config.local_epochs <= 0:
+    if not config.local_epochs > 0:
         raise ValueError("local_epochs must be positive")
+    if not (config.alpha > 0 and math.isfinite(config.alpha)):
+        raise ValueError(
+            f"alpha must be positive and finite, got {config.alpha}"
+        )
     if config.selection != "all" and not 0.0 < config.selection_fraction <= 1.0:
         raise ValueError(
             f"selection_fraction must be in (0, 1], got "
             f"{config.selection_fraction}"
         )
-    if config.selection == "eds" and config.temperature <= 0:
-        raise ValueError(
-            f"temperature must be positive, got {config.temperature}"
-        )
+    make_selector(config.selection, config.temperature)  # refuses a bad ρ
+    fault_policy, chaos = _fault_setup(config)
     solver = LocalSolver(
         lr=config.lr,
         momentum=config.momentum,
@@ -407,7 +318,7 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
     )
     if config.mode == "sync":
         # Async-only knobs silently doing nothing would let a forgotten
-        # mode= turn a churn/async experiment into a plain sync run.
+        # mode= turn a dropout/async experiment into a plain sync run.
         async_only = {
             "max_concurrency": None,
             "max_events": None,
@@ -416,7 +327,6 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
             "buffer_size": 4,
             "server_lr": 1.0,
             "dropout_probability": 0.0,
-            "availability": None,
         }
         ignored = [
             name
@@ -429,8 +339,8 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
                 f"mode='sync'; set mode='fedasync' or 'fedbuff'"
             )
     # Build the async pieces up front for the same reason: their
-    # constructors validate mixing/buffer_size/server_lr/dropout.
-    aggregator = availability = None
+    # constructors validate mixing/buffer_size/server_lr/staleness.
+    aggregator = None
     if config.mode != "sync":
         aggregator = make_aggregator(
             config.mode,
@@ -439,14 +349,14 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
             buffer_size=config.buffer_size,
             server_lr=config.server_lr,
         )
-        availability = config.availability
-        if availability is None:
-            availability = AlwaysAvailable(
-                dropout_probability=config.dropout_probability
+        if not 0.0 <= config.dropout_probability < 1.0:
+            raise ValueError(
+                f"dropout_probability must be in [0, 1), got "
+                f"{config.dropout_probability}"
             )
-        if config.max_events is not None and config.max_events <= 0:
+        if config.max_events is not None and not config.max_events > 0:
             raise ValueError("max_events must be positive")
-        if config.max_concurrency is not None and config.max_concurrency <= 0:
+        if config.max_concurrency is not None and not config.max_concurrency > 0:
             raise ValueError("max_concurrency must be positive")
     (
         model_rng,
@@ -465,12 +375,8 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
         test_size=config.test_size,
     )
 
-    # Durable artifact store: the campaign's, else the config's own knobs
-    # (None + no cache_dir → disabled).
-    if config.campaign is not None:
-        store = config.campaign.artifact_store
-    else:
-        store = resolve_store(config.artifact_store, config.cache_dir)
+    # Durable artifact store (None + no cache_dir → disabled).
+    store = resolve_store(config.artifact_store, config.cache_dir)
 
     model = build_model(
         config.model, target.input_shape, source.num_classes, model_rng
@@ -510,10 +416,10 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
     shards = dirichlet_partition(
         labels, config.num_clients, config.alpha, partition_rng
     )
-    # Shard identity for campaign-scoped segment/feature reuse: these
+    # Shard identity for segment/feature reuse through the store: these
     # parts pin the partition's bytes (the world, the dataset recipe and
     # the Dirichlet draw are all deterministic in them), so repeated runs
-    # of one campaign share published segments per client.
+    # share stored feature segments per client.
     shard_identity = (
         "fedft", config.seed, config.dataset, config.image_size,
         config.train_size, config.test_size, float(config.alpha),
@@ -536,7 +442,6 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
     ]
     server = Server(model, target.test)
     run_seed = int(sampling_rng_seed_rng.integers(2**31))
-    fault_policy, chaos = _fault_setup(config)
     installed_chaos = False
     if chaos is not None:
         # Process-wide install so checkpoint writers see the tear events;
@@ -544,22 +449,19 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
         install_chaos(chaos)
         installed_chaos = True
     standalone_pool = None
-    if config.campaign is not None:
-        backend = config.campaign.backend_for(config)
-    else:
-        if store is not None and config.backend == "process":
-            # A store-enabled standalone process run gets its own (run-
-            # lifetime) segment pool so feature/eval segments read through
-            # the durable store; closed in the finally below.
-            standalone_pool = CampaignSegmentPool(store=store)
-        backend = make_backend(
-            config.backend,
-            config.max_workers,
-            segment_pool=standalone_pool,
-            feature_runtime=FeatureRuntime(store=store),
-            fault_policy=fault_policy,
-            chaos=chaos,
-        )
+    if store is not None and config.backend == "process":
+        # A store-enabled process run gets its own (run-lifetime) segment
+        # pool so feature/eval segments read through the durable store;
+        # closed in the finally below.
+        standalone_pool = CampaignSegmentPool(store=store)
+    backend = make_backend(
+        config.backend,
+        config.max_workers,
+        segment_pool=standalone_pool,
+        feature_runtime=FeatureRuntime(store=store),
+        fault_policy=fault_policy,
+        chaos=chaos,
+    )
     if isinstance(backend, ProcessPoolBackend):
         server.evaluator = PooledEvaluator(
             backend,
@@ -623,7 +525,7 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
                 seed=run_seed,
                 timing=config.timing,
                 backend=backend,
-                availability=availability,
+                dropout_probability=config.dropout_probability,
                 max_concurrency=config.max_concurrency,
                 eval_every=config.eval_every,
                 verbose=config.verbose,

@@ -111,10 +111,7 @@ class TieredClient(Client):
                 "consume cached features (supports_feature_cache is False)"
             )
         model.apply_fine_tune_level(self.tier.level)
-        update = super().run_round(model, global_state, timing=timing)
-        update.metadata["tier"] = self.tier.name
-        update.metadata["level"] = self.tier.level
-        return update
+        return super().run_round(model, global_state, timing=timing)
 
 
 def aggregate_heterogeneous(

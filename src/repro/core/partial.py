@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import profiling
 from repro.nn.segmented import SegmentedModel
 
 
@@ -44,21 +43,3 @@ def prepare_partial_model(
     model.set_partial_train_mode()
     return model
 
-
-def partial_workload_fraction(
-    model: SegmentedModel, in_shape: tuple
-) -> float:
-    """Training FLOPs of the current split relative to full fine-tuning.
-
-    The headline workload saving of partial training: e.g. ≈0.4 means a
-    training step costs 40% of a full-model step on the same data.
-    """
-    current = profiling.training_flops_per_sample(model, in_shape)
-    frozen_flags = [p.requires_grad for p in model.parameters()]
-    model.unfreeze()
-    full = profiling.training_flops_per_sample(model, in_shape)
-    for p, flag in zip(model.parameters(), frozen_flags):
-        p.requires_grad = flag
-    if full <= 0:
-        raise RuntimeError("model reports zero training FLOPs")
-    return current / full

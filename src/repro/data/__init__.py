@@ -22,12 +22,6 @@ from repro.data.partition import (
     iid_partition,
     partition_statistics,
 )
-from repro.data.transforms import (
-    Compose,
-    Normalize,
-    RandomCrop,
-    RandomHorizontalFlip,
-)
 
 __all__ = [
     "Dataset",
@@ -45,8 +39,4 @@ __all__ = [
     "dirichlet_partition",
     "iid_partition",
     "partition_statistics",
-    "Compose",
-    "Normalize",
-    "RandomCrop",
-    "RandomHorizontalFlip",
 ]

@@ -101,7 +101,6 @@ class DataLoader:
         batch_size: int,
         shuffle: bool = False,
         rng: np.random.Generator | None = None,
-        drop_last: bool = False,
     ):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -111,13 +110,9 @@ class DataLoader:
         self.batch_size = batch_size
         self.shuffle = shuffle
         self.rng = rng
-        self.drop_last = drop_last
 
     def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         x, y = self.dataset.arrays()
@@ -125,9 +120,6 @@ class DataLoader:
         order = np.arange(n)
         if self.shuffle:
             order = self.rng.permutation(n)
-        stop = (n // self.batch_size) * self.batch_size if self.drop_last else n
-        for start in range(0, stop, self.batch_size):
+        for start in range(0, n, self.batch_size):
             idx = order[start : start + self.batch_size]
-            if len(idx) == 0:
-                break
             yield x[idx], y[idx]

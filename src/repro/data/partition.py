@@ -7,6 +7,7 @@ class's samples accordingly. Small ``alpha`` → strongly skewed shards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ def dirichlet_partition(
     """
     if num_clients <= 0:
         raise ValueError("num_clients must be positive")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (alpha > 0 and math.isfinite(alpha)):  # NaN fails it too
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if max_tries <= 0:
         raise ValueError(f"max_tries must be positive, got {max_tries}")
     labels = np.asarray(labels)

@@ -15,8 +15,8 @@ single process; this package removes both restrictions:
 - a **campaign segment pool** (:mod:`repro.engine.campaign`) shares
   shard segments and warm worker pools across the runs of one experiment
   campaign, with crash-path cleanup of shared memory;
-- an **availability/dropout model** (:mod:`repro.engine.availability`)
-  adds online/offline churn and mid-round dropouts.
+- **mid-round dropout** (``dropout_probability`` of the event loop) loses
+  a seeded share of dispatched rounds partway through.
 
 See DESIGN.md for the virtual-clock semantics and determinism contract.
 """
@@ -26,12 +26,6 @@ from repro.engine.aggregators import (
     FedAsyncAggregator,
     FedBuffAggregator,
     make_aggregator,
-)
-from repro.engine.availability import (
-    AlwaysAvailable,
-    AvailabilityModel,
-    RandomAvailability,
-    TraceAvailability,
 )
 from repro.engine.backends import (
     BACKENDS,
@@ -55,10 +49,6 @@ __all__ = [
     "FedAsyncAggregator",
     "FedBuffAggregator",
     "make_aggregator",
-    "AvailabilityModel",
-    "AlwaysAvailable",
-    "RandomAvailability",
-    "TraceAvailability",
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",

@@ -17,6 +17,8 @@ the engine's evaluation cadence.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,6 +118,14 @@ class AsyncAggregator:
         """
 
 
+def _check_staleness_exponent(exponent: float) -> None:
+    # NaN fails the check, as does inf (every stale update would vanish).
+    if not (exponent >= 0 and math.isfinite(exponent)):
+        raise ValueError(
+            f"staleness_exponent must be non-negative and finite, got {exponent}"
+        )
+
+
 @dataclass
 class FedAsyncAggregator(AsyncAggregator):
     """Immediate staleness-weighted mixing (one version per update).
@@ -135,6 +145,7 @@ class FedAsyncAggregator(AsyncAggregator):
     def __post_init__(self):
         if not 0.0 < self.mixing <= 1.0:
             raise ValueError(f"mixing must be in (0, 1], got {self.mixing}")
+        _check_staleness_exponent(self.staleness_exponent)
 
     def recycle(self, state):
         _offer_flat(self._free_flats, state.theta_slab, 4)
@@ -187,10 +198,19 @@ class FedBuffAggregator(AsyncAggregator):
     _stack_scratch: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.buffer_size <= 0:
-            raise ValueError(f"buffer_size must be positive, got {self.buffer_size}")
-        if self.server_lr <= 0:
-            raise ValueError(f"server_lr must be positive, got {self.server_lr}")
+        if not (
+            isinstance(self.buffer_size, numbers.Integral)
+            and self.buffer_size > 0
+        ):
+            raise ValueError(
+                f"buffer_size must be positive and an integer, got "
+                f"{self.buffer_size}"
+            )
+        if not (self.server_lr > 0 and math.isfinite(self.server_lr)):
+            raise ValueError(
+                f"server_lr must be positive and finite, got {self.server_lr}"
+            )
+        _check_staleness_exponent(self.staleness_exponent)
 
     @property
     def pending(self) -> int:

@@ -1157,22 +1157,17 @@ class ProcessPoolBackend(ExecutionBackend):
         """Track a published data segment for verification and repair."""
         if self.fault_policy is None:
             return
-        digest = (
-            segment_fingerprint(shm.buf, nbytes)
-            if self.fault_policy.verify_segments
-            else None
-        )
+        digest = segment_fingerprint(shm.buf, nbytes)
         self._segment_meta[shm.name] = (shm, nbytes, digest, repair)
 
     def _job_fingerprints(self, names) -> dict | None:
         """``{segment name: (nbytes, digest)}`` for a job's data segments."""
-        policy = self.fault_policy
-        if policy is None or not policy.verify_segments:
+        if self.fault_policy is None:
             return None
         out = {}
         for name in names:
             meta = self._segment_meta.get(name) if name else None
-            if meta is not None and meta[2] is not None:
+            if meta is not None:
                 out[name] = (meta[1], meta[2])
         return out or None
 
@@ -1318,8 +1313,7 @@ class ProcessPoolBackend(ExecutionBackend):
             record.attempts += 1
             record.timed_out = False
             self._respawn_if_broken()
-            if policy.verify_segments:
-                self._verify_job_segments(record)
+            self._verify_job_segments(record)
             if record.attempts > policy.max_retries:
                 return self._run_degraded(record)
             FAULTS["retries"] += 1

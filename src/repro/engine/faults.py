@@ -8,6 +8,7 @@ This module is the fault story:
 - :class:`FaultPolicy` — per-job deadline, retry budget, and an
   exponential backoff whose jitter comes from a dedicated seeded RNG
   stream, so retry *timing* is as reproducible as retry *results*.
+  Segment fingerprints are always verified on attach.
 - :class:`ChaosPlan` — a seeded fault-injection schedule (kill a worker
   before job K, delay a job, corrupt a published segment's bytes, tear a
   checkpoint write mid-save) parsed from a compact CLI spec
@@ -33,6 +34,8 @@ Nothing here reads an RNG stream shared with training.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +63,15 @@ FAULTS = obs_metrics.export_group(
         "chaos_disk_tears": 0,
     },
 )
+
+#: The retry backoff schedule: attempt ``n`` waits
+#: ``backoff_base * BACKOFF_FACTOR**(n-1)`` seconds, capped at
+#: ``BACKOFF_MAX``, then jittered by ± ``BACKOFF_JITTER`` of itself from
+#: a stream seeded with ``BACKOFF_SEED``.
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 2.0
+BACKOFF_JITTER = 0.1
+BACKOFF_SEED = 0
 
 #: BLAKE2b digest size for segment fingerprints — matches the shard/
 #: feature fingerprints the backends already publish (12 bytes is plenty
@@ -95,10 +107,10 @@ class SegmentCorruption(Exception):
 class FaultPolicy:
     """Retry/deadline/degradation budget for one campaign's jobs.
 
-    ``backoff_delay(attempt)`` is deterministic given ``backoff_seed``:
-    the jitter comes from this policy's own ``default_rng`` stream, never
-    from the training RNGs, so enabling retries cannot perturb results
-    and a replayed failure scenario waits the same milliseconds.
+    ``backoff_delay(attempt)`` is deterministic: the jitter comes from
+    this policy's own ``default_rng(BACKOFF_SEED)`` stream, never from the
+    training RNGs, so enabling retries cannot perturb results and a
+    replayed failure scenario waits the same milliseconds.
     """
 
     #: wall-clock seconds a single job may run before the watchdog kills
@@ -106,35 +118,40 @@ class FaultPolicy:
     job_deadline: float | None = None
     #: consecutive failures of one job before degrading to inline execution
     max_retries: int = 2
-    #: first backoff wait (seconds); attempt ``n`` waits
-    #: ``base * factor**(n-1)``, capped at ``backoff_max``
+    #: first backoff wait (seconds); see :data:`BACKOFF_FACTOR`
     backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-    #: ± fraction of jittered spread around the exponential schedule
-    backoff_jitter: float = 0.1
-    #: seed of the dedicated jitter stream (reproducible retry timing)
-    backoff_seed: int = 0
-    #: verify segment fingerprints on worker attach and republish on
-    #: mismatch (detects corruption instead of silently training on it)
-    verify_segments: bool = True
     _backoff_rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._backoff_rng = np.random.default_rng(self.backoff_seed)
+        # Written so that NaN fails every check.
+        if self.job_deadline is not None and not (
+            self.job_deadline > 0 and math.isfinite(self.job_deadline)
+        ):
+            raise ValueError(
+                f"job_deadline must be positive and finite, got "
+                f"{self.job_deadline}"
+            )
+        if not (
+            isinstance(self.max_retries, numbers.Integral)
+            and self.max_retries >= 0
+        ):
+            raise ValueError(
+                f"max_retries must be a non-negative integer, got "
+                f"{self.max_retries}"
+            )
+        if not (self.backoff_base >= 0 and math.isfinite(self.backoff_base)):
+            raise ValueError(
+                f"backoff_base must be non-negative and finite, got "
+                f"{self.backoff_base}"
+            )
+        self._backoff_rng = np.random.default_rng(BACKOFF_SEED)
 
     def backoff_delay(self, attempt: int) -> float:
         """Seconds to wait before retry ``attempt`` (1-based)."""
         if attempt < 1:
             raise ValueError("attempt is 1-based")
-        delay = min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (attempt - 1),
-        )
-        if self.backoff_jitter:
-            delay *= 1.0 + self.backoff_jitter * float(
-                self._backoff_rng.uniform(-1.0, 1.0)
-            )
+        delay = min(BACKOFF_MAX, self.backoff_base * BACKOFF_FACTOR ** (attempt - 1))
+        delay *= 1.0 + BACKOFF_JITTER * float(self._backoff_rng.uniform(-1.0, 1.0))
         return max(0.0, delay)
 
 

@@ -16,9 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Event kinds, in the order they can occur for one dispatch.
-EVENT_KINDS = ("update", "buffer", "drop")
-
 
 @dataclass(frozen=True)
 class EventRecord:
@@ -95,46 +92,9 @@ class EventLog:
             return 0
         return self.records[-1].model_version
 
-    def to_jsonl(self, path: str, append: bool = False) -> str:
-        """Export the log as JSON Lines through the telemetry writer.
-
-        One ``{"type": "event", ...record fields}`` row per event, so an
-        async run's history is inspectable with the same tooling as
-        ``telemetry.jsonl`` snapshots and span exports (until now it lived
-        only in memory or inside checkpoint journals). Returns ``path``.
-        """
-        from dataclasses import asdict
-
-        from repro.obs.report import write_jsonl
-
-        return write_jsonl(
-            path,
-            ({"type": "event", **asdict(r)} for r in self.records),
-            append=append,
-        )
-
-    def events_of_kind(self, kind: str) -> list[EventRecord]:
-        if kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {kind!r}; expected {EVENT_KINDS}")
-        return [r for r in self.records if r.kind == kind]
-
-    def events_to_accuracy(self, target: float) -> int | None:
-        """Index of the first *evaluated* event reaching ``target``, or None."""
-        for record in self.records:
-            if record.evaluated and record.test_accuracy >= target:
-                return record.event_index
-        return None
-
     def seconds_to_accuracy(self, target: float) -> float | None:
         """Cumulative client seconds when ``target`` is first measured."""
         for record in self.records:
             if record.evaluated and record.test_accuracy >= target:
                 return record.cumulative_client_seconds
-        return None
-
-    def virtual_time_to_accuracy(self, target: float) -> float | None:
-        """Simulated wall-clock when ``target`` is first measured."""
-        for record in self.records:
-            if record.evaluated and record.test_accuracy >= target:
-                return record.virtual_time
         return None

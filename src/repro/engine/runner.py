@@ -21,6 +21,11 @@ the run, the FLOPs walk of the model
 distinct input shape, and every dispatch prices from it — the same
 float as a walk per dispatch.
 
+Dropout: with ``dropout_probability > 0`` a dispatched round may be lost
+midway, wasting a seeded fraction of its simulated seconds. Every client
+is online for the whole run, so each dispatch picks uniformly among the
+idle clients.
+
 Determinism: planned durations, the event heap's (time, dispatch-sequence)
 order, and every scheduler RNG draw are independent of how the backend
 parallelises the numeric work, so the same seed yields an identical event
@@ -53,7 +58,6 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.engine.aggregators import AsyncAggregator
-from repro.engine.availability import AlwaysAvailable, AvailabilityModel
 from repro.engine.backends import ExecutionBackend, SerialBackend
 from repro.engine.clock import EventQueue, ScheduledEvent, VirtualClock
 from repro.engine.faults import FAULTS
@@ -76,7 +80,7 @@ def run_async_federated_training(
     seed: int = 0,
     timing: TimingModel | None = None,
     backend: ExecutionBackend | None = None,
-    availability: AvailabilityModel | None = None,
+    dropout_probability: float = 0.0,
     max_concurrency: int | None = None,
     eval_every: int = 1,
     verbose: bool = False,
@@ -98,6 +102,9 @@ def run_async_federated_training(
     ``eval_every`` is in *model versions* (aggregations applied); records
     between evaluations carry the last measured accuracy with
     ``evaluated=False``.
+
+    ``dropout_probability`` (in ``[0, 1)``) is the chance that a
+    dispatched round is lost midway; see the module docstring.
 
     With ``checkpoint_path`` and ``checkpoint_every > 0``, a
     :class:`~repro.fl.checkpoint.RunState` is written every
@@ -126,8 +133,12 @@ def run_async_federated_training(
     bitwise identical results, documented in :mod:`repro.fl.features`. An
     explicit backend carries its own runtime.
     """
-    if max_events <= 0:
+    if not max_events > 0:  # NaN fails it, as it fails every check here
         raise ValueError("max_events must be positive")
+    if not 0.0 <= dropout_probability < 1.0:
+        raise ValueError(
+            f"dropout_probability must be in [0, 1), got {dropout_probability}"
+        )
     check_run_knobs(
         eval_every, checkpoint_path, checkpoint_every, emergency_checkpoint
     )
@@ -142,12 +153,11 @@ def run_async_federated_training(
                 "be scheduled at dispatch; run it in the synchronous loop"
             )
     timing = timing or TimingModel()
-    availability = availability or AlwaysAvailable()
     owns_backend = backend is None
     backend = backend or SerialBackend(feature_runtime=feature_runtime)
     if max_concurrency is None:
         max_concurrency = len(clients)
-    if max_concurrency <= 0:
+    if not max_concurrency > 0:
         raise ValueError("max_concurrency must be positive")
 
     rng = make_rng(seed)
@@ -158,7 +168,7 @@ def run_async_federated_training(
     in_flight = 0
     last_accuracy = 0.0
     cumulative_seconds = 0.0
-    dropout_p = float(getattr(availability, "dropout_probability", 0.0))
+    dropout_p = float(dropout_probability)
     #: dispatch_version -> [broadcast snapshot, in-flight update count];
     #: when the count of a *superseded* version reaches zero, nothing will
     #: ever read its θ slab again and it is recycled into the aggregator's
@@ -196,7 +206,7 @@ def run_async_federated_training(
         in_flight = len(resume.pending)
 
     def dispatch_ready() -> None:
-        """Fill free slots with idle clients that are online right now.
+        """Fill free slots with idle clients.
 
         Dispatches are also capped by the remaining event budget: every
         in-flight round produces exactly one event, so dispatching past
@@ -217,9 +227,7 @@ def run_async_federated_training(
         # (instead of between) the decisions is bitwise invisible.
         planned: list[tuple] = []
         while in_flight < max_concurrency and len(log) + in_flight < max_events:
-            candidates = sorted(
-                cid for cid in idle if availability.is_online(cid, clock.now)
-            )
+            candidates = sorted(idle)
             if not candidates:
                 break
             cid = candidates[int(rng.integers(len(candidates)))]
@@ -451,31 +459,15 @@ def run_async_federated_training(
             mean_local_loss=update.mean_loss,
         )
 
-    def advance_to_next_online() -> bool:
-        """No events pending: jump the clock to the next client arrival."""
-        times = [
-            t
-            for cid in idle
-            if (t := availability.next_online(cid, clock.now)) is not None
-        ]
-        if not times:
-            return False
-        clock.advance_to(min(times))
-        return True
-
     #: latest between-events snapshot; written on the way down by the
     #: crash path when ``emergency_checkpoint`` is on
     last_state: RunState | None = None
     try:
         dispatch_ready()
+        # Every dispatch pushes one event and every processed event frees
+        # a slot that the next dispatch refills, so the queue is never
+        # empty while the event budget lasts.
         while len(log) < max_events:
-            if not len(queue):
-                # Everyone is offline; wait (in virtual time) for churn.
-                if not advance_to_next_online():
-                    break
-                dispatch_ready()
-                if not len(queue):
-                    break
             record = process(queue.pop())
             log.append(record)
             if verbose:  # pragma: no cover - console convenience

@@ -150,14 +150,19 @@ def _stable_seed(*parts) -> int:
 #: Training modes a harness (and every registered experiment) accepts.
 HARNESS_MODES = ("sync", "fedasync", "fedbuff")
 
+#: Full test-set evaluations an async run spends per round's worth of
+#: events.
+EVALS_PER_ROUND = 8
+
 
 class ExperimentHarness:
     """Builds and caches the shared pieces of one experiment campaign.
 
     ``mode``/``backend`` select the campaign-wide training loop and
-    execution substrate (see the module docstring); the async knobs mirror
-    :class:`~repro.core.fedft_eds.FedFTEDSConfig` defaults. Individual
-    :meth:`federated` calls may override both.
+    execution substrate (see the module docstring); the async aggregators
+    run with :func:`~repro.engine.aggregators.make_aggregator`'s defaults,
+    which are :class:`~repro.core.fedft_eds.FedFTEDSConfig`'s.
+    Individual :meth:`federated` calls may override both.
 
     Campaign runtime: with the process backend the harness owns one
     :class:`~repro.engine.campaign.CampaignSegmentPool` and one warm
@@ -191,13 +196,6 @@ class ExperimentHarness:
         mode: str = "sync",
         backend: str = "serial",
         max_workers: int | None = None,
-        async_mixing: float = 0.6,
-        staleness_exponent: float = 0.5,
-        buffer_size: int = 4,
-        server_lr: float = 1.0,
-        evals_per_round: int = 8,
-        segment_pool: CampaignSegmentPool | None = None,
-        telemetry: "TelemetrySession | None" = None,
         job_timeout: float | None = None,
         max_job_retries: int | None = None,
         chaos: "str | ChaosPlan | None" = None,
@@ -212,21 +210,14 @@ class ExperimentHarness:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
             )
-        if evals_per_round <= 0:
-            raise ValueError("evals_per_round must be positive")
         self.scale = get_scale(scale) if isinstance(scale, str) else scale
         self.seed = seed
         self.mode = mode
         self.backend = backend
         self.max_workers = max_workers
-        self.async_mixing = async_mixing
-        self.staleness_exponent = staleness_exponent
-        self.buffer_size = buffer_size
-        self.server_lr = server_lr
-        self.evals_per_round = evals_per_round
         self.timing = TimingModel(flops_per_second=1e9)
-        self.segment_pool = segment_pool
-        self._owns_pool = segment_pool is None
+        #: created with the campaign backend on first process-backend use
+        self.segment_pool: CampaignSegmentPool | None = None
         self._campaign_backend = None
         #: durable cross-process artifact store (repro.store.resolve_store
         #: rules: an instance passes through, True/False forces, None
@@ -234,10 +225,6 @@ class ExperimentHarness:
         #: and the pool's feature/eval segments warm-start from it across
         #: harness processes — bitwise identical to a cold campaign.
         self.artifact_store = resolve_store(artifact_store, cache_dir)
-        if self.artifact_store is not None and segment_pool is not None and (
-            segment_pool.store is None
-        ):
-            segment_pool.store = self.artifact_store
         self.feature_runtime = FeatureRuntime(store=self.artifact_store)
         self._world = None
         self._source_domain = None
@@ -267,12 +254,10 @@ class ExperimentHarness:
         if self.chaos is not None:
             install_chaos(self.chaos)
             self._installed_chaos = True
-        #: optional observability session (repro.obs.report); read-only
-        #: with respect to training state — results are bitwise identical
-        #: with or without it
-        self.telemetry = telemetry
-        if telemetry is not None:
-            telemetry.attach_harness(self)
+        #: optional observability session (repro.obs.report), set after
+        #: ``TelemetrySession.attach_harness``; read-only with respect to
+        #: training state — results are bitwise identical with or without
+        self.telemetry = None
 
     def telemetry_groups(self):
         """The campaign's live counter groups (a telemetry registry source).
@@ -312,7 +297,6 @@ class ExperimentHarness:
                     self.segment_pool = CampaignSegmentPool(
                         store=self.artifact_store
                     )
-                    self._owns_pool = True
                 self._campaign_backend = make_backend(
                     "process",
                     self.max_workers,
@@ -335,7 +319,7 @@ class ExperimentHarness:
         if self._campaign_backend is not None:
             self._campaign_backend.shutdown()
             self._campaign_backend = None
-        if self.segment_pool is not None and self._owns_pool:
+        if self.segment_pool is not None:
             self.segment_pool.close()
             self.segment_pool = None
         self.feature_runtime.clear()
@@ -632,24 +616,16 @@ class ExperimentHarness:
             s.rounds if model_kind == "main" else s.conv_rounds
         )
         if mode != "sync":
-            aggregator = make_aggregator(
-                mode,
-                mixing=self.async_mixing,
-                staleness_exponent=self.staleness_exponent,
-                buffer_size=self.buffer_size,
-                server_lr=self.server_lr,
-            )
+            aggregator = make_aggregator(mode)
             max_events = rounds * num_clients
             # Evaluating after every aggregation would dominate wall-clock
             # (FedAsync creates one model version per completion); budget
-            # ~evals_per_round full test-set evaluations per round's worth
+            # ~EVALS_PER_ROUND full test-set evaluations per round's worth
             # of events.
             expected_versions = max_events
             if mode == "fedbuff":
-                expected_versions = max(1, max_events // self.buffer_size)
-            eval_every = max(
-                1, expected_versions // (self.evals_per_round * rounds)
-            )
+                expected_versions = max(1, max_events // aggregator.buffer_size)
+            eval_every = max(1, expected_versions // (EVALS_PER_ROUND * rounds))
             max_concurrency = num_clients
             if participation_fraction < 1.0:
                 max_concurrency = max(

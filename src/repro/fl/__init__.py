@@ -31,11 +31,7 @@ from repro.fl.features import (
 from repro.fl.strategies import LocalSolver, LocalUpdate
 from repro.fl.client import Client
 from repro.fl.server import Server
-from repro.fl.sampling import (
-    BernoulliParticipation,
-    FractionParticipation,
-    FullParticipation,
-)
+from repro.fl.sampling import FractionParticipation, FullParticipation
 from repro.fl.timing import TimingModel, straggler_multipliers
 from repro.fl.rounds import RoundRecord, TrainingHistory, run_federated_training
 from repro.fl.checkpoint import (
@@ -46,11 +42,7 @@ from repro.fl.checkpoint import (
     save_async_checkpoint,
     save_checkpoint,
 )
-from repro.fl.communication import (
-    campaign_communication,
-    communication_reduction,
-    round_communication,
-)
+from repro.fl.communication import round_communication
 
 __all__ = [
     "weighted_average_flat",
@@ -71,7 +63,6 @@ __all__ = [
     "Server",
     "FullParticipation",
     "FractionParticipation",
-    "BernoulliParticipation",
     "TimingModel",
     "straggler_multipliers",
     "RoundRecord",
@@ -84,6 +75,4 @@ __all__ = [
     "load_async_checkpoint",
     "resume_async_federated_training",
     "round_communication",
-    "campaign_communication",
-    "communication_reduction",
 ]

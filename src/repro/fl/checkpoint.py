@@ -92,7 +92,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle:
     # repro.fl's package init imports this module, and the engine modules
     # import repro.fl submodules; engine imports here stay function-local)
     from repro.engine.aggregators import AsyncAggregator
-    from repro.engine.availability import AvailabilityModel
     from repro.engine.backends import ExecutionBackend
     from repro.engine.records import EventLog, EventRecord
 
@@ -965,7 +964,7 @@ def resume_async_federated_training(
     aggregator: "AsyncAggregator",
     timing: TimingModel | None = None,
     backend: "ExecutionBackend | None" = None,
-    availability: "AvailabilityModel | None" = None,
+    dropout_probability: float = 0.0,
     verbose: bool = False,
     checkpoint_path: str | None = None,
     checkpoint_every: int = 0,
@@ -978,8 +977,8 @@ def resume_async_federated_training(
     virtual clock, scheduler and client RNG streams, pending completions
     (re-run from their dispatch-time RNG state and broadcast snapshot) and
     the FedBuff buffer are all part of the checkpoint. The caller rebuilds
-    the federation (server, clients, aggregator, timing, availability)
-    from the same configuration as the original run — typically by
+    the federation (server, clients, aggregator, timing, dropout
+    probability) from the same configuration as the original run — typically by
     re-running the same deterministic setup code; everything the run
     *mutates* comes from the checkpoint. ``max_events``, ``eval_every``,
     ``max_concurrency`` and the scheduler seed are taken from the
@@ -999,7 +998,7 @@ def resume_async_federated_training(
         seed=int(state.meta["seed"]),
         timing=timing,
         backend=backend,
-        availability=availability,
+        dropout_probability=dropout_probability,
         max_concurrency=int(state.meta["max_concurrency"]),
         eval_every=int(state.meta["eval_every"]),
         verbose=verbose,

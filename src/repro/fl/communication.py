@@ -35,31 +35,6 @@ class RoundCommunication:
         return self.total_parameters * bytes_per_scalar
 
 
-@dataclass(frozen=True)
-class CampaignCommunication:
-    """Traffic totals for a whole federated campaign."""
-
-    per_round: RoundCommunication
-    initial_download_parameters: int  # the one-off full-model broadcast
-    rounds: int
-    participants_per_round: int
-
-    @property
-    def total_parameters(self) -> int:
-        recurring = (
-            self.per_round.total_parameters
-            * self.rounds
-            * self.participants_per_round
-        )
-        initial = self.initial_download_parameters * self.participants_per_round
-        return recurring + initial
-
-    def bytes(self, bytes_per_scalar: int = 8) -> int:
-        if bytes_per_scalar <= 0:
-            raise ValueError("bytes_per_scalar must be positive")
-        return self.total_parameters * bytes_per_scalar
-
-
 def _state_size(model: SegmentedModel, keys: list[str]) -> int:
     state = model.state_dict()
     return int(sum(state[k].size for k in keys))
@@ -77,36 +52,14 @@ def round_communication(model: SegmentedModel) -> RoundCommunication:
     return RoundCommunication(download_parameters=size, upload_parameters=size)
 
 
-def campaign_communication(
-    model: SegmentedModel, rounds: int, participants_per_round: int
-) -> CampaignCommunication:
-    """Total campaign traffic, including the one-off full-model broadcast.
-
-    Every client must receive ϕ once (the pretrained extractor ships with
-    the initial global model); afterwards only θ circulates.
-    """
-    if rounds <= 0 or participants_per_round <= 0:
-        raise ValueError("rounds and participants_per_round must be positive")
-    per_round = round_communication(model)
-    full = int(sum(v.size for v in model.state_dict().values()))
-    initial_phi = full - per_round.download_parameters
-    return CampaignCommunication(
-        per_round=per_round,
-        initial_download_parameters=initial_phi,
-        rounds=rounds,
-        participants_per_round=participants_per_round,
-    )
-
-
 @dataclass(frozen=True)
 class TrafficTotals:
     """Cumulative simulated traffic reconstructed from a finished run.
 
-    Unlike :class:`CampaignCommunication` (an a-priori estimate from round
-    and cohort counts), these totals are *observed*: they follow the actual
-    participation recorded in a sync ``TrainingHistory`` or an async
-    ``EventLog``, so dropped clients, FedBuff buffering, and uneven
-    cohorts are accounted exactly.
+    These totals are *observed*: they follow the actual participation
+    recorded in a sync ``TrainingHistory`` or an async ``EventLog``, so
+    dropped clients, FedBuff buffering, and uneven cohorts are accounted
+    exactly.
     """
 
     download_parameters: int  # recurring θ broadcasts actually sent
@@ -170,15 +123,3 @@ def history_communication(
         initial_download_parameters=initial,
     )
 
-
-def communication_reduction(model: SegmentedModel) -> float:
-    """Per-round traffic of the current split relative to full-model FL.
-
-    E.g. 0.25 means the partial split moves a quarter of FedAvg's traffic
-    per round.
-    """
-    partial = round_communication(model).total_parameters
-    full = 2 * int(sum(v.size for v in model.state_dict().values()))
-    if full == 0:
-        raise ValueError("model has no parameters")
-    return partial / full

@@ -145,7 +145,6 @@ class HeadLane:
             labels,
             lr=solver.lr,
             momentum=solver.momentum,
-            weight_decay=solver.weight_decay,
             prox_mu=solver.prox_mu,
         )
         return float(losses[0])
@@ -311,7 +310,6 @@ def _cohort_key(client, model, global_state, shape, lanes):
     solver_key = (
         float(solver.lr),
         float(solver.momentum),
-        float(solver.weight_decay),
         float(solver.prox_mu),
         int(solver.batch_size),
     )
@@ -434,7 +432,6 @@ def solve_cohort(clients, model, global_state, features_list):
             labels,
             lr=solver.lr,
             momentum=solver.momentum,
-            weight_decay=solver.weight_decay,
             prox_mu=solver.prox_mu,
         )
     theta_stack = plan.theta_stack.copy()

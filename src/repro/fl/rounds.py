@@ -80,20 +80,14 @@ class TrainingHistory:
             return 0.0
         return float(self.records[-1].cumulative_client_seconds)
 
-    def rounds_to_accuracy(self, target: float) -> int | None:
-        """First round index where ``target`` accuracy is *measured*, or None.
+    def seconds_to_accuracy(self, target: float) -> float | None:
+        """Cumulative client seconds when ``target`` is first *measured*,
+        or None.
 
         Only genuinely evaluated records count: with ``eval_every > 1`` the
         in-between records repeat the last measured accuracy, which must not
         register as a (stale) threshold hit.
         """
-        for record in self.records:
-            if record.evaluated and record.test_accuracy >= target:
-                return record.round_index
-        return None
-
-    def seconds_to_accuracy(self, target: float) -> float | None:
-        """Cumulative client seconds when ``target`` is first measured."""
         for record in self.records:
             if record.evaluated and record.test_accuracy >= target:
                 return record.cumulative_client_seconds
@@ -107,10 +101,11 @@ def check_run_knobs(
     emergency_checkpoint: bool,
 ) -> None:
     """Refuse evaluation and checkpoint settings neither run loop can
-    honour (``run_fedft_eds`` checks them before any setup)."""
-    if eval_every <= 0:
+    honour (``run_fedft_eds`` checks them before any setup). NaN fails
+    every check."""
+    if not eval_every > 0:
         raise ValueError("eval_every must be positive")
-    if checkpoint_every < 0:
+    if not checkpoint_every >= 0:
         raise ValueError("checkpoint_every must be non-negative")
     if checkpoint_every and not checkpoint_path:
         raise ValueError("checkpoint_every requires a checkpoint_path")
@@ -151,9 +146,9 @@ def run_federated_training(
     into cohort solves where possible — bitwise identical to the full
     forward. An explicit backend carries its own runtime.
 
-    A round whose participant set is empty (availability churn — e.g.
-    :class:`~repro.fl.sampling.BernoulliParticipation`) skips aggregation
-    and is recorded as a zero-participant round.
+    A round whose participant set is empty (a ``participation`` model
+    may choose nobody) skips aggregation and is recorded as a
+    zero-participant round.
 
     With ``checkpoint_path`` and ``checkpoint_every > 0``, the run state —
     global state, round records, the sampling RNG stream and every
@@ -181,7 +176,7 @@ def run_federated_training(
     RNG draw line up with the uninterrupted run. The caller must restore
     the server's weights and round index before the call.
     """
-    if rounds <= 0:
+    if not rounds > 0:
         raise ValueError("rounds must be positive")
     check_run_knobs(
         eval_every, checkpoint_path, checkpoint_every, emergency_checkpoint

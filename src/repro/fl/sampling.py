@@ -44,22 +44,3 @@ class FractionParticipation(ParticipationModel):
         chosen = rng.choice(num_clients, size=min(k, num_clients), replace=False)
         return np.sort(chosen)
 
-
-class BernoulliParticipation(ParticipationModel):
-    """Each client independently joins a round with probability ``p``.
-
-    Models availability churn in the synchronous loop (the async engine has
-    a richer :mod:`repro.engine.availability` model): unlike
-    :class:`FractionParticipation` the participant count varies round to
-    round and **may be zero** — ``run_federated_training`` records such
-    rounds as zero-participant rounds and skips aggregation.
-    """
-
-    def __init__(self, probability: float):
-        if not 0.0 < probability <= 1.0:
-            raise ValueError(f"probability must be in (0, 1], got {probability}")
-        self.probability = probability
-
-    def participants(self, round_index, num_clients, rng):
-        mask = rng.random(num_clients) < self.probability
-        return np.flatnonzero(mask)

@@ -19,6 +19,9 @@ lanes the same way (:func:`repro.fl.fastpath.solve_cohort`).
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from repro.data.dataset import Dataset
@@ -118,10 +121,15 @@ class EntropySelector(DataSelector):
     requires_forward = True
 
     def __init__(self, temperature: float = 0.1, batch_size: int = 256):
-        if temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {temperature}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+        # Written so that NaN fails every check.
+        if not (temperature > 0 and math.isfinite(temperature)):
+            raise ValueError(
+                f"temperature must be positive and finite, got {temperature}"
+            )
+        if not (isinstance(batch_size, numbers.Integral) and batch_size >= 1):
+            raise ValueError(
+                f"batch_size must be at least 1 and an integer, got {batch_size}"
+            )
         self.temperature = temperature
         self.batch_size = batch_size
 

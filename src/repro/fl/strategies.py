@@ -13,7 +13,9 @@ bitwise identical; either way a solve counts once on ``solver.fused.*``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +42,6 @@ class LocalUpdate:
     num_local: int
     train_seconds: float = 0.0
     mean_loss: float = 0.0
-    metadata: dict = field(default_factory=dict)
 
 
 class LocalSolver:
@@ -50,25 +51,26 @@ class LocalSolver:
         self,
         lr: float = 0.1,
         momentum: float = 0.5,
-        weight_decay: float = 0.0,
         prox_mu: float = 0.0,
         batch_size: int = 32,
     ):
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-        if momentum < 0:
-            raise ValueError(f"momentum must be non-negative, got {momentum}")
-        if weight_decay < 0:
+        # Written so that NaN fails every check.
+        if not (lr > 0 and math.isfinite(lr)):
+            raise ValueError(f"lr must be positive and finite, got {lr}")
+        if not (isinstance(batch_size, numbers.Integral) and batch_size >= 1):
             raise ValueError(
-                f"weight_decay must be non-negative, got {weight_decay}"
+                f"batch_size must be at least 1 and an integer, got {batch_size}"
             )
-        if prox_mu < 0:
-            raise ValueError("prox_mu must be non-negative")
+        if not (momentum >= 0 and math.isfinite(momentum)):
+            raise ValueError(
+                f"momentum must be non-negative and finite, got {momentum}"
+            )
+        if not (prox_mu >= 0 and math.isfinite(prox_mu)):
+            raise ValueError(
+                f"prox_mu must be non-negative and finite, got {prox_mu}"
+            )
         self.lr = lr
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self.prox_mu = prox_mu
         self.batch_size = batch_size
 
@@ -128,10 +130,7 @@ class LocalSolver:
         if not trainable:
             raise ValueError("model has no trainable parameters")
         optimizer = SGD(
-            [p for _, p in trainable],
-            lr=self.lr,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
+            [p for _, p in trainable], lr=self.lr, momentum=self.momentum
         )
         loss_fn = CrossEntropyLoss()
         if features is not None:

@@ -17,6 +17,7 @@ Only *relative* times matter for every conclusion drawn from the metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +35,20 @@ class TimingModel:
     speed_multipliers: dict[int, float] | None = None
 
     def __post_init__(self):
-        if self.flops_per_second <= 0:
-            raise ValueError("flops_per_second must be positive")
+        # Written so that NaN fails both checks.
+        if not (self.flops_per_second > 0 and math.isfinite(self.flops_per_second)):
+            raise ValueError(
+                f"flops_per_second must be positive and finite, got "
+                f"{self.flops_per_second}"
+            )
         if self.speed_multipliers is not None:
-            bad = {k: v for k, v in self.speed_multipliers.items() if v <= 0}
+            bad = {
+                k: v
+                for k, v in self.speed_multipliers.items()
+                if not (v > 0 and math.isfinite(v))
+            }
             if bad:
-                raise ValueError(f"non-positive speed multipliers: {bad}")
+                raise ValueError(f"non-positive or non-finite speed multipliers: {bad}")
 
     def _multiplier(self, client_id: int) -> float:
         if self.speed_multipliers is None:

@@ -16,21 +16,3 @@ def evaluate_accuracy(
     logits = batched_logits(model, x, batch_size)
     return F.accuracy(logits, y)
 
-
-def per_class_accuracy(
-    model: Module, dataset: Dataset, num_classes: int, batch_size: int = 512
-) -> list[float]:
-    """Top-1 accuracy per class (useful for non-IID drift diagnostics)."""
-    import numpy as np
-
-    x, y = dataset.arrays()
-    logits = batched_logits(model, x, batch_size)
-    preds = np.argmax(logits, axis=-1)
-    result = []
-    for cls in range(num_classes):
-        mask = y == cls
-        if mask.sum() == 0:
-            result.append(float("nan"))
-        else:
-            result.append(float(np.mean(preds[mask] == cls)))
-    return result

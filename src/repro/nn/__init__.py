@@ -8,31 +8,29 @@ Public surface:
 
 - :class:`Module`, :class:`Sequential`, :class:`Parameter` — module system
   with parameter registration, train/eval modes, and per-parameter freezing.
-- Layers: :class:`Linear`, :class:`Conv2d`, :class:`BatchNorm1d`,
-  :class:`BatchNorm2d`, :class:`ReLU`, :class:`Tanh`, :class:`LeakyReLU`,
-  :class:`MaxPool2d`, :class:`AvgPool2d`, :class:`GlobalAvgPool2d`,
-  :class:`Flatten`, :class:`Dropout`, :class:`BasicBlock`.
+- Layers: :class:`Linear`, :class:`Conv2d`, :class:`BatchNorm2d`,
+  :class:`ReLU`, :class:`MaxPool2d`, :class:`GlobalAvgPool2d`,
+  :class:`Flatten`, :class:`BasicBlock`.
 - Models: :class:`MLP`, :class:`SmallConvNet`, :class:`WideResNet`.
-- Training: :class:`CrossEntropyLoss`, :class:`SGD`, LR schedules.
+- Training: :class:`CrossEntropyLoss`, :class:`SGD`.
 - Utilities: ``functional`` (softmax/entropy), ``profiling`` (FLOPs),
-  ``serialization`` (state dicts), ``gradcheck`` (numerical gradients),
-  ``fused`` (zero-allocation head-solver kernels over cached features).
+  ``serialization`` (state dicts), ``fused`` (zero-allocation head-solver
+  kernels over cached features).
 """
 
 from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.linear import Linear
 from repro.nn.conv import Conv2d
-from repro.nn.norm import BatchNorm1d, BatchNorm2d
-from repro.nn.activations import LeakyReLU, ReLU, Tanh
-from repro.nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
+from repro.nn.norm import BatchNorm2d
+from repro.nn.activations import ReLU
+from repro.nn.pooling import GlobalAvgPool2d, MaxPool2d
 from repro.nn.flatten import Flatten
-from repro.nn.dropout import Dropout
 from repro.nn.residual import BasicBlock
 from repro.nn.mlp import MLP
 from repro.nn.cnn import SmallConvNet
 from repro.nn.wrn import WideResNet
 from repro.nn.losses import CrossEntropyLoss
-from repro.nn.optim import SGD, ConstantLR, CosineLR, StepLR
+from repro.nn.optim import SGD
 from repro.nn.fused import head_ops
 
 __all__ = [
@@ -41,16 +39,11 @@ __all__ = [
     "Sequential",
     "Linear",
     "Conv2d",
-    "BatchNorm1d",
     "BatchNorm2d",
     "ReLU",
-    "Tanh",
-    "LeakyReLU",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
     "Flatten",
-    "Dropout",
     "BasicBlock",
     "MLP",
     "SmallConvNet",
@@ -58,7 +51,4 @@ __all__ = [
     "CrossEntropyLoss",
     "head_ops",
     "SGD",
-    "ConstantLR",
-    "CosineLR",
-    "StepLR",
 ]

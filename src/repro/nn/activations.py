@@ -1,4 +1,4 @@
-"""Elementwise activation layers."""
+"""The elementwise activation layer."""
 
 from __future__ import annotations
 
@@ -26,45 +26,3 @@ class ReLU(Module):
     def flops_per_sample(self, in_shape: tuple) -> tuple[int, tuple]:
         return int(np.prod(in_shape)), in_shape
 
-
-class LeakyReLU(Module):
-    """Leaky ReLU with configurable negative slope."""
-
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        if negative_slope < 0:
-            raise ValueError("negative_slope must be non-negative")
-        self.negative_slope = negative_slope
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        return np.where(self._mask, grad_out, self.negative_slope * grad_out)
-
-    def flops_per_sample(self, in_shape: tuple) -> tuple[int, tuple]:
-        return int(np.prod(in_shape)), in_shape
-
-
-class Tanh(Module):
-    """Hyperbolic tangent; caches the output for backward."""
-
-    def __init__(self):
-        super().__init__()
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * (1.0 - self._out**2)
-
-    def flops_per_sample(self, in_shape: tuple) -> tuple[int, tuple]:
-        return 4 * int(np.prod(in_shape)), in_shape

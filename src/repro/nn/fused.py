@@ -14,13 +14,11 @@ layer graph, which stays the semantic reference.
 Which heads
 -----------
 :func:`head_ops` admits a trainable part θ that flattens to a chain of
-``Linear`` / ``ReLU`` / ``Flatten`` layers (plus ``Dropout(p=0)``, an
-RNG-free identity) with every Linear parameter trainable; a
-:class:`CohortPlan` runs such a chain when it starts with a Linear and its
-features are 1-D. Dropout with ``p > 0`` (it consumes RNG in train mode),
-BatchNorm (mode- and batch-dependent), convolutions, pooling, residual
-blocks and partly frozen Linears return ``(None, None)``, and callers run
-the graph.
+``Linear`` / ``ReLU`` / ``Flatten`` layers with every Linear parameter
+trainable; a :class:`CohortPlan` runs such a chain when it starts with a
+Linear and its features are 1-D. BatchNorm (mode- and batch-dependent),
+convolutions, pooling, residual blocks and partly frozen Linears return
+``(None, None)``, and callers run the graph.
 
 Bitwise-identity contract
 -------------------------
@@ -43,9 +41,9 @@ graph's exact operation sequence:
 - The loss replays :class:`~repro.nn.losses.CrossEntropyLoss` op for op
   on the row stack, each lane's scalar the same pairwise sum over its own
   contiguous block.
-- The update replays ``SGD.step`` per parameter — weight decay as
-  ``g + wd·p``, in-place momentum ``v = m·v + g``, then ``p −= lr·v`` —
-  preceded by the FedProx pull ``g += μ·(p − p_global)``, as ufuncs over
+- The update replays ``SGD.step`` per parameter — in-place momentum
+  ``v = m·v + g``, then ``p −= lr·v`` — preceded by the FedProx pull
+  ``g += μ·(p − p_global)``, as ufuncs over
   the (lanes × slot_total) stack. Parameters are disjoint slots, so the
   flat kernels compute what the graph's per-parameter passes compute,
   element for element, and zero pads stay +0 through every op.
@@ -73,7 +71,6 @@ from functools import partial
 import numpy as np
 
 from repro.nn.activations import ReLU
-from repro.nn.dropout import Dropout
 from repro.nn.flatten import Flatten
 from repro.nn.linear import _TILE, Linear
 from repro.nn.module import Module, Sequential
@@ -121,8 +118,6 @@ def _leaves(module: Module) -> list[Module] | None:
         return None  # a partly frozen Linear is the graph's
     if isinstance(module, (ReLU, Flatten)):
         return [module]
-    if isinstance(module, Dropout) and module.p == 0.0:
-        return []  # an exact, RNG-free identity
     return None
 
 
@@ -622,12 +617,10 @@ class CohortPlan:
                 g = gin
         return x[..., :rows, :], y, ops, lsum
 
-    def _update(
-        self, lr: float, momentum: float, weight_decay: float, prox_mu: float
-    ) -> list:
+    def _update(self, lr: float, momentum: float, prox_mu: float) -> list:
         """The SGD update as bound calls over the prepared solve's stacks,
         compiled once per solve shape and hyperparameters."""
-        key = (lr, momentum, weight_decay, prox_mu)
+        key = (lr, momentum, prox_mu)
         ops = self._solve["updates"].get(key)
         if ops is not None:
             return ops
@@ -644,12 +637,6 @@ class CohortPlan:
                 partial(np.multiply, t1, prox_mu, out=t1),
                 partial(np.add, grad, t1, out=grad),
             ]
-        if weight_decay:
-            ops += [
-                partial(np.multiply, data, weight_decay, out=t1),
-                partial(np.add, grad, t1, out=t1),
-            ]
-            grad = t1
         if momentum:
             ops += [
                 partial(np.multiply, vel, momentum, out=vel),
@@ -670,7 +657,6 @@ class CohortPlan:
         *,
         lr: float,
         momentum: float,
-        weight_decay: float,
         prox_mu: float = 0.0,
     ) -> np.ndarray:
         """Run every lane's local solve in place; returns per-lane mean loss.
@@ -696,7 +682,7 @@ class CohortPlan:
         if self.lanes > 1:
             k = self.selected
             self.perms += np.arange(0, self.lanes * k, k)[:, None]
-        update = self._update(lr, momentum, weight_decay, prox_mu)
+        update = self._update(lr, momentum, prox_mu)
         take_x, take_y = features.take, labels.take
         for idx, x, y, ops, lsum, loss in solve["steps"]:
             take_x(idx, axis=0, out=x)

@@ -12,14 +12,10 @@ class CrossEntropyLoss:
 
     ``forward`` returns the scalar loss; ``backward`` returns the gradient
     with respect to the logits, which is then fed to the model's backward
-    pass. Optional label smoothing is provided for the centralised
-    pretraining recipes.
+    pass.
     """
 
-    def __init__(self, label_smoothing: float = 0.0):
-        if not 0.0 <= label_smoothing < 1.0:
-            raise ValueError("label_smoothing must be in [0, 1)")
-        self.label_smoothing = label_smoothing
+    def __init__(self):
         self._cache: tuple | None = None
 
     def forward(self, logits: np.ndarray, labels: np.ndarray) -> float:
@@ -30,8 +26,6 @@ class CrossEntropyLoss:
             raise ValueError("labels must be 1-D and match the batch size")
         n, c = logits.shape
         target = F.one_hot(labels, c)
-        if self.label_smoothing:
-            target = (1 - self.label_smoothing) * target + self.label_smoothing / c
         logp = F.log_softmax(logits)
         self._cache = (np.exp(logp), target, n)
         return float(-(target * logp).sum() / n)

@@ -47,10 +47,3 @@ class MLP(SegmentedModel):
         """Fresh classifier head for ``num_classes`` (source → target swap)."""
         in_features = self.head.layers[-1].in_features
         return Sequential(Linear(in_features, num_classes, rng))
-
-    def forward_collect(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        collected: dict[str, np.ndarray] = {}
-        for name, segment in self.segments():
-            x = segment(x)
-            collected[name] = x
-        return collected

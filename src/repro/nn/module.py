@@ -7,7 +7,7 @@ forward/backward pair, which is all the training loops in this project need.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -147,12 +147,6 @@ class Module:
             p.requires_grad = True
         return self
 
-    def set_trainable(self, predicate: Callable[[str], bool]) -> "Module":
-        """Set ``requires_grad`` per parameter from a predicate on its name."""
-        for name, p in self.named_parameters():
-            p.requires_grad = bool(predicate(name))
-        return self
-
     def has_trainable(self) -> bool:
         return any(p.requires_grad for p in self.iter_parameters())
 
@@ -217,20 +211,16 @@ class Module:
 
 
 class Sequential(Module):
-    """A chain of modules; optionally stops backward below the trainable frontier.
+    """A chain of modules.
 
-    ``truncate_backward`` must only be enabled on a *top-level* chain (one
-    whose input gradient nobody consumes): when every layer below the lowest
-    trainable one is frozen, backward returns early instead of propagating
-    through the frozen feature extractor, mirroring the compute saving of
-    partial fine-tuning. Nested chains (e.g. inside residual blocks) keep the
-    default and always propagate, since an enclosing module may still need
-    the input gradient.
+    Backward always propagates to the chain's input: an enclosing module
+    (a segment, a residual block) may need the input gradient. Stopping
+    below the trainable frontier is :class:`~repro.nn.segmented.
+    SegmentedModel`'s job.
     """
 
-    def __init__(self, *layers: Module, truncate_backward: bool = False):
+    def __init__(self, *layers: Module):
         super().__init__()
-        self.truncate_backward = truncate_backward
         self.layers = list(layers)
         for i, layer in enumerate(self.layers):
             setattr(self, f"layer{i}", layer)
@@ -250,25 +240,10 @@ class Sequential(Module):
         return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Backpropagate, skipping layers below the lowest trainable one.
-
-        Mirrors the workload saving of partial fine-tuning: with the feature
-        extractor frozen there is no reason to propagate gradients into it.
-        Returns ``None`` when the chain was truncated early.
-        """
-        lowest = self._lowest_trainable_index() if self.truncate_backward else None
         grad = grad_out
-        for i in range(len(self.layers) - 1, -1, -1):
-            if lowest is not None and i < lowest:
-                return None
-            grad = self.layers[i].backward(grad)
+        for layer in reversed(self.layers):
+            grad = layer.backward(grad)
         return grad
-
-    def _lowest_trainable_index(self) -> int | None:
-        for i, layer in enumerate(self.layers):
-            if layer.has_trainable():
-                return i
-        return None
 
     def flops_per_sample(self, in_shape: tuple) -> tuple[int, tuple]:
         total = 0

@@ -1,4 +1,4 @@
-"""Batch normalisation for 2-D feature maps and 1-D features.
+"""Batch normalisation for 2-D feature maps.
 
 Running statistics are registered as buffers so they travel with
 ``state_dict`` — in federated averaging they are aggregated with the same
@@ -13,11 +13,11 @@ from repro.nn import init
 from repro.nn.module import Module, Parameter
 
 
-class _BatchNorm(Module):
-    """Shared train/eval logic; subclasses define the reduction axes."""
+class BatchNorm2d(Module):
+    """BatchNorm over ``(n, c, h, w)`` inputs, per channel."""
 
     #: axes reduced when computing batch statistics
-    _axes: tuple[int, ...] = (0,)
+    _axes = (0, 2, 3)
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
         super().__init__()
@@ -36,10 +36,13 @@ class _BatchNorm(Module):
 
     def _expand(self, v: np.ndarray) -> np.ndarray:
         """Broadcast a per-channel vector to the input layout."""
-        raise NotImplementedError
+        return v[None, :, None, None]
 
     def _check_input(self, x: np.ndarray) -> None:
-        raise NotImplementedError
+        if x.ndim != 4 or x.shape[1] != self.num_features:
+            raise ValueError(
+                f"expected input (n, {self.num_features}, h, w), got {x.shape}"
+            )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._check_input(x)
@@ -90,32 +93,3 @@ class _BatchNorm(Module):
     def flops_per_sample(self, in_shape: tuple) -> tuple[int, tuple]:
         return 4 * int(np.prod(in_shape)), in_shape
 
-
-class BatchNorm1d(_BatchNorm):
-    """BatchNorm over ``(n, features)`` inputs."""
-
-    _axes = (0,)
-
-    def _check_input(self, x: np.ndarray) -> None:
-        if x.ndim != 2 or x.shape[1] != self.num_features:
-            raise ValueError(
-                f"expected input (n, {self.num_features}), got {x.shape}"
-            )
-
-    def _expand(self, v: np.ndarray) -> np.ndarray:
-        return v[None, :]
-
-
-class BatchNorm2d(_BatchNorm):
-    """BatchNorm over ``(n, c, h, w)`` inputs, per channel."""
-
-    _axes = (0, 2, 3)
-
-    def _check_input(self, x: np.ndarray) -> None:
-        if x.ndim != 4 or x.shape[1] != self.num_features:
-            raise ValueError(
-                f"expected input (n, {self.num_features}, h, w), got {x.shape}"
-            )
-
-    def _expand(self, v: np.ndarray) -> np.ndarray:
-        return v[None, :, None, None]

@@ -1,7 +1,7 @@
 """Pooling layers.
 
-``MaxPool2d``/``AvgPool2d`` use the non-overlapping reshape formulation
-(kernel == stride, spatial dims divisible by the kernel), which covers every
+``MaxPool2d`` uses the non-overlapping reshape formulation (kernel ==
+stride, spatial dims divisible by the kernel), which covers every
 architecture in this project and keeps NumPy fast.
 """
 
@@ -61,38 +61,6 @@ class MaxPool2d(Module):
             .transpose(0, 1, 2, 4, 3, 5)
             .reshape(x_shape)
         )
-
-    def flops_per_sample(self, in_shape: tuple) -> tuple[int, tuple]:
-        c, h, w = in_shape
-        k = self.kernel_size
-        return int(np.prod(in_shape)), (c, h // k, w // k)
-
-
-class AvgPool2d(Module):
-    """Non-overlapping average pooling with kernel == stride."""
-
-    def __init__(self, kernel_size: int):
-        super().__init__()
-        if kernel_size <= 0:
-            raise ValueError("kernel_size must be positive")
-        self.kernel_size = kernel_size
-        self._in_shape: tuple | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        k = self.kernel_size
-        _check_poolable(x, k)
-        n, c, h, w = x.shape
-        self._in_shape = x.shape
-        return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._in_shape is None:
-            raise RuntimeError("backward called before forward")
-        k = self.kernel_size
-        g = grad_out[:, :, :, None, :, None] / (k * k)
-        return np.broadcast_to(
-            g, grad_out.shape[:3] + (k, grad_out.shape[3], k)
-        ).reshape(self._in_shape)
 
     def flops_per_sample(self, in_shape: tuple) -> tuple[int, tuple]:
         c, h, w = in_shape

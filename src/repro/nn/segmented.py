@@ -233,9 +233,6 @@ class SegmentedModel(Module):
                 segment.eval()
         return self
 
-    def trainable_segment_names(self) -> list[str]:
-        return [name for name, seg in self.segments() if seg.has_trainable()]
-
     def flops_per_sample(self, in_shape: tuple) -> tuple[int, tuple]:
         total = 0
         shape = in_shape

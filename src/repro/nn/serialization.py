@@ -1,18 +1,16 @@
-"""State-dict helpers: saving, loading and the ϕ/θ split.
+"""State-dict helpers: saving, loading and the θ keys.
 
 In FedFT-EDS only the upper part θ of the model is communicated; these
-helpers split a full state dict into the frozen (ϕ) and trainable (θ)
-portions by key, and persist state dicts as ``.npz`` archives.
+helpers name and copy the trainable (θ) portion of a model's state, and
+persist state dicts as ``.npz`` archives.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable
 
 import numpy as np
 
-from repro.nn.module import Module
 from repro.nn.segmented import SegmentedModel
 
 
@@ -29,19 +27,6 @@ def load_state(path: str) -> dict[str, np.ndarray]:
         path = path + ".npz"
     with np.load(path) as archive:
         return {key: archive[key].copy() for key in archive.files}
-
-
-def split_state(
-    state: dict[str, np.ndarray], theta_keys: Iterable[str]
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Split ``state`` into ``(phi, theta)`` by membership in ``theta_keys``."""
-    keys = set(theta_keys)
-    unknown = keys - set(state)
-    if unknown:
-        raise KeyError(f"theta keys not present in state: {sorted(unknown)}")
-    theta = {k: v for k, v in state.items() if k in keys}
-    phi = {k: v for k, v in state.items() if k not in keys}
-    return phi, theta
 
 
 def theta_keys(model: SegmentedModel) -> list[str]:
@@ -70,14 +55,3 @@ def theta_state(model: SegmentedModel) -> dict[str, np.ndarray]:
         for key in theta_keys(model)
     }
 
-
-def parameter_vector(model: Module, trainable_only: bool = False) -> np.ndarray:
-    """Flatten parameters to one vector (for drift/distance diagnostics)."""
-    parts = [
-        p.data.ravel()
-        for _, p in model.named_parameters()
-        if p.requires_grad or not trainable_only
-    ]
-    if not parts:
-        return np.zeros(0)
-    return np.concatenate(parts)

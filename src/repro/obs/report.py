@@ -67,8 +67,7 @@ _COMM_KEYS = {
 def write_jsonl(path: str, rows: Iterable[dict], append: bool = False) -> str:
     """Write dict rows as JSON Lines; the one telemetry wire-format writer.
 
-    Shared by registry snapshots, span exports, and
-    :meth:`repro.engine.records.EventLog.to_jsonl`, so every artifact a
+    Shared by registry snapshots and span exports, so every artifact a
     run emits is greppable/parseable with the same tooling.
     """
     parent = os.path.dirname(path)
@@ -103,18 +102,13 @@ class TelemetrySession:
         trace: bool = False,
         live_refresh: float = 0.0,
         stream=None,
-        snapshot_every: int = 1,
-        max_trace_events: int = 500_000,
     ):
         self.directory = directory
         self.registry = MetricsRegistry()
         self.registry.add_source(metrics.exported_groups)
-        self.tracer: Tracer | None = (
-            Tracer(max_trace_events) if trace else None
-        )
+        self.tracer: Tracer | None = Tracer() if trace else None
         self.live_refresh = float(live_refresh)
         self.stream = stream
-        self.snapshot_every = max(1, int(snapshot_every))
         self.eval_totals = self.registry.register(
             CounterGroup("server.eval", dict(_EVAL_KEYS))
         )
@@ -125,7 +119,6 @@ class TelemetrySession:
         #: per-method observed traffic rows for the summary table
         self.method_traffic: dict[str, dict[str, int]] = {}
         self._baseline: dict[str, float] = {}
-        self._runs_recorded = 0
         self._active = False
         self._closed = False
         self._stop = threading.Event()
@@ -234,9 +227,7 @@ class TelemetrySession:
                     records[-1].cumulative_client_seconds if records else 0.0
                 )
             self.run_seconds.observe(float(seconds))
-        self._runs_recorded += 1
-        if self._runs_recorded % self.snapshot_every == 0:
-            self.write_snapshot(label)
+        self.write_snapshot(label)
 
     # -- snapshots ---------------------------------------------------------
 

@@ -28,8 +28,8 @@ Robustness is the contract, not a best effort:
   semantics). Locks from dead processes are detected and broken.
 - **In-memory caches read through.** ``FeatureRuntime`` and
   ``CampaignSegmentPool`` (feature and test-set segments) probe the store
-  on a miss and write fresh builds through; the disk budget GCs
-  least-recently-used entries, skipping refcount-pinned ones.
+  on a miss and write fresh builds through. Nothing bounds the store on
+  disk; deleting the directory (or any entry in it) is always safe.
 
 Chaos hooks: ``ChaosPlan``'s ``disk-tear`` / ``disk-corrupt`` kinds fire
 inside :meth:`ArtifactStore._put_locked`, tearing a write between the
@@ -39,7 +39,7 @@ matrices as the rest of the fault layer.
 
 On-disk layout (see DESIGN.md "Persistent artifact store")::
 
-    <root>/objects/<kind>-<keydigest>.npz    payload (npz or json codec)
+    <root>/objects/<kind>-<keydigest>.npz    payload (named arrays)
     <root>/objects/<kind>-<keydigest>.meta   CRC sidecar (JSON, commit point)
     <root>/objects/<kind>-<keydigest>.lock   per-entry builder lock
     <root>/quarantine/<entryname>.<pid>-<n>  quarantined corrupt/torn files
@@ -51,6 +51,7 @@ telemetry sessions pick it up with zero wiring.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import re
@@ -81,7 +82,6 @@ STORE = obs_metrics.export_group(
         "writes": 0,
         "bytes": 0,
         "spills": 0,
-        "evictions": 0,
         "lock_waits": 0,
         "locks_broken": 0,
     },
@@ -91,7 +91,6 @@ STORE = obs_metrics.export_group(
 FORMAT = 1
 
 _KIND_RE = re.compile(r"[^a-z0-9_-]+")
-_SUFFIXES = (".npz", ".json", ".meta", ".lock")
 
 
 def default_root() -> str:
@@ -145,10 +144,6 @@ def arrays_digest(arrays: dict[str, np.ndarray]) -> str:
     return h.hexdigest()
 
 
-def _json_digest(data: bytes) -> str:
-    return hashlib.blake2b(data, digest_size=16).hexdigest()
-
-
 def check_store_knobs(
     artifact_store: "ArtifactStore | bool | None",
     cache_dir: str | os.PathLike | None,
@@ -184,18 +179,16 @@ def resolve_store(
 
 
 class ArtifactStore:
-    """Disk-backed content-addressed store of named-array / JSON entries.
+    """Disk-backed content-addressed store of named-array entries.
 
     Keys are arbitrary nests of str/int/float/bytes/None/tuple (the repo
     convention: ``("feat", *shard_key, fingerprint)``, ``("pretrain",
-    ...)`` — the BLAKE2b fingerprint bytes go in verbatim). ``byte_budget``
-    bounds total on-disk size; ``trim`` evicts LRU unpinned entries.
+    ...)`` — the BLAKE2b fingerprint bytes go in verbatim).
     """
 
     def __init__(
         self,
         root: str | os.PathLike | None = None,
-        byte_budget: int | None = None,
         lock_timeout: float = 60.0,
         stale_lock_after: float = 60.0,
     ):
@@ -204,11 +197,8 @@ class ArtifactStore:
         self.quarantine_dir = os.path.join(self.root, "quarantine")
         os.makedirs(self.objects_dir, exist_ok=True)
         os.makedirs(self.quarantine_dir, exist_ok=True)
-        self.byte_budget = byte_budget
         self.lock_timeout = lock_timeout
         self.stale_lock_after = stale_lock_after
-        #: entry base name → pin refcount (pinned entries survive trim)
-        self._pins: dict[str, int] = {}
         #: entry base name → last quarantined sidecar; keeps the rebuild /
         #: poison accounting intact when the quarantine happened on an
         #: earlier ``get`` and the rebuild on a later ``get_or_build``
@@ -249,7 +239,7 @@ class ArtifactStore:
 
     # -- probe / load --------------------------------------------------
 
-    def _probe(self, key: Any) -> tuple[Any | None, dict | None]:
+    def _probe(self, key: Any) -> tuple[dict | None, dict | None]:
         """(value, sidecar) — or (None, stale sidecar) after quarantining.
 
         The stale sidecar (returned only when a corrupt/torn entry was
@@ -261,7 +251,7 @@ class ArtifactStore:
         name = os.path.basename(base)
         meta_path = base + ".meta"
         lock_path = base + ".lock"
-        payload_candidates = (base + ".npz", base + ".json")
+        payload = base + ".npz"
         if not os.path.exists(meta_path):
             # payload without sidecar: a torn write (crash or disk-tear
             # chaos between the payload and sidecar commits) — unless a
@@ -269,7 +259,7 @@ class ArtifactStore:
             # simply in flight and this is an ordinary miss
             if os.path.exists(lock_path) and not self._lock_is_stale(lock_path):
                 return None, None
-            if self._quarantine(*payload_candidates):
+            if self._quarantine(payload):
                 STORE["quarantines"] += 1
                 self._stale_meta[name] = {"torn": True}
                 return None, {"torn": True}
@@ -279,7 +269,7 @@ class ArtifactStore:
                 meta = json.load(f)
         except (OSError, ValueError):
             STORE["quarantines"] += 1
-            self._quarantine(meta_path, *payload_candidates)
+            self._quarantine(meta_path, payload)
             self._stale_meta[name] = {"torn": True}
             return None, None
         payload_path = os.path.join(
@@ -287,7 +277,7 @@ class ArtifactStore:
         )
         if not meta.get("payload") or not os.path.exists(payload_path):
             STORE["quarantines"] += 1
-            self._quarantine(meta_path, *payload_candidates)
+            self._quarantine(meta_path, payload)
             self._stale_meta[name] = meta
             return None, meta
         try:
@@ -295,7 +285,7 @@ class ArtifactStore:
                 data = f.read()
         except OSError:
             STORE["quarantines"] += 1
-            self._quarantine(meta_path, *payload_candidates)
+            self._quarantine(meta_path, payload)
             self._stale_meta[name] = meta
             return None, meta
         STORE["verifies"] += 1
@@ -306,21 +296,11 @@ class ArtifactStore:
         ):
             STORE["corruptions"] += 1
             STORE["quarantines"] += 1
-            self._quarantine(meta_path, *payload_candidates)
+            self._quarantine(meta_path, payload)
             self._stale_meta[name] = meta
             return None, meta
-        if meta.get("codec") == "json":
-            value: Any = json.loads(data.decode("utf-8"))
-        else:
-            import io
-
-            with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-                value = {name: archive[name].copy() for name in archive.files}
-        # touch for LRU recency (trim orders by payload mtime)
-        try:
-            os.utime(payload_path)
-        except OSError:
-            pass
+        with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+            value = {name: archive[name].copy() for name in archive.files}
         return value, meta
 
     # -- locks ---------------------------------------------------------
@@ -383,26 +363,17 @@ class ArtifactStore:
 
     # -- write ---------------------------------------------------------
 
-    def _put_locked(self, key: Any, value: Any, codec: str) -> bool:
+    def _put_locked(self, key: Any, value: dict[str, np.ndarray]) -> bool:
         """Write an entry (caller holds the lock). True once durable."""
         base = self._base(key)
-        payload_path = base + (".json" if codec == "json" else ".npz")
-        if codec == "json":
-            body = json.dumps(value, sort_keys=True).encode("utf-8")
-            content = _json_digest(body)
+        payload_path = base + ".npz"
+        content = arrays_digest(value)
 
-            def write_payload(staging: str) -> None:
-                with open(staging, "wb") as f:
-                    f.write(body)
-
-        else:
-            content = arrays_digest(value)
-
-            def write_payload(staging: str) -> None:
-                with open(staging, "wb") as f:
-                    # an open file handle, not a path: np.savez would
-                    # append ".npz" to the staging name otherwise
-                    np.savez(f, **{k: np.asarray(v) for k, v in value.items()})
+        def write_payload(staging: str) -> None:
+            with open(staging, "wb") as f:
+                # an open file handle, not a path: np.savez would
+                # append ".npz" to the staging name otherwise
+                np.savez(f, **{k: np.asarray(v) for k, v in value.items()})
 
         plan = active_chaos()
         fault = plan.disk_fault_for_write() if plan is not None else None
@@ -420,7 +391,6 @@ class ArtifactStore:
             "format": FORMAT,
             "key": canonical_key(key),
             "payload": os.path.basename(payload_path),
-            "codec": codec,
             "crc": zlib.crc32(data),
             "nbytes": len(data),
             "content": content,
@@ -439,8 +409,6 @@ class ArtifactStore:
                 byte = f.read(1)
                 f.seek(offset)
                 f.write(bytes([byte[0] ^ 0xFF]))
-        if self.byte_budget is not None:
-            self.trim()
         return True
 
     # -- public API ----------------------------------------------------
@@ -450,7 +418,7 @@ class ArtifactStore:
         base = self._base(key)
         if not os.path.exists(base + ".meta"):
             return False
-        return os.path.exists(base + ".npz") or os.path.exists(base + ".json")
+        return os.path.exists(base + ".npz")
 
     def get(self, key: Any) -> dict[str, np.ndarray] | None:
         """CRC-verified load; None on miss (corrupt entries quarantined)."""
@@ -470,7 +438,7 @@ class ArtifactStore:
         with self._entry_lock(key):
             if not overwrite and self.contains(key):
                 return False
-            return self._put_locked(key, dict(arrays), "npz")
+            return self._put_locked(key, dict(arrays))
 
     def spill(self, key: Any, arrays: dict[str, np.ndarray]) -> bool:
         """``put`` counted as ``store.spills``: the write-back of an entry
@@ -485,8 +453,7 @@ class ArtifactStore:
         self,
         key: Any,
         factory: Callable[[], dict[str, np.ndarray]],
-        codec: str = "npz",
-    ) -> tuple[Any, bool]:
+    ) -> tuple[dict[str, np.ndarray], bool]:
         """Return ``(value, built)`` with single-builder coordination.
 
         A verified hit avoids the build entirely (``builds_avoided``).
@@ -516,12 +483,7 @@ class ArtifactStore:
             built = factory()
             if stale_meta is not None:
                 STORE["rebuilds"] += 1
-                if codec == "json":
-                    rebuilt_digest = _json_digest(
-                        json.dumps(built, sort_keys=True).encode("utf-8")
-                    )
-                else:
-                    rebuilt_digest = arrays_digest(built)
+                rebuilt_digest = arrays_digest(built)
                 recorded = stale_meta.get("content")
                 if recorded is not None and rebuilt_digest != recorded:
                     STORE["poisoned"] += 1
@@ -532,98 +494,6 @@ class ArtifactStore:
                         RuntimeWarning,
                         stacklevel=2,
                     )
-            self._put_locked(key, built, codec)
+            self._put_locked(key, built)
             self._stale_meta.pop(name, None)
             return built, True
-
-    # JSON entries (benchmark baselines, small metadata)
-
-    def get_json(self, key: Any) -> Any | None:
-        value, _ = self._probe(key)
-        if value is None:
-            STORE["misses"] += 1
-            return None
-        STORE["hits"] += 1
-        return value
-
-    def put_json(self, key: Any, value: Any, overwrite: bool = False) -> bool:
-        if not overwrite and self.contains(key):
-            return False
-        with self._entry_lock(key):
-            if not overwrite and self.contains(key):
-                return False
-            return self._put_locked(key, value, "json")
-
-    # -- pins & GC -----------------------------------------------------
-
-    def pin(self, key: Any) -> None:
-        """Refcount-protect ``key`` from ``trim`` eviction."""
-        name = os.path.basename(self._base(key))
-        self._pins[name] = self._pins.get(name, 0) + 1
-
-    def unpin(self, key: Any) -> None:
-        name = os.path.basename(self._base(key))
-        count = self._pins.get(name, 0) - 1
-        if count <= 0:
-            self._pins.pop(name, None)
-        else:
-            self._pins[name] = count
-
-    @contextmanager
-    def pinned(self, key: Any) -> Iterator[None]:
-        self.pin(key)
-        try:
-            yield
-        finally:
-            self.unpin(key)
-
-    def _entries(self) -> list[tuple[float, int, str, list[str]]]:
-        """(payload mtime, total bytes, base name, file paths) per entry."""
-        grouped: dict[str, list[str]] = {}
-        for name in os.listdir(self.objects_dir):
-            stem, ext = os.path.splitext(name)
-            if ext not in _SUFFIXES or ext == ".lock" or name.endswith(".tmp"):
-                continue
-            grouped.setdefault(stem, []).append(
-                os.path.join(self.objects_dir, name)
-            )
-        entries = []
-        for stem, paths in grouped.items():
-            mtime, nbytes = 0.0, 0
-            for path in paths:
-                try:
-                    st = os.stat(path)
-                except OSError:
-                    continue
-                nbytes += st.st_size
-                if not path.endswith(".meta"):
-                    mtime = max(mtime, st.st_mtime)
-            entries.append((mtime, nbytes, stem, paths))
-        entries.sort(key=lambda e: (e[0], e[2]))
-        return entries
-
-    def total_bytes(self) -> int:
-        return sum(nbytes for _, nbytes, _, _ in self._entries())
-
-    def trim(self, byte_budget: int | None = None) -> int:
-        """Evict LRU unpinned entries until under budget; returns count."""
-        budget = self.byte_budget if byte_budget is None else byte_budget
-        if budget is None:
-            return 0
-        entries = self._entries()
-        total = sum(nbytes for _, nbytes, _, _ in entries)
-        evicted = 0
-        for _, nbytes, stem, paths in entries:
-            if total <= budget:
-                break
-            if self._pins.get(stem):
-                continue
-            for path in paths:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-            total -= nbytes
-            evicted += 1
-            STORE["evictions"] += 1
-        return evicted

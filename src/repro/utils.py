@@ -98,7 +98,3 @@ def format_table(
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
 
-
-def format_pct(value: float, digits: int = 2) -> str:
-    """Format a [0, 1] fraction as a percentage string."""
-    return f"{100.0 * value:.{digits}f}"

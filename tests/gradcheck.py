@@ -1,9 +1,7 @@
 """Numerical gradient checking for the hand-written backward passes.
 
 Central differences against the analytic gradients; used by
-``tests/test_nn_gradients.py`` to certify every layer. Kept in the library
-(not the test tree) so downstream users extending the layer zoo can verify
-their own backward implementations.
+``test_nn_gradients.py`` to certify every layer.
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.engine.aggregators import FedAsyncAggregator, FedBuffAggregator
-from repro.engine.availability import AlwaysAvailable
 from repro.engine.backends import ProcessPoolBackend
 from repro.engine.runner import run_async_federated_training
 from repro.fl.checkpoint import (
@@ -413,16 +412,17 @@ def test_async_resume_with_dropouts(kill_at):
     must survive — resetting it diverges only *later* in the run, which a
     single lucky kill point would miss.
     """
-    availability = AlwaysAvailable(dropout_probability=0.4)
     full_server, full_log = _run_uninterrupted(
-        "fedasync", availability=availability
+        "fedasync", dropout_probability=0.4
     )
-    assert full_log.events_of_kind("drop"), "scenario must exercise drops"
+    assert [r for r in full_log.records if r.kind == "drop"], (
+        "scenario must exercise drops"
+    )
     resumed_server, resumed_log = _run_killed_then_resume(
         "fedasync",
         kill_at=kill_at,
-        run_kwargs={"availability": AlwaysAvailable(dropout_probability=0.4)},
-        resume_kwargs={"availability": AlwaysAvailable(dropout_probability=0.4)},
+        run_kwargs={"dropout_probability": 0.4},
+        resume_kwargs={"dropout_probability": 0.4},
     )
     assert _logs_identical(full_log, resumed_log)
     assert _states_identical(

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.fl.communication import (
-    campaign_communication,
-    communication_reduction,
-    round_communication,
-)
+from repro.fl.communication import history_communication, round_communication
+from repro.fl.rounds import RoundRecord, TrainingHistory
 
 RNG = np.random.default_rng
 
@@ -44,15 +41,31 @@ def test_traffic_shrinks_with_deeper_freezing():
     assert sizes[-1] < sizes[0]
 
 
-def test_communication_reduction_fraction():
-    assert communication_reduction(make_model("full")) == pytest.approx(1.0)
-    reduction = communication_reduction(make_model("classifier"))
+def test_round_traffic_fraction_of_full_model():
+    """Per-round traffic relative to full-model FL: all of it at "full",
+    under a fifth at "classifier"."""
+    full = round_communication(make_model("full")).total_parameters
+    assert full == 2 * sum(v.size for v in make_model("full").state_dict().values())
+    reduction = round_communication(make_model("classifier")).total_parameters / full
     assert 0.0 < reduction < 0.2
+
+
+def _campaign(rounds, participants):
+    """A sync history in which ``participants`` clients train each round."""
+    history = TrainingHistory()
+    for r in range(1, rounds + 1):
+        history.append(RoundRecord(
+            round_index=r, test_accuracy=0.0,
+            participants=tuple(range(participants)), selected_samples=0,
+            client_seconds=0.0, cumulative_client_seconds=0.0,
+            mean_local_loss=0.0,
+        ))
+    return history
 
 
 def test_campaign_totals():
     model = make_model("moderate")
-    campaign = campaign_communication(model, rounds=10, participants_per_round=5)
+    campaign = history_communication(model, _campaign(10, 5), num_clients=5)
     per_round = round_communication(model).total_parameters
     full = sum(v.size for v in model.state_dict().values())
     expected = per_round * 10 * 5 + (full - per_round // 2) * 5
@@ -64,18 +77,13 @@ def test_campaign_totals():
 def test_campaign_partial_beats_full_when_long_enough():
     """Amortised over enough rounds, the θ-only protocol wins despite the
     one-off ϕ broadcast."""
-    partial = campaign_communication(
-        make_model("moderate"), rounds=20, participants_per_round=10
-    )
-    full = campaign_communication(
-        make_model("full"), rounds=20, participants_per_round=10
-    )
+    history = _campaign(20, 10)
+    partial = history_communication(make_model("moderate"), history, 10)
+    full = history_communication(make_model("full"), history, 10)
     assert partial.total_parameters < full.total_parameters
 
 
 def test_validation():
     model = make_model("full")
-    with pytest.raises(ValueError):
-        campaign_communication(model, rounds=0, participants_per_round=1)
     with pytest.raises(ValueError):
         round_communication(model).bytes(0)

@@ -10,20 +10,16 @@ from repro.core.fedft_eds import (
     make_selector,
     run_fedft_eds,
 )
-from repro.core.hardened_softmax import (
-    entropy_scores,
-    hardened_softmax,
-    select_top_entropy,
-)
 from repro.data.dataset import ArrayDataset
 from repro.fl.selection import EntropySelector, FullSelector, RandomSelector
+from repro.nn import functional as F
 
 RNG = np.random.default_rng
 
 
 def test_hardened_softmax_is_temperature_softmax():
     logits = np.array([[1.0, 0.0, -1.0]])
-    hard = hardened_softmax(logits, 0.1)
+    hard = F.softmax(logits, 0.1)
     assert hard[0, 0] > 0.99  # rho=0.1 makes the argmax near-certain
     assert np.allclose(hard.sum(axis=1), 1.0)
 
@@ -32,19 +28,20 @@ def test_entropy_scores_shape_and_range():
     rng = RNG(0)
     model = nn.MLP(12, (8, 8, 8), 5, rng)
     ds = ArrayDataset(rng.normal(size=(30, 3, 2, 2)), rng.integers(0, 5, 30))
-    scores = entropy_scores(model, ds, temperature=0.1)
+    scores = EntropySelector(temperature=0.1).scores(model, ds)
     assert scores.shape == (30,)
     assert np.all(scores >= 0) and np.all(scores <= np.log(5) + 1e-9)
 
 
 def test_select_top_entropy():
+    selector = EntropySelector()
     scores = np.array([0.1, 0.9, 0.5, 0.7, 0.2])
-    idx = select_top_entropy(scores, 0.4)
+    selector.scores = lambda *args, **kwargs: scores
+    ds = ArrayDataset(np.zeros((5, 1)), np.zeros(5, dtype=int))
+    idx = selector.select(None, ds, 0.4, RNG(0))
     assert np.array_equal(idx, [1, 3])
     with pytest.raises(ValueError):
-        select_top_entropy(scores, 0.0)
-    with pytest.raises(ValueError):
-        select_top_entropy(np.zeros(0), 0.5)
+        selector.select(None, ds, 0.0, RNG(0))
 
 
 def test_confident_samples_excluded():
@@ -54,8 +51,10 @@ def test_confident_samples_excluded():
     # craft inputs: find a confident and an uncertain one by probing
     x = rng.normal(size=(64, 1, 2, 2))
     ds = ArrayDataset(x, np.zeros(64, dtype=int))
-    scores = entropy_scores(model, ds, temperature=0.1)
-    idx = select_top_entropy(scores, 0.25)
+    selector = EntropySelector(temperature=0.1)
+    scores = selector.scores(model, ds)
+    idx = selector.select(model, ds, 0.25, RNG(2))
+    assert len(idx) == 16
     assert scores[idx].min() >= np.median(scores)
 
 
@@ -136,3 +135,48 @@ def test_run_fedft_eds_speech_domain():
 def test_run_fedft_eds_without_pretraining():
     result = run_fedft_eds(FedFTEDSConfig(seed=0, pretrain=False, **SMOKE))
     assert len(result.history.records) == 2
+
+
+@pytest.mark.parametrize(
+    "knobs, name",
+    [
+        ({"lr": float("nan")}, "lr"),
+        ({"lr": float("inf")}, "lr"),
+        ({"momentum": float("nan")}, "momentum"),
+        ({"prox_mu": float("nan")}, "prox_mu"),
+        ({"prox_mu": float("inf")}, "prox_mu"),
+        ({"temperature": float("nan")}, "temperature"),
+        ({"temperature": float("inf")}, "temperature"),
+        ({"alpha": float("nan")}, "alpha"),
+        ({"alpha": float("inf")}, "alpha"),
+        ({"alpha": 0.0}, "alpha"),
+        ({"mode": "fedasync", "staleness_exponent": float("nan")},
+         "staleness_exponent"),
+        ({"mode": "fedbuff", "server_lr": float("nan")}, "server_lr"),
+        ({"mode": "fedbuff", "buffer_size": 2.5}, "buffer_size"),
+        ({"mode": "fedasync", "dropout_probability": float("nan")},
+         "dropout_probability"),
+        ({"backend": "process", "job_timeout": -1.0}, "job_deadline"),
+        ({"backend": "process", "job_timeout": float("nan")}, "job_deadline"),
+        ({"backend": "process", "max_job_retries": -1}, "max_retries"),
+        ({"backend": "process", "chaos": "bogus@x"}, "unknown chaos kind"),
+        ({"backend": "process", "chaos": "kill@-3"}, "negative job index"),
+    ],
+    ids=["lr_nan", "lr_inf", "momentum_nan", "prox_nan", "prox_inf",
+         "temperature_nan", "temperature_inf", "alpha_nan", "alpha_inf",
+         "alpha_0", "staleness_nan", "server_lr_nan", "buffer_fractional",
+         "dropout_nan", "job_timeout_negative", "job_timeout_nan",
+         "retries_negative", "chaos_unknown_kind", "chaos_negative_job"],
+)
+def test_run_fedft_eds_refuses_before_pretraining(knobs, name, monkeypatch):
+    """NaN, infinite, fractional and malformed settings are refused before
+    the run pretrains anything (and before any worker starts)."""
+    from repro.core import fedft_eds
+
+    calls = []
+    monkeypatch.setattr(
+        fedft_eds, "pretrain_model", lambda *args, **kwargs: calls.append(1)
+    )
+    with pytest.raises(ValueError, match=name):
+        run_fedft_eds(FedFTEDSConfig(seed=0, **{**SMOKE, **knobs}))
+    assert calls == []

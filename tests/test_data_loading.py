@@ -1,15 +1,9 @@
-"""Dataset containers, loader, transforms."""
+"""Dataset containers and the loader."""
 
 import numpy as np
 import pytest
 
 from repro.data.dataset import ArrayDataset, DataLoader, Subset
-from repro.data.transforms import (
-    Compose,
-    Normalize,
-    RandomCrop,
-    RandomHorizontalFlip,
-)
 
 
 def make_dataset(n=20):
@@ -67,13 +61,6 @@ def test_dataloader_batches_cover_dataset():
     assert len(loader) == 4
 
 
-def test_dataloader_drop_last():
-    ds = make_dataset(17)
-    loader = DataLoader(ds, batch_size=5, drop_last=True)
-    assert [len(b[1]) for b in loader] == [5, 5, 5]
-    assert len(loader) == 3
-
-
 def test_dataloader_shuffle_reproducible_and_reshuffles():
     ds = make_dataset(16)
     loader = DataLoader(ds, 4, shuffle=True, rng=np.random.default_rng(0))
@@ -94,37 +81,3 @@ def test_dataloader_requires_rng_for_shuffle():
         DataLoader(make_dataset(4), 2, shuffle=True)
     with pytest.raises(ValueError):
         DataLoader(make_dataset(4), 0)
-
-
-def test_normalize():
-    x = np.ones((2, 3, 2, 2))
-    norm = Normalize(mean=[1.0, 1.0, 1.0], std=[2.0, 2.0, 2.0])
-    assert np.allclose(norm(x), 0.0)
-    with pytest.raises(ValueError):
-        Normalize([0.0], [0.0])
-
-
-def test_random_flip_preserves_content():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(10, 3, 4, 4))
-    flip = RandomHorizontalFlip(p=1.0, rng=0)
-    out = flip(x)
-    assert np.array_equal(out, x[:, :, :, ::-1])
-    noflip = RandomHorizontalFlip(p=0.0, rng=0)
-    assert np.array_equal(noflip(x), x)
-
-
-def test_random_crop_shape_and_content():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(6, 3, 8, 8))
-    crop = RandomCrop(padding=2, rng=0)
-    out = crop(x)
-    assert out.shape == x.shape
-    # every output pixel comes from the padded input, so values subset
-    assert np.isin(out[np.abs(out) > 1e-12], x).all() or True  # sanity only
-
-
-def test_compose_order():
-    x = np.ones((1, 1, 2, 2))
-    pipeline = Compose([Normalize([0.5], [1.0]), Normalize([0.0], [0.5])])
-    assert np.allclose(pipeline(x), 1.0)

@@ -9,17 +9,12 @@ from repro.engine.aggregators import (
     FedBuffAggregator,
     make_aggregator,
 )
-from repro.engine.availability import (
-    AlwaysAvailable,
-    RandomAvailability,
-    TraceAvailability,
-)
 from repro.engine.backends import make_backend
 from repro.engine.clock import EventQueue, VirtualClock
 from repro.engine.records import EventLog, EventRecord
 from repro.fl.aggregation import apply_delta_flat, staleness_weight
 from repro.fl.rounds import RoundRecord, TrainingHistory, run_federated_training
-from repro.fl.sampling import BernoulliParticipation, ParticipationModel
+from repro.fl.sampling import ParticipationModel
 from repro.fl.slab import SlabLayout, make_slab_state
 from repro.fl.timing import TimingModel, straggler_multipliers
 from repro.testbed import ENGINE_SMOKE as SMOKE
@@ -123,8 +118,27 @@ def test_make_aggregator_variants():
         make_aggregator("sync")
 
 
-# -- availability -------------------------------------------------------------
-def _run_async(availability=None, backend=None, max_events=12, seed=11):
+@pytest.mark.parametrize(
+    "mode, kwargs, name",
+    [
+        ("fedasync", {"staleness_exponent": float("nan")}, "staleness_exponent"),
+        ("fedasync", {"staleness_exponent": float("inf")}, "staleness_exponent"),
+        ("fedbuff", {"staleness_exponent": float("nan")}, "staleness_exponent"),
+        ("fedbuff", {"server_lr": float("nan")}, "server_lr"),
+        ("fedbuff", {"server_lr": float("inf")}, "server_lr"),
+        ("fedbuff", {"buffer_size": 2.5}, "buffer_size"),
+    ],
+    ids=["fedasync_staleness_nan", "fedasync_staleness_inf",
+         "fedbuff_staleness_nan", "fedbuff_lr_nan", "fedbuff_lr_inf",
+         "fedbuff_buffer_fractional"],
+)
+def test_make_aggregator_refuses_non_finite_and_fractional(mode, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        make_aggregator(mode, **kwargs)
+
+
+# -- dropout -------------------------------------------------------------------
+def _run_async(dropout_probability=0.0, backend=None, max_events=12, seed=11):
     """Drive the shared tiny federation through the event engine."""
     from repro.engine.runner import run_async_federated_training
 
@@ -138,77 +152,28 @@ def _run_async(availability=None, backend=None, max_events=12, seed=11):
         seed=seed,
         timing=timing,
         backend=backend,
-        availability=availability,
+        dropout_probability=dropout_probability,
     )
     return server, log
 
 
-def test_client_never_available_is_never_dispatched():
-    """A trace with no (future) intervals excludes the client entirely."""
-    model = TraceAvailability(traces={1: []})
-    _, log = _run_async(availability=model)
-    assert len(log) == 12  # the others absorb the budget
-    assert all(r.client_id != 1 for r in log.records)
-
-
-def test_no_client_ever_available_ends_run_empty():
-    """next_online=None for everyone: the engine stops instead of spinning."""
-    model = TraceAvailability(traces={0: [], 1: [], 2: []})
-    _, log = _run_async(availability=model)
-    assert len(log) == 0
-
-
-def test_trace_window_edges_exactly_at_dispatch_time():
-    """Interval ends are exclusive, starts inclusive, at exact timestamps."""
-    model = TraceAvailability(traces={0: [(5.0, 10.0)]})
-    assert model.is_online(0, 5.0)  # start is inclusive
-    assert not model.is_online(0, 10.0)  # end is exclusive
-    assert model.next_online(0, 10.0) is None
-    assert model.next_online(0, 5.0) == 5.0
-    # arriving exactly at a gap end jumps to the next interval start
-    two = TraceAvailability(traces={0: [(0.0, 1.0), (4.0, 6.0)]})
-    assert two.next_online(0, 1.0) == 4.0
-
-
-def test_random_availability_window_boundary_is_consistent():
-    """t = k·period belongs to window k, matching next_online's answers."""
-    model = RandomAvailability(online_fraction=0.5, period=10.0, seed=7)
-    for window in range(20):
-        t = window * 10.0
-        online = model.is_online(0, t)
-        if online:
-            assert model.next_online(0, t) == t
-        else:
-            nxt = model.next_online(0, t)
-            assert nxt is None or (nxt > t and model.is_online(0, nxt))
-        if window > 0:
-            # the instant before the boundary belongs to the previous window
-            assert model.is_online(0, t - 1e-9) == model.is_online(
-                0, (window - 1) * 10.0
-            )
-    # negative times (before the federation starts) clamp to window 0
-    assert model.is_online(0, -1.0) == model.is_online(0, 0.0)
-
-
 def test_zero_probability_boundaries():
-    """p=0 Bernoulli participation is rejected; p=0 dropout never drops."""
-    with pytest.raises(ValueError):
-        BernoulliParticipation(0.0)
-    _, log = _run_async(availability=AlwaysAvailable(dropout_probability=0.0))
-    assert not log.events_of_kind("drop")
-    with pytest.raises(ValueError):
-        AlwaysAvailable(dropout_probability=1.0)  # certain loss is excluded
+    """p=0 dropout never drops; p=1 (certain loss) and NaN are refused."""
+    _, log = _run_async(dropout_probability=0.0)
+    assert not [r for r in log.records if r.kind == "drop"]
+    for p in (1.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="dropout_probability"):
+            _run_async(dropout_probability=p)
 
 
 def test_availability_rng_streams_stable_across_backends():
-    """Churn draws come from the scheduler stream: logs are backend-invariant."""
-    churn = lambda: RandomAvailability(  # noqa: E731 - test-local factory
-        online_fraction=0.6, period=3.0, seed=5, dropout_probability=0.2
-    )
-    _, serial_log = _run_async(availability=churn())
+    """Dropout draws come from the scheduler stream: logs are
+    backend-invariant."""
+    _, serial_log = _run_async(dropout_probability=0.2)
+    assert [r for r in serial_log.records if r.kind == "drop"]
     process = make_backend("process", max_workers=2)
     try:
-        _, process_log = _run_async(availability=churn(), backend=process)
+        _, process_log = _run_async(dropout_probability=0.2, backend=process)
     finally:
         process.close()
     key = lambda log: [  # noqa: E731 - test-local projection
@@ -216,28 +181,6 @@ def test_availability_rng_streams_stable_across_backends():
         for r in log.records
     ]
     assert key(serial_log) == key(process_log)
-
-
-def test_random_availability_is_deterministic_and_windowed():
-    a = RandomAvailability(online_fraction=0.5, period=10.0, seed=3)
-    b = RandomAvailability(online_fraction=0.5, period=10.0, seed=3)
-    pattern_a = [a.is_online(0, t) for t in np.arange(0, 200, 5.0)]
-    pattern_b = [b.is_online(0, t) for t in np.arange(0, 200, 5.0)]
-    assert pattern_a == pattern_b
-    assert any(pattern_a) and not all(pattern_a)
-    nxt = a.next_online(0, 0.0)
-    assert nxt is not None and a.is_online(0, nxt)
-
-
-def test_trace_availability_intervals():
-    model = TraceAvailability(traces={1: [(5.0, 10.0), (20.0, 30.0)]})
-    assert model.is_online(0, 0.0)  # no trace: always online
-    assert not model.is_online(1, 0.0)
-    assert model.is_online(1, 7.0)
-    assert model.next_online(1, 12.0) == 20.0
-    assert model.next_online(1, 40.0) is None
-    with pytest.raises(ValueError):
-        TraceAvailability(traces={0: [(3.0, 2.0)]})
 
 
 # -- event log ----------------------------------------------------------------
@@ -263,12 +206,11 @@ def test_event_log_threshold_queries_skip_carried_accuracy():
     log.append(_event(0, 0.5, True, 1.0))
     log.append(_event(1, 0.5, False, 2.0))  # carried forward, not a real hit
     log.append(_event(2, 0.9, True, 3.0))
-    assert log.events_to_accuracy(0.5) == 0
+    assert log.seconds_to_accuracy(0.5) == 1.0
     assert log.seconds_to_accuracy(0.9) == 3.0
-    assert log.virtual_time_to_accuracy(0.9) == 2.0
     assert log.best_accuracy == 0.9
     assert log.total_client_seconds == 3.0
-    assert log.events_to_accuracy(0.95) is None
+    assert log.seconds_to_accuracy(0.95) is None
 
 
 # -- end-to-end through the one-call API --------------------------------------
@@ -389,12 +331,12 @@ def test_async_dropout_records_lost_rounds():
         FedFTEDSConfig(seed=0, mode="fedasync", dropout_probability=0.5, **SMOKE)
     )
     log = result.history
-    drops = log.events_of_kind("drop")
+    drops = [r for r in log.records if r.kind == "drop"]
     assert drops, "p=0.5 over 6 events should lose at least one round"
     assert all(r.num_selected == 0 and r.client_seconds > 0 for r in drops)
     # dropped rounds still waste client time
     assert log.total_client_seconds > sum(
-        r.client_seconds for r in log.events_of_kind("update")
+        r.client_seconds for r in log.records if r.kind == "update"
     )
 
 
@@ -437,14 +379,10 @@ def test_thread_backend_is_rejected_everywhere(monkeypatch, capsys, surface):
 
 
 def test_async_only_options_rejected_under_sync_mode():
-    """A forgotten mode= must not silently drop the churn configuration."""
+    """A forgotten mode= must not silently drop the dropout configuration."""
     with pytest.raises(ValueError, match="dropout_probability"):
         run_fedft_eds(
             FedFTEDSConfig(seed=0, dropout_probability=0.3, **SMOKE)
-        )
-    with pytest.raises(ValueError, match="availability"):
-        run_fedft_eds(
-            FedFTEDSConfig(seed=0, availability=AlwaysAvailable(), **SMOKE)
         )
 
 
@@ -512,29 +450,6 @@ def test_solver_and_run_settings_refused_before_setup(
         run_fedft_eds(FedFTEDSConfig(**{**SMOKE, **knobs}))
 
 
-@pytest.mark.parametrize(
-    "knobs",
-    [{"cache_dir": "elsewhere"}, {"artifact_store": False}, {"max_workers": 2}],
-    ids=["cache_dir", "artifact_store", "max_workers"],
-)
-def test_campaign_owned_knobs_refused_before_setup(knobs, monkeypatch):
-    """A campaign's runs use its store and its warm backend, so a run of
-    it that sets its own is refused before the world is generated, naming
-    the campaign, instead of silently running on the campaign's."""
-    from repro.core.fedft_eds import FedFTEDSCampaign
-    from repro.data import synthetic
-
-    def no_setup(*args, **kwargs):
-        raise AssertionError("the invalid setting surfaced after setup began")
-
-    monkeypatch.setattr(synthetic, "make_vision_world", no_setup)
-    with FedFTEDSCampaign() as campaign:
-        with pytest.raises(ValueError, match="FedFTEDSCampaign"):
-            run_fedft_eds(
-                FedFTEDSConfig(**{**SMOKE, "campaign": campaign, **knobs})
-            )
-
-
 # -- satellite fixes -----------------------------------------------------------
 class _EmptyThenFull(ParticipationModel):
     """No participants in round 1, everyone afterwards."""
@@ -571,13 +486,6 @@ def test_empty_participation_round_is_recorded_not_nan():
     assert len(history.records[1].participants) == 3
 
 
-def test_bernoulli_participation_can_be_empty():
-    model = BernoulliParticipation(0.05)
-    rng = np.random.default_rng(0)
-    sizes = {len(model.participants(r, 4, rng)) for r in range(50)}
-    assert 0 in sizes  # empties do occur and must be survivable
-
-
 def test_history_threshold_queries_ignore_stale_accuracy():
     history = TrainingHistory()
 
@@ -596,8 +504,8 @@ def test_history_threshold_queries_ignore_stale_accuracy():
     history.append(record(1, 0.6, True, 1.0))
     history.append(record(2, 0.6, False, 2.0))  # carried forward
     history.append(record(3, 0.8, True, 3.0))
-    assert history.rounds_to_accuracy(0.6) == 1
-    assert history.rounds_to_accuracy(0.7) == 3  # not round 2's stale 0.6
+    assert history.seconds_to_accuracy(0.6) == 1.0
+    assert history.seconds_to_accuracy(0.7) == 3.0  # not round 2's stale 0.6
     assert history.seconds_to_accuracy(0.8) == 3.0
 
 

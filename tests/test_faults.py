@@ -54,19 +54,42 @@ def _clean_fault_state():
 
 
 def test_backoff_is_deterministic_and_bounded():
-    a = FaultPolicy(backoff_base=0.05, backoff_seed=7)
-    b = FaultPolicy(backoff_base=0.05, backoff_seed=7)
+    a = FaultPolicy(backoff_base=0.05)
+    b = FaultPolicy(backoff_base=0.05)
     delays_a = [a.backoff_delay(n) for n in range(1, 8)]
     delays_b = [b.backoff_delay(n) for n in range(1, 8)]
     assert delays_a == delays_b  # replayed scenario waits the same ms
-    other = FaultPolicy(backoff_base=0.05, backoff_seed=8)
-    assert delays_a != [other.backoff_delay(n) for n in range(1, 8)]
+    assert len(set(delays_a)) == len(delays_a)  # jittered, not constant
     for n, delay in enumerate(delays_a, start=1):
         exact = min(2.0, 0.05 * 2.0 ** (n - 1))
         assert 0.0 <= delay <= exact * 1.1
         assert delay >= exact * 0.9
     with pytest.raises(ValueError, match="1-based"):
         a.backoff_delay(0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"job_deadline": -1.0}, "job_deadline"),
+        ({"job_deadline": 0.0}, "job_deadline"),
+        ({"job_deadline": float("nan")}, "job_deadline"),
+        ({"job_deadline": float("inf")}, "job_deadline"),
+        ({"max_retries": -1}, "max_retries"),
+        ({"max_retries": 1.5}, "max_retries"),
+        ({"backoff_base": -0.1}, "backoff_base"),
+        ({"backoff_base": float("nan")}, "backoff_base"),
+        ({"backoff_base": float("inf")}, "backoff_base"),
+    ],
+    ids=["deadline_negative", "deadline_0", "deadline_nan", "deadline_inf",
+         "retries_negative", "retries_fractional", "backoff_negative",
+         "backoff_nan", "backoff_inf"],
+)
+def test_fault_policy_refuses_invalid_settings(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        FaultPolicy(**kwargs)
+    # what the fault tests run with stays accepted
+    FaultPolicy(job_deadline=0.25, max_retries=0)
 
 
 def test_chaos_plan_parse_and_spec_roundtrip():

@@ -29,7 +29,8 @@ import pytest
 
 from multiprocessing import shared_memory
 
-from repro.core.fedft_eds import FedFTEDSCampaign, FedFTEDSConfig, run_fedft_eds
+from repro.core import fedft_eds
+from repro.core.fedft_eds import FedFTEDSConfig, run_fedft_eds
 from repro.core.heterogeneous import CapabilityTier, TieredClient
 from repro.core.partial import prepare_partial_model
 from repro.data.dataset import ArrayDataset
@@ -51,9 +52,8 @@ from repro.fl.strategies import LocalSolver
 from repro.fl.timing import TimingModel
 from repro.nn import functional as F
 from repro.nn.cnn import SmallConvNet
-from repro.nn.dropout import Dropout
 from repro.nn.linear import Linear
-from repro.nn.module import Sequential
+from repro.nn.module import Module, Sequential
 from repro.nn.serialization import theta_keys
 from repro.testbed import ENGINE_SMOKE
 
@@ -326,20 +326,18 @@ class _FullForwardServer(Server):
         return F.accuracy(batched_logits(self.model, x, batch_size), y)
 
 
-class _FullForwardCampaign(FedFTEDSCampaign):
-    """Every run gets a serial backend without a FeatureRuntime, so each
-    client round runs the full forward through ϕ."""
-
-    def backend_for(self, config):
-        return SerialBackend()
-
-
 def _run_full_forward(config_kwargs):
-    """The uncached reference run: full-forward rounds and evaluations."""
+    """The uncached reference run: full-forward rounds and evaluations.
+
+    Every run gets a serial backend without a FeatureRuntime, so each
+    client round runs the full forward through ϕ.
+    """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Server, "evaluate", _FullForwardServer.evaluate)
-        with _FullForwardCampaign() as campaign:
-            return _run(dict(config_kwargs, campaign=campaign))
+        patch.setattr(
+            fedft_eds, "make_backend", lambda *args, **kwargs: SerialBackend()
+        )
+        return _run(config_kwargs)
 
 
 def test_sync_equivalence_cached_vs_full_forward():
@@ -376,6 +374,22 @@ def test_async_equivalence_cached_backends_vs_full_forward(backend):
     assert _states_bitwise_equal(state, reference_state)
 
 
+class _Dropout(Module):
+    """Inverted dropout (a test stand-in): random in train mode, the
+    identity in eval mode, which is how ϕ always runs."""
+
+    def __init__(self, p, rng):
+        super().__init__()
+        self.p = p
+        self.rng = rng
+
+    def forward(self, x):
+        if not self.training:
+            return x
+        keep = 1.0 - self.p
+        return x * (self.rng.random(x.shape) < keep) / keep
+
+
 def test_dropout_and_norm_in_phi_are_deterministic():
     """Dropout in ϕ is identity (ϕ always runs in eval mode) and frozen
     BatchNorm uses its running stats, so cached features are reproducible
@@ -384,7 +398,7 @@ def test_dropout_and_norm_in_phi_are_deterministic():
         model = SmallConvNet(4, RNG(0), channels=(4, 4, 4))
         # inject dropout into what will become ϕ
         low = model.low
-        model.low = Sequential(*low.layers, Dropout(0.5, RNG(9)))
+        model.low = Sequential(*low.layers, _Dropout(0.5, RNG(9)))
         prepare_partial_model(model, "moderate")
         return model
 

@@ -94,6 +94,18 @@ def test_entropy_selector_validation():
         EntropySelector(temperature=0.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"temperature": float("nan")}, {"temperature": float("inf")},
+     {"batch_size": 2.5}, {"batch_size": float("nan")}],
+    ids=["temperature_nan", "temperature_inf", "batch_fractional",
+         "batch_nan"],
+)
+def test_entropy_selector_refuses_non_finite_and_fractional(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        EntropySelector(**kwargs)
+
+
 @pytest.mark.parametrize("batch_size", [0, -1])
 def test_entropy_selector_refuses_batch_size_below_one(batch_size):
     """A chunk size below one can score nothing: refused up front, not

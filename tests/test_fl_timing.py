@@ -19,6 +19,18 @@ def make_model(level="full"):
     return model
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"flops_per_second": float("nan")}, {"flops_per_second": float("inf")},
+     {"speed_multipliers": {0: float("nan")}},
+     {"speed_multipliers": {0: float("inf")}}],
+    ids=["flops_nan", "flops_inf", "multiplier_nan", "multiplier_inf"],
+)
+def test_timing_model_refuses_non_finite_settings(kwargs):
+    with pytest.raises(ValueError):
+        TimingModel(**kwargs)
+
+
 def test_round_seconds_positive_and_scales_with_data():
     timing = TimingModel(flops_per_second=1e6)
     model = make_model()

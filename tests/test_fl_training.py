@@ -108,15 +108,6 @@ def test_history_accounting():
     assert all(r.selected_samples > 0 for r in history.records)
 
 
-def test_rounds_to_accuracy():
-    server, clients = make_federation(selector_cls=FullSelector, level="full")
-    history = run_federated_training(server, clients, rounds=6, seed=0)
-    hit = history.rounds_to_accuracy(0.5)
-    assert hit is not None
-    assert history.rounds_to_accuracy(2.0) is None
-    assert history.seconds_to_accuracy(2.0) is None
-
-
 def test_fraction_participation_counts():
     rng = RNG(0)
     model = FractionParticipation(0.3)
@@ -173,10 +164,15 @@ def test_fedprox_pulls_towards_global():
 @pytest.mark.parametrize(
     "kwargs",
     [{"prox_mu": -1.0}, {"lr": -1.0}, {"lr": 0.0}, {"batch_size": 0},
-     {"momentum": -0.1}, {"weight_decay": -1e-4}],
+     {"momentum": -0.1}, {"lr": float("nan")}, {"lr": float("inf")},
+     {"momentum": float("nan")}, {"momentum": float("inf")},
+     {"prox_mu": float("nan")}, {"prox_mu": float("inf")},
+     {"batch_size": 2.5}, {"batch_size": float("nan")}],
 )
 def test_solver_refuses_invalid_settings(kwargs):
-    with pytest.raises(ValueError):
+    """Out-of-range, NaN, infinite and fractional settings are refused."""
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=name):
         LocalSolver(**kwargs)
 
 

@@ -33,11 +33,9 @@ from repro.fl.selection import EntropySelector, RandomSelector, selected_count
 from repro.fl.server import Server
 from repro.fl.strategies import LocalSolver
 from repro.nn.cnn import SmallConvNet
-from repro.nn.dropout import Dropout
 from repro.nn.fused import CohortPlan, head_ops
 from repro.nn.linear import row_canonical_matmul, row_canonical_matmul_into
 from repro.nn.mlp import MLP
-from repro.nn.module import Sequential
 from repro.testbed import ENGINE_SMOKE
 
 RNG = np.random.default_rng
@@ -115,14 +113,6 @@ def test_head_ops_fusible_and_unfusible():
     ]
 
 
-def test_head_ops_dropout_gate():
-    model = _mlp("moderate")
-    model.head = Sequential(Dropout(0.0, RNG(2)), *model.head.layers)
-    layers, sig = head_ops(model)
-    assert layers is not None  # p=0 dropout is an RNG-free identity
-
-    model.head = Sequential(Dropout(0.5, RNG(2)), *model.head.layers[1:])
-    assert head_ops(model) == (None, None)
 
 
 def test_signature_tracks_trainable_flags():
@@ -149,7 +139,7 @@ def test_plan_rejects_mismatched_feature_shapes():
 # ---------------------------------------------------------------------------
 
 
-def _one_client_round(fused, *, momentum=0.5, wd=0.0, prox=0.0, epochs=3,
+def _one_client_round(fused, *, momentum=0.5, prox=0.0, epochs=3,
                       frac=0.3, n=90, level="moderate", model_kind="mlp",
                       rounds=2):
     """``rounds`` solo rounds of one client: updates, RNG state and how
@@ -164,8 +154,7 @@ def _one_client_round(fused, *, momentum=0.5, wd=0.0, prox=0.0, epochs=3,
         prepare_partial_model(model, level)
     client = Client(
         0, ArrayDataset(x, y), EntropySelector(),
-        LocalSolver(lr=0.1, momentum=momentum, weight_decay=wd, prox_mu=prox,
-                    batch_size=32),
+        LocalSolver(lr=0.1, momentum=momentum, prox_mu=prox, batch_size=32),
         frac, epochs, RNG(7),
     )
     state = model.state_dict()
@@ -184,11 +173,11 @@ def _one_client_round(fused, *, momentum=0.5, wd=0.0, prox=0.0, epochs=3,
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {},  # paper defaults: momentum, no decay, no prox
+        {},  # paper defaults: momentum, no prox
         {"momentum": 0.0},
-        {"wd": 0.01},
+        {"momentum": 0.9},
         {"prox": 0.1},
-        {"prox": 0.1, "wd": 0.01, "momentum": 0.9},
+        {"prox": 0.1, "momentum": 0.9},
         {"frac": 0.37},  # 33 selected: full tile + singleton final batch
         {"frac": 0.02},  # selection clamps to one sample per step
         {"level": "classifier"},

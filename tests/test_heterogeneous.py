@@ -71,11 +71,10 @@ def test_tiered_clients_upload_different_key_sets():
     updates = [c.run_round(server.model, server.broadcast()) for c in clients]
     key_sets = [set(u.theta) for u in updates]
     # weak (classifier) uploads fewer keys than strong (large)
-    weak = next(u for u in updates if u.metadata["tier"] == "weak")
-    strong = next(u for u in updates if u.metadata["tier"] == "strong")
-    assert set(weak.theta) < set(strong.theta)
-    assert all(u.metadata["level"] in ("classifier", "moderate", "large")
-               for u in updates)
+    by_tier = {c.tier.name: u for c, u in zip(clients, updates)}
+    assert set(by_tier["weak"].theta) < set(by_tier["strong"].theta)
+    assert all(c.tier.level in ("classifier", "moderate", "large")
+               for c in clients)
 
 
 def test_aggregate_heterogeneous_keeps_untrained_keys():

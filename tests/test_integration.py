@@ -133,7 +133,7 @@ def test_deterministic_campaign_results():
     assert r1.history.total_client_seconds == r2.history.total_client_seconds
 
 
-def test_communication_reduction_claim():
+def test_theta_only_payload_claim():
     """Paper §III-D: only θ travels — verify the payload is a strict subset."""
     result = run(selection="eds", rounds=2)
     server = result.server

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn.gradcheck import check_module_gradients
+from gradcheck import check_module_gradients, numerical_grad
 
 RNG = np.random.default_rng
 
@@ -34,21 +34,6 @@ def test_relu_gradients():
     # Keep values away from the kink at zero for a clean numerical check.
     x = rng.normal(size=(6, 5))
     x[np.abs(x) < 1e-2] = 0.5
-    check_module_gradients(layer, x, rng)
-
-
-def test_leaky_relu_gradients():
-    rng = RNG(3)
-    layer = nn.LeakyReLU(0.1)
-    x = rng.normal(size=(6, 5))
-    x[np.abs(x) < 1e-2] = 0.5
-    check_module_gradients(layer, x, rng)
-
-
-def test_tanh_gradients():
-    rng = RNG(4)
-    layer = nn.Tanh()
-    x = rng.normal(size=(6, 5))
     check_module_gradients(layer, x, rng)
 
 
@@ -93,27 +78,12 @@ def test_batchnorm2d_eval_gradients():
     check_module_gradients(layer, x, rng)
 
 
-def test_batchnorm1d_train_gradients():
-    rng = RNG(10)
-    layer = nn.BatchNorm1d(4)
-    layer.gamma.data[...] = rng.normal(1.0, 0.2, size=4)
-    x = rng.normal(size=(8, 4))
-    check_module_gradients(layer, x, rng)
-
-
 def test_maxpool_gradients():
     rng = RNG(11)
     layer = nn.MaxPool2d(2)
     # Distinct values avoid ties, whose subgradients are not unique.
     x = rng.permutation(np.arange(2 * 2 * 4 * 4, dtype=np.float64))
     x = x.reshape(2, 2, 4, 4) * 0.1
-    check_module_gradients(layer, x, rng)
-
-
-def test_avgpool_gradients():
-    rng = RNG(12)
-    layer = nn.AvgPool2d(2)
-    x = rng.normal(size=(2, 3, 4, 4))
     check_module_gradients(layer, x, rng)
 
 
@@ -149,7 +119,7 @@ def test_sequential_gradients():
     rng = RNG(17)
     model = nn.Sequential(
         nn.Linear(6, 5, rng),
-        nn.Tanh(),
+        nn.ReLU(),
         nn.Linear(5, 3, rng),
     )
     x = rng.normal(size=(4, 6))
@@ -189,25 +159,6 @@ def test_cross_entropy_gradient_matches_numeric():
 
     f()
     analytic = loss.backward()
-    from repro.nn.gradcheck import numerical_grad
-
-    numeric = numerical_grad(f, logits)
-    assert np.allclose(analytic, numeric, atol=1e-6)
-
-
-def test_cross_entropy_label_smoothing_gradient():
-    rng = RNG(22)
-    logits = rng.normal(size=(5, 3))
-    labels = rng.integers(0, 3, size=5)
-    loss = nn.CrossEntropyLoss(label_smoothing=0.1)
-
-    def f():
-        return loss.forward(logits, labels)
-
-    f()
-    analytic = loss.backward()
-    from repro.nn.gradcheck import numerical_grad
-
     numeric = numerical_grad(f, logits)
     assert np.allclose(analytic, numeric, atol=1e-6)
 
@@ -225,15 +176,11 @@ def test_frozen_parameters_get_no_gradient():
 
 def test_truncated_backward_skips_frozen_bottom():
     rng = RNG(24)
-    model = nn.Sequential(
-        nn.Linear(4, 4, rng),
-        nn.ReLU(),
-        nn.Linear(4, 2, rng),
-        truncate_backward=True,
-    )
-    model.layers[0].freeze()
-    x = rng.normal(size=(3, 4))
+    model = nn.MLP(12, (4, 4, 4), 2, rng)
+    model.apply_fine_tune_level("classifier")
+    x = rng.normal(size=(3, 3, 2, 2))
     out = model(x)
     grad_in = model.backward(np.ones_like(out))
     assert grad_in is None  # backward stopped below the trainable frontier
-    assert np.any(model.layers[2].weight.grad != 0)
+    assert np.any(model.head.layers[0].weight.grad != 0)
+    assert np.all(model.up.layers[0].weight.grad == 0)

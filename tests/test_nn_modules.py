@@ -102,13 +102,6 @@ def test_freeze_unfreeze():
     assert all(p.requires_grad for p in model.parameters())
 
 
-def test_set_trainable_predicate():
-    model = make_mlp()
-    model.set_trainable(lambda name: name.startswith("head"))
-    trainable = [n for n, p in model.named_parameters() if p.requires_grad]
-    assert trainable == ["head.layer0.weight", "head.layer0.bias"]
-
-
 def test_num_parameters_counts():
     model = make_mlp()
     total = model.num_parameters()

@@ -11,9 +11,9 @@ import pytest
 from repro import nn
 from repro.nn import profiling
 from repro.nn.wrn import wrn_16_1
-from repro.core.partial import partial_workload_fraction, prepare_partial_model
+from repro.core.partial import prepare_partial_model
 from repro.experiments.scales import get_scale
-from repro.fl.communication import communication_reduction
+from repro.fl.communication import round_communication
 
 RNG = np.random.default_rng
 
@@ -47,10 +47,14 @@ def test_wrn_16_1_forward_shape_32x32(model):
 
 def test_paper_fine_tune_level_saves_work(model):
     """'Fine-tune from layer 3' must cut both compute and communication."""
+    shape = (3, 32, 32)
+    prepare_partial_model(model, "full")
+    full_flops = profiling.training_flops_per_sample(model, shape)
+    full_traffic = round_communication(model).total_parameters
     prepare_partial_model(model, "moderate")
-    workload = partial_workload_fraction(model, (3, 32, 32))
+    workload = profiling.training_flops_per_sample(model, shape) / full_flops
     assert workload < 0.85  # strictly cheaper than full fine-tuning
-    comm = communication_reduction(model)
+    comm = round_communication(model).total_parameters / full_traffic
     assert comm < 0.95  # theta is a strict subset of the parameters
     model.unfreeze()
 

@@ -6,12 +6,8 @@ import pytest
 from repro import nn
 from repro.nn import profiling
 from repro.nn.segmented import FINE_TUNE_LEVELS, SEGMENT_ORDER
-from repro.nn.serialization import parameter_vector, split_state, theta_keys
-from repro.core.partial import (
-    adapt_to_task,
-    partial_workload_fraction,
-    prepare_partial_model,
-)
+from repro.nn.serialization import theta_keys
+from repro.core.partial import adapt_to_task, prepare_partial_model
 
 RNG = np.random.default_rng
 
@@ -49,7 +45,8 @@ def test_unknown_level_rejected(model):
 
 def test_moderate_level_trains_up_and_head(model):
     model.apply_fine_tune_level("moderate")
-    assert model.trainable_segment_names() == ["up", "head"]
+    trainable = [name for name, seg in model.segments() if seg.has_trainable()]
+    assert trainable == ["up", "head"]
 
 
 def test_backward_truncation_matches_level():
@@ -103,17 +100,6 @@ def test_theta_keys_only_trainable(model):
     assert len(theta_keys(model)) == len(model.state_dict())
 
 
-def test_split_state_partition(model):
-    model.apply_fine_tune_level("moderate")
-    state = model.state_dict()
-    keys = theta_keys(model)
-    phi, theta = split_state(state, keys)
-    assert set(phi) | set(theta) == set(state)
-    assert not (set(phi) & set(theta))
-    with pytest.raises(KeyError):
-        split_state(state, ["missing.key"])
-
-
 def test_adapt_to_task_changes_head_only(model):
     before = {
         n: p.data.copy() for n, p in model.named_parameters()
@@ -127,13 +113,14 @@ def test_adapt_to_task_changes_head_only(model):
             assert np.array_equal(p.data, before[name])
 
 
-def test_partial_workload_fraction_ordering(model):
+def test_training_workload_shrinks_with_freezing(model):
     """Training cost must shrink monotonically as more layers freeze."""
     shape = (3, 4, 4)
-    fractions = []
+    flops = []
     for level in ("full", "large", "moderate", "classifier"):
         prepare_partial_model(model, level)
-        fractions.append(partial_workload_fraction(model, shape))
+        flops.append(profiling.training_flops_per_sample(model, shape))
+    fractions = [f / flops[0] for f in flops]
     assert fractions[0] == pytest.approx(1.0)
     assert fractions == sorted(fractions, reverse=True)
     assert fractions[-1] < 0.6
@@ -157,12 +144,3 @@ def test_selection_flops_equal_forward():
     assert profiling.selection_flops_per_sample(
         model, shape
     ) == profiling.forward_flops_per_sample(model, shape)
-
-
-def test_parameter_vector_lengths(model):
-    full = parameter_vector(model)
-    assert full.size == model.num_parameters()
-    model.apply_fine_tune_level("classifier")
-    trainable = parameter_vector(model, trainable_only=True)
-    assert trainable.size == model.num_parameters(trainable_only=True)
-    assert trainable.size < full.size

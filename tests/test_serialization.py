@@ -3,16 +3,9 @@
 import os
 
 import numpy as np
-import pytest
 
 from repro import nn
-from repro.nn.serialization import (
-    load_state,
-    parameter_vector,
-    save_state,
-    split_state,
-    theta_keys,
-)
+from repro.nn.serialization import load_state, save_state, theta_keys
 
 RNG = np.random.default_rng
 
@@ -60,21 +53,3 @@ def test_theta_keys_include_bn_buffers_of_trainable_segments():
     assert any(k.startswith("up") and "running_mean" in k for k in keys)
     # frozen segments contribute nothing
     assert not any(k.startswith(("stem", "low", "mid")) for k in keys)
-
-
-def test_split_state_disjoint_and_complete():
-    model = nn.SmallConvNet(3, RNG(0), channels=(4, 4, 4))
-    model.apply_fine_tune_level("large")
-    state = model.state_dict()
-    phi, theta = split_state(state, theta_keys(model))
-    assert set(phi).isdisjoint(theta)
-    assert set(phi) | set(theta) == set(state)
-
-
-def test_parameter_vector_roundtrip_values():
-    model = nn.MLP(4, (3, 3, 3), 2, RNG(0))
-    vec = parameter_vector(model)
-    total = sum(p.size for p in model.parameters())
-    assert vec.shape == (total,)
-    empty = nn.Sequential()
-    assert parameter_vector(empty).shape == (0,)

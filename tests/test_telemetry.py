@@ -291,23 +291,6 @@ def test_tracer_bounds_memory():
 # -- event log export -------------------------------------------------------
 
 
-def test_eventlog_to_jsonl_roundtrip(tmp_path):
-    log = EventLog()
-    log.append(
-        EventRecord(
-            event_index=0, kind="update", virtual_time=1.0, client_id=2,
-            staleness=0, model_version=1, test_accuracy=0.5, evaluated=True,
-            num_selected=4, client_seconds=1.0,
-            cumulative_client_seconds=1.0, mean_local_loss=0.3,
-        )
-    )
-    path = log.to_jsonl(str(tmp_path / "events.jsonl"))
-    rows = [json.loads(line) for line in open(path)]
-    assert rows[0]["type"] == "event"
-    assert rows[0]["kind"] == "update"  # record kind survives the export
-    assert rows[0]["client_id"] == 2
-
-
 def test_write_jsonl_append(tmp_path):
     path = str(tmp_path / "x.jsonl")
     write_jsonl(path, [{"a": 1}])

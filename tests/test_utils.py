@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils import format_pct, format_table, make_rng, spawn_rngs
+from repro.utils import format_table, make_rng, spawn_rngs
 
 
 def test_make_rng_from_int():
@@ -54,8 +54,3 @@ def test_format_table_alignment():
 def test_format_table_with_title():
     out = format_table(["x"], [["1"]], title="Title")
     assert out.splitlines()[0] == "Title"
-
-
-def test_format_pct():
-    assert format_pct(0.5) == "50.00"
-    assert format_pct(0.12345, digits=1) == "12.3"
