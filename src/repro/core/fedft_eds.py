@@ -24,10 +24,8 @@ from repro.engine.backends import (
     ProcessPoolBackend,
     make_backend,
 )
-from repro.engine.campaign import CampaignSegmentPool
 from repro.engine.faults import (
-    ChaosPlan,
-    FaultPolicy,
+    fault_setup,
     install_chaos,
     reject_worker_only_knobs,
 )
@@ -52,7 +50,7 @@ from repro.nn.wrn import TinyWRN, WideResNet
 from repro.nn.segmented import FINE_TUNE_LEVELS, SegmentedModel
 from repro.pretrain.pretrainer import PretrainConfig, pretrain_model
 from repro.store import check_store_knobs, resolve_store
-from repro.utils import spawn_rngs
+from repro.utils import check_count, spawn_rngs
 
 #: schema version of the pretrained-backbone store key: bump when anything
 #: the key does not pin starts affecting the pretrained bytes
@@ -184,31 +182,6 @@ class FedFTEDSResult:
 MODES = ("sync", "fedasync", "fedbuff")
 
 
-def _fault_setup(
-    config: "FedFTEDSConfig",
-) -> tuple[FaultPolicy | None, ChaosPlan | None]:
-    """Resolve the config's fault knobs into backend-ready objects.
-
-    Mirrors the backend constructors' convention: chaos injection without
-    an explicit policy enables a default :class:`FaultPolicy`, since
-    injected faults must be survivable to keep results identical.
-    """
-    policy = None
-    if config.job_timeout is not None or config.max_job_retries is not None:
-        args = {}
-        if config.job_timeout is not None:
-            args["job_deadline"] = float(config.job_timeout)
-        if config.max_job_retries is not None:
-            args["max_retries"] = int(config.max_job_retries)
-        policy = FaultPolicy(**args)
-    chaos = config.chaos
-    if isinstance(chaos, str):
-        chaos = ChaosPlan.parse(chaos, seed=config.seed)
-    if chaos is not None and policy is None:
-        policy = FaultPolicy()
-    return policy, chaos
-
-
 _DATASETS = {
     "cifar10": synthetic.make_cifar10,
     "cifar100": synthetic.make_cifar100,
@@ -273,8 +246,7 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
     check_store_knobs(config.artifact_store, config.cache_dir)
     # What the objects built after setup would refuse, refused first.
     # Every check is written so that NaN fails it.
-    if not config.rounds > 0:
-        raise ValueError("rounds must be positive")
+    check_count("rounds", config.rounds)
     if config.model not in MODELS:
         raise ValueError(
             f"unknown model {config.model!r}; expected one of {MODELS}"
@@ -289,10 +261,8 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
             f"unknown fine-tune level {config.fine_tune_level!r}; "
             f"expected one of {sorted(FINE_TUNE_LEVELS)}"
         )
-    if not config.num_clients > 0:
-        raise ValueError("num_clients must be positive")
-    if not config.local_epochs > 0:
-        raise ValueError("local_epochs must be positive")
+    check_count("num_clients", config.num_clients)
+    check_count("local_epochs", config.local_epochs)
     if not (config.alpha > 0 and math.isfinite(config.alpha)):
         raise ValueError(
             f"alpha must be positive and finite, got {config.alpha}"
@@ -303,7 +273,9 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
             f"{config.selection_fraction}"
         )
     make_selector(config.selection, config.temperature)  # refuses a bad ρ
-    fault_policy, chaos = _fault_setup(config)
+    fault_policy, chaos = fault_setup(
+        config.job_timeout, config.max_job_retries, config.chaos, config.seed
+    )
     solver = LocalSolver(
         lr=config.lr,
         momentum=config.momentum,
@@ -354,10 +326,10 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
                 f"dropout_probability must be in [0, 1), got "
                 f"{config.dropout_probability}"
             )
-        if config.max_events is not None and not config.max_events > 0:
-            raise ValueError("max_events must be positive")
-        if config.max_concurrency is not None and not config.max_concurrency > 0:
-            raise ValueError("max_concurrency must be positive")
+        if config.max_events is not None:
+            check_count("max_events", config.max_events)
+        if config.max_concurrency is not None:
+            check_count("max_concurrency", config.max_concurrency)
     (
         model_rng,
         head_rng,
@@ -448,16 +420,11 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
         # uninstalled on the way out.
         install_chaos(chaos)
         installed_chaos = True
-    standalone_pool = None
-    if store is not None and config.backend == "process":
-        # A store-enabled process run gets its own (run-lifetime) segment
-        # pool so feature/eval segments read through the durable store;
-        # closed in the finally below.
-        standalone_pool = CampaignSegmentPool(store=store)
+    # A process backend publishes into a segment pool of its own, which
+    # reads feature and eval segments through the runtime's store.
     backend = make_backend(
         config.backend,
         config.max_workers,
-        segment_pool=standalone_pool,
         feature_runtime=FeatureRuntime(store=store),
         fault_policy=fault_policy,
         chaos=chaos,
@@ -536,8 +503,6 @@ def run_fedft_eds(config: FedFTEDSConfig) -> FedFTEDSResult:
     finally:
         server.evaluator = None
         backend.close()
-        if standalone_pool is not None:
-            standalone_pool.close()
         if installed_chaos:
             install_chaos(None)
         if session is not None:

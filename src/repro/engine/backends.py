@@ -14,11 +14,13 @@ sequence:
   that read the model template, global weights and client shards from
   ``multiprocessing.shared_memory`` segments. Only a small job descriptor
   (segment names, layouts, RNG state) crosses the pipe per round, and only
-  the round's θ update and advanced RNG state come back. With a
-  :class:`~repro.engine.campaign.CampaignSegmentPool` and
-  ``persistent=True`` the workers and shard segments additionally survive
-  across the runs of one campaign (each shard is published once per
-  campaign, not once per run).
+  the round's θ update and advanced RNG state come back. Every data
+  segment (shards, cached features, evaluation shards) lives in a
+  :class:`~repro.engine.campaign.CampaignSegmentPool` — the caller's, or
+  one the backend creates and closes itself — and with
+  ``persistent=True`` the workers and keyed segments survive across the
+  runs of one campaign (each shard is published once per campaign, not
+  once per run).
 
 Every client is in at most one in-flight job at a time (the schedulers
 guarantee this), so per-client RNG streams advance in the same order under
@@ -36,14 +38,15 @@ worker jobs with an exact parent-side count reduction.
 Fault tolerance (see :mod:`repro.engine.faults` and DESIGN.md
 "Fault-tolerant runtime"): with a :class:`~repro.engine.faults.FaultPolicy`
 the process backend detects dead workers, verifies segment fingerprints on
-worker attach, enforces per-job deadlines through a watchdog thread, and
-redispatches the *exact* job blob with seeded exponential backoff — every
-job is a pure function of its dispatch-time RNG state and the published
-segments, so recovery is bitwise invisible. After ``max_retries``
-consecutive failures a job runs in the parent instead (on a private
-thread, else inline) with identical bytes, counted on the exported
-``faults.*`` group. A :class:`~repro.engine.faults.ChaosPlan` injects
-seeded kills / delays / corruptions for replayable failure testing.
+worker attach and before a retry, enforces per-job deadlines through a
+watchdog thread, and redispatches the *exact* job blob with seeded
+exponential backoff — every job is a pure function of its dispatch-time
+RNG state and the published segments, so recovery is bitwise invisible.
+After ``max_retries`` consecutive failures a job runs in the parent
+instead (on a private thread, else inline) with identical bytes, counted
+on the exported ``faults.*`` group. A
+:class:`~repro.engine.faults.ChaosPlan` injects seeded kills / delays /
+corruptions for replayable failure testing.
 
 See DESIGN.md ("Shared-memory process backend") for the segment layout and
 worker lifecycle.
@@ -62,11 +65,15 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from multiprocessing import get_context, resource_tracker, shared_memory
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.engine.campaign import (
+    _ALIGN,
+    RUN_KIND,
+    CampaignSegmentPool,
+    PoolSegment,
+    _write_arrays,
     register_emergency_cleanup,
     unlink_segment,
     unregister_emergency_cleanup,
@@ -90,10 +97,6 @@ from repro.nn.serialization import theta_keys
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
 from repro.obs.metrics import CounterGroup, export_group
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (campaign imports the
-    # layout helpers below, so the runtime import goes the other way)
-    from repro.engine.campaign import CampaignSegmentPool, PoolSegment
 
 #: environment override for the worker start method ("fork" | "spawn" |
 #: "forkserver"); CI runs the determinism suite under spawn through this.
@@ -303,30 +306,6 @@ class SerialBackend(ExecutionBackend):
 # ---------------------------------------------------------------------------
 # Shared-memory process backend
 # ---------------------------------------------------------------------------
-
-#: alignment of every array inside a segment (cache line / SIMD friendly)
-_ALIGN = 64
-
-
-def _array_layout(
-    arrays: dict[str, np.ndarray]
-) -> tuple[dict[str, tuple[int, tuple, str]], int]:
-    """Plan the packed layout ``key -> (offset, shape, dtype.str)`` + size."""
-    layout: dict[str, tuple[int, tuple, str]] = {}
-    offset = 0
-    for key in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[key])
-        offset = -(-offset // _ALIGN) * _ALIGN
-        layout[key] = (offset, tuple(arr.shape), arr.dtype.str)
-        offset += arr.nbytes
-    return layout, max(offset, 1)
-
-
-def _write_arrays(buf, layout, arrays) -> None:
-    for key, (offset, shape, dtype) in layout.items():
-        view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=buf, offset=offset)
-        view[...] = arrays[key]
-
 
 def _slab_wire_layout(
     state: dict[str, np.ndarray], slab_layout
@@ -782,32 +761,15 @@ class _StateSlot:
 class _ShardRecord:
     """Parent-side registration of one client's shard segment.
 
-    ``pool_key`` is set when the segment belongs to a campaign pool (the
-    backend then holds a reference instead of owning the segment);
+    The backend holds one reference on ``segment`` for the run;
     ``digest`` fingerprints the dataset-free client descriptor so workers
     cache one rebuilt client per (template, shard, descriptor).
     """
 
-    shm: shared_memory.SharedMemory
-    layout: dict
+    segment: PoolSegment
     client_blob: bytes
     client: Client  # pins the client object so the id() key stays valid
     digest: str
-    pool_key: object | None = None
-
-
-@dataclass
-class _SegmentRef:
-    """A published auxiliary segment: cached features or an eval shard.
-
-    ``pool_key`` is set when the campaign pool owns the segment (the
-    backend then holds one reference for the run); otherwise the backend
-    owns — and unlinks — it.
-    """
-
-    shm: shared_memory.SharedMemory
-    layout: dict
-    pool_key: object | None = None
 
 
 @dataclass
@@ -831,22 +793,24 @@ class _JobRecord:
     Holds the job *dict* (re-pickled per attempt: the injected
     ``chaos_delay`` only ships on the first dispatch) plus everything the
     retry loop needs — the live future, the attempt count, the watchdog's
-    timeout mark, and the fingerprints of the data segments the job
-    reads. Redispatch is bitwise-safe because the dict carries the
-    dispatch-time RNG state and only segment *names*: a retried job reads
-    the same published bytes and draws the same stream.
+    timeout mark, and the pool segments the job reads (a member's
+    features before its shard; an evaluation job's one shard), which the
+    fault layer verifies and repairs. Redispatch is bitwise-safe because
+    the dict carries the dispatch-time RNG state and only segment
+    *names*: a retried job reads the same published bytes and draws the
+    same stream.
     """
 
     __slots__ = (
-        "entry", "job", "index", "fingerprints", "future", "attempts",
+        "entry", "job", "index", "segments", "future", "attempts",
         "timed_out",
     )
 
-    def __init__(self, entry, job: dict, index: int, fingerprints):
+    def __init__(self, entry, job: dict, index: int, segments):
         self.entry = entry
         self.job = job
         self.index = index
-        self.fingerprints = fingerprints
+        self.segments = segments
         self.future: Future | None = None
         self.attempts = 0
         self.timed_out = False
@@ -1020,12 +984,16 @@ class ProcessPoolBackend(ExecutionBackend):
 
     Campaign scope: because templates travel through shared memory (not the
     pool initializer), a new run's different template never restarts the
-    workers. With ``segment_pool`` (a
-    :class:`~repro.engine.campaign.CampaignSegmentPool`) shards of clients
-    carrying a ``shard_key`` are published into — and reused from — the
-    campaign-wide pool; with ``persistent=True``, ``close()`` becomes the
-    end-of-run soft close (:meth:`end_run`): workers stay warm and pool
-    segments stay published for the campaign's next run. Call
+    workers. Every data segment — shard, feature array, evaluation shard —
+    is published through ``segment_pool`` (a
+    :class:`~repro.engine.campaign.CampaignSegmentPool`), the caller's or,
+    given none, the backend's own, created with its feature runtime's
+    store and closed at :meth:`shutdown`. Data with a stable identity
+    (a client's ``shard_key``, an evaluator's ``test_key``) is keyed by it
+    and reused across runs; the rest takes run-scoped keys and is
+    unlinked when the run ends. With ``persistent=True``, ``close()``
+    becomes the end-of-run soft close (:meth:`end_run`): workers stay warm
+    and keyed segments stay published for the campaign's next run. Call
     :meth:`shutdown` (or close with ``persistent=False``, the default) for
     full teardown.
 
@@ -1048,7 +1016,7 @@ class ProcessPoolBackend(ExecutionBackend):
         self,
         max_workers: int | None = None,
         start_method: str | None = None,
-        segment_pool: "CampaignSegmentPool | None" = None,
+        segment_pool: CampaignSegmentPool | None = None,
         persistent: bool = False,
         feature_runtime: FeatureRuntime | None = None,
         fault_policy: FaultPolicy | None = None,
@@ -1058,7 +1026,16 @@ class ProcessPoolBackend(ExecutionBackend):
             raise ValueError("max_workers must be positive")
         self.max_workers = max_workers or min(4, os.cpu_count() or 1)
         self.start_method = start_method or os.environ.get(START_METHOD_ENV) or None
+        #: whether the backend created (and so closes) ``segment_pool``
+        self._own_pool = segment_pool is None
+        if segment_pool is None:
+            segment_pool = CampaignSegmentPool(
+                store=getattr(feature_runtime, "store", None)
+            )
         self.segment_pool = segment_pool
+        #: tells this backend's run-scoped pool keys from other backends';
+        #: a live key holds the token, so no later backend can reuse it
+        self._scope = object()
         self.persistent = persistent
         #: frozen-feature policy: when set, client shards' ϕ(x) (and test
         #: sets for pooled evaluation) are materialised parent-side and
@@ -1073,7 +1050,7 @@ class ProcessPoolBackend(ExecutionBackend):
         self._templates: dict[int, _TemplateRecord] = {}
         #: (client id(), ϕ fingerprint) -> feature segment; clients are
         #: pinned by their _ShardRecord, so the id stays valid run-long
-        self._features: dict[tuple[int, str], "_SegmentRef"] = {}
+        self._features: dict[tuple[int, str], PoolSegment] = {}
         #: (test-set id(), fingerprint, batch, shards) -> (test set,
         #: segments); the dataset is pinned so the id cannot be recycled
         self._eval_segments: dict[tuple, tuple] = {}
@@ -1088,10 +1065,6 @@ class ProcessPoolBackend(ExecutionBackend):
         #: global dispatch index for chaos addressing — counts every job
         #: blob (training unit and eval shard) in submit order
         self._job_index = 0
-        #: segment name -> (shm, nbytes, fingerprint, repair) for this
-        #: run's data segments; fingerprints are only computed when the
-        #: policy verifies, repair closures republish the exact bytes
-        self._segment_meta: dict[str, tuple] = {}
         self._watchdog: _Watchdog | None = None
         self.stats = CounterGroup(
             "backend.process",
@@ -1151,56 +1124,18 @@ class ProcessPoolBackend(ExecutionBackend):
         self._ensure_started()
         FAULTS["respawns"] += 1
 
-    def _register_segment_meta(
-        self, shm: shared_memory.SharedMemory, nbytes: int, repair
-    ) -> None:
-        """Track a published data segment for verification and repair."""
-        if self.fault_policy is None:
-            return
-        digest = segment_fingerprint(shm.buf, nbytes)
-        self._segment_meta[shm.name] = (shm, nbytes, digest, repair)
-
-    def _job_fingerprints(self, names) -> dict | None:
-        """``{segment name: (nbytes, digest)}`` for a job's data segments."""
-        if self.fault_policy is None:
-            return None
-        out = {}
-        for name in names:
-            meta = self._segment_meta.get(name) if name else None
-            if meta is not None:
-                out[name] = (meta[1], meta[2])
-        return out or None
-
-    def _repair_segment(self, name: str) -> None:
-        """Republish a corrupted segment's exact bytes from its source."""
-        meta = self._segment_meta.get(name)
-        if meta is not None:
-            meta[3]()
-
     def _verify_job_segments(self, record: _JobRecord) -> None:
         """Parent-side re-verify of a failed job's segments before retry."""
-        for name, (nbytes, digest) in (record.fingerprints or {}).items():
-            meta = self._segment_meta.get(name)
-            if meta is None:
-                continue
-            if segment_fingerprint(meta[0].buf, nbytes) != digest:
+        for segment in record.segments:
+            if not segment.intact():
                 FAULTS["corrupt_segments"] += 1
-                self._repair_segment(name)
+                self.segment_pool.repair(segment.key)
 
-    def _chaos_corrupt(self, job: dict) -> None:
-        """Flip one seeded byte of the job's feature — else shard — segment."""
-        members = job.get("members")
-        first = members[0] if members else job
-        name = (
-            first.get("features_name")
-            or first.get("shard_name")
-            or job.get("eval_name")
-        )
-        meta = self._segment_meta.get(name) if name else None
-        if meta is None:
-            return
-        shm, nbytes = meta[0], meta[1]
-        offset = self.chaos.corrupt_offset(nbytes)
+    def _chaos_corrupt(self, segments) -> None:
+        """Flip one seeded byte of the job's first segment: its first
+        member's features, else that member's shard, else its eval shard."""
+        shm = segments[0].shm
+        offset = self.chaos.corrupt_offset(segments[0].nbytes)
         shm.buf[offset] = shm.buf[offset] ^ 0xFF
         FAULTS["chaos_corruptions"] += 1
 
@@ -1217,12 +1152,19 @@ class ProcessPoolBackend(ExecutionBackend):
                 pass
             FAULTS["chaos_kills"] += 1
 
-    def _dispatch(self, entry, job: dict, fingerprints=None) -> _JobRecord:
-        """Apply this job's scheduled chaos, then submit it to the pool."""
+    def _dispatch(self, entry, job: dict, segments: list) -> _JobRecord:
+        """Apply this job's scheduled chaos, then submit it to the pool.
+
+        With a fault policy the job ships its data segments' fingerprints
+        (``{name: (nbytes, digest)}``) for the workers' attach checks.
+        """
         index = self._job_index
         self._job_index += 1
-        if fingerprints:
-            job["fingerprints"] = fingerprints
+        if self.fault_policy is not None:
+            job["fingerprints"] = {
+                segment.shm.name: (segment.nbytes, segment.fingerprint)
+                for segment in segments
+            }
         kill = False
         chaos = self.chaos
         if chaos is not None:
@@ -1231,9 +1173,9 @@ class ProcessPoolBackend(ExecutionBackend):
                 job["chaos_delay"] = delay
                 FAULTS["chaos_delays"] += 1
             if chaos.corrupt_before(index):
-                self._chaos_corrupt(job)
+                self._chaos_corrupt(segments)
             kill = chaos.kill_before(index)
-        record = _JobRecord(entry, job, index, fingerprints)
+        record = _JobRecord(entry, job, index, segments)
         self._submit_job(record)
         if kill:
             # After the submit so the executor has spawned its processes
@@ -1283,7 +1225,9 @@ class ProcessPoolBackend(ExecutionBackend):
         """Classify a job failure; count and repair what the retry needs."""
         if isinstance(exc, SegmentCorruption):
             FAULTS["corrupt_segments"] += 1
-            self._repair_segment(exc.name)
+            for segment in record.segments:
+                if segment.shm.name == exc.name:
+                    self.segment_pool.repair(segment.key)
             return True
         if record.timed_out:
             return True
@@ -1444,6 +1388,26 @@ class ProcessPoolBackend(ExecutionBackend):
         self.stats["state_publishes"] += 1
         return slot
 
+    def _acquire(self, key, run_parts: tuple, arrays_factory) -> PoolSegment:
+        """The pool segment under ``key``, or — for data with no stable
+        identity (``key`` None) — under a run-scoped key built from
+        ``run_parts``, which the pool unlinks when this run releases it.
+
+        The segment's fingerprint is taken at publish only when something
+        will check it: the fault layer, or a later run re-acquiring a
+        keyed segment from a pool that outlives this run (the caller's, or
+        a persistent backend's own).
+        """
+        outlives_run = not self._own_pool or self.persistent
+        checked = self.fault_policy is not None or (
+            key is not None and outlives_run
+        )
+        if key is None:
+            key = (RUN_KIND, self._scope) + run_parts
+        return self.segment_pool.acquire(
+            key, arrays_factory, fingerprint=checked
+        )
+
     def _ensure_shard(self, client: Client) -> _ShardRecord:
         record = self._shards.get(id(client))
         if record is not None:
@@ -1463,79 +1427,24 @@ class ProcessPoolBackend(ExecutionBackend):
                 "y": np.ascontiguousarray(y, dtype=np.int64),
             }
 
-        pool_key = getattr(client, "shard_key", None)
-        if self.segment_pool is not None and pool_key is not None:
-            segment = self.segment_pool.acquire(pool_key, shard_arrays)
-            record = _ShardRecord(
-                shm=segment.shm,
-                layout=segment.layout,
-                client_blob=client_blob,
-                client=client,
-                digest=digest,
-                pool_key=pool_key,
-            )
-            self._register_segment_meta(
-                segment.shm,
-                segment.nbytes,
-                lambda key=pool_key: self.segment_pool.repair(key),
-            )
-        else:
-            arrays = shard_arrays()
-            layout, nbytes = _array_layout(arrays)
-            shm = shared_memory.SharedMemory(create=True, size=nbytes)
-            _write_arrays(shm.buf, layout, arrays)
-            record = _ShardRecord(
-                shm=shm,
-                layout=layout,
-                client_blob=client_blob,
-                client=client,
-                digest=digest,
-            )
-
-            def repair(shm=shm, layout=layout):
-                _write_arrays(shm.buf, layout, shard_arrays())
-                FAULTS["segment_repairs"] += 1
-
-            self._register_segment_meta(shm, nbytes, repair)
+        segment = self._acquire(
+            getattr(client, "shard_key", None), ("shard", id(client)),
+            shard_arrays,
+        )
+        record = _ShardRecord(segment, client_blob, client, digest)
         self._shards[id(client)] = record
         self.stats["shard_segments"] = len(self._shards)
         return record
 
-    def _publish_aux(
-        self, pool_key, arrays_factory
-    ) -> "_SegmentRef":
-        """Publish an auxiliary array set: pooled when keyed, owned else."""
-        if self.segment_pool is not None and pool_key is not None:
-            segment = self.segment_pool.acquire(pool_key, arrays_factory)
-            self._register_segment_meta(
-                segment.shm,
-                segment.nbytes,
-                lambda key=pool_key: self.segment_pool.repair(key),
-            )
-            return _SegmentRef(
-                shm=segment.shm, layout=segment.layout, pool_key=pool_key
-            )
-        arrays = arrays_factory()
-        layout, nbytes = _array_layout(arrays)
-        shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        _write_arrays(shm.buf, layout, arrays)
-
-        def repair(shm=shm, layout=layout):
-            _write_arrays(shm.buf, layout, arrays_factory())
-            FAULTS["segment_repairs"] += 1
-
-        self._register_segment_meta(shm, nbytes, repair)
-        return _SegmentRef(shm=shm, layout=layout)
-
     def _ensure_features(
         self, client, template: SegmentedModel, chain=None
-    ) -> "_SegmentRef | None":
+    ) -> PoolSegment | None:
         """The client's ϕ(shard) feature segment, built/published on first use.
 
-        With a campaign pool and a ``shard_key``'d client, the segment is
-        keyed by (shard identity, ϕ fingerprint) and survives across runs
-        — published once per campaign. Returns None when caching is off,
-        the client opts out, or the template has no frozen prefix.
+        For a ``shard_key``'d client the segment is keyed by (shard
+        identity, ϕ fingerprint) and stays resident in the pool across
+        runs — published once per campaign. Returns None when caching is
+        off, the client opts out, or the template has no frozen prefix.
 
         The fingerprint is taken from ``template.phi_prefix_chain()`` per
         call — never from the parent-side segment memo — mirroring
@@ -1562,11 +1471,6 @@ class ProcessPoolBackend(ExecutionBackend):
         if record is not None:
             return record
         shard_key = getattr(client, "shard_key", None)
-        pool_key = (
-            feature_pool_key(shard_key, fingerprint)
-            if shard_key is not None
-            else None
-        )
 
         def base_features(prefix_fp: str) -> np.ndarray | None:
             """This shard's features at a shallower split, as a segment
@@ -1575,9 +1479,7 @@ class ProcessPoolBackend(ExecutionBackend):
             M's pooled segment, which ``end_run`` keeps resident precisely
             for reuse like this)."""
             record = self._features.get((id(client), prefix_fp))
-            if record is None and self.segment_pool is not None and (
-                shard_key is not None
-            ):
+            if record is None and shard_key is not None:
                 record = self.segment_pool.peek(
                     feature_pool_key(shard_key, prefix_fp)
                 )
@@ -1598,7 +1500,12 @@ class ProcessPoolBackend(ExecutionBackend):
                 )
             }
 
-        record = self._publish_aux(pool_key, feature_arrays)
+        key = None
+        if shard_key is not None:
+            key = feature_pool_key(shard_key, fingerprint)
+        record = self._acquire(
+            key, ("feat", id(client), fingerprint), feature_arrays
+        )
         self._features[cache_key] = record
         self.stats["feature_segments"] = len(self._features)
         return record
@@ -1647,13 +1554,14 @@ class ProcessPoolBackend(ExecutionBackend):
             template_record = self._ensure_template(template)
             slot = self._publish_state(global_state)
             specs = []
+            segments = []
             for i, client in zip(positions, members):
                 shard = self._ensure_shard(client)
                 record = features[i]
                 specs.append(
                     {
-                        "shard_name": shard.shm.name,
-                        "shard_layout": shard.layout,
+                        "shard_name": shard.segment.shm.name,
+                        "shard_layout": shard.segment.layout,
                         "client_blob": shard.client_blob,
                         "client_digest": shard.digest,
                         "features_name": record.shm.name if record else None,
@@ -1661,6 +1569,9 @@ class ProcessPoolBackend(ExecutionBackend):
                         "rng_state": client.rng.bit_generator.state,
                     }
                 )
+                if record is not None:
+                    segments.append(record)
+                segments.append(shard.segment)
             job = {
                 "template_name": template_record.shm.name,
                 "template_nbytes": template_record.nbytes,
@@ -1674,13 +1585,8 @@ class ProcessPoolBackend(ExecutionBackend):
             if layout is not None:
                 self.stats["cohort_jobs"] += 1
             template_record.refs += 1
-            fingerprints = self._job_fingerprints(
-                [name for spec in specs for name in (
-                    spec["shard_name"], spec["features_name"]
-                )]
-            )
             shared = _SharedCohortResult(
-                self, self._dispatch(_shm_round, job, fingerprints), members,
+                self, self._dispatch(_shm_round, job, segments), members,
                 slot, template_record, layout,
                 None if own else (template, timing, walks),
             )
@@ -1731,8 +1637,8 @@ class ProcessPoolBackend(ExecutionBackend):
         integer correct counts — are bitwise exact regardless of sharding.
         With a frozen prefix the shards carry cached ϕ(x) features; without
         one they carry the raw inputs (pooled evaluation still parallelises
-        the full forward). Pool-keyed segments (``test_key`` set) are
-        published once per campaign.
+        the full forward). Keyed segments (``test_key`` set) are published
+        once per campaign; without a key they are run-scoped.
         """
         fingerprint = (
             model.phi_fingerprint() if self.feature_runtime is not None else None
@@ -1763,14 +1669,15 @@ class ProcessPoolBackend(ExecutionBackend):
         for index in range(num_shards):
             span = (base + (1 if index < extra else 0)) * batch_size
             hi = min(n, lo + span)
-            pool_key = (
-                eval_pool_key(test_key, fingerprint, batch_size, num_shards, index)
-                if test_key is not None
-                else None
-            )
+            geometry = (fingerprint, batch_size, num_shards, index)
+            key = None
+            if test_key is not None:
+                key = eval_pool_key(test_key, *geometry)
             records.append(
-                self._publish_aux(
-                    pool_key, lambda lo=lo, hi=hi: shard_arrays(lo, hi)
+                self._acquire(
+                    key,
+                    ("eval", id(test_set)) + geometry,
+                    lambda lo=lo, hi=hi: shard_arrays(lo, hi),
                 )
             )
             lo = hi
@@ -1832,13 +1739,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     "theta_keys": keys,
                     "batch_size": batch_size,
                 }
-                records.append(
-                    self._dispatch(
-                        _shm_eval_shard,
-                        job,
-                        self._job_fingerprints((record.shm.name,)),
-                    )
-                )
+                records.append(self._dispatch(_shm_eval_shard, job, [record]))
             # Collect in submit order; references stay held until every
             # shard — including any redispatched one — has resolved.
             for job_record in records:
@@ -1854,40 +1755,27 @@ class ProcessPoolBackend(ExecutionBackend):
         self.stats["pooled_evals"] += 1
         return correct / total
 
-    def _release_shards(self) -> None:
-        """Release pool references and unlink backend-owned shard segments."""
-        for record in self._shards.values():
-            if record.pool_key is not None:
-                if self.segment_pool is not None:
-                    self.segment_pool.release(record.pool_key)
-            else:
-                unlink_segment(record.shm)
-        self._shards = {}
-
-    def _release_aux_segments(self) -> None:
-        """Release feature and eval segments (pool refs or owned unlinks)."""
-        aux = list(self._features.values())
+    def _release_segments(self) -> None:
+        """Drop the run's pool references: keyed segments stay resident,
+        run-scoped ones are unlinked."""
+        segments = [record.segment for record in self._shards.values()]
+        segments += self._features.values()
         for _, records in self._eval_segments.values():
-            aux.extend(records)
-        for record in aux:
-            if record.pool_key is not None:
-                if self.segment_pool is not None:
-                    self.segment_pool.release(record.pool_key)
-            else:
-                unlink_segment(record.shm)
-        self._features = {}
-        self._eval_segments = {}
+            segments += records
+        self._shards, self._features, self._eval_segments = {}, {}, {}
+        for segment in segments:
+            self.segment_pool.release(segment.key)
 
     def end_run(self) -> None:
         """Soft close between two runs of one campaign.
 
         Waits out any jobs still in flight (an aborted run's handles may
         never be collected), then drops everything tied to the finished
-        run — shard registrations (pool refs released, own segments
-        unlinked), feature/eval segments likewise, the current-state pin,
-        state-slot reader counts and all template segments — while keeping
-        the workers, the recycled state slots and the pool's shard and
-        feature/test segments warm for the next run.
+        run — its pool references (run-scoped segments unlinked), the
+        current-state pin, state-slot reader counts and all template
+        segments — while keeping the workers, the recycled state slots and
+        the pool's keyed shard, feature and test segments warm for the
+        next run.
 
         Idempotent and exception-safe: every teardown step runs even when
         an earlier one raises (the chaos tests close after crashes), and a
@@ -1896,15 +1784,13 @@ class ProcessPoolBackend(ExecutionBackend):
         _run_all(
             (
                 self._drain_inflight,
-                self._release_shards,
-                self._release_aux_segments,
+                self._release_segments,
                 self._reset_run_state,
             )
         )
 
     def _reset_run_state(self) -> None:
         self._current = None
-        self._segment_meta = {}
         # With nothing executing, abandoned handles can no longer protect
         # their reads: every slot is reusable and every template is dead
         # (the next run brings its own template object).
@@ -1923,7 +1809,8 @@ class ProcessPoolBackend(ExecutionBackend):
         self.shutdown()
 
     def shutdown(self) -> None:
-        """Full teardown: stop the workers and unlink every owned segment.
+        """Full teardown: stop the workers, unlink the backend's segments
+        and release its pool references, closing the pool if it is its own.
 
         Idempotent and exception-safe like :meth:`end_run`: each step runs
         regardless of earlier failures (a broken executor after a chaos
@@ -1936,9 +1823,9 @@ class ProcessPoolBackend(ExecutionBackend):
                 self._stop_watchdog,
                 self._shutdown_executor,
                 self._unlink_slots,
-                self._release_shards,
-                self._release_aux_segments,
+                self._release_segments,
                 self._reset_run_state,
+                self._close_own_pool,
                 lambda: unregister_emergency_cleanup(self),
             )
         )
@@ -1953,6 +1840,10 @@ class ProcessPoolBackend(ExecutionBackend):
         if executor is not None:
             executor.shutdown(wait=True)
 
+    def _close_own_pool(self) -> None:
+        if self._own_pool:
+            self.segment_pool.close()
+
     def _unlink_slots(self) -> None:
         slots, self._slots = self._slots, []
         self._current = None
@@ -1962,8 +1853,9 @@ class ProcessPoolBackend(ExecutionBackend):
     def _emergency_cleanup(self) -> None:
         """Crash-path unlink (atexit/signal); idempotent, never raises.
 
-        Only backend-owned segments are touched — pool segments belong to
-        the :class:`~repro.engine.campaign.CampaignSegmentPool`, which
+        Only the state slots and templates are the backend's — data
+        segments belong to the
+        :class:`~repro.engine.campaign.CampaignSegmentPool`, which
         registers its own cleanup. The executor is left alone: its workers
         die with the process, and joining them is not signal-safe.
         """
@@ -1971,18 +1863,6 @@ class ProcessPoolBackend(ExecutionBackend):
             unlink_segment(slot.shm)
         self._slots = []
         self._current = None
-        for record in list(self._shards.values()):
-            if record.pool_key is None:
-                unlink_segment(record.shm)
-        self._shards = {}
-        aux = list(self._features.values())
-        for _, records in self._eval_segments.values():
-            aux.extend(records)
-        for record in aux:
-            if record.pool_key is None:
-                unlink_segment(record.shm)
-        self._features = {}
-        self._eval_segments = {}
         for record in self._templates.values():
             unlink_segment(record.shm)
         self._templates = {}
@@ -1994,8 +1874,8 @@ class PooledEvaluator:
     Campaign runtimes construct one per run and assign it to
     ``server.evaluator``; :meth:`~repro.fl.server.Server.evaluate` then
     delegates here instead of re-running the backbone serially. With a
-    campaign pool and a stable ``test_key`` the test-set segments are
-    published once per campaign, not once per run.
+    stable ``test_key`` and a pool that outlives the run the test-set
+    segments are published once per campaign, not once per run.
     """
 
     def __init__(
@@ -2040,7 +1920,7 @@ BACKENDS = ("serial", "process")
 def make_backend(
     name: str,
     max_workers: int | None = None,
-    segment_pool: "CampaignSegmentPool | None" = None,
+    segment_pool: CampaignSegmentPool | None = None,
     persistent: bool = False,
     feature_runtime: FeatureRuntime | None = None,
     fault_policy: FaultPolicy | None = None,
@@ -2054,7 +1934,8 @@ def make_backend(
     block-stacked cohort solves. Without one, rounds run the full forward
     through the layer graph, one client at a time. Everything else
     configures the process backend only (see :class:`ProcessPoolBackend`):
-    ``segment_pool``/``persistent`` pool its cross-run state, and
+    ``segment_pool`` (else the backend's own) and ``persistent`` govern its
+    cross-run state, and
     ``fault_policy``/``chaos`` drive its fault layer
     (:mod:`repro.engine.faults`). The serial backend runs no worker jobs,
     so those have nothing to act on there; the configuration surfaces

@@ -1,36 +1,39 @@
-"""Campaign-scoped shared-memory runtime: cross-run segment reuse.
+"""Campaign-scoped shared-memory runtime: the one owner of data segments.
 
 A *campaign* (one :class:`~repro.experiments.common.ExperimentHarness`
 driving the full experiment matrix) runs many federated runs over the same
-partitioned worlds. Before this module, every run's
-:class:`~repro.engine.backends.ProcessPoolBackend` re-published each
-client's shard into fresh ``multiprocessing.shared_memory`` segments —
-O(dataset) copy work and segment churn per run, for bytes that are
-identical across every method of a table (the harness caches partitions
-precisely so methods compare on the same shards).
+partitioned worlds. Re-publishing each client's shard into fresh
+``multiprocessing.shared_memory`` segments every run would be O(dataset)
+copy work and segment churn per run, for bytes that are identical across
+every method of a table (the harness caches partitions precisely so
+methods compare on the same shards).
 
-:class:`CampaignSegmentPool` lifts shard segments to campaign scope: a
-refcounted registry keyed by the shard's *identity* — the harness uses
-``(seed, dataset, alpha, num_clients, model_kind, client_id)``, i.e. the
-world + partition seed + client id — so each distinct shard is published
-once per campaign and every subsequent run (and its warm worker pool)
-attaches to the existing segment. Lifecycle:
+:class:`CampaignSegmentPool` owns every data segment a
+:class:`~repro.engine.backends.ProcessPoolBackend` publishes — shards,
+cached features and evaluation shards; a backend given no pool creates
+its own. It is a refcounted registry keyed by the data's *identity* — the
+harness keys shards by ``(seed, dataset, alpha, num_clients, model_kind,
+client_id)``, i.e. the world + partition seed + client id — so each
+distinct shard is published once per pool and every later run (and its
+warm worker pool) attaches to the existing segment. Lifecycle:
 
 - ``acquire(key, factory)`` returns the segment for ``key``, publishing it
   with the factory's arrays only on first use; each acquire takes one
   reference.
-- ``release(key)`` drops a reference (a backend releases its shards when
+- ``release(key)`` drops a reference (a backend releases its segments when
   its run ends). Zero-reference segments stay resident — the next run
-  re-acquires them for free — until ``close()`` unlinks everything.
+  re-acquires them for free — until ``close()`` unlinks everything. Data
+  with no stable identity takes a run-scoped key (:data:`RUN_KIND`),
+  unlinked with its last reference.
 
 The module also owns the *emergency cleanup registry*: shared-memory
 segments are files under ``/dev/shm`` that outlive a crashed process, so
-pools and backends register themselves for a best-effort unlink on
-interpreter exit (``atexit``) and on fatal signals (SIGTERM/SIGHUP —
-deliveries that normally bypass ``atexit``). Handlers chain to whatever
-was installed before them and guard on the registering PID, so forked
-worker processes inheriting the handler never unlink the parent's
-segments.
+pools and backends (for their weight and template segments) register
+themselves for a best-effort unlink on interpreter exit (``atexit``) and
+on fatal signals (SIGTERM/SIGHUP — deliveries that normally bypass
+``atexit``). Handlers chain to whatever was installed before them and
+guard on the registering PID, so forked worker processes inheriting the
+handler never unlink the parent's segments.
 """
 
 from __future__ import annotations
@@ -40,12 +43,13 @@ import os
 import signal
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Callable, Hashable
 
 import numpy as np
 
+from repro.engine.faults import FAULTS, segment_fingerprint
 from repro.obs import tracing
 from repro.obs.metrics import CounterGroup
 
@@ -145,44 +149,79 @@ def unlink_segment(shm: shared_memory.SharedMemory) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Campaign segment pool
+# Segment layout and the campaign segment pool
 # ---------------------------------------------------------------------------
+
+#: alignment of every array inside a segment (cache line / SIMD friendly)
+_ALIGN = 64
+
+
+def _array_layout(
+    arrays: dict[str, np.ndarray]
+) -> tuple[dict[str, tuple[int, tuple, str]], int]:
+    """Plan the packed layout ``key -> (offset, shape, dtype.str)`` + size."""
+    layout: dict[str, tuple[int, tuple, str]] = {}
+    offset = 0
+    for key in sorted(arrays):
+        arr = np.ascontiguousarray(arrays[key])
+        offset = -(-offset // _ALIGN) * _ALIGN
+        layout[key] = (offset, tuple(arr.shape), arr.dtype.str)
+        offset += arr.nbytes
+    return layout, max(offset, 1)
+
+
+def _write_arrays(buf, layout, arrays) -> None:
+    for key, (offset, shape, dtype) in layout.items():
+        view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=buf, offset=offset)
+        view[...] = arrays[key]
+
+
+#: kind of a run-scoped key: data with no stable identity (a client with
+#: no ``shard_key``, a test set with no ``test_key``) is published under
+#: ``(RUN_KIND, …)`` and unlinked when the run holding it releases it
+RUN_KIND = "run"
 
 
 def _key_kind(key: Hashable) -> object:
     """A pool key's kind: the first element of tuple keys ("shard", "feat",
-    "eval", …), "other" for everything else."""
+    "eval", :data:`RUN_KIND`, …), "other" for everything else."""
     return key[0] if isinstance(key, tuple) and key else "other"
 
 
 @dataclass
 class PoolSegment:
-    """One published shard segment plus its bookkeeping."""
+    """One published data segment plus its bookkeeping."""
 
     key: Hashable
     shm: shared_memory.SharedMemory
-    #: packed layout ``name -> (offset, shape, dtype.str)`` (see backends)
+    #: packed layout ``name -> (offset, shape, dtype.str)``
     layout: dict
     nbytes: int
     #: backends currently holding this segment (a run in progress)
     refs: int = 0
-    #: BLAKE2b fingerprint of the published bytes, checked on every
-    #: re-acquire (see :func:`repro.engine.faults.segment_fingerprint`)
+    #: BLAKE2b fingerprint of the published bytes, taken at publish only
+    #: when something will check it (see :meth:`CampaignSegmentPool.acquire`)
     fingerprint: bytes | None = None
     #: the most recent arrays factory for ``key`` — the repair path
     #: republishes a corrupted segment from it
     factory: Callable[[], dict[str, np.ndarray]] | None = None
 
+    def intact(self) -> bool:
+        """Whether a fingerprinted segment still holds its published bytes."""
+        digest = segment_fingerprint(self.shm.buf, self.nbytes)
+        return digest == self.fingerprint
+
 
 class CampaignSegmentPool:
-    """Refcounted, campaign-lifetime registry of shared-memory segments.
+    """Refcounted registry of shared-memory data segments.
 
     Not thread-safe for concurrent acquire/release from multiple scheduler
     threads; a campaign runs its federated runs sequentially, which is the
     supported pattern. ``stats`` counts ``publishes`` (segments actually
     created — the number the campaign benchmark pins to the distinct-client
-    count), ``hits`` (acquires served from the registry) and ``segments``
-    (currently resident).
+    count), ``hits`` (acquires served from the registry), ``segments`` and
+    ``bytes`` (currently resident), and the re-acquire ``verifies`` and
+    the ``corruptions`` they found.
     """
 
     #: key kinds that read through the durable store: derived artefacts
@@ -205,8 +244,9 @@ class CampaignSegmentPool:
         )
         #: publishes broken down by key kind — tuple keys' first element
         #: ("feat" / "eval" for the feature runtime's segments, "shard" or
-        #: campaign-specific for raw shards); what the campaign benchmarks
-        #: assert publish-once economics against.
+        #: campaign-specific for raw shards, :data:`RUN_KIND` for run-scoped
+        #: ones); what the campaign benchmarks assert publish-once
+        #: economics against.
         self.publishes_by_kind: dict = CounterGroup(
             "campaign.pool.publishes_by_kind"
         )
@@ -219,18 +259,20 @@ class CampaignSegmentPool:
         self,
         key: Hashable,
         arrays_factory: Callable[[], dict[str, np.ndarray]],
+        fingerprint: bool = True,
     ) -> PoolSegment:
         """The segment for ``key``, published on first use; takes one ref.
 
         ``arrays_factory`` is only called (and its arrays only copied into
         shared memory) when the key is new — the point of the pool.
+        ``fingerprint`` says whether anything will check the segment: a
+        later run re-acquiring it, or a fault layer verifying it. Only
+        then is its fingerprint taken, once: at publish, or by the first
+        acquire that asks for one. Every re-acquire of a fingerprinted
+        segment verifies it and republishes it from the fresh factory on
+        mismatch (a wild write from any attached process may have
+        corrupted it since).
         """
-        # Import here: backends imports campaign consumers lazily and the
-        # layout helpers live next to the other segment code.
-        from repro.engine.backends import _array_layout, _write_arrays
-
-        from repro.engine.faults import segment_fingerprint
-
         if self._closed:
             raise RuntimeError("segment pool is closed")
         segment = self._segments.get(key)
@@ -248,53 +290,46 @@ class CampaignSegmentPool:
                 shm = shared_memory.SharedMemory(create=True, size=nbytes)
                 _write_arrays(shm.buf, layout, arrays)
             segment = PoolSegment(
-                key=key,
-                shm=shm,
-                layout=layout,
-                nbytes=nbytes,
-                fingerprint=segment_fingerprint(shm.buf, nbytes),
+                key=key, shm=shm, layout=layout, nbytes=nbytes,
                 factory=arrays_factory,
             )
+            if fingerprint:
+                segment.fingerprint = segment_fingerprint(shm.buf, nbytes)
             self._segments[key] = segment
             self.stats["publishes"] += 1
             self.stats["bytes"] += nbytes
             self.publishes_by_kind[kind] = self.publishes_by_kind.get(kind, 0) + 1
             self.stats["segments"] = len(self._segments)
-            segment.refs += 1
-            return segment
-        self.stats["hits"] += 1
-        # Re-attach verification: a campaign-lifetime segment may have been
-        # silently corrupted since it was published (a wild write from any
-        # attached process); check the stored fingerprint before handing it
-        # to a new run and republish from the fresh factory on mismatch.
-        segment.factory = arrays_factory
-        self.stats["verifies"] += 1
-        if segment_fingerprint(segment.shm.buf, segment.nbytes) != (
-            segment.fingerprint
-        ):
-            self.stats["corruptions"] += 1
-            self._rewrite(segment)
+        else:
+            self.stats["hits"] += 1
+            segment.factory = arrays_factory
+            if segment.fingerprint is not None:
+                self.stats["verifies"] += 1
+                if not segment.intact():
+                    self.stats["corruptions"] += 1
+                    self._rewrite(segment)
+            elif fingerprint:
+                segment.fingerprint = segment_fingerprint(
+                    segment.shm.buf, segment.nbytes
+                )
         segment.refs += 1
         return segment
 
     def _rewrite(self, segment: PoolSegment) -> None:
         """Republish a corrupted segment's bytes from its arrays factory."""
-        from repro.engine.backends import _write_arrays
-        from repro.engine.faults import FAULTS, segment_fingerprint
-
         with tracing.span("pool.repair"):
             _write_arrays(segment.shm.buf, segment.layout, segment.factory())
-        segment.fingerprint = segment_fingerprint(
-            segment.shm.buf, segment.nbytes
-        )
+        if segment.fingerprint is not None:
+            segment.fingerprint = segment_fingerprint(
+                segment.shm.buf, segment.nbytes
+            )
         FAULTS["segment_repairs"] += 1
 
     def repair(self, key: Hashable) -> bool:
         """Rewrite ``key``'s segment from its factory (backend repair hook).
 
         Returns whether a resident segment was rewritten. Used by the
-        process backend when a worker reports :class:`SegmentCorruption`
-        on a pool-owned segment.
+        process backend when a job's segment fails verification.
         """
         segment = self._segments.get(key)
         if segment is None or segment.factory is None:
@@ -303,11 +338,17 @@ class CampaignSegmentPool:
         return True
 
     def release(self, key: Hashable) -> None:
-        """Drop one reference; the segment stays resident for the next run."""
+        """Drop one reference. A keyed segment stays resident for the next
+        run; a run-scoped one is unlinked with its last reference."""
         segment = self._segments.get(key)
         if segment is None:
             return
         segment.refs = max(0, segment.refs - 1)
+        if segment.refs == 0 and _key_kind(key) == RUN_KIND:
+            del self._segments[key]
+            unlink_segment(segment.shm)
+            self.stats["segments"] = len(self._segments)
+            self.stats["bytes"] -= segment.nbytes
 
     def peek(self, key: Hashable) -> PoolSegment | None:
         """The resident segment for ``key`` without publishing or taking a

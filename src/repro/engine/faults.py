@@ -318,6 +318,28 @@ class ChaosPlan:
         return None
 
 
+def fault_setup(
+    job_timeout: float | None,
+    max_job_retries: int | None,
+    chaos: str | ChaosPlan | None,
+    seed: int,
+) -> tuple[FaultPolicy | None, ChaosPlan | None]:
+    """A run's fault knobs as backend-ready objects.
+
+    Returns the :class:`FaultPolicy` that ``job_timeout`` (its
+    ``job_deadline``) and ``max_job_retries`` (its ``max_retries``) ask
+    for — None when neither is set; a chaos plan alone is armed with a
+    default policy by the process backend — and the :class:`ChaosPlan` a
+    spec string names, parsed with ``seed``.
+    """
+    knobs = {"job_deadline": job_timeout, "max_retries": max_job_retries}
+    given = {name: value for name, value in knobs.items() if value is not None}
+    policy = FaultPolicy(**given) if given else None
+    if isinstance(chaos, str):
+        chaos = ChaosPlan.parse(chaos, seed=seed)
+    return policy, chaos
+
+
 def reject_worker_only_knobs(
     job_timeout: float | None,
     max_job_retries: int | None,

@@ -69,7 +69,7 @@ from repro.fl.server import Server
 from repro.fl.timing import TimingModel
 from repro.nn import profiling
 from repro.obs import tracing
-from repro.utils import make_rng
+from repro.utils import check_count, make_rng
 
 
 def run_async_federated_training(
@@ -133,8 +133,7 @@ def run_async_federated_training(
     bitwise identical results, documented in :mod:`repro.fl.features`. An
     explicit backend carries its own runtime.
     """
-    if not max_events > 0:  # NaN fails it, as it fails every check here
-        raise ValueError("max_events must be positive")
+    check_count("max_events", max_events)
     if not 0.0 <= dropout_probability < 1.0:
         raise ValueError(
             f"dropout_probability must be in [0, 1), got {dropout_probability}"
@@ -157,8 +156,7 @@ def run_async_federated_training(
     backend = backend or SerialBackend(feature_runtime=feature_runtime)
     if max_concurrency is None:
         max_concurrency = len(clients)
-    if not max_concurrency > 0:
-        raise ValueError("max_concurrency must be positive")
+    check_count("max_concurrency", max_concurrency)
 
     rng = make_rng(seed)
     clock = VirtualClock()

@@ -10,7 +10,6 @@ records paper-vs-measured values.
 from repro.experiments.scales import SCALES, Scale, get_scale
 from repro.experiments.common import (
     ExperimentHarness,
-    HARNESS_MODES,
     MethodSpec,
     STANDARD_METHODS,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "SCALES",
     "get_scale",
     "ExperimentHarness",
-    "HARNESS_MODES",
     "MethodSpec",
     "STANDARD_METHODS",
     "EXPERIMENTS",

@@ -18,16 +18,21 @@ their shards' classes, and discounting them caps accuracy well below the
 synchronous baseline.
 
 The modes themselves are this experiment's subject, so the harness
-``mode`` is ignored; the async runs execute client rounds on the harness
+``mode`` is ignored; every run executes client rounds on the harness
 ``backend`` (serial or shared-memory process — results are bitwise
 identical either way).
 """
 
 from __future__ import annotations
 
+from repro.core.fedft_eds import MODES
 from repro.engine.aggregators import make_aggregator
 from repro.engine.runner import run_async_federated_training
-from repro.experiments.common import ExperimentHarness, STANDARD_METHODS
+from repro.experiments.common import (
+    ExperimentHarness,
+    STANDARD_METHODS,
+    async_eval_every,
+)
 from repro.experiments.reporting import ExperimentReport, accuracy_table
 from repro.fl.rounds import run_federated_training
 from repro.fl.timing import TimingModel, straggler_multipliers
@@ -43,10 +48,6 @@ TARGET_FRACTION = 0.8
 EVENT_BUDGET_FACTOR = 4
 #: FedAsync mixing rate α (no staleness discount, see module docstring)
 FEDASYNC_MIXING = 0.4
-#: async evaluation budget: full test-set evaluations per sync-round worth
-EVALS_PER_ROUND = 8
-
-MODES = ("sync", "fedasync", "fedbuff")
 
 
 def run(
@@ -69,27 +70,25 @@ def run(
         server, clients, run_seed = harness.build_federation(
             DATASET, method, ALPHA, num_clients, seed_extra=("engine", mode)
         )
-        if mode == "sync":
-            histories[mode] = run_federated_training(
-                server, clients, rounds=rounds, seed=run_seed + 1, timing=timing
-            )
-        else:
-            buffer_size = max(2, num_clients // 6)
-            aggregator = make_aggregator(
-                mode,
-                mixing=FEDASYNC_MIXING,
-                staleness_exponent=0.0,
-                buffer_size=buffer_size,
-            )
-            max_events = EVENT_BUDGET_FACTOR * rounds * num_clients
-            # Evaluating after every aggregation would dominate wall-clock
-            # at scale (FedAsync creates one version per completion); budget
-            # ~EVALS_PER_ROUND full test-set evaluations per sync round.
-            expected_versions = max_events
-            if mode == "fedbuff":
-                expected_versions = max_events // buffer_size
-            eval_every = max(1, expected_versions // (EVALS_PER_ROUND * rounds))
-            with harness.make_run_backend() as backend:
+        with harness.make_run_backend() as backend:
+            if mode == "sync":
+                histories[mode] = run_federated_training(
+                    server,
+                    clients,
+                    rounds=rounds,
+                    seed=run_seed + 1,
+                    timing=timing,
+                    backend=backend,
+                )
+            else:
+                aggregator = make_aggregator(
+                    mode,
+                    mixing=FEDASYNC_MIXING,
+                    staleness_exponent=0.0,
+                    buffer_size=max(2, num_clients // 6),
+                )
+                max_events = EVENT_BUDGET_FACTOR * rounds * num_clients
+                eval_every = async_eval_every(aggregator, max_events, rounds)
                 histories[mode] = run_async_federated_training(
                     server,
                     clients,

@@ -26,7 +26,7 @@ import numpy as np
 from repro.data import synthetic
 from repro.data.partition import dirichlet_partition
 from repro.data.synthetic import DomainSpec
-from repro.engine.aggregators import make_aggregator
+from repro.engine.aggregators import FedBuffAggregator, make_aggregator
 from repro.engine.backends import (
     BACKENDS,
     ExecutionBackend,
@@ -37,7 +37,7 @@ from repro.engine.backends import (
 from repro.engine.campaign import CampaignSegmentPool
 from repro.engine.faults import (
     ChaosPlan,
-    FaultPolicy,
+    fault_setup,
     install_chaos,
     reject_worker_only_knobs,
 )
@@ -50,7 +50,7 @@ from repro.fl.sampling import FractionParticipation, FullParticipation
 from repro.fl.server import Server
 from repro.fl.strategies import LocalSolver
 from repro.fl.timing import TimingModel
-from repro.core.fedft_eds import make_selector
+from repro.core.fedft_eds import MODES, make_selector
 from repro.core.partial import adapt_to_task, prepare_partial_model
 from repro.metrics.efficiency import LearningEfficiency, learning_efficiency
 from repro.nn.cnn import SmallConvNet
@@ -147,12 +147,20 @@ def _stable_seed(*parts) -> int:
     return zlib.crc32(text.encode()) & 0x7FFFFFFF
 
 
-#: Training modes a harness (and every registered experiment) accepts.
-HARNESS_MODES = ("sync", "fedasync", "fedbuff")
-
 #: Full test-set evaluations an async run spends per round's worth of
 #: events.
 EVALS_PER_ROUND = 8
+
+
+def async_eval_every(aggregator, max_events: int, rounds: int) -> int:
+    """An async run's evaluation cadence, in model versions: about
+    :data:`EVALS_PER_ROUND` full test-set evaluations per round's worth of
+    events. Evaluating every version would dominate wall-clock: FedAsync
+    makes one per completion, FedBuff one per ``buffer_size``."""
+    versions = max_events
+    if isinstance(aggregator, FedBuffAggregator):
+        versions //= aggregator.buffer_size
+    return max(1, versions // (EVALS_PER_ROUND * rounds))
 
 
 class ExperimentHarness:
@@ -164,12 +172,13 @@ class ExperimentHarness:
     which are :class:`~repro.core.fedft_eds.FedFTEDSConfig`'s.
     Individual :meth:`federated` calls may override both.
 
-    Campaign runtime: with the process backend the harness owns one
-    :class:`~repro.engine.campaign.CampaignSegmentPool` and one warm
+    Campaign runtime: with the process backend the harness owns one warm
     :class:`~repro.engine.backends.ProcessPoolBackend` for its whole
-    lifetime — every run reuses the same worker processes, and each
-    client's shard is published into shared memory once per campaign
-    (clients carry a stable ``shard_key``), not once per run. Call
+    lifetime, and that backend its
+    :class:`~repro.engine.campaign.CampaignSegmentPool` — every run reuses
+    the same worker processes, and each client's shard is published into
+    shared memory once per campaign (clients carry a stable
+    ``shard_key``), not once per run. Call
     :meth:`close` (or use the harness as a context manager) when done;
     segments are additionally unlinked on interpreter exit / fatal signals
     as a crash-path fallback.
@@ -202,9 +211,9 @@ class ExperimentHarness:
         cache_dir: str | None = None,
         artifact_store: object | None = None,
     ):
-        if mode not in HARNESS_MODES:
+        if mode not in MODES:
             raise ValueError(
-                f"unknown mode {mode!r}; expected one of {HARNESS_MODES}"
+                f"unknown mode {mode!r}; expected one of {MODES}"
             )
         if backend not in BACKENDS:
             raise ValueError(
@@ -216,8 +225,7 @@ class ExperimentHarness:
         self.backend = backend
         self.max_workers = max_workers
         self.timing = TimingModel(flops_per_second=1e9)
-        #: created with the campaign backend on first process-backend use
-        self.segment_pool: CampaignSegmentPool | None = None
+        #: created on first process-backend use
         self._campaign_backend = None
         #: durable cross-process artifact store (repro.store.resolve_store
         #: rules: an instance passes through, True/False forces, None
@@ -235,20 +243,13 @@ class ExperimentHarness:
         #: retry budget build a FaultPolicy threaded to the process
         #: backend; recovery is bitwise invisible, so results match the
         #: policy-free run exactly. Serial runs reject them (no jobs).
+        #: The deterministic chaos schedule (``--chaos
+        #: "kill@3;delay@5:0.2"``) is installed process-wide so checkpoint
+        #: writers see the tear events.
         self.job_timeout = job_timeout
         self.max_job_retries = max_job_retries
-        self.fault_policy = None
-        if job_timeout is not None or max_job_retries is not None:
-            policy_args = {}
-            if job_timeout is not None:
-                policy_args["job_deadline"] = float(job_timeout)
-            if max_job_retries is not None:
-                policy_args["max_retries"] = int(max_job_retries)
-            self.fault_policy = FaultPolicy(**policy_args)
-        #: deterministic chaos schedule (``--chaos "kill@3;delay@5:0.2"``);
-        #: installed process-wide so checkpoint writers see the tear events
-        self.chaos = (
-            ChaosPlan.parse(chaos, seed=seed) if isinstance(chaos, str) else chaos
+        self.fault_policy, self.chaos = fault_setup(
+            job_timeout, max_job_retries, chaos, seed
         )
         self._installed_chaos = False
         if self.chaos is not None:
@@ -258,6 +259,13 @@ class ExperimentHarness:
         #: ``TelemetrySession.attach_harness``; read-only with respect to
         #: training state — results are bitwise identical with or without
         self.telemetry = None
+
+    @property
+    def segment_pool(self) -> CampaignSegmentPool | None:
+        """The campaign backend's segment pool; None before the first
+        process-backend run and after :meth:`close`."""
+        backend = self._campaign_backend
+        return None if backend is None else backend.segment_pool
 
     def telemetry_groups(self):
         """The campaign's live counter groups (a telemetry registry source).
@@ -293,14 +301,9 @@ class ExperimentHarness:
             )
         elif name == "process":
             if self._campaign_backend is None:
-                if self.segment_pool is None:
-                    self.segment_pool = CampaignSegmentPool(
-                        store=self.artifact_store
-                    )
                 self._campaign_backend = make_backend(
                     "process",
                     self.max_workers,
-                    segment_pool=self.segment_pool,
                     persistent=True,
                     feature_runtime=self.feature_runtime,
                     fault_policy=self.fault_policy,
@@ -319,9 +322,6 @@ class ExperimentHarness:
         if self._campaign_backend is not None:
             self._campaign_backend.shutdown()
             self._campaign_backend = None
-        if self.segment_pool is not None:
-            self.segment_pool.close()
-            self.segment_pool = None
         self.feature_runtime.clear()
         if self._installed_chaos:
             install_chaos(None)
@@ -595,9 +595,9 @@ class ExperimentHarness:
         """
         s = self.scale
         mode = mode or self.mode
-        if mode not in HARNESS_MODES:
+        if mode not in MODES:
             raise ValueError(
-                f"unknown mode {mode!r}; expected one of {HARNESS_MODES}"
+                f"unknown mode {mode!r}; expected one of {MODES}"
             )
         server, clients, run_seed = self.build_federation(
             dataset,
@@ -618,14 +618,7 @@ class ExperimentHarness:
         if mode != "sync":
             aggregator = make_aggregator(mode)
             max_events = rounds * num_clients
-            # Evaluating after every aggregation would dominate wall-clock
-            # (FedAsync creates one model version per completion); budget
-            # ~EVALS_PER_ROUND full test-set evaluations per round's worth
-            # of events.
-            expected_versions = max_events
-            if mode == "fedbuff":
-                expected_versions = max(1, max_events // aggregator.buffer_size)
-            eval_every = max(1, expected_versions // (EVALS_PER_ROUND * rounds))
+            eval_every = async_eval_every(aggregator, max_events, rounds)
             max_concurrency = num_clients
             if participation_fraction < 1.0:
                 max_concurrency = max(

@@ -9,8 +9,9 @@ pool ``SLOWDOWN``× slower) for every K and races each against the
 synchronous baseline's time-to-target — the operating curve behind picking
 K for a deployment.
 
-Honours the harness ``backend`` (serial or process execution of client
-rounds); the training mode is FedBuff by definition, so the harness
+Every run, the synchronous baseline included, honours the harness
+``backend`` (serial or process execution of client rounds); the training
+mode is FedBuff by definition, so the harness
 ``mode`` is ignored. Staleness discounting is disabled for the same reason
 as in :mod:`repro.experiments.async_stragglers`: with a 10× speed spread
 the stragglers' updates are the only carriers of their shards' classes.
@@ -20,7 +21,11 @@ from __future__ import annotations
 
 from repro.engine.aggregators import FedBuffAggregator
 from repro.engine.runner import run_async_federated_training
-from repro.experiments.common import ExperimentHarness, STANDARD_METHODS
+from repro.experiments.common import (
+    ExperimentHarness,
+    STANDARD_METHODS,
+    async_eval_every,
+)
 from repro.experiments.reporting import ExperimentReport, accuracy_table
 from repro.fl.rounds import run_federated_training
 from repro.fl.timing import TimingModel, straggler_multipliers
@@ -36,8 +41,6 @@ SLOWDOWN = 10.0
 TARGET_FRACTION = 0.8
 #: async event budget relative to the sync run's total completions
 EVENT_BUDGET_FACTOR = 2
-#: async evaluation budget: full test-set evaluations per sync-round worth
-EVALS_PER_ROUND = 8
 
 
 def run(
@@ -58,9 +61,15 @@ def run(
     server, clients, run_seed = harness.build_federation(
         DATASET, method, ALPHA, num_clients, seed_extra=("engine", "sync")
     )
-    sync_history = run_federated_training(
-        server, clients, rounds=rounds, seed=run_seed + 1, timing=timing
-    )
+    with harness.make_run_backend() as backend:
+        sync_history = run_federated_training(
+            server,
+            clients,
+            rounds=rounds,
+            seed=run_seed + 1,
+            timing=timing,
+            backend=backend,
+        )
     if harness.telemetry is not None:
         harness.telemetry.record_run(
             f"{DATASET}/sync_baseline",
@@ -85,9 +94,6 @@ def run(
             seed_extra=("engine", "fedbuff", k),
         )
         aggregator = FedBuffAggregator(buffer_size=k, staleness_exponent=0.0)
-        eval_every = max(
-            1, max_events // k // (EVALS_PER_ROUND * rounds)
-        )
         with harness.make_run_backend() as backend:
             log = run_async_federated_training(
                 server,
@@ -97,7 +103,7 @@ def run(
                 seed=run_seed + 1,
                 timing=timing,
                 backend=backend,
-                eval_every=eval_every,
+                eval_every=async_eval_every(aggregator, max_events, rounds),
             )
         if harness.telemetry is not None:
             harness.telemetry.record_run(

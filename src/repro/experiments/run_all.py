@@ -20,8 +20,9 @@ import os
 import sys
 import time
 
+from repro.core.fedft_eds import MODES
 from repro.engine.backends import BACKENDS
-from repro.experiments.common import ExperimentHarness, HARNESS_MODES
+from repro.experiments.common import ExperimentHarness
 from repro.experiments.registry import get_experiment, list_experiments
 from repro.experiments.scales import SCALES
 from repro.obs import TelemetrySession
@@ -53,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--mode",
-        choices=HARNESS_MODES,
+        choices=MODES,
         default="sync",
         help="training mode for every federated run (default: sync)",
     )

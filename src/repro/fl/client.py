@@ -21,6 +21,7 @@ from repro.fl.strategies import LocalSolver, LocalUpdate
 from repro.fl.timing import TimingModel
 from repro.nn.segmented import SegmentedModel
 from repro.nn.serialization import theta_keys, theta_state
+from repro.utils import check_count
 
 
 class Client:
@@ -71,8 +72,7 @@ class Client:
     ):
         if len(dataset) == 0:
             raise ValueError(f"client {client_id} has an empty shard")
-        if epochs <= 0:
-            raise ValueError("epochs must be positive")
+        check_count("epochs", epochs)
         if not 0.0 < selection_fraction <= 1.0:
             raise ValueError("selection_fraction must be in (0, 1]")
         self.client_id = client_id

@@ -19,7 +19,7 @@ from repro.fl.sampling import FullParticipation, ParticipationModel
 from repro.fl.server import Server
 from repro.fl.timing import TimingModel
 from repro.obs import tracing
-from repro.utils import make_rng
+from repro.utils import check_count, make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.backends import ExecutionBackend
@@ -101,12 +101,9 @@ def check_run_knobs(
     emergency_checkpoint: bool,
 ) -> None:
     """Refuse evaluation and checkpoint settings neither run loop can
-    honour (``run_fedft_eds`` checks them before any setup). NaN fails
-    every check."""
-    if not eval_every > 0:
-        raise ValueError("eval_every must be positive")
-    if not checkpoint_every >= 0:
-        raise ValueError("checkpoint_every must be non-negative")
+    honour (``run_fedft_eds`` checks them before any setup)."""
+    check_count("eval_every", eval_every)
+    check_count("checkpoint_every", checkpoint_every, minimum=0)
     if checkpoint_every and not checkpoint_path:
         raise ValueError("checkpoint_every requires a checkpoint_path")
     if emergency_checkpoint and not checkpoint_path:
@@ -176,8 +173,7 @@ def run_federated_training(
     RNG draw line up with the uninterrupted run. The caller must restore
     the server's weights and round index before the call.
     """
-    if not rounds > 0:
-        raise ValueError("rounds must be positive")
+    check_count("rounds", rounds)
     check_run_knobs(
         eval_every, checkpoint_path, checkpoint_every, emergency_checkpoint
     )

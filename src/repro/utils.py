@@ -2,10 +2,23 @@
 
 from __future__ import annotations
 
+import numbers
 import os
 from typing import Callable, Sequence
 
 import numpy as np
+
+
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Refuse a run count (rounds, epochs, events, a cadence) that is not
+    an integer of at least ``minimum`` (1 or 0). A fractional count would
+    be compared, truncated or ranged over differently by each consumer,
+    and NaN fails every comparison."""
+    if not (isinstance(value, numbers.Integral) and value >= minimum):
+        bound = "positive" if minimum == 1 else "non-negative"
+        raise ValueError(
+            f"{name} must be {bound} and an integer, got {value!r}"
+        )
 
 
 def fsync_path(path: str) -> None:

@@ -12,10 +12,13 @@ import pytest
 
 from multiprocessing import shared_memory
 
+from repro.core.fedft_eds import FedFTEDSConfig, run_fedft_eds
+from repro.engine import backends, campaign, faults
 from repro.engine.backends import ProcessPoolBackend
-from repro.engine.campaign import CampaignSegmentPool
+from repro.engine.campaign import RUN_KIND, CampaignSegmentPool
+from repro.engine.faults import FaultPolicy
 from repro.fl.rounds import run_federated_training
-from repro.testbed import tiny_federation
+from repro.testbed import ENGINE_SMOKE, tiny_federation
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -119,22 +122,91 @@ def test_end_run_releases_pool_refs_and_own_segments():
             unkeyed.shard_key = None
             for client in clients:
                 backend._ensure_shard(client)
+            # the keyless client's shard is published under a run-scoped key
             own = [
-                r.shm.name
+                r.segment.shm.name
                 for r in backend._shards.values()
-                if r.pool_key is None
+                if r.segment.key[0] == RUN_KIND
             ]
             assert len(own) == 1
-            assert pool.stats["publishes"] == len(clients) - 1
+            assert pool.publishes_by_kind == {
+                "tiny": len(clients) - 1, RUN_KIND: 1,
+            }
             assert all(s.refs == 1 for s in pool._segments.values())
             backend.close()  # persistent: soft close
-            # pool refs released but segments resident; own segment unlinked
+            # pool refs released, keyed segments resident; the run-scoped
+            # segment unlinked
             assert all(s.refs == 0 for s in pool._segments.values())
             assert len(pool) == len(clients) - 1
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=own[0])
         finally:
             backend.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# One fingerprint per segment, taken only when something checks it
+# ---------------------------------------------------------------------------
+
+
+def _count_fingerprints(monkeypatch) -> list:
+    """Count the parent's segment fingerprints, wherever they are taken."""
+    calls = []
+    real = faults.segment_fingerprint
+
+    def counted(buf, nbytes):
+        calls.append(nbytes)
+        return real(buf, nbytes)
+
+    for module in (faults, campaign, backends):
+        monkeypatch.setattr(
+            module, "segment_fingerprint", counted, raising=False
+        )
+    return calls
+
+
+def test_store_process_run_without_policy_never_fingerprints(
+    tmp_path, monkeypatch
+):
+    """A one-off run's own pool is never re-acquired and nothing verifies
+    it, so no segment is hashed; its pool still reads through the store."""
+    calls = _count_fingerprints(monkeypatch)
+    pools = []
+    real_close = CampaignSegmentPool.close
+
+    def closing(pool):
+        pools.append((dict(pool.publishes_by_kind), pool.store is not None))
+        real_close(pool)
+
+    monkeypatch.setattr(CampaignSegmentPool, "close", closing)
+    config = FedFTEDSConfig(
+        seed=0, backend="process", max_workers=2, cache_dir=str(tmp_path),
+        **ENGINE_SMOKE,
+    )
+    run_fedft_eds(config)
+    assert calls == []
+    # one pool, closed with the run: 3 shards, 3 feature arrays and one
+    # evaluation shard, the derived ones read through the store
+    assert pools == [({"fedft": 3, "feat": 3, "eval": 1}, True)]
+
+
+def test_caller_pool_with_policy_hashes_each_segment_once(monkeypatch):
+    calls = _count_fingerprints(monkeypatch)
+    with CampaignSegmentPool() as pool:
+        backend = ProcessPoolBackend(
+            max_workers=2, segment_pool=pool, persistent=True,
+            fault_policy=FaultPolicy(),
+        )
+        try:
+            server, clients = _keyed_federation()
+            with backend:
+                run_federated_training(
+                    server, clients, rounds=2, seed=3, backend=backend
+                )
+        finally:
+            backend.shutdown()
+        assert pool.stats["publishes"] == len(clients)
+        assert len(calls) == len(clients)
 
 
 # ---------------------------------------------------------------------------

@@ -564,7 +564,10 @@ def test_every_training_job_is_one_planned_unit(monkeypatch):
 
         backend._dispatch = spying
         clients, got, rngs = dispatch(backend)
-        owner = {backend._shards[id(c)].shm.name: c.client_id for c in clients}
+        owner = {
+            backend._shards[id(c)].segment.shm.name: c.client_id
+            for c in clients
+        }
     assert all(entry is B._shm_round for entry, _ in jobs)
     assert [
         [owner[member["shard_name"]] for member in job["members"]]

@@ -161,12 +161,25 @@ def test_run_fedft_eds_without_pretraining():
         ({"backend": "process", "max_job_retries": -1}, "max_retries"),
         ({"backend": "process", "chaos": "bogus@x"}, "unknown chaos kind"),
         ({"backend": "process", "chaos": "kill@-3"}, "negative job index"),
+        ({"rounds": 2.5}, "rounds"),
+        ({"local_epochs": 2.5}, "local_epochs"),
+        ({"num_clients": 2.5}, "num_clients"),
+        ({"eval_every": 2.5}, "eval_every"),
+        ({"checkpoint_every": 1.5, "checkpoint_path": "unused"},
+         "checkpoint_every"),
+        ({"mode": "fedbuff", "max_events": 10.5}, "max_events"),
+        ({"mode": "fedasync", "max_concurrency": 1.5}, "max_concurrency"),
+        ({"backend": "process", "max_job_retries": 1.5}, "max_retries"),
     ],
     ids=["lr_nan", "lr_inf", "momentum_nan", "prox_nan", "prox_inf",
          "temperature_nan", "temperature_inf", "alpha_nan", "alpha_inf",
          "alpha_0", "staleness_nan", "server_lr_nan", "buffer_fractional",
          "dropout_nan", "job_timeout_negative", "job_timeout_nan",
-         "retries_negative", "chaos_unknown_kind", "chaos_negative_job"],
+         "retries_negative", "chaos_unknown_kind", "chaos_negative_job",
+         "rounds_fractional", "epochs_fractional", "clients_fractional",
+         "eval_every_fractional", "checkpoint_every_fractional",
+         "max_events_fractional", "concurrency_fractional",
+         "retries_fractional"],
 )
 def test_run_fedft_eds_refuses_before_pretraining(knobs, name, monkeypatch):
     """NaN, infinite, fractional and malformed settings are refused before

@@ -166,6 +166,35 @@ def test_zero_probability_boundaries():
             _run_async(dropout_probability=p)
 
 
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"max_events": 10.5},
+        {"max_events": 12, "max_concurrency": 1.5},
+        {"max_events": 12, "eval_every": 2.5},
+        {"max_events": 12, "checkpoint_every": 1.5},
+    ],
+    ids=["max_events", "max_concurrency", "eval_every", "checkpoint_every"],
+)
+def test_async_loop_refuses_fractional_counts(knobs, tmp_path):
+    """A fractional budget or cadence is refused before the first event:
+    10.5 events used to run 11 while a resume stopped at 10."""
+    from repro.engine.runner import run_async_federated_training
+
+    server, clients = tiny_federation()
+    with pytest.raises(ValueError, match="an integer"):
+        run_async_federated_training(
+            server,
+            clients,
+            FedAsyncAggregator(mixing=0.4, staleness_exponent=0.0),
+            seed=11,
+            checkpoint_path=str(tmp_path / "ckpt"),
+            **knobs,
+        )
+    assert server.round_index == 0
+    assert not (tmp_path / "ckpt").exists()
+
+
 def test_availability_rng_streams_stable_across_backends():
     """Dropout draws come from the scheduler stream: logs are
     backend-invariant."""

@@ -1,5 +1,6 @@
 """Experiment harness: scales, caching, method matrix, registry, reports."""
 
+import importlib
 import json
 import os
 
@@ -148,16 +149,45 @@ def test_report_save_roundtrip(tmp_path):
 
 
 def test_run_experiments_smoke_subset(tmp_path):
-    reports = run_experiments(
-        "smoke",
-        seed=0,
-        only=["fig1", "table4"],
-        output=str(tmp_path),
-        stream=open(os.devnull, "w"),
-    )
-    assert set(reports) == {"fig1", "table4"}
-    assert os.path.exists(os.path.join(tmp_path, "fig1.json"))
-    assert os.path.exists(os.path.join(tmp_path, "table4.txt"))
+    only = ["fig1", "table4", "async_stragglers", "fedbuff_sweep"]
+    with open(os.devnull, "w") as stream:
+        reports = run_experiments(
+            "smoke", seed=0, only=only, output=str(tmp_path), stream=stream
+        )
+    assert set(reports) == set(only)
+    for experiment in only:
+        assert os.path.exists(os.path.join(tmp_path, f"{experiment}.json"))
+        assert os.path.exists(os.path.join(tmp_path, f"{experiment}.txt"))
+
+
+@pytest.mark.parametrize("experiment", ["async_stragglers", "fedbuff_sweep"])
+def test_sync_baseline_runs_on_the_harness_backend(experiment, monkeypatch):
+    """The straggler experiments' synchronous baseline runs on the
+    harness's backend, as their async runs do: head-only rounds on the
+    cached features, never a full-forward graph solve."""
+    from repro.fl import fastpath
+
+    module = importlib.import_module(f"repro.experiments.{experiment}")
+    real = module.run_federated_training
+    solves = []
+
+    def counted(*args, **kwargs):
+        before = dict(fastpath.STATS)
+        history = real(*args, **kwargs)
+        solves.append(
+            {key: fastpath.STATS[key] - before[key]
+             for key in ("graph_solves", "fused_solves")}
+        )
+        assert kwargs.get("backend") is not None
+        return history
+
+    monkeypatch.setattr(module, "run_federated_training", counted)
+    with ExperimentHarness("smoke", seed=0) as harness:
+        report = module.run(harness)
+    assert report.experiment_id == experiment
+    assert len(solves) == 1
+    assert solves[0]["graph_solves"] == 0
+    assert solves[0]["fused_solves"] > 0
 
 
 def test_table2_matrix_shares_runs(harness):

@@ -359,6 +359,39 @@ def test_pool_reacquire_detects_and_repairs_corruption():
         }
 
 
+def test_persistent_own_pool_repairs_a_segment_corrupted_between_runs():
+    """A persistent backend's own pool outlives its runs, so it
+    fingerprints keyed segments at publish: bit rot between two runs is
+    caught on re-acquire and repaired, and the second run's results are
+    bitwise the first's."""
+    backend = ProcessPoolBackend(max_workers=2, persistent=True)
+    pool = backend.segment_pool
+    runs = []
+    try:
+        for run in range(2):
+            server, clients = tiny_federation(seed=3, num_clients=4)
+            for client in clients:
+                client.shard_key = ("faults", client.client_id)
+            if run:
+                resident = pool.peek(clients[1].shard_key)
+                resident.shm.buf[3] ^= 0xFF  # bit rot between runs
+            with backend:  # persistent: close() is end_run()
+                history = run_federated_training(
+                    server, clients, rounds=ROUNDS, seed=5, backend=backend,
+                    eval_every=1,
+                )
+            theta = {k: v.copy() for k, v in server.global_state.items()}
+            runs.append((history, theta))
+        assert pool.stats["publishes"] == 4
+        assert pool.stats["verifies"] == 4
+        assert pool.stats["corruptions"] == 1
+        assert FAULTS["segment_repairs"] == 1
+        _assert_identical(*runs)
+    finally:
+        backend.shutdown()
+    assert pool._closed  # the backend's own pool goes with it
+
+
 def test_pool_repair_by_key():
     with CampaignSegmentPool() as pool:
         segment = pool.acquire(("k",), lambda: {"x": np.ones(32)})

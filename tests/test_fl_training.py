@@ -194,12 +194,37 @@ def test_client_validation():
         Client(0, empty, RandomSelector(), LocalSolver(), 0.5, 1, RNG(0))
 
 
-def test_run_federated_training_validation():
+def test_run_federated_training_validation(tmp_path):
     server, clients = make_federation()
     with pytest.raises(ValueError):
         run_federated_training(server, clients, rounds=0)
     with pytest.raises(ValueError):
         run_federated_training(server, [], rounds=1)
+    # fractional counts are refused before round 1, not truncated
+    for knobs in (
+        {"rounds": 2.5},
+        {"rounds": 3, "eval_every": 1.5},
+        {"rounds": 2, "checkpoint_every": 1.5,
+         "checkpoint_path": str(tmp_path / "ckpt")},
+    ):
+        with pytest.raises(ValueError, match="an integer"):
+            run_federated_training(server, clients, seed=0, **knobs)
+    assert server.round_index == 0
+    assert not (tmp_path / "ckpt").exists()
+
+
+@pytest.mark.parametrize("epochs", [0, -1, 2.5, float("nan")])
+def test_client_refuses_non_integer_or_non_positive_epochs(epochs):
+    with pytest.raises(ValueError, match="epochs must be positive"):
+        Client(
+            client_id=0,
+            dataset=ArrayDataset(np.zeros((4, 3, 2, 2)), np.zeros(4, int)),
+            selector=RandomSelector(),
+            solver=LocalSolver(batch_size=2),
+            selection_fraction=0.5,
+            epochs=epochs,
+            rng=RNG(0),
+        )
 
 
 @pytest.mark.parametrize("eval_every", [0, -2])
