@@ -15,12 +15,11 @@ sequence:
   ``multiprocessing.shared_memory`` segments. Only a small job descriptor
   (segment names, layouts, RNG state) crosses the pipe per round, and only
   the round's θ update and advanced RNG state come back. Every data
-  segment (shards, cached features, evaluation shards) lives in a
-  :class:`~repro.engine.campaign.CampaignSegmentPool` — the caller's, or
-  one the backend creates and closes itself — and with
-  ``persistent=True`` the workers and keyed segments survive across the
-  runs of one campaign (each shard is published once per campaign, not
-  once per run).
+  segment (shards, cached features, evaluation shards) lives in the
+  :class:`~repro.engine.campaign.CampaignSegmentPool` the backend creates
+  and closes itself, and with ``persistent=True`` the workers and keyed
+  segments survive across the runs of one campaign (each shard is
+  published once per campaign, not once per run).
 
 Every client is in at most one in-flight job at a time (the schedulers
 guarantee this), so per-client RNG streams advance in the same order under
@@ -985,15 +984,15 @@ class ProcessPoolBackend(ExecutionBackend):
     Campaign scope: because templates travel through shared memory (not the
     pool initializer), a new run's different template never restarts the
     workers. Every data segment — shard, feature array, evaluation shard —
-    is published through ``segment_pool`` (a
-    :class:`~repro.engine.campaign.CampaignSegmentPool`), the caller's or,
-    given none, the backend's own, created with its feature runtime's
-    store and closed at :meth:`shutdown`. Data with a stable identity
-    (a client's ``shard_key``, an evaluator's ``test_key``) is keyed by it
-    and reused across runs; the rest takes run-scoped keys and is
-    unlinked when the run ends. With ``persistent=True``, ``close()``
-    becomes the end-of-run soft close (:meth:`end_run`): workers stay warm
-    and keyed segments stay published for the campaign's next run. Call
+    is published through the backend's ``segment_pool`` (a
+    :class:`~repro.engine.campaign.CampaignSegmentPool`), created with its
+    feature runtime's store and closed at :meth:`shutdown`. Data with a
+    stable identity (a client's ``shard_key``, an evaluator's
+    ``test_key``) is keyed by it and reused across runs; the rest takes
+    run-scoped keys and is unlinked when the run ends. With
+    ``persistent=True``, ``close()`` becomes the end-of-run soft close
+    (:meth:`end_run`): workers stay warm and keyed segments stay
+    published for the campaign's next run. Call
     :meth:`shutdown` (or close with ``persistent=False``, the default) for
     full teardown.
 
@@ -1016,7 +1015,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self,
         max_workers: int | None = None,
         start_method: str | None = None,
-        segment_pool: CampaignSegmentPool | None = None,
         persistent: bool = False,
         feature_runtime: FeatureRuntime | None = None,
         fault_policy: FaultPolicy | None = None,
@@ -1026,16 +1024,9 @@ class ProcessPoolBackend(ExecutionBackend):
             raise ValueError("max_workers must be positive")
         self.max_workers = max_workers or min(4, os.cpu_count() or 1)
         self.start_method = start_method or os.environ.get(START_METHOD_ENV) or None
-        #: whether the backend created (and so closes) ``segment_pool``
-        self._own_pool = segment_pool is None
-        if segment_pool is None:
-            segment_pool = CampaignSegmentPool(
-                store=getattr(feature_runtime, "store", None)
-            )
-        self.segment_pool = segment_pool
-        #: tells this backend's run-scoped pool keys from other backends';
-        #: a live key holds the token, so no later backend can reuse it
-        self._scope = object()
+        self.segment_pool = CampaignSegmentPool(
+            store=getattr(feature_runtime, "store", None)
+        )
         self.persistent = persistent
         #: frozen-feature policy: when set, client shards' ϕ(x) (and test
         #: sets for pooled evaluation) are materialised parent-side and
@@ -1394,16 +1385,14 @@ class ProcessPoolBackend(ExecutionBackend):
         ``run_parts``, which the pool unlinks when this run releases it.
 
         The segment's fingerprint is taken at publish only when something
-        will check it: the fault layer, or a later run re-acquiring a
-        keyed segment from a pool that outlives this run (the caller's, or
-        a persistent backend's own).
+        will check it: the fault layer, or a later run of a persistent
+        backend re-acquiring a keyed segment.
         """
-        outlives_run = not self._own_pool or self.persistent
         checked = self.fault_policy is not None or (
-            key is not None and outlives_run
+            key is not None and self.persistent
         )
         if key is None:
-            key = (RUN_KIND, self._scope) + run_parts
+            key = (RUN_KIND,) + run_parts
         return self.segment_pool.acquire(
             key, arrays_factory, fingerprint=checked
         )
@@ -1810,7 +1799,7 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def shutdown(self) -> None:
         """Full teardown: stop the workers, unlink the backend's segments
-        and release its pool references, closing the pool if it is its own.
+        and close its segment pool.
 
         Idempotent and exception-safe like :meth:`end_run`: each step runs
         regardless of earlier failures (a broken executor after a chaos
@@ -1825,7 +1814,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 self._unlink_slots,
                 self._release_segments,
                 self._reset_run_state,
-                self._close_own_pool,
+                self.segment_pool.close,
                 lambda: unregister_emergency_cleanup(self),
             )
         )
@@ -1839,10 +1828,6 @@ class ProcessPoolBackend(ExecutionBackend):
         executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True)
-
-    def _close_own_pool(self) -> None:
-        if self._own_pool:
-            self.segment_pool.close()
 
     def _unlink_slots(self) -> None:
         slots, self._slots = self._slots, []
@@ -1874,7 +1859,7 @@ class PooledEvaluator:
     Campaign runtimes construct one per run and assign it to
     ``server.evaluator``; :meth:`~repro.fl.server.Server.evaluate` then
     delegates here instead of re-running the backbone serially. With a
-    stable ``test_key`` and a pool that outlives the run the test-set
+    stable ``test_key`` and a persistent backend the test-set
     segments are published once per campaign, not once per run.
     """
 
@@ -1920,7 +1905,6 @@ BACKENDS = ("serial", "process")
 def make_backend(
     name: str,
     max_workers: int | None = None,
-    segment_pool: CampaignSegmentPool | None = None,
     persistent: bool = False,
     feature_runtime: FeatureRuntime | None = None,
     fault_policy: FaultPolicy | None = None,
@@ -1934,8 +1918,7 @@ def make_backend(
     block-stacked cohort solves. Without one, rounds run the full forward
     through the layer graph, one client at a time. Everything else
     configures the process backend only (see :class:`ProcessPoolBackend`):
-    ``segment_pool`` (else the backend's own) and ``persistent`` govern its
-    cross-run state, and
+    ``persistent`` governs its cross-run state, and
     ``fault_policy``/``chaos`` drive its fault layer
     (:mod:`repro.engine.faults`). The serial backend runs no worker jobs,
     so those have nothing to act on there; the configuration surfaces
@@ -1947,7 +1930,6 @@ def make_backend(
     if name == "process":
         return ProcessPoolBackend(
             max_workers=max_workers,
-            segment_pool=segment_pool,
             persistent=persistent,
             feature_runtime=feature_runtime,
             fault_policy=fault_policy,

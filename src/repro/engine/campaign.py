@@ -10,16 +10,16 @@ methods compare on the same shards).
 
 :class:`CampaignSegmentPool` owns every data segment a
 :class:`~repro.engine.backends.ProcessPoolBackend` publishes — shards,
-cached features and evaluation shards; a backend given no pool creates
-its own. It is a refcounted registry keyed by the data's *identity* — the
+cached features and evaluation shards; each backend creates its own. It
+is a refcounted registry keyed by the data's *identity* — the
 harness keys shards by ``(seed, dataset, alpha, num_clients, model_kind,
 client_id)``, i.e. the world + partition seed + client id — so each
 distinct shard is published once per pool and every later run (and its
 warm worker pool) attaches to the existing segment. Lifecycle:
 
-- ``acquire(key, factory)`` returns the segment for ``key``, publishing it
-  with the factory's arrays only on first use; each acquire takes one
-  reference.
+- ``acquire(key, factory, fingerprint=…)`` returns the segment for
+  ``key``, publishing it with the factory's arrays only on first use;
+  each acquire takes one reference.
 - ``release(key)`` drops a reference (a backend releases its segments when
   its run ends). Zero-reference segments stay resident — the next run
   re-acquires them for free — until ``close()`` unlinks everything. Data
@@ -259,19 +259,20 @@ class CampaignSegmentPool:
         self,
         key: Hashable,
         arrays_factory: Callable[[], dict[str, np.ndarray]],
-        fingerprint: bool = True,
+        *,
+        fingerprint: bool,
     ) -> PoolSegment:
         """The segment for ``key``, published on first use; takes one ref.
 
         ``arrays_factory`` is only called (and its arrays only copied into
         shared memory) when the key is new — the point of the pool.
-        ``fingerprint`` says whether anything will check the segment: a
-        later run re-acquiring it, or a fault layer verifying it. Only
-        then is its fingerprint taken, once: at publish, or by the first
-        acquire that asks for one. Every re-acquire of a fingerprinted
-        segment verifies it and republishes it from the fresh factory on
-        mismatch (a wild write from any attached process may have
-        corrupted it since).
+        ``fingerprint`` says whether anything will check the segment (a
+        later run re-acquiring it, or a fault layer verifying it); only
+        then is its fingerprint taken, once, at publish. A caller passes
+        the same value for every acquire of one key. Every re-acquire of a
+        fingerprinted segment verifies it and republishes it from the
+        fresh factory on mismatch (a wild write from any attached process
+        may have corrupted it since).
         """
         if self._closed:
             raise RuntimeError("segment pool is closed")
@@ -308,10 +309,6 @@ class CampaignSegmentPool:
                 if not segment.intact():
                     self.stats["corruptions"] += 1
                     self._rewrite(segment)
-            elif fingerprint:
-                segment.fingerprint = segment_fingerprint(
-                    segment.shm.buf, segment.nbytes
-                )
         segment.refs += 1
         return segment
 
@@ -319,10 +316,9 @@ class CampaignSegmentPool:
         """Republish a corrupted segment's bytes from its arrays factory."""
         with tracing.span("pool.repair"):
             _write_arrays(segment.shm.buf, segment.layout, segment.factory())
-        if segment.fingerprint is not None:
-            segment.fingerprint = segment_fingerprint(
-                segment.shm.buf, segment.nbytes
-            )
+        segment.fingerprint = segment_fingerprint(
+            segment.shm.buf, segment.nbytes
+        )
         FAULTS["segment_repairs"] += 1
 
     def repair(self, key: Hashable) -> bool:

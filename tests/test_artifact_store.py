@@ -467,11 +467,13 @@ def test_segment_pool_reads_through_and_spills(tmp_path):
 
     key = ("feat", "seed", 0)
     with CampaignSegmentPool(store=store) as pool:
-        pool.acquire(key, factory)
+        pool.acquire(key, factory, fingerprint=True)
         assert len(calls) == 1 and store.contains(key)  # published durably
         pool.release(key)
     with CampaignSegmentPool(store=store) as pool:
-        segment = pool.acquire(key, factory)  # published from disk
+        segment = pool.acquire(  # published from disk
+            key, factory, fingerprint=True
+        )
         assert len(calls) == 1  # the factory never ran again
         view = _view_arrays(segment.shm.buf, segment.layout)
         assert bytes(view["f"].tobytes()) == arrays["f"].tobytes()

@@ -36,8 +36,8 @@ def test_pool_publishes_once_and_refcounts():
         return {"x": np.arange(8.0), "y": np.arange(8)}
 
     with CampaignSegmentPool() as pool:
-        first = pool.acquire(("shard", 0), factory)
-        again = pool.acquire(("shard", 0), factory)
+        first = pool.acquire(("shard", 0), factory, fingerprint=True)
+        again = pool.acquire(("shard", 0), factory, fingerprint=True)
         assert first is again
         assert len(calls) == 1  # arrays built (and copied) exactly once
         assert first.refs == 2
@@ -54,13 +54,15 @@ def test_pool_publishes_once_and_refcounts():
 
 def test_pool_close_unlinks_and_rejects_reuse():
     pool = CampaignSegmentPool()
-    segment = pool.acquire(("k",), lambda: {"x": np.zeros(16)})
+    segment = pool.acquire(
+        ("k",), lambda: {"x": np.zeros(16)}, fingerprint=True
+    )
     name = segment.shm.name
     pool.close()
     with pytest.raises(FileNotFoundError):
         shared_memory.SharedMemory(name=name)
     with pytest.raises(RuntimeError):
-        pool.acquire(("k2",), lambda: {"x": np.zeros(16)})
+        pool.acquire(("k2",), lambda: {"x": np.zeros(16)}, fingerprint=True)
 
 
 def _keyed_federation(seed=0):
@@ -82,66 +84,62 @@ def test_campaign_backend_publishes_shards_once_across_runs():
             )
         baseline.append({k: v.copy() for k, v in server.global_state.items()})
 
-    with CampaignSegmentPool() as pool:
-        backend = ProcessPoolBackend(
-            max_workers=2, segment_pool=pool, persistent=True
-        )
-        try:
-            campaign = []
-            executors = set()
-            for seed in (0, 1, 0):
-                server, clients = _keyed_federation(seed=seed)
-                with backend:  # per-run close() is the soft end_run()
-                    run_federated_training(
-                        server, clients, rounds=2, seed=3, backend=backend
-                    )
-                executors.add(id(backend._executor))
-                campaign.append(server.global_state)
-            # shard identity: 3 distinct clients per seed, two distinct seeds
-            assert pool.stats["publishes"] == 6
-            assert pool.stats["hits"] == 3
-            # one template per run, but one warm worker pool for all of them
-            assert backend.stats["template_publishes"] == 3
-            assert len(executors) == 1
-            for expected, got in zip(baseline, campaign):
-                assert set(expected) == set(got)
-                for key in expected:
-                    assert np.array_equal(expected[key], got[key])
-        finally:
-            backend.shutdown()
+    backend = ProcessPoolBackend(max_workers=2, persistent=True)
+    pool = backend.segment_pool
+    try:
+        campaign = []
+        executors = set()
+        for seed in (0, 1, 0):
+            server, clients = _keyed_federation(seed=seed)
+            with backend:  # per-run close() is the soft end_run()
+                run_federated_training(
+                    server, clients, rounds=2, seed=3, backend=backend
+                )
+            executors.add(id(backend._executor))
+            campaign.append(server.global_state)
+        # shard identity: 3 distinct clients per seed, two distinct seeds
+        assert pool.stats["publishes"] == 6
+        assert pool.stats["hits"] == 3
+        # one template per run, but one warm worker pool for all of them
+        assert backend.stats["template_publishes"] == 3
+        assert len(executors) == 1
+        for expected, got in zip(baseline, campaign):
+            assert set(expected) == set(got)
+            for key in expected:
+                assert np.array_equal(expected[key], got[key])
+    finally:
+        backend.shutdown()
 
 
 def test_end_run_releases_pool_refs_and_own_segments():
-    with CampaignSegmentPool() as pool:
-        backend = ProcessPoolBackend(
-            max_workers=1, segment_pool=pool, persistent=True
-        )
-        try:
-            server, clients = _keyed_federation()
-            unkeyed = clients[0]
-            unkeyed.shard_key = None
-            for client in clients:
-                backend._ensure_shard(client)
-            # the keyless client's shard is published under a run-scoped key
-            own = [
-                r.segment.shm.name
-                for r in backend._shards.values()
-                if r.segment.key[0] == RUN_KIND
-            ]
-            assert len(own) == 1
-            assert pool.publishes_by_kind == {
-                "tiny": len(clients) - 1, RUN_KIND: 1,
-            }
-            assert all(s.refs == 1 for s in pool._segments.values())
-            backend.close()  # persistent: soft close
-            # pool refs released, keyed segments resident; the run-scoped
-            # segment unlinked
-            assert all(s.refs == 0 for s in pool._segments.values())
-            assert len(pool) == len(clients) - 1
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=own[0])
-        finally:
-            backend.shutdown()
+    backend = ProcessPoolBackend(max_workers=1, persistent=True)
+    pool = backend.segment_pool
+    try:
+        server, clients = _keyed_federation()
+        unkeyed = clients[0]
+        unkeyed.shard_key = None
+        for client in clients:
+            backend._ensure_shard(client)
+        # the keyless client's shard is published under a run-scoped key
+        own = [
+            r.segment.shm.name
+            for r in backend._shards.values()
+            if r.segment.key[0] == RUN_KIND
+        ]
+        assert len(own) == 1
+        assert pool.publishes_by_kind == {
+            "tiny": len(clients) - 1, RUN_KIND: 1,
+        }
+        assert all(s.refs == 1 for s in pool._segments.values())
+        backend.close()  # persistent: soft close
+        # pool refs released, keyed segments resident; the run-scoped
+        # segment unlinked
+        assert all(s.refs == 0 for s in pool._segments.values())
+        assert len(pool) == len(clients) - 1
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=own[0])
+    finally:
+        backend.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -190,23 +188,26 @@ def test_store_process_run_without_policy_never_fingerprints(
     assert pools == [({"fedft": 3, "feat": 3, "eval": 1}, True)]
 
 
-def test_caller_pool_with_policy_hashes_each_segment_once(monkeypatch):
+def test_persistent_backend_with_policy_hashes_each_segment_once(
+    monkeypatch,
+):
+    """Both reasons to fingerprint hold (a pool that outlives the run and
+    a fault policy), yet each published segment is hashed once."""
     calls = _count_fingerprints(monkeypatch)
-    with CampaignSegmentPool() as pool:
-        backend = ProcessPoolBackend(
-            max_workers=2, segment_pool=pool, persistent=True,
-            fault_policy=FaultPolicy(),
-        )
-        try:
-            server, clients = _keyed_federation()
-            with backend:
-                run_federated_training(
-                    server, clients, rounds=2, seed=3, backend=backend
-                )
-        finally:
-            backend.shutdown()
+    backend = ProcessPoolBackend(
+        max_workers=2, persistent=True, fault_policy=FaultPolicy(),
+    )
+    pool = backend.segment_pool
+    try:
+        server, clients = _keyed_federation()
+        with backend:
+            run_federated_training(
+                server, clients, rounds=2, seed=3, backend=backend
+            )
         assert pool.stats["publishes"] == len(clients)
         assert len(calls) == len(clients)
+    finally:
+        backend.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +223,9 @@ _CRASH_SCRIPT = textwrap.dedent(
     from repro.fl.slab import SlabLayout, make_slab_state
 
     pool = CampaignSegmentPool()
-    segment = pool.acquire(("k", 0), lambda: {"x": np.zeros(256)})
+    segment = pool.acquire(
+        ("k", 0), lambda: {"x": np.zeros(256)}, fingerprint=True
+    )
     backend = ProcessPoolBackend(max_workers=1)
     state = make_slab_state({"w": np.ones(128)}, SlabLayout([("w", (128,))]))
     slot = backend._publish_state(state)

@@ -339,11 +339,13 @@ def _sync_run_with(backend):
 def test_pool_reacquire_detects_and_repairs_corruption():
     with CampaignSegmentPool() as pool:
         segment = pool.acquire(
-            ("shard", 0), lambda: {"x": np.arange(64.0)}
+            ("shard", 0), lambda: {"x": np.arange(64.0)}, fingerprint=True
         )
         pristine = bytes(segment.shm.buf[: segment.nbytes])
         segment.shm.buf[5] ^= 0xFF  # bit rot between runs
-        again = pool.acquire(("shard", 0), lambda: {"x": np.arange(64.0)})
+        again = pool.acquire(
+            ("shard", 0), lambda: {"x": np.arange(64.0)}, fingerprint=True
+        )
         assert again is segment
         assert pool.stats["verifies"] == 1
         assert pool.stats["corruptions"] == 1
@@ -353,7 +355,9 @@ def test_pool_reacquire_detects_and_repairs_corruption():
             segment.shm.buf, segment.nbytes
         )
         # a clean re-acquire verifies without repairing
-        pool.acquire(("shard", 0), lambda: {"x": np.arange(64.0)})
+        pool.acquire(
+            ("shard", 0), lambda: {"x": np.arange(64.0)}, fingerprint=True
+        )
         assert pool.stats == {
             **pool.stats, "verifies": 2, "corruptions": 1,
         }
@@ -394,7 +398,9 @@ def test_persistent_own_pool_repairs_a_segment_corrupted_between_runs():
 
 def test_pool_repair_by_key():
     with CampaignSegmentPool() as pool:
-        segment = pool.acquire(("k",), lambda: {"x": np.ones(32)})
+        segment = pool.acquire(
+            ("k",), lambda: {"x": np.ones(32)}, fingerprint=True
+        )
         pristine = bytes(segment.shm.buf[: segment.nbytes])
         segment.shm.buf[0] ^= 0xFF
         assert pool.repair(("k",))

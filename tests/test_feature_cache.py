@@ -41,7 +41,6 @@ from repro.engine.backends import (
     ProcessPoolBackend,
     SerialBackend,
 )
-from repro.engine.campaign import CampaignSegmentPool
 from repro.engine.runner import run_async_federated_training
 from repro.fl.client import Client
 from repro.fl.features import FeatureRuntime, compute_features
@@ -486,33 +485,32 @@ def test_server_evaluate_self_heals_after_workspace_phi_mutation():
 
 
 def test_pooled_evaluation_is_bitwise_exact_and_publishes_once():
-    with CampaignSegmentPool() as pool:
-        runtime = FeatureRuntime()
-        backend = ProcessPoolBackend(
-            max_workers=2, segment_pool=pool, persistent=True,
-            feature_runtime=runtime,
-        )
-        try:
-            for _ in range(2):  # two runs of one campaign
-                server, clients = _conv_federation()
-                reference, _ = _conv_federation(full_forward=True)
-                server.evaluator = PooledEvaluator(
-                    backend, server.test_set, test_key=("test", 0),
-                    batch_size=16,  # multiple aligned shards
+    runtime = FeatureRuntime()
+    backend = ProcessPoolBackend(
+        max_workers=2, persistent=True, feature_runtime=runtime,
+    )
+    pool = backend.segment_pool
+    try:
+        for _ in range(2):  # two runs of one campaign
+            server, clients = _conv_federation()
+            reference, _ = _conv_federation(full_forward=True)
+            server.evaluator = PooledEvaluator(
+                backend, server.test_set, test_key=("test", 0),
+                batch_size=16,  # multiple aligned shards
+            )
+            with backend:
+                assert server.evaluate() == reference.evaluate()
+                run_federated_training(
+                    server, clients, rounds=1, seed=3, backend=backend
                 )
-                with backend:
-                    assert server.evaluate() == reference.evaluate()
-                    run_federated_training(
-                        server, clients, rounds=1, seed=3, backend=backend
-                    )
-                    reference.global_state = server.global_state
-                    assert server.evaluate() == reference.evaluate()
-                assert server.eval_stats["pooled_evals"] >= 2
-            # test-set shards were published once for the whole campaign
-            assert pool.publishes_by_kind["eval"] == 2  # 48/16 -> 2 workers
-            assert pool.publishes_by_kind["feat"] == 3  # one per client
-        finally:
-            backend.shutdown()
+                reference.global_state = server.global_state
+                assert server.evaluate() == reference.evaluate()
+            assert server.eval_stats["pooled_evals"] >= 2
+        # test-set shards were published once for the whole campaign
+        assert pool.publishes_by_kind["eval"] == 2  # 48/16 -> 2 workers
+        assert pool.publishes_by_kind["feat"] == 3  # one per client
+    finally:
+        backend.shutdown()
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from repro.core.fedft_eds import FedFTEDSConfig, run_fedft_eds
 from repro.core.partial import prepare_partial_model
 from repro.data.dataset import ArrayDataset
 from repro.engine.backends import ProcessPoolBackend, SerialBackend
-from repro.engine.campaign import CampaignSegmentPool
 from repro.fl import fastpath
 from repro.fl.client import Client
 from repro.fl.features import FeatureRuntime, compute_features, derive_features
@@ -717,10 +716,8 @@ def test_process_backend_derives_across_runs_from_pooled_prefix():
         )
 
     runtime = FeatureRuntime(batch_size=16)
-    pool = CampaignSegmentPool()
     backend = ProcessPoolBackend(
-        max_workers=1, feature_runtime=runtime, segment_pool=pool,
-        persistent=True,
+        max_workers=1, feature_runtime=runtime, persistent=True,
     )
     try:
         backend._ensure_features(make_client(), shallow)
@@ -735,7 +732,6 @@ def test_process_backend_derives_across_runs_from_pooled_prefix():
         ).tobytes()
     finally:
         backend.shutdown()
-        pool.close()
 
 
 # ---------------------------------------------------------------------------
