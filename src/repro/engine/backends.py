@@ -680,13 +680,16 @@ def _shm_solve(job: dict, baseline: dict) -> tuple:
 def _shm_eval_shard(job_blob: bytes) -> tuple[int, int, dict | None]:
     """Worker entry point: score one aligned test-set shard with current θ.
 
-    Loads only θ — into the template replica's head plan, or into the
-    replica (its ϕ is the template's: the frozen backbone never changes
-    within a run) when the head runs on the graph — runs the head over
-    the shard's cached features (or the full model over raw inputs when
-    no frozen prefix exists), and returns the exact integer correct
-    count — the parent-side reduction ``Σcorrect / Σn`` is then bitwise
-    equal to ``np.mean`` over the whole logits matrix.
+    Over cached features it loads only θ — into the template replica's
+    head plan, or into the replica when the head runs on the graph — and
+    runs the head; the parent built the features from the version's ϕ
+    (``Server`` installs a new ϕ in the workspace model first). Over raw
+    inputs it loads the whole version and runs the full model. The
+    replica first takes the template's ``requires_grad`` flags back, so
+    a tiered round that re-froze it scores under the template's split.
+    Returns the exact integer correct count — the parent-side reduction
+    ``Σcorrect / Σn`` is then bitwise equal to ``np.mean`` over the whole
+    logits matrix.
     """
     job = pickle.loads(job_blob)
     names = (job["state_name"], job["eval_name"])
@@ -702,6 +705,8 @@ def _shm_eval_solve(job: dict, baseline: dict) -> tuple[int, int, dict | None]:
     labels = arrays["y"]
     inputs = arrays["f"] if "f" in arrays else arrays["x"]
     batch = int(job["batch_size"])
+    for param, flag in zip(model.iter_parameters(), job["requires_grad"]):
+        param.requires_grad = flag
     if "f" in arrays:
         # Head-only shards count through the replica's head plan: θ goes
         # into the plan and its broadcast-θ forward reads the shard in
@@ -716,10 +721,14 @@ def _shm_eval_solve(job: dict, baseline: dict) -> tuple[int, int, dict | None]:
                 obs_metrics.shard_delta(baseline),
             )
     fastpath.STATS["graph_eval_shards"] += 1
-    model.load_state_dict(
-        {key: state[key] for key in job["theta_keys"]}, strict=False
-    )
-    forward = model.forward_head if "f" in arrays else model
+    if "f" in arrays:
+        model.load_state_dict(
+            {key: state[key] for key in job["theta_keys"]}, strict=False
+        )
+        forward = model.forward_head
+    else:
+        model.load_state_dict(state)
+        forward = model
     was_training = model.training
     model.eval()
     correct = 0
@@ -1712,6 +1721,7 @@ class ProcessPoolBackend(ExecutionBackend):
         )
         slot = self._publish_state(global_state)
         keys = theta_keys(model)
+        requires_grad = model.structure().flags
         records = []
         template_record.refs += len(segments)
         correct = 0
@@ -1726,6 +1736,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     "eval_name": record.shm.name,
                     "eval_layout": record.layout,
                     "theta_keys": keys,
+                    "requires_grad": requires_grad,
                     "batch_size": batch_size,
                 }
                 records.append(self._dispatch(_shm_eval_shard, job, [record]))

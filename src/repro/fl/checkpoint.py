@@ -219,6 +219,22 @@ def _jsonable(obj):
     return obj
 
 
+#: bit generators whose ``bit_generator.state`` holds only ints and strings
+_PLAIN_STATE_GENERATORS = frozenset({"PCG64", "PCG64DXSM"})
+
+
+def _rng_jsonable(state):
+    """An RNG state as the manifest stores it: a PCG64 state is plain ints
+    and strings and goes in as it is; an array state goes through
+    :func:`_jsonable`. Either way ``json.dumps`` writes the same bytes."""
+    if (
+        type(state) is dict
+        and state.get("bit_generator") in _PLAIN_STATE_GENERATORS
+    ):
+        return state
+    return _jsonable(state)
+
+
 def _unjsonable(obj):
     if isinstance(obj, dict):
         if "__ndarray__" in obj:
@@ -630,13 +646,13 @@ def _write_checkpoint(path: str, state: RunState, full: bool) -> None:
         "versions": versions,
         "snapshots": sorted(int(v) for v in state.snapshots),
         "clock_now": state.clock_now,
-        "scheduler_rng_state": _jsonable(state.scheduler_rng_state),
+        "scheduler_rng_state": _rng_jsonable(state.scheduler_rng_state),
         "idle_rng_states": {
-            str(cid): _jsonable(rng_state)
+            str(cid): _rng_jsonable(rng_state)
             for cid, rng_state in state.idle_rng_states.items()
         },
         "pending": [
-            {**pending, "rng_state": _jsonable(pending["rng_state"])}
+            {**pending, "rng_state": _rng_jsonable(pending["rng_state"])}
             for pending in state.pending
         ],
         "next_seq": state.next_seq,

@@ -198,7 +198,9 @@ def head_lane(model: SegmentedModel, feature_shape: tuple) -> HeadLane | None:
     None when the head runs on the layer graph.
 
     Built on first use and shared by every later round, scoring pass and
-    evaluation of every client in ``model`` with this head shape.
+    evaluation of every client in ``model`` with this head shape. The
+    head's layers and signature come from the model's structure memo
+    (:func:`~repro.nn.fused.head_ops`), so a lookup walks no modules.
     """
     layers, signature = head_ops(model)
     if layers is None:

@@ -34,8 +34,10 @@ class Server:
     Evaluation exploits the ϕ/θ split twice whenever the model has a
     frozen prefix (bitwise identical to a full load and a full forward):
 
-    - only θ changed after round 0, so once ϕ is resident in the model,
-      each evaluation loads just the θ keys instead of the full state;
+    - versions that share ϕ by reference differ only in θ, so once ϕ is
+      resident in the model, each evaluation loads just the θ keys
+      instead of the full state (a version with other ϕ objects, or a
+      workspace whose ϕ was trained, is loaded in full);
     - the frozen ϕ(test set) is materialised once per ϕ fingerprint and
       every evaluation runs only the head over it: through the head
       plan's broadcast-θ forward when :func:`~repro.fl.fastpath.head_lane`
@@ -47,8 +49,10 @@ class Server:
 
     ``evaluator``, when attached (see
     :class:`~repro.engine.backends.PooledEvaluator`), delegates evaluation
-    to sharded jobs on the warm process-pool workers instead — the model
-    workspace is then left untouched by :meth:`evaluate`.
+    to sharded jobs on the warm process-pool workers instead. The jobs
+    score θ over ϕ(test) features built from the workspace model, so
+    :meth:`evaluate` then touches the model only to install a version
+    whose ϕ entries are new objects.
     """
 
     def __init__(self, model: SegmentedModel, test_set: Dataset):
@@ -74,6 +78,12 @@ class Server:
         #: (e.g. tiered clients re-freezing per round) self-heals into a
         #: full reload instead of evaluating a stale backbone
         self._resident_fingerprint: str | None = None
+        #: the ϕ entries ``(key, array)`` of the state the model was last
+        #: fully loaded from (the first version was copied from the model,
+        #: so it holds them too); a version whose ϕ entries are other
+        #: objects (a merge that retrained ϕ in a worker, an installed
+        #: state) is loaded in full before it is scored
+        self._resident_phi = self._phi_entries()
         self._test_features: tuple[str, np.ndarray] | None = None
         #: observability counters for the evaluation fast paths (a plain
         #: dict to callers; the namespace feeds the metrics registry)
@@ -198,9 +208,37 @@ class Server:
         with tracing.span("server.evaluate"):
             return self._evaluate(batch_size)
 
+    def _phi_entries(self) -> tuple:
+        """The current version's ϕ entries, ``(key, array)`` in key order."""
+        theta = self._slab_layout.key_set
+        return tuple(
+            (key, value)
+            for key, value in self.global_state.items()
+            if key not in theta
+        )
+
+    def _phi_resident(self) -> bool:
+        """Whether the current version's ϕ entries are the very objects the
+        model was last fully loaded from. Successive versions share ϕ by
+        reference, so this holds for every version a θ-only run makes."""
+        state = self.global_state
+        resident = self._resident_phi
+        if len(state) - len(self._slab_layout.keys) != len(resident):
+            return False
+        return all(state.get(key) is value for key, value in resident)
+
+    def _load_full(self) -> None:
+        self.model.load_state_dict(self.global_state)
+        self._resident_phi = self._phi_entries()
+        self.eval_stats["full_loads"] += 1
+
     def _evaluate(self, batch_size: int) -> float:
         if self.evaluator is not None:
             self.eval_stats["pooled_evals"] += 1
+            if not self._phi_resident():
+                # Pooled jobs score θ over the ϕ(test) features of the
+                # workspace model: install this version's ϕ there first.
+                self._load_full()
             return self.evaluator.evaluate(
                 self.model, self.global_state, batch_size=batch_size
             )
@@ -208,25 +246,28 @@ class Server:
         fingerprint = self.model.phi_fingerprint()
         if fingerprint is None:
             # No frozen prefix: a full load and a full forward.
-            self.model.load_state_dict(self.global_state)
+            self._load_full()
             self._resident_fingerprint = None
-            self.eval_stats["full_loads"] += 1
             x, y = self.test_set.arrays()
             logits = batched_logits(self.model, x, batch_size)
             return F.accuracy(logits, y)
-        theta_in_model = fingerprint != self._resident_fingerprint
+        theta_in_model = (
+            fingerprint != self._resident_fingerprint
+            or not self._phi_resident()
+        )
         if theta_in_model:
-            # First evaluation, or something trained ϕ in the workspace
-            # (tiered clients, foreign loads): restore the global model
-            # wholesale and re-fingerprint the clean backbone.
-            self.model.load_state_dict(self.global_state)
+            # First evaluation, a version whose ϕ entries changed, or
+            # something trained ϕ in the workspace (tiered clients, foreign
+            # loads): restore the global model wholesale and re-fingerprint
+            # the clean backbone.
+            self._load_full()
             fingerprint = self.model.phi_fingerprint()
             self._resident_fingerprint = fingerprint
-            self.eval_stats["full_loads"] += 1
         else:
             # The resident ϕ still hashes to what the last full load left
-            # behind, so only θ can differ from the global state: it is
-            # loaded below, into the head plan or the model.
+            # behind, and this version's ϕ is that load's, so only θ can
+            # differ from the global state: it is loaded below, into the
+            # head plan or the model.
             self.eval_stats["theta_loads"] += 1
         if self._test_features is None or self._test_features[0] != fingerprint:
             x, _ = self.test_set.arrays()

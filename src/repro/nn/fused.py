@@ -121,7 +121,9 @@ def _leaves(module: Module) -> list[Module] | None:
     return None
 
 
-def head_ops(model: SegmentedModel) -> tuple[list[Module], tuple] | tuple[None, None]:
+def head_ops(
+    model: SegmentedModel,
+) -> tuple[tuple[Module, ...], tuple] | tuple[None, None]:
     """``(layers, signature)`` of a head :class:`CohortPlan` can train, else
     ``(None, None)``.
 
@@ -129,8 +131,18 @@ def head_ops(model: SegmentedModel) -> tuple[list[Module], tuple] | tuple[None, 
     order; ``signature`` is a hashable description (kinds, widths, bias
     presence) that keys the model's plan — any change to the head's
     structure yields a different signature and therefore another plan.
+    The answer is kept in the model's structure memo
+    (:meth:`~repro.nn.segmented.SegmentedModel.structure`), so it is
+    derived once per structure: a new head module or a flipped
+    ``requires_grad`` derives it again.
     """
-    split = model.frozen_split_index()
+    structure = model.structure()
+    if structure.head is None:
+        structure.head = _derive_head_ops(model, structure.split)
+    return structure.head
+
+
+def _derive_head_ops(model: SegmentedModel, split: int) -> tuple:
     if split == 0:
         return None, None
     layers: list[Module] = []
@@ -152,7 +164,7 @@ def head_ops(model: SegmentedModel) -> tuple[list[Module], tuple] | tuple[None, 
             signature.append(("flatten",))
     if not any(op[0] == "linear" for op in signature):
         return None, None  # nothing to solve for; let the graph path raise
-    return layers, tuple(signature)
+    return tuple(layers), tuple(signature)
 
 
 class CohortPlan:

@@ -11,6 +11,17 @@ from typing import Iterator
 
 import numpy as np
 
+#: Advanced by every structural edit of any module tree: binding a
+#: :class:`Parameter` or :class:`Module` attribute, or registering a
+#: buffer. Structure memos (:meth:`repro.nn.segmented.SegmentedModel.
+#: structure`) record it and rebuild once it has moved.
+_structure_epoch = 0
+
+
+def structure_epoch() -> int:
+    """The current structure epoch (see :data:`_structure_epoch`)."""
+    return _structure_epoch
+
 
 class Parameter:
     """A trainable array with an accumulated gradient.
@@ -59,16 +70,21 @@ class Module:
 
     # -- attribute registration -------------------------------------------
     def __setattr__(self, name: str, value) -> None:
+        global _structure_epoch
         if isinstance(value, Parameter):
             self._parameters[name] = value
+            _structure_epoch += 1
         elif isinstance(value, Module):
             self._modules[name] = value
+            _structure_epoch += 1
         object.__setattr__(self, name, value)
 
     def register_buffer(self, name: str, value: np.ndarray) -> None:
         """Register a non-trainable persistent array (e.g. BN running stats)."""
+        global _structure_epoch
         self._buffers[name] = np.asarray(value, dtype=np.float64)
         object.__setattr__(self, name, self._buffers[name])
+        _structure_epoch += 1
 
     def _set_buffer(self, name: str, value: np.ndarray) -> None:
         """Update a registered buffer in place, keeping aliases consistent."""

@@ -14,7 +14,7 @@ import weakref
 
 import numpy as np
 
-from repro.nn.module import Module
+from repro.nn.module import Module, structure_epoch
 
 #: Segment order shared by every model in this project.
 SEGMENT_ORDER = ("stem", "low", "mid", "up", "head")
@@ -30,16 +30,17 @@ FINE_TUNE_LEVELS = {
     "classifier": "head",
 }
 
-#: Per live model: the frozen content its ϕ prefix chain was last hashed
-#: from, and that chain (see :meth:`SegmentedModel.phi_prefix_chain`).
-#: Weakly keyed, so the memo never keeps a model alive and — living
-#: outside the model — is never pickled to process workers.
-_PHI_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+#: Per live model: its structure memo (see :meth:`SegmentedModel.
+#: structure`). Weakly keyed, so a memo never keeps a model alive and —
+#: living outside the model — is never pickled to process workers.
+_STRUCTURES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _hash_phi_content(type_name: str, segments: list) -> tuple[str, ...]:
-    """The chained BLAKE2b prefix fingerprints of a model's frozen content
-    (:meth:`SegmentedModel._phi_content`), one per frozen segment."""
+    """The chained BLAKE2b prefix fingerprints of a model's frozen content,
+    one per frozen segment: ``segments`` lists ``(segment name, tensors)``
+    in chain order, ``tensors`` the ``(name, dtype, shape, bytes)`` of the
+    segment's parameters, then its buffers, each sorted by dotted name."""
     digest = hashlib.blake2b(digest_size=16)
     digest.update(type_name.encode())
     chain = []
@@ -52,6 +53,67 @@ def _hash_phi_content(type_name: str, segments: list) -> tuple[str, ...]:
             digest.update(raw)
         chain.append(digest.copy().hexdigest())
     return tuple(chain)
+
+
+class _Structure:
+    """What a model's split, ϕ digest and head derive from, taken once.
+
+    ``params`` are the model's parameters in ``iter_parameters`` order,
+    ``datas`` and ``flags`` the ``data`` objects and ``requires_grad``
+    flags they held then; ``split`` is :meth:`SegmentedModel.frozen_split_index`'s answer;
+    ``phi`` lists the frozen tensors as the digest reads them, ``(segment
+    name, [(tensor name, dtype, shape), ...])`` per frozen segment, and
+    ``arrays`` their live arrays in that order; ``phi_bytes`` and
+    ``chain`` are the bytes the prefix chain was last hashed from and that
+    chain; ``head`` is :func:`repro.nn.fused.head_ops`'s answer once asked
+    (None before).
+    """
+
+    __slots__ = (
+        "epoch", "params", "datas", "flags", "split", "phi", "arrays",
+        "phi_bytes", "chain", "head",
+    )
+
+    def __init__(self, model: "SegmentedModel"):
+        self.epoch = structure_epoch()
+        self.params = tuple(model.iter_parameters())
+        self.datas = tuple(param.data for param in self.params)
+        self.flags = tuple(param.requires_grad for param in self.params)
+        segments = model.segments()
+        split = 0
+        for _, segment in segments:
+            if segment.has_trainable():
+                break
+            split += 1
+        else:
+            split = 0  # nothing trainable: no ϕ/θ split
+        self.split = split
+        self.phi = []
+        self.arrays = []
+        for name, segment in segments[:split]:
+            arrays = [(p_name, param.data) for p_name, param in sorted(
+                segment.named_parameters(name)
+            )]
+            arrays += sorted(segment.named_buffers(name))
+            self.phi.append((name, [
+                (a_name, str(array.dtype), array.shape)
+                for a_name, array in arrays
+            ]))
+            self.arrays += [array for _, array in arrays]
+        self.phi_bytes = None
+        self.chain = ()
+        self.head = None
+
+    def current(self) -> bool:
+        """Whether no structural edit happened since this was taken: the
+        epoch has not moved, and every parameter holds the ``data`` object
+        and ``requires_grad`` flag it held then."""
+        if self.epoch != structure_epoch():
+            return False
+        for param, data, flag in zip(self.params, self.datas, self.flags):
+            if param.data is not data or param.requires_grad != flag:
+                return False
+        return True
 
 
 class SegmentedModel(Module):
@@ -110,13 +172,23 @@ class SegmentedModel(Module):
         already trainable — or when *nothing* is trainable, since a model
         with no θ has no meaningful ϕ/θ split to cache against.
         """
-        segs = self.segments()
-        split = 0
-        for _, segment in segs:
-            if segment.has_trainable():
-                return split
-            split += 1
-        return 0
+        return self.structure().split
+
+    def structure(self) -> _Structure:
+        """The model's structure memo: its split, its ϕ tensors and (once
+        :func:`repro.nn.fused.head_ops` asked) its head.
+
+        Taken once and reused while it is :meth:`~_Structure.current`: a
+        structural edit (binding a parameter or module, registering a
+        buffer, rebinding a parameter's ``data``, flipping its
+        ``requires_grad``) makes the next call take a fresh one. Edits to
+        ϕ's values in place keep the memo; :meth:`phi_prefix_chain`
+        compares ϕ's bytes itself.
+        """
+        entry = _STRUCTURES.get(self)
+        if entry is None or not entry.current():
+            entry = _STRUCTURES[self] = _Structure(self)
+        return entry
 
     def forward_features(self, x: np.ndarray) -> np.ndarray:
         """Forward through the frozen prefix ϕ only (segments below θ)."""
@@ -163,44 +235,29 @@ class SegmentedModel(Module):
         re-running ϕ from the raw inputs (prefix-chain keying, see
         :mod:`repro.fl.features`). Empty without a frozen prefix.
 
-        Memoized per live model on ϕ's exact content: the call collects
-        everything the digest consumes (type name, split, segment and
-        tensor names, dtypes, shapes and the raw bytes of every frozen
-        parameter and buffer) and re-hashes only when that differs from
-        what this model's chain was last hashed from — so a hit returns
-        exactly what a recomputation would, and any mutation of ϕ, in
-        place or by rebinding, still changes the result. Bytes, not
+        Memoized per live model: the :meth:`structure` memo holds the
+        frozen tensors, so a call gathers only ϕ's bytes and re-hashes when
+        they differ from the bytes the memo's chain was hashed from. A hit
+        returns exactly what a recomputation would, and any mutation of
+        ϕ, in place or by rebinding, still changes the result. Bytes, not
         values, are compared because the digest hashes bytes: ``0.0`` and
-        ``-0.0`` are equal values with different fingerprints. A hit costs
-        one copy and one comparison of ϕ's bytes instead of a BLAKE2b
-        pass over them.
+        ``-0.0`` are equal values with different fingerprints.
         """
-        segments = self._phi_content()
-        if not segments:
+        entry = self.structure()
+        if not entry.phi:
             return []
-        content = (type(self).__name__, segments)
-        memo = _PHI_MEMO.get(self)
-        if memo is None or memo[0] != content:
-            memo = (content, _hash_phi_content(*content))
-            _PHI_MEMO[self] = memo
-        return list(memo[1])
-
-    def _phi_content(self) -> list:
-        """``(segment name, tensors)`` per frozen segment, in chain order;
-        ``tensors`` lists ``(name, dtype, shape, bytes)`` of the segment's
-        parameters, then its buffers, each sorted by dotted name."""
-        split = self.frozen_split_index()
-        content = []
-        for name, segment in self.segments()[:split]:
-            arrays = [(p_name, param.data) for p_name, param in sorted(
-                segment.named_parameters(name)
-            )]
-            arrays += sorted(segment.named_buffers(name))
-            content.append((name, [
-                (a_name, str(array.dtype), array.shape, array.tobytes())
-                for a_name, array in arrays
-            ]))
-        return content
+        raw = [array.tobytes() for array in entry.arrays]
+        if raw != entry.phi_bytes:
+            chunks = iter(raw)
+            entry.chain = _hash_phi_content(type(self).__name__, [
+                (name, [
+                    (t_name, dtype, shape, next(chunks))
+                    for t_name, dtype, shape in tensors
+                ])
+                for name, tensors in entry.phi
+            ])
+            entry.phi_bytes = raw
+        return list(entry.chain)
 
     # -- partial fine-tuning --------------------------------------------------
     def apply_fine_tune_level(self, level: str) -> "SegmentedModel":

@@ -669,6 +669,48 @@ def test_checkpoint_bytes_equal_the_reference_encoders(tmp_path):
     assert manifest_text == reference.getvalue()
 
 
+def test_plain_rng_states_keep_every_manifest_byte(tmp_path, monkeypatch):
+    """RNG states are written as they are when they hold only ints and
+    strings (PCG64), and through ``_jsonable`` when they hold arrays: with
+    a Philox client in the pool, every save's manifest is byte for byte
+    what encoding every state through ``_jsonable`` writes, and the array
+    states load back exactly."""
+    from repro.fl import checkpoint
+
+    written = checkpoint._rng_jsonable
+
+    def manifests(path, encode):
+        monkeypatch.setattr(checkpoint, "_rng_jsonable", encode)
+        seen = []
+
+        def watch(record):
+            with open(os.path.join(path, "async_state.json")) as fh:
+                seen.append(fh.read())
+
+        server, clients = make_federation()
+        clients[0].rng = np.random.Generator(np.random.Philox(3))
+        run_async_federated_training(
+            server, clients, _aggregator("fedbuff"), max_events=MAX_EVENTS,
+            seed=11, timing=STRAGGLED, checkpoint_path=path,
+            checkpoint_every=1, on_event=watch,
+        )
+        return seen, clients
+
+    reference, _ = manifests(str(tmp_path / "reference"), checkpoint._jsonable)
+    path = str(tmp_path / "ckpt")
+    saved, clients = manifests(path, written)
+    assert len(saved) == MAX_EVENTS
+    assert saved == reference
+    assert '"__ndarray__"' in saved[-1]
+    state = load_async_checkpoint(path)
+    assert not state.pending
+    assert state.idle_rng_states[0]["bit_generator"] == "Philox"
+    for cid, rng_state in state.idle_rng_states.items():
+        assert checkpoint._jsonable(rng_state) == checkpoint._jsonable(
+            clients[cid].rng.bit_generator.state
+        )
+
+
 def test_per_save_manifest_stays_flat_in_event_count(tmp_path):
     """The rewritten-per-save portion (the manifest) must not grow with the
     journal — the O(1)-per-write property of the log-structured format."""

@@ -553,3 +553,69 @@ def test_straggler_multipliers_helper():
     assert straggler_multipliers(10, 0.5, 8.0, seed=1) == mult
     with pytest.raises(ValueError):
         straggler_multipliers(10, 0.5, 0.5)
+
+
+def _fedft_eds_federation():
+    """A FedFT-EDS smoke federation: a ``moderate`` MLP, entropy selection,
+    shard keys for the feature cache."""
+    from repro.core.partial import prepare_partial_model
+    from repro.data.dataset import ArrayDataset
+    from repro.data.partition import iid_partition
+    from repro.fl.client import Client
+    from repro.fl.selection import EntropySelector
+    from repro.fl.server import Server
+    from repro.fl.strategies import LocalSolver
+    from repro.nn.mlp import MLP
+
+    rng = np.random.default_rng(0)
+    model = MLP(48, (16, 16, 16), 4, rng)
+    prepare_partial_model(model, "moderate")
+    x = rng.normal(size=(240, 3, 4, 4))
+    y = rng.integers(0, 4, size=240)
+    train = ArrayDataset(x, y)
+    clients = [
+        Client(
+            i, train.subset(shard), EntropySelector(),
+            LocalSolver(lr=0.05, batch_size=8), 0.5, 1,
+            np.random.default_rng(10 + i), shard_key=("walks", i),
+        )
+        for i, shard in enumerate(iid_partition(y, 6, rng))
+    ]
+    return Server(model, ArrayDataset(x[:40], y[:40])), clients
+
+
+def test_event_engine_walks_the_model_once_per_structure(monkeypatch):
+    """The event engine derives the model's split, ϕ chain and head from
+    its structure memo: a FedBuff run walks the module tree (counted as
+    ``has_trainable`` and ``named_parameters`` calls) as often over 600
+    events as over 300, instead of once more per dispatch."""
+    from repro.engine.runner import run_async_federated_training
+    from repro.fl.features import FeatureRuntime
+    from repro.nn.module import Module
+
+    counts = {"has_trainable": 0, "named_parameters": 0}
+
+    def counted(name):
+        original = getattr(Module, name)
+
+        def wrapper(self, *args, **kwargs):
+            counts[name] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Module, name, wrapper)
+
+    counted("has_trainable")
+    counted("named_parameters")
+    walks = []
+    for events in (300, 600):
+        server, clients = _fedft_eds_federation()
+        counts.update(has_trainable=0, named_parameters=0)
+        log = run_async_federated_training(
+            server, clients, FedBuffAggregator(buffer_size=2),
+            max_events=events, max_concurrency=3,
+            feature_runtime=FeatureRuntime(),
+        )
+        assert len(log) >= events
+        walks.append(dict(counts))
+    assert walks[0] == walks[1]
+    assert walks[0]["has_trainable"] > 0

@@ -32,7 +32,7 @@ from multiprocessing import shared_memory
 from repro.core import fedft_eds
 from repro.core.fedft_eds import FedFTEDSConfig, run_fedft_eds
 from repro.core.heterogeneous import CapabilityTier, TieredClient
-from repro.core.partial import prepare_partial_model
+from repro.core.partial import adapt_to_task, prepare_partial_model
 from repro.data.dataset import ArrayDataset
 from repro.data.partition import iid_partition
 from repro.engine.aggregators import make_aggregator
@@ -51,7 +51,9 @@ from repro.fl.strategies import LocalSolver
 from repro.fl.timing import TimingModel
 from repro.nn import functional as F
 from repro.nn.cnn import SmallConvNet
+from repro.nn.fused import head_ops
 from repro.nn.linear import Linear
+from repro.nn.mlp import MLP
 from repro.nn.module import Module, Sequential
 from repro.nn.serialization import theta_keys
 from repro.testbed import ENGINE_SMOKE
@@ -207,13 +209,78 @@ def test_phi_fingerprint_keys_the_split_and_the_weights():
 
 
 def test_phi_fingerprint_memo_does_not_keep_the_model_alive():
-    model = SmallConvNet(4, RNG(0), channels=(4, 4, 4))
+    """The structure memo holds the model's parameters, ϕ arrays and (for
+    ``head_ops``) its head layers, never the model: a model dies with its
+    last reference, memo and all."""
+    from repro.nn import segmented
+
+    for build in (
+        lambda: SmallConvNet(4, RNG(0), channels=(4, 4, 4)),
+        lambda: MLP(48, (16, 16, 16), 5, RNG(1)),  # a head with a plan
+    ):
+        model = build()
+        prepare_partial_model(model, "moderate")
+        assert model.phi_fingerprint() is not None
+        head_ops(model)
+        assert segmented._STRUCTURES[model].head is not None
+        alive = weakref.ref(model)
+        del model
+        gc.collect()
+        assert alive() is None
+
+
+def _structure_answers(model):
+    """Everything the structure memo answers: split, head signature, chain."""
+    return (
+        model.frozen_split_index(),
+        head_ops(model)[1],
+        model.phi_prefix_chain(),
+    )
+
+
+def _memo_mlp():
+    model = MLP(48, (16, 16, 16), 5, RNG(1))
     prepare_partial_model(model, "moderate")
-    assert model.phi_fingerprint() is not None
-    alive = weakref.ref(model)
-    del model
-    gc.collect()
-    assert alive() is None
+    return model
+
+
+#: structural edits the memo must see, each applied right after a hit
+_STRUCTURE_EDITS = {
+    "freeze": lambda model: model.up.freeze(),
+    "unfreeze": lambda model: model.mid.unfreeze(),
+    "fine_tune_level": lambda model: model.apply_fine_tune_level(
+        "large"
+    ),
+    "requires_grad_flip": lambda model: setattr(
+        model.head.layers[0].bias, "requires_grad", False
+    ),
+    "data_rebound": lambda model: setattr(
+        model.low.layers[0].weight, "data",
+        model.low.layers[0].weight.data + 1e-3,
+    ),
+    "new_head": lambda model: adapt_to_task(model, 7, RNG(5)),
+    "register_buffer": lambda model: model.mid.layers[0].register_buffer(
+        "offset", np.full(16, 0.5)
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_STRUCTURE_EDITS))
+def test_structure_memo_follows_every_structural_edit(edit):
+    """Right after a memo hit, each structural edit gives the split, head
+    signature and ϕ chain of a freshly built model in the same state.
+    The fresh model is built and edited first: building a model advances
+    the structure epoch, which would hide a stale identity check."""
+    apply = _STRUCTURE_EDITS[edit]
+    fresh = _memo_mlp()
+    apply(fresh)
+    expected = _structure_answers(fresh)
+    model = _memo_mlp()
+    before = _structure_answers(model)
+    assert _structure_answers(model) == before  # a hit
+    assert before != expected, edit  # the edit matters
+    apply(model)
+    assert _structure_answers(model) == expected, edit
 
 
 def test_feature_runtime_builds_once_and_invalidates_on_phi_change():

@@ -245,3 +245,71 @@ def test_fedavg_over_one_deeper_level_matches_the_oracle():
     state, ref_state = server.global_state, reference.global_state
     assert set(state) == set(ref_state)
     assert all(state[k].tobytes() == ref_state[k].tobytes() for k in state)
+
+
+def _fresh_score(state):
+    """``state``'s accuracy as a freshly built server scores it."""
+    server, _ = _conv_tiered_federation(levels=("full",))
+    server.set_global_state(state)
+    return server.evaluate()
+
+
+@pytest.mark.parametrize(
+    "evaluation", ["server", "pooled", "pooled-features"]
+)
+def test_process_rounds_that_retrain_phi_are_scored_on_their_phi(evaluation):
+    """Tiered clients at "full" retrain ϕ in the process workers: each
+    version's ϕ entries change while the parent's workspace model keeps
+    the old ϕ, and the workers' template replicas are re-frozen and
+    trained. Every evaluation still scores its own version — locally,
+    through pooled jobs over raw inputs, or through pooled jobs over
+    ϕ(test) features: the accuracies are the serial run's, and the last
+    one is a fresh model's score of the byte-equal final state."""
+    from repro.engine.backends import PooledEvaluator, make_backend
+    from repro.fl.features import FeatureRuntime
+    from repro.fl.rounds import run_federated_training
+
+    server, clients = _conv_tiered_federation(levels=("full",))
+    serial = run_federated_training(server, clients, rounds=3, seed=0)
+    expected = [record.test_accuracy for record in serial.records]
+    reference = server.global_state
+
+    server, clients = _conv_tiered_federation(levels=("full",))
+    runtime = FeatureRuntime() if evaluation == "pooled-features" else None
+    backend = make_backend("process", max_workers=2, feature_runtime=runtime)
+    try:
+        if evaluation != "server":
+            server.evaluator = PooledEvaluator(backend, server.test_set)
+        history = run_federated_training(
+            server, clients, rounds=3, seed=0, backend=backend
+        )
+    finally:
+        backend.shutdown()
+    state = server.global_state
+    assert set(state) == set(reference)
+    assert all(state[k].tobytes() == reference[k].tobytes() for k in state)
+    assert [record.test_accuracy for record in history.records] == expected
+    assert expected[-1] == _fresh_score(state)
+
+
+def test_installed_state_with_new_phi_is_scored_in_full():
+    """A version installed with other ϕ entries than the last full load's
+    is loaded in full before it is scored, though the workspace model's
+    own ϕ is untouched and still hashes as before."""
+    server, _ = _conv_tiered_federation(levels=("full",))
+    server.evaluate()
+    state = dict(server.global_state)
+    weight = state["stem.layer0.weight"].copy()
+    weight.flat[:3] -= 3.0
+    state["stem.layer0.weight"] = weight
+    server.set_global_state(state)
+    fresh = _fresh_score(state)
+    assert fresh != _fresh_score(_conv_tiered_federation()[0].global_state)
+    assert server.evaluate() == fresh
+    assert server.eval_stats["full_loads"] == 2
+    assert server.eval_stats["theta_loads"] == 0
+    # a version that shares that ϕ by reference is scored θ-only again
+    server.set_global_state(server.global_state)
+    assert server.evaluate() == fresh
+    assert server.eval_stats["full_loads"] == 2
+    assert server.eval_stats["theta_loads"] == 1
