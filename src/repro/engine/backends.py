@@ -11,14 +11,16 @@ sequence:
   the one in-process round path: both training loops build one when they
   are given no backend.
 - :class:`ProcessPoolBackend` — runs rounds in long-lived worker processes
-  that read the model template, global weights and client shards from
-  ``multiprocessing.shared_memory`` segments. Only a small job descriptor
-  (segment names, layouts, RNG state) crosses the pipe per round, and only
-  the round's θ update and advanced RNG state come back. Every data
-  segment (shards, cached features, evaluation shards) lives in the
-  :class:`~repro.engine.campaign.CampaignSegmentPool` the backend creates
-  and closes itself, and with ``persistent=True`` the workers and keyed
-  segments survive across the runs of one campaign (each shard is
+  that read the model template, global weights, client descriptors and
+  shards from ``multiprocessing.shared_memory`` segments. Only a small job
+  descriptor (entry locations, RNG state) crosses the pipe per round; a
+  cohort's θ lanes come back through a shared result slot, and only
+  losses, counts and advanced RNG states through the pipe. Every data
+  entry (shards, client descriptors, cached features, evaluation shards)
+  lives in the :class:`~repro.engine.campaign.CampaignSegmentPool` the
+  backend creates and closes itself, which publishes each wave's new
+  entries in one segment, and with ``persistent=True`` the workers and
+  keyed entries survive across the runs of one campaign (each shard is
   published once per campaign, not once per run).
 
 Every client is in at most one in-flight job at a time (the schedulers
@@ -68,10 +70,10 @@ from multiprocessing import get_context, resource_tracker, shared_memory
 import numpy as np
 
 from repro.engine.campaign import (
-    _ALIGN,
     RUN_KIND,
     CampaignSegmentPool,
-    PoolSegment,
+    PoolEntry,
+    _aligned,
     _write_arrays,
     register_emergency_cleanup,
     unlink_segment,
@@ -323,10 +325,10 @@ def _slab_wire_layout(
     offset = 0
     for key in phi_keys:
         arr = state[key]
-        offset = -(-offset // _ALIGN) * _ALIGN
+        offset = _aligned(offset)
         layout[key] = (offset, tuple(arr.shape), arr.dtype.str)
         offset += arr.nbytes
-    offset = -(-offset // _ALIGN) * _ALIGN
+    offset = _aligned(offset)
     theta_offset = offset
     itemsize = np.dtype(np.float64).itemsize
     dtype_str = np.dtype(np.float64).str
@@ -366,8 +368,9 @@ def _untracked_attach(name: str) -> shared_memory.SharedMemory:
 #: per-worker caches: model replicas by template-segment name (workers are
 #: campaign-lived, so a new run's template arrives as a new segment, not a
 #: pool restart), attached segments by name, and reconstructed clients by
-#: (template name, shard-segment name, client-descriptor digest) — the same
-#: shard hosts a different client descriptor per method of a campaign.
+#: (template name, client-descriptor digest, shard entry location) — the
+#: same shard hosts a different client descriptor per method of a
+#: campaign.
 #: Solver and evaluation plans are cached on the replica they run on (see
 #: :mod:`repro.fl.fastpath`) and go when it is evicted. All of it is plain
 #: per-process memory: a killed worker takes its plans with it, leaving
@@ -380,6 +383,8 @@ _WORKER: dict = {
     "holds": {},
     "unheld": {},
     "clients": {},
+    # offsets of the entries verified in each mapped segment (fault layer)
+    "verified": {},
     # segments the running job reads; never unmapped while it runs
     "job_pins": set(),
 }
@@ -402,15 +407,15 @@ def _shm_worker_init() -> None:
     names."""
     _WORKER.update(
         models={}, segments={}, holds={}, unheld={}, clients={},
-        job_pins=set(),
+        verified={}, job_pins=set(),
     )
 
 
-#: mappings a worker keeps that no cached client holds: state slots, eval
-#: shards, and the shard and feature segments of clients dropped with an
-#: evicted template or no longer named. A campaign names new ones run
-#: after run, so an unbounded cache would keep every dead mapping
-#: resident.
+#: mappings a worker keeps that no cached client holds: state and result
+#: slots, eval batches, and the shard and feature segments of clients
+#: dropped with an evicted template or no longer named. A campaign names
+#: new ones run after run, so an unbounded cache would keep every dead
+#: mapping resident.
 _WORKER_SEGMENT_CACHE = 32
 
 
@@ -440,10 +445,10 @@ def _worker_segment(name: str) -> shared_memory.SharedMemory:
 def _trim_unheld(keep: str | None = None) -> None:
     """Close least recently used unheld mappings beyond the cap.
 
-    The running job's segments are skipped (a cohort job maps 1 +
-    2·members segments at once, and numpy views do not reliably trip the
-    ``BufferError`` guard below, so an LRU victim mid-job would unmap
-    memory the job still reads), as is ``keep``, the name just attached.
+    The running job's segments are skipped (numpy views do not reliably
+    trip the ``BufferError`` guard below, so an LRU victim mid-job would
+    unmap memory the job still reads), as is ``keep``, the name just
+    attached. A closed mapping forgets which of its entries were verified.
     """
     unheld = _WORKER["unheld"]
     excess = len(unheld) - _WORKER_SEGMENT_CACHE
@@ -467,6 +472,7 @@ def _trim_unheld(keep: str | None = None) -> None:
             segments[name] = seg
             unheld[name] = None
         else:
+            _WORKER["verified"].pop(name, None)
             WORKER_STATS["closes"] += 1
 
 
@@ -498,12 +504,42 @@ class _CachedClient:
         self.features_name = None
 
 
+class _LabelsOnlyShard(Dataset):
+    """A worker shard published as labels only.
+
+    Its client trains on cached ϕ(x) features, so no raw input row was
+    published; anything that reads them fails loudly.
+    """
+
+    def __init__(self, labels: np.ndarray):
+        self._labels = labels
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self._labels
+
+    def arrays(self):
+        raise RuntimeError(
+            "this worker shard holds labels only: its client trains on "
+            "cached features, and no raw input was published"
+        )
+
+
+def _entry_arrays(wire) -> dict[str, np.ndarray]:
+    """Views of a pool entry's arrays; ``wire`` is its ``(segment name,
+    offset, layout)`` (see :func:`_wire`)."""
+    return _view_arrays(_worker_segment(wire[0]).buf, wire[2])
+
+
 def _cache_client(key: tuple, client) -> _CachedClient:
-    """Cache ``client`` under ``(template, shard name, digest)``; it holds
-    its shard mapping until :func:`_drop_client`."""
+    """Cache ``client`` under ``(template, digest, shard segment, shard
+    offset)``; it holds its shard mapping until :func:`_drop_client`."""
     entry = _CachedClient(client)
     _WORKER["clients"][key] = entry
-    _hold(key[1])
+    _hold(key[2])
     return entry
 
 
@@ -511,7 +547,7 @@ def _drop_client(key: tuple) -> None:
     # The entry (and the client's views) goes first: releasing the last
     # hold may unmap the segments they view.
     features_name = _WORKER["clients"].pop(key).features_name
-    _release(key[1])
+    _release(key[2])
     if features_name:
         _release(features_name)
 
@@ -519,25 +555,34 @@ def _drop_client(key: tuple) -> None:
 def _worker_client(template_name: str, spec: dict):
     """The client a job (or cohort member) ``spec`` names, and its features.
 
-    The client is rebuilt once per (template, shard, descriptor) and its
-    RNG set to the dispatch-time state on every job. Returns ``(client,
-    features)``, features None when the job ships none. A job naming a
-    different feature segment than the client holds (ϕ changed) moves the
-    hold and releases the old mapping to the LRU.
+    The client is rebuilt once per (template, descriptor, shard entry):
+    its descriptor is read from the pool entry the spec locates, its
+    dataset views the shard entry (labels only, or raw inputs too), and
+    it gets one generator, whose state is set to the dispatch-time state
+    on every job. Returns ``(client, features)``, features None when the
+    job ships none. A job naming a different feature segment than the
+    client holds (ϕ changed) moves the hold and releases the old mapping
+    to the LRU.
     """
-    key = (template_name, spec["shard_name"], spec["client_digest"])
+    digest, descriptor = spec["client"]
+    shard = spec["shard"]
+    key = (template_name, digest, shard[0], shard[1])
     entry = _WORKER["clients"].get(key)
     if entry is None:
-        client = pickle.loads(spec["client_blob"])
-        shard_seg = _worker_segment(spec["shard_name"])
-        shard = _view_arrays(shard_seg.buf, spec["shard_layout"])
+        client = pickle.loads(_entry_arrays(descriptor)["blob"].tobytes())
+        arrays = _entry_arrays(shard)
         # float64/int64 views pass through ArrayDataset without a copy.
-        client.dataset = ArrayDataset(shard["x"], shard["y"])
+        client.dataset = (
+            ArrayDataset(arrays["x"], arrays["y"])
+            if "x" in arrays
+            else _LabelsOnlyShard(arrays["y"])
+        )
+        client.rng = np.random.default_rng(0)
         entry = _cache_client(key, client)
     client = entry.client
-    client.rng = np.random.default_rng(0)
     client.rng.bit_generator.state = spec["rng_state"]
-    name = spec.get("features_name")
+    features = spec["features"]
+    name = features[0] if features else None
     if name != entry.features_name:
         if name:
             _hold(name)
@@ -546,8 +591,7 @@ def _worker_client(template_name: str, spec: dict):
         entry.features_name = name
     if not name:
         return client, None
-    feature_seg = _worker_segment(name)
-    return client, _view_arrays(feature_seg.buf, spec["features_layout"])["f"]
+    return client, _entry_arrays(features)["f"]
 
 
 def _worker_model(name: str, nbytes: int) -> SegmentedModel:
@@ -582,27 +626,29 @@ def _job_preamble(job: dict) -> None:
 
     ``chaos_delay`` (set by a :class:`~repro.engine.faults.ChaosPlan`, and
     only on a job's first dispatch — a retry must not stall again) stalls
-    the job to drive it past a watchdog deadline. ``fingerprints`` maps
-    segment names to ``(nbytes, digest)``: every segment this process has
-    not attached yet is verified against its published BLAKE2b fingerprint
-    before the solve reads it, and a mismatch raises
+    the job to drive it past a watchdog deadline. ``fingerprints`` lists
+    the job's pool entries as ``(segment name, offset, nbytes, digest)``:
+    every entry this process has not read since it mapped the entry's
+    segment is verified against its published BLAKE2b fingerprint before
+    the solve reads it, and a mismatch raises
     :class:`~repro.engine.faults.SegmentCorruption` back to the parent,
-    which repairs the bytes (in place — cached attachments see the repair)
-    and redispatches. Both fields are absent when the fault layer is off,
-    so the fast path pays two dict lookups.
+    which repairs the entry's bytes (in place — cached attachments see
+    the repair) and redispatches. Both fields are absent when the fault
+    layer is off, so the fast path pays two dict lookups.
     """
     delay = job.get("chaos_delay")
     if delay:
         time.sleep(delay)
     fingerprints = job.get("fingerprints")
     if fingerprints:
-        attached = _WORKER["segments"]
-        for name, (nbytes, digest) in fingerprints.items():
-            if name in attached:
-                continue  # verified when this process first attached it
+        verified = _WORKER["verified"]
+        for name, offset, nbytes, digest in fingerprints:
+            if offset in verified.get(name, ()):
+                continue  # verified when this process first read it
             seg = _worker_segment(name)
-            if segment_fingerprint(seg.buf, nbytes) != digest:
-                raise SegmentCorruption(name)
+            if segment_fingerprint(seg.buf[offset:], nbytes) != digest:
+                raise SegmentCorruption(name, offset)
+            verified.setdefault(name, set()).add(offset)
 
 
 def _run_job(job: dict, names, solve):
@@ -626,27 +672,43 @@ def _run_job(job: dict, names, solve):
 def _shm_round(job_blob: bytes) -> tuple:
     """Worker entry point: one training job, a cohort chunk or a lone client.
 
-    The job descriptor carries only names, layouts and each member's RNG
-    state; the template, weights, shards and features are read from the
-    attached segments, and each member is rebuilt once per worker
-    (:func:`_worker_client`). A cohort job (``job["cohort"]``) solves its
-    members together as lanes of the template replica's head plan
-    (:class:`~repro.nn.fused.CohortPlan`); otherwise, or when the plan
-    declines late, each member runs ``Client.run_round`` — itself a
-    one-lane solve on that plan when the head allows — with
-    ``job["timing"]`` (set only for a client that bills itself).
-    Returns ``(solved, updates, rng_states, metric_shard)``: either
-    ``solved`` is :func:`~repro.fl.fastpath.solve_cohort`'s tuple, whose
-    (members × params) θ stack the parent consumes directly as flat slab
-    lanes, never through per-key dicts, or ``updates`` holds the members'
-    LocalUpdates. ``metric_shard`` is what the job added to this worker's
-    exported metric groups (see :mod:`repro.obs.metrics`).
+    The job descriptor carries only entry locations and each member's RNG
+    state; the template, weights, descriptors, shards and features are
+    read from the attached segments, and each member is rebuilt once per
+    worker (:func:`_worker_client`). A cohort job (``job["result"]`` set)
+    solves its members together as lanes of the template replica's head
+    plan (:class:`~repro.nn.fused.CohortPlan`) and writes their θ stack
+    into its rows of the wave's result slot (:func:`_result_rows`);
+    otherwise, or when the plan declines late, each member runs
+    ``Client.run_round`` — itself a one-lane solve on that plan when the
+    head allows — with ``job["timing"]`` (set only for a client that
+    bills itself). Returns ``(solved, updates, rng_states,
+    metric_shard)``: either ``solved`` is
+    :func:`~repro.fl.fastpath.solve_cohort`'s tuple without the θ stack
+    (the parent reads that from the slot), or ``updates`` holds the
+    members' LocalUpdates. ``metric_shard`` is what the job added to this
+    worker's exported metric groups (see :mod:`repro.obs.metrics`).
     """
     job = pickle.loads(job_blob)
-    names = [job["state_name"]]
+    names = [job["state_name"], job["result"] and job["result"][0]]
     for member in job["members"]:
-        names += (member["shard_name"], member["features_name"])
+        features = member["features"]
+        names += (
+            member["shard"][0],
+            member["client"][1][0],
+            features and features[0],
+        )
     return _run_job(job, names, _shm_solve)
+
+
+def _result_rows(job: dict) -> np.ndarray:
+    """A cohort job's rows of its wave's result slot: ``job["result"]`` is
+    ``(segment name, offset, (members, params))``."""
+    name, offset, shape = job["result"]
+    return np.ndarray(
+        shape, dtype=np.float64, buffer=_worker_segment(name).buf,
+        offset=offset,
+    )
 
 
 def _shm_solve(job: dict, baseline: dict) -> tuple:
@@ -660,8 +722,10 @@ def _shm_solve(job: dict, baseline: dict) -> tuple:
         clients.append(client)
         features.append(feats)
     solved = updates = None
-    if job["cohort"]:
-        solved = fastpath.solve_cohort(clients, model, global_state, features)
+    if job["result"]:
+        solved = fastpath.solve_cohort(
+            clients, model, global_state, features, out=_result_rows(job)
+        )
     if solved is None:
         updates = [
             client.run_round(
@@ -669,6 +733,8 @@ def _shm_solve(job: dict, baseline: dict) -> tuple:
             )
             for client, feats in zip(clients, features)
         ]
+    else:
+        solved = solved[1:]  # the θ stack went into the result rows
     return (
         solved,
         updates,
@@ -692,7 +758,7 @@ def _shm_eval_shard(job_blob: bytes) -> tuple[int, int, dict | None]:
     logits matrix.
     """
     job = pickle.loads(job_blob)
-    names = (job["state_name"], job["eval_name"])
+    names = (job["state_name"], job["eval"][0])
     return _run_job(job, names, _shm_eval_solve)
 
 
@@ -700,8 +766,7 @@ def _shm_eval_solve(job: dict, baseline: dict) -> tuple[int, int, dict | None]:
     model = _worker_model(job["template_name"], job["template_nbytes"])
     state_seg = _worker_segment(job["state_name"])
     state = _view_arrays(state_seg.buf, job["state_layout"])
-    eval_seg = _worker_segment(job["eval_name"])
-    arrays = _view_arrays(eval_seg.buf, job["eval_layout"])
+    arrays = _entry_arrays(job["eval"])
     labels = arrays["y"]
     inputs = arrays["f"] if "f" in arrays else arrays["x"]
     batch = int(job["batch_size"])
@@ -765,19 +830,47 @@ class _StateSlot:
     phi_stamp: tuple = ()
 
 
-@dataclass
-class _ShardRecord:
-    """Parent-side registration of one client's shard segment.
+@dataclass(eq=False)
+class _ResultSlot:
+    """One shared-memory segment the workers write cohort θ rows into.
 
-    The backend holds one reference on ``segment`` for the run;
-    ``digest`` fingerprints the dataset-free client descriptor so workers
-    cache one rebuilt client per (template, shard, descriptor).
+    A wave with cohort units takes a free slot big enough for all their
+    lanes, or creates one; each of its cohort jobs holds the slot
+    (``refs``) until the parent has collected the job and copied its rows
+    out. Only then may a later wave reuse it, so a synchronous run needs
+    one slot.
     """
 
-    segment: PoolSegment
-    client_blob: bytes
+    shm: shared_memory.SharedMemory
+    nbytes: int
+    refs: int = 0
+
+
+@dataclass(eq=False)
+class _ClientRecord:
+    """Parent-side registration of one client for the run.
+
+    ``digest`` fingerprints the dataset-free client descriptor ``blob``,
+    published once as the ``descriptor`` entry; workers cache one rebuilt
+    client per (template, descriptor, shard entry). ``labels`` and
+    ``raw`` are the client's shard entries, labels only or raw inputs and
+    labels, acquired when a member first reads one (see
+    :meth:`ProcessPoolBackend._wave_entries`). The backend holds one pool
+    reference on each for the run.
+    """
+
     client: Client  # pins the client object so the id() key stays valid
+    blob: bytes
     digest: str
+    descriptor: PoolEntry | None = None
+    labels: PoolEntry | None = None
+    raw: PoolEntry | None = None
+
+
+def _wire(entry: PoolEntry) -> tuple:
+    """A pool entry's location as a job names it: ``(segment name, offset,
+    layout)``."""
+    return entry.shm.name, entry.offset, entry.layout
 
 
 @dataclass
@@ -801,12 +894,12 @@ class _JobRecord:
     Holds the job *dict* (re-pickled per attempt: the injected
     ``chaos_delay`` only ships on the first dispatch) plus everything the
     retry loop needs — the live future, the attempt count, the watchdog's
-    timeout mark, and the pool segments the job reads (a member's
-    features before its shard; an evaluation job's one shard), which the
-    fault layer verifies and repairs. Redispatch is bitwise-safe because
-    the dict carries the dispatch-time RNG state and only segment
-    *names*: a retried job reads the same published bytes and draws the
-    same stream.
+    timeout mark, and the pool entries the job reads (a member's features,
+    then its shard and descriptor; an evaluation job's one shard), which
+    the fault layer verifies and repairs. Redispatch is bitwise-safe
+    because the dict carries the dispatch-time RNG state and only entry
+    *locations*: a retried job reads the same published bytes, draws the
+    same stream and rewrites the same result rows.
     """
 
     __slots__ = (
@@ -910,23 +1003,26 @@ class _SharedCohortResult:
 
     Collection goes through the backend's retry loop
     (:meth:`ProcessPoolBackend._collect`). The first member collected
-    resolves the worker future exactly once: releases the state-slot and
-    template references, held until then so retried dispatches keep
-    reading pinned segment bytes (released even when the worker raised —
-    the error is cached and re-raised to every member), mirrors all
-    members' RNG advances, merges the metric shard, wraps a solved θ
-    stack's lanes into slab-backed LocalUpdates and, with ``pricing``
-    (the wave's ``(model, timing, walks)``; None for a client that bills
-    itself), bills every member. Later members read the cached updates.
+    resolves the worker future exactly once: copies a cohort's θ rows out
+    of the result slot, then releases the state-slot, template and
+    result-slot references, held until then so retried dispatches keep
+    reading pinned segment bytes and writing their own rows (released
+    even when the worker raised — the error is cached and re-raised to
+    every member), mirrors all members' RNG advances, merges the metric
+    shard, wraps the copied θ stack's lanes into slab-backed LocalUpdates
+    and, with ``pricing`` (the wave's ``(model, timing, walks)``; None
+    for a client that bills itself), bills every member. Later members
+    read the cached updates.
     """
 
     __slots__ = (
         "_backend", "_record", "_clients", "_slot", "_template", "_layout",
-        "_pricing", "_updates", "_error",
+        "_rows", "_pricing", "_updates", "_error",
     )
 
     def __init__(
-        self, backend, record, clients, slot, template, layout, pricing
+        self, backend, record, clients, slot, template, layout, rows,
+        pricing,
     ):
         self._backend = backend
         self._record = record
@@ -934,6 +1030,8 @@ class _SharedCohortResult:
         self._slot = slot
         self._template = template
         self._layout = layout
+        #: a cohort job's ``(result slot, offset, shape)``, else None
+        self._rows = rows
         self._pricing = pricing
         self._updates = None
         self._error = None
@@ -950,17 +1048,27 @@ class _SharedCohortResult:
             solved, updates, rng_states, metric_shard = self._backend._collect(
                 self._record
             )
+            if solved is not None:
+                slot, offset, shape = self._rows
+                theta_stack = np.ndarray(
+                    shape, dtype=np.float64, buffer=slot.shm.buf,
+                    offset=offset,
+                ).copy()
         except BaseException as exc:  # re-raised to every member's result()
             self._error = exc
             return
         finally:
             self._slot.refs -= 1
             self._template.refs -= 1
+            if self._rows is not None:
+                self._rows[0].refs -= 1
         for client, rng_state in zip(self._clients, rng_states):
             client.rng.bit_generator.state = rng_state
         obs_metrics.merge_exported(metric_shard)
         if solved is not None:
-            updates = fastpath.cohort_updates(self._layout, *solved)
+            updates = fastpath.cohort_updates(
+                self._layout, theta_stack, *solved
+            )
         if self._pricing is not None:
             _bill(updates, self._clients, *self._pricing)
         self._updates = updates
@@ -983,25 +1091,28 @@ class ProcessPoolBackend(ExecutionBackend):
     """Long-lived worker processes over shared-memory weights and shards.
 
     The parent publishes the model template and each distinct broadcast
-    state once into shared memory and each client's shard once into its own
-    segment; workers attach lazily and cache the attachment plus the
-    reconstructed client. A job descriptor is then a few kilobytes per
-    member (segment names, layouts, the client's RNG state), independent
-    of model and shard size — the property
-    ``benchmarks/bench_process_backend.py`` guards.
+    state once into shared memory, and each client's descriptor and shard
+    once as pool entries; workers attach lazily and cache the attachment
+    plus the reconstructed client. A job descriptor is then a few hundred
+    bytes per member (entry locations, the client's RNG state),
+    independent of model and shard size — the property
+    ``benchmarks/bench_process_backend.py`` guards — and a cohort's θ
+    lanes come home through a reused result slot (:class:`_ResultSlot`).
 
     Campaign scope: because templates travel through shared memory (not the
     pool initializer), a new run's different template never restarts the
-    workers. Every data segment — shard, feature array, evaluation shard —
-    is published through the backend's ``segment_pool`` (a
+    workers. Every data entry — shard, client descriptor, feature array,
+    evaluation shard — is published through the backend's
+    ``segment_pool`` (a
     :class:`~repro.engine.campaign.CampaignSegmentPool`), created with its
-    feature runtime's store and closed at :meth:`shutdown`. Data with a
-    stable identity (a client's ``shard_key``, an evaluator's
-    ``test_key``) is keyed by it and reused across runs; the rest takes
-    run-scoped keys and is unlinked when the run ends. With
-    ``persistent=True``, ``close()`` becomes the end-of-run soft close
-    (:meth:`end_run`): workers stay warm and keyed segments stay
-    published for the campaign's next run. Call
+    feature runtime's store and closed at :meth:`shutdown`; each wave (or
+    pooled evaluation) publishes what it needs and the pool lacks in one
+    segment. Data with a stable identity (a client's ``shard_key``, an
+    evaluator's ``test_key``, a descriptor's digest) is keyed by it and
+    reused across runs; the rest takes run-scoped keys and is unlinked
+    when the run ends. With ``persistent=True``, ``close()`` becomes the
+    end-of-run soft close (:meth:`end_run`): workers stay warm and keyed
+    entries stay published for the campaign's next run. Call
     :meth:`shutdown` (or close with ``persistent=False``, the default) for
     full teardown.
 
@@ -1046,13 +1157,15 @@ class ProcessPoolBackend(ExecutionBackend):
         self._executor: ProcessPoolExecutor | None = None
         self._slots: list[_StateSlot] = []
         self._current: _StateSlot | None = None
-        self._shards: dict[int, _ShardRecord] = {}
+        self._result_slots: list[_ResultSlot] = []
+        #: client id() -> its registration (pins the client)
+        self._clients: dict[int, _ClientRecord] = {}
         self._templates: dict[int, _TemplateRecord] = {}
-        #: (client id(), ϕ fingerprint) -> feature segment; clients are
-        #: pinned by their _ShardRecord, so the id stays valid run-long
-        self._features: dict[tuple[int, str], PoolSegment] = {}
+        #: (client id(), ϕ fingerprint) -> feature entry; clients are
+        #: pinned by their _ClientRecord, so the id stays valid run-long
+        self._features: dict[tuple[int, str], PoolEntry] = {}
         #: (test-set id(), fingerprint, batch, shards) -> (test set,
-        #: segments); the dataset is pinned so the id cannot be recycled
+        #: entries); the dataset is pinned so the id cannot be recycled
         self._eval_segments: dict[tuple, tuple] = {}
         self._inflight: set[Future] = set()
         self._inflight_lock = threading.Lock()
@@ -1074,6 +1187,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 "state_publishes": 0,
                 "state_slab_memcpys": 0,
                 "state_segments": 0,
+                "result_segments": 0,
                 "shard_segments": 0,
                 "template_publishes": 0,
                 "job_payload_bytes": 0,
@@ -1125,18 +1239,18 @@ class ProcessPoolBackend(ExecutionBackend):
         FAULTS["respawns"] += 1
 
     def _verify_job_segments(self, record: _JobRecord) -> None:
-        """Parent-side re-verify of a failed job's segments before retry."""
-        for segment in record.segments:
-            if not segment.intact():
+        """Parent-side re-verify of a failed job's entries before retry."""
+        for entry in record.segments:
+            if not entry.intact():
                 FAULTS["corrupt_segments"] += 1
-                self.segment_pool.repair(segment.key)
+                self.segment_pool.repair(entry.key)
 
     def _chaos_corrupt(self, segments) -> None:
-        """Flip one seeded byte of the job's first segment: its first
+        """Flip one seeded byte of the job's first entry: its first
         member's features, else that member's shard, else its eval shard."""
-        shm = segments[0].shm
-        offset = self.chaos.corrupt_offset(segments[0].nbytes)
-        shm.buf[offset] = shm.buf[offset] ^ 0xFF
+        entry = segments[0]
+        offset = entry.offset + self.chaos.corrupt_offset(entry.nbytes)
+        entry.shm.buf[offset] = entry.shm.buf[offset] ^ 0xFF
         FAULTS["chaos_corruptions"] += 1
 
     def _chaos_kill_worker(self) -> None:
@@ -1155,16 +1269,17 @@ class ProcessPoolBackend(ExecutionBackend):
     def _dispatch(self, entry, job: dict, segments: list) -> _JobRecord:
         """Apply this job's scheduled chaos, then submit it to the pool.
 
-        With a fault policy the job ships its data segments' fingerprints
-        (``{name: (nbytes, digest)}``) for the workers' attach checks.
+        With a fault policy the job ships its pool entries' fingerprints
+        (``(name, offset, nbytes, digest)`` each) for the workers' attach
+        checks.
         """
         index = self._job_index
         self._job_index += 1
         if self.fault_policy is not None:
-            job["fingerprints"] = {
-                segment.shm.name: (segment.nbytes, segment.fingerprint)
-                for segment in segments
-            }
+            job["fingerprints"] = [
+                (seg.shm.name, seg.offset, seg.nbytes, seg.fingerprint)
+                for seg in segments
+            ]
         kill = False
         chaos = self.chaos
         if chaos is not None:
@@ -1225,9 +1340,9 @@ class ProcessPoolBackend(ExecutionBackend):
         """Classify a job failure; count and repair what the retry needs."""
         if isinstance(exc, SegmentCorruption):
             FAULTS["corrupt_segments"] += 1
-            for segment in record.segments:
-                if segment.shm.name == exc.name:
-                    self.segment_pool.repair(segment.key)
+            for entry in record.segments:
+                if (entry.shm.name, entry.offset) == (exc.name, exc.offset):
+                    self.segment_pool.repair(entry.key)
             return True
         if record.timed_out:
             return True
@@ -1388,105 +1503,145 @@ class ProcessPoolBackend(ExecutionBackend):
         self.stats["state_publishes"] += 1
         return slot
 
-    def _acquire(self, key, run_parts: tuple, arrays_factory) -> PoolSegment:
-        """The pool segment under ``key``, or — for data with no stable
-        identity (``key`` None) — under a run-scoped key built from
+    def _request(self, key, run_parts: tuple, arrays_factory) -> tuple:
+        """The pool request for ``key``, or — for data with no stable
+        identity (``key`` None) — for a run-scoped key built from
         ``run_parts``, which the pool unlinks when this run releases it.
 
-        The segment's fingerprint is taken at publish only when something
+        The entry's fingerprint is taken at publish only when something
         will check it: the fault layer, or a later run of a persistent
-        backend re-acquiring a keyed segment.
+        backend re-acquiring a keyed entry.
         """
         checked = self.fault_policy is not None or (
             key is not None and self.persistent
         )
         if key is None:
             key = (RUN_KIND,) + run_parts
-        return self.segment_pool.acquire(
-            key, arrays_factory, fingerprint=checked
+        return key, arrays_factory, checked
+
+    def _acquire_all(self, wanted: dict) -> None:
+        """Acquire every ``(request, register)`` value of ``wanted`` in one
+        pool batch, handing each entry to its ``register``."""
+        if not wanted:
+            return
+        pairs = list(wanted.values())
+        entries = self.segment_pool.acquire_many(
+            [request for request, _ in pairs]
         )
+        for (_, register), entry in zip(pairs, entries):
+            register(entry)
+        self.stats["feature_segments"] = len(self._features)
 
-    def _ensure_shard(self, client: Client) -> _ShardRecord:
-        record = self._shards.get(id(client))
-        if record is not None:
-            return record
-        # Ship everything about the client except the heavy shard and the
-        # RNG (whose state travels per job); shallow copy keeps subclasses.
-        clone = copy.copy(client)
-        clone.dataset = None
-        clone.rng = None
-        client_blob = pickle.dumps(clone)
-        digest = hashlib.blake2b(client_blob, digest_size=12).hexdigest()
-
-        def shard_arrays() -> dict[str, np.ndarray]:
-            x, y = client.dataset.arrays()
-            return {
-                "x": np.ascontiguousarray(x, dtype=np.float64),
-                "y": np.ascontiguousarray(y, dtype=np.int64),
-            }
-
-        segment = self._acquire(
-            getattr(client, "shard_key", None), ("shard", id(client)),
-            shard_arrays,
-        )
-        record = _ShardRecord(segment, client_blob, client, digest)
-        self._shards[id(client)] = record
-        self.stats["shard_segments"] = len(self._shards)
+    def _client_record(self, client: Client) -> _ClientRecord:
+        record = self._clients.get(id(client))
+        if record is None:
+            # Ship everything about the client except the heavy shard and
+            # the RNG (whose state travels per job); shallow copy keeps
+            # subclasses.
+            clone = copy.copy(client)
+            clone.dataset = None
+            clone.rng = None
+            blob = pickle.dumps(clone)
+            digest = hashlib.blake2b(blob, digest_size=12).hexdigest()
+            record = _ClientRecord(client, blob, digest)
+            self._clients[id(client)] = record
+            self.stats["shard_segments"] = len(self._clients)
         return record
 
-    def _ensure_features(
-        self, client, template: SegmentedModel, chain=None
-    ) -> PoolSegment | None:
-        """The client's ϕ(shard) feature segment, built/published on first use.
+    def _want_shard(self, record: _ClientRecord, raw: bool, wanted: dict):
+        """Queue the client's shard entry on ``wanted`` unless this run
+        holds it: its labels only, under its ``shard_key``; or, with
+        ``raw``, its inputs and labels, under a key of their own kind."""
+        attr = "raw" if raw else "labels"
+        client = record.client
+        if getattr(record, attr) is not None or (attr, id(client)) in wanted:
+            return
+        shard_key = getattr(client, "shard_key", None)
+        if raw:
+            def arrays() -> dict[str, np.ndarray]:
+                x, y = client.dataset.arrays()
+                return {
+                    "x": np.ascontiguousarray(x, dtype=np.float64),
+                    "y": np.ascontiguousarray(y, dtype=np.int64),
+                }
 
-        For a ``shard_key``'d client the segment is keyed by (shard
+            key = None if shard_key is None else ("raw",) + tuple(shard_key)
+        else:
+            def arrays() -> dict[str, np.ndarray]:
+                labels = client.dataset.labels
+                return {"y": np.ascontiguousarray(labels, dtype=np.int64)}
+
+            key = shard_key
+        wanted[(attr, id(client))] = (
+            self._request(key, (attr, id(client)), arrays),
+            lambda entry: setattr(record, attr, entry),
+        )
+
+    def _want_descriptor(self, record: _ClientRecord, wanted: dict) -> None:
+        """Queue the client's descriptor entry on ``wanted`` unless this
+        run holds it; keyed by its digest, so it is content-addressed."""
+        queued = ("client", id(record.client))
+        if record.descriptor is not None or queued in wanted:
+            return
+        blob = record.blob
+        wanted[queued] = (
+            self._request(
+                ("client", record.digest), (),
+                lambda: {"blob": np.frombuffer(blob, dtype=np.uint8)},
+            ),
+            lambda entry: setattr(record, "descriptor", entry),
+        )
+
+    def _want_features(self, client, template, chain, wanted: dict):
+        """The registry key of the client's ϕ(shard) feature entry, queued
+        on ``wanted`` when this run has not registered it; None when
+        caching is off, the client opts out, or the template has no
+        frozen prefix (empty ``chain``).
+
+        For a ``shard_key``'d client the entry is keyed by (shard
         identity, ϕ fingerprint) and stays resident in the pool across
-        runs — published once per campaign. Returns None when caching is
-        off, the client opts out, or the template has no frozen prefix.
+        runs — published once per campaign.
 
-        The fingerprint is taken from ``template.phi_prefix_chain()`` per
-        call — never from the parent-side segment memo — mirroring
+        The fingerprint is the last link of ``chain``, the
+        ``template.phi_prefix_chain()`` its caller probes per wave — never
+        the parent-side entry memo — mirroring
         :meth:`~repro.fl.features.FeatureRuntime.features_for`: the
         fingerprint *is* the invalidation mechanism, so a ϕ mutated
-        mid-run (or a new template object reusing a freed id) can never
-        be handed stale features. The chain call itself is memoized on
-        ϕ's exact bytes, which costs a comparison, not a re-hash, and
-        returns what a recomputation would. ``chain`` lets a single
-        dispatch wave (``submit_many``) probe the chain once and share
-        it — ϕ cannot mutate between two lookups of the same wave.
+        mid-run (or a new template object reusing a freed id) can never be
+        handed stale features. The chain call itself is memoized on ϕ's
+        exact bytes, which costs a comparison, not a re-hash, and returns
+        what a recomputation would; ϕ cannot mutate between two lookups
+        of the same wave.
         """
         if self.feature_runtime is None or not getattr(
             client, "supports_feature_cache", True
         ):
             return None
-        if chain is None:
-            chain = template.phi_prefix_chain()
         if not chain:
             return None
         fingerprint = chain[-1]
         cache_key = (id(client), fingerprint)
-        record = self._features.get(cache_key)
-        if record is not None:
-            return record
+        if cache_key in self._features or ("feat", cache_key) in wanted:
+            return cache_key
         shard_key = getattr(client, "shard_key", None)
 
         def base_features(prefix_fp: str) -> np.ndarray | None:
-            """This shard's features at a shallower split, as a segment
+            """This shard's features at a shallower split, as an entry
             view: this run's registrations first, then the campaign pool —
             cross-run derivation (run N at a deeper split seeds from run
-            M's pooled segment, which ``end_run`` keeps resident precisely
+            M's pooled entry, which ``end_run`` keeps resident precisely
             for reuse like this)."""
-            record = self._features.get((id(client), prefix_fp))
-            if record is None and shard_key is not None:
-                record = self.segment_pool.peek(
+            entry = self._features.get((id(client), prefix_fp))
+            if entry is None and shard_key is not None:
+                entry = self.segment_pool.peek(
                     feature_pool_key(shard_key, prefix_fp)
                 )
-            if record is None:
+            if entry is None:
                 return None
-            return _view_arrays(record.shm.buf, record.layout)["f"]
+            return _view_arrays(entry.shm.buf, entry.layout)["f"]
 
         def feature_arrays() -> dict[str, np.ndarray]:
-            # Prefix-chain keying: a segment already published for this
+            # Prefix-chain keying: an entry already published for this
             # shard under a shallower split of the same frozen weights
             # seeds the build (FeatureRuntime.materialise owns the
             # derivation-precedence rule — one implementation for the
@@ -1501,12 +1656,87 @@ class ProcessPoolBackend(ExecutionBackend):
         key = None
         if shard_key is not None:
             key = feature_pool_key(shard_key, fingerprint)
-        record = self._acquire(
-            key, ("feat", id(client), fingerprint), feature_arrays
+        wanted[("feat", cache_key)] = (
+            self._request(
+                key, ("feat", id(client), fingerprint), feature_arrays
+            ),
+            lambda entry: self._features.__setitem__(cache_key, entry),
         )
-        self._features[cache_key] = record
-        self.stats["feature_segments"] = len(self._features)
-        return record
+        return cache_key
+
+    def _ensure_features(
+        self, client, template: SegmentedModel, chain=None
+    ) -> PoolEntry | None:
+        """The client's ϕ(shard) feature entry, built and published on
+        first use (see :meth:`_want_features`); None when it has none."""
+        if chain is None and self.feature_runtime is not None:
+            chain = template.phi_prefix_chain()
+        wanted: dict = {}
+        cache_key = self._want_features(client, template, chain, wanted)
+        self._acquire_all(wanted)
+        return None if cache_key is None else self._features[cache_key]
+
+    def _wave_entries(self, clients, template, chain) -> list[tuple]:
+        """Each client's ``(features, shard, record)`` for one wave: its
+        feature and shard entries, features None when it has none, and its
+        registration, which holds its descriptor entry.
+
+        Whatever this run has not registered yet is acquired in one pool
+        batch, so a wave creates at most one segment per key scope. A
+        member reads its labels only when its features are published and
+        its client does not override ``Client.run_round``; otherwise its
+        raw shard.
+        """
+        wanted: dict = {}
+        plan = []
+        for client in clients:
+            cache_key = self._want_features(client, template, chain, wanted)
+            record = self._client_record(client)
+            raw = cache_key is None or _bills_itself(client)
+            self._want_shard(record, raw, wanted)
+            self._want_descriptor(record, wanted)
+            plan.append((cache_key, record, raw))
+        self._acquire_all(wanted)
+        return [
+            (
+                None if cache_key is None else self._features[cache_key],
+                record.raw if raw else record.labels,
+                record,
+            )
+            for cache_key, record, raw in plan
+        ]
+
+    def _take_result_rows(self, units) -> list:
+        """Each unit's rows in one result slot for the wave: ``(slot,
+        offset, (lanes, params))`` for a cohort unit, None for a
+        one-member unit."""
+        spans = []
+        end = 0
+        for positions, layout in units:
+            if layout is None:
+                spans.append(None)
+                continue
+            start = _aligned(end)
+            shape = (len(positions), layout.total)
+            spans.append((start, shape))
+            end = start + shape[0] * shape[1] * np.dtype(np.float64).itemsize
+        if end == 0:
+            return spans
+        free = [slot for slot in self._result_slots if slot.refs == 0]
+        slot = next((s for s in free if s.nbytes >= end), None)
+        if slot is None:
+            # Free slots too small for this wave make way for one that
+            # fits, so a run keeps one slot per wave in flight.
+            for old in free:
+                self._result_slots.remove(old)
+                unlink_segment(old.shm)
+            slot = _ResultSlot(
+                shm=shared_memory.SharedMemory(create=True, size=end),
+                nbytes=end,
+            )
+            self._result_slots.append(slot)
+            self.stats["result_segments"] = len(self._result_slots)
+        return [None if span is None else (slot,) + span for span in spans]
 
     # -- ExecutionBackend interface ------------------------------------------
     def submit(self, client, template, global_state, timing):
@@ -1522,30 +1752,31 @@ class ProcessPoolBackend(ExecutionBackend):
     def _dispatch_wave(self, clients, template, global_state, timing):
         """One job per unit of the wave (:func:`_wave_units`), in order.
 
-        A job blob carries segment names and each member's RNG state;
-        features, shards and θ all travel through the published segments.
-        The parent bills the wave's standard rounds, cohort lanes and
-        lone clients alike, from one FLOPs walk per input shape shared by
-        every handle; only a client that bills itself ships the timing
-        model, since it may re-freeze its worker's replica.
+        A job blob carries entry locations and each member's RNG state;
+        descriptors, features, shards and θ all travel through shared
+        memory, and a cohort job's θ lanes come home through its rows of
+        the wave's result slot. The parent bills the wave's standard
+        rounds, cohort lanes and lone clients alike, from one FLOPs walk
+        per input shape shared by every handle; only a client that bills
+        itself ships the timing model, since it may re-freeze its
+        worker's replica.
         """
         self._ensure_started()
-        features: list = [None] * len(clients)
-        shapes = None
+        chain = None
         if self.feature_runtime is not None:
             chain = template.phi_prefix_chain()
-            features = [
-                self._ensure_features(client, template, chain=chain)
-                for client in clients
-            ]
+        entries = self._wave_entries(clients, template, chain)
+        shapes = None
+        if self.feature_runtime is not None:
             shapes = [
-                None if record is None else tuple(record.layout["f"][1][1:])
-                for record in features
+                None if feats is None else tuple(feats.layout["f"][1][1:])
+                for feats, _, _ in entries
             ]
+        units = _wave_units(clients, template, global_state, shapes)
         walks: dict = {}
         handles: list = [None] * len(clients)
-        for positions, layout in _wave_units(
-            clients, template, global_state, shapes
+        for (positions, layout), rows in zip(
+            units, self._take_result_rows(units)
         ):
             members = [clients[i] for i in positions]
             own = _bills_itself(members[0])  # only a lone client can
@@ -1554,38 +1785,36 @@ class ProcessPoolBackend(ExecutionBackend):
             specs = []
             segments = []
             for i, client in zip(positions, members):
-                shard = self._ensure_shard(client)
-                record = features[i]
+                features, shard, record = entries[i]
                 specs.append(
                     {
-                        "shard_name": shard.segment.shm.name,
-                        "shard_layout": shard.segment.layout,
-                        "client_blob": shard.client_blob,
-                        "client_digest": shard.digest,
-                        "features_name": record.shm.name if record else None,
-                        "features_layout": record.layout if record else None,
+                        "client": (record.digest, _wire(record.descriptor)),
+                        "shard": _wire(shard),
+                        "features": features and _wire(features),
                         "rng_state": client.rng.bit_generator.state,
                     }
                 )
-                if record is not None:
-                    segments.append(record)
-                segments.append(shard.segment)
+                if features is not None:
+                    segments.append(features)
+                segments += (shard, record.descriptor)
             job = {
                 "template_name": template_record.shm.name,
                 "template_nbytes": template_record.nbytes,
                 "state_name": slot.shm.name,
                 "state_layout": slot.layout,
                 "members": specs,
-                "cohort": layout is not None,
+                "result": None,
                 "timing": timing if own else None,
             }
             self.stats["jobs"] += 1
-            if layout is not None:
+            if rows is not None:
+                rows[0].refs += 1
+                job["result"] = (rows[0].shm.name,) + rows[1:]
                 self.stats["cohort_jobs"] += 1
             template_record.refs += 1
             shared = _SharedCohortResult(
                 self, self._dispatch(_shm_round, job, segments), members,
-                slot, template_record, layout,
+                slot, template_record, layout, rows,
                 None if own else (template, timing, walks),
             )
             for index, pos in enumerate(positions):
@@ -1635,8 +1864,11 @@ class ProcessPoolBackend(ExecutionBackend):
         integer correct counts — are bitwise exact regardless of sharding.
         With a frozen prefix the shards carry cached ϕ(x) features; without
         one they carry the raw inputs (pooled evaluation still parallelises
-        the full forward). Keyed segments (``test_key`` set) are published
-        once per campaign; without a key they are run-scoped.
+        the full forward). The shards are published in one batch. Keyed
+        entries (``test_key`` set) are published once per campaign;
+        without a key they are run-scoped. A new fingerprint's set (a merge
+        retrained ϕ) releases the test set's earlier one: run-scoped
+        entries are unlinked, keyed ones stay resident in the pool.
         """
         fingerprint = (
             model.phi_fingerprint() if self.feature_runtime is not None else None
@@ -1648,6 +1880,10 @@ class ProcessPoolBackend(ExecutionBackend):
         cached = self._eval_segments.get(cache_key)
         if cached is not None:
             return cached[1]
+        superseded = [k for k in self._eval_segments if k[0] == id(test_set)]
+        for old in superseded:
+            for entry in self._eval_segments.pop(old)[1]:
+                self.segment_pool.release(entry.key)
         x, y = test_set.arrays()
         built: dict[str, np.ndarray] = {}
 
@@ -1662,7 +1898,7 @@ class ProcessPoolBackend(ExecutionBackend):
             }
 
         base, extra = divmod(total_batches, num_shards)
-        records = []
+        requests = []
         lo = 0
         for index in range(num_shards):
             span = (base + (1 if index < extra else 0)) * batch_size
@@ -1671,15 +1907,16 @@ class ProcessPoolBackend(ExecutionBackend):
             key = None
             if test_key is not None:
                 key = eval_pool_key(test_key, *geometry)
-            records.append(
-                self._acquire(
+            requests.append(
+                self._request(
                     key,
                     ("eval", id(test_set)) + geometry,
                     lambda lo=lo, hi=hi: shard_arrays(lo, hi),
                 )
             )
             lo = hi
-        # Pin the dataset alongside its segments: the id() in the key must
+        records = self.segment_pool.acquire_many(requests)
+        # Pin the dataset alongside its entries: the id() in the key must
         # not be reusable by a different test set while the entry lives.
         self._eval_segments[cache_key] = (test_set, records)
         self.stats["eval_segments"] = sum(
@@ -1733,8 +1970,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     "template_nbytes": template_record.nbytes,
                     "state_name": slot.shm.name,
                     "state_layout": slot.layout,
-                    "eval_name": record.shm.name,
-                    "eval_layout": record.layout,
+                    "eval": _wire(record),
                     "theta_keys": keys,
                     "requires_grad": requires_grad,
                     "batch_size": batch_size,
@@ -1756,26 +1992,31 @@ class ProcessPoolBackend(ExecutionBackend):
         return correct / total
 
     def _release_segments(self) -> None:
-        """Drop the run's pool references: keyed segments stay resident,
+        """Drop the run's pool references: keyed entries stay resident,
         run-scoped ones are unlinked."""
-        segments = [record.segment for record in self._shards.values()]
-        segments += self._features.values()
+        entries = [
+            entry
+            for record in self._clients.values()
+            for entry in (record.descriptor, record.labels, record.raw)
+            if entry is not None
+        ]
+        entries += self._features.values()
         for _, records in self._eval_segments.values():
-            segments += records
-        self._shards, self._features, self._eval_segments = {}, {}, {}
-        for segment in segments:
-            self.segment_pool.release(segment.key)
+            entries += records
+        self._clients, self._features, self._eval_segments = {}, {}, {}
+        for entry in entries:
+            self.segment_pool.release(entry.key)
 
     def end_run(self) -> None:
         """Soft close between two runs of one campaign.
 
         Waits out any jobs still in flight (an aborted run's handles may
         never be collected), then drops everything tied to the finished
-        run — its pool references (run-scoped segments unlinked), the
-        current-state pin, state-slot reader counts and all template
-        segments — while keeping the workers, the recycled state slots and
-        the pool's keyed shard, feature and test segments warm for the
-        next run.
+        run — its pool references (run-scoped entries unlinked with their
+        batches), the current-state pin, state- and result-slot reader
+        counts and all template segments — while keeping the workers, the
+        recycled state and result slots and the pool's keyed shard,
+        descriptor, feature and test entries warm for the next run.
 
         Idempotent and exception-safe: every teardown step runs even when
         an earlier one raises (the chaos tests close after crashes), and a
@@ -1797,6 +2038,8 @@ class ProcessPoolBackend(ExecutionBackend):
         for slot in self._slots:
             slot.refs = 0
             slot.state = None
+        for slot in self._result_slots:
+            slot.refs = 0
         templates, self._templates = self._templates, {}
         for record in templates.values():
             unlink_segment(record.shm)
@@ -1842,22 +2085,24 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def _unlink_slots(self) -> None:
         slots, self._slots = self._slots, []
+        results, self._result_slots = self._result_slots, []
         self._current = None
-        for slot in slots:
+        for slot in slots + results:
             unlink_segment(slot.shm)
 
     def _emergency_cleanup(self) -> None:
         """Crash-path unlink (atexit/signal); idempotent, never raises.
 
-        Only the state slots and templates are the backend's — data
-        segments belong to the
+        Only the state and result slots and templates are the backend's —
+        data entries belong to the
         :class:`~repro.engine.campaign.CampaignSegmentPool`, which
         registers its own cleanup. The executor is left alone: its workers
         die with the process, and joining them is not signal-safe.
         """
-        for slot in self._slots:
+        for slot in self._slots + self._result_slots:
             unlink_segment(slot.shm)
         self._slots = []
+        self._result_slots = []
         self._current = None
         for record in self._templates.values():
             unlink_segment(record.shm)

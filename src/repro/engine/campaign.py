@@ -1,4 +1,4 @@
-"""Campaign-scoped shared-memory runtime: the one owner of data segments.
+"""Campaign-scoped shared-memory runtime: the one owner of data entries.
 
 A *campaign* (one :class:`~repro.experiments.common.ExperimentHarness`
 driving the full experiment matrix) runs many federated runs over the same
@@ -8,23 +8,28 @@ copy work and segment churn per run, for bytes that are identical across
 every method of a table (the harness caches partitions precisely so
 methods compare on the same shards).
 
-:class:`CampaignSegmentPool` owns every data segment a
+:class:`CampaignSegmentPool` owns every data entry a
 :class:`~repro.engine.backends.ProcessPoolBackend` publishes — shards,
-cached features and evaluation shards; each backend creates its own. It
-is a refcounted registry keyed by the data's *identity* — the
-harness keys shards by ``(seed, dataset, alpha, num_clients, model_kind,
-client_id)``, i.e. the world + partition seed + client id — so each
-distinct shard is published once per pool and every later run (and its
-warm worker pool) attaches to the existing segment. Lifecycle:
+client descriptors, cached features and evaluation shards; each backend
+creates its own. It is a refcounted registry keyed by the data's
+*identity* — the harness keys shards by ``(seed, dataset, alpha,
+num_clients, model_kind, client_id)``, i.e. the world + partition seed +
+client id — so each distinct shard is published once per pool and every
+later run (and its warm worker pool) reads the existing entry. An entry
+is a byte range of a *batch* segment: one ``acquire_many`` publishes all
+its new entries in one segment, so a dispatch wave creates a handful of
+segments, not one per client and kind. Lifecycle:
 
-- ``acquire(key, factory, fingerprint=…)`` returns the segment for
-  ``key``, publishing it with the factory's arrays only on first use;
-  each acquire takes one reference.
-- ``release(key)`` drops a reference (a backend releases its segments when
-  its run ends). Zero-reference segments stay resident — the next run
-  re-acquires them for free — until ``close()`` unlinks everything. Data
-  with no stable identity takes a run-scoped key (:data:`RUN_KIND`),
-  unlinked with its last reference.
+- ``acquire_many([(key, factory, fingerprint), …])`` returns each key's
+  entry, publishing the new ones with their factories' arrays — keyed
+  and run-scoped keys in separate batches; each acquire takes one
+  reference. ``acquire`` is the one-key form.
+- ``release(key)`` drops a reference (a backend releases its entries when
+  its run ends). Zero-reference entries stay resident — the next run
+  re-acquires them for free — until ``close()`` unlinks every segment.
+  Data with no stable identity takes a run-scoped key
+  (:data:`RUN_KIND`), dropped with its last reference; its segment is
+  unlinked with the batch's last entry.
 
 The module also owns the *emergency cleanup registry*: shared-memory
 segments are files under ``/dev/shm`` that outlive a crashed process, so
@@ -149,25 +154,30 @@ def unlink_segment(shm: shared_memory.SharedMemory) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Segment layout and the campaign segment pool
+# Entry layout and the campaign segment pool
 # ---------------------------------------------------------------------------
 
 #: alignment of every array inside a segment (cache line / SIMD friendly)
 _ALIGN = 64
 
 
+def _aligned(offset: int) -> int:
+    return -(-offset // _ALIGN) * _ALIGN
+
+
 def _array_layout(
-    arrays: dict[str, np.ndarray]
+    arrays: dict[str, np.ndarray], start: int = 0
 ) -> tuple[dict[str, tuple[int, tuple, str]], int]:
-    """Plan the packed layout ``key -> (offset, shape, dtype.str)`` + size."""
+    """Plan the packed layout ``key -> (offset, shape, dtype.str)`` of
+    ``arrays`` from byte ``start`` on; returns it with its end offset."""
     layout: dict[str, tuple[int, tuple, str]] = {}
-    offset = 0
+    offset = start
     for key in sorted(arrays):
         arr = np.ascontiguousarray(arrays[key])
-        offset = -(-offset // _ALIGN) * _ALIGN
+        offset = _aligned(offset)
         layout[key] = (offset, tuple(arr.shape), arr.dtype.str)
         offset += arr.nbytes
-    return layout, max(offset, 1)
+    return layout, offset
 
 
 def _write_arrays(buf, layout, arrays) -> None:
@@ -188,40 +198,65 @@ def _key_kind(key: Hashable) -> object:
     return key[0] if isinstance(key, tuple) and key else "other"
 
 
-@dataclass
-class PoolSegment:
-    """One published data segment plus its bookkeeping."""
+class _Batch:
+    """One shared-memory segment holding the entries of one publish."""
+
+    __slots__ = ("shm", "live")
+
+    def __init__(self, shm: shared_memory.SharedMemory, live: int):
+        self.shm = shm
+        #: entries still registered; a run-scoped batch is unlinked with
+        #: its last one
+        self.live = live
+
+
+@dataclass(eq=False)
+class PoolEntry:
+    """One published key: its arrays at a byte range of a batch segment."""
 
     key: Hashable
-    shm: shared_memory.SharedMemory
-    #: packed layout ``name -> (offset, shape, dtype.str)``
-    layout: dict
+    batch: _Batch
+    #: the entry's first byte in the segment, and its length
+    offset: int
     nbytes: int
-    #: backends currently holding this segment (a run in progress)
+    #: packed layout ``name -> (offset, shape, dtype.str)``, offsets into
+    #: the segment
+    layout: dict
+    #: backends currently holding this entry (a run in progress)
     refs: int = 0
-    #: BLAKE2b fingerprint of the published bytes, taken at publish only
-    #: when something will check it (see :meth:`CampaignSegmentPool.acquire`)
+    #: BLAKE2b fingerprint of the entry's byte range, taken at publish
+    #: only when something will check it (see
+    #: :meth:`CampaignSegmentPool.acquire_many`)
     fingerprint: bytes | None = None
     #: the most recent arrays factory for ``key`` — the repair path
-    #: republishes a corrupted segment from it
+    #: rewrites a corrupted entry from it
     factory: Callable[[], dict[str, np.ndarray]] | None = None
 
+    @property
+    def shm(self) -> shared_memory.SharedMemory:
+        """The segment the entry lives in (shared with its batch)."""
+        return self.batch.shm
+
+    def digest(self) -> bytes:
+        """Fingerprint of the entry's byte range as it reads now."""
+        return segment_fingerprint(self.shm.buf[self.offset :], self.nbytes)
+
     def intact(self) -> bool:
-        """Whether a fingerprinted segment still holds its published bytes."""
-        digest = segment_fingerprint(self.shm.buf, self.nbytes)
-        return digest == self.fingerprint
+        """Whether a fingerprinted entry still holds its published bytes."""
+        return self.digest() == self.fingerprint
 
 
 class CampaignSegmentPool:
-    """Refcounted registry of shared-memory data segments.
+    """Refcounted registry of shared-memory data entries.
 
     Not thread-safe for concurrent acquire/release from multiple scheduler
     threads; a campaign runs its federated runs sequentially, which is the
-    supported pattern. ``stats`` counts ``publishes`` (segments actually
-    created — the number the campaign benchmark pins to the distinct-client
-    count), ``hits`` (acquires served from the registry), ``segments`` and
-    ``bytes`` (currently resident), and the re-acquire ``verifies`` and
-    the ``corruptions`` they found.
+    supported pattern. ``stats`` counts ``publishes`` (entries actually
+    published — the number the campaign benchmark pins to the
+    distinct-client count), ``hits`` (acquires served from the registry),
+    ``entries`` and ``bytes`` (currently resident), ``batches`` (shared-
+    memory segments created, one per publish batch), and the re-acquire
+    ``verifies`` and the ``corruptions`` they found.
     """
 
     #: key kinds that read through the durable store: derived artefacts
@@ -233,27 +268,30 @@ class CampaignSegmentPool:
         #: optional durable :class:`repro.store.ArtifactStore`: publishes of
         #: :data:`READ_THROUGH_KINDS` read through it
         self.store = store
-        self._segments: dict[Hashable, PoolSegment] = {}
+        self._entries: dict[Hashable, PoolEntry] = {}
+        #: every segment not yet unlinked
+        self._batches: list[_Batch] = []
         self._closed = False
         self.stats = CounterGroup(
             "campaign.pool",
             {
-                "publishes": 0, "hits": 0, "segments": 0, "bytes": 0,
-                "verifies": 0, "corruptions": 0,
+                "publishes": 0, "hits": 0, "entries": 0, "bytes": 0,
+                "batches": 0, "verifies": 0, "corruptions": 0,
             },
         )
         #: publishes broken down by key kind — tuple keys' first element
-        #: ("feat" / "eval" for the feature runtime's segments, "shard" or
-        #: campaign-specific for raw shards, :data:`RUN_KIND` for run-scoped
-        #: ones); what the campaign benchmarks assert publish-once
-        #: economics against.
+        #: ("feat" / "eval" for the feature runtime's entries, "shard" or
+        #: campaign-specific for shard labels, "raw" for raw shards,
+        #: "client" for client descriptors, :data:`RUN_KIND` for
+        #: run-scoped ones); what the campaign benchmarks assert
+        #: publish-once economics against.
         self.publishes_by_kind: dict = CounterGroup(
             "campaign.pool.publishes_by_kind"
         )
         register_emergency_cleanup(self)
 
     def __len__(self) -> int:
-        return len(self._segments)
+        return len(self._entries)
 
     def acquire(
         self,
@@ -261,114 +299,160 @@ class CampaignSegmentPool:
         arrays_factory: Callable[[], dict[str, np.ndarray]],
         *,
         fingerprint: bool,
-    ) -> PoolSegment:
-        """The segment for ``key``, published on first use; takes one ref.
+    ) -> PoolEntry:
+        """The entry for ``key``, published on first use; takes one ref.
 
-        ``arrays_factory`` is only called (and its arrays only copied into
-        shared memory) when the key is new — the point of the pool.
-        ``fingerprint`` says whether anything will check the segment (a
-        later run re-acquiring it, or a fault layer verifying it); only
-        then is its fingerprint taken, once, at publish. A caller passes
-        the same value for every acquire of one key. Every re-acquire of a
-        fingerprinted segment verifies it and republishes it from the
-        fresh factory on mismatch (a wild write from any attached process
-        may have corrupted it since).
+        A batch of one: see :meth:`acquire_many`.
+        """
+        return self.acquire_many([(key, arrays_factory, fingerprint)])[0]
+
+    def acquire_many(self, requests) -> list[PoolEntry]:
+        """The entries for ``requests``, ``(key, factory, fingerprint)``
+        triples, in order; each takes one ref.
+
+        Every key the pool does not hold yet is published in one
+        shared-memory segment, keyed and run-scoped ones in separate
+        batches: a run-scoped batch is unlinked with its last entry, a
+        keyed one at :meth:`close`. A factory is only called (and its
+        arrays only copied into shared memory) when its key is new — the
+        point of the pool. ``fingerprint`` says whether anything will
+        check the entry (a later run re-acquiring it, or a fault layer
+        verifying it); only then is the fingerprint of its byte range
+        taken, once, at publish. A caller passes the same value for every
+        acquire of one key. Every re-acquire of a fingerprinted entry
+        verifies it and rewrites it from the fresh factory on mismatch (a
+        wild write from any attached process may have corrupted it
+        since).
         """
         if self._closed:
             raise RuntimeError("segment pool is closed")
-        segment = self._segments.get(key)
-        if segment is None:
-            kind = _key_kind(key)
-            with tracing.span("pool.publish"):
+        new: dict = {}
+        for key, factory, fingerprint in requests:
+            if key not in self._entries and key not in new:
+                new[key] = (key, factory, fingerprint)
+        scoped = [key for key in new if _key_kind(key) == RUN_KIND]
+        keyed = [key for key in new if _key_kind(key) != RUN_KIND]
+        for batch in (keyed, scoped):
+            if batch:
+                self._publish([new[key] for key in batch])
+        entries = []
+        for key, factory, _ in requests:
+            entry = self._entries[key]
+            if new.pop(key, None) is None:
+                self._hit(entry, factory)
+            entry.refs += 1
+            entries.append(entry)
+        return entries
+
+    def _publish(self, items) -> None:
+        """Publish new ``(key, factory, fingerprint)`` items in one segment."""
+        with tracing.span("pool.publish"):
+            built = []
+            end = 0
+            for key, factory, _ in items:
+                kind = _key_kind(key)
                 if self.store is not None and kind in self.READ_THROUGH_KINDS:
                     # durable read-through for rebuildable kinds: a warm
                     # campaign publishes from a verified disk read instead
                     # of re-running the factory (bitwise identical bytes)
-                    arrays, _ = self.store.get_or_build(key, arrays_factory)
+                    arrays, _ = self.store.get_or_build(key, factory)
                 else:
-                    arrays = arrays_factory()
-                layout, nbytes = _array_layout(arrays)
-                shm = shared_memory.SharedMemory(create=True, size=nbytes)
+                    arrays = factory()
+                start = _aligned(end)
+                layout, end = _array_layout(arrays, start)
+                built.append((arrays, layout, start, end - start))
+            shm = shared_memory.SharedMemory(create=True, size=max(end, 1))
+            batch = _Batch(shm, len(items))
+            self._batches.append(batch)
+            for item, (arrays, layout, start, nbytes) in zip(items, built):
+                key, factory, fingerprint = item
                 _write_arrays(shm.buf, layout, arrays)
-            segment = PoolSegment(
-                key=key, shm=shm, layout=layout, nbytes=nbytes,
-                factory=arrays_factory,
-            )
-            if fingerprint:
-                segment.fingerprint = segment_fingerprint(shm.buf, nbytes)
-            self._segments[key] = segment
-            self.stats["publishes"] += 1
-            self.stats["bytes"] += nbytes
-            self.publishes_by_kind[kind] = self.publishes_by_kind.get(kind, 0) + 1
-            self.stats["segments"] = len(self._segments)
-        else:
-            self.stats["hits"] += 1
-            segment.factory = arrays_factory
-            if segment.fingerprint is not None:
-                self.stats["verifies"] += 1
-                if not segment.intact():
-                    self.stats["corruptions"] += 1
-                    self._rewrite(segment)
-        segment.refs += 1
-        return segment
+                entry = PoolEntry(
+                    key=key, batch=batch, offset=start, nbytes=nbytes,
+                    layout=layout, factory=factory,
+                )
+                if fingerprint:
+                    entry.fingerprint = entry.digest()
+                self._entries[key] = entry
+                kind = _key_kind(key)
+                by_kind = self.publishes_by_kind
+                by_kind[kind] = by_kind.get(kind, 0) + 1
+                self.stats["publishes"] += 1
+                self.stats["bytes"] += nbytes
+        self.stats["batches"] += 1
+        self.stats["entries"] = len(self._entries)
 
-    def _rewrite(self, segment: PoolSegment) -> None:
-        """Republish a corrupted segment's bytes from its arrays factory."""
+    def _hit(self, entry: PoolEntry, factory) -> None:
+        self.stats["hits"] += 1
+        entry.factory = factory
+        if entry.fingerprint is not None:
+            self.stats["verifies"] += 1
+            if not entry.intact():
+                self.stats["corruptions"] += 1
+                self._rewrite(entry)
+
+    def _rewrite(self, entry: PoolEntry) -> None:
+        """Rewrite a corrupted entry's bytes from its arrays factory."""
         with tracing.span("pool.repair"):
-            _write_arrays(segment.shm.buf, segment.layout, segment.factory())
-        segment.fingerprint = segment_fingerprint(
-            segment.shm.buf, segment.nbytes
-        )
+            _write_arrays(entry.shm.buf, entry.layout, entry.factory())
+        entry.fingerprint = entry.digest()
         FAULTS["segment_repairs"] += 1
 
     def repair(self, key: Hashable) -> bool:
-        """Rewrite ``key``'s segment from its factory (backend repair hook).
+        """Rewrite ``key``'s entry from its factory (backend repair hook).
 
-        Returns whether a resident segment was rewritten. Used by the
-        process backend when a job's segment fails verification.
+        Returns whether a resident entry was rewritten. Used by the
+        process backend when a job's entry fails verification.
         """
-        segment = self._segments.get(key)
-        if segment is None or segment.factory is None:
+        entry = self._entries.get(key)
+        if entry is None or entry.factory is None:
             return False
-        self._rewrite(segment)
+        self._rewrite(entry)
         return True
 
     def release(self, key: Hashable) -> None:
-        """Drop one reference. A keyed segment stays resident for the next
-        run; a run-scoped one is unlinked with its last reference."""
-        segment = self._segments.get(key)
-        if segment is None:
+        """Drop one reference. A keyed entry stays resident for the next
+        run; a run-scoped one goes with its last reference, and its
+        batch's segment with the batch's last entry."""
+        entry = self._entries.get(key)
+        if entry is None:
             return
-        segment.refs = max(0, segment.refs - 1)
-        if segment.refs == 0 and _key_kind(key) == RUN_KIND:
-            del self._segments[key]
-            unlink_segment(segment.shm)
-            self.stats["segments"] = len(self._segments)
-            self.stats["bytes"] -= segment.nbytes
+        entry.refs = max(0, entry.refs - 1)
+        if entry.refs == 0 and _key_kind(key) == RUN_KIND:
+            del self._entries[key]
+            self.stats["entries"] = len(self._entries)
+            self.stats["bytes"] -= entry.nbytes
+            batch = entry.batch
+            batch.live -= 1
+            if batch.live == 0:
+                self._batches.remove(batch)
+                unlink_segment(batch.shm)
 
-    def peek(self, key: Hashable) -> PoolSegment | None:
-        """The resident segment for ``key`` without publishing or taking a
+    def peek(self, key: Hashable) -> PoolEntry | None:
+        """The resident entry for ``key`` without publishing or taking a
         reference (e.g. a prefix-chain derivation base); None on miss."""
-        return self._segments.get(key)
+        return self._entries.get(key)
 
     def close(self) -> None:
         """Unlink every segment; the pool may not be reused after."""
-        for segment in self._segments.values():
-            unlink_segment(segment.shm)
-        self._segments = {}
-        self.stats["segments"] = 0
+        batches, self._batches = self._batches, []
+        for batch in batches:
+            unlink_segment(batch.shm)
+        self._entries = {}
+        self.stats["entries"] = 0
         self.stats["bytes"] = 0
         self._closed = True
         unregister_emergency_cleanup(self)
 
     def _emergency_cleanup(self) -> None:
         """Crash-path unlink (atexit/signal); idempotent, never raises."""
-        for segment in list(self._segments.values()):
+        batches, self._batches = self._batches, []
+        for batch in batches:
             try:
-                unlink_segment(segment.shm)
+                unlink_segment(batch.shm)
             except Exception:  # pragma: no cover - best effort
                 pass
-        self._segments = {}
+        self._entries = {}
         self._closed = True
 
     def __enter__(self) -> "CampaignSegmentPool":

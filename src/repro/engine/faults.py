@@ -90,17 +90,18 @@ def segment_fingerprint(buf, nbytes: int) -> bytes:
 
 
 class SegmentCorruption(Exception):
-    """A published segment's bytes no longer match their fingerprint.
+    """A published entry's bytes no longer match their fingerprint.
 
-    Raised worker-side on attach verification and parent-side on pool
-    re-attach; carries the segment name so the parent can republish just
-    that segment. Picklable (single string arg) so it survives the
+    Raised worker-side on attach verification; carries the segment name
+    and the entry's offset in it, so the parent can rewrite just that
+    entry. Picklable (its args are its constructor's) so it survives the
     process-pool result channel.
     """
 
-    def __init__(self, name: str):
-        super().__init__(name)
+    def __init__(self, name: str, offset: int):
+        super().__init__(name, offset)
         self.name = name
+        self.offset = offset
 
 
 @dataclass

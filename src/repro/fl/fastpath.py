@@ -352,7 +352,7 @@ def cohort_units(clients, model, global_state, feature_shapes, min_size=2):
     return units or None
 
 
-def solve_cohort(clients, model, global_state, features_list):
+def solve_cohort(clients, model, global_state, features_list, out=None):
     """Solve one cohort's local rounds in a single block-stacked plan.
 
     Preconditions (``cohort_units`` guarantees them): the clients share
@@ -361,7 +361,9 @@ def solve_cohort(clients, model, global_state, features_list):
     selected, per-lane shard sizes)``, the stack packed by the model's
     lane layout, or None on a late disagreement (the caller then
     dispatches the members per client, which reproduces reference
-    behaviour exactly).
+    behaviour exactly). The stack is written into ``out`` (an N × params
+    float64 array) when given — a process worker's rows of a shared
+    result slot — and is otherwise a fresh copy of the plan's.
 
     Lanes may hold different shard sizes n_i (same selected count k).
     Entropy scoring runs over the plan's padded lane stack, but
@@ -436,9 +438,12 @@ def solve_cohort(clients, model, global_state, features_list):
             momentum=solver.momentum,
             prox_mu=solver.prox_mu,
         )
-    theta_stack = plan.theta_stack.copy()
+    if out is None:
+        out = plan.theta_stack.copy()
+    else:
+        out[...] = plan.theta_stack
     COHORT_STATS["cohort_solves"] += 1
-    return theta_stack, mean_losses, k, sizes
+    return out, mean_losses, k, sizes
 
 
 def cohort_updates(layout, theta_stack, mean_losses, num_selected, sizes):

@@ -134,7 +134,9 @@ class LocalSolver:
         )
         loss_fn = CrossEntropyLoss()
         if features is not None:
-            data = ArrayDataset(features, dataset.arrays()[1])
+            # Labels only: a Subset would gather every selected input row
+            # just to drop it, and a worker's labels-only shard has none.
+            data = ArrayDataset(features, dataset.labels)
             forward = model.forward_head
         else:
             data = dataset

@@ -6,7 +6,7 @@ PRs 3–5 each grew their own ad-hoc stats dict (``Server.eval_stats``,
 single place to read them. This module gives every counter a home in one
 hierarchical namespace::
 
-    campaign.pool.*      shm segment publishes / hits / bytes
+    campaign.pool.*      shm entry publishes / hits / bytes, batches
     server.eval.*        evaluation fast-path counters
     features.*           frozen-ϕ cache builds / hits / derived / bytes
     checkpoint.*         journal appends / rewrites / payload bytes

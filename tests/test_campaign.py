@@ -42,7 +42,7 @@ def test_pool_publishes_once_and_refcounts():
         assert len(calls) == 1  # arrays built (and copied) exactly once
         assert first.refs == 2
         assert pool.stats == {
-            "publishes": 1, "hits": 1, "segments": 1,
+            "publishes": 1, "hits": 1, "entries": 1, "batches": 1,
             "bytes": first.nbytes, "verifies": 1, "corruptions": 0,
         }
         pool.release(("shard", 0))
@@ -97,9 +97,11 @@ def test_campaign_backend_publishes_shards_once_across_runs():
                 )
             executors.add(id(backend._executor))
             campaign.append(server.global_state)
-        # shard identity: 3 distinct clients per seed, two distinct seeds
-        assert pool.stats["publishes"] == 6
-        assert pool.stats["hits"] == 3
+        # shard identity: 3 distinct clients per seed, two distinct seeds;
+        # each publishes its raw shard (no features) and descriptor once
+        assert pool.publishes_by_kind == {"raw": 6, "client": 6}
+        assert pool.stats["publishes"] == 12
+        assert pool.stats["hits"] == 6
         # one template per run, but one warm worker pool for all of them
         assert backend.stats["template_publishes"] == 3
         assert len(executors) == 1
@@ -118,26 +120,30 @@ def test_end_run_releases_pool_refs_and_own_segments():
         server, clients = _keyed_federation()
         unkeyed = clients[0]
         unkeyed.shard_key = None
-        for client in clients:
-            backend._ensure_shard(client)
-        # the keyless client's shard is published under a run-scoped key
-        own = [
-            r.segment.shm.name
-            for r in backend._shards.values()
-            if r.segment.key[0] == RUN_KIND
-        ]
-        assert len(own) == 1
+        entries = backend._wave_entries(clients, server.model, None)
+        # no features: every member reads its raw shard; the keyless
+        # client's is published under a run-scoped key, in a batch of its
+        # own, and every keyed entry shares one other batch
+        shards = [shard for _, shard, _ in entries]
+        assert all("x" in shard.layout for shard in shards)
+        own = [s for s in shards if s.key[0] == RUN_KIND]
+        assert len(own) == 1 and own[0].key == (RUN_KIND, "raw", id(unkeyed))
         assert pool.publishes_by_kind == {
-            "tiny": len(clients) - 1, RUN_KIND: 1,
+            "raw": len(clients) - 1, "client": len(clients), RUN_KIND: 1,
         }
-        assert all(s.refs == 1 for s in pool._segments.values())
+        keyed = {e.shm.name for e in pool._entries.values() if e is not own[0]}
+        assert pool.stats["batches"] == 2
+        assert len(keyed) == 1 and own[0].shm.name not in keyed
+        assert all(s.refs == 1 for s in pool._entries.values())
         backend.close()  # persistent: soft close
-        # pool refs released, keyed segments resident; the run-scoped
-        # segment unlinked
-        assert all(s.refs == 0 for s in pool._segments.values())
-        assert len(pool) == len(clients) - 1
+        # pool refs released, keyed entries resident; the run-scoped
+        # entry's segment unlinked, the keyed batch's kept
+        assert all(s.refs == 0 for s in pool._entries.values())
+        assert len(pool) == 2 * len(clients) - 1
         with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=own[0])
+            shared_memory.SharedMemory(name=own[0].shm.name)
+        resident = shared_memory.SharedMemory(name=keyed.pop())
+        resident.close()
     finally:
         backend.shutdown()
 
@@ -183,16 +189,19 @@ def test_store_process_run_without_policy_never_fingerprints(
     )
     run_fedft_eds(config)
     assert calls == []
-    # one pool, closed with the run: 3 shards, 3 feature arrays and one
-    # evaluation shard, the derived ones read through the store
-    assert pools == [({"fedft": 3, "feat": 3, "eval": 1}, True)]
+    # one pool, closed with the run: 3 labels-only shards, 3 client
+    # descriptors, 3 feature arrays and one evaluation shard, the derived
+    # ones read through the store
+    assert pools == [
+        ({"fedft": 3, "client": 3, "feat": 3, "eval": 1}, True)
+    ]
 
 
 def test_persistent_backend_with_policy_hashes_each_segment_once(
     monkeypatch,
 ):
     """Both reasons to fingerprint hold (a pool that outlives the run and
-    a fault policy), yet each published segment is hashed once."""
+    a fault policy), yet each published entry is hashed once."""
     calls = _count_fingerprints(monkeypatch)
     backend = ProcessPoolBackend(
         max_workers=2, persistent=True, fault_policy=FaultPolicy(),
@@ -204,8 +213,9 @@ def test_persistent_backend_with_policy_hashes_each_segment_once(
             run_federated_training(
                 server, clients, rounds=2, seed=3, backend=backend
             )
-        assert pool.stats["publishes"] == len(clients)
-        assert len(calls) == len(clients)
+        # each client's raw shard and descriptor
+        assert pool.stats["publishes"] == 2 * len(clients)
+        assert len(calls) == 2 * len(clients)
     finally:
         backend.shutdown()
 

@@ -564,16 +564,30 @@ def test_every_training_job_is_one_planned_unit(monkeypatch):
 
         backend._dispatch = spying
         clients, got, rngs = dispatch(backend)
+        records = [backend._clients[id(c)] for c in clients]
+        # one shard entry per client: labels only, or raw for the tiered
+        # client, which bills itself
         owner = {
-            backend._shards[id(c)].segment.shm.name: c.client_id
-            for c in clients
+            B._wire(shard)[:2]: c.client_id
+            for c, record in zip(clients, records)
+            for shard in (record.labels, record.raw)
+            if shard is not None
         }
+        digests = {
+            record.digest: c.client_id for c, record in zip(clients, records)
+        }
+    assert len(owner) == len(digests) == len(clients)
     assert all(entry is B._shm_round for entry, _ in jobs)
-    assert [
-        [owner[member["shard_name"]] for member in job["members"]]
-        for _, job in jobs
-    ] == [[0, 2, 4], [5, 6], [1], [3], [7]]
-    assert [job["cohort"] for _, job in jobs] == [True, True, False, False, False]
+    members = [job["members"] for _, job in jobs]
+    expected = [[0, 2, 4], [5, 6], [1], [3], [7]]
+    assert [[owner[m["shard"][:2]] for m in ms] for ms in members] == expected
+    assert [[digests[m["client"][0]] for m in ms] for ms in members] == expected
+    assert [["x" in m["shard"][2] for m in ms] for ms in members] == [
+        [False] * 3, [False] * 2, [True], [False], [False]
+    ]
+    assert [job["result"] is not None for _, job in jobs] == [
+        True, True, False, False, False
+    ]
     assert [job["timing"] for _, job in jobs] == [None, None, timing, None, None]
     with _PerClientSerial(feature_runtime=FeatureRuntime()) as backend:
         _, expected, expected_rngs = dispatch(backend)

@@ -377,8 +377,9 @@ def test_persistent_own_pool_repairs_a_segment_corrupted_between_runs():
             for client in clients:
                 client.shard_key = ("faults", client.client_id)
             if run:
-                resident = pool.peek(clients[1].shard_key)
-                resident.shm.buf[3] ^= 0xFF  # bit rot between runs
+                resident = pool.peek(("raw",) + clients[1].shard_key)
+                # bit rot between runs, inside client 1's entry
+                resident.shm.buf[resident.offset + 3] ^= 0xFF
             with backend:  # persistent: close() is end_run()
                 history = run_federated_training(
                     server, clients, rounds=ROUNDS, seed=5, backend=backend,
@@ -386,8 +387,9 @@ def test_persistent_own_pool_repairs_a_segment_corrupted_between_runs():
                 )
             theta = {k: v.copy() for k, v in server.global_state.items()}
             runs.append((history, theta))
-        assert pool.stats["publishes"] == 4
-        assert pool.stats["verifies"] == 4
+        # each client's raw shard and descriptor
+        assert pool.stats["publishes"] == 8
+        assert pool.stats["verifies"] == 8
         assert pool.stats["corruptions"] == 1
         assert FAULTS["segment_repairs"] == 1
         _assert_identical(*runs)

@@ -759,23 +759,28 @@ def test_worker_segment_cache_is_bounded_and_repins_evicted_names():
             segments.append(shared_memory.SharedMemory(create=True, size=64))
         return [shm.name for shm in segments[-count:]]
 
+    blob = pickle.dumps(SimpleNamespace())
+
     def spec(shard, features):
         """A job naming a one-row shard and its features."""
         return {
-            "shard_name": shard,
-            "shard_layout": {"x": (0, (1, 1), "<f8"), "y": (8, (1,), "<i8")},
-            "client_blob": pickle.dumps(SimpleNamespace()),
-            "client_digest": "digest",
-            "features_name": features,
-            "features_layout": {"f": (0, (1, 1), "<f8")},
+            "client": (
+                "digest", (descriptor, 0, {"blob": (0, (len(blob),), "|u1")})
+            ),
+            "shard": (
+                shard, 0, {"x": (0, (1, 1), "<f8"), "y": (8, (1,), "<i8")}
+            ),
+            "features": (features, 0, {"f": (0, (1, 1), "<f8")}),
             "rng_state": RNG(0).bit_generator.state,
         }
 
     try:
+        (descriptor,) = new_names(1)
+        segments[-1].buf[: len(blob)] = blob
         cap = B._WORKER_SEGMENT_CACHE
         names = new_names(cap + 4)
         # pin the first name as a cached client's shard segment would
-        B._cache_client(("tpl", names[0], "digest"), object())
+        B._cache_client(("tpl", "digest", names[0], 0), object())
         for name in names:
             B._worker_segment(name)
         assert len(B._WORKER["segments"]) <= B._WORKER_SEGMENT_CACHE + 1
@@ -790,7 +795,7 @@ def test_worker_segment_cache_is_bounded_and_repins_evicted_names():
         # a shard and a feature hold, then 40 unheld attaches. Held
         # mappings do not count against the bound, so every held name
         # stays mapped and the LRU keeps exactly ``cap`` unheld ones.
-        B._drop_client(("tpl", names[0], "digest"))
+        B._drop_client(("tpl", "digest", names[0], 0))
         shards, feats = new_names(40), new_names(40)
         for shard, feat in zip(shards, feats):
             B._worker_client("tpl", spec(shard, feat))
@@ -983,9 +988,10 @@ def test_worker_cohort_plan_cache_keeps_one_plan_per_kernel_key():
             return fastpath._PLANS[replica]
 
         def solve(job):
-            theta = B._shm_solve(job, shard_baseline())[0][0]
+            # the θ stack lands in the job's rows of its result slot
+            B._shm_solve(job, shard_baseline())
             assert len(replica_plans()) == 1
-            return theta
+            return B._result_rows(job).copy()
 
         fresh = solve(jobs[0])
         assert stats["plans_built"] == built + 1

@@ -292,6 +292,44 @@ def test_process_rounds_that_retrain_phi_are_scored_on_their_phi(evaluation):
     assert expected[-1] == _fresh_score(state)
 
 
+def test_superseded_phi_test_sets_are_released():
+    """Tiered clients at "full" retrain ϕ, so every pooled evaluation over
+    ϕ(test) features needs a new set. The set it supersedes is released
+    (its run-scoped segment unlinked), so the backend holds one set
+    however many rounds run, and every accuracy is the serial run's."""
+    from repro.engine.backends import PooledEvaluator, make_backend
+    from repro.fl.features import FeatureRuntime
+    from repro.fl.rounds import run_federated_training
+
+    server, clients = _conv_tiered_federation(levels=("full",))
+    serial = run_federated_training(server, clients, rounds=6, seed=0)
+    expected = [record.test_accuracy for record in serial.records]
+
+    server, clients = _conv_tiered_federation(levels=("full",))
+    backend = make_backend(
+        "process", max_workers=2, feature_runtime=FeatureRuntime()
+    )
+    pool = backend.segment_pool
+    try:
+        server.evaluator = PooledEvaluator(backend, server.test_set)
+        history = run_federated_training(
+            server, clients, rounds=6, seed=0, backend=backend
+        )
+        assert server.eval_stats["pooled_evals"] == 6
+        assert pool.publishes_by_kind["run"] == 4 + 6  # raw shards, sets
+        assert backend.stats["eval_segments"] == 1
+        evals = [
+            e for e in pool._entries.values() if e.key[:2] == ("run", "eval")
+        ]
+        assert len(evals) == 1
+        # live segments: the first wave's keyed descriptors and run-scoped
+        # raw shards, and the last evaluation's set
+        assert len(pool._batches) == 3
+    finally:
+        backend.shutdown()
+    assert [record.test_accuracy for record in history.records] == expected
+
+
 def test_installed_state_with_new_phi_is_scored_in_full():
     """A version installed with other ϕ entries than the last full load's
     is loaded in full before it is scored, though the workspace model's
