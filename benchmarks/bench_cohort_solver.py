@@ -146,13 +146,13 @@ def _round_seconds(reps: int = 3) -> tuple[float, float]:
         server, clients = _federation(TIMED_CLIENTS)
         backend = backend_cls(max_workers=2, feature_runtime=FeatureRuntime())
         broadcast = server.broadcast()
-        backend.map_round(clients, server.model, broadcast, None)  # warm-up
+        backend.map_round(clients, server.model, broadcast)  # warm-up
         setups.append((backend, clients, server.model, broadcast))
     best = [float("inf"), float("inf")]
     for _ in range(reps):
         for which, (backend, clients, model, broadcast) in enumerate(setups):
             start = time.perf_counter()
-            backend.map_round(clients, model, broadcast, None)
+            backend.map_round(clients, model, broadcast)
             best[which] = min(best[which], time.perf_counter() - start)
     for backend, *_ in setups:
         backend.close()

@@ -113,7 +113,7 @@ def _client_round_seconds(reps: int = 11, iters: int = 25) -> tuple[float, float
         state = server.broadcast()
         backend = SerialBackend(feature_runtime=FeatureRuntime())
         with _path(fused):
-            backend.submit(client, server.model, state, None)  # warm-up
+            backend.submit(client, server.model, state)  # warm-up
         setups.append((fused, backend, client, server.model, state))
     best = [float("inf"), float("inf")]
     for _ in range(reps):
@@ -121,7 +121,7 @@ def _client_round_seconds(reps: int = 11, iters: int = 25) -> tuple[float, float
             with _path(fused):
                 start = time.perf_counter()
                 for _ in range(iters):
-                    backend.submit(client, model, state, None).result()
+                    backend.submit(client, model, state).result()
                 elapsed = time.perf_counter() - start
             best[which] = min(best[which], elapsed / iters)
     return best[0], best[1]

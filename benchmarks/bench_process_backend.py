@@ -44,9 +44,7 @@ def _run_rounds(harness, backend):
     with backend:
         for _ in range(ROUNDS):
             broadcast = server.broadcast()
-            round_updates = backend.map_round(
-                clients, server.model, broadcast, harness.timing
-            )
+            round_updates = backend.map_round(clients, server.model, broadcast)
             server.aggregate(round_updates)
             updates.extend(round_updates)
     return server, clients, updates

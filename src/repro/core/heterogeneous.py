@@ -75,9 +75,10 @@ class TieredClient(Client):
     much of the received model it can afford to fine-tune. Because the
     ϕ/θ split changes per client, cached ϕ(x) features materialised for
     the template's split would be wrong here — the feature-cache fast
-    path is disabled. For the same reason its round price depends on the
-    level the previous client left, so the event engine refuses it; run
-    tiered federations through the synchronous loop.
+    path is disabled. Its round is priced at its own level, whatever split
+    the workspace holds; but the round re-freezes the shared model that
+    every later dispatch is priced and trained on, so the event engine
+    refuses it: run tiered federations through the synchronous loop.
     """
 
     supports_feature_cache = False
@@ -98,11 +99,23 @@ class TieredClient(Client):
         )
         self.tier = tier
 
+    def planned_round_seconds(
+        self, model: SegmentedModel, timing: TimingModel
+    ) -> float:
+        """The price of a round at this client's own level: the model is
+        re-frozen to it for the walk, then given its own flags back."""
+        flags = [param.requires_grad for param in model.iter_parameters()]
+        model.apply_fine_tune_level(self.tier.level)
+        try:
+            return super().planned_round_seconds(model, timing)
+        finally:
+            for param, flag in zip(model.iter_parameters(), flags):
+                param.requires_grad = flag
+
     def run_round(
         self,
         model: SegmentedModel,
         global_state: dict[str, np.ndarray],
-        timing: TimingModel | None = None,
         features: np.ndarray | None = None,
     ) -> LocalUpdate:
         if features is not None:
@@ -111,7 +124,7 @@ class TieredClient(Client):
                 "consume cached features (supports_feature_cache is False)"
             )
         model.apply_fine_tune_level(self.tier.level)
-        return super().run_round(model, global_state, timing=timing)
+        return super().run_round(model, global_state)
 
 
 def aggregate_heterogeneous(

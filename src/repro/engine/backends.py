@@ -1,10 +1,11 @@
 """Pluggable execution backends for client local training.
 
 A backend answers one question: *where does a client's local round actually
-run?* The simulation semantics (virtual time, event order, RNG streams) are
-owned by the training loops; backends only move the numeric work, so every
-backend must produce bitwise-identical results for the same dispatch
-sequence:
+run?* The simulation semantics (virtual time, event order, RNG streams,
+and each round's price, which the run loops take at dispatch) are owned by
+the training loops; backends only move the numeric work and never see a
+timing model, so every backend must produce bitwise-identical results for
+the same dispatch sequence:
 
 - :class:`SerialBackend` — runs the round inline in the server's shared
   workspace model, exactly like the original sequential simulator. It is
@@ -92,7 +93,6 @@ from repro.fl import fastpath
 from repro.fl.client import Client
 from repro.fl.features import FeatureRuntime, eval_pool_key, feature_pool_key
 from repro.fl.strategies import LocalUpdate
-from repro.fl.timing import TimingModel
 from repro.nn.segmented import SegmentedModel
 from repro.nn.serialization import theta_keys
 from repro.obs import metrics as obs_metrics
@@ -124,7 +124,6 @@ class ExecutionBackend:
         client: Client,
         template: SegmentedModel,
         global_state: dict[str, np.ndarray],
-        timing: TimingModel | None,
     ):
         """Start one client round; returns a handle for :meth:`result`."""
         raise NotImplementedError
@@ -134,7 +133,6 @@ class ExecutionBackend:
         clients: list[Client],
         template: SegmentedModel,
         global_state: dict[str, np.ndarray],
-        timing: TimingModel | None,
     ) -> list:
         """Start one round per client; handles in input order.
 
@@ -145,8 +143,7 @@ class ExecutionBackend:
         client's LocalUpdate. The base implementation is exactly that loop.
         """
         return [
-            self.submit(client, template, global_state, timing)
-            for client in clients
+            self.submit(client, template, global_state) for client in clients
         ]
 
     def result(self, handle) -> LocalUpdate:
@@ -158,10 +155,9 @@ class ExecutionBackend:
         clients: list[Client],
         template: SegmentedModel,
         global_state: dict[str, np.ndarray],
-        timing: TimingModel | None,
     ) -> list[LocalUpdate]:
         """Run one synchronous round's participants, preserving input order."""
-        handles = self.submit_many(clients, template, global_state, timing)
+        handles = self.submit_many(clients, template, global_state)
         return [self.result(h) for h in handles]
 
     def close(self) -> None:
@@ -211,24 +207,11 @@ def _wave_units(clients, template, global_state, shapes) -> list:
     return units
 
 
-def _bills_itself(client) -> bool:
-    """Whether ``client`` prices its own rounds.
-
-    The dispatching process bills every standard round of a wave from one
-    FLOPs walk per input shape (:func:`_bill`). A client that overrides
-    ``Client.run_round`` may change the model it runs in (tiered clients
-    re-freeze it), so it receives the timing model and prices itself.
-    """
+def _overrides_run_round(client) -> bool:
+    """Whether ``client`` overrides ``Client.run_round``: such a round may
+    read more of its shard than cached features and labels (tiered
+    clients re-freeze the model and run the full forward)."""
     return type(client).run_round is not Client.run_round
-
-
-def _bill(updates, clients, model, timing, walks) -> None:
-    """Price standard rounds with the wave's shared ``walks`` (see
-    :func:`~repro.fl.fastpath.cohort_round_seconds`)."""
-    if timing is not None:
-        seconds = fastpath.cohort_round_seconds(clients, model, timing, walks)
-        for update, sec in zip(updates, seconds):
-            update.train_seconds = sec
 
 
 class SerialBackend(ExecutionBackend):
@@ -249,17 +232,17 @@ class SerialBackend(ExecutionBackend):
     def __init__(self, feature_runtime: FeatureRuntime | None = None):
         self.feature_runtime = feature_runtime
 
-    def submit(self, client, template, global_state, timing):
-        return self._run_wave([client], template, global_state, timing)[0]
+    def submit(self, client, template, global_state):
+        return self._run_wave([client], template, global_state)[0]
 
-    def submit_many(self, clients, template, global_state, timing):
+    def submit_many(self, clients, template, global_state):
         # A subclass overriding ``submit`` customises per-client behaviour
         # that a planned wave would bypass.
         if type(self).submit is not SerialBackend.submit:
-            return super().submit_many(clients, template, global_state, timing)
-        return self._run_wave(clients, template, global_state, timing)
+            return super().submit_many(clients, template, global_state)
+        return self._run_wave(clients, template, global_state)
 
-    def _run_wave(self, clients, template, global_state, timing):
+    def _run_wave(self, clients, template, global_state):
         features: list = [None] * len(clients)
         shapes = None
         if self.feature_runtime is not None:
@@ -273,13 +256,11 @@ class SerialBackend(ExecutionBackend):
             ]
             shapes = [None if f is None else tuple(f.shape[1:]) for f in features]
         updates: list = [None] * len(clients)
-        walks: dict = {}  # one FLOPs walk per input shape prices the wave
         for positions, layout in _wave_units(
             clients, template, global_state, shapes
         ):
             members = [clients[i] for i in positions]
             feats = [features[i] for i in positions]
-            own = _bills_itself(members[0])  # only a lone client can
             solved = None
             if layout is not None:
                 solved = fastpath.run_cohort(
@@ -287,18 +268,9 @@ class SerialBackend(ExecutionBackend):
                 )
             if solved is None:  # a lone client, or a late disagreement
                 solved = [
-                    client.run_round(
-                        template, global_state,
-                        timing=timing if own else None, features=f,
-                    )
+                    client.run_round(template, global_state, features=f)
                     for client, f in zip(members, feats)
                 ]
-            if own:
-                # It may have re-frozen the shared model: rounds after it
-                # walk the model afresh.
-                walks.clear()
-            else:
-                _bill(solved, members, template, timing, walks)
             for pos, update in zip(positions, solved):
                 updates[pos] = update
         return [_Resolved(update) for update in updates]
@@ -681,8 +653,7 @@ def _shm_round(job_blob: bytes) -> tuple:
     into its rows of the wave's result slot (:func:`_result_rows`);
     otherwise, or when the plan declines late, each member runs
     ``Client.run_round`` — itself a one-lane solve on that plan when the
-    head allows — with ``job["timing"]`` (set only for a client that
-    bills itself). Returns ``(solved, updates, rng_states,
+    head allows. Returns ``(solved, updates, rng_states,
     metric_shard)``: either ``solved`` is
     :func:`~repro.fl.fastpath.solve_cohort`'s tuple without the θ stack
     (the parent reads that from the slot), or ``updates`` holds the
@@ -728,9 +699,7 @@ def _shm_solve(job: dict, baseline: dict) -> tuple:
         )
     if solved is None:
         updates = [
-            client.run_round(
-                model, global_state, timing=job["timing"], features=feats
-            )
+            client.run_round(model, global_state, features=feats)
             for client, feats in zip(clients, features)
         ]
     else:
@@ -1009,21 +978,16 @@ class _SharedCohortResult:
     reading pinned segment bytes and writing their own rows (released
     even when the worker raised — the error is cached and re-raised to
     every member), mirrors all members' RNG advances, merges the metric
-    shard, wraps the copied θ stack's lanes into slab-backed LocalUpdates
-    and, with ``pricing`` (the wave's ``(model, timing, walks)``; None
-    for a client that bills itself), bills every member. Later members
-    read the cached updates.
+    shard and wraps the copied θ stack's lanes into slab-backed
+    LocalUpdates. Later members read the cached updates.
     """
 
     __slots__ = (
         "_backend", "_record", "_clients", "_slot", "_template", "_layout",
-        "_rows", "_pricing", "_updates", "_error",
+        "_rows", "_updates", "_error",
     )
 
-    def __init__(
-        self, backend, record, clients, slot, template, layout, rows,
-        pricing,
-    ):
+    def __init__(self, backend, record, clients, slot, template, layout, rows):
         self._backend = backend
         self._record = record
         self._clients = clients
@@ -1032,7 +996,6 @@ class _SharedCohortResult:
         self._layout = layout
         #: a cohort job's ``(result slot, offset, shape)``, else None
         self._rows = rows
-        self._pricing = pricing
         self._updates = None
         self._error = None
 
@@ -1069,8 +1032,6 @@ class _SharedCohortResult:
             updates = fastpath.cohort_updates(
                 self._layout, theta_stack, *solved
             )
-        if self._pricing is not None:
-            _bill(updates, self._clients, *self._pricing)
         self._updates = updates
 
 
@@ -1692,7 +1653,7 @@ class ProcessPoolBackend(ExecutionBackend):
         for client in clients:
             cache_key = self._want_features(client, template, chain, wanted)
             record = self._client_record(client)
-            raw = cache_key is None or _bills_itself(client)
+            raw = cache_key is None or _overrides_run_round(client)
             self._want_shard(record, raw, wanted)
             self._want_descriptor(record, wanted)
             plan.append((cache_key, record, raw))
@@ -1739,27 +1700,23 @@ class ProcessPoolBackend(ExecutionBackend):
         return [None if span is None else (slot,) + span for span in spans]
 
     # -- ExecutionBackend interface ------------------------------------------
-    def submit(self, client, template, global_state, timing):
-        return self._dispatch_wave([client], template, global_state, timing)[0]
+    def submit(self, client, template, global_state):
+        return self._dispatch_wave([client], template, global_state)[0]
 
-    def submit_many(self, clients, template, global_state, timing):
+    def submit_many(self, clients, template, global_state):
         # A subclass overriding ``submit`` customises per-client behaviour
         # that a planned wave would bypass.
         if type(self).submit is not ProcessPoolBackend.submit:
-            return super().submit_many(clients, template, global_state, timing)
-        return self._dispatch_wave(clients, template, global_state, timing)
+            return super().submit_many(clients, template, global_state)
+        return self._dispatch_wave(clients, template, global_state)
 
-    def _dispatch_wave(self, clients, template, global_state, timing):
+    def _dispatch_wave(self, clients, template, global_state):
         """One job per unit of the wave (:func:`_wave_units`), in order.
 
         A job blob carries entry locations and each member's RNG state;
         descriptors, features, shards and θ all travel through shared
         memory, and a cohort job's θ lanes come home through its rows of
-        the wave's result slot. The parent bills the wave's standard
-        rounds, cohort lanes and lone clients alike, from one FLOPs walk
-        per input shape shared by every handle; only a client that bills
-        itself ships the timing model, since it may re-freeze its
-        worker's replica.
+        the wave's result slot.
         """
         self._ensure_started()
         chain = None
@@ -1773,13 +1730,11 @@ class ProcessPoolBackend(ExecutionBackend):
                 for feats, _, _ in entries
             ]
         units = _wave_units(clients, template, global_state, shapes)
-        walks: dict = {}
         handles: list = [None] * len(clients)
         for (positions, layout), rows in zip(
             units, self._take_result_rows(units)
         ):
             members = [clients[i] for i in positions]
-            own = _bills_itself(members[0])  # only a lone client can
             template_record = self._ensure_template(template)
             slot = self._publish_state(global_state)
             specs = []
@@ -1804,7 +1759,6 @@ class ProcessPoolBackend(ExecutionBackend):
                 "state_layout": slot.layout,
                 "members": specs,
                 "result": None,
-                "timing": timing if own else None,
             }
             self.stats["jobs"] += 1
             if rows is not None:
@@ -1815,7 +1769,6 @@ class ProcessPoolBackend(ExecutionBackend):
             shared = _SharedCohortResult(
                 self, self._dispatch(_shm_round, job, segments), members,
                 slot, template_record, layout, rows,
-                None if own else (template, timing, walks),
             )
             for index, pos in enumerate(positions):
                 handles[pos] = _MemberHandle(shared, index)

@@ -8,18 +8,19 @@ virtual-time order. A fast client therefore contributes many updates while
 a straggler is still working on its first — the heterogeneity dynamics the
 paper's Table III studies, without the slowest client gating every round.
 
-Billing: a round is priced once, at dispatch. Backends run it with
-``timing=None`` and the processed update is billed the duration its event
-was scheduled with, so the event time and the billed seconds are one
-float by construction. That needs a price that depends only on the client
-and the shared model, so clients that re-freeze the shared workspace per
-round (``supports_feature_cache = False``, e.g. tiered clients) are
-refused before the first dispatch; the synchronous loop, which prices
-each round after it runs, accepts them. With the freeze level fixed for
-the run, the FLOPs walk of the model
-(:func:`repro.nn.profiling.round_flops_per_sample`) runs once per
-distinct input shape, and every dispatch prices from it — the same
-float as a walk per dispatch.
+Billing: a round is priced once, at dispatch
+(``Client.planned_round_seconds``), as the synchronous loop prices its
+rounds, and the processed update is billed the duration its event was
+scheduled with, so the event time and the billed seconds are one float
+by construction. Backends never see the timing model. The price walks
+the model once per structure and input shape (the walk lives in the
+model's structure memo, see
+:func:`repro.nn.profiling.round_flops_per_sample`). Clients that
+re-freeze the shared workspace per round (``supports_feature_cache =
+False``, e.g. tiered clients) are refused before the first dispatch:
+each prices its own level, but its round re-freezes the shared model
+that every later dispatch is priced and trained on. The synchronous
+loop accepts them.
 
 Dropout: with ``dropout_probability > 0`` a dispatched round may be lost
 midway, wasting a seeded fraction of its simulated seconds. Every client
@@ -67,7 +68,6 @@ from repro.fl.client import Client
 from repro.fl.rounds import check_run_knobs
 from repro.fl.server import Server
 from repro.fl.timing import TimingModel
-from repro.nn import profiling
 from repro.obs import tracing
 from repro.utils import check_count, make_rng
 
@@ -147,9 +147,9 @@ def run_async_federated_training(
         if not getattr(client, "supports_feature_cache", True):
             raise ValueError(
                 f"client {client.client_id} re-freezes the shared model "
-                "per round (supports_feature_cache is False), so its round "
-                "price depends on the client that ran before it and cannot "
-                "be scheduled at dispatch; run it in the synchronous loop"
+                "per round (supports_feature_cache is False), and every "
+                "later dispatch is priced and trained on that model; run "
+                "it in the synchronous loop"
             )
     timing = timing or TimingModel()
     owns_backend = backend is None
@@ -172,9 +172,6 @@ def run_async_federated_training(
     #: ever read its θ slab again and it is recycled into the aggregator's
     #: slab pool (see AsyncAggregator.recycle).
     live_versions: dict[int, list] = {}
-    #: input shape -> the model's FLOPs walk; the walk depends only on the
-    #: architecture and the freeze level, both fixed for the run
-    flops_by_shape: dict[tuple, tuple[int, int]] = {}
 
     def _retain_version(version: int, snapshot) -> None:
         entry = live_versions.setdefault(version, [snapshot, 0])
@@ -232,14 +229,7 @@ def run_async_federated_training(
             idle.discard(cid)
             in_flight += 1
             client = clients[cid]
-            shape = client.dataset.input_shape
-            if shape not in flops_by_shape:
-                flops_by_shape[shape] = profiling.round_flops_per_sample(
-                    server.model, shape
-                )
-            duration = client.planned_round_seconds(
-                server.model, timing, flops=flops_by_shape[shape]
-            )
+            duration = client.planned_round_seconds(server.model, timing)
             version = server.round_index
             if dropout_p > 0.0 and rng.random() < dropout_p:
                 # The round is lost partway through; the local work never
@@ -279,10 +269,7 @@ def run_async_federated_training(
         if update_cids:
             snapshot = server.broadcast()
             wave = backend.submit_many(
-                [clients[cid] for cid in update_cids],
-                server.model,
-                snapshot,
-                None,  # billed the duration priced above (see process)
+                [clients[cid] for cid in update_cids], server.model, snapshot
             )
             handles = dict(zip(update_cids, wave))
         # Phase 3 — queue pushes in decision order, preserving the event
@@ -324,7 +311,7 @@ def run_async_federated_training(
                 client = clients[cid]
                 client.rng.bit_generator.state = p["rng_state"]
                 _retain_version(int(p["dispatch_version"]), snapshot)
-                handle = backend.submit(client, server.model, snapshot, None)
+                handle = backend.submit(client, server.model, snapshot)
             elif p["rng_state"] is not None:
                 # A pending drop runs no local round, but the client's
                 # stream (advanced by its earlier rounds) must be restored

@@ -674,7 +674,7 @@ class ExperimentHarness:
         if collect_client_states:
             broadcast = server.broadcast()
             for client in clients:
-                client.run_round(server.model, broadcast, timing=None)
+                client.run_round(server.model, broadcast)
                 result.client_states.append(server.model.state_dict())
         return result
 

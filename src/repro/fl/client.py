@@ -9,6 +9,9 @@ A head-only round (cached features) whose head has a plan loads θ into the
 model's :class:`~repro.nn.fused.CohortPlan` instead and runs there as a
 one-lane solve, leaving the workspace model untouched; every other round
 runs the layer graph in the workspace model.
+
+A round's price is :meth:`Client.planned_round_seconds`, which the run
+loops take when they dispatch it; running the round bills nothing.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ class Client:
     (:mod:`repro.fl.features`): subclasses that change the model's ϕ/θ
     split per round (e.g. tiered clients) set it False so backends never
     hand them features materialised for a different split. The event
-    engine refuses such clients: their round price depends on the split
-    the previous client left, so it cannot be fixed at dispatch.
+    engine refuses such clients: their rounds re-freeze the shared model
+    that every later dispatch is priced and trained on.
 
     Head-only rounds (cached features present) run on the workspace
     model's head plan (:func:`repro.fl.fastpath.head_lane`) whenever it
@@ -85,20 +88,15 @@ class Client:
         self.shard_key = shard_key
 
     def planned_round_seconds(
-        self,
-        model: SegmentedModel,
-        timing: TimingModel,
-        flops: tuple[int, int] | None = None,
+        self, model: SegmentedModel, timing: TimingModel
     ) -> float:
         """Simulated duration of this client's next round, known at dispatch.
 
         Every selector keeps a deterministic *count* of samples
         (``selected_count``), so the timing model can price a round before it
-        runs — this is what lets the event engine schedule a completion event
-        at dispatch time and bill the round exactly that duration, the same
-        float the synchronous loop's ``LocalUpdate.train_seconds`` carries.
-        ``flops`` passes a model walk the caller already made (see
-        :meth:`TimingModel.round_seconds`).
+        runs. Both run loops bill a round this price, taken when they
+        dispatch it: the event engine schedules the completion event with
+        it, and the synchronous loop sums its participants' prices.
         """
         num_selected = selected_count(len(self.dataset), self.selection_fraction)
         return timing.round_seconds(
@@ -109,14 +107,12 @@ class Client:
             epochs=self.epochs,
             selection_forward=self.selector.requires_forward,
             client_id=self.client_id,
-            flops=flops,
         )
 
     def run_round(
         self,
         model: SegmentedModel,
         global_state: dict[str, np.ndarray],
-        timing: TimingModel | None = None,
         features: np.ndarray | None = None,
     ) -> LocalUpdate:
         """Execute one local round in the given workspace model.
@@ -131,9 +127,10 @@ class Client:
         just θ is loaded from the broadcast (ϕ is never read — the
         workspace model's resident ϕ is irrelevant), selection scores the
         head on cached features, and the solver trains on the selected
-        features. Results are bitwise identical to the full-forward path;
-        the billed ``train_seconds`` still price the full backbone — the
-        cache accelerates the simulator, not the simulated device.
+        features. Results are bitwise identical to the full-forward path,
+        and the round's price (:meth:`planned_round_seconds`) still
+        covers the full backbone — the cache accelerates the simulator,
+        not the simulated device.
         """
         # Head-only rounds run on the model's head plan as a one-lane
         # solve: θ goes into the plan, and the model (weights and mode
@@ -174,20 +171,9 @@ class Client:
         )
         if lane is None:
             model.eval()
-        update = LocalUpdate(
+        return LocalUpdate(
             theta=lane.theta() if lane is not None else theta_state(model),
             num_selected=len(selected),
             num_local=len(self.dataset),
             mean_loss=mean_loss,
         )
-        if timing is not None:
-            # Billed here, after the round, when the caller passes timing
-            # (backends do for a client that overrides this method). For
-            # standard rounds backends pass none: they price each wave,
-            # a lone ``submit`` included, with one model walk per input
-            # shape. The event engine passes none either: it priced the
-            # round once at dispatch (every selector keeps the
-            # deterministic ``selected_count``) and bills the duration it
-            # scheduled the completion with.
-            update.train_seconds = self.planned_round_seconds(model, timing)
-        return update

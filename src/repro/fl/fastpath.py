@@ -469,37 +469,10 @@ def run_cohort(clients, model, global_state, features_list, layout):
     ``layout`` is the lane layout :func:`cohort_units` grouped the cohort
     under. None sends every member to the exact per-client path (the
     grouping was optimistic; late disagreements like feature-shape drift
-    must not change results). The dispatcher prices the rounds (see
-    :func:`cohort_round_seconds`).
+    must not change results).
     """
     solved = solve_cohort(clients, model, global_state, features_list)
     return None if solved is None else cohort_updates(layout, *solved)
-
-
-def cohort_round_seconds(clients, model, timing, walks=None) -> list[float]:
-    """Each client's ``planned_round_seconds(model, timing)``, in order.
-
-    Rounds priced on one model share its FLOPs walk
-    (:func:`repro.nn.profiling.round_flops_per_sample`): it runs once per
-    distinct input shape instead of once per client, and each client then
-    applies its own counts and speed multiplier, giving the same float as
-    pricing it alone. ``walks`` (input shape → walk) carries the walks
-    across calls, so a backend prices a whole wave — cohort lanes and solo
-    rounds alike — with one walk per input shape; whoever changes the
-    model's trainable set between two calls must clear it.
-    """
-    from repro.nn.profiling import round_flops_per_sample
-
-    if walks is None:
-        walks = {}
-    seconds = []
-    for client in clients:
-        shape = client.dataset.input_shape
-        flops = walks.get(shape)
-        if flops is None:
-            flops = walks[shape] = round_flops_per_sample(model, shape)
-        seconds.append(client.planned_round_seconds(model, timing, flops=flops))
-    return seconds
 
 
 def plan_cache_nbytes() -> int:

@@ -4,7 +4,9 @@ Every round's local solves go through an
 :class:`~repro.engine.backends.ExecutionBackend`; with none given, the
 loop runs them in-process on a
 :class:`~repro.engine.backends.SerialBackend`, the one in-process round
-path the event engine uses too.
+path the event engine uses too. The loop prices each participant when it
+dispatches the round (``Client.planned_round_seconds``), as the event
+engine does, and bills the round the sum of those prices.
 """
 
 from __future__ import annotations
@@ -135,7 +137,9 @@ def run_federated_training(
     run sequentially in the server's workspace model, on a
     :class:`~repro.engine.backends.SerialBackend`; a process backend runs
     them in parallel workers with bitwise-identical results (updates are
-    aggregated in participant order either way).
+    aggregated in participant order either way). A round bills the sum of
+    its participants' ``planned_round_seconds``, taken at dispatch, in
+    participant order (0 seconds without a ``timing`` model).
 
     ``feature_runtime`` (a :class:`~repro.fl.features.FeatureRuntime`)
     applies only when no ``backend`` is given: the loop's serial backend
@@ -217,14 +221,20 @@ def run_federated_training(
             )
             broadcast = server.broadcast()
             participants = [clients[int(cid)] for cid in chosen]
+            prices = []
+            if timing is not None:
+                prices = [
+                    client.planned_round_seconds(server.model, timing)
+                    for client in participants
+                ]
             with tracing.span("round.local_solve"):
                 updates = backend.map_round(
-                    participants, server.model, broadcast, timing
+                    participants, server.model, broadcast
                 )
             if updates:
                 with tracing.span("round.aggregate"):
                     server.aggregate(updates)
-            round_seconds = float(sum(u.train_seconds for u in updates))
+            round_seconds = float(sum(prices))
             cumulative_seconds += round_seconds
             tracing.event_span("round", cumulative_seconds, round_seconds, 0)
             evaluated = round_index % eval_every == 0 or round_index == rounds

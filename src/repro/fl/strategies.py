@@ -40,7 +40,6 @@ class LocalUpdate:
     theta: dict[str, np.ndarray]
     num_selected: int
     num_local: int
-    train_seconds: float = 0.0
     mean_loss: float = 0.0
 
 

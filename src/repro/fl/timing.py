@@ -13,6 +13,9 @@ engine builds on it, are documented in DESIGN.md at the repo root):
 - heterogeneous device speeds are per-client multipliers.
 
 Only *relative* times matter for every conclusion drawn from the metric.
+Both run loops price a round once, when they dispatch it
+(``Client.planned_round_seconds``), and bill that price; execution
+backends never see a timing model.
 """
 
 from __future__ import annotations
@@ -64,19 +67,14 @@ class TimingModel:
         epochs: int,
         selection_forward: bool,
         client_id: int = 0,
-        flops: tuple[int, int] | None = None,
     ) -> float:
-        """Simulated seconds for one local round of one client.
-
-        ``flops`` is ``profiling.round_flops_per_sample(model, in_shape)``
-        when the caller already has it (a cohort prices every lane from one
-        model walk); the seconds are the same float either way.
-        """
+        """Simulated seconds for one local round of one client, from the
+        model's FLOPs walk for ``in_shape``
+        (:func:`repro.nn.profiling.round_flops_per_sample`, taken once per
+        structure and input shape)."""
         if num_selected < 0 or num_local < 0 or epochs <= 0:
             raise ValueError("counts must be non-negative and epochs positive")
-        if flops is None:
-            flops = profiling.round_flops_per_sample(model, in_shape)
-        training, selection = flops
+        training, selection = profiling.round_flops_per_sample(model, in_shape)
         train_flops = training * num_selected * epochs
         selection_flops = 0
         if selection_forward:

@@ -7,6 +7,8 @@ counts (see DESIGN.md, substitutions). The key structural facts preserved:
 - the backward pass only traverses the segments at or above the lowest
   trainable one, which is where partial fine-tuning saves compute;
 - entropy/random data selection costs one forward pass over all local data.
+
+The forward count alone is :meth:`SegmentedModel.flops_per_sample`.
 """
 
 from __future__ import annotations
@@ -17,32 +19,29 @@ from repro.nn.segmented import SegmentedModel
 BACKWARD_FORWARD_RATIO = 2.0
 
 
-def forward_flops_per_sample(model: SegmentedModel, in_shape: tuple) -> int:
-    """Exact forward FLOPs for one sample through the whole model."""
-    flops, _ = model.flops_per_sample(in_shape)
-    return flops
-
-
-def training_flops_per_sample(model: SegmentedModel, in_shape: tuple) -> int:
-    """FLOPs for one training sample: full forward + truncated backward.
-
-    The backward pass costs ``BACKWARD_FORWARD_RATIO`` × the forward FLOPs of
-    every segment from the lowest trainable one upward; segments below the
-    frontier are never back-propagated through (``SegmentedModel.backward``).
-    """
-    return round_flops_per_sample(model, in_shape)[0]
-
-
 def round_flops_per_sample(
     model: SegmentedModel, in_shape: tuple
 ) -> tuple[int, int]:
-    """``(training, selection)`` FLOPs for one sample, from one segment walk.
+    """``(training, selection)`` FLOPs for one sample.
 
-    Training is :func:`training_flops_per_sample`'s count; selection is one
-    forward pass (:func:`selection_flops_per_sample`), which is the forward
-    total the training count already sums — so pricing a round needs the
-    per-segment FLOPs once, not twice.
+    Training is a full forward plus a backward of
+    ``BACKWARD_FORWARD_RATIO`` × the forward FLOPs of every segment from
+    the lowest trainable one upward (segments below it are never
+    back-propagated through, see ``SegmentedModel.backward``). Selection
+    is one forward pass, the forward total the training count already
+    sums. The walk that counts both is kept in the model's structure memo
+    (:meth:`SegmentedModel.structure`), once per input shape: a re-freeze
+    or any other structural edit drops it with the rest of the memo.
     """
+    walks = model.structure().flops
+    flops = walks.get(in_shape)
+    if flops is None:
+        flops = walks[in_shape] = _walk(model, in_shape)
+    return flops
+
+
+def _walk(model: SegmentedModel, in_shape: tuple) -> tuple[int, int]:
+    """One segment walk: :func:`round_flops_per_sample`'s answer, uncached."""
     total_forward = 0
     backward = 0
     frontier_seen = False
@@ -57,8 +56,3 @@ def round_flops_per_sample(
         return total_forward, total_forward
     training = int(total_forward + BACKWARD_FORWARD_RATIO * backward)
     return training, total_forward
-
-
-def selection_flops_per_sample(model: SegmentedModel, in_shape: tuple) -> int:
-    """FLOPs to score one sample for data selection: a single forward pass."""
-    return forward_flops_per_sample(model, in_shape)

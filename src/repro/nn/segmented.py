@@ -66,12 +66,13 @@ class _Structure:
     ``arrays`` their live arrays in that order; ``phi_bytes`` and
     ``chain`` are the bytes the prefix chain was last hashed from and that
     chain; ``head`` is :func:`repro.nn.fused.head_ops`'s answer once asked
-    (None before).
+    (None before); ``flops`` maps an input shape to
+    :func:`repro.nn.profiling.round_flops_per_sample`'s answer for it.
     """
 
     __slots__ = (
         "epoch", "params", "datas", "flags", "split", "phi", "arrays",
-        "phi_bytes", "chain", "head",
+        "phi_bytes", "chain", "head", "flops",
     )
 
     def __init__(self, model: "SegmentedModel"):
@@ -103,6 +104,7 @@ class _Structure:
         self.phi_bytes = None
         self.chain = ()
         self.head = None
+        self.flops = {}
 
     def current(self) -> bool:
         """Whether no structural edit happened since this was taken: the
@@ -175,8 +177,10 @@ class SegmentedModel(Module):
         return self.structure().split
 
     def structure(self) -> _Structure:
-        """The model's structure memo: its split, its ϕ tensors and (once
-        :func:`repro.nn.fused.head_ops` asked) its head.
+        """The model's structure memo: its split, its ϕ tensors and, once
+        asked, its head (:func:`repro.nn.fused.head_ops`) and its FLOPs
+        walk per input shape (:func:`repro.nn.profiling.
+        round_flops_per_sample`).
 
         Taken once and reused while it is :meth:`~_Structure.current`: a
         structural edit (binding a parameter or module, registering a

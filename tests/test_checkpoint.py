@@ -1096,39 +1096,6 @@ def test_compaction_leaves_base_payload_journal_and_manifest(tmp_path):
     assert _states_identical(after.server_state, before.server_state)
 
 
-@pytest.mark.parametrize("kind", ["fedasync", "fedbuff"])
-def test_async_run_prices_each_round_once(kind, monkeypatch):
-    """The engine prices a round at dispatch and bills that price, from
-    one FLOPs walk of the model per distinct input shape for the whole
-    run: not one per dispatch, and not a second one when the round runs."""
-    from repro.nn import profiling
-
-    walks = []
-    walk = profiling.round_flops_per_sample
-
-    def counted(*args, **kwargs):
-        walks.append(1)
-        return walk(*args, **kwargs)
-
-    monkeypatch.setattr(profiling, "round_flops_per_sample", counted)
-    _, log = _run_uninterrupted(kind)
-    dispatched = [r for r in log.records if r.client_id >= 0]
-    assert len(dispatched) == MAX_EVENTS
-    server, clients = make_federation()
-    assert len(walks) == len({c.dataset.input_shape for c in clients}) == 1
-    # each update is billed its dispatch-time price, and the bills add up
-    prices = [
-        client.planned_round_seconds(server.model, STRAGGLED)
-        for client in clients
-    ]
-    assert [r.client_seconds for r in dispatched] == [
-        prices[r.client_id] for r in dispatched
-    ]
-    assert log.records[-1].cumulative_client_seconds == sum(
-        r.client_seconds for r in dispatched
-    )
-
-
 # ---------------------------------------------------------------------------
 # Emergency checkpoints under chaos (repro.engine.faults)
 # ---------------------------------------------------------------------------

@@ -219,68 +219,89 @@ def test_sync_process_cohort_bitwise():
     assert _rng_states(clients) == ref_rngs
 
 
-@pytest.mark.parametrize("backend_name", ["serial", "process"])
-def test_cohort_lanes_are_priced_like_solo_rounds(backend_name):
-    """One pricing walk per cohort bills every lane the exact float the
-    client's own ``planned_round_seconds`` gives, speed multiplier and
-    all."""
-    server, clients = _build()
-    timing = TimingModel(
-        speed_multipliers={c.client_id: 1.0 + 0.37 * c.client_id for c in clients}
-    )
-    expected = [c.planned_round_seconds(server.model, timing) for c in clients]
-    assert len(set(expected)) == len(clients)
-    before = fastpath.COHORT_STATS["cohort_solves"]
-    with make_backend(
-        backend_name, max_workers=2, feature_runtime=FeatureRuntime()
-    ) as backend:
-        updates = backend.map_round(
-            clients, server.model, server.global_state, timing
-        )
-    assert fastpath.COHORT_STATS["cohort_solves"] > before
-    assert [u.train_seconds for u in updates] == expected
-
-
-@pytest.mark.parametrize("backend_name", ["serial", "process"])
-def test_sync_wave_prices_with_one_walk_per_round(backend_name, monkeypatch):
-    """A sync round's cohort lanes and solo rounds share one FLOPs walk per
-    input shape, made by the dispatching process: no job ships a timing
-    model, and every round bills the per-client prices."""
+def _counting_walks(monkeypatch):
+    """Record the input shape of every uncached FLOPs walk."""
     from repro.nn import profiling
 
-    sizes = [40, 40, 40, 26, 40, 33]  # k = 12 ×4 (cohort), 8 and 10 (solo)
-    ref_hist, ref_theta, ref_rngs = _sync_reference(sizes=sizes)
-    server, clients = _build(sizes=sizes)
-    timing = TimingModel()
-    prices = [c.planned_round_seconds(server.model, timing) for c in clients]
     walks = []
-    walk = profiling.round_flops_per_sample
+    walk = profiling._walk
 
     def counting(model, shape):
         walks.append(shape)
         return walk(model, shape)
 
-    monkeypatch.setattr(profiling, "round_flops_per_sample", counting)
+    monkeypatch.setattr(profiling, "_walk", counting)
+    return walks
+
+
+@pytest.mark.parametrize("backend_name", ["serial", "process"])
+def test_cohort_lanes_are_priced_like_solo_rounds(backend_name):
+    """A round whose lanes solve as one cohort bills exactly what
+    per-client dispatch bills: the sum, in participant order, of every
+    client's own ``planned_round_seconds``, speed multiplier and all."""
+
+    def run(backend):
+        server, clients = _build()
+        timing = TimingModel(
+            speed_multipliers={
+                c.client_id: 1.0 + 0.37 * c.client_id for c in clients
+            }
+        )
+        with backend:
+            history = run_federated_training(
+                server, clients, rounds=1, seed=3, timing=timing,
+                backend=backend,
+            )
+        prices = [c.planned_round_seconds(server.model, timing) for c in clients]
+        return history, prices
+
+    solo, _ = run(_PerClientSerial(feature_runtime=FeatureRuntime()))
+    before = fastpath.COHORT_STATS["cohort_solves"]
+    history, prices = run(_BACKENDS[backend_name]())
+    assert fastpath.COHORT_STATS["cohort_solves"] > before
+    assert len(set(prices)) == len(prices)
+    (record,) = history.records
+    assert record.client_seconds == float(
+        sum(prices[cid] for cid in record.participants)
+    )
+    assert record.client_seconds == solo.records[0].client_seconds
+
+
+@pytest.mark.parametrize("backend_name", ["serial", "process"])
+def test_sync_wave_prices_with_one_walk_per_round(backend_name, monkeypatch):
+    """A sync round's cohort lanes and solo rounds are priced by the loop
+    at dispatch, from the model's structure memo: the first round walks
+    the model for its input shape and later rounds reuse that walk, no
+    job ships a timing model, and every round bills the per-client
+    prices."""
+    sizes = [40, 40, 40, 26, 40, 33]  # k = 12 ×4 (cohort), 8 and 10 (solo)
+    ref_hist, ref_theta, ref_rngs = _sync_reference(sizes=sizes)
+    server, clients = _build(sizes=sizes)
+    walks = _counting_walks(monkeypatch)
     before = dict(fastpath.COHORT_STATS)
     with _BACKENDS[backend_name]() as backend:
         shipped = []
         if backend_name == "process":
             dispatch = backend._dispatch
 
-            def spying(entry, job, fingerprints=None):
+            def spying(entry, job, segments):
                 shipped.append(job)
-                return dispatch(entry, job, fingerprints)
+                return dispatch(entry, job, segments)
 
             backend._dispatch = spying
         history = _run_sync(server, clients, backend)
     stats = {k: v - before[k] for k, v in fastpath.COHORT_STATS.items()}
     assert stats["singletons"] == 6 and stats["cohort_solves"] == 3
-    assert walks == [(24,)] * 3
-    assert all(job.get("timing") is None for job in shipped)
+    assert walks == [(24,)]
+    assert not any("timing" in job for job in shipped)
     assert len(shipped) == (9 if backend_name == "process" else 0)
+    timing = TimingModel()
+    prices = [c.planned_round_seconds(server.model, timing) for c in clients]
+    assert walks == [(24,)]
     assert [r.client_seconds for r in history.records] == [
-        float(sum(prices))
-    ] * 3
+        float(sum(prices[cid] for cid in r.participants))
+        for r in history.records
+    ]
     assert _hist_sig(history) == ref_hist
     assert _theta_bytes(server) == ref_theta
     assert _rng_states(clients) == ref_rngs
@@ -288,27 +309,29 @@ def test_sync_wave_prices_with_one_walk_per_round(backend_name, monkeypatch):
 
 def test_cohort_pricing_walks_the_model_once_per_input_shape(monkeypatch):
     """Lanes sharing an input shape share one FLOPs walk; each distinct
-    shape is walked once, and every price equals the solo one."""
-    from repro.nn import profiling
-
-    model = _make_model()
-    clients = [_make_client(cid) for cid in range(6)]
+    shape is walked once per run, and every price equals the solo one,
+    taken on a fresh model that has walked nothing."""
+    server, clients = _build(num=6)
     # same 24 inputs per sample, laid out as 2×12: a second input shape
     for client in clients[3:]:
         x, y = client.dataset.arrays()
         client.dataset = ArrayDataset(x.reshape(-1, 2, 12), y)
     timing = TimingModel(speed_multipliers={0: 2.0, 4: 3.5})
-    expected = [c.planned_round_seconds(model, timing) for c in clients]
-    walks = []
-    walk = profiling.round_flops_per_sample
-
-    def counting(model, shape):
-        walks.append(shape)
-        return walk(model, shape)
-
-    monkeypatch.setattr(profiling, "round_flops_per_sample", counting)
-    assert fastpath.cohort_round_seconds(clients, model, timing) == expected
+    solo = [c.planned_round_seconds(_make_model(), timing) for c in clients]
+    walks = _counting_walks(monkeypatch)
+    before = fastpath.COHORT_STATS["cohort_solves"]
+    with SerialBackend(feature_runtime=FeatureRuntime()) as backend:
+        history = run_federated_training(
+            server, clients, rounds=2, seed=3, timing=timing, backend=backend
+        )
+    assert fastpath.COHORT_STATS["cohort_solves"] > before
     assert walks == [(24,), (2, 12)]
+    assert [c.planned_round_seconds(server.model, timing) for c in clients] == solo
+    assert walks == [(24,), (2, 12)]
+    assert [r.client_seconds for r in history.records] == [
+        float(sum(solo[cid] for cid in r.participants))
+        for r in history.records
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +502,12 @@ def test_full_selector_still_splits_by_shard_size():
 def test_one_worker_plan_serves_every_cohort_shape():
     """One worker's plan solves, in a row, cohorts of two lane counts, two
     shard-row strides and two selected counts: built once, and every wave
-    bitwise equal to per-client dispatch (θ, counts, losses, prices and
-    RNG states)."""
+    bitwise equal to per-client dispatch (θ, counts, losses and RNG
+    states)."""
     model = _make_model()
     state = model.state_dict()
     layout = SlabLayout([(k, state[k].shape) for k in theta_keys(model)])
     global_state = make_slab_state(state, layout)
-    timing = TimingModel()
     # (lanes, largest shard, k) at 10%: (3, 34, 3), (5, 30, 3), (4, 64, 6)
     waves = [[26, 34, 30], [30, 28, 26, 27, 29], [60, 64, 55, 58]]
 
@@ -494,10 +516,10 @@ def test_one_worker_plan_serves_every_cohort_shape():
             _make_client(first + i, n, fraction=0.1)
             for i, n in enumerate(sizes)
         ]
-        updates = backend.map_round(clients, model, global_state, timing)
+        updates = backend.map_round(clients, model, global_state)
         return [
             (u.theta.theta_slab.tobytes(), u.num_selected, u.num_local,
-             u.mean_loss, u.train_seconds)
+             u.mean_loss)
             for u in updates
         ], _rng_states(clients)
 
@@ -524,29 +546,24 @@ def test_every_training_job_is_one_planned_unit(monkeypatch):
     """A mixed wave (a cohort split into two chunks, a singleton and a
     tiered client) and one ``submit`` reach the workers through one entry
     point: cohort chunks first, then one-member units in client order,
-    with the timing model shipped only to the client that bills itself.
-    Every member resolves bitwise equal to per-client dispatch: θ bytes,
-    loss, billed seconds and RNG state."""
+    and no job carries a timing model. Every member resolves bitwise
+    equal to per-client dispatch: θ bytes, loss and RNG state."""
     from repro.engine import backends as B
 
     monkeypatch.setattr(B, "_COHORT_JOB_LANES", 3)
     # k = 12 at 40 samples, 8 at 26; client 1 is tiered, client 7 submitted
     sizes = [40, 40, 40, 26, 40, 40, 40, 40]
-    timing = TimingModel(
-        speed_multipliers={cid: 1.0 + 0.25 * cid for cid in range(len(sizes))}
-    )
 
     def dispatch(backend):
         server, clients = _build(sizes=sizes, tiers={1})
         *wave, extra = clients
-        args = (server.model, server.global_state, timing)
+        args = (server.model, server.global_state)
         handles = backend.submit_many(wave, *args)
         handles.append(backend.submit(extra, *args))
         updates = [
             (
                 {k: v.tobytes() for k, v in u.theta.items()},
                 u.mean_loss,
-                u.train_seconds,
             )
             for u in map(backend.result, handles)
         ]
@@ -566,7 +583,7 @@ def test_every_training_job_is_one_planned_unit(monkeypatch):
         clients, got, rngs = dispatch(backend)
         records = [backend._clients[id(c)] for c in clients]
         # one shard entry per client: labels only, or raw for the tiered
-        # client, which bills itself
+        # client, which overrides run_round
         owner = {
             B._wire(shard)[:2]: c.client_id
             for c, record in zip(clients, records)
@@ -588,7 +605,7 @@ def test_every_training_job_is_one_planned_unit(monkeypatch):
     assert [job["result"] is not None for _, job in jobs] == [
         True, True, False, False, False
     ]
-    assert [job["timing"] for _, job in jobs] == [None, None, timing, None, None]
+    assert not any("timing" in job for _, job in jobs)
     with _PerClientSerial(feature_runtime=FeatureRuntime()) as backend:
         _, expected, expected_rngs = dispatch(backend)
     assert got == expected

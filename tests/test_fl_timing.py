@@ -1,10 +1,26 @@
-"""The analytic timing model and its interaction with partial training."""
+"""The analytic timing model, its interaction with partial training, and
+where the run loops price a round."""
+
+import pickle
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.core.fedft_eds import build_model
+from repro.core.partial import prepare_partial_model
+from repro.data.dataset import ArrayDataset
+from repro.engine.aggregators import FedAsyncAggregator, FedBuffAggregator
+from repro.engine.backends import ExecutionBackend, SerialBackend, make_backend
+from repro.engine.runner import run_async_federated_training
+from repro.fl import fastpath
+from repro.fl.client import Client
+from repro.fl.features import FeatureRuntime
+from repro.fl.rounds import run_federated_training
+from repro.fl.selection import EntropySelector
+from repro.fl.server import Server
+from repro.fl.strategies import LocalSolver
 from repro.fl.timing import TimingModel
 from repro.nn import profiling
 from repro.nn.segmented import FINE_TUNE_LEVELS, SEGMENT_ORDER
@@ -132,12 +148,9 @@ def test_single_walk_pricing_equals_the_two_walk_formula(kind):
             model.freeze()
         else:
             model.apply_fine_tune_level(level)
-        training = profiling.training_flops_per_sample(model, shape)
-        selection = profiling.selection_flops_per_sample(model, shape)
+        training, selection = profiling.round_flops_per_sample(model, shape)
         assert training == _two_walk_training_flops(model, shape)
-        assert profiling.round_flops_per_sample(model, shape) == (
-            training, selection,
-        )
+        assert selection == model.flops_per_sample(shape)[0]
         for selection_forward in (False, True):
             expected = (
                 training * 7 * 3 + (selection * 50 if selection_forward else 0)
@@ -159,3 +172,139 @@ def test_validation():
         timing.round_seconds(make_model(), SHAPE, -1, 10, 1, False)
     with pytest.raises(ValueError):
         timing.round_seconds(make_model(), SHAPE, 1, 10, 0, False)
+
+
+# ---------------------------------------------------------------------------
+# Where a round is priced: both run loops, both backends
+# ---------------------------------------------------------------------------
+
+
+class _PerClientSerial(SerialBackend):
+    """Ungrouped dispatch: every client through ``submit`` alone."""
+
+    submit_many = ExecutionBackend.submit_many
+
+
+def _priced_federation():
+    """A moderate MLP and six entropy clients. Odd clients lay their 24
+    inputs per sample out as ``(2, 12)``, so the run sees two input
+    shapes; four shards of 40 select 12 each and cohort, while 26 and 33
+    select 8 and 10 and run alone."""
+    model = nn.MLP(24, (16, 16, 16), 5, RNG(1))
+    prepare_partial_model(model, "moderate")
+    clients = []
+    for cid, n in enumerate([40, 40, 40, 26, 40, 33]):
+        rng = RNG(100 + cid)
+        x = rng.normal(size=(n, 24))
+        if cid % 2:
+            x = x.reshape(n, 2, 12)
+        clients.append(Client(
+            cid, ArrayDataset(x, rng.integers(0, 5, size=n)),
+            EntropySelector(), LocalSolver(), 0.3, 2, RNG(500 + cid),
+        ))
+    test_set = ArrayDataset(
+        RNG(7).normal(size=(64, 24)), RNG(8).integers(0, 5, 64)
+    )
+    return Server(model, test_set), clients
+
+
+def _priced_run(loop, backend):
+    """Run ``loop`` on ``backend`` over a fresh :func:`_priced_federation`,
+    every client at its own speed multiplier."""
+    server, clients = _priced_federation()
+    timing = TimingModel(
+        speed_multipliers={cid: 1 + 0.37 * cid for cid in range(len(clients))}
+    )
+    with backend:
+        if loop == "sync":
+            history = run_federated_training(
+                server, clients, rounds=3, seed=3, timing=timing,
+                backend=backend,
+            )
+        else:
+            aggregator = (
+                FedAsyncAggregator() if loop == "fedasync"
+                else FedBuffAggregator(buffer_size=3)
+            )
+            history = run_async_federated_training(
+                server, clients, aggregator, max_events=12, seed=5,
+                timing=timing, backend=backend, max_concurrency=4,
+            )
+    outcome = (
+        history.records,
+        {k: v.tobytes() for k, v in server.global_state.items()},
+        [c.rng.bit_generator.state for c in clients],
+    )
+    return server, clients, timing, history, outcome
+
+
+@pytest.mark.parametrize("backend_name", ["serial", "process"])
+@pytest.mark.parametrize("loop", ["sync", "fedasync", "fedbuff"])
+def test_every_record_bills_the_prices_taken_at_dispatch(
+    loop, backend_name, monkeypatch
+):
+    """Each run loop prices a round once, when it dispatches it, on either
+    backend: every record bills its clients' ``planned_round_seconds``
+    (a sync round their sum in participant order), the model is walked
+    once per structure and input shape for the whole run, and no job a
+    backend dispatches carries a timing model. The run's records, θ
+    bytes and RNG streams equal per-client dispatch's."""
+    *_, reference = _priced_run(
+        loop, _PerClientSerial(feature_runtime=FeatureRuntime())
+    )
+    walks = []
+    walk = profiling._walk
+
+    def counting(model, shape):
+        walks.append((model.structure().flags, shape))
+        return walk(model, shape)
+
+    monkeypatch.setattr(profiling, "_walk", counting)
+    backend = make_backend(
+        backend_name, max_workers=2, feature_runtime=FeatureRuntime()
+    )
+    jobs = []
+    if backend_name == "process":
+        dispatch = backend._dispatch
+
+        def spying(entry, job, segments):
+            jobs.append(job)
+            return dispatch(entry, job, segments)
+
+        backend._dispatch = spying
+    before = dict(fastpath.COHORT_STATS)
+    server, clients, timing, history, outcome = _priced_run(loop, backend)
+    cohorts = {k: v - before[k] for k, v in fastpath.COHORT_STATS.items()}
+
+    # one walk per (structure, input shape) pair, made by the loop
+    assert len(set(walks)) == len(walks) == 2
+    assert {shape for _, shape in walks} == {(24,), (2, 12)}
+    # every record bills its clients' dispatch-time prices
+    prices = [c.planned_round_seconds(server.model, timing) for c in clients]
+    assert len(set(prices)) == len(clients)
+    if loop == "sync":
+        assert cohorts["cohort_solves"] == 3 and cohorts["singletons"] == 6
+        billed = [
+            float(sum(prices[cid] for cid in r.participants))
+            for r in history.records
+        ]
+    else:
+        dispatched = [r for r in history.records if r.client_id >= 0]
+        assert len(dispatched) == 12
+        billed = [
+            prices[r.client_id] if r.client_id >= 0 else 0.0
+            for r in history.records
+        ]
+    assert [r.client_seconds for r in history.records] == billed
+    assert [r.cumulative_client_seconds for r in history.records] == list(
+        accumulate(billed, initial=0.0)
+    )[1:]
+    # no dispatched job carries a timing model
+    if backend_name == "process":
+        assert jobs
+        if loop == "sync":
+            assert len(jobs) == 9  # a cohort and two lone clients a round
+    assert not any("timing" in job for job in jobs)
+    assert not any(b"TimingModel" in pickle.dumps(job) for job in jobs)
+    # the same records, θ bytes and RNG streams as per-client dispatch
+    assert outcome == reference

@@ -233,7 +233,7 @@ def _lone_submits(graph, level, selector, prox):
         for order in (clients, clients[::-1]):
             for client in order:
                 update = backend.result(
-                    backend.submit(client, model, server.global_state, None)
+                    backend.submit(client, model, server.global_state)
                 )
                 rounds.append((
                     client.client_id,
@@ -898,7 +898,7 @@ def test_worker_plans_die_with_their_template_replica():
     try:
         for first in (0, 4):
             server, clients = federation(first)
-            backend.submit_many(clients, server.model, server.global_state, None)
+            backend.submit_many(clients, server.model, server.global_state)
             backend.evaluate_pooled(
                 server.model, server.global_state, server.test_set
             )
@@ -917,7 +917,7 @@ def test_worker_plans_die_with_their_template_replica():
             ] == ["CohortPlan"]
         # A third template evicts the first replica, and its plans go.
         server, clients = federation(8)
-        backend.submit_many(clients, server.model, server.global_state, None)
+        backend.submit_many(clients, server.model, server.global_state)
         third = pickle.loads(jobs[-1][1])
         evicted = sum(plan.nbytes for plan in replica_plans(templates[0]))
         gc.collect()
@@ -979,7 +979,7 @@ def test_worker_cohort_plan_cache_keeps_one_plan_per_kernel_key():
         for sizes in cohorts:
             members = [client(cid + i, n) for i, n in enumerate(sizes)]
             cid += len(sizes)
-            backend.submit_many(members, model, global_state, None)
+            backend.submit_many(members, model, global_state)
         assert len(jobs) == len(cohorts)
         built = stats["plans_built"]
 

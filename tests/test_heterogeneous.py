@@ -16,6 +16,7 @@ from repro.data.partition import iid_partition
 from repro.fl.selection import RandomSelector
 from repro.fl.server import Server
 from repro.fl.strategies import LocalSolver, LocalUpdate
+from repro.nn.segmented import FINE_TUNE_LEVELS
 
 RNG = np.random.default_rng
 
@@ -161,11 +162,11 @@ def _conv_tiered_federation(tiered=True, levels=("classifier", "full")):
 
 
 def test_event_engine_refuses_tiered_clients(tmp_path):
-    """A tiered client's price depends on the freeze level the client
-    before it left on the shared model, so no dispatch-time schedule can
-    match its bill: the event engine and its resume refuse it before the
-    first dispatch, naming the client. The sync loop, which prices after
-    the round, keeps accepting it."""
+    """A tiered client's own price does not depend on who ran before it,
+    but its round still re-freezes the shared model that every later
+    dispatch is priced and trained on: the event engine and its resume
+    refuse it before the first dispatch, naming the client. The sync
+    loop keeps accepting it."""
     from repro.engine.aggregators import FedAsyncAggregator
     from repro.engine.runner import run_async_federated_training
     from repro.fl.checkpoint import resume_async_federated_training
@@ -173,14 +174,18 @@ def test_event_engine_refuses_tiered_clients(tmp_path):
     from repro.fl.timing import TimingModel
 
     timing = TimingModel()
-    server, clients = _conv_tiered_federation()
-    full_client = clients[1]
-    moderate_price = full_client.planned_round_seconds(server.model, timing)
-    server.model.apply_fine_tune_level("full")
-    assert full_client.planned_round_seconds(server.model, timing) > (
-        moderate_price
+    server, clients = _conv_tiered_federation(tiered=False)
+    plain = clients[0]
+    full_client = TieredClient(
+        1, clients[1].dataset, RandomSelector(), LocalSolver(), 0.5, 1,
+        RNG(11), tier=CapabilityTier("t1", "full"),
     )
-    server.model.apply_fine_tune_level("moderate")
+    price = full_client.planned_round_seconds(server.model, timing)
+    moderate_price = plain.planned_round_seconds(server.model, timing)
+    full_client.run_round(server.model, server.broadcast())
+    assert full_client.planned_round_seconds(server.model, timing) == price
+    # the plain client dispatched next is priced (and trains) at "full"
+    assert plain.planned_round_seconds(server.model, timing) > moderate_price
 
     server, clients = _conv_tiered_federation()
     with pytest.raises(ValueError, match="client 0 re-freezes"):
@@ -211,6 +216,33 @@ def test_event_engine_refuses_tiered_clients(tmp_path):
     )
     assert len(history.records) == 2
     assert all(r.client_seconds > 0 for r in history.records)
+
+
+@pytest.mark.parametrize("level", sorted(FINE_TUNE_LEVELS))
+def test_tiered_price_is_its_own_level_from_any_split(level):
+    """From every split the workspace can hold (each fine-tune level, and
+    nothing trainable), a tiered client's price is the model's price after
+    ``apply_fine_tune_level(tier.level)``, and the model keeps its freeze
+    flags."""
+    from repro.fl.client import Client
+    from repro.fl.timing import TimingModel
+
+    timing = TimingModel(speed_multipliers={1: 2.5})
+    server, clients = _conv_tiered_federation(levels=(level,))
+    client, model = clients[1], server.model
+    expected = None
+    for start in [*sorted(FINE_TUNE_LEVELS), "frozen"]:
+        if start == "frozen":
+            model.freeze()
+        else:
+            model.apply_fine_tune_level(start)
+        flags = model.structure().flags
+        price = client.planned_round_seconds(model, timing)
+        assert model.structure().flags == flags
+        model.apply_fine_tune_level(level)
+        assert price == Client.planned_round_seconds(client, model, timing)
+        assert expected in (None, price)
+        expected = price
 
 
 def test_fedavg_refuses_tiers_at_two_levels():

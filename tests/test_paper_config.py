@@ -49,10 +49,10 @@ def test_paper_fine_tune_level_saves_work(model):
     """'Fine-tune from layer 3' must cut both compute and communication."""
     shape = (3, 32, 32)
     prepare_partial_model(model, "full")
-    full_flops = profiling.training_flops_per_sample(model, shape)
+    full_flops = profiling.round_flops_per_sample(model, shape)[0]
     full_traffic = round_communication(model).total_parameters
     prepare_partial_model(model, "moderate")
-    workload = profiling.training_flops_per_sample(model, shape) / full_flops
+    workload = profiling.round_flops_per_sample(model, shape)[0] / full_flops
     assert workload < 0.85  # strictly cheaper than full fine-tuning
     comm = round_communication(model).total_parameters / full_traffic
     assert comm < 0.95  # theta is a strict subset of the parameters
@@ -95,14 +95,8 @@ def test_wrn_16_1_one_training_step(model):
 
 
 def test_flops_grow_with_depth_and_width():
-    shallow = profiling.forward_flops_per_sample(
-        nn.WideResNet(10, 1, 10, RNG(0)), (3, 16, 16)
-    )
-    deep = profiling.forward_flops_per_sample(
-        nn.WideResNet(16, 1, 10, RNG(0)), (3, 16, 16)
-    )
-    wide = profiling.forward_flops_per_sample(
-        nn.WideResNet(10, 2, 10, RNG(0)), (3, 16, 16)
-    )
+    shallow, _ = nn.WideResNet(10, 1, 10, RNG(0)).flops_per_sample((3, 16, 16))
+    deep, _ = nn.WideResNet(16, 1, 10, RNG(0)).flops_per_sample((3, 16, 16))
+    wide, _ = nn.WideResNet(10, 2, 10, RNG(0)).flops_per_sample((3, 16, 16))
     assert shallow < deep
     assert shallow < wide

@@ -211,7 +211,7 @@ def test_descriptors_ship_once_so_job_bytes_do_not_carry_them():
     try:
         server, clients = _federation(num=4)
         handles = backend.submit_many(
-            clients, server.model, server.global_state, None
+            clients, server.model, server.global_state
         )
         [backend.result(h) for h in handles]
         for client in clients:
@@ -233,7 +233,7 @@ def test_overlapping_cohort_waves_hold_separate_slots_then_reuse_them():
 
     def waves(backend):
         server, clients = _federation(num=12)
-        args = (server.model, server.global_state, None)
+        args = (server.model, server.global_state)
         first = backend.submit_many(clients[:6], *args)
         second = backend.submit_many(clients[6:], *args)
         results = [backend.result(h) for h in first + second]
@@ -389,7 +389,7 @@ def test_teardown_unlinks_result_slots_and_batch_segments():
     try:
         server, clients = _federation(num=4, keyed=False)
         handles = backend.submit_many(
-            clients, server.model, server.global_state, None
+            clients, server.model, server.global_state
         )
         [backend.result(h) for h in handles]
         (slot,) = [s.shm.name for s in backend._result_slots]

@@ -119,7 +119,7 @@ def test_training_workload_shrinks_with_freezing(model):
     flops = []
     for level in ("full", "large", "moderate", "classifier"):
         prepare_partial_model(model, level)
-        flops.append(profiling.training_flops_per_sample(model, shape))
+        flops.append(profiling.round_flops_per_sample(model, shape)[0])
     fractions = [f / flops[0] for f in flops]
     assert fractions[0] == pytest.approx(1.0)
     assert fractions == sorted(fractions, reverse=True)
@@ -130,10 +130,10 @@ def test_training_flops_reflect_freezing():
     rng = RNG(0)
     model = nn.SmallConvNet(4, rng, channels=(4, 4, 4))
     shape = (3, 8, 8)
-    full = profiling.training_flops_per_sample(model, shape)
+    full, _ = profiling.round_flops_per_sample(model, shape)
     model.apply_fine_tune_level("classifier")
-    frozen = profiling.training_flops_per_sample(model, shape)
-    forward_only = profiling.forward_flops_per_sample(model, shape)
+    frozen, _ = profiling.round_flops_per_sample(model, shape)
+    forward_only, _ = model.flops_per_sample(shape)
     assert frozen < full
     assert frozen >= forward_only
 
@@ -141,6 +141,5 @@ def test_training_flops_reflect_freezing():
 def test_selection_flops_equal_forward():
     model = nn.MLP(48, (8, 8, 8), 4, RNG(0))
     shape = (3, 4, 4)
-    assert profiling.selection_flops_per_sample(
-        model, shape
-    ) == profiling.forward_flops_per_sample(model, shape)
+    _, selection = profiling.round_flops_per_sample(model, shape)
+    assert selection == model.flops_per_sample(shape)[0]
