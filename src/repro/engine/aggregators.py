@@ -35,37 +35,6 @@ from repro.fl.slab import SlabState, slab_successor
 from repro.fl.strategies import LocalUpdate
 
 
-def _offer_flat(free: list[np.ndarray], slab: np.ndarray, cap: int) -> None:
-    """Pool a retired slab, at most ``cap`` per slab length.
-
-    The cap is per length, not overall: cohort update lanes (views into a
-    cohort job's delta stack, recycled by the engine after apply) can
-    differ in length from retired server versions, and one size class
-    must not crowd the other out of the pool.
-    """
-    if sum(1 for f in free if len(f) == len(slab)) < cap:
-        free.append(slab)
-
-
-def _take_flat(
-    free: list[np.ndarray], total: int, *forbidden: np.ndarray
-) -> np.ndarray:
-    """A pooled slab of length ``total`` aliasing none of ``forbidden``,
-    or a fresh one."""
-    for idx in range(len(free) - 1, -1, -1):
-        flat = free[idx]
-        if len(flat) == total and not any(flat is f for f in forbidden):
-            return free.pop(idx)
-    return np.empty(total)
-
-
-def _scratch(buffer: np.ndarray | None, total: int) -> np.ndarray:
-    """``buffer`` when it holds ``total`` elements, else a fresh array."""
-    if buffer is None or len(buffer) != total:
-        return np.empty(total)
-    return buffer
-
-
 class AsyncAggregator:
     """Interface: fold one completed client round into the global model."""
 
@@ -107,16 +76,6 @@ class AsyncAggregator:
                 f"carries {len(state)} buffered update(s)"
             )
 
-    def recycle(self, state: dict[str, np.ndarray]) -> None:
-        """Offer a retired model version's θ slab for buffer reuse.
-
-        The engine calls this when the last in-flight round dispatched from
-        a superseded model version completes: nothing reads that version's
-        θ slab again, so the aggregator may overwrite it instead of
-        allocating a fresh output (see "Buffer reuse" in
-        :mod:`repro.fl.aggregation`). Ignoring the offer is always safe.
-        """
-
 
 def _check_staleness_exponent(exponent: float) -> None:
     # NaN fails the check, as does inf (every stale update would vanish).
@@ -128,27 +87,15 @@ def _check_staleness_exponent(exponent: float) -> None:
 
 @dataclass
 class FedAsyncAggregator(AsyncAggregator):
-    """Immediate staleness-weighted mixing (one version per update).
-
-    Retired slabs handed back through :meth:`recycle` back the next mix's
-    output, so a long run reuses a bounded set of θ-sized slabs instead of
-    allocating one per event.
-    """
+    """Immediate staleness-weighted mixing (one version per update)."""
 
     mixing: float = 0.6  # the paper's α
     staleness_exponent: float = 0.5
-    #: retired θ slabs: superseded server versions and cohort update lanes
-    _free_flats: list[np.ndarray] = field(default_factory=list, repr=False)
-    _mix_scratch: np.ndarray | None = field(default=None, repr=False)
-    _gather_scratch: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.mixing <= 1.0:
             raise ValueError(f"mixing must be in (0, 1], got {self.mixing}")
         _check_staleness_exponent(self.staleness_exponent)
-
-    def recycle(self, state):
-        _offer_flat(self._free_flats, state.theta_slab, 4)
 
     def apply(self, server, update, staleness, base_state):
         """Mix ``update``'s θ into the server's; an update whose θ does not
@@ -157,14 +104,9 @@ class FedAsyncAggregator(AsyncAggregator):
         alpha = self.mixing * staleness_weight(staleness, self.staleness_exponent)
         base = server.global_state
         layout = base.layout
-        self._gather_scratch = _scratch(self._gather_scratch, layout.total)
-        incoming = layout.flatten(update.theta, self._gather_scratch)
-        self._mix_scratch = _scratch(self._mix_scratch, layout.total)
-        out = _take_flat(
-            self._free_flats, layout.total, base.theta_slab, incoming
-        )
-        mix_flat(base.theta_slab, incoming, alpha, out, self._mix_scratch)
-        server.global_state = slab_successor(base, out, layout)
+        incoming = layout.flatten(update.theta)
+        mixed = mix_flat(base.theta_slab, incoming, alpha)
+        server.global_state = slab_successor(base, mixed, layout)
         server.round_index += 1
         return True
 
@@ -188,14 +130,6 @@ class FedBuffAggregator(AsyncAggregator):
     _buffer: list[tuple[SlabState, float]] = field(
         default_factory=list, repr=False
     )
-    #: retired θ slabs reusable as delta and flush outputs (flushed deltas,
-    #: dead broadcast versions and cohort lanes offered through recycle)
-    _free_flats: list[np.ndarray] = field(default_factory=list, repr=False)
-    #: persistent accumulator for the flush's weighted average
-    _merge_flat: np.ndarray | None = field(default=None, repr=False)
-    _gather_scratch: np.ndarray | None = field(default=None, repr=False)
-    #: (buffered deltas × params) flush matrix, consumed as scratch
-    _stack_scratch: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (
@@ -216,22 +150,16 @@ class FedBuffAggregator(AsyncAggregator):
     def pending(self) -> int:
         return len(self._buffer)
 
-    def recycle(self, state):
-        _offer_flat(self._free_flats, state.theta_slab, self.buffer_size + 4)
-
     def apply(self, server, update, staleness, base_state):
         """Buffer ``update``'s delta against ``base_state`` and flush when
         the buffer is full. An update whose θ does not fit the server's
         packing is refused before anything changes (see
         :meth:`repro.fl.slab.SlabLayout.flatten`)."""
         layout = server.global_state.layout
-        self._gather_scratch = _scratch(self._gather_scratch, layout.total)
-        minuend = layout.flatten(update.theta, self._gather_scratch)
-        out = _take_flat(
-            self._free_flats, layout.total, minuend, base_state.theta_slab
+        minuend = layout.flatten(update.theta)
+        delta = slab_successor(
+            {}, subtract_flat(minuend, base_state.theta_slab), layout
         )
-        subtract_flat(minuend, base_state.theta_slab, out)
-        delta = slab_successor({}, out, layout)
         weight = max(1, update.num_selected) * staleness_weight(
             staleness, self.staleness_exponent
         )
@@ -245,35 +173,16 @@ class FedBuffAggregator(AsyncAggregator):
         if not self._buffer:
             return False
         base = server.global_state
-        layout = base.layout
-        n = len(self._buffer)
-        stack = self._stack_scratch
-        if stack is None or stack.shape[0] < n or stack.shape[1] != layout.total:
-            stack = self._stack_scratch = np.empty((n, layout.total))
-        for j, (delta, _) in enumerate(self._buffer):
-            stack[j] = delta.theta_slab
-        self._merge_flat = _scratch(self._merge_flat, layout.total)
-        weighted_average_flat(
-            stack[:n], [w for _, w in self._buffer], out=self._merge_flat
-        )
-        out = _take_flat(
-            self._free_flats, layout.total, base.theta_slab, self._merge_flat
-        )
-        apply_delta_flat(
-            base.theta_slab, self._merge_flat, self.server_lr, out
-        )
-        server.global_state = slab_successor(base, out, layout)
+        stack = np.stack([delta.theta_slab for delta, _ in self._buffer])
+        merged = weighted_average_flat(stack, [w for _, w in self._buffer])
+        theta = apply_delta_flat(base.theta_slab, merged, self.server_lr)
+        server.global_state = slab_successor(base, theta, base.layout)
         server.round_index += 1
-        for delta, _ in self._buffer:
-            self.recycle(delta)
         self._buffer.clear()
         return True
 
     def state_export(self):
-        return [
-            (slab_successor({}, delta.theta_slab.copy(), delta.layout), weight)
-            for delta, weight in self._buffer
-        ]
+        return list(self._buffer)
 
     def state_restore(self, state):
         self._buffer = [(delta, float(weight)) for delta, weight in state]

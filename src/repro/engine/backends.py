@@ -794,7 +794,7 @@ class _StateSlot:
     #: identities last written into this buffer. When a successor version
     #: matches both, only the θ block needs rewriting (one memcpy) — the ϕ
     #: bytes are already resident. ``state`` pins the stamped arrays, so
-    #: the ids cannot be recycled while the stamp is consulted.
+    #: the ids cannot be reused while the stamp is consulted.
     slab_signature: object = None
     phi_stamp: tuple = ()
 
@@ -1126,7 +1126,7 @@ class ProcessPoolBackend(ExecutionBackend):
         #: pinned by their _ClientRecord, so the id stays valid run-long
         self._features: dict[tuple[int, str], PoolEntry] = {}
         #: (test-set id(), fingerprint, batch, shards) -> (test set,
-        #: entries); the dataset is pinned so the id cannot be recycled
+        #: entries); the dataset is pinned so the id cannot be reused
         self._eval_segments: dict[tuple, tuple] = {}
         self._inflight: set[Future] = set()
         self._inflight_lock = threading.Lock()
@@ -1783,7 +1783,7 @@ class ProcessPoolBackend(ExecutionBackend):
 
         Close can arrive with jobs in flight (an exception propagating out
         of a run's ``with backend:`` block); segments must not be
-        recycled or unlinked while a worker may still read them. With a
+        reused or unlinked while a worker may still read them. With a
         fault-policy deadline the wait is bounded: a job hung past its
         deadline gets the workers killed rather than blocking teardown.
         """
@@ -1968,7 +1968,7 @@ class ProcessPoolBackend(ExecutionBackend):
         run — its pool references (run-scoped entries unlinked with their
         batches), the current-state pin, state- and result-slot reader
         counts and all template segments — while keeping the workers, the
-        recycled state and result slots and the pool's keyed shard,
+        reused state and result slots and the pool's keyed shard,
         descriptor, feature and test entries warm for the next run.
 
         Idempotent and exception-safe: every teardown step runs even when

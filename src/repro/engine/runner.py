@@ -20,7 +20,7 @@ re-freeze the shared workspace per round (``supports_feature_cache =
 False``, e.g. tiered clients) are refused before the first dispatch:
 each prices its own level, but its round re-freezes the shared model
 that every later dispatch is priced and trained on. The synchronous
-loop accepts them.
+loop accepts them in a pool of their own.
 
 Dropout: with ``dropout_probability > 0`` a dispatched round may be lost
 midway, wasting a seeded fraction of its simulated seconds. Every client
@@ -45,10 +45,9 @@ synchronous loop shares.
 Model versions here are slab-backed (:class:`~repro.fl.slab.SlabState`),
 restored ones included: each broadcast snapshot's θ is one contiguous
 array, so the aggregators mix/delta whole slabs with single ufuncs and
-the process backend republishes a new version as one memcpy. The
-version-retirement sweep below feeds dead versions back through
-``AsyncAggregator.recycle``, which harvests their slabs — a long run
-cycles a bounded set of θ-sized slabs instead of allocating per event.
+the process backend republishes a new version as one memcpy. Versions
+are write-once: each aggregation makes a fresh slab, so an in-flight
+round's snapshot or a checkpoint's pending version keeps its bytes.
 """
 
 from __future__ import annotations
@@ -167,25 +166,6 @@ def run_async_federated_training(
     last_accuracy = 0.0
     cumulative_seconds = 0.0
     dropout_p = float(dropout_probability)
-    #: dispatch_version -> [broadcast snapshot, in-flight update count];
-    #: when the count of a *superseded* version reaches zero, nothing will
-    #: ever read its θ slab again and it is recycled into the aggregator's
-    #: slab pool (see AsyncAggregator.recycle).
-    live_versions: dict[int, list] = {}
-
-    def _retain_version(version: int, snapshot) -> None:
-        entry = live_versions.setdefault(version, [snapshot, 0])
-        entry[1] += 1
-
-    def _sweep_dead_versions() -> None:
-        for version in [
-            v
-            for v, entry in live_versions.items()
-            if entry[1] <= 0 and v < server.round_index
-        ]:
-            snapshot, _ = live_versions.pop(version)
-            aggregator.recycle(snapshot)
-
     if resume is not None:
         clock = VirtualClock(resume.clock_now)
         rng.bit_generator.state = resume.scheduler_rng_state
@@ -285,7 +265,6 @@ def run_async_federated_training(
                     rng_state=rng_state,
                 )
             else:
-                _retain_version(version, snapshot)
                 queue.push(
                     clock.now + duration,
                     client_id=cid,
@@ -310,7 +289,6 @@ def run_async_federated_training(
                 snapshot = resume.snapshots[int(p["dispatch_version"])]
                 client = clients[cid]
                 client.rng.bit_generator.state = p["rng_state"]
-                _retain_version(int(p["dispatch_version"]), snapshot)
                 handle = backend.submit(client, server.model, snapshot)
             elif p["rng_state"] is not None:
                 # A pending drop runs no local round, but the client's
@@ -414,18 +392,6 @@ def run_async_federated_training(
             applied = aggregator.apply(
                 server, update, staleness, event.snapshot
             )
-        entry = live_versions.get(event.dispatch_version)
-        if entry is not None:
-            entry[1] -= 1
-        _sweep_dead_versions()
-        theta_slab = getattr(update.theta, "theta_slab", None)
-        if theta_slab is not None and theta_slab.base is not None:
-            # A cohort lane: this update's θ is a row view into its cohort
-            # job's delta stack, dead once applied (both aggregators
-            # consume the incoming θ without retaining it). Feed it to the
-            # aggregator's flat pool so async cohort rounds reuse slab
-            # buffers instead of allocating per event.
-            aggregator.recycle(update.theta)
         evaluated = applied and server.round_index % eval_every == 0
         if evaluated:
             last_accuracy = server.evaluate()

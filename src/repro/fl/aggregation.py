@@ -16,12 +16,9 @@ reassociation — ``np.add.reduce`` over the stack axis versus the sequential
 with a trailing ``+ 0.0`` restoring the walk's zero-initialised
 accumulator sign on all-``-0.0`` columns.
 
-Buffer reuse: every kernel writes into a caller-supplied ``out``, so the
-callers cycle a bounded set of retired slabs instead of allocating one per
-aggregation. ``out`` must never alias an input the kernel reads after
-writing, nor an array something else still reads (a broadcast snapshot, a
-buffered delta); the callers own that contract (see DESIGN.md,
-"Aggregation buffer reuse").
+Every kernel returns a fresh slab and writes no input but
+:func:`weighted_average_flat`'s stack, so no model version is written
+once made (see DESIGN.md, "Write-once model versions").
 """
 
 from __future__ import annotations
@@ -47,31 +44,26 @@ def _normalized_weights(count: int, weights: Sequence[float]) -> np.ndarray:
 
 
 def weighted_average_flat(
-    stack: np.ndarray,
-    weights: Sequence[float],
-    out: np.ndarray | None = None,
+    stack: np.ndarray, weights: Sequence[float]
 ) -> np.ndarray:
     """FedAvg over a ``(clients × params)`` stack as one ufunc pair (Eq. 5).
 
     Weights are normalised to sum to one; in FedFT-EDS they are
     proportional to each client's *selected* sample count |Dᵏ_select|.
     ``stack`` holds one flat θ slab per row and is **consumed as scratch**
-    (rows are scaled in place). ``out`` optionally receives the reduced
-    slab (a retired flat of the same length). ``np.add.reduce``
-    accumulates rows pairwise left-to-right exactly like the sequential
-    ``acc += w·state`` walk, and the trailing ``+ 0.0`` reproduces the
-    walk's zero-initialised accumulator on columns where every scaled row
-    is ``-0.0`` (the one place the formulations differ). Weights are
+    (rows are scaled in place). ``np.add.reduce`` accumulates rows
+    pairwise left-to-right exactly like the sequential ``acc += w·state``
+    walk, and the trailing ``+ 0.0`` reproduces the walk's
+    zero-initialised accumulator on columns where every scaled row is
+    ``-0.0`` (the one place the formulations differ). Weights are
     validated before anything is written.
     """
     if stack.ndim != 2:
         raise ValueError(f"expected a 2-D (clients x params) stack, got {stack.shape}")
     weights = _normalized_weights(stack.shape[0], weights)
     np.multiply(stack, weights[:, None], out=stack)
-    if out is None:
-        out = np.empty(stack.shape[1], dtype=stack.dtype)
-    np.add.reduce(stack, axis=0, out=out)
-    np.add(out, 0.0, out=out)
+    out = np.add.reduce(stack, axis=0)
+    out += 0.0
     return out
 
 
@@ -89,50 +81,28 @@ def staleness_weight(staleness: int, exponent: float = 0.5) -> float:
 
 
 def mix_flat(
-    base: np.ndarray,
-    incoming: np.ndarray,
-    alpha: float,
-    out: np.ndarray,
-    scratch: np.ndarray,
+    base: np.ndarray, incoming: np.ndarray, alpha: float
 ) -> np.ndarray:
-    """Convex combination ``(1 - α)·base + α·incoming`` over whole slabs.
-
-    The FedAsync update: ``multiply(base, 1-α)`` into ``out``, then
-    ``+= α·incoming``. ``out`` and ``scratch`` must not alias ``base`` or
-    ``incoming``; ``base`` is never written, so earlier broadcast
-    snapshots stay valid.
-    """
+    """Convex combination ``(1 - α)·base + α·incoming`` over whole slabs
+    (the FedAsync update)."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    np.multiply(base, 1.0 - alpha, out=out)
-    np.multiply(incoming, alpha, out=scratch)
-    np.add(out, scratch, out=out)
+    out = base * (1.0 - alpha)
+    out += incoming * alpha
     return out
 
 
 def apply_delta_flat(
-    base: np.ndarray,
-    delta: np.ndarray,
-    lr: float,
-    out: np.ndarray,
+    base: np.ndarray, delta: np.ndarray, lr: float
 ) -> np.ndarray:
-    """Server-side update ``base + lr·delta`` over whole slabs (FedBuff).
-
-    ``multiply(delta, lr)`` into ``out``, then ``add(base, out)``. ``out``
-    must not alias ``base``.
-    """
-    np.multiply(delta, lr, out=out)
-    np.add(base, out, out=out)
-    return out
+    """Server-side update ``base + lr·delta`` over whole slabs (FedBuff)."""
+    return base + delta * lr
 
 
-def subtract_flat(
-    minuend: np.ndarray, base: np.ndarray, out: np.ndarray
-) -> np.ndarray:
+def subtract_flat(minuend: np.ndarray, base: np.ndarray) -> np.ndarray:
     """Difference ``minuend − base`` over whole slabs.
 
     The FedBuff delta primitive: what a client *learned* relative to the
     broadcast state it started from.
     """
-    np.subtract(minuend, base, out=out)
-    return out
+    return minuend - base

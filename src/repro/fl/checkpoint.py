@@ -155,9 +155,8 @@ def sync_run_state(
     parameters (total rounds, eval cadence, seed, pool size). The records
     list is copied and RNG ``.state`` reads are fresh dicts, so the state
     stays valid while the loop runs on; the server state is referenced,
-    which is safe because aggregation is double-buffered: the next round
-    writes into the buffers of the version before this one, never into
-    this one.
+    which is safe because model versions are write-once: the next round
+    makes a new version and never writes this one.
     """
     return RunState(
         clock_now=0.0,
@@ -435,11 +434,11 @@ def _server_delta(
     """The current version's arrays whose content digests differ from the
     base's — after round 0 just θ, as the one ``theta_slab`` array.
 
-    Change detection stays content-based: the aggregators recycle retired
-    θ slabs in place (``Server._slab_scratch``,
-    ``AsyncAggregator.recycle``), so an array object's identity says
-    nothing about its bytes across saves. It runs once per model version,
-    when the version is first stored.
+    Change detection is content-based: the base's digests may have been
+    written by an earlier process (a resumed run continuing its
+    checkpoint), where no array of this process can be compared by
+    identity. It runs once per model version, when the version is first
+    stored.
     """
     delta: dict[str, np.ndarray] = {}
     slab = server_state.theta_slab

@@ -151,6 +151,11 @@ def run_federated_training(
     may choose nobody) skips aggregation and is recorded as a
     zero-participant round.
 
+    A pool mixing clients whose round re-freezes the shared model
+    (``supports_feature_cache`` False, e.g. tiered clients) with clients
+    whose round does not is refused with ``ValueError`` before the first
+    dispatch: the split the others train at would depend on the backend.
+
     With ``checkpoint_path`` and ``checkpoint_every > 0``, the run state —
     global state, round records, the sampling RNG stream and every
     client's RNG stream — is checkpointed every ``checkpoint_every``
@@ -183,6 +188,15 @@ def run_federated_training(
     )
     if not clients:
         raise ValueError("client pool is empty")
+    refreezing = [
+        c for c in clients if not getattr(c, "supports_feature_cache", True)
+    ]
+    if refreezing and len(refreezing) < len(clients):
+        raise ValueError(
+            f"client {refreezing[0].client_id} re-freezes the shared model "
+            "per round (supports_feature_cache is False) and other clients "
+            "do not, so the split they train at would depend on the backend"
+        )
     if backend is None:
         # Local import: repro.engine imports this package.
         from repro.engine.backends import SerialBackend

@@ -99,14 +99,9 @@ class Server:
                 "graph_evals": 0,
             },
         )
-        # Alternating θ slabs for aggregate(): the slab written two rounds
-        # ago is only reachable from that round's superseded global_state,
-        # so it can be reused without touching anything a broadcast
-        # snapshot might still alias.
-        self._slab_scratch: list[np.ndarray | None] = [None, None]
-        self._scratch_flip = 0
         #: (clients × params) aggregation matrix, grown to the largest
         #: cohort seen; rows are consumed as scratch by the flat kernel
+        #: (it holds no model version, so reusing it rewrites none)
         self._stack_scratch: np.ndarray | None = None
 
     def broadcast(self) -> dict[str, np.ndarray]:
@@ -167,18 +162,12 @@ class Server:
                 raise KeyError(f"state {j} keys differ from state 0") from None
             if flat is not row:
                 row[...] = flat  # row memcpy: packing is offset-identical
-        weights = [u.num_selected for u in updates]
+        average = weighted_average_flat(rows, [u.num_selected for u in updates])
         if packing is layout:
-            out = self._slab_scratch[self._scratch_flip]
-            if out is None:
-                out = np.empty(layout.total)
-            weighted_average_flat(rows, weights, out=out)
-            self._slab_scratch[self._scratch_flip] = out
-            self._scratch_flip ^= 1
-            self.global_state = slab_successor(base, out, layout)
+            self.global_state = slab_successor(base, average, layout)
         else:
             merged = dict(base)
-            merged.update(packing.views(weighted_average_flat(rows, weights)))
+            merged.update(packing.views(average))
             self.global_state = make_slab_state(merged, layout)
         self.round_index += 1
 

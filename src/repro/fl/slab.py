@@ -86,15 +86,16 @@ class SlabLayout:
         }
 
     def flatten(
-        self, state: dict[str, np.ndarray], scratch: np.ndarray
+        self, state: dict[str, np.ndarray], scratch: np.ndarray | None = None
     ) -> np.ndarray:
         """``state``'s θ as one flat slab per this layout.
 
         Zero-copy when ``state`` is slab-backed with this packing and holds
-        nothing else; gathered into ``scratch`` otherwise. A state that
-        does not fit is refused before ``scratch`` is written: ``KeyError``
-        when its keys differ from the layout's, ``ValueError`` when an
-        entry is not a float64 array of the packed shape.
+        nothing else; gathered into ``scratch`` (a fresh slab when None)
+        otherwise. A state that does not fit is refused before anything
+        is written: ``KeyError`` when its keys differ from the layout's,
+        ``ValueError`` when an entry is not a float64 array of the packed
+        shape.
         """
         slab = getattr(state, "theta_slab", None)
         if (
@@ -119,12 +120,14 @@ class SlabLayout:
                 raise ValueError(
                     f"θ entry {key!r} is not a float64 array of shape {shape}"
                 )
+        if scratch is None:
+            scratch = np.empty(self.total)
         return self.gather(state, scratch)
 
     def gather(self, state: dict[str, np.ndarray], out: np.ndarray) -> np.ndarray:
         """Copy ``state``'s θ values into the flat ``out`` per the layout.
 
-        Pad lanes are zeroed explicitly so a recycled scratch row holds
+        Pad lanes are zeroed explicitly so a reused scratch row holds
         the same bytes a fresh slab would.
         """
         end = 0
@@ -166,8 +169,7 @@ def make_slab_state(
     refuses it.
     """
     theta = {key: state[key] for key in layout.keys if key in state}
-    slab = layout.flatten(theta, np.empty(layout.total))
-    return slab_successor(state, slab, layout)
+    return slab_successor(state, layout.flatten(theta), layout)
 
 
 def slab_successor(

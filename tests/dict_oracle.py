@@ -101,9 +101,6 @@ class DictServer(Server):
 class DictFedAsync(FedAsyncAggregator):
     """FedAsync mixing per key, allocating every version afresh."""
 
-    def recycle(self, state):
-        pass
-
     def apply(self, server, update, staleness, base_state):
         alpha = self.mixing * staleness_weight(
             staleness, self.staleness_exponent
@@ -117,9 +114,6 @@ class DictFedAsync(FedAsyncAggregator):
 
 class DictFedBuff(FedBuffAggregator):
     """FedBuff buffering per-key deltas and flushing them per key."""
-
-    def recycle(self, state):
-        pass
 
     def apply(self, server, update, staleness, base_state):
         delta = subtract_states(update.theta, base_state)

@@ -7,8 +7,7 @@ grouping is *bitwise invisible* — same losses, same θ trajectory, same
 per-client RNG streams, same EventLog as N independent solves (fused or
 layer-graph), across sync/async and serial/process backends, with
 automatic per-client fallback whenever a participant cannot join. These
-tests enforce that promise, plus the PR's satellites: plan-cache byte
-budgeting, flat-lane recycling through the async aggregators, and
+tests enforce that promise, plus plan-cache byte budgeting and
 kill-and-resume straight through a cohort round.
 
 The ungrouped reference is per-client dispatch (:class:`_PerClientSerial`:
@@ -72,6 +71,13 @@ def _make_client(cid, n=40, selector=None, cls=Client, extra=(), fraction=0.3):
     )
 
 
+class _CustomClient(Client):
+    """Overrides ``run_round``, so it always runs per client."""
+
+    def run_round(self, *args, **kwargs):
+        return super().run_round(*args, **kwargs)
+
+
 class _PerClientSerial(SerialBackend):
     """Ungrouped dispatch: the base ``submit_many`` runs every client
     through ``submit`` alone — the per-client fused path."""
@@ -79,13 +85,16 @@ class _PerClientSerial(SerialBackend):
     submit_many = ExecutionBackend.submit_many
 
 
-def _build(num=8, n=40, sizes=None, tiers=(), selector=None, fraction=0.3):
+def _build(
+    num=8, n=40, sizes=None, tiers=(), custom=(), selector=None, fraction=0.3
+):
     """A server (slab global state) plus ``num`` cohortable clients.
 
     ``sizes[cid]`` overrides the dataset size (ragged cohorts); ``tiers``
     is a set of client ids built as :class:`TieredClient` instead
-    (heterogeneous federations — those always fall back per client).
-    ``selector`` makes each client's selector (default: entropy).
+    (heterogeneous federations — those always fall back per client), and
+    ``custom`` a set built as :class:`_CustomClient`. ``selector`` makes
+    each client's selector (default: entropy).
     """
     model = _make_model()
     clients = []
@@ -99,6 +108,8 @@ def _build(num=8, n=40, sizes=None, tiers=(), selector=None, fraction=0.3):
                 _make_client(cid, size, cls=TieredClient,
                              extra=(CapabilityTier("medium", "moderate"),))
             )
+        elif cid in custom:
+            clients.append(_make_client(cid, size, cls=_CustomClient))
         else:
             clients.append(
                 _make_client(cid, size, selector=chosen, fraction=fraction)
@@ -676,10 +687,6 @@ def test_cohort_units_fallback_reasons():
     class _OddSelector(RandomSelector):
         pass
 
-    class _CustomClient(Client):
-        def run_round(self, *args, **kwargs):
-            return super().run_round(*args, **kwargs)
-
     clients = [
         _make_client(0),
         _make_client(1),
@@ -705,20 +712,27 @@ def test_cohort_units_fallback_reasons():
 
 
 def test_mixed_tiers_fall_back_bitwise():
-    """Tiered clients run per client; homogeneous peers still cohort."""
-    tiers = {1, 4}
-    ref_hist, ref_theta, _ = _sync_reference(tiers=tiers)
+    """Clients that override ``run_round`` run per client; homogeneous
+    peers still cohort."""
+    custom = {1, 4}
+    ref_hist, ref_theta, _ = _sync_reference(custom=custom)
     before = fastpath.COHORT_STATS["cohort_solves"]
-    server, clients = _build(tiers=tiers)
+    fallbacks = fastpath.COHORT_STATS["fallback_custom_client"]
+    server, clients = _build(custom=custom)
     with SerialBackend(feature_runtime=FeatureRuntime()) as backend:
         history = _run_sync(server, clients, backend)
     assert fastpath.COHORT_STATS["cohort_solves"] > before
+    rounds = len(history.records)
+    assert (
+        fastpath.COHORT_STATS["fallback_custom_client"] - fallbacks
+        == len(custom) * rounds
+    )
     assert _hist_sig(history) == ref_hist
     assert _theta_bytes(server) == ref_theta
 
 
 # ---------------------------------------------------------------------------
-# Telemetry, aggregator lane recycling
+# Telemetry
 # ---------------------------------------------------------------------------
 
 
@@ -731,21 +745,6 @@ def test_telemetry_does_not_perturb_cohorts(tmp_path):
             history = _run_sync(server, clients, backend)
     assert _hist_sig(history) == ref_hist
     assert _theta_bytes(server) == ref_theta
-
-
-def test_async_cohort_lanes_recycle_into_flat_pool():
-    """Cohort delta lanes feed the aggregator's flat-slab pool."""
-    server, clients = _build()
-    aggregator = FedAsyncAggregator()
-    with SerialBackend(feature_runtime=FeatureRuntime()) as backend:
-        run_async_federated_training(
-            server, clients, aggregator, max_events=24, seed=5,
-            timing=TimingModel(), backend=backend,
-        )
-    lane_total = server.global_state.layout.total
-    pooled = [f for f in aggregator._free_flats if len(f) == lane_total]
-    assert pooled, "no cohort lane was recycled into the flat pool"
-    assert len(pooled) <= 4  # per-length cap holds
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def test_mix_states_passes_frozen_keys_through():
 
 def test_apply_delta():
     base = np.ones(3)
-    out = apply_delta_flat(base, np.full(3, 0.5), 2.0, np.empty(3))
+    out = apply_delta_flat(base, np.full(3, 0.5), 2.0)
     assert np.allclose(out, 2.0)
     assert np.array_equal(base, np.ones(3))
 

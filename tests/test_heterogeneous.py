@@ -166,7 +166,7 @@ def test_event_engine_refuses_tiered_clients(tmp_path):
     but its round still re-freezes the shared model that every later
     dispatch is priced and trained on: the event engine and its resume
     refuse it before the first dispatch, naming the client. The sync
-    loop keeps accepting it."""
+    loop keeps accepting a pool of tiered clients alone."""
     from repro.engine.aggregators import FedAsyncAggregator
     from repro.engine.runner import run_async_federated_training
     from repro.fl.checkpoint import resume_async_federated_training
@@ -243,6 +243,51 @@ def test_tiered_price_is_its_own_level_from_any_split(level):
         assert price == Client.planned_round_seconds(client, model, timing)
         assert expected in (None, price)
         expected = price
+
+
+@pytest.mark.parametrize("backend_name", ["serial", "process"])
+def test_fedavg_refuses_a_pool_mixing_tiered_and_plain_clients(
+    backend_name, tmp_path
+):
+    """A tiered client's round re-freezes the shared model, and plain
+    clients would train at its split or at their own depending on the
+    backend: the sync loop and its resume refuse the mixed pool before
+    the first dispatch, naming the tiered client."""
+    from repro.engine.backends import make_backend
+    from repro.fl.checkpoint import resume_sync_federated_training
+    from repro.fl.rounds import run_federated_training
+
+    def mixed():
+        server, clients = _conv_tiered_federation(tiered=False)
+        plain = clients[0]
+        clients[0] = TieredClient(
+            0, plain.dataset, plain.selector, plain.solver,
+            plain.selection_fraction, plain.epochs, RNG(10),
+            tier=CapabilityTier("t0", "full"),
+        )
+        return server, clients
+
+    path = str(tmp_path / "ckpt")
+    server, clients = _conv_tiered_federation(tiered=False)
+    run_federated_training(
+        server, clients, rounds=1, seed=0, checkpoint_path=path,
+        checkpoint_every=1,
+    )
+    with make_backend(backend_name, max_workers=2) as backend:
+        server, clients = mixed()
+        before = server.global_state
+        with pytest.raises(ValueError, match="client 0 re-freezes"):
+            run_federated_training(
+                server, clients, rounds=2, seed=0, backend=backend
+            )
+        assert server.round_index == 0
+        assert server.global_state is before
+        server, clients = mixed()
+        with pytest.raises(ValueError, match="client 0 re-freezes"):
+            resume_sync_federated_training(
+                path, server, clients, backend=backend
+            )
+        assert server.round_index == 1
 
 
 def test_fedavg_refuses_tiers_at_two_levels():

@@ -17,7 +17,6 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
-from repro.core.heterogeneous import CapabilityTier, TieredClient
 from repro.core.partial import prepare_partial_model
 from repro.data.dataset import ArrayDataset
 from repro.engine import backends as B
@@ -55,9 +54,16 @@ def _clean_fault_state():
     install_chaos(None)
 
 
-def _federation(num=12, tiers=(), keyed=True):
-    """A slab server plus ``num`` cohortable head-only clients; ``tiers``
-    holds the ids built as tiered clients, which bill themselves."""
+class _CustomClient(Client):
+    """Overrides ``run_round``, so a worker runs it on raw inputs."""
+
+    def run_round(self, *args, **kwargs):
+        return super().run_round(*args, **kwargs)
+
+
+def _federation(num=12, custom=(), keyed=True):
+    """A slab server plus ``num`` cohortable head-only clients; ``custom``
+    holds the ids built as :class:`_CustomClient`."""
     model = MLP(24, (16, 16, 16), 5, RNG(1))
     prepare_partial_model(model, "moderate")
     clients = []
@@ -68,10 +74,7 @@ def _federation(num=12, tiers=(), keyed=True):
             ArrayDataset(rng.normal(size=(40, 24)), rng.integers(0, 5, 40)),
             EntropySelector(), LocalSolver(), 0.3, 2, RNG(500 + cid),
         )
-        if cid in tiers:
-            client = TieredClient(*args, CapabilityTier("medium", "moderate"))
-        else:
-            client = Client(*args)
+        client = (_CustomClient if cid in custom else Client)(*args)
         if keyed:
             client.shard_key = ("transport", cid)
         clients.append(client)
@@ -163,15 +166,17 @@ def test_head_only_run_publishes_labels_in_one_segment_per_batch():
 
 
 def test_raw_inputs_are_published_only_where_a_member_reads_them():
-    """A tiered client bills itself, so its shard ships raw beside its
-    peers' labels; a run without features ships every shard raw."""
-    expected = _serial(rounds=2, num=6, tiers={1})
+    """A client that overrides ``run_round`` may read its raw inputs, so
+    its shard ships raw beside its peers' labels (its features ship too,
+    as it takes cached features); a run without features ships every
+    shard raw."""
+    expected = _serial(rounds=2, num=6, custom={1})
     backend = _process()
     pool = backend.segment_pool
     try:
-        assert _sync(backend, rounds=2, num=6, tiers={1}) == expected
+        assert _sync(backend, rounds=2, num=6, custom={1}) == expected
         assert dict(pool.publishes_by_kind) == {
-            "transport": 5, "raw": 1, "client": 6, "feat": 5,
+            "transport": 5, "raw": 1, "client": 6, "feat": 6,
         }
         (raw,) = [e for e in pool._entries.values() if e.key[0] == "raw"]
         assert raw.key == ("raw", "transport", 1)

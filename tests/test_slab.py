@@ -18,9 +18,12 @@ oracle (``dict_oracle``). Pinned here:
 5. loud refusals: updates and models whose θ cannot be packed raise
    before any state changes;
 6. graph evaluation: CNN "moderate" (BatchNorm in θ) has no head plan
-   and evaluates on the layer graph; a planned head's count equals it.
+   and evaluates on the layer graph; a planned head's count equals it;
+7. write-once versions: every version a run makes, held to the end of
+   the run, keeps the θ bytes it was made with.
 """
 
+import hashlib
 import json
 import os
 import pickle
@@ -41,7 +44,7 @@ from repro.core.fedft_eds import FedFTEDSConfig, run_fedft_eds
 from repro.core.partial import prepare_partial_model
 from repro.data.dataset import ArrayDataset
 from repro.engine.aggregators import FedAsyncAggregator, FedBuffAggregator
-from repro.engine.backends import ProcessPoolBackend
+from repro.engine.backends import ProcessPoolBackend, make_backend
 from repro.engine.runner import run_async_federated_training
 from repro.fl.aggregation import (
     apply_delta_flat,
@@ -140,21 +143,24 @@ def test_weighted_average_flat_negative_zero_column():
     assert views["w"][0].tobytes() == np.float64(0.0).tobytes()
 
 
+def _fresh_and_inputs_unwritten(out, *inputs, before):
+    """``out`` shares memory with no input, and every input still holds
+    its ``before`` bytes: the kernel made a new version."""
+    assert not any(np.shares_memory(out, flat) for flat in inputs)
+    assert [flat.tobytes() for flat in inputs] == before
+
+
 def test_mix_flat_bitwise_matches_dict():
     rng = RNG(1)
     base, incoming = _random_state(rng), _random_state(rng)
     layout, base_flat = _layout_and_flat(base)
     _, in_flat = _layout_and_flat(incoming)
+    before = [base_flat.tobytes(), in_flat.tobytes()]
     for alpha in (0.0, 0.3, 1.0):
         ref = mix_states(base, incoming, alpha)
-        out = mix_flat(
-            base_flat,
-            in_flat,
-            alpha,
-            np.empty(layout.total),
-            np.empty(layout.total),
-        )
+        out = mix_flat(base_flat, in_flat, alpha)
         assert _states_bitwise_equal(layout.views(out), ref)
+        _fresh_and_inputs_unwritten(out, base_flat, in_flat, before=before)
 
 
 def test_apply_delta_flat_bitwise_matches_dict():
@@ -162,9 +168,11 @@ def test_apply_delta_flat_bitwise_matches_dict():
     base, delta = _random_state(rng), _random_state(rng, scale=0.1)
     layout, base_flat = _layout_and_flat(base)
     _, delta_flat = _layout_and_flat(delta)
+    before = [base_flat.tobytes(), delta_flat.tobytes()]
     ref = apply_delta(base, delta, lr=0.7)
-    out = apply_delta_flat(base_flat, delta_flat, 0.7, np.empty(layout.total))
+    out = apply_delta_flat(base_flat, delta_flat, 0.7)
     assert _states_bitwise_equal(layout.views(out), ref)
+    _fresh_and_inputs_unwritten(out, base_flat, delta_flat, before=before)
 
 
 def test_subtract_flat_bitwise_matches_dict():
@@ -172,9 +180,11 @@ def test_subtract_flat_bitwise_matches_dict():
     minuend, base = _random_state(rng), _random_state(rng)
     layout, m_flat = _layout_and_flat(minuend)
     _, b_flat = _layout_and_flat(base)
+    before = [m_flat.tobytes(), b_flat.tobytes()]
     ref = subtract_states(minuend, base)
-    out = subtract_flat(m_flat, b_flat, np.empty(layout.total))
+    out = subtract_flat(m_flat, b_flat)
     assert _states_bitwise_equal(layout.views(out), ref)
+    _fresh_and_inputs_unwritten(out, m_flat, b_flat, before=before)
 
 
 def test_slab_state_round_trips_and_pickles_to_plain_dict():
@@ -618,3 +628,55 @@ def test_server_fused_eval_bitwise_matches_graph():
     features = server._test_features[1]
     logits = batched_head_logits(server.model, features, 512)
     assert accuracy == F.accuracy(logits, server.test_set.labels)
+
+
+# ---------------------------------------------------------------------------
+# Write-once model versions
+# ---------------------------------------------------------------------------
+
+
+def _slab_digest(state):
+    return hashlib.blake2b(state.theta_slab).hexdigest()
+
+
+@pytest.mark.parametrize("backend_name", ["serial", "process"])
+@pytest.mark.parametrize("mode", ["sync", "fedasync", "fedbuff"])
+def test_every_held_version_keeps_its_bytes(mode, backend_name):
+    """A caller holds every ``server.global_state`` a run makes, from the
+    initial one to the last, with a digest of its θ slab taken when it
+    was made. No aggregation writes a version once it is made, so at the
+    end of the run every held version still has those bytes."""
+    server, clients = tiny_federation(seed=5, num_clients=4)
+    held = [(server.global_state, _slab_digest(server.global_state))]
+
+    def hold(_record=None):
+        state = server.global_state
+        if state is not held[-1][0]:
+            held.append((state, _slab_digest(state)))
+
+    with make_backend(backend_name, max_workers=2) as backend:
+        if mode == "sync":
+            run_federated_training(
+                server, clients, rounds=6, seed=0, timing=TimingModel(),
+                backend=backend, on_round=hold,
+            )
+        else:
+            aggregator = (
+                FedAsyncAggregator()
+                if mode == "fedasync"
+                else FedBuffAggregator(buffer_size=2)
+            )
+            run_async_federated_training(
+                server, clients, aggregator, max_events=24, seed=0,
+                timing=TimingModel(), backend=backend, max_concurrency=4,
+                on_event=hold,
+            )
+    hold()  # a version the end-of-run flush made
+    made = {"sync": 6, "fedasync": 24, "fedbuff": 12}[mode]
+    assert len(held) == 1 + made == 1 + server.round_index
+    rewritten = [
+        version
+        for version, (state, digest) in enumerate(held)
+        if _slab_digest(state) != digest
+    ]
+    assert rewritten == []
